@@ -98,7 +98,7 @@ def test_objective_check_rejects_a_wrong_objective():
 def _synthesized(feasible):
     """A small instance whose synthesis verdict is ``feasible``."""
     wl = workloads.CertifySynthesize()
-    spec = wl._find(7, 0, True, feasible, 4, 0, 99)
+    spec = wl._find(7, 0, True, feasible, 4, 8, 24 if feasible else 18)
     text = _document(spec)
     inst, solved = _solved(text, with_certificate=True)
     synth = allocation.synthesize_stable_payments(inst, solved.assignment)
@@ -170,7 +170,7 @@ def _check_command(tmp_path, text, mapping):
 @pytest.mark.parametrize("perturb", [False, True])
 def test_check_output_check_rejects_a_payment_past_v_minus_v_min(tmp_path, perturb):
     inst = generate.generate_instance(3, 60, 12)
-    mapping, payments = workloads._check_inputs(inst, perturb, 6)
+    mapping, payments = workloads._check_inputs(workloads._market(inst), perturb, 6)
     text = instance_io.serialize_document(inst, allocation.PaymentSchedule(payments))
     status, out = _check_command(tmp_path, text, mapping)
     expected = checks.evaluate_check(checks.read_market(text), mapping)
@@ -205,3 +205,24 @@ def test_self_time_subtracts_other_modules_only():
     assert totals["allocation.synthesize_self_s"] == 4.0
     assert "allocation.check_s" not in totals  # nested in its own module
     assert totals["lp.solve_s"] == 4.0 and totals["lp.calls"] == 2
+
+
+# -- corpus and metrics ---------------------------------------------------
+
+
+def test_a_thinned_market_keeps_exactly_its_share_of_pairs():
+    spec, inst = workloads._thinned(1, 0, 60, 12)
+    pairs = inst.compatible_pairs()
+    assert len(pairs) == round(workloads.DENSITY * 60 * 12) and set(pairs) == spec.keep
+    rebuilt = workloads._thin(workloads._generate(spec), spec.keep)
+    text = instance_io.serialize_document(rebuilt)
+    assert list(checks.read_market(text).compatible) == pairs
+
+
+def test_the_tail_has_ten_samples_beyond_it():
+    import run
+
+    metrics = run.end_to_end([float(x) for x in range(1, 51)], [1.0, 2.0, 3.0])
+    assert metrics["latency_tail_s"]["value"] == 40.0
+    assert metrics["latency_p50_s"]["value"] == 25.5
+    assert metrics["setup_s"]["value"] == 2.0

@@ -1,19 +1,24 @@
 """The benchmark's workloads: their inputs, one operation each, and its checks.
 
-Every workload builds a corpus of instance documents from ``--seed``.  A
-corpus is laid out in blocks of ``BLOCK`` documents with the same make-up
-(sizes, and for ``certify_synthesize`` the verdict classes), and a run
-processes whole blocks, so every run sees the same mix whatever its seed.
-An operation always starts from document text, so no instance carries its
-cached compatibility from one operation to the next.
+Every workload builds a corpus of instance documents from ``--seed``.  The
+make-up of a corpus is fixed and only the generator seeds change with
+``--seed``: sizes and the exact number of compatible pairs, and for
+``certify_synthesize`` also the verdict and the number of stability rows.
+The documents fall into groups of about equal cost, laid out so that the
+median and the tail rank fall inside a group, not between two.  A run
+processes every document the same number of times, so every run sees the
+same mix whatever its seed.  An operation always starts from document
+text, so no instance carries its cached compatibility from one operation
+to the next.
 
 Each workload has three steps with different timing:
 
 * ``select`` (untimed) decides the generator calls: sizes and generator
-  seeds.  ``certify_synthesize`` uses it to fix its verdict mix, and
+  seeds.  ``match_large`` and ``check_large`` use it to thin their
+  markets, ``certify_synthesize`` to fix its verdict mix, and
   ``check_large`` to choose the assignment and payments of each document.
 * ``build`` (timed as set-up) calls ``generate.generate_instance`` and
-  ``instance_io.serialize_document`` and returns the documents.
+  ``instance_io.serialize_document`` and yields the documents one by one.
 * ``run`` (timed per operation) is what a user of the package pays;
   ``check`` (untimed) verifies its output with :mod:`checks`.
 """
@@ -21,8 +26,10 @@ Each workload has three steps with different timing:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import os
+import random
 from dataclasses import dataclass
 
 import checks
@@ -33,8 +40,8 @@ BLOCK = 8
 
 @dataclass(frozen=True)
 class Spec:
-    """One generator call, and for ``check_large`` the assignment and the
-    payments the document carries."""
+    """One generator call; for a thinned market the pairs it keeps, and for
+    ``check_large`` the assignment and payments the document carries."""
 
     gen_seed: int
     n: int
@@ -42,6 +49,7 @@ class Spec:
     degenerate: bool = False
     mapping: dict | None = None
     payments: dict | None = None
+    keep: frozenset | None = None  # the compatible pairs a thinned market keeps
 
 
 @dataclass
@@ -56,28 +64,44 @@ def _gen_seed(seed: int, slot: int, attempt: int = 0) -> int:
     return (seed * 1_000_003 + slot) * 1_000 + attempt
 
 
-#: compatible pairs per traveler-vehicle cell that ``_typical`` aims for;
-#: the generator's median is about 0.41 at these sizes
-DENSITY = 0.41
+#: compatible pairs per traveler-vehicle cell in a thinned market
+#: (``match_large``, ``check_large``); the generator gives from about 0.25
+#: to 0.6 between seeds
+DENSITY = 0.3
 
 
-def _typical(seed: int, slot: int, n: int, m: int, candidates: int):
-    """Of ``candidates`` generator seeds, the instance whose share of
-    compatible pairs is closest to :data:`DENSITY`.
+def _thinned(seed: int, slot: int, n: int, m: int):
+    """A generated market thinned to exactly ``DENSITY * n * m`` compatible
+    pairs.
 
     Operation cost grows with the number of compatible pairs, whose share
-    ranges from about 0.25 to 0.6 between generator seeds; picking the
-    most typical of a few keeps the cost of a corpus from depending on its
-    seed.  Returns ``(spec, instance)``.
+    varies twofold between generator seeds.  The first generator seed with
+    enough pairs is kept, and a seeded sample of its pairs (found by the
+    benchmark's own route walk) keeps their inconvenience entries; the
+    others lose them, which makes those pairs incompatible.  Returns
+    ``(spec, instance)``.
     """
-    best = None
-    for attempt in range(candidates):
+    target = round(DENSITY * n * m)
+    for attempt in range(100):
         spec = Spec(_gen_seed(seed, slot, attempt), n, m)
         inst = _generate(spec)
-        off = abs(len(inst.compatible_pairs()) / (n * m) - DENSITY)
-        if best is None or off < best[0]:
-            best = (off, spec, inst)
-    return best[1], best[2]
+        pairs = _market(inst).compatible
+        if len(pairs) >= target:
+            keep = frozenset(random.Random(spec.gen_seed).sample(pairs, target))
+            spec = dataclasses.replace(spec, keep=keep)
+            return spec, _thin(inst, keep)
+    raise RuntimeError(f"no market with {target} compatible pairs for slot {slot}")
+
+
+def _thin(inst, keep):
+    """``inst`` with only the inconvenience entries of the pairs in ``keep``."""
+    travelers = tuple(
+        dataclasses.replace(
+            t, inconvenience={v: phi for v, phi in t.inconvenience.items() if (t.id, v) in keep}
+        )
+        for t in inst.travelers
+    )
+    return dataclasses.replace(inst, travelers=travelers)
 
 
 def _mapping(assignment) -> dict:
@@ -88,9 +112,8 @@ class _Workload:
     """Documents held as text; the benchmark reads each one once, untimed."""
 
     def build(self, specs, workdir):
-        return [
-            Doc(i, instance_io.serialize_document(_generate(s))) for i, s in enumerate(specs)
-        ]
+        for i, spec in enumerate(specs):
+            yield Doc(i, instance_io.serialize_document(_generate(spec)))
 
     def prepare(self, docs):
         for doc in docs:
@@ -99,6 +122,44 @@ class _Workload:
     def counters(self, output):
         """Per-operation counters the traced run takes from an output."""
         return {}
+
+
+# -- match_large ----------------------------------------------------------
+
+
+class MatchLarge(_Workload):
+    """Parse, then the matching alone (``with_certificate=False``): the path
+    the ``check`` and ``synthesize`` commands take.  The per-augmentation
+    Bellman-Ford over ``Fraction`` costs does nearly all the work.
+
+    Seven markets of each of seven sizes, each thinned to the same share of
+    compatible pairs.  Sorted by cost, the median and the tail rank of the
+    49 documents fall on the middle market of the fourth and the sixth size.
+    """
+
+    name = "match_large"
+    SIZES = (60, 75, 90, 65, 80, 70, 85)
+    #: markets per size
+    MARKETS = 7
+    #: operations per second on the reference machine (see README.md)
+    OPS_PER_SECOND = 8
+
+    def select(self, seed):
+        sizes = [n for n in self.SIZES for _ in range(self.MARKETS)]
+        return [_thinned(seed, slot, n, n // 5)[0] for slot, n in enumerate(sizes)]
+
+    def build(self, specs, workdir):
+        for i, spec in enumerate(specs):
+            yield Doc(i, instance_io.serialize_document(_thin(_generate(spec), spec.keep)))
+
+    def run(self, doc):
+        inst = instance_io.parse_document(doc.text).instance
+        return solver.solve_optimal_assignment(inst, with_certificate=False)
+
+    def check(self, doc, output):
+        mapping = _mapping(output.assignment)
+        checks.check_assignment(doc.extra, mapping, output.objective)
+        checks.check_no_negative_cycle(doc.extra, mapping)
 
 
 # -- certify_synthesize ---------------------------------------------------
@@ -110,30 +171,35 @@ class CertifySynthesize(_Workload):
     run here; the matching itself is negligible.
 
     Synthesis cost grows steeply with the number of compatible pairs and
-    differs by an order of magnitude between the two verdicts, so each slot
-    of a block names a verdict class and a pair-count band, and ``select``
-    tries generator seeds until the benchmark's own decision of the
-    stability system (difference constraints, :func:`checks.system_feasible`)
-    puts the instance in that class.
+    of stability rows, and differs by an order of magnitude between the two
+    verdicts.  So each slot of a block names a verdict, a size, and the
+    exact number of compatible pairs and of stability rows, and ``select``
+    tries generator seeds until an instance matches.  The verdict is the
+    benchmark's own decision of the stability system (difference
+    constraints, :func:`checks.system_feasible`) and the rows are its own
+    :func:`checks.stability_labels`.
     """
 
     name = "certify_synthesize"
-    #: (degenerate, feasible, travelers, fewest pairs, most pairs) per slot;
-    #: every instance has two vehicles
+    #: (degenerate, feasible, travelers, compatible pairs, stability rows)
+    #: per slot; every instance has two vehicles.  By cost the slots form
+    #: three groups, about 35, 105 and 210 ms on the reference machine,
+    #: with 2, 4 and 2 slots: the median falls in the middle of the second
+    #: group and the tail rank inside the third, not between two groups.
     CLASSES = (
-        (False, True, 6, 6, 8),
-        (False, True, 8, 6, 8),
-        (False, False, 12, 6, 16),
-        (True, True, 4, 0, 99),
-        (False, True, 10, 6, 8),
-        (False, True, 6, 6, 8),
-        (True, False, 5, 0, 99),
-        (False, True, 8, 6, 8),
+        (False, True, 8, 7, 21),
+        (False, False, 12, 10, 22),
+        (False, True, 10, 8, 24),
+        (False, True, 8, 7, 21),
+        (False, True, 8, 7, 21),
+        (True, False, 5, 10, 30),
+        (False, True, 10, 8, 24),
+        (False, True, 8, 7, 21),
     )
-    BLOCKS = 16
-    MAX_ATTEMPTS = 400
+    BLOCKS = 8
+    MAX_ATTEMPTS = 2000
     #: operations per second on the reference machine (see README.md)
-    OPS_PER_SECOND = 5
+    OPS_PER_SECOND = 9.5
 
     def select(self, seed):
         return [
@@ -141,17 +207,19 @@ class CertifySynthesize(_Workload):
             for slot in range(BLOCK * self.BLOCKS)
         ]
 
-    def _find(self, seed, slot, deg, feasible, n, lo, hi):
+    def _find(self, seed, slot, deg, feasible, n, pairs, rows):
         for attempt in range(self.MAX_ATTEMPTS):
             spec = Spec(_gen_seed(seed, slot, attempt), n, 2, deg)
             inst = _generate(spec)
-            mk = checks.read_market(instance_io.serialize_document(inst))
-            if not lo <= len(mk.compatible) <= hi:
+            mk = _market(inst)
+            if len(mk.compatible) != pairs:
                 continue
             mapping = _mapping(solver.solve_optimal_assignment(inst, with_certificate=False).assignment)
+            if len(checks.stability_labels(mk, mapping)) != rows:
+                continue
             if checks.system_feasible(mk, mapping) == feasible:
                 return spec
-        raise RuntimeError(f"no instance of class {(deg, feasible, n, lo, hi)} for slot {slot}")
+        raise RuntimeError(f"no instance of class {(deg, feasible, n, pairs, rows)} for slot {slot}")
 
     def run(self, doc):
         inst = instance_io.parse_document(doc.text).instance
@@ -188,43 +256,56 @@ class CheckLarge(_Workload):
     """
 
     name = "check_large"
-    SIZES = (200, 300, 400, 250, 350, 225, 325, 275)
-    BLOCKS = 1
-    CANDIDATES = 3
+    #: one market per size; sorted by cost, the median and the tail rank of
+    #: the 49 documents fall on the middle schedule of the fourth and the
+    #: sixth market, not between two markets
+    SIZES = (200, 300, 400, 267, 367, 233, 333)
+    #: payment schedules checked per market
+    VARIANTS = 7
     PERTURBED = 6
-    OPS_PER_SECOND = 3.5
+    #: operations per second on the reference machine (see README.md)
+    OPS_PER_SECOND = 7.5
 
     def select(self, seed):
         specs = []
-        for slot, n in enumerate(self.SIZES * self.BLOCKS):
-            spec, inst = _typical(seed, slot, n, n // 5, self.CANDIDATES)
-            mapping, payments = _check_inputs(inst, slot % 2 == 0, self.PERTURBED)
-            specs.append(Spec(spec.gen_seed, n, n // 5, mapping=mapping, payments=payments))
+        for slot, n in enumerate(self.SIZES):
+            spec, inst = _thinned(seed, slot, n, n // 5)
+            mk = _market(inst)
+            for variant in range(self.VARIANTS):
+                perturb = (slot + variant) % 2 == 0
+                mapping, payments = _check_inputs(mk, perturb, self.PERTURBED, variant)
+                specs.append(dataclasses.replace(spec, mapping=mapping, payments=payments))
         return specs
 
     def build(self, specs, workdir):
-        docs = []
+        inst = None
         for i, spec in enumerate(specs):
+            if inst is None or spec.gen_seed != specs[i - 1].gen_seed:
+                inst = _thin(_generate(spec), spec.keep)
             schedule = allocation.PaymentSchedule(spec.payments)
-            text = instance_io.serialize_document(_generate(spec), schedule)
+            text = instance_io.serialize_document(inst, schedule)
             path = os.path.join(workdir, f"check-{i}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            docs.append(Doc(i, text, path, spec.mapping))
-        return docs
+            yield Doc(i, text, path, spec)
 
     def prepare(self, docs):
+        """The expected verdict of each document: its market as read from
+        the first of its documents, with the payments the benchmark chose."""
+        markets = {}
         for doc in docs:
-            mapping = doc.extra
-            spec = ",".join(f"{t}={v}" for t, v in mapping.items() if v is not None)
-            expected = checks.evaluate_check(checks.read_market(doc.text), mapping)
-            doc.extra = (mapping, spec, expected)
+            spec = doc.extra
+            if spec.gen_seed not in markets:
+                markets[spec.gen_seed] = checks.read_market(doc.text)
+            mk = dataclasses.replace(markets[spec.gen_seed], payments=spec.payments)
+            riders = ",".join(f"{t}={v}" for t, v in spec.mapping.items() if v is not None)
+            doc.extra = (spec.mapping, riders, checks.evaluate_check(mk, spec.mapping))
 
     def run(self, doc):
-        _, spec, _ = doc.extra
+        _, riders, _ = doc.extra
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            status = cli.main(["check", doc.path, "--assignment", spec, "--format", "machine"])
+            status = cli.main(["check", doc.path, "--assignment", riders, "--format", "machine"])
         if status not in (0, 1):
             raise RuntimeError(f"check exited with status {status}")
         return status, out.getvalue()
@@ -237,10 +318,11 @@ class CheckLarge(_Workload):
         checks.check_cli_output(expected, mapping, *output)
 
 
-def _check_inputs(inst, perturb: bool, count: int):
+def _check_inputs(mk, perturb: bool, count: int, variant: int = 0):
     """A greedy assignment and a payment for every compatible pair.
 
-    A traveler rides the first compatible vehicle with a free seat whose
+    A traveler rides the first compatible vehicle, counting from its
+    ``variant``-th option, with a free seat whose
     ride value can stay nonnegative (``v >= 2 * share``) and whose payment
     interval ``[share, v - v_min]`` is not empty; it pays ``share``.  Every
     other pair is priced at break-even, ``max(0, v - share)``, which makes
@@ -250,13 +332,14 @@ def _check_inputs(inst, perturb: bool, count: int):
     the rider envy every alternative), and prices as many alternatives of
     other riders at 0 (envy where the alternative's surplus beats the ride).
     """
-    mk = checks.read_market(_document_fields(inst))
     load = dict.fromkeys(mk.vehicles, 0)
     mapping = {}
     payments = {}
     for tid in mk.travelers:
         mapping[tid] = None
-        for vid in mk.options(tid):
+        opts = mk.options(tid)
+        start = variant % len(opts) if opts else 0
+        for vid in opts[start:] + opts[:start]:
             pair = (tid, vid)
             share, value = mk.share[pair], mk.value[pair]
             if load[vid] < mk.capacity[vid] and 2 * share <= value and share <= value - mk.v_min[tid]:
@@ -286,9 +369,9 @@ def _check_inputs(inst, perturb: bool, count: int):
     return mapping, payments
 
 
-def _document_fields(inst) -> dict:
-    """The instance as the document fields :func:`checks.read_market` reads."""
-    return {
+def _market(inst):
+    """The instance as :func:`checks.read_market` reads it from a document."""
+    return checks.read_market({
         "network": {"edges": [[e.id, e.tail, e.head] for e in inst.network.edges]},
         "travelers": [
             {
@@ -306,11 +389,11 @@ def _document_fields(inst) -> dict:
             for v in inst.vehicles
         ],
         "options": {"cost_share_mode": inst.cost_share_mode},
-    }
+    })
 
 
 def _generate(spec: Spec):
     return generate.generate_instance(spec.gen_seed, spec.n, spec.m, degenerate=spec.degenerate)
 
 
-WORKLOADS = {w.name: w for w in (CertifySynthesize(), CheckLarge())}
+WORKLOADS = {w.name: w for w in (MatchLarge(), CertifySynthesize(), CheckLarge())}
