@@ -4,10 +4,15 @@ Travelers with origin-destination demands are matched to capacitated
 vehicles running fixed routes.  The package computes welfare-optimal
 assignments exactly (rational arithmetic throughout), constructs and
 verifies traveler-vehicle profit allocations, and synthesizes stable
-payment schedules via an exact LP kernel.
+payment schedules as shortest paths over difference constraints.  Each
+optimum carries a dual certificate read off the matching's shortest-path
+potentials; each impossible schedule carries Farkas multipliers read off
+a negative cycle.  The exact simplex in :mod:`rideshare_market.lp` serves
+as the test oracle and verifies those multipliers.
 """
 
 from rideshare_market.errors import (
+    CertificateError,
     IncompatiblePairError,
     OracleScaleError,
     StabilityPreconditionError,
@@ -53,6 +58,7 @@ from rideshare_market.lp import Infeasible, LPProblem, Optimal, Unbounded, lp_so
 
 __all__ = [
     "Assignment",
+    "CertificateError",
     "CheckReport",
     "CompatibilityMatrix",
     "Edge",

@@ -10,22 +10,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from rideshare_market.errors import StabilityPreconditionError, ValidationError
-from rideshare_market.lp import EQ, GE, LE, LPProblem, Infeasible, Optimal, Row, lp_solve
+from rideshare_market.errors import CertificateError, StabilityPreconditionError, ValidationError
+from rideshare_market.lp import GE, LE, LPProblem, Row, verify_infeasibility_certificate
 from rideshare_market.market import (
     Assignment,
     MarketInstance,
     UNASSIGNED,
+    _money,
     cost_share,
     valuation,
     validate_assignment,
 )
+from rideshare_market.solver import bellman_ford
 
 _ZERO = Fraction(0)
-
-
-def _money(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -336,6 +334,34 @@ def _stability_system(inst: MarketInstance, a: Assignment):
     return pairs, idx, rows, labels
 
 
+def _difference_edges(nvars, rows):
+    """The stability system as difference constraints over nodes
+    ``0..nvars-1`` (payments) and ``nvars`` (the constant 0).
+
+    Each edge ``(u, v, w)`` reads ``x_v - x_u <= w``.  Returns the edges
+    and, per edge, ``(row index, Farkas sign)``, or ``None`` for the edges
+    of the bounds ``x >= 0`` that end the list.
+    """
+    zero = nvars
+    edges, origin = [], []
+    for k, row in enumerate(rows):
+        terms = {j: c for j, c in enumerate(row.coeffs) if c}
+        plus = [j for j, c in terms.items() if c == 1]
+        minus = [j for j, c in terms.items() if c == -1]
+        if len(plus) > 1 or len(minus) > 1 or len(plus) + len(minus) != len(terms):
+            raise ValueError(f"stability row {k} is not a difference constraint")
+        p, q = (plus or [zero])[0], (minus or [zero])[0]
+        if row.rel == LE:
+            edges.append((q, p, row.rhs))
+            origin.append((k, 1))
+        else:
+            edges.append((p, q, -row.rhs))
+            origin.append((k, -1))
+    edges += [(j, zero, _ZERO) for j in range(nvars)]
+    origin += [None] * nvars
+    return edges, origin
+
+
 def synthesize_stable_payments(
     inst: MarketInstance, a: Assignment, favor: str = "travelers"
 ) -> SynthesisResult:
@@ -347,44 +373,54 @@ def synthesize_stable_payments(
     Off-match payments are then lexicographically minimized.  The result is
     deterministic and passes both checkers by construction.
 
+    Every row has at most one +1 and one -1 coefficient, so the stable
+    schedules form a lattice and these lexicographic optima are its
+    componentwise extremes: shortest paths from the zero node give the
+    componentwise maximum, and on the reversed graph the minimum.  With
+    ``favor='vehicles'`` the matched payments are pinned to their maximum
+    before the minimum is taken.
+
     When infeasible, the result carries an exact Farkas certificate over
-    the constraint system.
+    the constraint system: the rows on a negative cycle, with 0/+-1
+    multipliers.
     """
     validate_assignment(inst, a)
     if favor not in ("travelers", "vehicles"):
         raise ValueError(f"unknown favor mode {favor!r}")
     pairs, idx, rows, labels = _stability_system(inst, a)
     nvars = len(pairs)
-    zero_obj = tuple([_ZERO] * nvars)
-    problem = LPProblem(nvars, zero_obj, tuple(rows))
-    outcome = lp_solve(problem)
-    if isinstance(outcome, Infeasible):
+    problem = LPProblem(nvars, tuple([_ZERO] * nvars), tuple(rows))
+    edges, origin = _difference_edges(nvars, rows)
+    nodes = range(nvars + 1)
+    cycle = None
+    if favor == "vehicles":
+        # only matched payments have incoming edges, and the zero node reaches
+        # each by its pi_nonneg row: this run finds every negative cycle
+        upper, _, cycle, _ = bellman_ford(nodes, edges, nvars)
+        if cycle is None:
+            for p in pairs:
+                if a.vehicle_of(p[0]) == p[1]:
+                    k = idx[p]
+                    edges += [(nvars, k, upper[k]), (k, nvars, -upper[k])]
+                    origin += [None, None]
+    if cycle is None:
+        lower, _, cycle, _ = bellman_ford(nodes, [(v, u, w) for u, v, w in edges], nvars)
+    if cycle is not None:
+        certificate = [_ZERO] * len(rows)
+        for e in cycle:
+            if origin[e] is not None:
+                certificate[origin[e][0]] += origin[e][1]
+        if not verify_infeasibility_certificate(problem, certificate):
+            raise CertificateError("synthesis: negative cycle gives no Farkas certificate")
         return SynthesisResult(
             feasible=False,
             schedule=None,
             allocation=None,
-            certificate=outcome.certificate,
+            certificate=tuple(certificate),
             problem=problem,
             row_labels=tuple(labels),
         )
-
-    matched = [p for p in pairs if a.vehicle_of(p[0]) == p[1]]
-    off = [p for p in pairs if a.vehicle_of(p[0]) != p[1]]
-    pinned = list(rows)
-    sign = Fraction(-1) if favor == "travelers" else Fraction(1)
-    values = {}
-    for stage_pairs, stage_sign in ((matched, sign), (off, Fraction(-1))):
-        for p in stage_pairs:
-            obj = [_ZERO] * nvars
-            obj[idx[p]] = stage_sign
-            out = lp_solve(LPProblem(nvars, tuple(obj), tuple(pinned)))
-            assert isinstance(out, Optimal), "pinned stability system must stay solvable"
-            t_star = out.point[idx[p]]
-            values[p] = t_star
-            coeffs = [_ZERO] * nvars
-            coeffs[idx[p]] = Fraction(1)
-            pinned.append(Row(tuple(coeffs), EQ, t_star))
-    schedule = PaymentSchedule(dict(values))
+    schedule = PaymentSchedule({p: -lower[idx[p]] for p in pairs})
     allocation = compute_profits(inst, a, schedule)
     return SynthesisResult(
         feasible=True,

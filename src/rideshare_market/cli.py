@@ -22,7 +22,6 @@ from rideshare_market.allocation import (
 from rideshare_market.errors import StabilityPreconditionError, ValidationError
 from rideshare_market.generate import generate_instance
 from rideshare_market.instance_io import parse_document, serialize_document
-from rideshare_market.lp import Optimal
 from rideshare_market.market import (
     Assignment,
     MarketInstance,
@@ -39,10 +38,6 @@ from rideshare_market.solver import oracle_optimum, solve_optimal_assignment
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
 EXIT_INVALID = 2
-
-
-def _fmt(x) -> str:
-    return str(x)
 
 
 def _parse_payment_overrides(spec: str) -> dict:
@@ -108,7 +103,7 @@ def _report_check(report):
     return {
         "verdict": report.verdict,
         "violations": [
-            {"kind": v.kind, "pair": list(v.pair), "lhs": _fmt(v.lhs), "rhs": _fmt(v.rhs)}
+            {"kind": v.kind, "pair": list(v.pair), "lhs": str(v.lhs), "rhs": str(v.rhs)}
             for v in report.violations
         ],
     }
@@ -161,18 +156,18 @@ def _solve_report(inst, payments, objective):
     doc = {
         "objective_mode": objective,
         "assignment": _assignment_table(result.assignment),
-        "objective": _fmt(result.objective),
-        "welfare_surplus": _fmt(welfare_surplus(inst, result.assignment)),
+        "objective": str(result.objective),
+        "welfare_surplus": str(welfare_surplus(inst, result.assignment)),
     }
     if payments is not None:
-        doc["welfare_paper"] = _fmt(welfare_paper(inst, result.assignment, payments))
+        doc["welfare_paper"] = str(welfare_paper(inst, result.assignment, payments))
     doc["cost_recovery_gap"] = {
-        v.id: _fmt(cost_recovery_gap(inst, result.assignment, v.id)) for v in inst.vehicles
+        v.id: str(cost_recovery_gap(inst, result.assignment, v.id)) for v in inst.vehicles
     }
     if result.dual_certificate is not None:
         doc["dual_certificate"] = {
-            "y": {k: _fmt(v) for k, v in sorted(result.dual_certificate.y.items())},
-            "z": {k: _fmt(v) for k, v in sorted(result.dual_certificate.z.items())},
+            "y": {k: str(v) for k, v in sorted(result.dual_certificate.y.items())},
+            "z": {k: str(v) for k, v in sorted(result.dual_certificate.z.items())},
         }
     return result, doc
 
@@ -195,13 +190,28 @@ def cmd_oracle(args) -> int:
     objective, argmax = oracle_optimum(inst)
     agree = objective == result.objective
     doc = {
-        "oracle_objective": _fmt(objective),
-        "solver_objective": _fmt(result.objective),
+        "oracle_objective": str(objective),
+        "solver_objective": str(result.objective),
         "agreement": agree,
         "optimal_assignments": [_assignment_table(a) for a in argmax],
     }
     _emit(doc, args.format)
     return EXIT_OK if agree else EXIT_VERDICT_FALSE
+
+
+def _check_payments(doc, inst, assignment, payments, classic_core) -> bool:
+    """Add the feasibility and stability reports of ``payments`` to ``doc``;
+    stability is skipped when the allocation is infeasible.  Returns the
+    combined verdict."""
+    feas = check_feasibility(inst, assignment, compute_profits(inst, assignment, payments))
+    doc["feasibility"] = _report_check(feas)
+    doc["eq8_holds"] = {f"{tid}:{vid}": ok for (tid, vid), ok in sorted(feas.eq8_status.items())}
+    if not feas.verdict:
+        doc["stability"] = {"verdict": None, "violations": [], "skipped": "allocation infeasible"}
+        return False
+    stab = check_stability(inst, assignment, payments, classic_core=classic_core)
+    doc["stability"] = _report_check(stab)
+    return stab.verdict
 
 
 def cmd_check(args) -> int:
@@ -212,21 +222,10 @@ def cmd_check(args) -> int:
         assignment = solve_optimal_assignment(inst, with_certificate=False).assignment
     overrides = _parse_payment_overrides(args.payments) if args.payments else None
     payments = _resolve_payments(inst, assignment, base_payments, overrides)
-    alloc = compute_profits(inst, assignment, payments)
-    feas = check_feasibility(inst, assignment, alloc)
-    doc = {
-        "assignment": _assignment_table(assignment),
-        "feasibility": _report_check(feas),
-        "eq8_holds": {f"{tid}:{vid}": ok for (tid, vid), ok in sorted(feas.eq8_status.items())},
-    }
-    verdict = feas.verdict
-    if feas.verdict:
-        stab = check_stability(inst, assignment, payments, classic_core=args.classic_core)
-        doc["stability"] = _report_check(stab)
+    doc = {"assignment": _assignment_table(assignment)}
+    verdict = _check_payments(doc, inst, assignment, payments, args.classic_core)
+    if "skipped" not in doc["stability"]:
         doc["stability_mode"] = "classic_core" if args.classic_core else "literal"
-        verdict = stab.verdict
-    else:
-        doc["stability"] = {"verdict": None, "violations": [], "skipped": "allocation infeasible"}
     _emit(doc, args.format)
     return EXIT_OK if verdict else EXIT_VERDICT_FALSE
 
@@ -241,21 +240,21 @@ def cmd_synthesize(args) -> int:
     doc = {"assignment": _assignment_table(assignment), "feasible": result.feasible}
     if result.feasible:
         doc["payments"] = {
-            f"{tid}:{vid}": _fmt(x) for (tid, vid), x in sorted(result.schedule.entries.items())
+            f"{tid}:{vid}": str(x) for (tid, vid), x in sorted(result.schedule.entries.items())
         }
         doc["traveler_profit"] = {
-            f"{tid}:{vid}": _fmt(x)
+            f"{tid}:{vid}": str(x)
             for (tid, vid), x in sorted(result.allocation.pi.items())
             if assignment.vehicle_of(tid) == vid
         }
         doc["vehicle_profit"] = {
-            f"{tid}:{vid}": _fmt(x)
+            f"{tid}:{vid}": str(x)
             for (tid, vid), x in sorted(result.allocation.rho.items())
             if assignment.vehicle_of(tid) == vid
         }
     else:
         doc["certificate"] = [
-            {"constraint": str(label), "multiplier": _fmt(mu)}
+            {"constraint": str(label), "multiplier": str(mu)}
             for label, mu in zip(result.row_labels, result.certificate)
             if mu != 0
         ]
@@ -280,26 +279,18 @@ def cmd_report(args) -> int:
     assignment = result.assignment
     overrides = _parse_payment_overrides(args.payments) if args.payments else None
     payments = _resolve_payments(inst, assignment, base_payments, overrides)
-    doc["welfare_paper"] = _fmt(welfare_paper(inst, assignment, payments))
-    alloc = compute_profits(inst, assignment, payments)
-    feas = check_feasibility(inst, assignment, alloc)
-    doc["feasibility"] = _report_check(feas)
-    doc["eq8_holds"] = {f"{tid}:{vid}": ok for (tid, vid), ok in sorted(feas.eq8_status.items())}
-    if feas.verdict:
-        stab = check_stability(inst, assignment, payments, classic_core=args.classic_core)
-        doc["stability"] = _report_check(stab)
-    else:
-        doc["stability"] = {"verdict": None, "violations": [], "skipped": "allocation infeasible"}
+    doc["welfare_paper"] = str(welfare_paper(inst, assignment, payments))
+    _check_payments(doc, inst, assignment, payments, args.classic_core)
     synth = synthesize_stable_payments(inst, assignment)
     doc["synthesis"] = {"feasible": synth.feasible}
     if synth.feasible:
         doc["synthesis"]["payments"] = {
-            f"{tid}:{vid}": _fmt(x) for (tid, vid), x in sorted(synth.schedule.entries.items())
+            f"{tid}:{vid}": str(x) for (tid, vid), x in sorted(synth.schedule.entries.items())
         }
     if args.with_oracle:
         objective, argmax = oracle_optimum(inst)
         doc["oracle"] = {
-            "objective": _fmt(objective),
+            "objective": str(objective),
             "agreement": objective == result.objective,
             "optima_count": len(argmax),
         }

@@ -34,3 +34,9 @@ class StabilityPreconditionError(RuntimeError):
     def __init__(self, report):
         self.report = report
         super().__init__("allocation is not feasible; stability is undefined")
+
+
+class CertificateError(RuntimeError):
+    """An exact proof failed its own check: a dual certificate, a Farkas
+    certificate, or an invariant the simplex relies on.  Signals a defect
+    in the package, never bad input."""

@@ -151,10 +151,6 @@ def parse_instance(text: str) -> MarketInstance:
     return parse_document(text).instance
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x)
-
-
 def serialize_document(inst: MarketInstance, payments: PaymentSchedule | None = None) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -167,9 +163,9 @@ def serialize_document(inst: MarketInstance, payments: PaymentSchedule | None = 
                 "id": t.id,
                 "origin": t.od.origin,
                 "destination": t.od.destination,
-                "v_max": _fmt(t.v_max),
-                "v_min": _fmt(t.v_min),
-                "inconvenience": {vid: _fmt(phi) for vid, phi in sorted(t.inconvenience.items())},
+                "v_max": str(t.v_max),
+                "v_min": str(t.v_min),
+                "inconvenience": {vid: str(phi) for vid, phi in sorted(t.inconvenience.items())},
             }
             for t in inst.travelers
         ],
@@ -178,9 +174,9 @@ def serialize_document(inst: MarketInstance, payments: PaymentSchedule | None = 
                 "id": v.id,
                 "route": list(v.route.edge_ids),
                 "capacity": v.capacity,
-                "operating_cost": _fmt(v.operating_cost),
+                "operating_cost": str(v.operating_cost),
                 **(
-                    {"cost_shares": {t: _fmt(s) for t, s in sorted(v.cost_shares.items())}}
+                    {"cost_shares": {t: str(s) for t, s in sorted(v.cost_shares.items())}}
                     if v.cost_shares is not None
                     else {}
                 ),
@@ -192,7 +188,7 @@ def serialize_document(inst: MarketInstance, payments: PaymentSchedule | None = 
     if payments is not None:
         table = {}
         for (tid, vid), value in sorted(payments.entries.items()):
-            table.setdefault(tid, {})[vid] = _fmt(value)
+            table.setdefault(tid, {})[vid] = str(value)
         doc["payments"] = table
     return json.dumps(doc, indent=2) + "\n"
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from rideshare_market.errors import CertificateError
+
 LE = "<="
 EQ = "=="
 GE = ">="
@@ -236,8 +238,8 @@ class _Tableau:
             if self.art_col[k] is not None:
                 costs[self.art_col[k]] = -_ONE
         obj = self._make_obj_row(costs)
-        ret = self._simplex(obj)
-        assert ret is None, "phase 1 cannot be unbounded"
+        if self._simplex(obj) is not None:
+            raise CertificateError("simplex: phase 1 came out unbounded")
         value = obj[-1]  # equals -(sum of artificials) at optimum, negated
         feasible = value == 0
         if feasible:

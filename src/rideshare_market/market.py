@@ -71,7 +71,9 @@ class Vehicle:
                 self, "cost_shares", {k: _money(v) for k, v in self.cost_shares.items()}
             )
         errors = []
-        if self.capacity < 1:
+        if isinstance(self.capacity, bool) or not isinstance(self.capacity, int):
+            errors.append(f"vehicle {self.id!r}: capacity {self.capacity!r} is not an integer")
+        elif self.capacity < 1:
             errors.append(f"vehicle {self.id!r}: capacity must be >= 1")
         if self.operating_cost < 0:
             errors.append(f"vehicle {self.id!r}: operating cost must be nonnegative")

@@ -3,9 +3,10 @@
 Two independent routes compute the same optimum:
 
 * :func:`solve_optimal_assignment` -- successive shortest augmenting paths
-  on the residual graph (the production path);
-* :func:`assignment_lp_relaxation` -- the LP relaxation through the exact
-  simplex kernel, whose vertex is integral by total unimodularity.
+  on the residual graph (the production path), whose final shortest-path
+  potentials are also the dual certificate;
+* :func:`assignment_lp_relaxation` -- a test oracle: the LP relaxation through
+  the exact simplex kernel, whose vertex is integral by total unimodularity.
 
 :func:`oracle_optimum` brute-forces every valid assignment at desk scale
 and is the ground truth the other two are tested against.
@@ -16,15 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from rideshare_market.errors import OracleScaleError, ValidationError
-from rideshare_market.lp import GE, LE, LPProblem, Optimal, Row, lp_solve
+from rideshare_market.errors import CertificateError, OracleScaleError, ValidationError
+from rideshare_market.lp import LE, LPProblem, Row, lp_solve
 from rideshare_market.market import (
     Assignment,
     MarketInstance,
     UNASSIGNED,
     surplus_matrix,
-    validate_assignment,
-    welfare_surplus,
+    valuation,
 )
 
 _ZERO = Fraction(0)
@@ -58,8 +58,6 @@ def _pair_weights(inst: MarketInstance, payments=None) -> dict:
     weights = surplus_matrix(inst)
     if payments is not None:
         entries = getattr(payments, "entries", payments)
-        from rideshare_market.market import valuation
-
         weights = {}
         for tid, vid in inst.compatible_pairs():
             if (tid, vid) not in entries:
@@ -68,6 +66,54 @@ def _pair_weights(inst: MarketInstance, payments=None) -> dict:
                 )
             weights[(tid, vid)] = valuation(inst.traveler(tid), vid) - entries[(tid, vid)]
     return weights
+
+
+def bellman_ford(nodes, edges, source):
+    """Exact single-source shortest paths over ``edges``, a list of
+    ``(tail, head, weight)``.
+
+    Edges are scanned in list order, pass after pass, until a pass changes
+    nothing or ``len(nodes)`` passes have run.  Returns ``(dist, pred,
+    cycle, relaxations)``: the distance of every node reached from
+    ``source``, the index of each reached node's predecessor edge, the
+    edge indices of a negative cycle in path order (``None`` when there
+    is none), and the number of successful relaxations.
+    """
+    dist = {source: _ZERO}
+    pred = {}
+    relaxations = 0
+    for _ in range(len(nodes)):
+        last = None
+        for k, (u, v, w) in enumerate(edges):
+            if u in dist and (v not in dist or dist[u] + w < dist[v]):
+                dist[v] = dist[u] + w
+                pred[v] = k
+                last = v
+                relaxations += 1
+        if last is None:
+            return dist, pred, None, relaxations
+    # still relaxing after len(nodes) passes: len(nodes) steps back along
+    # the predecessor edges land on a cycle, and that cycle is negative
+    for _ in range(len(nodes)):
+        last = edges[pred[last]][0]
+    cycle = [pred[last]]
+    while edges[cycle[-1]][0] != last:
+        cycle.append(pred[edges[cycle[-1]][0]])
+    cycle.reverse()
+    return dist, pred, cycle, relaxations
+
+
+def _residual_edges(pos_pairs, weights, match, load, cap, source, sink):
+    """Residual graph of a matching: matching one more traveler is a
+    source->...->sink path, and its (negated) cost is the welfare gain."""
+    edges = [(source, ("t", tid), _ZERO) for tid, vid in match.items() if vid is UNASSIGNED]
+    for tid, vid in pos_pairs:
+        if match[tid] == vid:
+            edges.append((("v", vid), ("t", tid), weights[(tid, vid)]))
+        else:
+            edges.append((("t", tid), ("v", vid), -weights[(tid, vid)]))
+    edges += [(("v", vid), sink, _ZERO) for vid, k in load.items() if k < cap[vid]]
+    return edges
 
 
 def solve_optimal_assignment(
@@ -96,46 +142,19 @@ def solve_optimal_assignment(
     load = {vid: 0 for vid in vehicles}
     augmentations = 0
     relaxations = 0
-
-    # Bellman-Ford over the residual graph; matching one more traveler is a
-    # source->...->sink path, and its (negated) cost is the welfare gain.
     SRC, SNK = ("src",), ("snk",)
+    nodes = [SRC] + [("t", t) for t in travelers] + [("v", v) for v in vehicles] + [SNK]
     while True:
-        dist = {SRC: _ZERO}
-        pred = {}
-        nodes = [SRC] + [("t", t) for t in travelers] + [("v", v) for v in vehicles] + [SNK]
-        edges = []
-        for tid in travelers:
-            if match[tid] is UNASSIGNED:
-                edges.append((SRC, ("t", tid), _ZERO))
-        for tid, vid in pos_pairs:
-            if match[tid] == vid:
-                edges.append((("v", vid), ("t", tid), weights[(tid, vid)]))
-            else:
-                edges.append((("t", tid), ("v", vid), -weights[(tid, vid)]))
-        for vid in vehicles:
-            if load[vid] < cap[vid]:
-                edges.append((("v", vid), SNK, _ZERO))
-        for _ in range(len(nodes)):
-            changed = False
-            for u, v, w in edges:
-                if u in dist and (v not in dist or dist[u] + w < dist[v]):
-                    dist[v] = dist[u] + w
-                    pred[v] = u
-                    changed = True
-                    relaxations += 1
-            if not changed:
-                break
+        edges = _residual_edges(pos_pairs, weights, match, load, cap, SRC, SNK)
+        dist, pred, _, count = bellman_ford(nodes, edges, SRC)
+        relaxations += count
         if SNK not in dist or dist[SNK] >= 0:
             break
-        # flip matched edges along the augmenting path
-        node = SNK
-        path = [node]
-        while node != SRC:
-            node = pred[node]
-            path.append(node)
-        path.reverse()
-        for a, b in zip(path, path[1:]):
+        # flip matched edges along the augmenting path, source first
+        path = [edges[pred[SNK]]]
+        while path[-1][0] != SRC:
+            path.append(edges[pred[path[-1][0]]])
+        for a, b, _ in reversed(path):
             if a[0] == "t" and b[0] == "v":
                 match[a[1]] = b[1]
             elif a[0] == "v" and b[0] == "t":
@@ -152,7 +171,20 @@ def solve_optimal_assignment(
     )
     certificate = None
     if with_certificate:
-        certificate = _dual_certificate(inst, weights, objective)
+        # source and sink merged into one node S: at the optimum the
+        # residual graph has no negative cycle, and the distances from S
+        # are dual potentials that meet every pair constraint and are
+        # tight on the matching
+        S = ("s",)
+        edges = _residual_edges(pos_pairs, weights, match, load, cap, S, S)
+        edges += [(("t", tid), S, _ZERO) for tid, vid in match.items() if vid is not UNASSIGNED]
+        edges += [(S, ("v", vid), _ZERO) for vid, k in load.items() if k > 0]
+        dist = bellman_ford(nodes[:-1], edges, S)[0]
+        certificate = DualCertificate(
+            y={tid: max(_ZERO, dist.get(("t", tid), _ZERO)) for tid in travelers},
+            z={vid: max(_ZERO, -dist.get(("v", vid), _ZERO)) for vid in vehicles},
+        )
+        verify_dual_certificate(inst, weights, certificate, objective)
     return SolveResult(
         assignment=assignment,
         objective=objective,
@@ -162,26 +194,22 @@ def solve_optimal_assignment(
     )
 
 
-def _dual_certificate(inst, weights, objective) -> DualCertificate:
-    """Solve the matching dual exactly and verify strong duality."""
-    travelers = [t.id for t in inst.travelers]
-    vehicles = [v.id for v in inst.vehicles]
-    n, m = len(travelers), len(vehicles)
-    t_idx = {tid: i for i, tid in enumerate(travelers)}
-    v_idx = {vid: n + j for j, vid in enumerate(vehicles)}
-    obj = [Fraction(-1)] * n + [-Fraction(inst.vehicle(vid).capacity) for vid in vehicles]
-    rows = []
-    for (tid, vid), s in weights.items():
-        coeffs = [_ZERO] * (n + m)
-        coeffs[t_idx[tid]] = Fraction(1)
-        coeffs[v_idx[vid]] = Fraction(1)
-        rows.append(Row(tuple(coeffs), GE, s))
-    outcome = lp_solve(LPProblem(n + m, tuple(obj), tuple(rows)))
-    assert isinstance(outcome, Optimal), "matching dual must be feasible and bounded"
-    assert -outcome.value == objective, "strong duality violated"
-    y = {tid: outcome.point[t_idx[tid]] for tid in travelers}
-    z = {vid: outcome.point[v_idx[vid]] for vid in vehicles}
-    return DualCertificate(y=y, z=z)
+def verify_dual_certificate(inst: MarketInstance, weights, cert: DualCertificate, objective):
+    """Exact check of a matching optimality proof: ``y, z >= 0``,
+    ``y_i + z_j >= weight_ij`` on every weighted pair, and
+    ``sum(y) + sum(capacity * z)`` equal to ``objective``.  Raises
+    :class:`CertificateError` naming the first failed condition."""
+    for key, value in (*cert.y.items(), *cert.z.items()):
+        if value < 0:
+            raise CertificateError(f"dual certificate: entry for {key!r} is negative")
+    for (tid, vid), w in weights.items():
+        if cert.y[tid] + cert.z[vid] < w:
+            raise CertificateError(f"dual certificate: y + z < weight on ({tid!r}, {vid!r})")
+    total = sum(cert.y.values(), _ZERO) + sum(
+        (v.capacity * cert.z[v.id] for v in inst.vehicles), _ZERO
+    )
+    if total != objective:
+        raise CertificateError(f"dual certificate: {total} differs from objective {objective}")
 
 
 def assignment_lp_relaxation(inst: MarketInstance, payments=None):

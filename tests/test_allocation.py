@@ -18,7 +18,16 @@ from rideshare_market import (
     synthesize_stable_payments,
 )
 from rideshare_market.allocation import validate_schedule
-from rideshare_market.lp import verify_infeasibility_certificate
+from rideshare_market.generate import generate_instance
+from rideshare_market.lp import (
+    EQ,
+    Infeasible,
+    LPProblem,
+    Optimal,
+    Row,
+    lp_solve,
+    verify_infeasibility_certificate,
+)
 
 BOTH = Assignment({"T1": "V1", "T2": "V1"})
 
@@ -221,6 +230,48 @@ def test_synthesis_feasible_iff_optimal_on_random_instances():
                 assert value == obj
             else:
                 assert verify_infeasibility_certificate(res.problem, res.certificate)
+
+
+def _pinned_lp_schedule(inst, a, problem, favor):
+    """Reference synthesis through the simplex: optimize one payment at a
+    time over the stability system and pin it before the next, matched
+    pairs first (minimized for travelers, maximized for vehicles), then
+    off-match pairs minimized.  ``None`` when the system is infeasible."""
+    if isinstance(lp_solve(problem), Infeasible):
+        return None
+    pairs = inst.compatible_pairs()
+    matched = [p for p in pairs if a.vehicle_of(p[0]) == p[1]]
+    off = [p for p in pairs if a.vehicle_of(p[0]) != p[1]]
+    rows = list(problem.rows)
+    values = {}
+    for stage, sign in ((matched, -1 if favor == "travelers" else 1), (off, -1)):
+        for p in stage:
+            unit = [F(0)] * len(pairs)
+            unit[pairs.index(p)] = F(1)
+            out = lp_solve(LPProblem(len(pairs), [sign * c for c in unit], rows))
+            assert isinstance(out, Optimal)
+            values[p] = out.point[pairs.index(p)]
+            rows.append(Row(unit, EQ, values[p]))
+    return values
+
+
+def test_synthesis_equals_pinned_lp_oracle():
+    feasible = 0
+    # degenerate markets stay at n=3: there one pinned-LP run costs up to 1 s
+    for seed in range(40):
+        kind = seed % 3
+        inst = generate_instance(6000 + seed, n=4 if kind == 1 else 3, m=2, degenerate=kind == 2)
+        a = solve_optimal_assignment(inst, with_certificate=False).assignment
+        for favor in ("travelers", "vehicles"):
+            res = synthesize_stable_payments(inst, a, favor=favor)
+            expected = _pinned_lp_schedule(inst, a, res.problem, favor)
+            if expected is None:
+                assert not res.feasible
+                assert verify_infeasibility_certificate(res.problem, res.certificate)
+            else:
+                assert res.feasible and res.schedule.entries == expected, (seed, favor)
+                feasible += 1
+    assert feasible >= 20
 
 
 def test_blend_endpoints_and_midpoint(canonical):

@@ -67,6 +67,19 @@ def test_parse_rejects_dangling_edge(canonical):
         parse_instance(json.dumps(raw))
 
 
+@pytest.mark.parametrize("capacity", ["2", 2.5, True])
+def test_non_integer_capacity_is_a_validation_error(canonical, tmp_path, capsys, capacity):
+    raw = json.loads(serialize_instance(canonical))
+    raw["vehicles"][0]["capacity"] = capacity
+    text = json.dumps(raw)
+    with pytest.raises(ValidationError, match="capacity .* is not an integer"):
+        parse_document(text)
+    path = tmp_path / "capacity.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert "is not an integer" in capsys.readouterr().err
+
+
 def test_parse_syntax_error_has_position():
     with pytest.raises(ValidationError, match="line 1"):
         parse_instance("{not json")

@@ -8,6 +8,7 @@ from rideshare_market import (
     OracleScaleError,
     Traveler,
     Vehicle,
+    CertificateError,
     assignment_lp_relaxation,
     enumerate_assignments,
     oracle_optimum,
@@ -16,6 +17,7 @@ from rideshare_market import (
 )
 from rideshare_market.generate import generate_instance
 from rideshare_market.lp import Optimal
+from rideshare_market.solver import DualCertificate, bellman_ford, verify_dual_certificate
 
 
 def test_canonical_optimum(canonical):
@@ -122,6 +124,42 @@ def test_dual_certificate(canonical):
         cert.z[v.id] * v.capacity for v in canonical.vehicles
     )
     assert total == res.objective
+
+
+def test_verify_dual_certificate_rejects_broken_proofs():
+    checked = 0
+    for seed in range(20):
+        inst = generate_instance(300 + seed, n=4, m=2)
+        res = solve_optimal_assignment(inst)
+        cert, weights = res.dual_certificate, surplus_matrix(inst)
+        verify_dual_certificate(inst, weights, cert, res.objective)
+        tid = max(cert.y, key=cert.y.get)
+        if cert.y[tid] < F(1, 2):
+            continue
+        lowered = DualCertificate({**cert.y, tid: cert.y[tid] - F(1, 2)}, cert.z)
+        with pytest.raises(CertificateError, match="y \\+ z < weight"):
+            verify_dual_certificate(inst, weights, lowered, res.objective)
+        vid = inst.vehicles[0].id
+        negative = DualCertificate(cert.y, {**cert.z, vid: F(-1)})
+        with pytest.raises(CertificateError, match="negative"):
+            verify_dual_certificate(inst, weights, negative, res.objective)
+        with pytest.raises(CertificateError, match="differs from objective"):
+            verify_dual_certificate(inst, weights, cert, res.objective + F(1, 3))
+        checked += 1
+    assert checked >= 10
+
+
+def test_bellman_ford_returns_a_negative_cycle():
+    edges = [("a", "b", F(1)), ("b", "c", F(-3)), ("c", "b", F(2)), ("c", "a", F(1))]
+    dist, pred, cycle, _ = bellman_ford("abc", edges, "a")
+    assert cycle is not None
+    # consecutive edges chain head to tail, the last back to the first
+    assert all(edges[k][1] == edges[nxt][0] for k, nxt in zip(cycle, cycle[1:] + cycle[:1]))
+    assert sum(edges[k][2] for k in cycle) < 0
+    edges = edges[:2] + [("c", "a", F(2))]
+    dist, pred, cycle, _ = bellman_ford("abc", edges, "a")
+    assert cycle is None and dist == {"a": 0, "b": 1, "c": -2}
+    assert edges[pred["c"]] == ("b", "c", F(-3))
 
 
 def test_complementary_slackness_on_random_instances():
