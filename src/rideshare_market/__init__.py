@@ -7,8 +7,8 @@ verifies traveler-vehicle profit allocations, and synthesizes stable
 payment schedules as shortest paths over difference constraints.  Each
 optimum carries a dual certificate read off the matching's shortest-path
 potentials; each impossible schedule carries Farkas multipliers read off
-a negative cycle.  The exact simplex in :mod:`rideshare_market.lp` serves
-as the test oracle and verifies those multipliers.
+a negative cycle, checked exactly over the sparse stability rows.  The
+exact simplex in :mod:`rideshare_market.lp` serves as the test oracle.
 """
 
 from rideshare_market.errors import (

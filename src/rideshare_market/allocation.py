@@ -9,21 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from rideshare_market.errors import CertificateError, StabilityPreconditionError, ValidationError
-from rideshare_market.lp import GE, LE, LPProblem, Row, verify_infeasibility_certificate
+from rideshare_market.lp import GE, LE, LPProblem, Row
 from rideshare_market.market import (
     Assignment,
     MarketInstance,
     UNASSIGNED,
+    _ZERO,
     _money,
     cost_share,
     valuation,
     validate_assignment,
 )
 from rideshare_market.solver import bellman_ford
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -246,10 +246,27 @@ class SynthesisResult:
     feasible: bool
     schedule: PaymentSchedule | None
     allocation: ProfitAllocation | None
-    #: Farkas multipliers over ``problem.all_rows()`` when infeasible.
+    #: Farkas multipliers over ``rows`` when infeasible.
     certificate: tuple | None
-    problem: LPProblem | None
+    #: the payment variables, in the column order of ``problem``.
+    pairs: tuple
+    #: the stability system, one ``(plus, minus, rel, rhs)`` per row.
+    rows: tuple
     row_labels: tuple
+
+    @cached_property
+    def problem(self) -> LPProblem:
+        """The stability system as a dense LP for the simplex oracle,
+        built on first access."""
+        idx = {p: k for k, p in enumerate(self.pairs)}
+        dense = []
+        for plus, minus, rel, rhs in self.rows:
+            coeffs = [_ZERO] * len(self.pairs)
+            for p, c in ((plus, 1), (minus, -1)):
+                if p is not None:
+                    coeffs[idx[p]] += c
+            dense.append(Row(tuple(coeffs), rel, rhs))
+        return LPProblem(len(self.pairs), tuple([_ZERO] * len(self.pairs)), tuple(dense))
 
 
 def _stability_system(inst: MarketInstance, a: Assignment):
@@ -261,10 +278,12 @@ def _stability_system(inst: MarketInstance, a: Assignment):
     traveler's utility with the marginal seat profit of every alternative
     vehicle.  The coupling is what ties stability to optimality: without
     it, leaving everyone unassigned would be vacuously stable.
+
+    Every row is a difference constraint ``(plus, minus, rel, rhs)``,
+    reading ``x[plus] - x[minus] rel rhs``; ``plus`` and ``minus`` are
+    compatible pairs, or ``None`` for an absent term.
     """
     pairs = inst.compatible_pairs()
-    idx = {p: k for k, p in enumerate(pairs)}
-    nvars = len(pairs)
     val = {p: valuation(inst.traveler(p[0]), p[1]) for p in pairs}
     share = {p: cost_share(inst, *p) for p in pairs}
     cap = {v.id: v.capacity for v in inst.vehicles}
@@ -273,14 +292,10 @@ def _stability_system(inst: MarketInstance, a: Assignment):
     rows = []
     labels = []
 
-    def add(coeffs_map, rel, rhs, label):
-        coeffs = [_ZERO] * nvars
-        for p, c in coeffs_map.items():
-            coeffs[idx[p]] += c
-        rows.append(Row(tuple(coeffs), rel, rhs))
+    def add(plus, minus, rel, rhs, label):
+        rows.append((plus, minus, rel, rhs))
         labels.append(label)
 
-    one = Fraction(1)
     for trav in inst.travelers:
         tid = trav.id
         vid = a.vehicle_of(tid)
@@ -288,78 +303,64 @@ def _stability_system(inst: MarketInstance, a: Assignment):
             for alt in inst.compatible_vehicles(tid):
                 p = (tid, alt)
                 # 0 >= valuation - payment - share at every alternative
-                add({p: one}, GE, val[p] - share[p], ("exit_dominates", p))
+                add(p, None, GE, val[p] - share[p], ("exit_dominates", p))
             continue
         pm = (tid, vid)
-        add({pm: one}, GE, share[pm], ("rho_nonneg", pm))
-        add({pm: one}, LE, val[pm] - trav.v_min, ("pi_nonneg", pm))
-        add({pm: one}, LE, val[pm] - share[pm], ("stay_beats_exit", pm))
+        add(pm, None, GE, share[pm], ("rho_nonneg", pm))
+        add(pm, None, LE, val[pm] - trav.v_min, ("pi_nonneg", pm))
+        add(pm, None, LE, val[pm] - share[pm], ("stay_beats_exit", pm))
         for alt in inst.compatible_vehicles(tid):
             if alt == vid:
                 continue
             p = (tid, alt)
             # own ride value >= alternative ride value
-            add(
-                {p: one, pm: -one},
-                GE,
-                (val[p] - share[p]) - (val[pm] - share[pm]),
-                ("no_envy", p),
-            )
+            add(p, pm, GE, (val[p] - share[p]) - (val[pm] - share[pm]), ("no_envy", p))
     # blocking-pair coupling
     for tid, vid in pairs:
         if a.vehicle_of(tid) == vid:
             continue
         s = val[(tid, vid)] - share[(tid, vid)]
         own = a.vehicle_of(tid)
-        # traveler's utility as a linear expression in the payments
+        # traveler's utility: u_const - x[mine], or 0 when unassigned
         if own is UNASSIGNED:
-            u_coeffs, u_const = {}, _ZERO
+            mine, u_const = None, _ZERO
         else:
-            u_coeffs, u_const = {(tid, own): -one}, val[(tid, own)]
+            mine, u_const = (tid, own), val[(tid, own)]
         if len(riders[vid]) < cap[vid]:
             # an empty seat earns 0: utility alone must cover the surplus
-            if u_coeffs or s - u_const > 0:
-                add(dict(u_coeffs), GE, s - u_const, ("no_blocking", (tid, vid)))
+            if mine is not None or s - u_const > 0:
+                add(None, mine, GE, s - u_const, ("no_blocking", (tid, vid)))
         else:
             for rid in riders[vid]:
                 pr = (rid, vid)
-                coeffs = dict(u_coeffs)
-                coeffs[pr] = coeffs.get(pr, _ZERO) + one
-                add(
-                    coeffs,
-                    GE,
-                    s - u_const + share[pr],
-                    ("no_blocking_displace", (tid, vid, rid)),
-                )
-    return pairs, idx, rows, labels
+                label = ("no_blocking_displace", (tid, vid, rid))
+                add(pr, mine, GE, s - u_const + share[pr], label)
+    return pairs, rows, labels
 
 
-def _difference_edges(nvars, rows):
-    """The stability system as difference constraints over nodes
-    ``0..nvars-1`` (payments) and ``nvars`` (the constant 0).
+def verify_farkas_certificate(rows, certificate):
+    """Exact check of Farkas multipliers over the sparse stability rows.
 
-    Each edge ``(u, v, w)`` reads ``x_v - x_u <= w``.  Returns the edges
-    and, per edge, ``(row index, Farkas sign)``, or ``None`` for the edges
-    of the bounds ``x >= 0`` that end the list.
+    Each nonzero multiplier must respect its row's relation (>=0 on
+    ``<=`` rows, <=0 on ``>=`` rows); together they must combine the rows
+    into a componentwise-nonnegative vector and the right-hand sides into
+    a negative number, which with ``x >= 0`` reads ``0 <= negative``.
+    Raises :class:`CertificateError` naming the first failed condition.
     """
-    zero = nvars
-    edges, origin = [], []
-    for k, row in enumerate(rows):
-        terms = {j: c for j, c in enumerate(row.coeffs) if c}
-        plus = [j for j, c in terms.items() if c == 1]
-        minus = [j for j, c in terms.items() if c == -1]
-        if len(plus) > 1 or len(minus) > 1 or len(plus) + len(minus) != len(terms):
-            raise ValueError(f"stability row {k} is not a difference constraint")
-        p, q = (plus or [zero])[0], (minus or [zero])[0]
-        if row.rel == LE:
-            edges.append((q, p, row.rhs))
-            origin.append((k, 1))
-        else:
-            edges.append((p, q, -row.rhs))
-            origin.append((k, -1))
-    edges += [(j, zero, _ZERO) for j in range(nvars)]
-    origin += [None] * nvars
-    return edges, origin
+    combined = {}
+    total = _ZERO
+    for k, mu in enumerate(certificate):
+        if not mu:
+            continue
+        plus, minus, rel, rhs = rows[k]
+        if mu < 0 if rel == LE else mu > 0:
+            raise CertificateError(f"synthesis: multiplier {mu} on row {k} has the wrong sign")
+        for p, c in ((plus, mu), (minus, -mu)):
+            if p is not None:
+                combined[p] = combined.get(p, _ZERO) + c
+        total += mu * rhs
+    if total >= 0 or any(c < 0 for c in combined.values()):
+        raise CertificateError("synthesis: the multipliers prove no contradiction")
 
 
 def synthesize_stable_payments(
@@ -387,47 +388,44 @@ def synthesize_stable_payments(
     validate_assignment(inst, a)
     if favor not in ("travelers", "vehicles"):
         raise ValueError(f"unknown favor mode {favor!r}")
-    pairs, idx, rows, labels = _stability_system(inst, a)
-    nvars = len(pairs)
-    problem = LPProblem(nvars, tuple([_ZERO] * nvars), tuple(rows))
-    edges, origin = _difference_edges(nvars, rows)
-    nodes = range(nvars + 1)
+    pairs, rows, labels = _stability_system(inst, a)
+    # nodes are the payments and None, the constant 0; edge (u, v, w) reads
+    # x[v] - x[u] <= w, and edge k is row k, before the bounds x >= 0
+    edges = [
+        (minus, plus, rhs) if rel == LE else (plus, minus, -rhs)
+        for plus, minus, rel, rhs in rows
+    ]
+    edges += [(p, None, _ZERO) for p in pairs]
+    nodes = [*pairs, None]
     cycle = None
     if favor == "vehicles":
         # only matched payments have incoming edges, and the zero node reaches
         # each by its pi_nonneg row: this run finds every negative cycle
-        upper, _, cycle, _ = bellman_ford(nodes, edges, nvars)
+        upper, _, cycle, _ = bellman_ford(nodes, edges, None)
         if cycle is None:
             for p in pairs:
                 if a.vehicle_of(p[0]) == p[1]:
-                    k = idx[p]
-                    edges += [(nvars, k, upper[k]), (k, nvars, -upper[k])]
-                    origin += [None, None]
+                    edges += [(None, p, upper[p]), (p, None, -upper[p])]
     if cycle is None:
-        lower, _, cycle, _ = bellman_ford(nodes, [(v, u, w) for u, v, w in edges], nvars)
+        lower, _, cycle, _ = bellman_ford(nodes, [(v, u, w) for u, v, w in edges], None)
+    certificate = schedule = allocation = None
     if cycle is not None:
         certificate = [_ZERO] * len(rows)
         for e in cycle:
-            if origin[e] is not None:
-                certificate[origin[e][0]] += origin[e][1]
-        if not verify_infeasibility_certificate(problem, certificate):
-            raise CertificateError("synthesis: negative cycle gives no Farkas certificate")
-        return SynthesisResult(
-            feasible=False,
-            schedule=None,
-            allocation=None,
-            certificate=tuple(certificate),
-            problem=problem,
-            row_labels=tuple(labels),
-        )
-    schedule = PaymentSchedule({p: -lower[idx[p]] for p in pairs})
-    allocation = compute_profits(inst, a, schedule)
+            if e < len(rows):
+                certificate[e] += 1 if rows[e][2] == LE else -1
+        verify_farkas_certificate(rows, certificate)
+        certificate = tuple(certificate)
+    else:
+        schedule = PaymentSchedule({p: -lower[p] for p in pairs})
+        allocation = compute_profits(inst, a, schedule)
     return SynthesisResult(
-        feasible=True,
+        feasible=cycle is None,
         schedule=schedule,
         allocation=allocation,
-        certificate=None,
-        problem=problem,
+        certificate=certificate,
+        pairs=tuple(pairs),
+        rows=tuple(rows),
         row_labels=tuple(labels),
     )
 

@@ -26,6 +26,7 @@ from rideshare_market.market import (
     Assignment,
     MarketInstance,
     UNASSIGNED,
+    _ZERO,
     cost_recovery_gap,
     cost_share,
     surplus,
@@ -78,7 +79,7 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
             entries[(tid, vid)] = value
     for pair in inst.compatible_pairs():
         if pair not in entries:
-            entries[pair] = max(Fraction(0), surplus(inst, *pair))
+            entries[pair] = max(_ZERO, surplus(inst, *pair))
     return PaymentSchedule(entries)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from rideshare_market.allocation import PaymentSchedule
 from rideshare_market.errors import ValidationError
-from rideshare_market.market import MarketInstance, Traveler, Vehicle
+from rideshare_market.market import _ZERO, MarketInstance, Traveler, Vehicle
 from rideshare_market.network import Edge, Network, ODPair, Route
 
 SCHEMA_VERSION = 1
@@ -24,6 +24,26 @@ SCHEMA_VERSION = 1
 class InstanceDocument:
     instance: MarketInstance
     payments: PaymentSchedule | None
+
+
+_JSON_TYPES = {dict: "object", list: "list", str: "string", bool: "boolean", int: "number",
+               float: "number", type(None): "null"}
+
+
+def _typed(value, kind, where, errors, default):
+    """``value`` when it is a ``kind``; otherwise record an error naming
+    ``where`` and return ``default``."""
+    if isinstance(value, kind):
+        return value
+    errors.append(f"{where}: expected {_JSON_TYPES[kind]}, got {_JSON_TYPES[type(value)]}")
+    return default
+
+
+def _strings(values, where, errors) -> bool:
+    """True when every item is a string; otherwise record an error per item."""
+    bad = [v for v in values if not isinstance(v, str)]
+    errors.extend(f"{where} {v!r} is not a string" for v in bad)
+    return not bad
 
 
 def _parse_money(value, where, errors):
@@ -38,7 +58,17 @@ def _parse_money(value, where, errors):
     except (ValueError, ZeroDivisionError):
         pass
     errors.append(f"{where}: not an exact number: {value!r} (use \"p/q\" strings)")
-    return Fraction(0)
+    return _ZERO
+
+
+def _entities(doc, section, errors):
+    """``(id, entry)`` for every object in the list ``doc[section]`` whose
+    id is a string; every other entry is an error."""
+    for k, entry in enumerate(_typed(doc.get(section, []), list, section, errors, [])):
+        where = f"{section}[{k}]"
+        if _typed(entry, dict, where, errors, None) is not None:
+            if _typed(entry.get("id"), str, f"{where}: id", errors, None) is not None:
+                yield entry["id"], entry
 
 
 def parse_document(text: str) -> InstanceDocument:
@@ -61,12 +91,13 @@ def parse_document(text: str) -> InstanceDocument:
     if version != SCHEMA_VERSION:
         errors.append(f"document: schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
-    net_sec = doc.get("network") or {}
-    vertices = net_sec.get("vertices") or []
+    net_sec = _typed(doc.get("network", {}), dict, "network", errors, {})
+    vertices = _typed(net_sec.get("vertices", []), list, "network: vertices", errors, [])
+    vertices = vertices if _strings(vertices, "network: vertex", errors) else []
     edges = []
-    for e in net_sec.get("edges") or []:
-        if not (isinstance(e, list) and len(e) == 3):
-            errors.append(f"network: edge entry must be [id, tail, head], got {e!r}")
+    for e in _typed(net_sec.get("edges", []), list, "network: edges", errors, []):
+        if not (isinstance(e, list) and len(e) == 3 and all(isinstance(x, str) for x in e)):
+            errors.append(f"network: edge entry must be [id, tail, head] strings, got {e!r}")
             continue
         edges.append(Edge(id=e[0], tail=e[1], head=e[2]))
     network = None
@@ -76,50 +107,68 @@ def parse_document(text: str) -> InstanceDocument:
         errors.extend(exc.errors)
 
     travelers = []
-    for entry in doc.get("travelers") or []:
-        tid = entry.get("id")
+    for tid, entry in _entities(doc, "travelers", errors):
+        where = f"traveler {tid!r}"
+        ends = [entry.get("origin"), entry.get("destination")]
+        if not _strings(ends, f"{where}: origin or destination", errors):
+            continue
         try:
-            od = ODPair(entry.get("origin"), entry.get("destination"))
+            od = ODPair(*ends)
+        except ValidationError as exc:
+            errors.extend(f"{where}: {m}" for m in exc.errors)
+            continue
+        inconvenience = _typed(
+            entry.get("inconvenience", {}), dict, f"{where}: inconvenience", errors, {}
+        )
+        try:
             travelers.append(
                 Traveler(
                     id=tid,
                     od=od,
-                    v_max=_parse_money(entry.get("v_max", 0), f"traveler {tid!r}: v_max", errors),
-                    v_min=_parse_money(entry.get("v_min", 0), f"traveler {tid!r}: v_min", errors),
+                    v_max=_parse_money(entry.get("v_max", 0), f"{where}: v_max", errors),
+                    v_min=_parse_money(entry.get("v_min", 0), f"{where}: v_min", errors),
                     inconvenience={
-                        vid: _parse_money(phi, f"traveler {tid!r}: inconvenience[{vid!r}]", errors)
-                        for vid, phi in (entry.get("inconvenience") or {}).items()
+                        vid: _parse_money(phi, f"{where}: inconvenience[{vid!r}]", errors)
+                        for vid, phi in inconvenience.items()
                     },
                 )
             )
         except ValidationError as exc:
-            errors.extend(f"traveler {tid!r}: {m}" for m in exc.errors)
+            errors.extend(exc.errors)
 
     vehicles = []
-    for entry in doc.get("vehicles") or []:
-        vid = entry.get("id")
+    for vid, entry in _entities(doc, "vehicles", errors):
+        where = f"vehicle {vid!r}"
+        route = _typed(entry.get("route", []), list, f"{where}: route", errors, [])
+        if not _strings(route, f"{where}: route edge", errors):
+            continue
         try:
-            shares = entry.get("cost_shares")
+            route = Route(tuple(route))
+        except ValidationError as exc:
+            errors.extend(f"{where}: {m}" for m in exc.errors)
+            continue
+        shares = entry.get("cost_shares")
+        if shares is not None:
+            shares = {
+                t: _parse_money(s, f"{where}: cost_shares[{t!r}]", errors)
+                for t, s in _typed(shares, dict, f"{where}: cost_shares", errors, {}).items()
+            }
+        try:
             vehicles.append(
                 Vehicle(
                     id=vid,
-                    route=Route(tuple(entry.get("route") or ())),
+                    route=route,
                     capacity=entry.get("capacity", 0),
                     operating_cost=_parse_money(
-                        entry.get("operating_cost", 0), f"vehicle {vid!r}: operating_cost", errors
+                        entry.get("operating_cost", 0), f"{where}: operating_cost", errors
                     ),
-                    cost_shares=None
-                    if shares is None
-                    else {
-                        t: _parse_money(s, f"vehicle {vid!r}: cost_shares[{t!r}]", errors)
-                        for t, s in shares.items()
-                    },
+                    cost_shares=shares,
                 )
             )
         except ValidationError as exc:
-            errors.extend(f"vehicle {vid!r}: {m}" for m in exc.errors)
+            errors.extend(exc.errors)
 
-    options = doc.get("options") or {}
+    options = _typed(doc.get("options", {}), dict, "options", errors, {})
     mode = options.get("cost_share_mode", "per_seat")
     if errors:
         raise ValidationError(errors)
@@ -136,8 +185,15 @@ def parse_document(text: str) -> InstanceDocument:
     payments = None
     if doc.get("payments") is not None:
         entries = {}
-        for tid, row in doc["payments"].items():
-            for vid, value in row.items():
+        tids, vids = {t.id for t in travelers}, {v.id for v in vehicles}
+        for tid, row in _typed(doc["payments"], dict, "payments", errors, {}).items():
+            if tid not in tids:
+                errors.append(f"payments: unknown traveler id {tid!r}")
+                continue
+            for vid, value in _typed(row, dict, f"payments: [{tid!r}]", errors, {}).items():
+                if vid not in vids:
+                    errors.append(f"payments: [{tid!r}]: unknown vehicle id {vid!r}")
+                    continue
                 entries[(tid, vid)] = _parse_money(
                     value, f"payments: [{tid!r}][{vid!r}]", errors
                 )

@@ -21,6 +21,8 @@ UNASSIGNED = None
 PER_SEAT = "per_seat"
 EXPLICIT = "explicit"
 
+_ZERO = Fraction(0)
+
 
 def _money(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -282,7 +284,7 @@ def utility(inst: MarketInstance, tid, vid, t_ij) -> Fraction:
     convention.
     """
     if vid is UNASSIGNED:
-        return Fraction(0)
+        return _ZERO
     inst.require_compatible(tid, vid)
     t_ij = _money(t_ij)
     if t_ij < 0:
@@ -312,7 +314,7 @@ def welfare_paper(inst: MarketInstance, a: Assignment, t) -> Fraction:
     plain dict).
     """
     entries = getattr(t, "entries", t)
-    total = Fraction(0)
+    total = _ZERO
     for tid, vid in a.assigned_pairs():
         if (tid, vid) not in entries:
             raise ValidationError(
@@ -330,7 +332,7 @@ def welfare_surplus(inst: MarketInstance, a: Assignment) -> Fraction:
     """Payment-free welfare: the sum of pair surpluses over matched pairs.
     This is the solver's objective."""
     return sum(
-        (surplus(inst, tid, vid) for tid, vid in a.assigned_pairs()), Fraction(0)
+        (surplus(inst, tid, vid) for tid, vid in a.assigned_pairs()), _ZERO
     )
 
 
@@ -342,6 +344,6 @@ def cost_recovery_gap(inst: MarketInstance, a: Assignment, vid) -> Fraction:
     """
     veh = inst.vehicle(vid)
     collected = sum(
-        (cost_share(inst, tid, vid) for tid in a.travelers_on(vid)), Fraction(0)
+        (cost_share(inst, tid, vid) for tid in a.travelers_on(vid)), _ZERO
     )
     return veh.operating_cost - collected

@@ -23,11 +23,10 @@ from rideshare_market.market import (
     Assignment,
     MarketInstance,
     UNASSIGNED,
+    _ZERO,
     surplus_matrix,
     valuation,
 )
-
-_ZERO = Fraction(0)
 
 ORACLE_MAX_TRAVELERS = 10
 ORACLE_MAX_MAPS = 10**7
@@ -70,7 +69,7 @@ def _pair_weights(inst: MarketInstance, payments=None) -> dict:
 
 def bellman_ford(nodes, edges, source):
     """Exact single-source shortest paths over ``edges``, a list of
-    ``(tail, head, weight)``.
+    ``(tail, head, weight)`` whose nodes may be any hashable, ``None`` too.
 
     Edges are scanned in list order, pass after pass, until a pass changes
     nothing or ``len(nodes)`` passes have run.  Returns ``(dist, pred,
@@ -83,14 +82,14 @@ def bellman_ford(nodes, edges, source):
     pred = {}
     relaxations = 0
     for _ in range(len(nodes)):
-        last = None
+        before = relaxations
         for k, (u, v, w) in enumerate(edges):
             if u in dist and (v not in dist or dist[u] + w < dist[v]):
                 dist[v] = dist[u] + w
                 pred[v] = k
                 last = v
                 relaxations += 1
-        if last is None:
+        if relaxations == before:
             return dist, pred, None, relaxations
     # still relaxing after len(nodes) passes: len(nodes) steps back along
     # the predecessor edges land on a cycle, and that cycle is negative

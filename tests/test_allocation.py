@@ -4,6 +4,7 @@ import pytest
 
 from rideshare_market import (
     Assignment,
+    CertificateError,
     MarketInstance,
     PaymentSchedule,
     StabilityPreconditionError,
@@ -17,7 +18,7 @@ from rideshare_market import (
     solve_optimal_assignment,
     synthesize_stable_payments,
 )
-from rideshare_market.allocation import validate_schedule
+from rideshare_market.allocation import validate_schedule, verify_farkas_certificate
 from rideshare_market.generate import generate_instance
 from rideshare_market.lp import (
     EQ,
@@ -204,6 +205,18 @@ def test_synthesis_infeasible_off_optimum(canonical, mapping):
     assert res.schedule is None
     assert verify_infeasibility_certificate(res.problem, res.certificate)
     assert len(res.row_labels) == len(res.problem.rows)
+
+
+def test_farkas_check_rejects_broken_multipliers(canonical):
+    res = synthesize_stable_payments(canonical, Assignment({"T1": None, "T2": "V1"}))
+    assert res.certificate == (0, 0, 0, 0, -1)  # 0 >= 6 on the no_blocking row
+    verify_farkas_certificate(res.rows, res.certificate)
+    with pytest.raises(CertificateError, match="wrong sign"):
+        verify_farkas_certificate(res.rows, (0, 0, 0, 0, 1))
+    # -1 on x >= 2 leaves x a negative coefficient; +1 on x <= 6 a positive right-hand side
+    for broken in ((0, -1, 0, 0, 0), (0, 0, 1, 0, 0)):
+        with pytest.raises(CertificateError, match="no contradiction"):
+            verify_farkas_certificate(res.rows, broken)
 
 
 def test_synthesis_feasible_iff_optimal_on_random_instances():

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -67,17 +68,99 @@ def test_parse_rejects_dangling_edge(canonical):
         parse_instance(json.dumps(raw))
 
 
-@pytest.mark.parametrize("capacity", ["2", 2.5, True])
-def test_non_integer_capacity_is_a_validation_error(canonical, tmp_path, capsys, capacity):
+def _vehicle(**fields):
+    return lambda raw: raw["vehicles"][0].update(fields)
+
+
+def _traveler(**fields):
+    return lambda raw: raw["travelers"][0].update(fields)
+
+
+def _document(**sections):
+    return lambda raw: raw.update(sections)
+
+
+MALFORMED = [
+    pytest.param(_vehicle(capacity="2"), r"capacity '2' is not an integer", id="capacity-string"),
+    pytest.param(_vehicle(capacity=2.5), r"capacity 2.5 is not an integer", id="capacity-float"),
+    pytest.param(_vehicle(capacity=True), r"capacity True is not an integer", id="capacity-bool"),
+    pytest.param(
+        lambda raw: raw["travelers"].__setitem__(0, "T1"),
+        r"^travelers\[0\]: expected object, got string$",
+        id="traveler-string",
+    ),
+    pytest.param(
+        lambda raw: raw.update(vehicles={"V1": raw["vehicles"][0]}),
+        r"^vehicles: expected list, got object$",
+        id="vehicles-object",
+    ),
+    pytest.param(_document(network=[]), r"^network: expected object, got list$", id="network-list"),
+    pytest.param(_document(options=[]), r"^options: expected object, got list$", id="options-list"),
+    pytest.param(
+        _traveler(inconvenience=["V1"]),
+        r"^traveler 'T1': inconvenience: expected object, got list$",
+        id="inconvenience-list",
+    ),
+    pytest.param(
+        _vehicle(cost_shares=[]),
+        r"^vehicle 'V1': cost_shares: expected object, got list$",
+        id="cost-shares-list",
+    ),
+    pytest.param(_vehicle(route=5), r"^vehicle 'V1': route: expected list, got number$", id="route-number"),
+    pytest.param(
+        _document(payments={"T1": "3"}),
+        r"^payments: \['T1'\]: expected object, got string$",
+        id="payments-row-string",
+    ),
+    pytest.param(
+        lambda raw: raw["network"]["vertices"].append([1]),
+        r"^network: vertex \[1\] is not a string$",
+        id="vertex-list",
+    ),
+    pytest.param(
+        lambda raw: raw["network"]["vertices"].append(5),
+        r"^network: vertex 5 is not a string$",
+        id="vertex-number",
+    ),
+    pytest.param(
+        lambda raw: raw["travelers"][0].pop("id"),
+        r"^travelers\[0\]: id: expected string, got null$",
+        id="traveler-id-missing",
+    ),
+    pytest.param(
+        _traveler(id=5), r"^travelers\[0\]: id: expected string, got number$", id="traveler-id-number"
+    ),
+    pytest.param(
+        _document(payments={"T9": {"V1": "1"}}),
+        r"^payments: unknown traveler id 'T9'$",
+        id="payment-unknown-traveler",
+    ),
+    pytest.param(
+        _document(payments={"T1": {"V9": "1"}}),
+        r"^payments: \['T1'\]: unknown vehicle id 'V9'$",
+        id="payment-unknown-vehicle",
+    ),
+    pytest.param(
+        _vehicle(operating_cost="-1"),
+        r"^vehicle 'V1': operating cost must be nonnegative$",
+        id="entity-prefix-once",
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate, message", MALFORMED)
+def test_malformed_document_is_a_validation_error(canonical, tmp_path, capsys, mutate, message):
     raw = json.loads(serialize_instance(canonical))
-    raw["vehicles"][0]["capacity"] = capacity
+    mutate(raw)
     text = json.dumps(raw)
-    with pytest.raises(ValidationError, match="capacity .* is not an integer"):
+    with pytest.raises(ValidationError) as exc:
         parse_document(text)
-    path = tmp_path / "capacity.json"
+    assert any(re.search(message, m) for m in exc.value.errors), exc.value.errors
+    path = tmp_path / "malformed.json"
     path.write_text(text)
     assert main(["check", str(path)]) == 2
-    assert "is not an integer" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert any(re.search(message, line.removeprefix("error: ")) for line in err), err
 
 
 def test_parse_syntax_error_has_position():
