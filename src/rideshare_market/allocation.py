@@ -23,7 +23,7 @@ from rideshare_market.market import (
     valuation,
     validate_assignment,
 )
-from rideshare_market.solver import bellman_ford
+from rideshare_market.solver import bellman_ford, scale_to_integers
 
 
 @dataclass(frozen=True)
@@ -390,12 +390,13 @@ def synthesize_stable_payments(
         raise ValueError(f"unknown favor mode {favor!r}")
     pairs, rows, labels = _stability_system(inst, a)
     # nodes are the payments and None, the constant 0; edge (u, v, w) reads
-    # x[v] - x[u] <= w, and edge k is row k, before the bounds x >= 0
+    # x[v] - x[u] <= w / den, and edge k is row k, before the bounds x >= 0
+    den, scaled = scale_to_integers(row[3] for row in rows)
     edges = [
-        (minus, plus, rhs) if rel == LE else (plus, minus, -rhs)
-        for plus, minus, rel, rhs in rows
+        (minus, plus, w) if rel == LE else (plus, minus, -w)
+        for (plus, minus, rel, _), w in zip(rows, scaled)
     ]
-    edges += [(p, None, _ZERO) for p in pairs]
+    edges += [(p, None, 0) for p in pairs]
     nodes = [*pairs, None]
     cycle = None
     if favor == "vehicles":
@@ -417,7 +418,7 @@ def synthesize_stable_payments(
         verify_farkas_certificate(rows, certificate)
         certificate = tuple(certificate)
     else:
-        schedule = PaymentSchedule({p: -lower[p] for p in pairs})
+        schedule = PaymentSchedule({p: Fraction(-lower[p], den) for p in pairs})
         allocation = compute_profits(inst, a, schedule)
     return SynthesisResult(
         feasible=cycle is None,

@@ -69,13 +69,18 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
     user left unspecified."""
     entries = dict(base.entries) if base is not None else {}
     if overrides:
+        travelers = {t.id for t in inst.travelers}
         for (tid, vid), value in overrides.items():
+            if tid not in travelers:
+                raise ValidationError(f"--payments: unknown traveler id {tid!r}")
             if vid is None:
                 vid = assignment.vehicle_of(tid)
                 if vid is UNASSIGNED:
                     raise ValidationError(
                         f"--payments: traveler {tid!r} is unassigned; use TID:VID=value"
                     )
+            if not inst.compatibility.entries.get((tid, vid)):
+                raise ValidationError(f"--payments: pair ({tid!r}, {vid!r}) is not compatible")
             entries[(tid, vid)] = value
     for pair in inst.compatible_pairs():
         if pair not in entries:

@@ -186,6 +186,7 @@ def parse_document(text: str) -> InstanceDocument:
     if doc.get("payments") is not None:
         entries = {}
         tids, vids = {t.id for t in travelers}, {v.id for v in vehicles}
+        compatible = instance.compatibility.entries
         for tid, row in _typed(doc["payments"], dict, "payments", errors, {}).items():
             if tid not in tids:
                 errors.append(f"payments: unknown traveler id {tid!r}")
@@ -194,7 +195,11 @@ def parse_document(text: str) -> InstanceDocument:
                 if vid not in vids:
                     errors.append(f"payments: [{tid!r}]: unknown vehicle id {vid!r}")
                     continue
-                entries[(tid, vid)] = _parse_money(
+                pair = (tid, vid)
+                if not compatible[pair]:
+                    errors.append(f"payments: pair {pair!r} is not compatible")
+                    continue
+                entries[pair] = _parse_money(
                     value, f"payments: [{tid!r}][{vid!r}]", errors
                 )
         if errors:

@@ -14,6 +14,7 @@ and is the ground truth the other two are tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,18 +68,31 @@ def _pair_weights(inst: MarketInstance, payments=None) -> dict:
     return weights
 
 
+def scale_to_integers(values):
+    """``(den, ints)``: the least common denominator of the rationals
+    ``values`` and each value times it, an exact ``int``.  Scaling by a
+    positive factor keeps every sum and comparison, so shortest paths over
+    ``ints`` are those over ``values``, with distances ``den`` times larger."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def bellman_ford(nodes, edges, source):
     """Exact single-source shortest paths over ``edges``, a list of
     ``(tail, head, weight)`` whose nodes may be any hashable, ``None`` too.
 
+    Weights are any exact numbers; callers pass ``int`` weights made by
+    :func:`scale_to_integers`, so no relaxation normalises a fraction.
     Edges are scanned in list order, pass after pass, until a pass changes
     nothing or ``len(nodes)`` passes have run.  Returns ``(dist, pred,
     cycle, relaxations)``: the distance of every node reached from
-    ``source``, the index of each reached node's predecessor edge, the
-    edge indices of a negative cycle in path order (``None`` when there
-    is none), and the number of successful relaxations.
+    ``source`` (``0`` at the source, in the weights' type elsewhere), the
+    index of each reached node's predecessor edge, the edge indices of a
+    negative cycle in path order (``None`` when there is none), and the
+    number of successful relaxations.
     """
-    dist = {source: _ZERO}
+    dist = {source: 0}
     pred = {}
     relaxations = 0
     for _ in range(len(nodes)):
@@ -104,14 +118,15 @@ def bellman_ford(nodes, edges, source):
 
 def _residual_edges(pos_pairs, weights, match, load, cap, source, sink):
     """Residual graph of a matching: matching one more traveler is a
-    source->...->sink path, and its (negated) cost is the welfare gain."""
-    edges = [(source, ("t", tid), _ZERO) for tid, vid in match.items() if vid is UNASSIGNED]
+    source->...->sink path, and its (negated) cost is the welfare gain.
+    ``weights`` are the scaled integer pair weights."""
+    edges = [(source, ("t", tid), 0) for tid, vid in match.items() if vid is UNASSIGNED]
     for tid, vid in pos_pairs:
         if match[tid] == vid:
             edges.append((("v", vid), ("t", tid), weights[(tid, vid)]))
         else:
             edges.append((("t", tid), ("v", vid), -weights[(tid, vid)]))
-    edges += [(("v", vid), sink, _ZERO) for vid, k in load.items() if k < cap[vid]]
+    edges += [(("v", vid), sink, 0) for vid, k in load.items() if k < cap[vid]]
     return edges
 
 
@@ -127,6 +142,9 @@ def solve_optimal_assignment(
     given the objective is valuation-minus-payment instead of pair surplus.
     """
     weights = _pair_weights(inst, payments)
+    # the shortest paths run over integers: den times each weight
+    den, scaled = scale_to_integers(weights.values())
+    scaled = dict(zip(weights, scaled))
     travelers = [t.id for t in inst.travelers]
     vehicles = [v.id for v in inst.vehicles]
     cap = {v.id: v.capacity for v in inst.vehicles}
@@ -144,7 +162,7 @@ def solve_optimal_assignment(
     SRC, SNK = ("src",), ("snk",)
     nodes = [SRC] + [("t", t) for t in travelers] + [("v", v) for v in vehicles] + [SNK]
     while True:
-        edges = _residual_edges(pos_pairs, weights, match, load, cap, SRC, SNK)
+        edges = _residual_edges(pos_pairs, scaled, match, load, cap, SRC, SNK)
         dist, pred, _, count = bellman_ford(nodes, edges, SRC)
         relaxations += count
         if SNK not in dist or dist[SNK] >= 0:
@@ -175,13 +193,13 @@ def solve_optimal_assignment(
         # are dual potentials that meet every pair constraint and are
         # tight on the matching
         S = ("s",)
-        edges = _residual_edges(pos_pairs, weights, match, load, cap, S, S)
-        edges += [(("t", tid), S, _ZERO) for tid, vid in match.items() if vid is not UNASSIGNED]
-        edges += [(S, ("v", vid), _ZERO) for vid, k in load.items() if k > 0]
+        edges = _residual_edges(pos_pairs, scaled, match, load, cap, S, S)
+        edges += [(("t", tid), S, 0) for tid, vid in match.items() if vid is not UNASSIGNED]
+        edges += [(S, ("v", vid), 0) for vid, k in load.items() if k > 0]
         dist = bellman_ford(nodes[:-1], edges, S)[0]
         certificate = DualCertificate(
-            y={tid: max(_ZERO, dist.get(("t", tid), _ZERO)) for tid in travelers},
-            z={vid: max(_ZERO, -dist.get(("v", vid), _ZERO)) for vid in vehicles},
+            y={tid: Fraction(max(0, dist.get(("t", tid), 0)), den) for tid in travelers},
+            z={vid: Fraction(max(0, -dist.get(("v", vid), 0)), den) for vid in vehicles},
         )
         verify_dual_certificate(inst, weights, certificate, objective)
     return SolveResult(

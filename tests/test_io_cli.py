@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rideshare_market import PaymentSchedule, ValidationError
 from rideshare_market.cli import main
@@ -80,6 +84,21 @@ def _document(**sections):
     return lambda raw: raw.update(sections)
 
 
+def _payment_without_inconvenience(raw):
+    """T1 loses its inconvenience entry for V1, so the pair is not
+    compatible, but the payments still price it."""
+    raw["travelers"][0]["inconvenience"] = {}
+    raw["payments"] = {"T1": {"V1": "5"}}
+
+
+def _payment_off_route(raw):
+    """A second vehicle V2 drives B->C only, which misses T1's A->C trip;
+    the payments price T1 on both vehicles."""
+    raw["vehicles"].append({**raw["vehicles"][0], "id": "V2", "route": ["e2"]})
+    raw["travelers"][0]["inconvenience"]["V2"] = "0"
+    raw["payments"] = {"T1": {"V1": "3", "V2": "1"}}
+
+
 MALFORMED = [
     pytest.param(_vehicle(capacity="2"), r"capacity '2' is not an integer", id="capacity-string"),
     pytest.param(_vehicle(capacity=2.5), r"capacity 2.5 is not an integer", id="capacity-float"),
@@ -139,6 +158,16 @@ MALFORMED = [
         _document(payments={"T1": {"V9": "1"}}),
         r"^payments: \['T1'\]: unknown vehicle id 'V9'$",
         id="payment-unknown-vehicle",
+    ),
+    pytest.param(
+        _payment_without_inconvenience,
+        r"^payments: pair \('T1', 'V1'\) is not compatible$",
+        id="payment-no-inconvenience-entry",
+    ),
+    pytest.param(
+        _payment_off_route,
+        r"^payments: pair \('T1', 'V2'\) is not compatible$",
+        id="payment-route-misses-trip",
     ),
     pytest.param(
         _vehicle(operating_cost="-1"),
@@ -270,6 +299,17 @@ def test_cli_bad_payment_spec_exits_2(canonical_path, capsys):
     assert "exact number" in capsys.readouterr().err
 
 
+def test_cli_payment_override_off_the_compatible_pairs_exits_2(tmp_path, capsys):
+    inst = generate_instance(0, n=4, m=2)
+    assert ("T0", "V0") not in inst.compatible_pairs()
+    path = tmp_path / "instance.json"
+    path.write_text(serialize_instance(inst))
+    assert main(["check", str(path), "--payments", "T0:V0=5"]) == 2
+    assert "error: --payments: pair ('T0', 'V0') is not compatible" in capsys.readouterr().err
+    assert main(["check", str(path), "--payments", "T9:V1=3"]) == 2
+    assert "error: --payments: unknown traveler id 'T9'" in capsys.readouterr().err
+
+
 def test_cli_invalid_document_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -281,3 +321,67 @@ def test_cli_usage_error_exits_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+#: values a mutation writes in place of a document field or payment
+_STRAY = [None, True, 0, -1, 7, 2.5, "", "x", "-1", "3/2", "1/0", [], {}, ["e0"], {"V0": "1"}]
+
+
+def _paths(node, path=()):
+    """Every path into a JSON value, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A generated document with one to three mutations: a dropped key or
+    list entry, a field of the wrong type or value, or a stray payment
+    entry (known or unknown ids, compatible or not, valid value or not)."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, min(n, 3)))
+    inst = generate_instance(draw(st.integers(0, 30)), n=n, m=m)
+    doc = json.loads(serialize_instance(inst))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "swap", "pay"]))
+        if kind == "pay":
+            payments = doc["payments"] if isinstance(doc.get("payments"), dict) else {}
+            tid = draw(st.sampled_from([f"T{i}" for i in range(n + 1)]))
+            row = payments[tid] if isinstance(payments.get(tid), dict) else {}
+            row[draw(st.sampled_from([f"V{j}" for j in range(m + 1)]))] = draw(
+                st.sampled_from(["0", "5", "3/2", *_STRAY])
+            )
+            payments[tid] = row
+            doc["payments"] = payments
+            continue
+        paths = list(_paths(doc))
+        if not paths:
+            continue
+        *parents, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        if kind == "drop":
+            del parent[key]
+        else:
+            parent[key] = draw(st.sampled_from(_STRAY))
+    return json.dumps(doc)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(_mutated_documents())
+def test_cli_survives_mutated_documents(tmp_path_factory, text):
+    """``check`` and ``report`` end every mutated document with an exit
+    status, 0, 1 or 2, and never with an uncaught exception."""
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(text)
+    for command in ("check", "report"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([command, str(path)]) in (0, 1, 2)

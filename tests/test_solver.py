@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rideshare_market import (
     Assignment,
     MarketInstance,
     OracleScaleError,
+    PaymentSchedule,
     Traveler,
     Vehicle,
     CertificateError,
@@ -14,10 +17,17 @@ from rideshare_market import (
     oracle_optimum,
     solve_optimal_assignment,
     surplus_matrix,
+    valuation,
 )
 from rideshare_market.generate import generate_instance
 from rideshare_market.lp import Optimal
-from rideshare_market.solver import DualCertificate, bellman_ford, verify_dual_certificate
+from rideshare_market.solver import (
+    DualCertificate,
+    _pair_weights,
+    bellman_ford,
+    scale_to_integers,
+    verify_dual_certificate,
+)
 
 
 def test_canonical_optimum(canonical):
@@ -162,6 +172,64 @@ def test_bellman_ford_returns_a_negative_cycle():
     assert edges[pred["c"]] == ("b", "c", F(-3))
 
 
+@st.composite
+def _digraphs(draw):
+    """Up to six nodes and fourteen edges, self-loops and parallel edges
+    included, with rational weights of denominator 1-60; many have a
+    negative cycle."""
+    size = draw(st.integers(2, 6))
+    node = st.integers(0, size - 1)
+    weight = st.builds(F, st.integers(-30, 60), st.integers(1, 60))
+    return list(range(size)), draw(st.lists(st.tuples(node, node, weight), max_size=14))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_digraphs())
+@example(([0, 1, 2], [(0, 1, F(1, 2)), (1, 2, F(-7, 3)), (2, 1, F(9, 5))]))
+def test_integer_kernel_matches_fraction_kernel(graph):
+    nodes, edges = graph
+    den, ints = scale_to_integers(w for _, _, w in edges)
+    assert all(type(w) is int and F(w, den) == e[2] for w, e in zip(ints, edges))
+    dist, pred, cycle, count = bellman_ford(nodes, edges, 0)
+    scaled = [(u, v, w) for (u, v, _), w in zip(edges, ints)]
+    int_dist, int_pred, int_cycle, int_count = bellman_ford(nodes, scaled, 0)
+    assert (pred, cycle, count) == (int_pred, int_cycle, int_count)
+    assert dist == {v: F(d, den) for v, d in int_dist.items()}
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+
+
+def test_prime_denominator_payments_match_the_oracle():
+    """Payments with distinct prime denominators in each market (every
+    prime below 100 across the six) make the common denominator of the
+    weights a product of many primes; the matching over the scaled
+    integers still finds the oracle's optimum, and its certificate still
+    checks."""
+    used = set()
+    for seed in range(6):
+        inst = generate_instance(700 + seed, n=7, m=3)
+        pairs = inst.compatible_pairs()
+        assert len(pairs) <= len(PRIMES)
+        entries = {}
+        for k, (tid, vid) in enumerate(pairs):
+            p = PRIMES[(7 * seed + k) % len(PRIMES)]
+            used.add(p)
+            value = valuation(inst.traveler(tid), vid)
+            numerator = int(value * p * F(3 + k % 5, 6)) + 1
+            entries[(tid, vid)] = F(numerator + (numerator % p == 0), p)
+        payments = PaymentSchedule(entries)
+        weights = _pair_weights(inst, payments)
+        den, _ = scale_to_integers(weights.values())
+        assert den >= 2 * 3 * 5 * 7 * 11
+        res = solve_optimal_assignment(inst, payments=payments)
+        objective, argmax = oracle_optimum(inst, payments=payments)
+        assert res.objective == objective
+        assert res.assignment.as_key() in {a.as_key() for a in argmax}
+        verify_dual_certificate(inst, weights, res.dual_certificate, res.objective)
+    assert used == set(PRIMES)
+
+
 def test_complementary_slackness_on_random_instances():
     for seed in range(40):
         inst = generate_instance(100 + seed, n=4, m=2)
@@ -191,8 +259,6 @@ def test_solver_agrees_with_oracle_and_lp():
 
 
 def test_fixed_payment_objective(canonical):
-    from rideshare_market import PaymentSchedule
-
     # T1's ride is priced above value: under the paper objective with these
     # payments fixed, only T2 rides
     t = PaymentSchedule({("T1", "V1"): F(9), ("T2", "V1"): F(1)})

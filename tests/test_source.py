@@ -1,16 +1,20 @@
 import ast
+from fractions import Fraction as F
 from pathlib import Path
 
 import rideshare_market
 from rideshare_market import (
     Assignment,
+    PaymentSchedule,
+    allocation,
     lp,
     solve_optimal_assignment,
     solver,
     synthesize_stable_payments,
 )
 from rideshare_market.cli import main
-from rideshare_market.instance_io import serialize_instance
+from rideshare_market.generate import generate_instance
+from rideshare_market.instance_io import serialize_document, serialize_instance
 
 
 def test_package_has_no_assert_statements():
@@ -53,3 +57,45 @@ def test_production_paths_build_no_dense_lp(canonical, tmp_path, monkeypatch, ca
     monkeypatch.undo()
     for res in results:
         assert len(res.problem.rows) == len(res.rows)
+
+
+def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, capsys):
+    """Every production call of the shortest-path kernel gets ``int`` edge
+    weights, scaled once by the caller, and returns ``int`` distances: no
+    relaxation does ``Fraction`` arithmetic, even when the market's money
+    has denominators."""
+    kernel = solver.bellman_ford
+    calls = []
+
+    def integer_only(nodes, edges, source):
+        bad = [w for _, _, w in edges if type(w) is not int]
+        if bad:
+            raise AssertionError(f"edge weight {bad[0]!r} is a {type(bad[0]).__name__}")
+        result = kernel(nodes, edges, source)
+        assert all(type(d) is int for d in result[0].values())
+        calls.append(len(edges))
+        return result
+
+    monkeypatch.setattr(solver, "bellman_ford", integer_only)
+    monkeypatch.setattr(allocation, "bellman_ford", integer_only)
+    payments = PaymentSchedule({("T1", "V1"): F(7, 3), ("T2", "V1"): F(5, 2)})
+    for fixed in (None, payments):
+        assert solve_optimal_assignment(canonical, payments=fixed).dual_certificate is not None
+    results = [
+        synthesize_stable_payments(canonical, Assignment(mapping), favor=favor)
+        for mapping in ({"T1": "V1", "T2": "V1"}, {"T1": None, "T2": "V1"})
+        for favor in ("travelers", "vehicles")
+    ]
+    assert [res.feasible for res in results] == [True, True, False, False]
+    inst = generate_instance(3, n=5, m=2)
+    assert any(w.denominator > 1 for w in solver._pair_weights(inst).values())
+    solve_optimal_assignment(inst)
+    for path, text in (
+        (tmp_path / "canonical.json", serialize_document(canonical, payments)),
+        (tmp_path / "generated.json", serialize_instance(inst)),
+    ):
+        path.write_text(text)
+        for command in ("solve", "check", "synthesize", "report"):
+            assert main([command, str(path)]) in (0, 1)
+    capsys.readouterr()
+    assert len(calls) > 20
