@@ -19,8 +19,7 @@ from rideshare_market.market import (
     UNASSIGNED,
     _ZERO,
     _money,
-    cost_share,
-    valuation,
+    utility,
     validate_assignment,
 )
 from rideshare_market.solver import bellman_ford, scale_to_integers
@@ -88,15 +87,16 @@ def compute_profits(inst: MarketInstance, a: Assignment, t: PaymentSchedule) -> 
     value.  Every off-match entry is zero.
     """
     validate_assignment(inst, a)
-    pi = {p: _ZERO for p in inst.compatible_pairs()}
-    rho = {p: _ZERO for p in inst.compatible_pairs()}
+    table = inst.compatibility.entries
+    pi = dict.fromkeys(table, _ZERO)
+    rho = dict.fromkeys(table, _ZERO)
     for tid, vid in a.assigned_pairs():
-        if t.get((tid, vid)) is None:
+        pay = t.get((tid, vid))
+        if pay is None:
             raise ValidationError(f"profits: no payment for matched pair ({tid!r}, {vid!r})")
-        pay = t[(tid, vid)]
-        trav = inst.traveler(tid)
-        rho[(tid, vid)] = pay - cost_share(inst, tid, vid)
-        pi[(tid, vid)] = valuation(trav, vid) - pay - trav.v_min
+        terms = table[(tid, vid)]
+        rho[(tid, vid)] = pay - terms.share
+        pi[(tid, vid)] = terms.valuation - pay - inst.traveler(tid).v_min
     return ProfitAllocation(pi=pi, rho=rho)
 
 
@@ -110,24 +110,23 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
     of the identity is reported per pair in ``eq8_status``, never enforced.
     """
     validate_assignment(inst, a)
+    table = inst.compatibility.entries
     violations = []
     eq8 = {}
-    for tid, vid in a.assigned_pairs():
-        pair = (tid, vid)
-        trav = inst.traveler(tid)
+    for pair in a.assigned_pairs():
+        terms = table[pair]
         pi = alloc.pi[pair]
         rho = alloc.rho[pair]
         if pi < 0:
             violations.append(Violation("pi_nonneg", pair, pi, _ZERO))
         if rho < 0:
             violations.append(Violation("rho_nonneg", pair, rho, _ZERO))
-        share = cost_share(inst, tid, vid)
-        forced = valuation(trav, vid) - share - trav.v_min
+        forced = terms.surplus - inst.traveler(pair[0]).v_min
         if pi + rho != forced:
             violations.append(Violation("pair_sum_identity", pair, pi + rho, forced))
         # recover the payment and evaluate the literal identity
-        pay = rho + share
-        eq8[pair] = pi + rho == valuation(trav, vid) - pay - share
+        pay = rho + terms.share
+        eq8[pair] = pi + rho == terms.valuation - pay - terms.share
     served = a.assigned_vehicles()
     for v in inst.vehicles:
         if v.id in served:
@@ -144,16 +143,6 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
             if alloc.pi.get(pair, _ZERO) != 0:
                 violations.append(Violation("unassigned_traveler_profit", pair, alloc.pi[pair], _ZERO))
     return CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
-
-
-def _ride_value(inst, tid, vid, t: PaymentSchedule) -> Fraction:
-    """valuation - payment - cost share: the quantity the stability
-    inequality compares across rides."""
-    return (
-        valuation(inst.traveler(tid), vid)
-        - t[(tid, vid)]
-        - cost_share(inst, tid, vid)
-    )
 
 
 def check_stability(
@@ -182,59 +171,51 @@ def check_stability(
         raise StabilityPreconditionError(feas)
     if classic_core:
         return _check_classic_core(inst, a, t)
+    # ride value, valuation - payment - cost share; exit is worth 0
+    ride = {p: terms.surplus - t[p] for p, terms in inst.compatibility.entries.items()}
     violations = []
     for trav in inst.travelers:
         tid = trav.id
         vid = a.vehicle_of(tid)
-        if vid is UNASSIGNED:
-            for alt in inst.compatible_vehicles(tid):
-                alt_value = _ride_value(inst, tid, alt, t)
-                if alt_value > 0:
-                    violations.append(Violation("unassigned_envy", (tid, alt), _ZERO, alt_value))
-            continue
-        own = _ride_value(inst, tid, vid, t)
+        own = _ZERO if vid is UNASSIGNED else ride[(tid, vid)]
         if own < 0:
             violations.append(Violation("exit_preferred", (tid, UNASSIGNED), own, _ZERO))
+        kind = "unassigned_envy" if vid is UNASSIGNED else "envy"
         for alt in inst.compatible_vehicles(tid):
-            if alt == vid:
-                continue
-            alt_value = _ride_value(inst, tid, alt, t)
-            if own < alt_value:
-                violations.append(Violation("envy", (tid, alt), own, alt_value))
+            if alt != vid and own < ride[(tid, alt)]:
+                violations.append(Violation(kind, (tid, alt), own, ride[(tid, alt)]))
     return CheckReport(verdict=not violations, violations=tuple(violations))
 
 
-def _seat_values(inst, a, t):
-    """Marginal seat profit per vehicle: 0 with spare capacity, else the
-    smallest profit the vehicle earns from a current rider."""
-    out = {}
-    for v in inst.vehicles:
-        riders = a.travelers_on(v.id)
-        if len(riders) < v.capacity:
-            out[v.id] = _ZERO
-        else:
-            out[v.id] = min(t[(tid, v.id)] - cost_share(inst, tid, v.id) for tid in riders)
-    return out
+def _riders(a: Assignment) -> dict:
+    """Vehicle id -> its riders in assignment order; served vehicles only."""
+    riders = {}
+    for tid, vid in a.assigned_pairs():
+        riders.setdefault(vid, []).append(tid)
+    return riders
 
 
 def _check_classic_core(inst, a, t):
+    table = inst.compatibility.entries
+    # marginal seat profit: 0 with spare capacity, else the smallest profit
+    # the vehicle earns from a current rider
+    seat = {v.id: _ZERO for v in inst.vehicles}
+    for vid, riders in _riders(a).items():
+        if len(riders) >= inst.vehicle(vid).capacity:
+            seat[vid] = min(t[(tid, vid)] - table[(tid, vid)].share for tid in riders)
     violations = []
-    seat = _seat_values(inst, a, t)
     util = {}
     for trav in inst.travelers:
         vid = a.vehicle_of(trav.id)
-        util[trav.id] = (
-            _ZERO if vid is UNASSIGNED else valuation(trav, vid) - t[(trav.id, vid)]
-        )
+        util[trav.id] = utility(inst, trav.id, vid, t.get((trav.id, vid)))
         if util[trav.id] < 0:
             violations.append(Violation("negative_utility", (trav.id, vid), util[trav.id], _ZERO))
-    for tid, vid in inst.compatible_pairs():
+    for (tid, vid), terms in table.items():
         if a.vehicle_of(tid) == vid:
             continue
-        s = valuation(inst.traveler(tid), vid) - cost_share(inst, tid, vid)
         lhs = util[tid] + seat[vid]
-        if lhs < s:
-            violations.append(Violation("blocking_pair", (tid, vid), lhs, s))
+        if lhs < terms.surplus:
+            violations.append(Violation("blocking_pair", (tid, vid), lhs, terms.surplus))
     return CheckReport(verdict=not violations, violations=tuple(violations))
 
 
@@ -283,12 +264,8 @@ def _stability_system(inst: MarketInstance, a: Assignment):
     reading ``x[plus] - x[minus] rel rhs``; ``plus`` and ``minus`` are
     compatible pairs, or ``None`` for an absent term.
     """
-    pairs = inst.compatible_pairs()
-    val = {p: valuation(inst.traveler(p[0]), p[1]) for p in pairs}
-    share = {p: cost_share(inst, *p) for p in pairs}
-    cap = {v.id: v.capacity for v in inst.vehicles}
-    riders = {v.id: a.travelers_on(v.id) for v in inst.vehicles}
-
+    table = inst.compatibility.entries
+    riders = _riders(a)
     rows = []
     labels = []
 
@@ -303,39 +280,41 @@ def _stability_system(inst: MarketInstance, a: Assignment):
             for alt in inst.compatible_vehicles(tid):
                 p = (tid, alt)
                 # 0 >= valuation - payment - share at every alternative
-                add(p, None, GE, val[p] - share[p], ("exit_dominates", p))
+                add(p, None, GE, table[p].surplus, ("exit_dominates", p))
             continue
         pm = (tid, vid)
-        add(pm, None, GE, share[pm], ("rho_nonneg", pm))
-        add(pm, None, LE, val[pm] - trav.v_min, ("pi_nonneg", pm))
-        add(pm, None, LE, val[pm] - share[pm], ("stay_beats_exit", pm))
+        matched = table[pm]
+        add(pm, None, GE, matched.share, ("rho_nonneg", pm))
+        add(pm, None, LE, matched.valuation - trav.v_min, ("pi_nonneg", pm))
+        add(pm, None, LE, matched.surplus, ("stay_beats_exit", pm))
         for alt in inst.compatible_vehicles(tid):
             if alt == vid:
                 continue
             p = (tid, alt)
             # own ride value >= alternative ride value
-            add(p, pm, GE, (val[p] - share[p]) - (val[pm] - share[pm]), ("no_envy", p))
+            add(p, pm, GE, table[p].surplus - matched.surplus, ("no_envy", p))
     # blocking-pair coupling
-    for tid, vid in pairs:
-        if a.vehicle_of(tid) == vid:
-            continue
-        s = val[(tid, vid)] - share[(tid, vid)]
+    for (tid, vid), terms in table.items():
         own = a.vehicle_of(tid)
+        if own == vid:
+            continue
+        s = terms.surplus
         # traveler's utility: u_const - x[mine], or 0 when unassigned
         if own is UNASSIGNED:
             mine, u_const = None, _ZERO
         else:
-            mine, u_const = (tid, own), val[(tid, own)]
-        if len(riders[vid]) < cap[vid]:
+            mine, u_const = (tid, own), table[(tid, own)].valuation
+        on = riders.get(vid, ())
+        if len(on) < inst.vehicle(vid).capacity:
             # an empty seat earns 0: utility alone must cover the surplus
             if mine is not None or s - u_const > 0:
                 add(None, mine, GE, s - u_const, ("no_blocking", (tid, vid)))
         else:
-            for rid in riders[vid]:
+            for rid in on:
                 pr = (rid, vid)
                 label = ("no_blocking_displace", (tid, vid, rid))
-                add(pr, mine, GE, s - u_const + share[pr], label)
-    return pairs, rows, labels
+                add(pr, mine, GE, s - u_const + table[pr].share, label)
+    return list(table), rows, labels
 
 
 def verify_farkas_certificate(rows, certificate):

@@ -28,9 +28,6 @@ from rideshare_market.market import (
     UNASSIGNED,
     _ZERO,
     cost_recovery_gap,
-    cost_share,
-    surplus,
-    valuation,
     welfare_paper,
     welfare_surplus,
 )
@@ -41,9 +38,9 @@ EXIT_VERDICT_FALSE = 1
 EXIT_INVALID = 2
 
 
-def _parse_payment_overrides(spec: str) -> dict:
-    """Parse ``T1:V1=3,T2=5`` into {(tid, vid): value} / {(tid, None): value}."""
-    out = {}
+def _parse_payment_overrides(spec: str) -> list:
+    """Parse ``T1:V1=3,T2=5`` into ``[((tid, vid), value), ((tid, None), value)]``."""
+    out = []
     for item in spec.split(","):
         item = item.strip()
         if not item:
@@ -55,11 +52,8 @@ def _parse_payment_overrides(spec: str) -> dict:
             amount = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"--payments: not an exact number: {value!r}") from None
-        if ":" in key:
-            tid, _, vid = key.partition(":")
-            out[(tid, vid)] = amount
-        else:
-            out[(key, None)] = amount
+        tid, _, vid = key.partition(":")
+        out.append(((tid, vid if ":" in key else None), amount))
     return out
 
 
@@ -70,7 +64,8 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
     entries = dict(base.entries) if base is not None else {}
     if overrides:
         travelers = {t.id for t in inst.travelers}
-        for (tid, vid), value in overrides.items():
+        seen = set()
+        for (tid, vid), value in overrides:
             if tid not in travelers:
                 raise ValidationError(f"--payments: unknown traveler id {tid!r}")
             if vid is None:
@@ -79,17 +74,21 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
                     raise ValidationError(
                         f"--payments: traveler {tid!r} is unassigned; use TID:VID=value"
                     )
-            if not inst.compatibility.entries.get((tid, vid)):
+            if not inst.compatibility[(tid, vid)]:
                 raise ValidationError(f"--payments: pair ({tid!r}, {vid!r}) is not compatible")
+            if (tid, vid) in seen:
+                raise ValidationError(f"--payments: duplicate entry for pair ({tid!r}, {vid!r})")
+            seen.add((tid, vid))
             entries[(tid, vid)] = value
-    for pair in inst.compatible_pairs():
+    for pair, terms in inst.compatibility.entries.items():
         if pair not in entries:
-            entries[pair] = max(_ZERO, surplus(inst, *pair))
+            entries[pair] = max(_ZERO, terms.surplus)
     return PaymentSchedule(entries)
 
 
 def _parse_assignment(inst, spec: str) -> Assignment:
     mapping = {t.id: UNASSIGNED for t in inst.travelers}
+    seen = set()
     for item in spec.split(","):
         item = item.strip()
         if not item:
@@ -97,6 +96,9 @@ def _parse_assignment(inst, spec: str) -> Assignment:
         tid, sep, vid = item.partition("=")
         if not sep:
             raise ValidationError(f"--assignment: entry {item!r} is not TID=VID")
+        if tid in seen:
+            raise ValidationError(f"--assignment: duplicate entry for traveler {tid!r}")
+        seen.add(tid)
         mapping[tid] = vid
     return Assignment(mapping)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from rideshare_market.errors import ValidationError
 from rideshare_market.market import MarketInstance, Traveler, Vehicle
 from rideshare_market.network import Edge, Network, ODPair, Route, covers, route_vertex_sequence
 
@@ -26,6 +27,8 @@ def _lattice(rng, lo, hi) -> Fraction:
 def generate_instance(
     seed: int, n: int, m: int, degenerate: bool = False, max_capacity: int = 3
 ) -> MarketInstance:
+    if n < 0 or m < 0:
+        raise ValidationError(f"generate: n and m must be >= 0, got n={n}, m={m}")
     rng = random.Random(("market", seed, n, m, degenerate, max_capacity).__repr__())
     if degenerate:
         return _generate_degenerate(rng, n, m, max_capacity)

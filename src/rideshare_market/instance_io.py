@@ -196,7 +196,7 @@ def parse_document(text: str) -> InstanceDocument:
                     errors.append(f"payments: [{tid!r}]: unknown vehicle id {vid!r}")
                     continue
                 pair = (tid, vid)
-                if not compatible[pair]:
+                if pair not in compatible:
                     errors.append(f"payments: pair {pair!r} is not compatible")
                     continue
                 entries[pair] = _parse_money(

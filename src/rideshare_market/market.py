@@ -6,9 +6,10 @@ All money values are :class:`fractions.Fraction`; the package never rounds.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from rideshare_market.errors import IncompatiblePairError, ValidationError
 from rideshare_market.network import Network, ODPair, Route, covers, route_vertex_sequence, validate_od
@@ -89,19 +90,30 @@ class Vehicle:
             raise ValidationError(errors)
 
 
+class PairTerms(NamedTuple):
+    """The terms of one compatible pair: the traveler's valuation of the
+    vehicle, the traveler's cost share, and their difference, the pair
+    surplus."""
+
+    valuation: Fraction
+    share: Fraction
+    surplus: Fraction
+
+
 @dataclass(frozen=True)
 class CompatibilityMatrix:
-    """Boolean traveler x vehicle matrix, derived from routes and
-    inconvenience entries.  Recomputation is idempotent."""
+    """The compatible traveler x vehicle pairs, each with its
+    :class:`PairTerms`.  Indexing answers whether a pair is compatible;
+    any other pair, unknown ids included, reads ``False``."""
 
-    entries: dict  # (traveler id, vehicle id) -> bool
+    entries: dict  # (traveler id, vehicle id) -> PairTerms, in instance order
 
     def __getitem__(self, pair) -> bool:
-        return self.entries[pair]
+        return pair in self.entries
 
     def pairs(self):
         """Compatible pairs in instance (traveler, vehicle) order."""
-        return [p for p, ok in self.entries.items() if ok]
+        return list(self.entries)
 
 
 @dataclass(frozen=True)
@@ -139,15 +151,7 @@ class MarketInstance:
         if errors:
             raise ValidationError(errors)
         if self.cost_share_mode == EXPLICIT:
-            for tid, vid in self.compatibility.pairs():
-                veh = self.vehicle(vid)
-                if veh.cost_shares is None or tid not in veh.cost_shares:
-                    errors.append(
-                        f"vehicle {vid!r}: explicit mode but no cost share for "
-                        f"compatible traveler {tid!r}"
-                    )
-        if errors:
-            raise ValidationError(errors)
+            self.compatibility  # the build checks every explicit share
         if len(self.travelers) < len(self.vehicles):
             warnings.warn(
                 "market has fewer travelers than vehicles (n < m)", stacklevel=2
@@ -175,25 +179,49 @@ class MarketInstance:
 
     @cached_property
     def compatibility(self) -> CompatibilityMatrix:
-        entries = {}
+        """Every compatible pair and its terms, derived once.  In explicit
+        mode a compatible pair without a cost share is a validation error."""
+        explicit = self.cost_share_mode == EXPLICIT
+        per_seat = {v.id: v.operating_cost / v.capacity for v in self.vehicles}
+        entries, errors = {}, []
         for t in self.travelers:
             for v in self.vehicles:
-                entries[(t.id, v.id)] = (
-                    v.id in t.inconvenience and covers(self.network, v.route, t.od)
-                )
+                phi = t.inconvenience.get(v.id)
+                if phi is None or not covers(self.network, v.route, t.od):
+                    continue
+                share = (v.cost_shares or {}).get(t.id) if explicit else per_seat[v.id]
+                if share is None:
+                    errors.append(
+                        f"vehicle {v.id!r}: explicit mode but no cost share for "
+                        f"compatible traveler {t.id!r}"
+                    )
+                    continue
+                value = t.v_max - phi
+                entries[(t.id, v.id)] = PairTerms(value, share, value - share)
+        if errors:
+            raise ValidationError(errors)
         return CompatibilityMatrix(entries)
+
+    @cached_property
+    def _options(self):
+        options = {t.id: [] for t in self.travelers}
+        for tid, vid in self.compatibility.entries:
+            options[tid].append(vid)
+        return options
 
     def compatible_pairs(self):
         return self.compatibility.pairs()
 
     def compatible_vehicles(self, tid):
-        return [v.id for v in self.vehicles if self.compatibility[(tid, v.id)]]
+        return list(self._options.get(tid, ()))
 
-    def require_compatible(self, tid, vid):
-        if not self.compatibility[(tid, vid)]:
-            raise IncompatiblePairError(
-                f"pair ({tid!r}, {vid!r}) is not compatible"
-            )
+    def pair(self, tid, vid) -> PairTerms:
+        """The terms of a compatible pair; any other pair raises
+        :class:`IncompatiblePairError`."""
+        try:
+            return self.compatibility.entries[(tid, vid)]
+        except KeyError:
+            raise IncompatiblePairError(f"pair ({tid!r}, {vid!r}) is not compatible") from None
 
 
 @dataclass(frozen=True)
@@ -260,21 +288,15 @@ def valuation(t: Traveler, vid) -> Fraction:
 
 
 def cost_share(inst: MarketInstance, tid, vid) -> Fraction:
-    """Traveler ``tid``'s share of vehicle ``vid``'s operating cost.
+    """Traveler ``tid``'s share of vehicle ``vid``'s operating cost, read
+    from the instance's pair table.
 
     Per-seat mode charges ``operating_cost / capacity`` regardless of the
-    realized occupancy; explicit mode looks the share up.  Either way the
-    share is independent of the assignment.
+    realized occupancy; explicit mode uses the vehicle's listed share.
+    Either way the share is independent of the assignment.  Raises
+    :class:`IncompatiblePairError` for a pair that is not compatible.
     """
-    inst.require_compatible(tid, vid)
-    veh = inst.vehicle(vid)
-    if inst.cost_share_mode == PER_SEAT:
-        return veh.operating_cost / veh.capacity
-    if veh.cost_shares is None or tid not in veh.cost_shares:
-        raise ValidationError(
-            f"vehicle {vid!r}: no explicit cost share for traveler {tid!r}"
-        )
-    return veh.cost_shares[tid]
+    return inst.pair(tid, vid).share
 
 
 def utility(inst: MarketInstance, tid, vid, t_ij) -> Fraction:
@@ -285,23 +307,23 @@ def utility(inst: MarketInstance, tid, vid, t_ij) -> Fraction:
     """
     if vid is UNASSIGNED:
         return _ZERO
-    inst.require_compatible(tid, vid)
+    terms = inst.pair(tid, vid)
     t_ij = _money(t_ij)
     if t_ij < 0:
         raise ValidationError(f"payment for ({tid!r}, {vid!r}) is negative")
-    return valuation(inst.traveler(tid), vid) - t_ij
+    return terms.valuation - t_ij
 
 
 def surplus(inst: MarketInstance, tid, vid) -> Fraction:
     """Joint pie of a pairing: valuation minus cost share.  Independent of
     how the internal payment splits it."""
-    return valuation(inst.traveler(tid), vid) - cost_share(inst, tid, vid)
+    return inst.pair(tid, vid).surplus
 
 
 def surplus_matrix(inst: MarketInstance) -> dict:
     """Pair surplus for every compatible pair.  Incompatible pairs are
     simply absent; there is no numeric sentinel."""
-    return {(tid, vid): surplus(inst, tid, vid) for tid, vid in inst.compatible_pairs()}
+    return {p: terms.surplus for p, terms in inst.compatibility.entries.items()}
 
 
 def welfare_paper(inst: MarketInstance, a: Assignment, t) -> Fraction:

@@ -26,7 +26,6 @@ from rideshare_market.market import (
     UNASSIGNED,
     _ZERO,
     surplus_matrix,
-    valuation,
 )
 
 ORACLE_MAX_TRAVELERS = 10
@@ -55,16 +54,16 @@ class SolveResult:
 def _pair_weights(inst: MarketInstance, payments=None) -> dict:
     """Objective weight per compatible pair: pair surplus by default, or
     valuation minus payment when a fixed schedule is supplied."""
-    weights = surplus_matrix(inst)
-    if payments is not None:
-        entries = getattr(payments, "entries", payments)
-        weights = {}
-        for tid, vid in inst.compatible_pairs():
-            if (tid, vid) not in entries:
-                raise ValidationError(
-                    f"objective: no payment for compatible pair ({tid!r}, {vid!r})"
-                )
-            weights[(tid, vid)] = valuation(inst.traveler(tid), vid) - entries[(tid, vid)]
+    if payments is None:
+        return surplus_matrix(inst)
+    entries = getattr(payments, "entries", payments)
+    weights = {}
+    for (tid, vid), terms in inst.compatibility.entries.items():
+        if (tid, vid) not in entries:
+            raise ValidationError(
+                f"objective: no payment for compatible pair ({tid!r}, {vid!r})"
+            )
+        weights[(tid, vid)] = terms.valuation - entries[(tid, vid)]
     return weights
 
 
@@ -148,12 +147,7 @@ def solve_optimal_assignment(
     travelers = [t.id for t in inst.travelers]
     vehicles = [v.id for v in inst.vehicles]
     cap = {v.id: v.capacity for v in inst.vehicles}
-    pos_pairs = [
-        (tid, vid)
-        for tid in travelers
-        for vid in vehicles
-        if weights.get((tid, vid), -1) > 0
-    ]
+    pos_pairs = [p for p, w in weights.items() if w > 0]
 
     match = {tid: UNASSIGNED for tid in travelers}
     load = {vid: 0 for vid in vehicles}
@@ -176,10 +170,8 @@ def solve_optimal_assignment(
                 match[a[1]] = b[1]
             elif a[0] == "v" and b[0] == "t":
                 match[b[1]] = UNASSIGNED
-        load = {vid: 0 for vid in vehicles}
-        for tid, vid in match.items():
-            if vid is not UNASSIGNED:
-                load[vid] += 1
+        # only the vehicle next to the sink gains a rider
+        load[path[0][0][1]] += 1
         augmentations += 1
 
     assignment = Assignment(dict(match))

@@ -310,6 +310,33 @@ def test_cli_payment_override_off_the_compatible_pairs_exits_2(tmp_path, capsys)
     assert "error: --payments: unknown traveler id 'T9'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, spec, message",
+    [
+        ("--assignment", "T1=V0,T1=V1", "--assignment: duplicate entry for traveler 'T1'"),
+        ("--payments", "T1:V0=3,T1:V0=4", "--payments: duplicate entry for pair ('T1', 'V0')"),
+        # T1 rides V0 at the optimum, so T1=3 prices the same pair
+        ("--payments", "T1=3,T1:V0=4", "--payments: duplicate entry for pair ('T1', 'V0')"),
+    ],
+)
+def test_cli_duplicate_override_exits_2(tmp_path, capsys, option, spec, message):
+    inst = generate_instance(0, n=4, m=2)
+    path = tmp_path / "instance.json"
+    path.write_text(serialize_instance(inst))
+    assert main(["check", str(path), option, spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_generate_negative_size_exits_2(capsys):
+    assert main(["generate", "--seed", "1", "--n", "-3", "--m", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: generate: n and m must be >= 0, got n=-3, m=-1\n"
+    assert captured.out == ""
+    assert main(["generate", "--seed", "1", "--n", "2", "--m", "-1"]) == 2
+    assert main(["generate", "--seed", "1", "--n", "0", "--m", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["travelers"] == []
+
+
 def test_cli_invalid_document_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -17,6 +17,8 @@ from rideshare_market import (
     Vehicle,
     cost_recovery_gap,
     cost_share,
+    covers,
+    surplus,
     surplus_matrix,
     utility,
     valuation,
@@ -93,13 +95,104 @@ def test_cost_share_zero_cost(canonical):
 
 
 def test_explicit_mode_requires_all_shares(canonical):
-    with pytest.raises(ValidationError, match="explicit"):
+    with pytest.raises(ValidationError) as exc:
         MarketInstance(
             network=canonical.network,
             travelers=canonical.travelers,
             vehicles=canonical.vehicles,
             cost_share_mode="explicit",
         )
+    assert exc.value.errors == [
+        "vehicle 'V1': explicit mode but no cost share for compatible traveler 'T1'",
+        "vehicle 'V1': explicit mode but no cost share for compatible traveler 'T2'",
+    ]
+    v1 = canonical.vehicles[0]
+    with pytest.raises(ValidationError) as exc:
+        MarketInstance(
+            network=canonical.network,
+            travelers=canonical.travelers,
+            vehicles=(Vehicle(v1.id, v1.route, v1.capacity, v1.operating_cost, {"T1": F(1)}),),
+            cost_share_mode="explicit",
+        )
+    assert exc.value.errors == [
+        "vehicle 'V1': explicit mode but no cost share for compatible traveler 'T2'"
+    ]
+
+
+def test_unknown_ids_raise_incompatible_pair_error():
+    inst = generate_instance(0, n=4, m=2)
+    calls = [
+        lambda: cost_share(inst, "T9", "V0"),
+        lambda: utility(inst, "T0", "V9", 1),
+        lambda: surplus(inst, "T9", "V0"),
+        lambda: inst.pair("T9", "V0"),
+    ]
+    for call in calls:
+        with pytest.raises(IncompatiblePairError, match="is not compatible"):
+            call()
+
+
+def test_surplus_without_inconvenience_entry_names_the_pair(canonical):
+    bare = Traveler("T3", ODPair("A", "C"), v_max=F(5), v_min=F(0), inconvenience={})
+    inst = MarketInstance(canonical.network, canonical.travelers + (bare,), canonical.vehicles)
+    with pytest.raises(IncompatiblePairError, match=r"^pair \('T3', 'V1'\) is not compatible$"):
+        surplus(inst, "T3", "V1")
+
+
+def _with_explicit_shares(inst, rng):
+    """``inst`` in explicit mode, with a share for every compatible pair and
+    for some incompatible ones, which the pair table must ignore."""
+    shares = {v.id: {} for v in inst.vehicles}
+    for t in inst.travelers:
+        for v in inst.vehicles:
+            if (t.id, v.id) in inst.compatibility.entries or rng.random() < 0.3:
+                shares[v.id][t.id] = F(rng.randint(0, 9), rng.choice((1, 2, 3)))
+    vehicles = tuple(
+        Vehicle(v.id, v.route, v.capacity, v.operating_cost, shares[v.id]) for v in inst.vehicles
+    )
+    return MarketInstance(inst.network, inst.travelers, vehicles, cost_share_mode="explicit")
+
+
+def test_pair_table_matches_independent_derivation():
+    rng = random.Random(3)
+    markets = []
+    for seed in range(40):
+        inst = generate_instance(seed, n=2 + seed % 7, m=1 + seed % 4, degenerate=seed % 4 == 0)
+        markets.append(inst)
+        if seed % 3 == 0:
+            markets.append(_with_explicit_shares(inst, rng))
+    explicit_pairs = 0
+    for inst in markets:
+        table = inst.compatibility.entries
+        expected_order = []
+        for t in inst.travelers:
+            for v in inst.vehicles:
+                pair = (t.id, v.id)
+                if not (v.id in t.inconvenience and covers(inst.network, v.route, t.od)):
+                    assert pair not in table
+                    assert inst.compatibility[pair] is False
+                    continue
+                expected_order.append(pair)
+                assert inst.compatibility[pair] is True
+                value = t.v_max - t.inconvenience[v.id]
+                if inst.cost_share_mode == "explicit":
+                    share = v.cost_shares[t.id]
+                    explicit_pairs += 1
+                else:
+                    share = v.operating_cost / v.capacity
+                assert (table[pair].valuation, table[pair].share, table[pair].surplus) == (
+                    value, share, value - share
+                )
+                assert valuation(t, v.id) == value
+                assert cost_share(inst, *pair) == share
+                assert surplus(inst, *pair) == value - share
+        assert list(table) == expected_order == inst.compatible_pairs()
+        for t in inst.travelers:
+            assert inst.compatible_vehicles(t.id) == [v for tid, v in expected_order if tid == t.id]
+            assert inst.compatibility[(t.id, "V99")] is False
+        for v in inst.vehicles:
+            assert inst.compatibility[("T99", v.id)] is False
+    assert explicit_pairs > 50
 
 
 def test_utility(canonical):
