@@ -145,10 +145,12 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
     return CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
 
 
-def check_stability(
+def check_payments(
     inst: MarketInstance, a: Assignment, t: PaymentSchedule, classic_core: bool = False
-) -> CheckReport:
-    """Stability of schedule ``t`` under ``a``.
+) -> tuple:
+    """Feasibility, then stability, of schedule ``t`` under ``a``, as
+    ``(feasibility, stability)``; stability is ``None`` for an infeasible
+    allocation, where it is undefined.
 
     Default mode evaluates the per-traveler inequalities as written:
     a rider's valuation-minus-payment-minus-cost-share must beat every
@@ -159,32 +161,59 @@ def check_stability(
     no traveler-vehicle pair can split a deviation surplus that beats the
     traveler's utility plus the vehicle's marginal seat profit.  This mode
     does not subtract the cost share from the rider's side twice.
-
-    Requires a feasible allocation; raises
-    :class:`StabilityPreconditionError` carrying the feasibility report
-    otherwise.
     """
     validate_schedule(inst, t)
-    alloc = compute_profits(inst, a, t)
-    feas = check_feasibility(inst, a, alloc)
+    feas = check_feasibility(inst, a, compute_profits(inst, a, t))
     if not feas.verdict:
-        raise StabilityPreconditionError(feas)
-    if classic_core:
-        return _check_classic_core(inst, a, t)
-    # ride value, valuation - payment - cost share; exit is worth 0
-    ride = {p: terms.surplus - t[p] for p, terms in inst.compatibility.entries.items()}
+        return feas, None
+    table = inst.compatibility.entries
     violations = []
-    for trav in inst.travelers:
-        tid = trav.id
-        vid = a.vehicle_of(tid)
-        own = _ZERO if vid is UNASSIGNED else ride[(tid, vid)]
-        if own < 0:
-            violations.append(Violation("exit_preferred", (tid, UNASSIGNED), own, _ZERO))
-        kind = "unassigned_envy" if vid is UNASSIGNED else "envy"
-        for alt in inst.compatible_vehicles(tid):
-            if alt != vid and own < ride[(tid, alt)]:
-                violations.append(Violation(kind, (tid, alt), own, ride[(tid, alt)]))
-    return CheckReport(verdict=not violations, violations=tuple(violations))
+    if classic_core:
+        # marginal seat profit: 0 with spare capacity, else the smallest
+        # profit the vehicle earns from a current rider
+        seat = {v.id: _ZERO for v in inst.vehicles}
+        for vid, riders in _riders(a).items():
+            if len(riders) >= inst.vehicle(vid).capacity:
+                seat[vid] = min(t[(tid, vid)] - table[(tid, vid)].share for tid in riders)
+        util = {}
+        for trav in inst.travelers:
+            vid = a.vehicle_of(trav.id)
+            util[trav.id] = utility(inst, trav.id, vid, t.get((trav.id, vid)))
+            if util[trav.id] < 0:
+                violations.append(Violation("negative_utility", (trav.id, vid), util[trav.id], _ZERO))
+        for (tid, vid), terms in table.items():
+            if a.vehicle_of(tid) == vid:
+                continue
+            lhs = util[tid] + seat[vid]
+            if lhs < terms.surplus:
+                violations.append(Violation("blocking_pair", (tid, vid), lhs, terms.surplus))
+    else:
+        # ride value, valuation - payment - cost share; exit is worth 0
+        ride = {p: terms.surplus - t[p] for p, terms in table.items()}
+        for trav in inst.travelers:
+            tid = trav.id
+            vid = a.vehicle_of(tid)
+            own = _ZERO if vid is UNASSIGNED else ride[(tid, vid)]
+            if own < 0:
+                violations.append(Violation("exit_preferred", (tid, UNASSIGNED), own, _ZERO))
+            kind = "unassigned_envy" if vid is UNASSIGNED else "envy"
+            for alt in inst.compatible_vehicles(tid):
+                if alt != vid and own < ride[(tid, alt)]:
+                    violations.append(Violation(kind, (tid, alt), own, ride[(tid, alt)]))
+    return feas, CheckReport(verdict=not violations, violations=tuple(violations))
+
+
+def check_stability(
+    inst: MarketInstance, a: Assignment, t: PaymentSchedule, classic_core: bool = False
+) -> CheckReport:
+    """Stability of schedule ``t`` under ``a``, in either mode of
+    :func:`check_payments`.  Requires a feasible allocation; raises
+    :class:`StabilityPreconditionError` carrying the feasibility report
+    otherwise."""
+    feas, stab = check_payments(inst, a, t, classic_core)
+    if stab is None:
+        raise StabilityPreconditionError(feas)
+    return stab
 
 
 def _riders(a: Assignment) -> dict:
@@ -193,30 +222,6 @@ def _riders(a: Assignment) -> dict:
     for tid, vid in a.assigned_pairs():
         riders.setdefault(vid, []).append(tid)
     return riders
-
-
-def _check_classic_core(inst, a, t):
-    table = inst.compatibility.entries
-    # marginal seat profit: 0 with spare capacity, else the smallest profit
-    # the vehicle earns from a current rider
-    seat = {v.id: _ZERO for v in inst.vehicles}
-    for vid, riders in _riders(a).items():
-        if len(riders) >= inst.vehicle(vid).capacity:
-            seat[vid] = min(t[(tid, vid)] - table[(tid, vid)].share for tid in riders)
-    violations = []
-    util = {}
-    for trav in inst.travelers:
-        vid = a.vehicle_of(trav.id)
-        util[trav.id] = utility(inst, trav.id, vid, t.get((trav.id, vid)))
-        if util[trav.id] < 0:
-            violations.append(Violation("negative_utility", (trav.id, vid), util[trav.id], _ZERO))
-    for (tid, vid), terms in table.items():
-        if a.vehicle_of(tid) == vid:
-            continue
-        lhs = util[tid] + seat[vid]
-        if lhs < terms.surplus:
-            violations.append(Violation("blocking_pair", (tid, vid), lhs, terms.surplus))
-    return CheckReport(verdict=not violations, violations=tuple(violations))
 
 
 # -- synthesis ------------------------------------------------------------

@@ -10,18 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from rideshare_market.allocation import (
-    PaymentSchedule,
-    check_feasibility,
-    check_stability,
-    compute_profits,
-    synthesize_stable_payments,
-)
-from rideshare_market.errors import StabilityPreconditionError, ValidationError
+from rideshare_market.allocation import PaymentSchedule, check_payments, synthesize_stable_payments
+from rideshare_market.errors import ValidationError
 from rideshare_market.generate import generate_instance
-from rideshare_market.instance_io import parse_document, serialize_document
+from rideshare_market.instance_io import exact_number, parse_document, serialize_document
 from rideshare_market.market import (
     Assignment,
     MarketInstance,
@@ -38,10 +31,10 @@ EXIT_VERDICT_FALSE = 1
 EXIT_INVALID = 2
 
 
-def _parse_payment_overrides(spec: str) -> list:
+def _parse_payment_overrides(spec: str | None) -> list:
     """Parse ``T1:V1=3,T2=5`` into ``[((tid, vid), value), ((tid, None), value)]``."""
     out = []
-    for item in spec.split(","):
+    for item in (spec or "").split(","):
         item = item.strip()
         if not item:
             continue
@@ -49,7 +42,9 @@ def _parse_payment_overrides(spec: str) -> list:
             raise ValidationError(f"--payments: entry {item!r} is not KEY=VALUE")
         key, _, value = item.partition("=")
         try:
-            amount = Fraction(value)
+            amount = exact_number(value)
+        except ValidationError as exc:
+            raise ValidationError(f"--payments: {exc}") from None
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"--payments: not an exact number: {value!r}") from None
         tid, _, vid = key.partition(":")
@@ -57,10 +52,20 @@ def _parse_payment_overrides(spec: str) -> list:
     return out
 
 
-def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
-    """Full payment matrix: document payments, then CLI overrides, then the
-    break-even default ``max(0, valuation - cost_share)`` for anything the
-    user left unspecified."""
+def _resolve_payments(inst, assignment, base, spec) -> PaymentSchedule | None:
+    """Full payment matrix: document payments ``base``, then the overrides
+    in ``spec``, then the break-even default max(0, valuation - cost share);
+    a complete ``base`` without overrides is returned as is.  ``TID=value``
+    prices the traveler's vehicle in ``assignment``; ``None`` there means
+    the surplus optimum, and a ``None`` result if nothing is priced."""
+    overrides = _parse_payment_overrides(spec)
+    if assignment is None:
+        if base is None and not overrides:
+            return None
+        assignment = _assignment(inst, None)
+    table = inst.compatibility.entries
+    if base is not None and not overrides and all(p in base.entries for p in table):
+        return base
     entries = dict(base.entries) if base is not None else {}
     if overrides:
         travelers = {t.id for t in inst.travelers}
@@ -80,13 +85,16 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
                 raise ValidationError(f"--payments: duplicate entry for pair ({tid!r}, {vid!r})")
             seen.add((tid, vid))
             entries[(tid, vid)] = value
-    for pair, terms in inst.compatibility.entries.items():
+    for pair, terms in table.items():
         if pair not in entries:
             entries[pair] = max(_ZERO, terms.surplus)
     return PaymentSchedule(entries)
 
 
-def _parse_assignment(inst, spec: str) -> Assignment:
+def _assignment(inst, spec: str | None) -> Assignment:
+    """The ``--assignment`` in ``spec``, or the surplus optimum without one."""
+    if not spec:
+        return solve_optimal_assignment(inst, with_certificate=False).assignment
     mapping = {t.id: UNASSIGNED for t in inst.travelers}
     seen = set()
     for item in spec.split(","):
@@ -105,6 +113,15 @@ def _parse_assignment(inst, spec: str) -> Assignment:
 
 def _assignment_table(a: Assignment):
     return {tid: (vid if vid is not UNASSIGNED else None) for tid, vid in sorted(a.mapping.items())}
+
+
+def _pair_table(values: dict, a: Assignment | None = None):
+    """``{"tid:vid": str(value)}`` in pair order; only ``a``'s matched pairs, if given."""
+    return {
+        f"{tid}:{vid}": str(x)
+        for (tid, vid), x in sorted(values.items())
+        if a is None or a.vehicle_of(tid) == vid
+    }
 
 
 def _report_check(report):
@@ -182,11 +199,8 @@ def _solve_report(inst, payments, objective):
 
 def cmd_solve(args) -> int:
     inst, base_payments = _load(args.instance, args.cost_share_mode)
-    overrides = _parse_payment_overrides(args.payments) if args.payments else None
-    payments = None
-    if args.objective == "paper" or base_payments is not None or overrides:
-        probe = solve_optimal_assignment(inst, with_certificate=False)
-        payments = _resolve_payments(inst, probe.assignment, base_payments, overrides)
+    probe = _assignment(inst, None) if args.objective == "paper" else None
+    payments = _resolve_payments(inst, probe, base_payments, args.payments)
     _, doc = _solve_report(inst, payments, args.objective)
     _emit(doc, args.format)
     return EXIT_OK
@@ -211,25 +225,20 @@ def _check_payments(doc, inst, assignment, payments, classic_core) -> bool:
     """Add the feasibility and stability reports of ``payments`` to ``doc``;
     stability is skipped when the allocation is infeasible.  Returns the
     combined verdict."""
-    feas = check_feasibility(inst, assignment, compute_profits(inst, assignment, payments))
+    feas, stab = check_payments(inst, assignment, payments, classic_core)
     doc["feasibility"] = _report_check(feas)
     doc["eq8_holds"] = {f"{tid}:{vid}": ok for (tid, vid), ok in sorted(feas.eq8_status.items())}
-    if not feas.verdict:
+    if stab is None:
         doc["stability"] = {"verdict": None, "violations": [], "skipped": "allocation infeasible"}
         return False
-    stab = check_stability(inst, assignment, payments, classic_core=classic_core)
     doc["stability"] = _report_check(stab)
     return stab.verdict
 
 
 def cmd_check(args) -> int:
     inst, base_payments = _load(args.instance, args.cost_share_mode)
-    if args.assignment:
-        assignment = _parse_assignment(inst, args.assignment)
-    else:
-        assignment = solve_optimal_assignment(inst, with_certificate=False).assignment
-    overrides = _parse_payment_overrides(args.payments) if args.payments else None
-    payments = _resolve_payments(inst, assignment, base_payments, overrides)
+    assignment = _assignment(inst, args.assignment)
+    payments = _resolve_payments(inst, assignment, base_payments, args.payments)
     doc = {"assignment": _assignment_table(assignment)}
     verdict = _check_payments(doc, inst, assignment, payments, args.classic_core)
     if "skipped" not in doc["stability"]:
@@ -240,26 +249,13 @@ def cmd_check(args) -> int:
 
 def cmd_synthesize(args) -> int:
     inst, _ = _load(args.instance, args.cost_share_mode)
-    if args.assignment:
-        assignment = _parse_assignment(inst, args.assignment)
-    else:
-        assignment = solve_optimal_assignment(inst, with_certificate=False).assignment
+    assignment = _assignment(inst, args.assignment)
     result = synthesize_stable_payments(inst, assignment)
     doc = {"assignment": _assignment_table(assignment), "feasible": result.feasible}
     if result.feasible:
-        doc["payments"] = {
-            f"{tid}:{vid}": str(x) for (tid, vid), x in sorted(result.schedule.entries.items())
-        }
-        doc["traveler_profit"] = {
-            f"{tid}:{vid}": str(x)
-            for (tid, vid), x in sorted(result.allocation.pi.items())
-            if assignment.vehicle_of(tid) == vid
-        }
-        doc["vehicle_profit"] = {
-            f"{tid}:{vid}": str(x)
-            for (tid, vid), x in sorted(result.allocation.rho.items())
-            if assignment.vehicle_of(tid) == vid
-        }
+        doc["payments"] = _pair_table(result.schedule.entries)
+        doc["traveler_profit"] = _pair_table(result.allocation.pi, assignment)
+        doc["vehicle_profit"] = _pair_table(result.allocation.rho, assignment)
     else:
         doc["certificate"] = [
             {"constraint": str(label), "multiplier": str(mu)}
@@ -285,16 +281,13 @@ def cmd_report(args) -> int:
     inst, base_payments = _load(args.instance, args.cost_share_mode)
     result, doc = _solve_report(inst, None, "surplus")
     assignment = result.assignment
-    overrides = _parse_payment_overrides(args.payments) if args.payments else None
-    payments = _resolve_payments(inst, assignment, base_payments, overrides)
+    payments = _resolve_payments(inst, assignment, base_payments, args.payments)
     doc["welfare_paper"] = str(welfare_paper(inst, assignment, payments))
     _check_payments(doc, inst, assignment, payments, args.classic_core)
     synth = synthesize_stable_payments(inst, assignment)
     doc["synthesis"] = {"feasible": synth.feasible}
     if synth.feasible:
-        doc["synthesis"]["payments"] = {
-            f"{tid}:{vid}": str(x) for (tid, vid), x in sorted(synth.schedule.entries.items())
-        }
+        doc["synthesis"]["payments"] = _pair_table(synth.schedule.entries)
     if args.with_oracle:
         objective, argmax = oracle_optimum(inst)
         doc["oracle"] = {
@@ -366,9 +359,6 @@ def main(argv=None) -> int:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except StabilityPreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERDICT_FALSE
     except ValidationError as exc:
         for message in exc.errors:
             print(f"error: {message}", file=sys.stderr)

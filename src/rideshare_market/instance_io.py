@@ -46,15 +46,37 @@ def _strings(values, where, errors) -> bool:
     return not bad
 
 
+#: the most digits Python converts between ``int`` and ``str`` by default
+MAX_DIGITS = 4300
+
+
+def exact_number(value) -> Fraction:
+    """``Fraction(value)`` for an ``int`` or a numeric string.
+
+    A string's exponent is checked before the power of ten is computed: a
+    value with more than :data:`MAX_DIGITS` digits once its exponent is
+    written out raises :class:`ValidationError`, since it could never be
+    printed.  Other malformed strings raise ``ValueError``.
+    """
+    if isinstance(value, str):
+        mantissa, e, exponent = value.upper().partition("E")
+        if e and sum(c.isdigit() for c in mantissa) + abs(int(exponent)) > MAX_DIGITS:
+            raise ValidationError(f"{value!r} needs more than {MAX_DIGITS} digits")
+    return Fraction(value)
+
+
 def _parse_money(value, where, errors):
     try:
         if isinstance(value, bool):
             raise ValueError
         if isinstance(value, (int, str)):
-            return Fraction(value)
+            return exact_number(value)
         if isinstance(value, float):
             # floats in source documents are ambiguous; require strings
             raise ValueError
+    except ValidationError as exc:
+        errors.append(f"{where}: {exc}")
+        return _ZERO
     except (ValueError, ZeroDivisionError):
         pass
     errors.append(f"{where}: not an exact number: {value!r} (use \"p/q\" strings)")
@@ -84,6 +106,8 @@ def parse_document(text: str) -> InstanceDocument:
         raise ValidationError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer beyond Python's digit limit
+        raise ValidationError(f"document: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("document: top level must be an object")
     errors = []

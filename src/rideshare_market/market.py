@@ -12,7 +12,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 from rideshare_market.errors import IncompatiblePairError, ValidationError
-from rideshare_market.network import Network, ODPair, Route, covers, route_vertex_sequence, validate_od
+from rideshare_market.network import (
+    Network, ODPair, Route, route_vertex_sequence, validate_od, visits_in_order
+)
 
 Money = Fraction
 
@@ -183,11 +185,13 @@ class MarketInstance:
         mode a compatible pair without a cost share is a validation error."""
         explicit = self.cost_share_mode == EXPLICIT
         per_seat = {v.id: v.operating_cost / v.capacity for v in self.vehicles}
+        # one walk per route; __post_init__ has validated every route and trip
+        seqs = {v.id: route_vertex_sequence(self.network, v.route) for v in self.vehicles}
         entries, errors = {}, []
         for t in self.travelers:
             for v in self.vehicles:
                 phi = t.inconvenience.get(v.id)
-                if phi is None or not covers(self.network, v.route, t.od):
+                if phi is None or not visits_in_order(seqs[v.id], t.od):
                     continue
                 share = (v.cost_shares or {}).get(t.id) if explicit else per_seat[v.id]
                 if share is None:

@@ -104,18 +104,19 @@ def validate_od(net: Network, od: ODPair):
         raise ValidationError(errors)
 
 
-def covers(net: Network, r: Route, od: ODPair) -> bool:
-    """True iff the route visits ``od.origin`` strictly before ``od.destination``.
+def visits_in_order(seq: list, od: ODPair) -> bool:
+    """True iff the vertex sequence ``seq`` visits ``od.origin`` strictly
+    before ``od.destination``.
 
     Pickup must precede drop-off along the route; passing the destination
     first does not serve the trip.  Repeated vertices are handled by
     scanning from the earliest origin occurrence, which dominates every
     other choice of pickup index.
     """
+    return od.origin in seq and od.destination in seq[seq.index(od.origin) + 1 :]
+
+
+def covers(net: Network, r: Route, od: ODPair) -> bool:
+    """True iff route ``r`` serves trip ``od``; see :func:`visits_in_order`."""
     validate_od(net, od)
-    seq = route_vertex_sequence(net, r)
-    try:
-        s = seq.index(od.origin)
-    except ValueError:
-        return False
-    return od.destination in seq[s + 1 :]
+    return visits_in_order(route_vertex_sequence(net, r), od)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,11 @@ from rideshare_market import (
     solve_optimal_assignment,
     synthesize_stable_payments,
 )
-from rideshare_market.allocation import validate_schedule, verify_farkas_certificate
+from rideshare_market.allocation import (
+    check_payments,
+    validate_schedule,
+    verify_farkas_certificate,
+)
 from rideshare_market.generate import generate_instance
 from rideshare_market.lp import (
     EQ,
@@ -159,6 +164,49 @@ def test_stability_requires_feasibility(canonical):
     with pytest.raises(StabilityPreconditionError) as exc:
         check_stability(canonical, BOTH, t)
     assert any(v.kind == "pi_nonneg" for v in exc.value.report.violations)
+
+
+def test_check_payments_is_feasibility_then_stability():
+    """``check_payments`` returns the reports of ``check_feasibility`` and
+    ``check_stability``, in both stability modes, and ``None`` for
+    stability on an infeasible allocation, where ``check_stability``
+    raises."""
+    verdicts = []
+    for seed in range(30):
+        inst = generate_instance(7000 + seed, n=5, m=2, degenerate=seed % 3 == 0)
+        a = solve_optimal_assignment(inst).assignment
+        synth = synthesize_stable_payments(inst, a)
+        if synth.feasible:
+            base = synth.schedule.entries
+        else:
+            base = {p: max(F(0), terms.surplus) for p, terms in inst.compatibility.entries.items()}
+        rng = random.Random(seed)
+        # the stable or break-even schedule, the same with every off-match
+        # payment moved, and a random one
+        schedules = [
+            PaymentSchedule(base),
+            PaymentSchedule(
+                {
+                    p: x if a.vehicle_of(p[0]) == p[1] else F(rng.randint(0, 24), 2)
+                    for p, x in base.items()
+                }
+            ),
+            PaymentSchedule({p: F(rng.randint(0, 24), 2) for p in base}),
+        ]
+        for t in schedules:
+            feas = check_feasibility(inst, a, compute_profits(inst, a, t))
+            for classic_core in (False, True):
+                got = check_payments(inst, a, t, classic_core=classic_core)
+                if feas.verdict:
+                    stab = check_stability(inst, a, t, classic_core=classic_core)
+                    verdicts.append(stab.verdict)
+                    assert repr(got) == repr((feas, stab))
+                else:
+                    with pytest.raises(StabilityPreconditionError):
+                        check_stability(inst, a, t, classic_core=classic_core)
+                    verdicts.append(None)
+                    assert repr(got) == repr((feas, None))
+    assert {True, False, None} <= set(verdicts)
 
 
 def test_classic_core_mode(canonical):

@@ -174,6 +174,16 @@ MALFORMED = [
         r"^vehicle 'V1': operating cost must be nonnegative$",
         id="entity-prefix-once",
     ),
+    pytest.param(
+        _traveler(v_max="1e5000"),
+        r"^traveler 'T1': v_max: '1e5000' needs more than 4300 digits$",
+        id="money-exponent-too-large",
+    ),
+    pytest.param(
+        _traveler(v_max="1e-5000"),
+        r"^traveler 'T1': v_max: '1e-5000' needs more than 4300 digits$",
+        id="money-exponent-too-small",
+    ),
 ]
 
 
@@ -297,6 +307,23 @@ def test_cli_missing_file_exits_2(capsys):
 def test_cli_bad_payment_spec_exits_2(canonical_path, capsys):
     assert main(["check", canonical_path, "--payments", "T1:V1=one"]) == 2
     assert "exact number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1e-5000"])
+@pytest.mark.parametrize("command", ["solve", "check", "report"])
+def test_cli_huge_payment_override_exits_2(canonical_path, capsys, command, value):
+    """An exponent is checked before its power of ten is computed."""
+    assert main([command, canonical_path, "--payments", f"T1:V1={value}"]) == 2
+    assert capsys.readouterr().err == f"error: --payments: '{value}' needs more than 4300 digits\n"
+
+
+def test_cli_huge_json_integer_exits_2(canonical, tmp_path, capsys):
+    """A JSON integer past Python's 4300-digit conversion limit is a
+    validation error, not a traceback from the JSON decoder."""
+    path = tmp_path / "huge.json"
+    path.write_text(serialize_instance(canonical).replace('"10"', "1" * 5000, 1))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: document: Exceeds the limit (4300")
 
 
 def test_cli_payment_override_off_the_compatible_pairs_exits_2(tmp_path, capsys):

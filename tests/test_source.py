@@ -1,4 +1,6 @@
 import ast
+import json
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -8,6 +10,8 @@ from rideshare_market import (
     PaymentSchedule,
     allocation,
     lp,
+    market,
+    network,
     solve_optimal_assignment,
     solver,
     synthesize_stable_payments,
@@ -99,3 +103,39 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
             assert main([command, str(path)]) in (0, 1)
     capsys.readouterr()
     assert len(calls) > 20
+
+
+def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
+    """``check --assignment`` on a fully priced document walks each route at
+    most twice, once to validate it and once to build the pair table,
+    prices and feasibility-checks the schedule once, and normalises it
+    once, when the document is parsed."""
+    inst = generate_instance(5, n=12, m=4)
+    a = solve_optimal_assignment(inst).assignment
+    synth = synthesize_stable_payments(inst, a)
+    assert synth.feasible and set(synth.schedule.entries) == set(inst.compatible_pairs())
+    path = tmp_path / "priced.json"
+    path.write_text(serialize_document(inst, synth.schedule))
+    spec = ",".join(f"{tid}={vid}" for tid, vid in a.assigned_pairs())
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in (
+        (market, "route_vertex_sequence"),
+        (network, "route_vertex_sequence"),
+        (allocation, "compute_profits"),
+        (allocation, "check_feasibility"),
+        (allocation.PaymentSchedule, "__post_init__"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(["check", str(path), "--assignment", spec, "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["stability"]["verdict"] is True
+    assert calls["route_vertex_sequence"] <= 2 * len(inst.vehicles)
+    assert calls["compute_profits"] == calls["check_feasibility"] == 1
+    assert calls["__post_init__"] == 1
