@@ -8,7 +8,9 @@ payment schedules as shortest paths over difference constraints.  Each
 optimum carries a dual certificate read off the matching's shortest-path
 potentials; each impossible schedule carries Farkas multipliers read off
 a negative cycle, checked exactly over the sparse stability rows.  The
-exact simplex in :mod:`rideshare_market.lp` serves as the test oracle.
+exact simplex in :mod:`rideshare_market.lp` and the brute force in
+:mod:`rideshare_market.oracles` serve as test oracles; no production path
+imports the simplex.
 """
 
 from rideshare_market.errors import (
@@ -47,14 +49,24 @@ from rideshare_market.allocation import (
     compute_profits,
     synthesize_stable_payments,
 )
-from rideshare_market.solver import (
-    SolveResult,
+from rideshare_market.solver import SolveResult, solve_optimal_assignment
+from rideshare_market.oracles import (
     assignment_lp_relaxation,
     enumerate_assignments,
     oracle_optimum,
-    solve_optimal_assignment,
 )
-from rideshare_market.lp import Infeasible, LPProblem, Optimal, Unbounded, lp_solve
+
+#: re-exported from :mod:`rideshare_market.lp`, which is imported on first use
+_LP_NAMES = ("Infeasible", "LPProblem", "Optimal", "Unbounded", "lp_solve")
+
+
+def __getattr__(name):
+    if name in _LP_NAMES:
+        from rideshare_market import lp
+
+        return getattr(lp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Assignment",

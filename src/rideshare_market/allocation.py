@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from rideshare_market.errors import CertificateError, StabilityPreconditionError, ValidationError
-from rideshare_market.lp import GE, LE, LPProblem, Row
 from rideshare_market.market import (
     Assignment,
     MarketInstance,
@@ -23,6 +23,13 @@ from rideshare_market.market import (
     validate_assignment,
 )
 from rideshare_market.solver import bellman_ford, scale_to_integers
+
+if TYPE_CHECKING:
+    from rideshare_market.lp import LPProblem
+
+#: the relations of a stability row; the simplex oracle reads the same strings
+LE = "<="
+GE = ">="
 
 
 @dataclass(frozen=True)
@@ -244,6 +251,8 @@ class SynthesisResult:
     def problem(self) -> LPProblem:
         """The stability system as a dense LP for the simplex oracle,
         built on first access."""
+        from rideshare_market.lp import LPProblem, Row
+
         idx = {p: k for k, p in enumerate(self.pairs)}
         dense = []
         for plus, minus, rel, rhs in self.rows:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from rideshare_market.allocation import PaymentSchedule, check_payments, synthesize_stable_payments
 from rideshare_market.errors import ValidationError
@@ -24,7 +25,8 @@ from rideshare_market.market import (
     welfare_paper,
     welfare_surplus,
 )
-from rideshare_market.solver import oracle_optimum, solve_optimal_assignment
+from rideshare_market.oracles import oracle_optimum
+from rideshare_market.solver import solve_optimal_assignment
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
@@ -116,9 +118,9 @@ def _assignment_table(a: Assignment):
 
 
 def _pair_table(values: dict, a: Assignment | None = None):
-    """``{"tid:vid": str(value)}`` in pair order; only ``a``'s matched pairs, if given."""
+    """``{"tid:vid": value}`` in pair order; only ``a``'s matched pairs, if given."""
     return {
-        f"{tid}:{vid}": str(x)
+        f"{tid}:{vid}": x
         for (tid, vid), x in sorted(values.items())
         if a is None or a.vehicle_of(tid) == vid
     }
@@ -128,14 +130,35 @@ def _report_check(report):
     return {
         "verdict": report.verdict,
         "violations": [
-            {"kind": v.kind, "pair": list(v.pair), "lhs": str(v.lhs), "rhs": str(v.rhs)}
+            {"kind": v.kind, "pair": list(v.pair), "lhs": v.lhs, "rhs": v.rhs}
             for v in report.violations
         ],
     }
 
 
+def _written(value):
+    """``value`` with each exact number written out as its string.  A number
+    too long for Python's int-to-string conversion is a validation error,
+    raised before any output is written."""
+    if isinstance(value, dict):
+        return {key: _written(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_written(v) for v in value]
+    if isinstance(value, Fraction):
+        try:
+            return str(value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ValidationError(
+                f"output: a computed value has more than {limit} digits and cannot be printed"
+            ) from None
+    return value
+
+
 def _emit(doc: dict, fmt: str, out=None):
+    """Write ``doc``, whose numbers are exact values, as JSON or text."""
     out = out if out is not None else sys.stdout
+    doc = _written(doc)
     if fmt == "machine":
         json.dump(doc, out, indent=2)
         out.write("\n")
@@ -181,18 +204,18 @@ def _solve_report(inst, payments, objective):
     doc = {
         "objective_mode": objective,
         "assignment": _assignment_table(result.assignment),
-        "objective": str(result.objective),
-        "welfare_surplus": str(welfare_surplus(inst, result.assignment)),
+        "objective": result.objective,
+        "welfare_surplus": welfare_surplus(inst, result.assignment),
     }
     if payments is not None:
-        doc["welfare_paper"] = str(welfare_paper(inst, result.assignment, payments))
+        doc["welfare_paper"] = welfare_paper(inst, result.assignment, payments)
     doc["cost_recovery_gap"] = {
-        v.id: str(cost_recovery_gap(inst, result.assignment, v.id)) for v in inst.vehicles
+        v.id: cost_recovery_gap(inst, result.assignment, v.id) for v in inst.vehicles
     }
     if result.dual_certificate is not None:
         doc["dual_certificate"] = {
-            "y": {k: str(v) for k, v in sorted(result.dual_certificate.y.items())},
-            "z": {k: str(v) for k, v in sorted(result.dual_certificate.z.items())},
+            "y": dict(sorted(result.dual_certificate.y.items())),
+            "z": dict(sorted(result.dual_certificate.z.items())),
         }
     return result, doc
 
@@ -212,8 +235,8 @@ def cmd_oracle(args) -> int:
     objective, argmax = oracle_optimum(inst)
     agree = objective == result.objective
     doc = {
-        "oracle_objective": str(objective),
-        "solver_objective": str(result.objective),
+        "oracle_objective": objective,
+        "solver_objective": result.objective,
         "agreement": agree,
         "optimal_assignments": [_assignment_table(a) for a in argmax],
     }
@@ -282,7 +305,7 @@ def cmd_report(args) -> int:
     result, doc = _solve_report(inst, None, "surplus")
     assignment = result.assignment
     payments = _resolve_payments(inst, assignment, base_payments, args.payments)
-    doc["welfare_paper"] = str(welfare_paper(inst, assignment, payments))
+    doc["welfare_paper"] = welfare_paper(inst, assignment, payments)
     _check_payments(doc, inst, assignment, payments, args.classic_core)
     synth = synthesize_stable_payments(inst, assignment)
     doc["synthesis"] = {"feasible": synth.feasible}
@@ -291,7 +314,7 @@ def cmd_report(args) -> int:
     if args.with_oracle:
         objective, argmax = oracle_optimum(inst)
         doc["oracle"] = {
-            "objective": str(objective),
+            "objective": objective,
             "agreement": objective == result.objective,
             "optima_count": len(argmax),
         }

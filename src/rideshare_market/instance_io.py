@@ -108,6 +108,8 @@ def parse_document(text: str) -> InstanceDocument:
         ) from None
     except ValueError as exc:  # an integer beyond Python's digit limit
         raise ValidationError(f"document: {exc}") from None
+    except RecursionError:
+        raise ValidationError("document: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError("document: top level must be an object")
     errors = []

@@ -1,15 +1,20 @@
-"""Exact optimal assignment: capacitated max-weight matching plus oracles.
+"""Exact optimal assignment: a capacitated max-weight b-matching.
 
-Two independent routes compute the same optimum:
+:func:`solve_optimal_assignment` runs successive shortest augmenting paths
+(Tomizawa 1971; Edmonds & Karp 1972): one Dijkstra run per augmentation,
+over reduced costs that node potentials keep non-negative.  The general
+kernel :func:`bellman_ford` is not part of the matching: it makes one run
+over the optimum's residual graph, whose distances are the dual
+certificate, and :mod:`rideshare_market.allocation` synthesizes stable
+payments with it.  Both kernels run over exact ``int`` weights: each
+caller scales its ``Fraction`` weights once with :func:`scale_to_integers`.
 
-* :func:`solve_optimal_assignment` -- successive shortest augmenting paths
-  on the residual graph (the production path), whose final shortest-path
-  potentials are also the dual certificate;
-* :func:`assignment_lp_relaxation` -- a test oracle: the LP relaxation through
-  the exact simplex kernel, whose vertex is integral by total unimodularity.
-
-:func:`oracle_optimum` brute-forces every valid assignment at desk scale
-and is the ground truth the other two are tested against.
+Tie rule: among optimal assignments the solver returns the first in the
+enumeration order of :func:`rideshare_market.oracles.oracle_optimum`.  That
+order goes traveler by traveler, in instance order, and tries each traveler
+unassigned first, then on the vehicles in instance order.  Charnes'
+lexicographic perturbation of the integer weights (:func:`_perturbed`)
+makes that optimum the only one, so the matching reaches it exactly.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
-from rideshare_market.errors import CertificateError, OracleScaleError, ValidationError
-from rideshare_market.lp import LE, LPProblem, Row, lp_solve
+from rideshare_market.errors import CertificateError, ValidationError
 from rideshare_market.market import (
     Assignment,
     MarketInstance,
@@ -27,9 +32,6 @@ from rideshare_market.market import (
     _ZERO,
     surplus_matrix,
 )
-
-ORACLE_MAX_TRAVELERS = 10
-ORACLE_MAX_MAPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,9 @@ class SolveResult:
     assignment: Assignment
     objective: Fraction
     dual_certificate: DualCertificate | None
+    #: augmenting paths found, one Dijkstra run each
     augmentations: int
+    #: successful distance decreases over every Dijkstra run of the matching
     relaxations: int
 
 
@@ -115,18 +119,117 @@ def bellman_ford(nodes, edges, source):
     return dist, pred, cycle, relaxations
 
 
-def _residual_edges(pos_pairs, weights, match, load, cap, source, sink):
-    """Residual graph of a matching: matching one more traveler is a
-    source->...->sink path, and its (negated) cost is the welfare gain.
-    ``weights`` are the scaled integer pair weights."""
-    edges = [(source, ("t", tid), 0) for tid, vid in match.items() if vid is UNASSIGNED]
-    for tid, vid in pos_pairs:
-        if match[tid] == vid:
-            edges.append((("v", vid), ("t", tid), weights[(tid, vid)]))
-        else:
-            edges.append((("t", tid), ("v", vid), -weights[(tid, vid)]))
-    edges += [(("v", vid), sink, 0) for vid, k in load.items() if k < cap[vid]]
-    return edges
+def _perturbed(scaled, travelers, vehicles):
+    """Charnes' lexicographic perturbation of the positive integer pair
+    weights, as ``adj[i] = {j: w'}`` by traveler and vehicle index.
+
+    ``w' = w * (m+1)**n - (j+1) * (m+1)**(n-1-i)``.  Every assignment's
+    perturbations sum to less than ``(m+1)**n``, in which each traveler's
+    term is one base-``(m+1)`` digit: 0 unassigned, ``j+1`` on vehicle
+    ``j``.  So no strict comparison of total weight flips, and among equal
+    totals the assignment whose digits read smallest, the first in the
+    oracle's enumeration order, is the one optimum.  Pairs with ``w <= 0``
+    are left out: leaving the traveler unassigned is never worse and comes
+    first."""
+    n, base = len(travelers), len(vehicles) + 1
+    row = {tid: i for i, tid in enumerate(travelers)}
+    col = {vid: j for j, vid in enumerate(vehicles)}
+    top = base**n
+    adj = [{} for _ in travelers]
+    for (tid, vid), w in scaled.items():
+        if w > 0:
+            i, j = row[tid], col[vid]
+            adj[i][j] = w * top - (j + 1) * base ** (n - 1 - i)
+    return adj
+
+
+def shortest_augmenting_paths(adj, cap):
+    """Max-weight b-matching by successive shortest paths, with Dijkstra on
+    reduced costs.
+
+    ``adj[i]`` maps vehicle index ``j`` to the positive ``int`` weight of
+    traveler ``i`` riding it, and ``cap[j]`` is vehicle ``j``'s seats.
+    Returns ``(match, augmentations, relaxations)``: ``match[i]`` is
+    traveler ``i``'s vehicle index or ``None``, and ``relaxations`` counts
+    successful distance decreases.  Which optimum it returns on a tie
+    depends on the scan order; :func:`_perturbed` weights leave no tie.
+
+    The residual graph has travelers as nodes ``0..n-1`` and vehicles as
+    ``n..n+m-1``, plus an implicit source and sink: source -> unassigned
+    traveler costs 0, traveler -> vehicle ``-w`` unless it rides there,
+    vehicle -> rider ``+w``, vehicle -> sink 0 while a seat is free.  Each
+    augmentation moves the travelers along one shortest path by one
+    vehicle and fills a seat, so the matching gains ``-distance``; it stops
+    when the shortest path costs ``>= 0``.
+    """
+    n = len(adj)
+    # potentials, with the source's fixed at 0: the distances in the empty
+    # matching's residual graph, a DAG, so every residual edge (u, v) has a
+    # reduced cost c + pot[u] - pot[v] >= 0
+    pot = [0] * (n + len(cap))
+    for row in adj:
+        for j, w in row.items():
+            pot[n + j] = min(pot[n + j], -w)
+    sink_pot = min(pot[n:], default=0)
+    match = [None] * n
+    riders = [[] for _ in cap]
+    augmentations = relaxations = 0
+    while True:
+        dist = [None] * len(pot)
+        done = [False] * len(pot)
+        pred = [None] * len(cap)  # the traveler each vehicle was reached from
+        heap = []
+        for i in range(n):
+            if match[i] is None:
+                dist[i] = -pot[i]
+                heap.append((dist[i], i))
+        heapify(heap)
+        best = end = None  # the sink's reduced distance and its last vehicle
+        while heap:
+            d, u = heappop(heap)
+            if best is not None and d >= best:
+                break
+            if done[u]:
+                continue
+            done[u] = True
+            here = d + pot[u]  # the distance in the unreduced costs
+            if u < n:
+                for j, w in adj[u].items():
+                    if j == match[u]:
+                        continue
+                    v = n + j
+                    nd = here - w - pot[v]
+                    if dist[v] is None or nd < dist[v]:
+                        dist[v], pred[j] = nd, u
+                        heappush(heap, (nd, v))
+                        relaxations += 1
+            else:
+                j = u - n
+                if len(riders[j]) < cap[j] and (best is None or here - sink_pot < best):
+                    best, end = here - sink_pot, j
+                # a rider is reached only from its own vehicle
+                for i in riders[j]:
+                    dist[i] = here + adj[i][j] - pot[i]
+                    heappush(heap, (dist[i], i))
+                    relaxations += 1
+        if best is None or best + sink_pot >= 0:
+            return match, augmentations, relaxations
+        # settled nodes rise by their distance, the others by the sink's:
+        # reduced costs stay >= 0 and are 0 along the path
+        for u, settled in enumerate(done):
+            pot[u] += dist[u] if settled else best
+        sink_pot += best
+        # walk the path back from the sink: each traveler moves to the
+        # vehicle after it, and only the last vehicle gains a rider
+        j = end
+        while j is not None:
+            i = pred[j]
+            prev, match[i] = match[i], j
+            riders[j].append(i)
+            if prev is not None:
+                riders[prev].remove(i)
+            j = prev
+        augmentations += 1
 
 
 def solve_optimal_assignment(
@@ -136,8 +239,8 @@ def solve_optimal_assignment(
     vehicle capacities.
 
     Pairs with nonpositive weight are never matched: leaving the traveler
-    out contributes 0, which dominates.  The scan order is fixed, so
-    identical instances produce identical results.  When ``payments`` is
+    out contributes 0, which dominates.  Ties go by the module's tie rule,
+    so the result depends on the instance alone.  When ``payments`` is
     given the objective is valuation-minus-payment instead of pair surplus.
     """
     weights = _pair_weights(inst, payments)
@@ -146,53 +249,19 @@ def solve_optimal_assignment(
     scaled = dict(zip(weights, scaled))
     travelers = [t.id for t in inst.travelers]
     vehicles = [v.id for v in inst.vehicles]
-    cap = {v.id: v.capacity for v in inst.vehicles}
-    pos_pairs = [p for p, w in weights.items() if w > 0]
-
-    match = {tid: UNASSIGNED for tid in travelers}
-    load = {vid: 0 for vid in vehicles}
-    augmentations = 0
-    relaxations = 0
-    SRC, SNK = ("src",), ("snk",)
-    nodes = [SRC] + [("t", t) for t in travelers] + [("v", v) for v in vehicles] + [SNK]
-    while True:
-        edges = _residual_edges(pos_pairs, scaled, match, load, cap, SRC, SNK)
-        dist, pred, _, count = bellman_ford(nodes, edges, SRC)
-        relaxations += count
-        if SNK not in dist or dist[SNK] >= 0:
-            break
-        # flip matched edges along the augmenting path, source first
-        path = [edges[pred[SNK]]]
-        while path[-1][0] != SRC:
-            path.append(edges[pred[path[-1][0]]])
-        for a, b, _ in reversed(path):
-            if a[0] == "t" and b[0] == "v":
-                match[a[1]] = b[1]
-            elif a[0] == "v" and b[0] == "t":
-                match[b[1]] = UNASSIGNED
-        # only the vehicle next to the sink gains a rider
-        load[path[0][0][1]] += 1
-        augmentations += 1
-
-    assignment = Assignment(dict(match))
+    cap = [v.capacity for v in inst.vehicles]
+    match, augmentations, relaxations = shortest_augmenting_paths(
+        _perturbed(scaled, travelers, vehicles), cap
+    )
+    assignment = Assignment(
+        {tid: UNASSIGNED if j is None else vehicles[j] for tid, j in zip(travelers, match)}
+    )
     objective = sum(
         (weights[(tid, vid)] for tid, vid in assignment.assigned_pairs()), _ZERO
     )
     certificate = None
     if with_certificate:
-        # source and sink merged into one node S: at the optimum the
-        # residual graph has no negative cycle, and the distances from S
-        # are dual potentials that meet every pair constraint and are
-        # tight on the matching
-        S = ("s",)
-        edges = _residual_edges(pos_pairs, scaled, match, load, cap, S, S)
-        edges += [(("t", tid), S, 0) for tid, vid in match.items() if vid is not UNASSIGNED]
-        edges += [(S, ("v", vid), 0) for vid, k in load.items() if k > 0]
-        dist = bellman_ford(nodes[:-1], edges, S)[0]
-        certificate = DualCertificate(
-            y={tid: Fraction(max(0, dist.get(("t", tid), 0)), den) for tid in travelers},
-            z={vid: Fraction(max(0, -dist.get(("v", vid), 0)), den) for vid in vehicles},
-        )
+        certificate = _dual_certificate(scaled, den, assignment, dict(zip(vehicles, cap)))
         verify_dual_certificate(inst, weights, certificate, objective)
     return SolveResult(
         assignment=assignment,
@@ -200,6 +269,37 @@ def solve_optimal_assignment(
         dual_certificate=certificate,
         augmentations=augmentations,
         relaxations=relaxations,
+    )
+
+
+def _dual_certificate(scaled, den, assignment, capacity) -> DualCertificate:
+    """Dual potentials of an optimal assignment from one Bellman-Ford run
+    over the unperturbed ``den``-scaled weights.
+
+    The residual graph with source and sink merged into one node S has no
+    negative cycle at the optimum, and the distances from S meet every
+    pair constraint and are tight on the matching."""
+    S = ("s",)
+    mapping = assignment.mapping
+    load = {vid: 0 for vid in capacity}
+    for _, vid in assignment.assigned_pairs():
+        load[vid] += 1
+    edges = [(S, ("t", tid), 0) for tid, vid in mapping.items() if vid is UNASSIGNED]
+    for (tid, vid), w in scaled.items():
+        if w <= 0:
+            continue
+        if mapping[tid] == vid:
+            edges.append((("v", vid), ("t", tid), w))
+        else:
+            edges.append((("t", tid), ("v", vid), -w))
+    edges += [(("v", vid), S, 0) for vid, k in load.items() if k < capacity[vid]]
+    edges += [(("t", tid), S, 0) for tid, vid in mapping.items() if vid is not UNASSIGNED]
+    edges += [(S, ("v", vid), 0) for vid, k in load.items() if k > 0]
+    nodes = [S] + [("t", tid) for tid in mapping] + [("v", vid) for vid in capacity]
+    dist = bellman_ford(nodes, edges, S)[0]
+    return DualCertificate(
+        y={tid: Fraction(max(0, dist.get(("t", tid), 0)), den) for tid in mapping},
+        z={vid: Fraction(max(0, -dist.get(("v", vid), 0)), den) for vid in capacity},
     )
 
 
@@ -219,93 +319,3 @@ def verify_dual_certificate(inst: MarketInstance, weights, cert: DualCertificate
     )
     if total != objective:
         raise CertificateError(f"dual certificate: {total} differs from objective {objective}")
-
-
-def assignment_lp_relaxation(inst: MarketInstance, payments=None):
-    """Solve the fractional relaxation with the exact simplex kernel.
-
-    Returns ``(pairs, outcome)`` where ``pairs`` orders the LP variables.
-    The transportation structure is totally unimodular, so the simplex
-    vertex is 0/1 and matches the combinatorial optimum.
-    """
-    weights = _pair_weights(inst, payments)
-    pairs = inst.compatible_pairs()
-    idx = {p: k for k, p in enumerate(pairs)}
-    rows = []
-    for t in inst.travelers:
-        coeffs = [_ZERO] * len(pairs)
-        for v in inst.vehicles:
-            if (t.id, v.id) in idx:
-                coeffs[idx[(t.id, v.id)]] = Fraction(1)
-        rows.append(Row(tuple(coeffs), LE, Fraction(1)))
-    for v in inst.vehicles:
-        coeffs = [_ZERO] * len(pairs)
-        for t in inst.travelers:
-            if (t.id, v.id) in idx:
-                coeffs[idx[(t.id, v.id)]] = Fraction(1)
-        rows.append(Row(tuple(coeffs), LE, Fraction(v.capacity)))
-    problem = LPProblem(
-        len(pairs),
-        tuple(weights[p] for p in pairs),
-        tuple(rows),
-        upper_bounds=tuple(Fraction(1) for _ in pairs),
-    )
-    return pairs, lp_solve(problem)
-
-
-def _guard(inst: MarketInstance):
-    n, m = len(inst.travelers), len(inst.vehicles)
-    if n > ORACLE_MAX_TRAVELERS or (m + 1) ** n > ORACLE_MAX_MAPS:
-        raise OracleScaleError(
-            f"oracle scale exceeded: n={n}, m={m} allows up to {(m + 1) ** n} maps"
-        )
-
-
-def enumerate_assignments(inst: MarketInstance, payments=None):
-    """Yield every assignment satisfying compatibility, the one-vehicle
-    rule, and capacities, each exactly once.  Desk scale only."""
-    _guard(inst)
-    travelers = [t.id for t in inst.travelers]
-    options = {tid: inst.compatible_vehicles(tid) for tid in travelers}
-    cap = {v.id: v.capacity for v in inst.vehicles}
-
-    def rec(idx, load, current):
-        if idx == len(travelers):
-            yield Assignment(dict(current))
-            return
-        tid = travelers[idx]
-        current[tid] = UNASSIGNED
-        yield from rec(idx + 1, load, current)
-        for vid in options[tid]:
-            if load[vid] < cap[vid]:
-                current[tid] = vid
-                load[vid] += 1
-                yield from rec(idx + 1, load, current)
-                load[vid] -= 1
-                current[tid] = UNASSIGNED
-        del current[tid]
-
-    yield from rec(0, {v.id: 0 for v in inst.vehicles}, {})
-
-
-def oracle_optimum(inst: MarketInstance, payments=None):
-    """Exhaustive maximum of the objective with the full argmax set.
-
-    Returns ``(objective, assignments)``; ``assignments`` lists every
-    optimal assignment in enumeration order.
-    """
-    weights = _pair_weights(inst, payments)
-
-    def value(a):
-        return sum((weights[p] for p in a.assigned_pairs()), _ZERO)
-
-    best = None
-    argmax = []
-    for a in enumerate_assignments(inst):
-        v = value(a)
-        if best is None or v > best:
-            best = v
-            argmax = [a]
-        elif v == best:
-            argmax.append(a)
-    return best, argmax

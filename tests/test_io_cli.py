@@ -326,6 +326,34 @@ def test_cli_huge_json_integer_exits_2(canonical, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: document: Exceeds the limit (4300")
 
 
+def test_cli_deeply_nested_json_exits_2(tmp_path, capsys):
+    """A document nested deeper than the JSON decoder can recurse is a
+    validation error, not a ``RecursionError`` traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: document: arrays or objects nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "synthesize", "report"])
+def test_cli_unprintable_derived_value_exits_2(command, tmp_path, capsys):
+    """Money within the 4,300-digit rule can derive a valuation whose
+    numerator has about 8,600 digits; printing it is a validation error
+    with one message, and nothing is written to standard output."""
+    doc = json.loads(serialize_instance(generate_instance(0, n=4, m=2)))
+    t0 = doc["travelers"][0]
+    t0["v_max"] = "1e4299"
+    t0["inconvenience"] = {vid: "1e-4299" for vid in t0["inconvenience"]}
+    path = tmp_path / "unprintable.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: output: a computed value has more than 4300 digits and cannot be printed\n"
+    )
+
+
 def test_cli_payment_override_off_the_compatible_pairs_exits_2(tmp_path, capsys):
     inst = generate_instance(0, n=4, m=2)
     assert ("T0", "V0") not in inst.compatible_pairs()

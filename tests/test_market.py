@@ -27,7 +27,7 @@ from rideshare_market import (
 )
 from rideshare_market.generate import generate_instance
 from rideshare_market.market import validate_assignment
-from rideshare_market.solver import enumerate_assignments
+from rideshare_market.oracles import enumerate_assignments
 
 
 def test_valuation_is_vmax_minus_inconvenience():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -271,3 +272,52 @@ def test_determinism(canonical):
     a = solve_optimal_assignment(canonical)
     b = solve_optimal_assignment(canonical)
     assert a == b
+
+
+def _tie_markets():
+    """200 generated markets, n = 2-8 and m = 1-3, half degenerate (biased
+    toward tied optima); half of them priced with a fixed schedule whose
+    weights ``valuation - payment`` are the pair surpluses rounded down,
+    which ties them further."""
+    for k in range(200):
+        n = 2 + k % 7
+        m = 1 + k % (3 if n <= 6 else 2)
+        inst = generate_instance(900 + k, n=n, m=m, degenerate=k % 2 == 0)
+        payments = None
+        if k % 4 >= 2:
+            entries = inst.compatibility.entries.items()
+            payments = PaymentSchedule(
+                {p: max(F(0), t.valuation - math.floor(t.surplus)) for p, t in entries}
+            )
+        yield inst, payments
+
+
+@pytest.mark.filterwarnings("ignore:market has fewer travelers")
+def test_tie_rule_returns_the_first_optimum_in_enumeration_order():
+    """Among optimal assignments the solver returns the oracle's first:
+    traveler by traveler, unassigned before any vehicle, vehicles in
+    instance order."""
+    tied = 0
+    for inst, payments in _tie_markets():
+        objective, argmax = oracle_optimum(inst, payments=payments)
+        res = solve_optimal_assignment(inst, payments=payments)
+        assert res.objective == objective
+        assert res.assignment == argmax[0]
+        tied += len(argmax) > 1
+    assert tied >= 50
+
+
+def test_tie_rule_on_symmetric_twins(canonical):
+    """Two identical travelers, one seat: the enumeration tries TA
+    unassigned first, so the first optimum seats TB."""
+    t1 = canonical.travelers[0]
+    twins = MarketInstance(
+        canonical.network,
+        tuple(
+            Traveler(tid, t1.od, t1.v_max, t1.v_min, dict(t1.inconvenience)) for tid in ("TA", "TB")
+        ),
+        (Vehicle("V1", canonical.vehicles[0].route, 1, F(4)),),
+    )
+    res = solve_optimal_assignment(twins)
+    assert res.assignment.mapping == {"TA": None, "TB": "V1"}
+    assert res.assignment == oracle_optimum(twins)[1][0]

@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -44,8 +47,7 @@ def test_production_paths_build_no_dense_lp(canonical, tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(lp.Row, "__post_init__", forbidden)
     monkeypatch.setattr(lp.LPProblem, "__post_init__", forbidden)
-    for module in (lp, solver):
-        monkeypatch.setattr(module, "lp_solve", forbidden)
+    monkeypatch.setattr(lp, "lp_solve", forbidden)
     assert solve_optimal_assignment(canonical).dual_certificate is not None
     results = [
         synthesize_stable_payments(canonical, Assignment(mapping), favor=favor)
@@ -63,13 +65,50 @@ def test_production_paths_build_no_dense_lp(canonical, tmp_path, monkeypatch, ca
         assert len(res.problem.rows) == len(res.rows)
 
 
+def test_production_modules_do_not_import_the_simplex():
+    """Importing the solver, allocation and the CLI, and so the package,
+    leaves the simplex unloaded; the package's ``lp`` names load it on
+    first use."""
+    code = (
+        "import sys\n"
+        "import rideshare_market.solver, rideshare_market.allocation, rideshare_market.cli\n"
+        "print('rideshare_market.lp' in sys.modules)\n"
+        "from rideshare_market import LPProblem, lp\n"
+        "print('rideshare_market.lp' in sys.modules, LPProblem is lp.LPProblem)\n"
+    )
+    src = str(Path(rideshare_market.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.split() == ["False", "True", "True"]
+
+
 def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, capsys):
-    """Every production call of the shortest-path kernel gets ``int`` edge
-    weights, scaled once by the caller, and returns ``int`` distances: no
-    relaxation does ``Fraction`` arithmetic, even when the market's money
-    has denominators."""
+    """Every production call of either shortest-path kernel gets ``int``
+    edge weights, scaled once by the caller: Bellman-Ford returns ``int``
+    distances, and every key the matching's Dijkstra puts on its heap is an
+    ``int``.  No relaxation does ``Fraction`` arithmetic, even when the
+    market's money has denominators."""
     kernel = solver.bellman_ford
+    matching = solver.shortest_augmenting_paths
     calls = []
+
+    def integer_keys(fn):
+        def checked(heap, *item):
+            bad = [key for key, _ in item or heap if type(key) is not int]
+            if bad:
+                raise AssertionError(f"heap key {bad[0]!r} is a {type(bad[0]).__name__}")
+            return fn(heap, *item)
+
+        return checked
+
+    def integer_matching(adj, cap):
+        bad = [w for row in adj for w in row.values() if type(w) is not int]
+        if bad:
+            raise AssertionError(f"pair weight {bad[0]!r} is a {type(bad[0]).__name__}")
+        calls.append(sum(len(row) for row in adj))
+        return matching(adj, cap)
 
     def integer_only(nodes, edges, source):
         bad = [w for _, _, w in edges if type(w) is not int]
@@ -82,6 +121,9 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(solver, "bellman_ford", integer_only)
     monkeypatch.setattr(allocation, "bellman_ford", integer_only)
+    monkeypatch.setattr(solver, "shortest_augmenting_paths", integer_matching)
+    monkeypatch.setattr(solver, "heapify", integer_keys(solver.heapify))
+    monkeypatch.setattr(solver, "heappush", integer_keys(solver.heappush))
     payments = PaymentSchedule({("T1", "V1"): F(7, 3), ("T2", "V1"): F(5, 2)})
     for fixed in (None, payments):
         assert solve_optimal_assignment(canonical, payments=fixed).dual_certificate is not None
