@@ -179,7 +179,7 @@ def check_payments(
         # marginal seat profit: 0 with spare capacity, else the smallest
         # profit the vehicle earns from a current rider
         seat = {v.id: _ZERO for v in inst.vehicles}
-        for vid, riders in _riders(a).items():
+        for vid, riders in a.riders.items():
             if len(riders) >= inst.vehicle(vid).capacity:
                 seat[vid] = min(t[(tid, vid)] - table[(tid, vid)].share for tid in riders)
         util = {}
@@ -221,14 +221,6 @@ def check_stability(
     if stab is None:
         raise StabilityPreconditionError(feas)
     return stab
-
-
-def _riders(a: Assignment) -> dict:
-    """Vehicle id -> its riders in assignment order; served vehicles only."""
-    riders = {}
-    for tid, vid in a.assigned_pairs():
-        riders.setdefault(vid, []).append(tid)
-    return riders
 
 
 # -- synthesis ------------------------------------------------------------
@@ -279,7 +271,6 @@ def _stability_system(inst: MarketInstance, a: Assignment):
     compatible pairs, or ``None`` for an absent term.
     """
     table = inst.compatibility.entries
-    riders = _riders(a)
     rows = []
     labels = []
 
@@ -318,7 +309,7 @@ def _stability_system(inst: MarketInstance, a: Assignment):
             mine, u_const = None, _ZERO
         else:
             mine, u_const = (tid, own), table[(tid, own)].valuation
-        on = riders.get(vid, ())
+        on = a.riders.get(vid, ())
         if len(on) < inst.vehicle(vid).capacity:
             # an empty seat earns 0: utility alone must cover the surplus
             if mine is not None or s - u_const > 0:

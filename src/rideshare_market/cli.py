@@ -8,12 +8,12 @@ oracle disagreement), 2 validation or usage errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
-from fractions import Fraction
 
 from rideshare_market.allocation import PaymentSchedule, check_payments, synthesize_stable_payments
-from rideshare_market.errors import ValidationError
+from rideshare_market.errors import OracleScaleError, ValidationError
 from rideshare_market.generate import generate_instance
 from rideshare_market.instance_io import exact_number, parse_document, serialize_document
 from rideshare_market.market import (
@@ -33,16 +33,23 @@ EXIT_VERDICT_FALSE = 1
 EXIT_INVALID = 2
 
 
-def _parse_payment_overrides(spec: str | None) -> list:
-    """Parse ``T1:V1=3,T2=5`` into ``[((tid, vid), value), ((tid, None), value)]``."""
-    out = []
+def _entries(spec: str | None, option: str, form: str):
+    """Yield each ``key=value`` entry of the comma list ``spec`` as
+    ``(key, value)``, in order; an entry without ``=`` is an error."""
     for item in (spec or "").split(","):
         item = item.strip()
         if not item:
             continue
-        if "=" not in item:
-            raise ValidationError(f"--payments: entry {item!r} is not KEY=VALUE")
-        key, _, value = item.partition("=")
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValidationError(f"{option}: entry {item!r} is not {form}")
+        yield key, value
+
+
+def _parse_payment_overrides(spec: str | None) -> list:
+    """Parse ``T1:V1=3,T2=5`` into ``[((tid, vid), value), ((tid, None), value)]``."""
+    out = []
+    for key, value in _entries(spec, "--payments", "KEY=VALUE"):
         try:
             amount = exact_number(value)
         except ValidationError as exc:
@@ -54,17 +61,12 @@ def _parse_payment_overrides(spec: str | None) -> list:
     return out
 
 
-def _resolve_payments(inst, assignment, base, spec) -> PaymentSchedule | None:
-    """Full payment matrix: document payments ``base``, then the overrides
-    in ``spec``, then the break-even default max(0, valuation - cost share);
-    a complete ``base`` without overrides is returned as is.  ``TID=value``
-    prices the traveler's vehicle in ``assignment``; ``None`` there means
-    the surplus optimum, and a ``None`` result if nothing is priced."""
-    overrides = _parse_payment_overrides(spec)
-    if assignment is None:
-        if base is None and not overrides:
-            return None
-        assignment = _assignment(inst, None)
+def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
+    """Full payment matrix: document payments ``base``, then the parsed
+    ``overrides``, then the break-even default max(0, valuation - cost
+    share); a complete ``base`` without overrides is returned as is.
+    ``TID=value`` prices the traveler's vehicle in ``assignment``, or, when
+    that is ``None``, in the surplus optimum, solved only for such an entry."""
     table = inst.compatibility.entries
     if base is not None and not overrides and all(p in base.entries for p in table):
         return base
@@ -76,6 +78,8 @@ def _resolve_payments(inst, assignment, base, spec) -> PaymentSchedule | None:
             if tid not in travelers:
                 raise ValidationError(f"--payments: unknown traveler id {tid!r}")
             if vid is None:
+                if assignment is None:
+                    assignment = _assignment(inst, None)
                 vid = assignment.vehicle_of(tid)
                 if vid is UNASSIGNED:
                     raise ValidationError(
@@ -99,13 +103,7 @@ def _assignment(inst, spec: str | None) -> Assignment:
         return solve_optimal_assignment(inst, with_certificate=False).assignment
     mapping = {t.id: UNASSIGNED for t in inst.travelers}
     seen = set()
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        tid, sep, vid = item.partition("=")
-        if not sep:
-            raise ValidationError(f"--assignment: entry {item!r} is not TID=VID")
+    for tid, vid in _entries(spec, "--assignment", "TID=VID"):
         if tid in seen:
             raise ValidationError(f"--assignment: duplicate entry for traveler {tid!r}")
         seen.add(tid)
@@ -136,34 +134,23 @@ def _report_check(report):
     }
 
 
-def _written(value):
-    """``value`` with each exact number written out as its string.  A number
-    too long for Python's int-to-string conversion is a validation error,
-    raised before any output is written."""
-    if isinstance(value, dict):
-        return {key: _written(v) for key, v in value.items()}
-    if isinstance(value, list):
-        return [_written(v) for v in value]
-    if isinstance(value, Fraction):
-        try:
-            return str(value)
-        except ValueError:
-            limit = sys.get_int_max_str_digits()
-            raise ValidationError(
-                f"output: a computed value has more than {limit} digits and cannot be printed"
-            ) from None
-    return value
-
-
-def _emit(doc: dict, fmt: str, out=None):
-    """Write ``doc``, whose numbers are exact values, as JSON or text."""
-    out = out if out is not None else sys.stdout
-    doc = _written(doc)
-    if fmt == "machine":
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-        return
-    _emit_text(doc, out)
+def _emit(doc: dict, fmt: str):
+    """Write ``doc`` as JSON or text, each exact number as its string.  The
+    document is rendered in full first: a number too long for Python's
+    int-to-string conversion is a validation error, and nothing is written."""
+    out = io.StringIO()
+    try:
+        if fmt == "machine":
+            json.dump(doc, out, indent=2, default=str)
+            out.write("\n")
+        else:
+            _emit_text(doc, out)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(
+            f"output: a computed value has more than {limit} digits and cannot be printed"
+        ) from None
+    sys.stdout.write(out.getvalue())
 
 
 def _emit_text(doc: dict, out, prefix=""):
@@ -222,8 +209,10 @@ def _solve_report(inst, payments, objective):
 
 def cmd_solve(args) -> int:
     inst, base_payments = _load(args.instance, args.cost_share_mode)
-    probe = _assignment(inst, None) if args.objective == "paper" else None
-    payments = _resolve_payments(inst, probe, base_payments, args.payments)
+    overrides = _parse_payment_overrides(args.payments)
+    payments = None
+    if args.objective == "paper" or base_payments is not None or overrides:
+        payments = _resolve_payments(inst, None, base_payments, overrides)
     _, doc = _solve_report(inst, payments, args.objective)
     _emit(doc, args.format)
     return EXIT_OK
@@ -261,7 +250,8 @@ def _check_payments(doc, inst, assignment, payments, classic_core) -> bool:
 def cmd_check(args) -> int:
     inst, base_payments = _load(args.instance, args.cost_share_mode)
     assignment = _assignment(inst, args.assignment)
-    payments = _resolve_payments(inst, assignment, base_payments, args.payments)
+    overrides = _parse_payment_overrides(args.payments)
+    payments = _resolve_payments(inst, assignment, base_payments, overrides)
     doc = {"assignment": _assignment_table(assignment)}
     verdict = _check_payments(doc, inst, assignment, payments, args.classic_core)
     if "skipped" not in doc["stability"]:
@@ -304,7 +294,8 @@ def cmd_report(args) -> int:
     inst, base_payments = _load(args.instance, args.cost_share_mode)
     result, doc = _solve_report(inst, None, "surplus")
     assignment = result.assignment
-    payments = _resolve_payments(inst, assignment, base_payments, args.payments)
+    overrides = _parse_payment_overrides(args.payments)
+    payments = _resolve_payments(inst, assignment, base_payments, overrides)
     doc["welfare_paper"] = welfare_paper(inst, assignment, payments)
     _check_payments(doc, inst, assignment, payments, args.classic_core)
     synth = synthesize_stable_payments(inst, assignment)
@@ -329,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
-        if instance:
-            p.add_argument("instance", help="instance document path")
+    def common(p):
+        p.add_argument("instance", help="instance document path")
         p.add_argument("--cost-share-mode", choices=["per_seat", "explicit"], default=None)
         p.add_argument("--format", choices=["text", "machine"], default="text")
 
@@ -386,7 +376,7 @@ def main(argv=None) -> int:
         for message in exc.errors:
             print(f"error: {message}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:
+    except (OSError, OracleScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

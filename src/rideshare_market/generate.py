@@ -16,7 +16,12 @@ from fractions import Fraction
 
 from rideshare_market.errors import ValidationError
 from rideshare_market.market import MarketInstance, Traveler, Vehicle
-from rideshare_market.network import Edge, Network, ODPair, Route, covers, route_vertex_sequence
+from rideshare_market.network import (
+    Edge, Network, ODPair, Route, route_vertex_sequence, visits_in_order
+)
+
+#: the largest vehicle capacity the generator draws
+_MAX_CAPACITY = 3
 
 
 def _lattice(rng, lo, hi) -> Fraction:
@@ -24,18 +29,16 @@ def _lattice(rng, lo, hi) -> Fraction:
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def generate_instance(
-    seed: int, n: int, m: int, degenerate: bool = False, max_capacity: int = 3
-) -> MarketInstance:
+def generate_instance(seed: int, n: int, m: int, degenerate: bool = False) -> MarketInstance:
     if n < 0 or m < 0:
         raise ValidationError(f"generate: n and m must be >= 0, got n={n}, m={m}")
-    rng = random.Random(("market", seed, n, m, degenerate, max_capacity).__repr__())
+    rng = random.Random(("market", seed, n, m, degenerate, _MAX_CAPACITY).__repr__())
     if degenerate:
-        return _generate_degenerate(rng, n, m, max_capacity)
-    return _generate_general(rng, n, m, max_capacity)
+        return _generate_degenerate(rng, n, m)
+    return _generate_general(rng, n, m)
 
 
-def _generate_general(rng, n, m, max_capacity) -> MarketInstance:
+def _generate_general(rng, n, m) -> MarketInstance:
     k = rng.randint(3, 5)
     vertices = [f"N{i}" for i in range(k)]
     order = list(vertices)
@@ -51,6 +54,7 @@ def _generate_general(rng, n, m, max_capacity) -> MarketInstance:
         out_edges.setdefault(e.tail, []).append(e)
 
     vehicles = []
+    sequences = []  # each route's vertex sequence, walked once
     for j in range(m):
         route = None
         while route is None:
@@ -70,17 +74,17 @@ def _generate_general(rng, n, m, max_capacity) -> MarketInstance:
             Vehicle(
                 id=f"V{j}",
                 route=route,
-                capacity=rng.randint(1, max_capacity),
+                capacity=rng.randint(1, _MAX_CAPACITY),
                 operating_cost=_lattice(rng, 0, 6),
             )
         )
+        sequences.append(route_vertex_sequence(net, route))
 
     travelers = []
     for i in range(n):
         od = None
         if vehicles and rng.random() < 0.85:
-            veh = rng.choice(vehicles)
-            seq = route_vertex_sequence(net, veh.route)
+            seq = rng.choice(sequences)
             pairs = [
                 (seq[s], seq[u])
                 for s in range(len(seq))
@@ -95,8 +99,8 @@ def _generate_general(rng, n, m, max_capacity) -> MarketInstance:
         v_min = Fraction(0) if rng.random() < 0.5 else _lattice(rng, 0, 4)
         v_min = min(v_min, v_max)
         inconvenience = {}
-        for veh in vehicles:
-            if covers(net, veh.route, od) and rng.random() < 0.9:
+        for veh, stops in zip(vehicles, sequences):
+            if visits_in_order(stops, od) and rng.random() < 0.9:
                 hi = int(v_max)  # keep phi comfortably inside [0, v_max]
                 inconvenience[veh.id] = min(_lattice(rng, 0, max(1, hi // 2)), v_max)
         travelers.append(
@@ -107,14 +111,14 @@ def _generate_general(rng, n, m, max_capacity) -> MarketInstance:
     )
 
 
-def _generate_degenerate(rng, n, m, max_capacity) -> MarketInstance:
+def _generate_degenerate(rng, n, m) -> MarketInstance:
     k = 4
     vertices = [f"A{i}" for i in range(k)]
     edges = [Edge(f"E{i}", vertices[i], vertices[i + 1]) for i in range(k - 1)]
     net = Network(frozenset(vertices), tuple(edges))
     route = Route(tuple(e.id for e in edges))
 
-    capacity = rng.randint(1, max_capacity)
+    capacity = rng.randint(1, _MAX_CAPACITY)
     cost = Fraction(rng.randint(0, 2), rng.choice((1, 2)))
     vehicles = tuple(
         Vehicle(id=f"V{j}", route=route, capacity=capacity, operating_cost=cost)

@@ -142,14 +142,17 @@ class MarketInstance:
             except ValidationError as exc:
                 errors.extend(f"traveler {t.id!r}: {m}" for m in exc.errors)
         seen = set()
+        # each route's vertex sequence: walked once, here, and read by the pair table
+        sequences = {}
         for v in self.vehicles:
             if v.id in seen:
                 errors.append(f"instance: duplicate vehicle id {v.id!r}")
             seen.add(v.id)
             try:
-                route_vertex_sequence(self.network, v.route)
+                sequences[v.id] = route_vertex_sequence(self.network, v.route)
             except ValidationError as exc:
                 errors.append(f"vehicle {v.id!r}: {exc}")
+        object.__setattr__(self, "_sequences", sequences)
         if errors:
             raise ValidationError(errors)
         if self.cost_share_mode == EXPLICIT:
@@ -185,13 +188,11 @@ class MarketInstance:
         mode a compatible pair without a cost share is a validation error."""
         explicit = self.cost_share_mode == EXPLICIT
         per_seat = {v.id: v.operating_cost / v.capacity for v in self.vehicles}
-        # one walk per route; __post_init__ has validated every route and trip
-        seqs = {v.id: route_vertex_sequence(self.network, v.route) for v in self.vehicles}
         entries, errors = {}, []
         for t in self.travelers:
             for v in self.vehicles:
                 phi = t.inconvenience.get(v.id)
-                if phi is None or not visits_in_order(seqs[v.id], t.od):
+                if phi is None or not visits_in_order(self._sequences[v.id], t.od):
                     continue
                 share = (v.cost_shares or {}).get(t.id) if explicit else per_seat[v.id]
                 if share is None:
@@ -246,10 +247,16 @@ class Assignment:
 
     def assigned_vehicles(self):
         """The set of vehicles actually serving someone."""
-        return {vid for _, vid in self.assigned_pairs()}
+        return set(self.riders)
 
-    def travelers_on(self, vid):
-        return [tid for tid, v in self.mapping.items() if v == vid]
+    @cached_property
+    def riders(self) -> dict:
+        """Vehicle id -> its riders in mapping order, derived once; served
+        vehicles only."""
+        riders = {}
+        for tid, vid in self.assigned_pairs():
+            riders.setdefault(vid, []).append(tid)
+        return riders
 
     def as_key(self):
         return tuple(sorted(self.mapping.items(), key=lambda kv: kv[0]))
@@ -370,6 +377,6 @@ def cost_recovery_gap(inst: MarketInstance, a: Assignment, vid) -> Fraction:
     """
     veh = inst.vehicle(vid)
     collected = sum(
-        (cost_share(inst, tid, vid) for tid in a.travelers_on(vid)), _ZERO
+        (cost_share(inst, tid, vid) for tid in a.riders.get(vid, ())), _ZERO
     )
     return veh.operating_cost - collected

@@ -64,7 +64,7 @@ def _guard(inst: MarketInstance):
         )
 
 
-def enumerate_assignments(inst: MarketInstance, payments=None):
+def enumerate_assignments(inst: MarketInstance):
     """Yield every assignment satisfying compatibility, the one-vehicle
     rule, and capacities, each exactly once.  Desk scale only.
 

@@ -281,9 +281,7 @@ def _dual_certificate(scaled, den, assignment, capacity) -> DualCertificate:
     pair constraint and are tight on the matching."""
     S = ("s",)
     mapping = assignment.mapping
-    load = {vid: 0 for vid in capacity}
-    for _, vid in assignment.assigned_pairs():
-        load[vid] += 1
+    load = {vid: len(assignment.riders.get(vid, ())) for vid in capacity}
     edges = [(S, ("t", tid), 0) for tid, vid in mapping.items() if vid is UNASSIGNED]
     for (tid, vid), w in scaled.items():
         if w <= 0:

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import re
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -352,6 +354,31 @@ def test_cli_unprintable_derived_value_exits_2(command, tmp_path, capsys):
     assert err == (
         "error: output: a computed value has more than 4300 digits and cannot be printed\n"
     )
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["report", "--with-oracle"]])
+def test_cli_oracle_beyond_its_scale_exits_2(command, tmp_path, capsys):
+    """A market past the enumeration's guard is a usage error with one
+    message, not a traceback, and nothing is written to standard output."""
+    path = tmp_path / "large.json"
+    path.write_text(serialize_instance(generate_instance(1, n=11, m=2)))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: oracle scale exceeded: n=11, m=2 allows up to 177147 maps\n"
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every ``rideshare-market`` line of the README's CLI block runs, in
+    order, in one directory, and ends in a verdict (exit 0 or 1)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("rideshare-market ")]
+    assert len(lines) >= 7
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) in (0, 1), line
+    capsys.readouterr()
 
 
 def test_cli_payment_override_off_the_compatible_pairs_exits_2(tmp_path, capsys):

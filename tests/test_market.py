@@ -28,6 +28,7 @@ from rideshare_market import (
 from rideshare_market.generate import generate_instance
 from rideshare_market.market import validate_assignment
 from rideshare_market.oracles import enumerate_assignments
+from rideshare_market.solver import solve_optimal_assignment
 
 
 def test_valuation_is_vmax_minus_inconvenience():
@@ -193,6 +194,25 @@ def test_pair_table_matches_independent_derivation():
         for v in inst.vehicles:
             assert inst.compatibility[("T99", v.id)] is False
     assert explicit_pairs > 50
+
+
+def test_riders_follow_the_mapping():
+    """``Assignment.riders`` lists each served vehicle's riders in mapping
+    order, for the solver's optimum and every assignment the enumeration
+    yields."""
+    checked = 0
+    for seed in range(30):
+        inst = generate_instance(seed, n=2 + seed % 6, m=1 + seed % 3, degenerate=seed % 3 == 0)
+        for a in [solve_optimal_assignment(inst).assignment, *enumerate_assignments(inst)]:
+            expected = {}
+            for tid, vid in a.mapping.items():
+                if vid is not None:
+                    expected.setdefault(vid, []).append(tid)
+            assert a.riders == expected
+            assert list(a.riders) == list(expected)
+            assert a.assigned_vehicles() == set(expected)
+            checked += 1
+    assert checked > 500
 
 
 def test_utility(canonical):

@@ -244,7 +244,7 @@ def test_complementary_slackness_on_random_instances():
                 assert res.assignment.vehicle_of(tid) is not None
         for vid, z in cert.z.items():
             if z > 0:
-                assert len(res.assignment.travelers_on(vid)) == inst.vehicle(vid).capacity
+                assert len(res.assignment.riders.get(vid, ())) == inst.vehicle(vid).capacity
 
 
 def test_solver_agrees_with_oracle_and_lp():

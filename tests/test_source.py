@@ -12,6 +12,8 @@ from rideshare_market import (
     Assignment,
     PaymentSchedule,
     allocation,
+    cli,
+    generate,
     lp,
     market,
     network,
@@ -147,11 +149,19 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
     assert len(calls) > 20
 
 
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
-    """``check --assignment`` on a fully priced document walks each route at
-    most twice, once to validate it and once to build the pair table,
-    prices and feasibility-checks the schedule once, and normalises it
-    once, when the document is parsed."""
+    """``check --assignment`` on a fully priced document walks each route
+    once, when the instance validates it, and the pair table reads that
+    walk; it prices and feasibility-checks the schedule once, and
+    normalises it once, when the document is parsed."""
     inst = generate_instance(5, n=12, m=4)
     a = solve_optimal_assignment(inst).assignment
     synth = synthesize_stable_payments(inst, a)
@@ -160,14 +170,6 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
     path.write_text(serialize_document(inst, synth.schedule))
     spec = ",".join(f"{tid}={vid}" for tid, vid in a.assigned_pairs())
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     for module, name in (
         (market, "route_vertex_sequence"),
         (network, "route_vertex_sequence"),
@@ -175,9 +177,46 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
         (allocation, "check_feasibility"),
         (allocation.PaymentSchedule, "__post_init__"),
     ):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
     assert main(["check", str(path), "--assignment", spec, "--format", "machine"]) == 0
     assert json.loads(capsys.readouterr().out)["stability"]["verdict"] is True
-    assert calls["route_vertex_sequence"] <= 2 * len(inst.vehicles)
+    assert calls["route_vertex_sequence"] <= len(inst.vehicles)
     assert calls["compute_profits"] == calls["check_feasibility"] == 1
     assert calls["__post_init__"] == 1
+
+
+def test_each_command_solves_the_matching_once(tmp_path, monkeypatch, capsys):
+    """Each command solves the matching once; only a bare ``TID=value``
+    payment under ``solve`` needs the surplus optimum before the solve it
+    reports.  The generator walks each route once, and so does the
+    instance it builds."""
+    inst = generate_instance(5, n=12, m=4)
+    calls = Counter()
+    for module in (market, generate):
+        walk = _counted(calls, module.__name__, network.route_vertex_sequence)
+        monkeypatch.setattr(module, "route_vertex_sequence", walk)
+    assert generate_instance(5, n=12, m=4) == inst
+    assert calls == {generate.__name__: 4, market.__name__: 4}
+    a = solve_optimal_assignment(inst).assignment
+    synth = synthesize_stable_payments(inst, a)
+    priced = tmp_path / "priced.json"
+    priced.write_text(serialize_document(inst, synth.schedule))
+    plain = tmp_path / "plain.json"
+    plain.write_text(serialize_instance(inst))
+    tid = a.assigned_pairs()[0][0]
+    solve = _counted(calls, "solve", solve_optimal_assignment)
+    monkeypatch.setattr(cli, "solve_optimal_assignment", solve)
+    for argv, solves in (
+        (["solve", priced], 1),
+        (["solve", plain, "--objective", "paper"], 1),
+        (["solve", priced, "--objective", "paper"], 1),
+        (["check", plain], 1),
+        (["synthesize", plain], 1),
+        (["report", priced], 1),
+        (["solve", plain, "--payments", f"{tid}=3"], 2),
+        (["solve", plain, "--objective", "paper", "--payments", f"{tid}=3"], 2),
+    ):
+        calls.clear()
+        assert main([str(arg) for arg in argv]) in (0, 1)
+        assert calls["solve"] == solves, argv
+    capsys.readouterr()
