@@ -9,6 +9,7 @@ input and converted exactly.  Serialization round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,12 +66,21 @@ def exact_number(value) -> Fraction:
     return Fraction(value)
 
 
-def _parse_money(value, where, errors):
+def _parse_money(value, where, errors, memo):
+    """The exact value of one money field, or ``0`` with an error naming
+    ``where``.  ``memo`` maps each string already converted without error
+    in this document to its value, so a repeated string is converted once;
+    a malformed one is converted, and reported, at every location."""
+    if isinstance(value, str) and value in memo:
+        return memo[value]
     try:
         if isinstance(value, bool):
             raise ValueError
         if isinstance(value, (int, str)):
-            return exact_number(value)
+            number = exact_number(value)
+            if isinstance(value, str):
+                memo[value] = number
+            return number
         if isinstance(value, float):
             # floats in source documents are ambiguous; require strings
             raise ValueError
@@ -93,6 +103,21 @@ def _entities(doc, section, errors):
                 yield entry["id"], entry
 
 
+def _objects_noting_repeats(repeats):
+    """An ``object_pairs_hook`` for ``json.loads`` that builds each object
+    as a ``dict`` and appends to ``repeats`` every key the object repeats,
+    which ``json.loads`` alone would collapse to its last value."""
+
+    def build(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            counts = Counter(key for key, _ in pairs)
+            repeats.extend(key for key, count in counts.items() if count > 1)
+        return obj
+
+    return build
+
+
 def parse_document(text: str) -> InstanceDocument:
     """Parse and validate a full instance document.
 
@@ -100,8 +125,9 @@ def parse_document(text: str) -> InstanceDocument:
     errors carry line and column, semantic errors name the section, entity
     id, and rule.
     """
+    repeats = []
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_objects_noting_repeats(repeats))
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -110,9 +136,12 @@ def parse_document(text: str) -> InstanceDocument:
         raise ValidationError(f"document: {exc}") from None
     except RecursionError:
         raise ValidationError("document: arrays or objects nested too deeply") from None
+    if repeats:
+        raise ValidationError([f"document: duplicate key {key!r}" for key in repeats])
     if not isinstance(doc, dict):
         raise ValidationError("document: top level must be an object")
     errors = []
+    memo = {}
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         errors.append(f"document: schema_version must be {SCHEMA_VERSION}, got {version!r}")
@@ -151,10 +180,10 @@ def parse_document(text: str) -> InstanceDocument:
                 Traveler(
                     id=tid,
                     od=od,
-                    v_max=_parse_money(entry.get("v_max", 0), f"{where}: v_max", errors),
-                    v_min=_parse_money(entry.get("v_min", 0), f"{where}: v_min", errors),
+                    v_max=_parse_money(entry.get("v_max", 0), f"{where}: v_max", errors, memo),
+                    v_min=_parse_money(entry.get("v_min", 0), f"{where}: v_min", errors, memo),
                     inconvenience={
-                        vid: _parse_money(phi, f"{where}: inconvenience[{vid!r}]", errors)
+                        vid: _parse_money(phi, f"{where}: inconvenience[{vid!r}]", errors, memo)
                         for vid, phi in inconvenience.items()
                     },
                 )
@@ -176,7 +205,7 @@ def parse_document(text: str) -> InstanceDocument:
         shares = entry.get("cost_shares")
         if shares is not None:
             shares = {
-                t: _parse_money(s, f"{where}: cost_shares[{t!r}]", errors)
+                t: _parse_money(s, f"{where}: cost_shares[{t!r}]", errors, memo)
                 for t, s in _typed(shares, dict, f"{where}: cost_shares", errors, {}).items()
             }
         try:
@@ -186,7 +215,7 @@ def parse_document(text: str) -> InstanceDocument:
                     route=route,
                     capacity=entry.get("capacity", 0),
                     operating_cost=_parse_money(
-                        entry.get("operating_cost", 0), f"{where}: operating_cost", errors
+                        entry.get("operating_cost", 0), f"{where}: operating_cost", errors, memo
                     ),
                     cost_shares=shares,
                 )
@@ -226,7 +255,7 @@ def parse_document(text: str) -> InstanceDocument:
                     errors.append(f"payments: pair {pair!r} is not compatible")
                     continue
                 entries[pair] = _parse_money(
-                    value, f"payments: [{tid!r}][{vid!r}]", errors
+                    value, f"payments: [{tid!r}][{vid!r}]", errors, memo
                 )
         if errors:
             raise ValidationError(errors)

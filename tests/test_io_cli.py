@@ -209,6 +209,101 @@ def test_parse_syntax_error_has_position():
         parse_instance("{not json")
 
 
+def test_repeated_malformed_money_is_reported_at_every_location(canonical, tmp_path, capsys):
+    """A malformed or over-long money string is reported wherever it
+    appears, in document order, even though a well-formed repeated string
+    is converted once per document."""
+    raw = json.loads(serialize_instance(canonical))
+    for traveler in raw["travelers"]:
+        traveler["v_min"] = "x1"
+        traveler["inconvenience"]["V1"] = "1e9999"
+    errors = [
+        f"traveler '{tid}': {message}"
+        for tid in ("T1", "T2")
+        for message in (
+            "v_min: not an exact number: 'x1' (use \"p/q\" strings)",
+            "inconvenience['V1']: '1e9999' needs more than 4300 digits",
+        )
+    ]
+    with pytest.raises(ValidationError) as exc:
+        parse_document(json.dumps(raw))
+    assert exc.value.errors == errors
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in errors]
+
+
+def _money_strings():
+    """Nonnegative money strings in every accepted form: integers, ``p/q``
+    (unreduced too), decimals, exponents, signs and surrounding space."""
+    digits = st.integers(0, 10**6).map(str)
+    unsigned = st.one_of(
+        digits,
+        st.builds("{}/{}".format, digits, st.integers(1, 999)),
+        st.builds("{}.{}".format, digits, digits),
+        st.builds("{}{}{}".format, digits, st.sampled_from("eE"), st.integers(-20, 20)),
+        st.sampled_from(["3/6", ".5", "5.", "007"]),
+    )
+    signed = st.one_of(
+        st.builds("{}{}".format, st.sampled_from(["", "+"]), unsigned),
+        st.sampled_from(["-0", "-0/7", "-0.0e3"]),
+    )
+    space = st.sampled_from(["", " ", "\t", "\n "])
+    return st.builds("{}{}{}".format, space, signed, space)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_repeated_money_strings_parse_exactly(data):
+    """Every money field of a document drawn from a small pool of strings,
+    so that strings repeat, parses to exactly ``Fraction`` of its string."""
+    pool = data.draw(st.lists(_money_strings(), min_size=1, max_size=4))
+    pick = st.sampled_from(pool)
+    travelers = []
+    for tid, origin in (("T1", "A"), ("T2", "B")):
+        # v_max is the largest of the three, as the traveler rules require
+        v_min, phi, v_max = sorted((data.draw(pick) for _ in range(3)), key=F)
+        travelers.append({"id": tid, "origin": origin, "destination": "C", "v_max": v_max,
+                          "v_min": v_min, "inconvenience": {"V1": phi}})
+    vehicle = {"id": "V1", "route": ["e1", "e2"], "capacity": 2,
+               "operating_cost": data.draw(pick),
+               "cost_shares": {"T1": data.draw(pick), "T2": data.draw(pick)}}
+    payments = {"T1": {"V1": data.draw(pick)}, "T2": {"V1": data.draw(pick)}}
+    doc = parse_document(json.dumps({
+        "schema_version": 1,
+        "network": {"vertices": ["A", "B", "C"], "edges": [["e1", "A", "B"], ["e2", "B", "C"]]},
+        "travelers": travelers,
+        "vehicles": [vehicle],
+        "options": {"cost_share_mode": "explicit"},
+        "payments": payments,
+    }))
+    for t, written in zip(doc.instance.travelers, travelers):
+        assert (t.v_max, t.v_min, t.inconvenience) == (
+            F(written["v_max"]), F(written["v_min"]), {"V1": F(written["inconvenience"]["V1"])}
+        )
+    (v,) = doc.instance.vehicles
+    assert v.operating_cost == F(vehicle["operating_cost"])
+    assert v.cost_shares == {tid: F(s) for tid, s in vehicle["cost_shares"].items()}
+    assert doc.payments.entries == {(tid, "V1"): F(row["V1"]) for tid, row in payments.items()}
+
+
+def test_duplicate_keys_are_a_validation_error(canonical, tmp_path, capsys):
+    """An object that repeats a key is malformed: each repeated key is
+    named, where ``json.loads`` alone would keep its last value."""
+    text = serialize_document(canonical, PaymentSchedule({("T1", "V1"): F(3)}))
+    text = text.replace('"v_max": "10"', '"v_max": "10", "v_max": "9"')
+    text = text.replace('"V1": "3"', '"V1": "3", "V1": "4"')
+    errors = ["document: duplicate key 'v_max'", "document: duplicate key 'V1'"]
+    with pytest.raises(ValidationError) as exc:
+        parse_document(text)
+    assert exc.value.errors == errors
+    path = tmp_path / "duplicate.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in errors]
+
+
 @pytest.fixture
 def canonical_path(canonical, tmp_path):
     path = tmp_path / "instance.json"

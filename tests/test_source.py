@@ -14,6 +14,7 @@ from rideshare_market import (
     allocation,
     cli,
     generate,
+    instance_io,
     lp,
     market,
     network,
@@ -183,6 +184,37 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
     assert calls["route_vertex_sequence"] <= len(inst.vehicles)
     assert calls["compute_profits"] == calls["check_feasibility"] == 1
     assert calls["__post_init__"] == 1
+
+
+def _money_strings(doc):
+    """Every money string of a parsed JSON document, in document order."""
+    for t in doc["travelers"]:
+        yield t["v_max"]
+        yield t["v_min"]
+        yield from t["inconvenience"].values()
+    for v in doc["vehicles"]:
+        yield v["operating_cost"]
+        yield from (v.get("cost_shares") or {}).values()
+    for row in (doc.get("payments") or {}).values():
+        yield from row.values()
+
+
+def test_check_converts_each_money_string_once(tmp_path, monkeypatch, capsys):
+    """``check`` on a fully priced document converts each distinct money
+    string at most once, however often the document repeats it."""
+    inst = generate_instance(5, n=12, m=4)
+    synth = synthesize_stable_payments(inst, solve_optimal_assignment(inst).assignment)
+    text = serialize_document(inst, synth.schedule)
+    written = list(_money_strings(json.loads(text)))
+    assert len(set(written)) < len(written)
+    path = tmp_path / "priced.json"
+    path.write_text(text)
+    calls = Counter()
+    counted = _counted(calls, "exact_number", instance_io.exact_number)
+    monkeypatch.setattr(instance_io, "exact_number", counted)
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert 0 < calls["exact_number"] <= len(set(written))
 
 
 def test_each_command_solves_the_matching_once(tmp_path, monkeypatch, capsys):
