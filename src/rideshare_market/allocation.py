@@ -134,21 +134,12 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
         # recover the payment and evaluate the literal identity
         pay = rho + terms.share
         eq8[pair] = pi + rho == terms.valuation - pay - terms.share
-    served = a.assigned_vehicles()
-    for v in inst.vehicles:
-        if v.id in served:
-            continue
-        for t in inst.travelers:
-            pair = (t.id, v.id)
-            if alloc.rho.get(pair, _ZERO) != 0:
-                violations.append(Violation("idle_vehicle_profit", pair, alloc.rho[pair], _ZERO))
-    for t in inst.travelers:
-        if a.vehicle_of(t.id) is not UNASSIGNED:
-            continue
-        for v in inst.vehicles:
-            pair = (t.id, v.id)
-            if alloc.pi.get(pair, _ZERO) != 0:
-                violations.append(Violation("unassigned_traveler_profit", pair, alloc.pi[pair], _ZERO))
+    for pair, rho in alloc.rho.items():
+        if rho != 0 and pair[1] not in a.riders:
+            violations.append(Violation("idle_vehicle_profit", pair, rho, _ZERO))
+    for pair, pi in alloc.pi.items():
+        if pi != 0 and a.vehicle_of(pair[0]) is UNASSIGNED:
+            violations.append(Violation("unassigned_traveler_profit", pair, pi, _ZERO))
     return CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
 
 
@@ -360,10 +351,11 @@ def synthesize_stable_payments(
 
     Every row has at most one +1 and one -1 coefficient, so the stable
     schedules form a lattice and these lexicographic optima are its
-    componentwise extremes: shortest paths from the zero node give the
-    componentwise maximum, and on the reversed graph the minimum.  With
-    ``favor='vehicles'`` the matched payments are pinned to their maximum
-    before the minimum is taken.
+    componentwise extremes.  An off-match payment is only ever the ``plus``
+    term of a ``>=`` row, besides its bound ``x >= 0``, so it lies on no
+    cycle: one shortest-path run over the matched payments and the zero
+    node gives their maximum, or on the reversed graph their minimum, and
+    each off-match payment is then the least value its rows allow.
 
     When infeasible, the result carries an exact Farkas certificate over
     the constraint system: the rows on a negative cycle, with 0/+-1
@@ -373,36 +365,38 @@ def synthesize_stable_payments(
     if favor not in ("travelers", "vehicles"):
         raise ValueError(f"unknown favor mode {favor!r}")
     pairs, rows, labels = _stability_system(inst, a)
-    # nodes are the payments and None, the constant 0; edge (u, v, w) reads
-    # x[v] - x[u] <= w / den, and edge k is row k, before the bounds x >= 0
+    nodes = [p for p in pairs if a.vehicle_of(p[0]) == p[1]] + [None]
+    # nodes are the matched payments and None, the constant 0; edge (u, v, w)
+    # reads x[v] - x[u] <= w / den.  Edge k is row row_of[k], and the bounds
+    # x >= 0 come last; a row whose plus term is off-match waits in off_rows
     den, scaled = scale_to_integers(row[3] for row in rows)
-    edges = [
-        (minus, plus, w) if rel == LE else (plus, minus, -w)
-        for (plus, minus, rel, _), w in zip(rows, scaled)
-    ]
-    edges += [(p, None, 0) for p in pairs]
-    nodes = [*pairs, None]
-    cycle = None
-    if favor == "vehicles":
-        # only matched payments have incoming edges, and the zero node reaches
-        # each by its pi_nonneg row: this run finds every negative cycle
-        upper, _, cycle, _ = bellman_ford(nodes, edges, None)
-        if cycle is None:
-            for p in pairs:
-                if a.vehicle_of(p[0]) == p[1]:
-                    edges += [(None, p, upper[p]), (p, None, -upper[p])]
-    if cycle is None:
-        lower, _, cycle, _ = bellman_ford(nodes, [(v, u, w) for u, v, w in edges], None)
+    edges, row_of, off_rows = [], [], []
+    for k, ((plus, minus, rel, _), w) in enumerate(zip(rows, scaled)):
+        if plus is None or a.vehicle_of(plus[0]) == plus[1]:
+            edges.append((minus, plus, w) if rel == LE else (plus, minus, -w))
+            row_of.append(k)
+        else:
+            off_rows.append((plus, minus, w))
+    edges += [(p, None, 0) for p in nodes[:-1]]
+    if favor == "travelers":
+        edges = [(v, u, w) for u, v, w in edges]
+    # the zero node reaches every matched payment, by its pi_nonneg row or,
+    # reversed, its rho_nonneg row: this run finds every negative cycle
+    dist, _, cycle, _ = bellman_ford(nodes, edges, None)
     certificate = schedule = allocation = None
     if cycle is not None:
         certificate = [_ZERO] * len(rows)
-        for e in cycle:
-            if e < len(rows):
-                certificate[e] += 1 if rows[e][2] == LE else -1
+        for k in [row_of[e] for e in cycle if e < len(row_of)]:
+            certificate[k] += 1 if rows[k][2] == LE else -1
         verify_farkas_certificate(rows, certificate)
         certificate = tuple(certificate)
     else:
-        schedule = PaymentSchedule({p: Fraction(-lower[p], den) for p in pairs})
+        x = dict.fromkeys(pairs, 0)
+        x.update((p, dist[p] if favor == "vehicles" else -dist[p]) for p in nodes)
+        # an off-match row reads x[plus] >= x[minus] + rhs, minus matched or None
+        for plus, minus, w in off_rows:
+            x[plus] = max(x[plus], x[minus] + w)
+        schedule = PaymentSchedule({p: Fraction(x[p], den) for p in pairs})
         allocation = compute_profits(inst, a, schedule)
     return SynthesisResult(
         feasible=cycle is None,

@@ -9,6 +9,7 @@ input and converted exactly.  Serialization round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,16 +51,21 @@ def _strings(values, where, errors) -> bool:
 #: the most digits Python converts between ``int`` and ``str`` by default
 MAX_DIGITS = 4300
 
+#: the money grammar, on every Python: a sign, an integer, ``p/q`` or a decimal
+_NUMBER = re.compile(r"[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)", re.ASCII)
+
 
 def exact_number(value) -> Fraction:
-    """``Fraction(value)`` for an ``int`` or a numeric string.
+    """``Fraction(value)`` for an ``int`` or a string in the money grammar.
 
     A string's exponent is checked before the power of ten is computed: a
     value with more than :data:`MAX_DIGITS` digits once its exponent is
     written out raises :class:`ValidationError`, since it could never be
-    printed.  Other malformed strings raise ``ValueError``.
+    printed.  Other strings raise ``ValueError``, non-ASCII digits too.
     """
     if isinstance(value, str):
+        if not _NUMBER.fullmatch(value):
+            raise ValueError(f"not an exact number: {value!r}")
         mantissa, e, exponent = value.upper().partition("E")
         if e and sum(c.isdigit() for c in mantissa) + abs(int(exponent)) > MAX_DIGITS:
             raise ValidationError(f"{value!r} needs more than {MAX_DIGITS} digits")

@@ -12,6 +12,7 @@ from rideshare_market import (
     Traveler,
     ValidationError,
     Vehicle,
+    Violation,
     blend_allocations,
     check_feasibility,
     check_stability,
@@ -20,6 +21,8 @@ from rideshare_market import (
     synthesize_stable_payments,
 )
 from rideshare_market.allocation import (
+    GE,
+    _stability_system,
     check_payments,
     validate_schedule,
     verify_farkas_certificate,
@@ -104,6 +107,24 @@ def test_feasibility_flags_off_match_profit(canonical):
     alloc.pi[("T2", "V1")] = F(1)
     report = check_feasibility(canonical, only_t1, alloc)
     assert any(v.kind == "unassigned_traveler_profit" for v in report.violations)
+
+
+def test_feasibility_flags_idle_vehicle_profit(canonical):
+    nobody = Assignment({"T1": None, "T2": None})
+    t = PaymentSchedule({("T1", "V1"): F(3), ("T2", "V1"): F(2)})
+    alloc = compute_profits(canonical, nobody, t)
+    assert check_feasibility(canonical, nobody, alloc).verdict
+    alloc.rho[("T2", "V1")] = F(1, 2)
+    report = check_feasibility(canonical, nobody, alloc)
+    assert report.violations == (
+        Violation("idle_vehicle_profit", ("T2", "V1"), F(1, 2), F(0)),
+    )
+    # once V1 serves T1 it is no longer idle
+    only_t1 = Assignment({"T1": "V1", "T2": None})
+    alloc = compute_profits(canonical, only_t1, t)
+    alloc.rho[("T2", "V1")] = F(1, 2)
+    report = check_feasibility(canonical, only_t1, alloc)
+    assert all(v.kind != "idle_vehicle_profit" for v in report.violations)
 
 
 def test_eq8_status_holds_exactly_at_vmin(canonical):
@@ -333,6 +354,48 @@ def test_synthesis_equals_pinned_lp_oracle():
                 assert res.feasible and res.schedule.entries == expected, (seed, favor)
                 feasible += 1
     assert feasible >= 20
+
+
+def _small_and_optimal_markets():
+    """Every assignment of 20 n=3 markets, and the optimum of 26 markets
+    with n=6-30; half of each are degenerate."""
+    from rideshare_market import enumerate_assignments
+
+    for seed in range(20):
+        inst = generate_instance(8100 + seed, n=3, m=2, degenerate=seed % 2 == 1)
+        for a in enumerate_assignments(inst):
+            yield inst, a
+    for n in range(6, 31, 2):
+        for degenerate in (False, True):
+            inst = generate_instance(8200 + n, n=n, m=1 + n // 4, degenerate=degenerate)
+            yield inst, solve_optimal_assignment(inst, with_certificate=False).assignment
+
+
+def test_off_match_payments_are_plus_terms_of_ge_rows_only():
+    """An off-match payment appears in the stability rows only as the
+    ``plus`` term of a ``>=`` row, so it lies on no cycle of the constraint
+    graph.  A feasible synthesis prices it at the least value those rows
+    and ``x >= 0`` allow, given the matched payments."""
+    feasible = 0
+    for inst, a in _small_and_optimal_markets():
+        pairs, rows, _ = _stability_system(inst, a)
+        matched = set(a.assigned_pairs())
+        least = {p: F(0) for p in pairs if p not in matched}
+        for plus, minus, rel, _ in rows:
+            assert minus is None or minus in matched
+            assert plus is None or plus in matched or rel == GE
+        for favor in ("travelers", "vehicles"):
+            res = synthesize_stable_payments(inst, a, favor=favor)
+            if not res.feasible:
+                continue
+            feasible += 1
+            x = {None: F(0), **res.schedule.entries}
+            bound = dict(least)
+            for plus, minus, _, rhs in rows:
+                if plus in bound:
+                    bound[plus] = max(bound[plus], x[minus] + rhs)
+            assert {p: x[p] for p in bound} == bound
+    assert feasible >= 50
 
 
 def test_blend_endpoints_and_midpoint(canonical):

@@ -150,6 +150,29 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
     assert len(calls) > 20
 
 
+def test_synthesis_runs_bellman_ford_once_over_the_matched_payments(monkeypatch):
+    """Either ``favor`` mode decides feasibility and finds the matched
+    payments with one Bellman-Ford run over at most the matched payments
+    and the zero node, feasible or not."""
+    kernel = allocation.bellman_ford
+    runs = []
+
+    def counted(nodes, edges, source):
+        runs.append(len(nodes))
+        return kernel(nodes, edges, source)
+
+    monkeypatch.setattr(allocation, "bellman_ford", counted)
+    verdicts = set()
+    for seed in range(12):
+        inst = generate_instance(8300 + seed, n=4 + seed, m=2, degenerate=seed % 2 == 1)
+        a = solve_optimal_assignment(inst, with_certificate=False).assignment
+        for favor in ("travelers", "vehicles"):
+            runs.clear()
+            verdicts.add(synthesize_stable_payments(inst, a, favor=favor).feasible)
+            assert len(runs) == 1 and runs[0] <= len(a.assigned_pairs()) + 1, (seed, favor, runs)
+    assert verdicts == {True, False}
+
+
 def _counted(calls, name, fn):
     def wrapper(*args, **kwargs):
         calls[name] += 1
