@@ -5,12 +5,12 @@ vehicles running fixed routes.  The package computes welfare-optimal
 assignments exactly (rational arithmetic throughout), constructs and
 verifies traveler-vehicle profit allocations, and synthesizes stable
 payment schedules as shortest paths over difference constraints.  Each
-optimum carries a dual certificate from one Bellman-Ford run over its
-residual graph; each impossible schedule carries Farkas multipliers read
-off a negative cycle, checked exactly over the sparse stability rows.  The
-exact simplex in :mod:`rideshare_market.lp` and the brute force in
-:mod:`rideshare_market.oracles` serve as test oracles; no production path
-imports the simplex.
+optimum carries a dual certificate of seat prices from one Bellman-Ford
+run over its vehicles; each impossible schedule carries Farkas multipliers
+read off a negative cycle, checked exactly over the sparse stability
+rows.  The exact simplex in :mod:`rideshare_market.lp` and the brute force
+in :mod:`rideshare_market.oracles` serve as test oracles; no production
+path imports the simplex.
 """
 
 from rideshare_market.errors import (

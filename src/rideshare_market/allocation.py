@@ -19,7 +19,6 @@ from rideshare_market.market import (
     UNASSIGNED,
     _ZERO,
     _money,
-    utility,
     validate_assignment,
 )
 from rideshare_market.solver import bellman_ford, scale_to_integers
@@ -173,12 +172,11 @@ def check_payments(
         for vid, riders in a.riders.items():
             if len(riders) >= inst.vehicle(vid).capacity:
                 seat[vid] = min(t[(tid, vid)] - table[(tid, vid)].share for tid in riders)
-        util = {}
-        for trav in inst.travelers:
-            vid = a.vehicle_of(trav.id)
-            util[trav.id] = utility(inst, trav.id, vid, t.get((trav.id, vid)))
-            if util[trav.id] < 0:
-                violations.append(Violation("negative_utility", (trav.id, vid), util[trav.id], _ZERO))
+        # a rider's utility, valuation - payment, is >= v_min >= 0 once the
+        # allocation is feasible (pi_nonneg); the unassigned have 0
+        util = {trav.id: _ZERO for trav in inst.travelers}
+        for pair in a.assigned_pairs():
+            util[pair[0]] = table[pair].valuation - t[pair]
         for (tid, vid), terms in table.items():
             if a.vehicle_of(tid) == vid:
                 continue

@@ -98,8 +98,8 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
 
 
 def _assignment(inst, spec: str | None) -> Assignment:
-    """The ``--assignment`` in ``spec``, or the surplus optimum without one."""
-    if not spec:
+    """The ``--assignment`` in ``spec``, even empty, or without one the surplus optimum."""
+    if spec is None:
         return solve_optimal_assignment(inst, with_certificate=False).assignment
     mapping = {t.id: UNASSIGNED for t in inst.travelers}
     seen = set()
@@ -136,8 +136,9 @@ def _report_check(report):
 
 def _emit(doc: dict, fmt: str):
     """Write ``doc`` as JSON or text, each exact number as its string.  The
-    document is rendered in full first: a number too long for Python's
-    int-to-string conversion is a validation error, and nothing is written."""
+    document is rendered and encoded in full first: a number too long for
+    Python's int-to-string conversion, or text that standard output cannot
+    encode, is a validation error, and nothing is written."""
     out = io.StringIO()
     try:
         if fmt == "machine":
@@ -150,7 +151,13 @@ def _emit(doc: dict, fmt: str):
         raise ValidationError(
             f"output: a computed value has more than {limit} digits and cannot be printed"
         ) from None
-    sys.stdout.write(out.getvalue())
+    text, encoding = out.getvalue(), sys.stdout.encoding or "utf-8"
+    try:
+        text.encode(encoding, sys.stdout.errors or "strict")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise ValidationError(f"output: {bad!r} cannot be encoded as {encoding}") from None
+    sys.stdout.write(text)
 
 
 def _emit_text(doc: dict, out, prefix=""):
@@ -171,8 +178,12 @@ def _emit_text(doc: dict, out, prefix=""):
 
 
 def _load(path: str, cost_share_mode: str | None):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        message = f"document: not UTF-8 text at byte {exc.start}: {exc.reason}"
+        raise ValidationError(message) from None
     doc = parse_document(text)
     inst = doc.instance
     if cost_share_mode is not None and cost_share_mode != inst.cost_share_mode:

@@ -3,11 +3,11 @@
 :func:`solve_optimal_assignment` runs successive shortest augmenting paths
 (Tomizawa 1971; Edmonds & Karp 1972): one Dijkstra run per augmentation,
 over reduced costs that node potentials keep non-negative.  The general
-kernel :func:`bellman_ford` is not part of the matching: it makes one run
-over the optimum's residual graph, whose distances are the dual
-certificate, and :mod:`rideshare_market.allocation` synthesizes stable
-payments with it.  Both kernels run over exact ``int`` weights: each
-caller scales its ``Fraction`` weights once with :func:`scale_to_integers`.
+kernel :func:`bellman_ford` is not part of the matching: one run over the
+optimum's vehicles gives the seat prices of the dual certificate, and
+:mod:`rideshare_market.allocation` synthesizes stable payments with it.
+Both kernels run over exact ``int`` weights: each caller scales its
+``Fraction`` weights once with :func:`scale_to_integers`.
 
 Tie rule: among optimal assignments the solver returns the first in the
 enumeration order of :func:`rideshare_market.oracles.oracle_optimum`.  That
@@ -272,32 +272,31 @@ def solve_optimal_assignment(
     )
 
 
-def _dual_certificate(scaled, den, assignment, capacity) -> DualCertificate:
-    """Dual potentials of an optimal assignment from one Bellman-Ford run
-    over the unperturbed ``den``-scaled weights.
+def _dual_certificate(scaled, den, a, capacity) -> DualCertificate:
+    """Seat prices ``z`` and traveler surpluses ``y`` of an optimal
+    assignment: one Bellman-Ford run over the vehicles and ``None``, the
+    source and sink merged, on the unperturbed ``den``-scaled weights.
 
-    The residual graph with source and sink merged into one node S has no
-    negative cycle at the optimum, and the distances from S meet every
-    pair constraint and are tight on the matching."""
-    S = ("s",)
-    mapping = assignment.mapping
-    load = {vid: len(assignment.riders.get(vid, ())) for vid in capacity}
-    edges = [(S, ("t", tid), 0) for tid, vid in mapping.items() if vid is UNASSIGNED]
+    A traveler's one incoming residual edge leaves its vehicle ``j``, or
+    ``None`` with ``w_ij = 0`` when unassigned; joined to ``j`` it gives
+    ``j -> k`` at ``w_ij - w_ik`` and ``j -> None`` at ``w_ij``.  That keeps
+    every distance, and the optimum leaves no negative cycle: ``z_j =
+    max(0, -dist[j])`` and ``y_i = w_ij - z_j`` meet every pair constraint."""
+    edges = [(None, vid, 0) for vid in a.riders]
     for (tid, vid), w in scaled.items():
-        if w <= 0:
-            continue
-        if mapping[tid] == vid:
-            edges.append((("v", vid), ("t", tid), w))
-        else:
-            edges.append((("t", tid), ("v", vid), -w))
-    edges += [(("v", vid), S, 0) for vid, k in load.items() if k < capacity[vid]]
-    edges += [(("t", tid), S, 0) for tid, vid in mapping.items() if vid is not UNASSIGNED]
-    edges += [(S, ("v", vid), 0) for vid, k in load.items() if k > 0]
-    nodes = [S] + [("t", tid) for tid in mapping] + [("v", vid) for vid in capacity]
-    dist = bellman_ford(nodes, edges, S)[0]
+        own = a.mapping[tid]
+        if w > 0 and own == vid:
+            edges.append((vid, None, w))
+        elif w > 0:
+            edges.append((own, vid, scaled.get((tid, own), 0) - w))
+    edges += [(vid, None, 0) for vid, c in capacity.items() if len(a.riders.get(vid, ())) < c]
+    dist = bellman_ford([None, *capacity], edges, None)[0]
+    z = {vid: max(0, -dist.get(vid, 0)) for vid in capacity}
+    # an unassigned traveler (vid None) has no weight and no price: y = 0
+    y = {tid: scaled.get((tid, vid), 0) - z.get(vid, 0) for tid, vid in a.mapping.items()}
     return DualCertificate(
-        y={tid: Fraction(max(0, dist.get(("t", tid), 0)), den) for tid in mapping},
-        z={vid: Fraction(max(0, -dist.get(("v", vid), 0)), den) for vid in capacity},
+        y={tid: Fraction(value, den) for tid, value in y.items()},
+        z={vid: Fraction(price, den) for vid, price in z.items()},
     )
 
 

@@ -491,6 +491,58 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_cli_non_utf8_document_exits_2(tmp_path, capsys):
+    """A document that is not UTF-8 text is a validation error naming the
+    byte, not a ``UnicodeDecodeError`` traceback."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: document: not UTF-8 text at byte 0: invalid start byte\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "synthesize", "report"])
+def test_cli_unencodable_output_exits_2(command, tmp_path):
+    """An id that is a lone surrogate parses, but no UTF-8 stream can write
+    it: text output is a validation error with one message, and not one
+    byte reaches standard output.  Machine output escapes it, as JSON may."""
+    text = serialize_instance(generate_instance(7, n=4, m=2)).replace('"T0"', '"T\\ud800"')
+    path = tmp_path / "surrogate.json"
+    path.write_text(text)
+    for fmt in ("text", "machine"):
+        raw, err = io.BytesIO(), io.StringIO()
+        stdout = io.TextIOWrapper(raw, encoding="utf-8", errors="strict")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            status = main([command, str(path), "--format", fmt])
+        stdout.flush()
+        if fmt == "text":
+            assert (status, raw.getvalue()) == (2, b"")
+            assert err.getvalue() == "error: output: '\\ud800' cannot be encoded as utf-8\n"
+        else:
+            assert status in (0, 1) and err.getvalue() == ""
+            assert "T\ud800" in json.loads(raw.getvalue())["assignment"]
+
+
+@pytest.mark.parametrize("command", ["check", "synthesize"])
+def test_cli_empty_assignment_is_the_empty_assignment(command, tmp_path, capsys):
+    """Only an absent ``--assignment`` means the optimum: an empty one, like
+    ``,``, leaves every traveler unassigned."""
+    path = tmp_path / "instance.json"
+    path.write_text(serialize_instance(generate_instance(7, n=4, m=2)))
+    assert main([command, str(path), "--format", "machine"]) in (0, 1)
+    assert set(json.loads(capsys.readouterr().out)["assignment"].values()) == {"V0", "V1", None}
+    docs = []
+    for spec in ("", ","):
+        status = main([command, str(path), "--assignment", spec, "--format", "machine"])
+        docs.append((status, json.loads(capsys.readouterr().out)))
+    assert docs[0] == docs[1]
+    assert set(docs[0][1]["assignment"].values()) == {None}
+    # literal check tests only the per-traveler inequalities; synthesis adds
+    # the blocking-pair coupling, which the empty assignment fails
+    assert docs[0][0] == (0 if command == "check" else 1)
+
+
 def test_cli_payment_override_off_the_compatible_pairs_exits_2(tmp_path, capsys):
     inst = generate_instance(0, n=4, m=2)
     assert ("T0", "V0") not in inst.compatible_pairs()
@@ -598,9 +650,11 @@ def _mutated_documents(draw):
 @given(_mutated_documents())
 def test_cli_survives_mutated_documents(tmp_path_factory, text):
     """``check`` and ``report`` end every mutated document with an exit
-    status, 0, 1 or 2, and never with an uncaught exception."""
+    status, 0, 1 or 2, and never with an uncaught exception, writing to a
+    strict UTF-8 stream as a terminal or pipe would."""
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(text)
     for command in ("check", "report"):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             assert main([command, str(path)]) in (0, 1, 2)

@@ -173,6 +173,35 @@ def test_synthesis_runs_bellman_ford_once_over_the_matched_payments(monkeypatch)
     assert verdicts == {True, False}
 
 
+def test_certificate_runs_bellman_ford_once_over_the_vehicles(monkeypatch):
+    """Each certified solve, under either objective, prices the seats with
+    one Bellman-Ford run over the vehicles and ``None``, the source and sink
+    merged: at most m+1 nodes, and never a traveler."""
+    kernel = solver.bellman_ford
+    runs = []
+
+    def counted(nodes, edges, source):
+        runs.append(list(nodes))
+        return kernel(nodes, edges, source)
+
+    monkeypatch.setattr(solver, "bellman_ford", counted)
+    for seed in range(12):
+        n, m = 3 + 2 * seed, 1 + seed % 4
+        inst = generate_instance(8400 + seed, n=n, m=m, degenerate=seed % 3 == 0)
+        vehicles = {v.id for v in inst.vehicles}
+        travelers = {t.id for t in inst.travelers}
+        pays = {p: F(seed % 5, 2) for p in inst.compatible_pairs()}
+        for fixed in (None, PaymentSchedule(pays)):
+            runs.clear()
+            assert solve_optimal_assignment(inst, payments=fixed).dual_certificate is not None
+            assert len(runs) == 1 and len(runs[0]) <= m + 1, (seed, runs)
+            assert set(runs[0]) <= {None, *vehicles}, (seed, runs)
+            assert travelers.isdisjoint(runs[0])
+    runs.clear()
+    solve_optimal_assignment(inst, with_certificate=False)
+    assert runs == []
+
+
 def _counted(calls, name, fn):
     def wrapper(*args, **kwargs):
         calls[name] += 1
