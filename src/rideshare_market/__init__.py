@@ -4,7 +4,10 @@ Travelers with origin-destination demands are matched to capacitated
 vehicles running fixed routes.  The package computes welfare-optimal
 assignments exactly (rational arithmetic throughout), constructs and
 verifies traveler-vehicle profit allocations, and synthesizes stable
-payment schedules as shortest paths over difference constraints.  Each
+payment schedules as shortest paths over difference constraints.  The
+pair table and the checkers compare integers over one common
+denominator; ``Fraction``s appear only in the pair terms, violations and
+output.  Each
 optimum carries a dual certificate of seat prices from one Bellman-Ford
 run over its vehicles; each impossible schedule carries Farkas multipliers
 read off a negative cycle, checked exactly over the sparse stability

@@ -19,9 +19,10 @@ from rideshare_market.market import (
     UNASSIGNED,
     _ZERO,
     _money,
+    scale_to_integers,
     validate_assignment,
 )
-from rideshare_market.solver import bellman_ford, scale_to_integers
+from rideshare_market.solver import bellman_ford
 
 if TYPE_CHECKING:
     from rideshare_market.lp import LPProblem
@@ -40,7 +41,7 @@ class PaymentSchedule:
     def __post_init__(self):
         entries = {k: _money(v) for k, v in self.entries.items()}
         object.__setattr__(self, "entries", entries)
-        bad = [k for k, v in entries.items() if v < 0]
+        bad = [k for k, v in entries.items() if v.numerator < 0]
         if bad:
             raise ValidationError([f"payment for pair {k} is negative" for k in bad])
 
@@ -93,16 +94,22 @@ def compute_profits(inst: MarketInstance, a: Assignment, t: PaymentSchedule) -> 
     value.  Every off-match entry is zero.
     """
     validate_assignment(inst, a)
-    table = inst.compatibility.entries
-    pi = dict.fromkeys(table, _ZERO)
-    rho = dict.fromkeys(table, _ZERO)
-    for tid, vid in a.assigned_pairs():
+    matrix = inst.compatibility
+    matched = a.assigned_pairs()
+    pays = []
+    for tid, vid in matched:
         pay = t.get((tid, vid))
         if pay is None:
             raise ValidationError(f"profits: no payment for matched pair ({tid!r}, {vid!r})")
-        terms = table[(tid, vid)]
-        rho[(tid, vid)] = pay - terms.share
-        pi[(tid, vid)] = terms.valuation - pay - inst.traveler(tid).v_min
+        pays.append(pay)
+    common, pays = scale_to_integers(pays, matrix.den)
+    lift = common // matrix.den
+    pi = dict.fromkeys(matrix.scaled, _ZERO)
+    rho = dict.fromkeys(matrix.scaled, _ZERO)
+    for pair, pay in zip(matched, pays):
+        value, share, _ = matrix.scaled[pair]
+        rho[pair] = Fraction(pay - share * lift, common)
+        pi[pair] = Fraction((value - matrix.v_min[pair[0]]) * lift - pay, common)
     return ProfitAllocation(pi=pi, rho=rho)
 
 
@@ -116,28 +123,33 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
     of the identity is reported per pair in ``eq8_status``, never enforced.
     """
     validate_assignment(inst, a)
-    table = inst.compatibility.entries
+    matrix = inst.compatibility
+    matched = a.assigned_pairs()
+    # the matched profits as integers over common, a multiple of the table's den
+    common, ints = scale_to_integers(
+        [alloc.pi[p] for p in matched] + [alloc.rho[p] for p in matched], matrix.den
+    )
+    lift = common // matrix.den
     violations = []
     eq8 = {}
-    for pair in a.assigned_pairs():
-        terms = table[pair]
-        pi = alloc.pi[pair]
-        rho = alloc.rho[pair]
+    for pair, pi, rho in zip(matched, ints, ints[len(matched) :]):
+        value, share, surplus = matrix.scaled[pair]
         if pi < 0:
-            violations.append(Violation("pi_nonneg", pair, pi, _ZERO))
+            violations.append(Violation("pi_nonneg", pair, alloc.pi[pair], _ZERO))
         if rho < 0:
-            violations.append(Violation("rho_nonneg", pair, rho, _ZERO))
-        forced = terms.surplus - inst.traveler(pair[0]).v_min
+            violations.append(Violation("rho_nonneg", pair, alloc.rho[pair], _ZERO))
+        forced = (surplus - matrix.v_min[pair[0]]) * lift
         if pi + rho != forced:
-            violations.append(Violation("pair_sum_identity", pair, pi + rho, forced))
-        # recover the payment and evaluate the literal identity
-        pay = rho + terms.share
-        eq8[pair] = pi + rho == terms.valuation - pay - terms.share
+            lhs, rhs = Fraction(pi + rho, common), Fraction(forced, common)
+            violations.append(Violation("pair_sum_identity", pair, lhs, rhs))
+        # the payment is rho + share: the literal identity reads
+        # pi + rho == valuation - payment - share
+        eq8[pair] = pi + rho == (value - 2 * share) * lift - rho
     for pair, rho in alloc.rho.items():
-        if rho != 0 and pair[1] not in a.riders:
+        if rho and pair[1] not in a.riders:
             violations.append(Violation("idle_vehicle_profit", pair, rho, _ZERO))
     for pair, pi in alloc.pi.items():
-        if pi != 0 and a.vehicle_of(pair[0]) is UNASSIGNED:
+        if pi and a.vehicle_of(pair[0]) is UNASSIGNED:
             violations.append(Violation("unassigned_traveler_profit", pair, pi, _ZERO))
     return CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
 
@@ -158,44 +170,56 @@ def check_payments(
     no traveler-vehicle pair can split a deviation surplus that beats the
     traveler's utility plus the vehicle's marginal seat profit.  This mode
     does not subtract the cost share from the rider's side twice.
+
+    Both modes compare integers over the least common multiple of the pair
+    table's denominator and the payments' denominators.
     """
     validate_schedule(inst, t)
     feas = check_feasibility(inst, a, compute_profits(inst, a, t))
     if not feas.verdict:
         return feas, None
-    table = inst.compatibility.entries
+    matrix = inst.compatibility
+    common, pays = scale_to_integers([t.entries[p] for p in matrix.scaled], matrix.den)
+    pay = dict(zip(matrix.scaled, pays))
+    lift = common // matrix.den
     violations = []
     if classic_core:
         # marginal seat profit: 0 with spare capacity, else the smallest
         # profit the vehicle earns from a current rider
-        seat = {v.id: _ZERO for v in inst.vehicles}
+        seat = {v.id: 0 for v in inst.vehicles}
         for vid, riders in a.riders.items():
             if len(riders) >= inst.vehicle(vid).capacity:
-                seat[vid] = min(t[(tid, vid)] - table[(tid, vid)].share for tid in riders)
+                seat[vid] = min(
+                    pay[(tid, vid)] - matrix.scaled[(tid, vid)][1] * lift for tid in riders
+                )
         # a rider's utility, valuation - payment, is >= v_min >= 0 once the
         # allocation is feasible (pi_nonneg); the unassigned have 0
-        util = {trav.id: _ZERO for trav in inst.travelers}
+        util = {trav.id: 0 for trav in inst.travelers}
         for pair in a.assigned_pairs():
-            util[pair[0]] = table[pair].valuation - t[pair]
-        for (tid, vid), terms in table.items():
+            util[pair[0]] = matrix.scaled[pair][0] * lift - pay[pair]
+        for (tid, vid), (_, _, surplus) in matrix.scaled.items():
             if a.vehicle_of(tid) == vid:
                 continue
             lhs = util[tid] + seat[vid]
-            if lhs < terms.surplus:
-                violations.append(Violation("blocking_pair", (tid, vid), lhs, terms.surplus))
+            if lhs < surplus * lift:
+                lhs, rhs = Fraction(lhs, common), Fraction(surplus, matrix.den)
+                violations.append(Violation("blocking_pair", (tid, vid), lhs, rhs))
     else:
         # ride value, valuation - payment - cost share; exit is worth 0
-        ride = {p: terms.surplus - t[p] for p, terms in table.items()}
+        ride = {p: u * lift - pay[p] for p, (_, _, u) in matrix.scaled.items()}
         for trav in inst.travelers:
             tid = trav.id
             vid = a.vehicle_of(tid)
-            own = _ZERO if vid is UNASSIGNED else ride[(tid, vid)]
+            own = 0 if vid is UNASSIGNED else ride[(tid, vid)]
             if own < 0:
-                violations.append(Violation("exit_preferred", (tid, UNASSIGNED), own, _ZERO))
+                violations.append(
+                    Violation("exit_preferred", (tid, UNASSIGNED), Fraction(own, common), _ZERO)
+                )
             kind = "unassigned_envy" if vid is UNASSIGNED else "envy"
             for alt in inst.compatible_vehicles(tid):
                 if alt != vid and own < ride[(tid, alt)]:
-                    violations.append(Violation(kind, (tid, alt), own, ride[(tid, alt)]))
+                    lhs, rhs = Fraction(own, common), Fraction(ride[(tid, alt)], common)
+                    violations.append(Violation(kind, (tid, alt), lhs, rhs))
     return feas, CheckReport(verdict=not violations, violations=tuple(violations))
 
 

@@ -11,6 +11,7 @@ import argparse
 import io
 import json
 import sys
+from fractions import Fraction
 
 from rideshare_market.allocation import PaymentSchedule, check_payments, synthesize_stable_payments
 from rideshare_market.errors import OracleScaleError, ValidationError
@@ -67,7 +68,8 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
     share); a complete ``base`` without overrides is returned as is.
     ``TID=value`` prices the traveler's vehicle in ``assignment``, or, when
     that is ``None``, in the surplus optimum, solved only for such an entry."""
-    table = inst.compatibility.entries
+    matrix = inst.compatibility
+    table = matrix.scaled
     if base is not None and not overrides and all(p in base.entries for p in table):
         return base
     entries = dict(base.entries) if base is not None else {}
@@ -91,9 +93,9 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
                 raise ValidationError(f"--payments: duplicate entry for pair ({tid!r}, {vid!r})")
             seen.add((tid, vid))
             entries[(tid, vid)] = value
-    for pair, terms in table.items():
+    for pair, (_, _, surplus) in table.items():
         if pair not in entries:
-            entries[pair] = max(_ZERO, terms.surplus)
+            entries[pair] = Fraction(surplus, matrix.den) if surplus > 0 else _ZERO
     return PaymentSchedule(entries)
 
 

@@ -247,7 +247,7 @@ def parse_document(text: str) -> InstanceDocument:
     if doc.get("payments") is not None:
         entries = {}
         tids, vids = {t.id for t in travelers}, {v.id for v in vehicles}
-        compatible = instance.compatibility.entries
+        compatible = instance.compatibility.scaled
         for tid, row in _typed(doc["payments"], dict, "payments", errors, {}).items():
             if tid not in tids:
                 errors.append(f"payments: unknown traveler id {tid!r}")

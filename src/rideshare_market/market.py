@@ -1,10 +1,15 @@
 """Travelers, vehicles, market instances, and every scalar market formula.
 
-All money values are :class:`fractions.Fraction`; the package never rounds.
+Money enters and leaves as :class:`fractions.Fraction`; the package never
+rounds.  The pair table holds each compatible pair's terms as ``int``s over
+the instance's least common denominator, and the checkers compare those
+integers; ``Fraction``s appear only in :class:`PairTerms`, violations and
+output.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +34,22 @@ _ZERO = Fraction(0)
 
 def _money(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def scale_to_integers(values, den=1):
+    """``(D, ints)``: the least common multiple ``D`` of ``den`` and the
+    denominators of the rationals ``values``, and each value times ``D``,
+    an exact ``int``.  Each distinct denominator is divided into ``D``
+    once.  Scaling by a positive factor keeps every sum and comparison, so
+    shortest paths and inequalities over ``ints`` are those over
+    ``values``, with every value ``D`` times larger."""
+    ratios = [v.as_integer_ratio() for v in values]
+    cofactor = dict.fromkeys({d for _, d in ratios})
+    # the small denominators first, so that only one step meets a large den
+    common = math.lcm(den, math.lcm(*cofactor))
+    for d in cofactor:
+        cofactor[d] = common // d
+    return common, [n * cofactor[d] for n, d in ratios]
 
 
 @dataclass(frozen=True)
@@ -104,18 +125,34 @@ class PairTerms(NamedTuple):
 
 @dataclass(frozen=True)
 class CompatibilityMatrix:
-    """The compatible traveler x vehicle pairs, each with its
-    :class:`PairTerms`.  Indexing answers whether a pair is compatible;
-    any other pair, unknown ids included, reads ``False``."""
+    """The compatible traveler x vehicle pairs, each with its terms as
+    integers over one common denominator.  Indexing answers whether a pair
+    is compatible; any other pair, unknown ids included, reads ``False``."""
 
-    entries: dict  # (traveler id, vehicle id) -> PairTerms, in instance order
+    #: the least common denominator of the instance's money
+    den: int
+    #: (traveler id, vehicle id) -> (valuation, share, surplus), each times
+    #: ``den``, in instance order
+    scaled: dict
+    #: traveler id -> v_min times ``den``, for every traveler
+    v_min: dict
+
+    @cached_property
+    def entries(self) -> dict:
+        """(traveler id, vehicle id) -> :class:`PairTerms` of ``Fraction``s,
+        in instance order; built on first access."""
+        den = self.den
+        return {
+            pair: PairTerms(Fraction(v, den), Fraction(s, den), Fraction(u, den))
+            for pair, (v, s, u) in self.scaled.items()
+        }
 
     def __getitem__(self, pair) -> bool:
-        return pair in self.entries
+        return pair in self.scaled
 
     def pairs(self):
         """Compatible pairs in instance (traveler, vehicle) order."""
-        return list(self.entries)
+        return list(self.scaled)
 
 
 @dataclass(frozen=True)
@@ -158,8 +195,9 @@ class MarketInstance:
         if self.cost_share_mode == EXPLICIT:
             self.compatibility  # the build checks every explicit share
         if len(self.travelers) < len(self.vehicles):
+            # past __post_init__ and the generated __init__, to the caller
             warnings.warn(
-                "market has fewer travelers than vehicles (n < m)", stacklevel=2
+                "market has fewer travelers than vehicles (n < m)", stacklevel=3
             )
 
     @cached_property
@@ -184,11 +222,13 @@ class MarketInstance:
 
     @cached_property
     def compatibility(self) -> CompatibilityMatrix:
-        """Every compatible pair and its terms, derived once.  In explicit
+        """Every compatible pair and its terms, derived once, as integers
+        over the least common denominator of the travelers' ``v_max`` and
+        ``v_min`` and the pairs' inconvenience and cost share.  In explicit
         mode a compatible pair without a cost share is a validation error."""
         explicit = self.cost_share_mode == EXPLICIT
         per_seat = {v.id: v.operating_cost / v.capacity for v in self.vehicles}
-        entries, errors = {}, []
+        pairs, money, errors = [], [], []
         for t in self.travelers:
             for v in self.vehicles:
                 phi = t.inconvenience.get(v.id)
@@ -201,16 +241,26 @@ class MarketInstance:
                         f"compatible traveler {t.id!r}"
                     )
                     continue
-                value = t.v_max - phi
-                entries[(t.id, v.id)] = PairTerms(value, share, value - share)
+                pairs.append((t.id, v.id))
+                money += (phi, share)
         if errors:
             raise ValidationError(errors)
-        return CompatibilityMatrix(entries)
+        bounds = [x for t in self.travelers for x in (t.v_max, t.v_min)]
+        den, ints = scale_to_integers(bounds + money)
+        # ints: v_max and v_min per traveler, then phi and share per pair
+        tids, k = [t.id for t in self.travelers], len(bounds)
+        v_max = dict(zip(tids, ints[0:k:2]))
+        v_min = dict(zip(tids, ints[1:k:2]))
+        scaled = {}
+        for pair, phi, share in zip(pairs, ints[k::2], ints[k + 1 :: 2]):
+            value = v_max[pair[0]] - phi
+            scaled[pair] = (value, share, value - share)
+        return CompatibilityMatrix(den, scaled, v_min)
 
     @cached_property
     def _options(self):
         options = {t.id: [] for t in self.travelers}
-        for tid, vid in self.compatibility.entries:
+        for tid, vid in self.compatibility.scaled:
             options[tid].append(vid)
         return options
 

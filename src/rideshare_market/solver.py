@@ -7,7 +7,8 @@ kernel :func:`bellman_ford` is not part of the matching: one run over the
 optimum's vehicles gives the seat prices of the dual certificate, and
 :mod:`rideshare_market.allocation` synthesizes stable payments with it.
 Both kernels run over exact ``int`` weights: each caller scales its
-``Fraction`` weights once with :func:`scale_to_integers`.
+``Fraction`` weights once with
+:func:`~rideshare_market.market.scale_to_integers`.
 
 Tie rule: among optimal assignments the solver returns the first in the
 enumeration order of :func:`rideshare_market.oracles.oracle_optimum`.  That
@@ -19,7 +20,6 @@ makes that optimum the only one, so the matching reaches it exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -30,6 +30,7 @@ from rideshare_market.market import (
     MarketInstance,
     UNASSIGNED,
     _ZERO,
+    scale_to_integers,
     surplus_matrix,
 )
 
@@ -69,16 +70,6 @@ def _pair_weights(inst: MarketInstance, payments=None) -> dict:
             )
         weights[(tid, vid)] = terms.valuation - entries[(tid, vid)]
     return weights
-
-
-def scale_to_integers(values):
-    """``(den, ints)``: the least common denominator of the rationals
-    ``values`` and each value times it, an exact ``int``.  Scaling by a
-    positive factor keeps every sum and comparison, so shortest paths over
-    ``ints`` are those over ``values``, with distances ``den`` times larger."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def bellman_ford(nodes, edges, source):

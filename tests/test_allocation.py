@@ -6,8 +6,10 @@ import pytest
 from rideshare_market import (
     Assignment,
     CertificateError,
+    CheckReport,
     MarketInstance,
     PaymentSchedule,
+    ProfitAllocation,
     StabilityPreconditionError,
     Traveler,
     ValidationError,
@@ -418,3 +420,243 @@ def test_blend_rejects_bad_weight_and_mismatch(canonical):
     other = PaymentSchedule({("T1", "V1"): F(2)})
     with pytest.raises(ValidationError, match="mismatch"):
         blend_allocations(lo.allocation, lo.allocation, F(1, 2), lo.schedule, other)
+
+
+# -- the Fraction reference checker -----------------------------------------
+
+
+def _reference_profits(inst, a, t):
+    """``compute_profits`` as ``Fraction`` arithmetic on the pair terms."""
+    table = inst.compatibility.entries
+    pi = dict.fromkeys(table, F(0))
+    rho = dict.fromkeys(table, F(0))
+    for pair in a.assigned_pairs():
+        terms = table[pair]
+        rho[pair] = t[pair] - terms.share
+        pi[pair] = terms.valuation - t[pair] - inst.traveler(pair[0]).v_min
+    return ProfitAllocation(pi=pi, rho=rho)
+
+
+def _reference_feasibility(inst, a, alloc):
+    """``check_feasibility`` as ``Fraction`` arithmetic on the pair terms."""
+    table = inst.compatibility.entries
+    violations = []
+    eq8 = {}
+    for pair in a.assigned_pairs():
+        terms = table[pair]
+        pi = alloc.pi[pair]
+        rho = alloc.rho[pair]
+        if pi < 0:
+            violations.append(Violation("pi_nonneg", pair, pi, F(0)))
+        if rho < 0:
+            violations.append(Violation("rho_nonneg", pair, rho, F(0)))
+        forced = terms.surplus - inst.traveler(pair[0]).v_min
+        if pi + rho != forced:
+            violations.append(Violation("pair_sum_identity", pair, pi + rho, forced))
+        pay = rho + terms.share
+        eq8[pair] = pi + rho == terms.valuation - pay - terms.share
+    for pair, rho in alloc.rho.items():
+        if rho != 0 and pair[1] not in a.riders:
+            violations.append(Violation("idle_vehicle_profit", pair, rho, F(0)))
+    for pair, pi in alloc.pi.items():
+        if pi != 0 and a.vehicle_of(pair[0]) is None:
+            violations.append(Violation("unassigned_traveler_profit", pair, pi, F(0)))
+    return CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
+
+
+def _reference_check(inst, a, t, classic_core):
+    """``check_payments`` as ``Fraction`` arithmetic on the pair terms."""
+    feas = _reference_feasibility(inst, a, _reference_profits(inst, a, t))
+    if not feas.verdict:
+        return feas, None
+    table = inst.compatibility.entries
+    violations = []
+    if classic_core:
+        seat = {v.id: F(0) for v in inst.vehicles}
+        for vid, riders in a.riders.items():
+            if len(riders) >= inst.vehicle(vid).capacity:
+                seat[vid] = min(t[(tid, vid)] - table[(tid, vid)].share for tid in riders)
+        util = {trav.id: F(0) for trav in inst.travelers}
+        for pair in a.assigned_pairs():
+            util[pair[0]] = table[pair].valuation - t[pair]
+        for (tid, vid), terms in table.items():
+            if a.vehicle_of(tid) == vid:
+                continue
+            lhs = util[tid] + seat[vid]
+            if lhs < terms.surplus:
+                violations.append(Violation("blocking_pair", (tid, vid), lhs, terms.surplus))
+    else:
+        ride = {p: terms.surplus - t[p] for p, terms in table.items()}
+        for trav in inst.travelers:
+            tid = trav.id
+            vid = a.vehicle_of(tid)
+            own = F(0) if vid is None else ride[(tid, vid)]
+            if own < 0:
+                violations.append(Violation("exit_preferred", (tid, None), own, F(0)))
+            kind = "unassigned_envy" if vid is None else "envy"
+            for alt in inst.compatible_vehicles(tid):
+                if alt != vid and own < ride[(tid, alt)]:
+                    violations.append(Violation(kind, (tid, alt), own, ride[(tid, alt)]))
+    return feas, CheckReport(verdict=not violations, violations=tuple(violations))
+
+
+def _random_assignment(inst, rng):
+    """Each traveler on a random compatible vehicle with a free seat, or
+    unassigned."""
+    load = {v.id: 0 for v in inst.vehicles}
+    mapping = {}
+    for t in inst.travelers:
+        free = [v for v in inst.compatible_vehicles(t.id) if load[v] < inst.vehicle(v).capacity]
+        vid = rng.choice([None, *free, *free])
+        mapping[t.id] = vid
+        if vid is not None:
+            load[vid] += 1
+    return Assignment(mapping)
+
+
+def _random_schedule(inst, a, rng):
+    """A payment per compatible pair on a denominator from 1, 2, 7, 11 or
+    13: a matched payment mostly inside ``[share, valuation - v_min]``, so
+    that the allocation is often feasible, an off-match one near the
+    break-even payment or anywhere."""
+    table = inst.compatibility.entries
+    out = {}
+    for pair, terms in table.items():
+        q = rng.choice((1, 2, 7, 11, 13))
+        if a.vehicle_of(pair[0]) == pair[1] and rng.random() < 0.85:
+            hi = terms.valuation - inst.traveler(pair[0]).v_min
+            out[pair] = max(F(0), terms.share + (hi - terms.share) * F(rng.randint(0, q), q))
+        elif rng.random() < 0.5:
+            out[pair] = max(F(0), terms.surplus + F(rng.randint(-2, 2), q))
+        else:
+            out[pair] = F(rng.randint(0, 12 * q), q)
+    return PaymentSchedule(out)
+
+
+def _explicit(inst, rng):
+    """``inst`` in explicit mode with a share on thirds for every pair."""
+    vehicles = tuple(
+        Vehicle(
+            v.id, v.route, v.capacity, v.operating_cost,
+            {t.id: F(rng.randint(0, 12), 3) for t in inst.travelers},
+        )
+        for v in inst.vehicles
+    )
+    return MarketInstance(inst.network, inst.travelers, vehicles, cost_share_mode="explicit")
+
+
+def _assert_checks_match_reference(inst, a, t):
+    """Both modes of ``check_payments``, and ``check_feasibility`` on the
+    profits, equal the reference exactly: values and types.  Returns the
+    verdicts and whether the payments needed a denominator beyond the
+    pair table's."""
+    ref_alloc = _reference_profits(inst, a, t)
+    alloc = compute_profits(inst, a, t)
+    assert repr(alloc) == repr(ref_alloc)
+    verdicts = []
+    for classic_core in (False, True):
+        got = check_payments(inst, a, t, classic_core)
+        want = _reference_check(inst, a, t, classic_core)
+        assert got == want and repr(got) == repr(want), (classic_core, got, want)
+        verdicts.append(None if got[1] is None else got[1].verdict)
+    lifted = any(inst.compatibility.den % x.denominator for x in t.entries.values())
+    return verdicts, lifted
+
+
+def test_checkers_equal_the_fraction_reference():
+    """Over 420 random schedules on per-seat and explicit markets, the
+    integer checkers give the reports of the ``Fraction`` reference, in
+    both stability modes; so does ``check_feasibility`` on allocations
+    with a few profits moved, on and off the match."""
+    rng = random.Random(13)
+    verdicts, lifted, schedules = set(), 0, 0
+    for seed in range(70):
+        n, m = 2 + seed % 9, 1 + seed % 3
+        inst = generate_instance(9100 + seed, n=n, m=m, degenerate=seed % 4 == 0)
+        if seed % 2:
+            inst = _explicit(inst, rng)
+        for _ in range(6):
+            a = _random_assignment(inst, rng)
+            t = _random_schedule(inst, a, rng)
+            got, lift = _assert_checks_match_reference(inst, a, t)
+            verdicts.update(got)
+            lifted += lift
+            schedules += 1
+            alloc = _reference_profits(inst, a, t)
+            for p in rng.sample(sorted(alloc.pi), min(2, len(alloc.pi))):
+                alloc.pi[p] += F(rng.randint(-3, 3), rng.choice((1, 5)))
+                alloc.rho[p] -= F(rng.randint(-1, 1), 3)
+            assert repr(check_feasibility(inst, a, alloc)) == repr(
+                _reference_feasibility(inst, a, alloc)
+            )
+    assert schedules >= 300 and lifted >= 300
+    assert {True, False, None} <= verdicts
+
+
+def _prime_denominators(inst, count):
+    """``inst`` with each inconvenience entry moved by ``1/p``, ``p`` cycling
+    through ``count`` primes, staying within ``[0, v_max]``."""
+    primes = [p for p in range(17, 20000) if all(p % d for d in range(2, int(p**0.5) + 1))][:count]
+    travelers = []
+    k = 0
+    for t in inst.travelers:
+        moved = {}
+        for vid, phi in t.inconvenience.items():
+            step = F(1, primes[k % count])
+            k += 1
+            moved[vid] = phi - step if phi >= step else min(phi + step, t.v_max)
+        travelers.append(Traveler(t.id, t.od, t.v_max, t.v_min, moved))
+    return MarketInstance(inst.network, tuple(travelers), inst.vehicles), primes
+
+
+def _greedy_feasible(inst):
+    """Each traveler on the first compatible vehicle with a free seat where
+    paying the cost share leaves a nonnegative ride value and profit, and
+    the schedule that charges the share there and break-even elsewhere:
+    feasible and, in literal mode, stable."""
+    table = inst.compatibility.entries
+    load = {v.id: 0 for v in inst.vehicles}
+    mapping = {}
+    for t in inst.travelers:
+        mapping[t.id] = None
+        for vid in inst.compatible_vehicles(t.id):
+            terms = table[(t.id, vid)]
+            if (
+                load[vid] < inst.vehicle(vid).capacity
+                and 2 * terms.share <= terms.valuation
+                and terms.share <= terms.valuation - t.v_min
+            ):
+                mapping[t.id] = vid
+                load[vid] += 1
+                break
+    a = Assignment(mapping)
+    pays = {
+        p: terms.share if a.vehicle_of(p[0]) == p[1] else max(F(0), terms.surplus)
+        for p, terms in table.items()
+    }
+    return a, PaymentSchedule(pays)
+
+
+def test_checkers_on_coprime_denominators_equal_the_reference():
+    """With 200 distinct prime denominators the pair table's denominator
+    has hundreds of digits; the checkers still equal the reference, in both
+    modes, on a stable schedule, on the same with random off-match
+    payments, and on random assignments and schedules."""
+    inst, primes = _prime_denominators(generate_instance(5, n=40, m=8), 200)
+    den = inst.compatibility.den
+    assert sum(den % p == 0 for p in primes) == 200
+    rng = random.Random(5)
+    a, stable = _greedy_feasible(inst)
+    moved = {
+        p: x if a.vehicle_of(p[0]) == p[1] else F(rng.randint(0, 60), rng.choice((7, 11)))
+        for p, x in stable.entries.items()
+    }
+    cases = [(a, stable), (a, PaymentSchedule(moved))]
+    for _ in range(4):
+        b = _random_assignment(inst, rng)
+        cases.append((b, _random_schedule(inst, b, rng)))
+    verdicts = set()
+    for b, t in cases:
+        got, _ = _assert_checks_match_reference(inst, b, t)
+        verdicts.update(got)
+    assert {True, False, None} <= verdicts

@@ -294,6 +294,8 @@ def test_n_less_than_m_warns(canonical):
             ),
         )
     assert any("fewer travelers" in str(c.message) for c in caught)
+    # the warning points at the caller, not into the dataclass machinery
+    assert caught[0].filename == __file__
 
 
 def _random_schedule(inst, rng):

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -66,6 +67,70 @@ def test_production_paths_build_no_dense_lp(canonical, tmp_path, monkeypatch, ca
     monkeypatch.undo()
     for res in results:
         assert len(res.problem.rows) == len(res.rows)
+
+
+def test_check_path_builds_no_pair_terms(tmp_path, monkeypatch, capsys):
+    """``check_payments`` in both modes, on feasible and infeasible
+    schedules, and ``check`` with and without ``--classic-core`` on
+    documents that carry payments, compare the pair table's integers: none
+    of them builds the ``Fraction`` view ``CompatibilityMatrix.entries``,
+    which still builds on first access."""
+
+    def market_of(seed):
+        return generate_instance(8500 + seed, n=4 + seed, m=1 + seed % 3, degenerate=seed % 3 == 0)
+
+    cases = []
+    for seed in range(10):
+        inst = market_of(seed)
+        a = solve_optimal_assignment(inst, with_certificate=False).assignment
+        synth = synthesize_stable_payments(inst, a)
+        even = {p: max(F(0), terms.surplus) for p, terms in inst.compatibility.entries.items()}
+        base = synth.schedule.entries if synth.feasible else even
+        rng = random.Random(seed)
+        # the stable or break-even schedule, the same with every off-match
+        # payment moved onto thirds, and a random one in thirds
+        schedules = [
+            PaymentSchedule(base),
+            PaymentSchedule(
+                {
+                    p: x if a.vehicle_of(p[0]) == p[1] else F(rng.randint(0, 36), 3)
+                    for p, x in base.items()
+                }
+            ),
+            PaymentSchedule({p: F(rng.randint(0, 36), 3) for p in base}),
+        ]
+        path = tmp_path / f"priced-{seed}.json"
+        path.write_text(serialize_document(inst, schedules[seed % 3]))
+        spec = ",".join(f"{tid}={vid}" for tid, vid in a.assigned_pairs()) or ","
+        override = "{}:{}=1/7".format(*inst.compatible_pairs()[0])
+        # a fresh instance, so that the pair table is built under the patch
+        cases.append((market_of(seed), a, schedules, path, spec, override))
+
+    def forbidden(self):
+        raise AssertionError("PairTerms built on the check path")
+
+    monkeypatch.setattr(market.CompatibilityMatrix, "entries", property(forbidden))
+    verdicts, statuses = set(), set()
+    for inst, a, schedules, path, spec, override in cases:
+        for t in schedules:
+            for classic_core in (False, True):
+                _, stab = allocation.check_payments(inst, a, t, classic_core)
+                verdicts.add(None if stab is None else stab.verdict)
+        for fmt in ("text", "machine"):
+            for mode in ([], ["--classic-core"]):
+                argv = ["check", str(path), "--assignment", spec, "--format", fmt, *mode]
+                statuses.add(main(argv))
+        statuses.add(main(["check", str(path), "--assignment", spec, "--payments", override]))
+    capsys.readouterr()
+    assert {True, False, None} <= verdicts
+    assert statuses == {0, 1}
+    monkeypatch.undo()
+    table = inst.compatibility
+    assert list(table.entries) == inst.compatible_pairs()
+    assert all(
+        terms == tuple(F(x, table.den) for x in table.scaled[pair])
+        for pair, terms in table.entries.items()
+    )
 
 
 def test_production_modules_do_not_import_the_simplex():
