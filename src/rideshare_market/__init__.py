@@ -5,15 +5,15 @@ vehicles running fixed routes.  The package computes welfare-optimal
 assignments exactly (rational arithmetic throughout), constructs and
 verifies traveler-vehicle profit allocations, and synthesizes stable
 payment schedules as shortest paths over difference constraints.  The
-pair table and the checkers compare integers over one common
-denominator; ``Fraction``s appear only in the pair terms, violations and
-output.  Each
-optimum carries a dual certificate of seat prices from one Bellman-Ford
-run over its vehicles; each impossible schedule carries Farkas multipliers
-read off a negative cycle, checked exactly over the sparse stability
-rows.  The exact simplex in :mod:`rideshare_market.lp` and the brute force
-in :mod:`rideshare_market.oracles` serve as test oracles; no production
-path imports the simplex.
+checkers, the matching, its dual certificate and the synthesis all read
+one integer pair table over a common denominator; ``Fraction``s are made
+only for results: the pair terms, objectives, certificates, violations
+and output.  Each optimum carries a dual certificate of seat prices from
+one Bellman-Ford run over its vehicles; each impossible schedule carries
+Farkas multipliers read off a negative cycle, checked exactly over the
+sparse stability rows.  The exact simplex in :mod:`rideshare_market.lp`
+and the brute force in :mod:`rideshare_market.oracles` serve as test
+oracles; no production path imports the simplex.
 """
 
 from rideshare_market.errors import (

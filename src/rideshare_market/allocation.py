@@ -281,9 +281,10 @@ def _stability_system(inst: MarketInstance, a: Assignment):
 
     Every row is a difference constraint ``(plus, minus, rel, rhs)``,
     reading ``x[plus] - x[minus] rel rhs``; ``plus`` and ``minus`` are
-    compatible pairs, or ``None`` for an absent term.
+    compatible pairs, or ``None`` for an absent term; ``rhs`` is an ``int``
+    from the integer pair table, ``den`` times its value.
     """
-    table = inst.compatibility.entries
+    table, v_min = inst.compatibility.scaled, inst.compatibility.v_min
     rows = []
     labels = []
 
@@ -298,30 +299,29 @@ def _stability_system(inst: MarketInstance, a: Assignment):
             for alt in inst.compatible_vehicles(tid):
                 p = (tid, alt)
                 # 0 >= valuation - payment - share at every alternative
-                add(p, None, GE, table[p].surplus, ("exit_dominates", p))
+                add(p, None, GE, table[p][2], ("exit_dominates", p))
             continue
         pm = (tid, vid)
-        matched = table[pm]
-        add(pm, None, GE, matched.share, ("rho_nonneg", pm))
-        add(pm, None, LE, matched.valuation - trav.v_min, ("pi_nonneg", pm))
-        add(pm, None, LE, matched.surplus, ("stay_beats_exit", pm))
+        value, share, surplus = table[pm]
+        add(pm, None, GE, share, ("rho_nonneg", pm))
+        add(pm, None, LE, value - v_min[tid], ("pi_nonneg", pm))
+        add(pm, None, LE, surplus, ("stay_beats_exit", pm))
         for alt in inst.compatible_vehicles(tid):
             if alt == vid:
                 continue
             p = (tid, alt)
             # own ride value >= alternative ride value
-            add(p, pm, GE, table[p].surplus - matched.surplus, ("no_envy", p))
+            add(p, pm, GE, table[p][2] - surplus, ("no_envy", p))
     # blocking-pair coupling
-    for (tid, vid), terms in table.items():
+    for (tid, vid), (_, _, s) in table.items():
         own = a.vehicle_of(tid)
         if own == vid:
             continue
-        s = terms.surplus
         # traveler's utility: u_const - x[mine], or 0 when unassigned
         if own is UNASSIGNED:
-            mine, u_const = None, _ZERO
+            mine, u_const = None, 0
         else:
-            mine, u_const = (tid, own), table[(tid, own)].valuation
+            mine, u_const = (tid, own), table[(tid, own)][0]
         on = a.riders.get(vid, ())
         if len(on) < inst.vehicle(vid).capacity:
             # an empty seat earns 0: utility alone must cover the surplus
@@ -331,7 +331,7 @@ def _stability_system(inst: MarketInstance, a: Assignment):
             for rid in on:
                 pr = (rid, vid)
                 label = ("no_blocking_displace", (tid, vid, rid))
-                add(pr, mine, GE, s - u_const + table[pr].share, label)
+                add(pr, mine, GE, s - u_const + table[pr][1], label)
     return list(table), rows, labels
 
 
@@ -344,6 +344,8 @@ def verify_farkas_certificate(rows, certificate):
     a negative number, which with ``x >= 0`` reads ``0 <= negative``.
     Raises :class:`CertificateError` naming the first failed condition.
     """
+    if len(certificate) != len(rows):
+        raise CertificateError(f"synthesis: {len(certificate)} multipliers for {len(rows)} rows")
     combined = {}
     total = _ZERO
     for k, mu in enumerate(certificate):
@@ -391,9 +393,9 @@ def synthesize_stable_payments(
     # nodes are the matched payments and None, the constant 0; edge (u, v, w)
     # reads x[v] - x[u] <= w / den.  Edge k is row row_of[k], and the bounds
     # x >= 0 come last; a row whose plus term is off-match waits in off_rows
-    den, scaled = scale_to_integers(row[3] for row in rows)
+    den = inst.compatibility.den
     edges, row_of, off_rows = [], [], []
-    for k, ((plus, minus, rel, _), w) in enumerate(zip(rows, scaled)):
+    for k, (plus, minus, rel, w) in enumerate(rows):
         if plus is None or a.vehicle_of(plus[0]) == plus[1]:
             edges.append((minus, plus, w) if rel == LE else (plus, minus, -w))
             row_of.append(k)
@@ -426,7 +428,7 @@ def synthesize_stable_payments(
         allocation=allocation,
         certificate=certificate,
         pairs=tuple(pairs),
-        rows=tuple(rows),
+        rows=tuple((plus, minus, rel, Fraction(rhs, den)) for plus, minus, rel, rhs in rows),
         row_labels=tuple(labels),
     )
 

@@ -6,6 +6,9 @@
 * :func:`assignment_lp_relaxation` solves the LP relaxation with the exact
   simplex kernel, whose vertex is integral by total unimodularity.
 
+Both price the pairs in ``Fraction``s from the public formulas, not from
+the solver's integer weights, so they check those weights too.
+
 No production path imports this module's simplex: :mod:`rideshare_market.lp`
 is loaded only when :func:`assignment_lp_relaxation` runs.
 """
@@ -14,12 +17,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from rideshare_market.errors import OracleScaleError
-from rideshare_market.market import Assignment, MarketInstance, UNASSIGNED, _ZERO
-from rideshare_market.solver import _pair_weights
+from rideshare_market.errors import OracleScaleError, ValidationError
+from rideshare_market.market import Assignment, MarketInstance, UNASSIGNED, _ZERO, surplus_matrix
 
 ORACLE_MAX_TRAVELERS = 10
 ORACLE_MAX_MAPS = 10**7
+
+
+def _objective_weights(inst: MarketInstance, payments=None) -> dict:
+    """``Fraction`` weight per compatible pair: the pair surplus by
+    default, or valuation minus payment when a fixed schedule is supplied."""
+    if payments is None:
+        return surplus_matrix(inst)
+    entries = getattr(payments, "entries", payments)
+    weights = {}
+    for tid, vid in inst.compatible_pairs():
+        if (tid, vid) not in entries:
+            raise ValidationError(
+                f"objective: no payment for compatible pair ({tid!r}, {vid!r})"
+            )
+        weights[(tid, vid)] = inst.pair(tid, vid).valuation - entries[(tid, vid)]
+    return weights
 
 
 def assignment_lp_relaxation(inst: MarketInstance, payments=None):
@@ -31,7 +49,7 @@ def assignment_lp_relaxation(inst: MarketInstance, payments=None):
     """
     from rideshare_market.lp import LE, LPProblem, Row, lp_solve
 
-    weights = _pair_weights(inst, payments)
+    weights = _objective_weights(inst, payments)
     pairs = inst.compatible_pairs()
     idx = {p: k for k, p in enumerate(pairs)}
     rows = []
@@ -101,7 +119,7 @@ def oracle_optimum(inst: MarketInstance, payments=None):
     Returns ``(objective, assignments)``; ``assignments`` lists every
     optimal assignment in enumeration order.
     """
-    weights = _pair_weights(inst, payments)
+    weights = _objective_weights(inst, payments)
 
     def value(a):
         return sum((weights[p] for p in a.assigned_pairs()), _ZERO)

@@ -6,9 +6,9 @@ over reduced costs that node potentials keep non-negative.  The general
 kernel :func:`bellman_ford` is not part of the matching: one run over the
 optimum's vehicles gives the seat prices of the dual certificate, and
 :mod:`rideshare_market.allocation` synthesizes stable payments with it.
-Both kernels run over exact ``int`` weights: each caller scales its
-``Fraction`` weights once with
-:func:`~rideshare_market.market.scale_to_integers`.
+Both kernels run over exact ``int`` weights read from the instance's
+integer pair table, ``den`` times the money; a ``Fraction`` is made only
+for a result.
 
 Tie rule: among optimal assignments the solver returns the first in the
 enumeration order of :func:`rideshare_market.oracles.oracle_optimum`.  That
@@ -29,9 +29,7 @@ from rideshare_market.market import (
     Assignment,
     MarketInstance,
     UNASSIGNED,
-    _ZERO,
     scale_to_integers,
-    surplus_matrix,
 )
 
 
@@ -56,28 +54,28 @@ class SolveResult:
     relaxations: int
 
 
-def _pair_weights(inst: MarketInstance, payments=None) -> dict:
-    """Objective weight per compatible pair: pair surplus by default, or
-    valuation minus payment when a fixed schedule is supplied."""
+def _pair_weights(inst: MarketInstance, payments=None):
+    """``(den, weights)``: each compatible pair's objective weight as an
+    ``int``, ``den`` times its value: the pair surplus by default, or under
+    a fixed schedule valuation minus payment, the payments lifted once."""
+    matrix = inst.compatibility
     if payments is None:
-        return surplus_matrix(inst)
+        return matrix.den, {p: u for p, (_, _, u) in matrix.scaled.items()}
     entries = getattr(payments, "entries", payments)
-    weights = {}
-    for (tid, vid), terms in inst.compatibility.entries.items():
+    for tid, vid in matrix.scaled:
         if (tid, vid) not in entries:
-            raise ValidationError(
-                f"objective: no payment for compatible pair ({tid!r}, {vid!r})"
-            )
-        weights[(tid, vid)] = terms.valuation - entries[(tid, vid)]
-    return weights
+            raise ValidationError(f"objective: no payment for compatible pair ({tid!r}, {vid!r})")
+    den, pays = scale_to_integers([entries[p] for p in matrix.scaled], matrix.den)
+    lift = den // matrix.den
+    return den, {p: v * lift - pay for (p, (v, _, _)), pay in zip(matrix.scaled.items(), pays)}
 
 
 def bellman_ford(nodes, edges, source):
     """Exact single-source shortest paths over ``edges``, a list of
     ``(tail, head, weight)`` whose nodes may be any hashable, ``None`` too.
 
-    Weights are any exact numbers; callers pass ``int`` weights made by
-    :func:`scale_to_integers`, so no relaxation normalises a fraction.
+    Weights are any exact numbers; callers pass ``int`` weights over a
+    common denominator, so no relaxation normalises a fraction.
     Edges are scanned in list order, pass after pass, until a pass changes
     nothing or ``len(nodes)`` passes have run.  Returns ``(dist, pred,
     cycle, relaxations)``: the distance of every node reached from
@@ -234,10 +232,8 @@ def solve_optimal_assignment(
     so the result depends on the instance alone.  When ``payments`` is
     given the objective is valuation-minus-payment instead of pair surplus.
     """
-    weights = _pair_weights(inst, payments)
     # the shortest paths run over integers: den times each weight
-    den, scaled = scale_to_integers(weights.values())
-    scaled = dict(zip(weights, scaled))
+    den, scaled = _pair_weights(inst, payments)
     travelers = [t.id for t in inst.travelers]
     vehicles = [v.id for v in inst.vehicles]
     cap = [v.capacity for v in inst.vehicles]
@@ -247,26 +243,28 @@ def solve_optimal_assignment(
     assignment = Assignment(
         {tid: UNASSIGNED if j is None else vehicles[j] for tid, j in zip(travelers, match)}
     )
-    objective = sum(
-        (weights[(tid, vid)] for tid, vid in assignment.assigned_pairs()), _ZERO
-    )
+    objective = sum(scaled[p] for p in assignment.assigned_pairs())
     certificate = None
     if with_certificate:
-        certificate = _dual_certificate(scaled, den, assignment, dict(zip(vehicles, cap)))
-        verify_dual_certificate(inst, weights, certificate, objective)
+        certificate = _dual_certificate(scaled, assignment, dict(zip(vehicles, cap)))
+        verify_dual_certificate(inst, scaled, certificate, objective)
+        certificate = DualCertificate(
+            y={tid: Fraction(value, den) for tid, value in certificate.y.items()},
+            z={vid: Fraction(price, den) for vid, price in certificate.z.items()},
+        )
     return SolveResult(
         assignment=assignment,
-        objective=objective,
+        objective=Fraction(objective, den),
         dual_certificate=certificate,
         augmentations=augmentations,
         relaxations=relaxations,
     )
 
 
-def _dual_certificate(scaled, den, a, capacity) -> DualCertificate:
+def _dual_certificate(scaled, a, capacity) -> DualCertificate:
     """Seat prices ``z`` and traveler surpluses ``y`` of an optimal
-    assignment: one Bellman-Ford run over the vehicles and ``None``, the
-    source and sink merged, on the unperturbed ``den``-scaled weights.
+    assignment, in the integer scale of the unperturbed weights ``scaled``:
+    one Bellman-Ford run over the vehicles and ``None``, source and sink merged.
 
     A traveler's one incoming residual edge leaves its vehicle ``j``, or
     ``None`` with ``w_ij = 0`` when unassigned; joined to ``j`` it gives
@@ -285,25 +283,26 @@ def _dual_certificate(scaled, den, a, capacity) -> DualCertificate:
     z = {vid: max(0, -dist.get(vid, 0)) for vid in capacity}
     # an unassigned traveler (vid None) has no weight and no price: y = 0
     y = {tid: scaled.get((tid, vid), 0) - z.get(vid, 0) for tid, vid in a.mapping.items()}
-    return DualCertificate(
-        y={tid: Fraction(value, den) for tid, value in y.items()},
-        z={vid: Fraction(price, den) for vid, price in z.items()},
-    )
+    return DualCertificate(y=y, z=z)
 
 
 def verify_dual_certificate(inst: MarketInstance, weights, cert: DualCertificate, objective):
-    """Exact check of a matching optimality proof: ``y, z >= 0``,
-    ``y_i + z_j >= weight_ij`` on every weighted pair, and
-    ``sum(y) + sum(capacity * z)`` equal to ``objective``.  Raises
-    :class:`CertificateError` naming the first failed condition."""
+    """Exact check of a matching optimality proof: a ``y`` per traveler and
+    a ``z`` per vehicle, ``y, z >= 0``, ``y_i + z_j >= weight_ij`` on every
+    weighted pair, and ``sum(y) + sum(capacity * z)`` equal to
+    ``objective``.  The weights, proof and objective may carry any common
+    positive scale.  Raises :class:`CertificateError` naming the first
+    failed condition."""
+    for name, entries, ids in (("y", cert.y, inst._traveler_map), ("z", cert.z, inst._vehicle_map)):
+        for key in ids:
+            if key not in entries:
+                raise CertificateError(f"dual certificate: no {name} for {key!r}")
     for key, value in (*cert.y.items(), *cert.z.items()):
         if value < 0:
             raise CertificateError(f"dual certificate: entry for {key!r} is negative")
     for (tid, vid), w in weights.items():
         if cert.y[tid] + cert.z[vid] < w:
             raise CertificateError(f"dual certificate: y + z < weight on ({tid!r}, {vid!r})")
-    total = sum(cert.y.values(), _ZERO) + sum(
-        (v.capacity * cert.z[v.id] for v in inst.vehicles), _ZERO
-    )
+    total = sum(cert.y.values()) + sum(v.capacity * cert.z[v.id] for v in inst.vehicles)
     if total != objective:
         raise CertificateError(f"dual certificate: {total} differs from objective {objective}")

@@ -290,6 +290,16 @@ def test_farkas_check_rejects_broken_multipliers(canonical):
             verify_farkas_certificate(res.rows, broken)
 
 
+def test_farkas_check_needs_one_multiplier_per_row(canonical):
+    """A certificate with more or fewer multipliers than rows fails with a
+    :class:`CertificateError` naming both counts, even when the extra or
+    missing multipliers are 0."""
+    res = synthesize_stable_payments(canonical, Assignment({"T1": None, "T2": "V1"}))
+    for wrong in (res.certificate + (0, 1), res.certificate + (0,), res.certificate[1:]):
+        with pytest.raises(CertificateError, match=f"{len(wrong)} multipliers for 5 rows"):
+            verify_farkas_certificate(res.rows, wrong)
+
+
 def test_synthesis_feasible_iff_optimal_on_random_instances():
     from rideshare_market import enumerate_assignments, oracle_optimum
     from rideshare_market.generate import generate_instance
@@ -380,7 +390,10 @@ def test_off_match_payments_are_plus_terms_of_ge_rows_only():
     and ``x >= 0`` allow, given the matched payments."""
     feasible = 0
     for inst, a in _small_and_optimal_markets():
-        pairs, rows, _ = _stability_system(inst, a)
+        pairs, scaled, _ = _stability_system(inst, a)
+        assert all(type(row[3]) is int for row in scaled)
+        den = inst.compatibility.den
+        rows = [(plus, minus, rel, F(rhs, den)) for plus, minus, rel, rhs in scaled]
         matched = set(a.assigned_pairs())
         least = {p: F(0) for p in pairs if p not in matched}
         for plus, minus, rel, _ in rows:
@@ -388,6 +401,7 @@ def test_off_match_payments_are_plus_terms_of_ge_rows_only():
             assert plus is None or plus in matched or rel == GE
         for favor in ("travelers", "vehicles"):
             res = synthesize_stable_payments(inst, a, favor=favor)
+            assert res.rows == tuple(rows)
             if not res.feasible:
                 continue
             feasible += 1

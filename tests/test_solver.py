@@ -160,6 +160,22 @@ def test_verify_dual_certificate_rejects_broken_proofs():
     assert checked >= 10
 
 
+def test_verify_dual_certificate_names_a_missing_entry():
+    """A proof without some traveler's ``y`` or some vehicle's ``z`` fails
+    with a :class:`CertificateError` naming the missing id."""
+    inst = generate_instance(300, n=4, m=2)
+    res = solve_optimal_assignment(inst)
+    cert, weights = res.dual_certificate, surplus_matrix(inst)
+    for t in inst.travelers:
+        y = {tid: value for tid, value in cert.y.items() if tid != t.id}
+        with pytest.raises(CertificateError, match=f"no y for {t.id!r}"):
+            verify_dual_certificate(inst, weights, DualCertificate(y, cert.z), res.objective)
+    for v in inst.vehicles:
+        z = {vid: price for vid, price in cert.z.items() if vid != v.id}
+        with pytest.raises(CertificateError, match=f"no z for {v.id!r}"):
+            verify_dual_certificate(inst, weights, DualCertificate(cert.y, z), res.objective)
+
+
 def test_bellman_ford_returns_a_negative_cycle():
     edges = [("a", "b", F(1)), ("b", "c", F(-3)), ("c", "b", F(2)), ("c", "a", F(1))]
     dist, pred, cycle, _ = bellman_ford("abc", edges, "a")
@@ -220,9 +236,11 @@ def test_prime_denominator_payments_match_the_oracle():
             numerator = int(value * p * F(3 + k % 5, 6)) + 1
             entries[(tid, vid)] = F(numerator + (numerator % p == 0), p)
         payments = PaymentSchedule(entries)
-        weights = _pair_weights(inst, payments)
-        den, _ = scale_to_integers(weights.values())
+        den, scaled = _pair_weights(inst, payments)
         assert den >= 2 * 3 * 5 * 7 * 11
+        assert all(type(w) is int for w in scaled.values())
+        weights = {p: F(w, den) for p, w in scaled.items()}
+        assert weights == {p: inst.pair(*p).valuation - entries[p] for p in pairs}
         res = solve_optimal_assignment(inst, payments=payments)
         objective, argmax = oracle_optimum(inst, payments=payments)
         assert res.objective == objective

@@ -8,17 +8,22 @@ from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import rideshare_market
 from rideshare_market import (
     Assignment,
     PaymentSchedule,
+    ValidationError,
     allocation,
+    assignment_lp_relaxation,
     cli,
     generate,
     instance_io,
     lp,
     market,
     network,
+    oracle_optimum,
     solve_optimal_assignment,
     solver,
     synthesize_stable_payments,
@@ -71,10 +76,12 @@ def test_production_paths_build_no_dense_lp(canonical, tmp_path, monkeypatch, ca
 
 def test_check_path_builds_no_pair_terms(tmp_path, monkeypatch, capsys):
     """``check_payments`` in both modes, on feasible and infeasible
-    schedules, and ``check`` with and without ``--classic-core`` on
-    documents that carry payments, compare the pair table's integers: none
-    of them builds the ``Fraction`` view ``CompatibilityMatrix.entries``,
-    which still builds on first access."""
+    schedules, ``check`` with and without ``--classic-core`` on documents
+    that carry payments, the certified matching under either objective,
+    with payments in sevenths that do not divide the table's ``den``, and
+    the synthesis in both ``favor`` modes, feasible or not, read the pair
+    table's integers: none of them builds the ``Fraction`` view
+    ``CompatibilityMatrix.entries``, which still builds on first access."""
 
     def market_of(seed):
         return generate_instance(8500 + seed, n=4 + seed, m=1 + seed % 3, degenerate=seed % 3 == 0)
@@ -103,15 +110,24 @@ def test_check_path_builds_no_pair_terms(tmp_path, monkeypatch, capsys):
         path.write_text(serialize_document(inst, schedules[seed % 3]))
         spec = ",".join(f"{tid}={vid}" for tid, vid in a.assigned_pairs()) or ","
         override = "{}:{}=1/7".format(*inst.compatible_pairs()[0])
+        assert inst.compatibility.den % 7
+        sevenths = PaymentSchedule(
+            {p: F(7 * rng.randint(0, 9) + rng.randint(1, 6), 7) for p in base}
+        )
         # a fresh instance, so that the pair table is built under the patch
-        cases.append((market_of(seed), a, schedules, path, spec, override))
+        cases.append((market_of(seed), a, schedules, path, spec, override, sevenths))
 
     def forbidden(self):
         raise AssertionError("PairTerms built on the check path")
 
     monkeypatch.setattr(market.CompatibilityMatrix, "entries", property(forbidden))
-    verdicts, statuses = set(), set()
-    for inst, a, schedules, path, spec, override in cases:
+    verdicts, statuses, feasible = set(), set(), set()
+    for inst, a, schedules, path, spec, override, sevenths in cases:
+        for fixed in (None, sevenths):
+            assert solve_optimal_assignment(inst, payments=fixed).dual_certificate is not None
+        for b in (a, Assignment(dict.fromkeys(a.mapping))):
+            for favor in ("travelers", "vehicles"):
+                feasible.add(synthesize_stable_payments(inst, b, favor=favor).feasible)
         for t in schedules:
             for classic_core in (False, True):
                 _, stab = allocation.check_payments(inst, a, t, classic_core)
@@ -124,6 +140,7 @@ def test_check_path_builds_no_pair_terms(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert {True, False, None} <= verdicts
     assert statuses == {0, 1}
+    assert feasible == {True, False}
     monkeypatch.undo()
     table = inst.compatibility
     assert list(table.entries) == inst.compatible_pairs()
@@ -131,6 +148,40 @@ def test_check_path_builds_no_pair_terms(tmp_path, monkeypatch, capsys):
         terms == tuple(F(x, table.den) for x in table.scaled[pair])
         for pair, terms in table.entries.items()
     )
+
+
+def test_oracles_do_not_read_the_solver_weights(monkeypatch):
+    """The brute force and the LP relaxation price the pairs from the
+    public formulas, not from the solver's integer weights: with
+    ``solver._pair_weights`` made to raise, through every name bound to
+    it, they still agree with the solver's optimum under either objective,
+    and a missing payment is still a :class:`ValidationError`."""
+    cases = []
+    for seed in range(8):
+        n, m = 3 + seed % 4, 1 + seed % 3
+        inst = generate_instance(8600 + seed, n=n, m=m, degenerate=seed % 2 == 1)
+        pairs = inst.compatible_pairs()
+        pays = PaymentSchedule({p: F(seed + k % 4, 3) for k, p in enumerate(pairs)})
+        for fixed in (None, pays):
+            res = solve_optimal_assignment(inst, payments=fixed, with_certificate=False)
+            cases.append((inst, fixed, res))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle read the solver's weights")
+
+    # a module that imported the function holds its own name for it
+    monkeypatch.setattr(solver._pair_weights, "__code__", forbidden.__code__)
+    for inst, fixed, res in cases:
+        objective, argmax = oracle_optimum(inst, payments=fixed)
+        assert objective == res.objective
+        assert res.assignment.as_key() == argmax[0].as_key()
+        _, outcome = assignment_lp_relaxation(inst, payments=fixed)
+        assert isinstance(outcome, lp.Optimal) and outcome.value == res.objective
+    inst, fixed, _ = cases[-1]
+    short = dict(list(fixed.entries.items())[1:])
+    for oracle in (oracle_optimum, assignment_lp_relaxation):
+        with pytest.raises(ValidationError, match="no payment for compatible pair"):
+            oracle(inst, payments=short)
 
 
 def test_production_modules_do_not_import_the_simplex():
@@ -202,7 +253,8 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
     ]
     assert [res.feasible for res in results] == [True, True, False, False]
     inst = generate_instance(3, n=5, m=2)
-    assert any(w.denominator > 1 for w in solver._pair_weights(inst).values())
+    den, weights = solver._pair_weights(inst)
+    assert any(F(w, den).denominator > 1 for w in weights.values())
     solve_optimal_assignment(inst)
     for path, text in (
         (tmp_path / "canonical.json", serialize_document(canonical, payments)),
