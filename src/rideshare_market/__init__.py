@@ -13,7 +13,9 @@ one Bellman-Ford run over its vehicles; each impossible schedule carries
 Farkas multipliers read off a negative cycle, checked exactly over the
 sparse stability rows.  The exact simplex in :mod:`rideshare_market.lp`
 and the brute force in :mod:`rideshare_market.oracles` serve as test
-oracles; no production path imports the simplex.
+oracles; no production path imports the simplex, and its names are
+imported from :mod:`rideshare_market.lp` itself.  A payment matrix
+enters every function as a :class:`PaymentSchedule`, which checks it once.
 """
 
 from rideshare_market.errors import (
@@ -59,18 +61,6 @@ from rideshare_market.oracles import (
     oracle_optimum,
 )
 
-#: re-exported from :mod:`rideshare_market.lp`, which is imported on first use
-_LP_NAMES = ("Infeasible", "LPProblem", "Optimal", "Unbounded", "lp_solve")
-
-
-def __getattr__(name):
-    if name in _LP_NAMES:
-        from rideshare_market import lp
-
-        return getattr(lp, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Assignment",
     "CertificateError",
@@ -78,12 +68,9 @@ __all__ = [
     "CompatibilityMatrix",
     "Edge",
     "IncompatiblePairError",
-    "Infeasible",
-    "LPProblem",
     "MarketInstance",
     "Network",
     "ODPair",
-    "Optimal",
     "OracleScaleError",
     "PaymentSchedule",
     "ProfitAllocation",
@@ -93,7 +80,6 @@ __all__ = [
     "SynthesisResult",
     "Traveler",
     "UNASSIGNED",
-    "Unbounded",
     "ValidationError",
     "Vehicle",
     "Violation",
@@ -106,7 +92,6 @@ __all__ = [
     "cost_share",
     "covers",
     "enumerate_assignments",
-    "lp_solve",
     "oracle_optimum",
     "route_vertex_sequence",
     "solve_optimal_assignment",

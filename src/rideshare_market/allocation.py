@@ -435,7 +435,8 @@ def synthesize_stable_payments(
 
 def blend_allocations(alloc1: ProfitAllocation, alloc2: ProfitAllocation, lam, t1, t2):
     """Entrywise convex combination ``lam * first + (1 - lam) * second`` of
-    two schedules and their profit allocations.
+    the payment schedules ``t1`` and ``t2``, each a :class:`PaymentSchedule`,
+    and their profit allocations.
 
     All stability and feasibility constraints are linear, so a blend of two
     stable points is stable (the stable set is convex).
@@ -443,8 +444,7 @@ def blend_allocations(alloc1: ProfitAllocation, alloc2: ProfitAllocation, lam, t
     lam = _money(lam)
     if not 0 <= lam <= 1:
         raise ValidationError("blend: weight must lie in [0, 1]")
-    e1 = getattr(t1, "entries", t1)
-    e2 = getattr(t2, "entries", t2)
+    e1, e2 = t1.entries, t2.entries
     if set(e1) != set(e2) or set(alloc1.pi) != set(alloc2.pi) or set(alloc1.rho) != set(alloc2.rho):
         raise ValidationError("blend: dimension mismatch between the two inputs")
 

@@ -19,7 +19,6 @@ from rideshare_market.generate import generate_instance
 from rideshare_market.instance_io import exact_number, parse_document, serialize_document
 from rideshare_market.market import (
     Assignment,
-    MarketInstance,
     UNASSIGNED,
     _ZERO,
     cost_recovery_gap,
@@ -179,7 +178,7 @@ def _emit_text(doc: dict, out, prefix=""):
             out.write(f"{prefix}{key}: {value}\n")
 
 
-def _load(path: str, cost_share_mode: str | None):
+def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -187,15 +186,7 @@ def _load(path: str, cost_share_mode: str | None):
         message = f"document: not UTF-8 text at byte {exc.start}: {exc.reason}"
         raise ValidationError(message) from None
     doc = parse_document(text)
-    inst = doc.instance
-    if cost_share_mode is not None and cost_share_mode != inst.cost_share_mode:
-        inst = MarketInstance(
-            network=inst.network,
-            travelers=inst.travelers,
-            vehicles=inst.vehicles,
-            cost_share_mode=cost_share_mode,
-        )
-    return inst, doc.payments
+    return doc.instance, doc.payments
 
 
 def _solve_report(inst, payments, objective):
@@ -221,7 +212,7 @@ def _solve_report(inst, payments, objective):
 
 
 def cmd_solve(args) -> int:
-    inst, base_payments = _load(args.instance, args.cost_share_mode)
+    inst, base_payments = _load(args.instance)
     overrides = _parse_payment_overrides(args.payments)
     payments = None
     if args.objective == "paper" or base_payments is not None or overrides:
@@ -232,7 +223,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst, base_payments = _load(args.instance, args.cost_share_mode)
+    inst, _ = _load(args.instance)
     result = solve_optimal_assignment(inst, with_certificate=False)
     objective, argmax = oracle_optimum(inst)
     agree = objective == result.objective
@@ -261,7 +252,7 @@ def _check_payments(doc, inst, assignment, payments, classic_core) -> bool:
 
 
 def cmd_check(args) -> int:
-    inst, base_payments = _load(args.instance, args.cost_share_mode)
+    inst, base_payments = _load(args.instance)
     assignment = _assignment(inst, args.assignment)
     overrides = _parse_payment_overrides(args.payments)
     payments = _resolve_payments(inst, assignment, base_payments, overrides)
@@ -274,7 +265,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    inst, _ = _load(args.instance, args.cost_share_mode)
+    inst, _ = _load(args.instance)
     assignment = _assignment(inst, args.assignment)
     result = synthesize_stable_payments(inst, assignment)
     doc = {"assignment": _assignment_table(assignment), "feasible": result.feasible}
@@ -304,7 +295,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    inst, base_payments = _load(args.instance, args.cost_share_mode)
+    inst, base_payments = _load(args.instance)
     result, doc = _solve_report(inst, None, "surplus")
     assignment = result.assignment
     overrides = _parse_payment_overrides(args.payments)
@@ -335,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("instance", help="instance document path")
-        p.add_argument("--cost-share-mode", choices=["per_seat", "explicit"], default=None)
         p.add_argument("--format", choices=["text", "machine"], default="text")
 
     p = sub.add_parser("solve", help="compute the optimal assignment")

@@ -149,7 +149,8 @@ def parse_document(text: str) -> InstanceDocument:
     errors = []
     memo = {}
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # True and 1.0 equal 1, but neither is the integer 1
+    if type(version) is not int or version != SCHEMA_VERSION:
         errors.append(f"document: schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
     net_sec = _typed(doc.get("network", {}), dict, "network", errors, {})
@@ -269,10 +270,6 @@ def parse_document(text: str) -> InstanceDocument:
     return InstanceDocument(instance=instance, payments=payments)
 
 
-def parse_instance(text: str) -> MarketInstance:
-    return parse_document(text).instance
-
-
 def serialize_document(inst: MarketInstance, payments: PaymentSchedule | None = None) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -313,7 +310,3 @@ def serialize_document(inst: MarketInstance, payments: PaymentSchedule | None = 
             table.setdefault(tid, {})[vid] = str(value)
         doc["payments"] = table
     return json.dumps(doc, indent=2) + "\n"
-
-
-def serialize_instance(inst: MarketInstance) -> str:
-    return serialize_document(inst)

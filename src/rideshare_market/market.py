@@ -21,8 +21,6 @@ from rideshare_market.network import (
     Network, ODPair, Route, route_vertex_sequence, validate_od, visits_in_order
 )
 
-Money = Fraction
-
 #: Sentinel marking a traveler that rides no vehicle.
 UNASSIGNED = None
 
@@ -392,11 +390,11 @@ def welfare_paper(inst: MarketInstance, a: Assignment, t) -> Fraction:
 
     A vehicle serving nobody contributes its full operating cost (the
     market's convention for unassigned capacity); each riding traveler
-    contributes valuation minus payment.  ``t`` maps compatible pairs to
-    payments (a :class:`~rideshare_market.allocation.PaymentSchedule` or a
-    plain dict).
+    contributes valuation minus payment.  ``t`` is a
+    :class:`~rideshare_market.allocation.PaymentSchedule` over the
+    compatible pairs.
     """
-    entries = getattr(t, "entries", t)
+    entries = t.entries
     total = _ZERO
     for tid, vid in a.assigned_pairs():
         if (tid, vid) not in entries:

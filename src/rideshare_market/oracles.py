@@ -26,10 +26,11 @@ ORACLE_MAX_MAPS = 10**7
 
 def _objective_weights(inst: MarketInstance, payments=None) -> dict:
     """``Fraction`` weight per compatible pair: the pair surplus by
-    default, or valuation minus payment when a fixed schedule is supplied."""
+    default, or valuation minus payment when a fixed
+    :class:`~rideshare_market.allocation.PaymentSchedule` is supplied."""
     if payments is None:
         return surplus_matrix(inst)
-    entries = getattr(payments, "entries", payments)
+    entries = payments.entries
     weights = {}
     for tid, vid in inst.compatible_pairs():
         if (tid, vid) not in entries:

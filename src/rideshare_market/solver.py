@@ -57,11 +57,12 @@ class SolveResult:
 def _pair_weights(inst: MarketInstance, payments=None):
     """``(den, weights)``: each compatible pair's objective weight as an
     ``int``, ``den`` times its value: the pair surplus by default, or under
-    a fixed schedule valuation minus payment, the payments lifted once."""
+    a fixed :class:`~rideshare_market.allocation.PaymentSchedule` valuation
+    minus payment, the payments lifted once."""
     matrix = inst.compatibility
     if payments is None:
         return matrix.den, {p: u for p, (_, _, u) in matrix.scaled.items()}
-    entries = getattr(payments, "entries", payments)
+    entries = payments.entries
     for tid, vid in matrix.scaled:
         if (tid, vid) not in entries:
             raise ValidationError(f"objective: no payment for compatible pair ({tid!r}, {vid!r})")
@@ -229,8 +230,9 @@ def solve_optimal_assignment(
 
     Pairs with nonpositive weight are never matched: leaving the traveler
     out contributes 0, which dominates.  Ties go by the module's tie rule,
-    so the result depends on the instance alone.  When ``payments`` is
-    given the objective is valuation-minus-payment instead of pair surplus.
+    so the result depends on the instance alone.  When ``payments``, a
+    :class:`~rideshare_market.allocation.PaymentSchedule`, is given the
+    objective is valuation-minus-payment instead of pair surplus.
     """
     # the shortest paths run over integers: den times each weight
     den, scaled = _pair_weights(inst, payments)

@@ -10,29 +10,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rideshare_market import PaymentSchedule, ValidationError
+from rideshare_market import MarketInstance, PaymentSchedule, ValidationError, Vehicle
 from rideshare_market.cli import main
 from rideshare_market.generate import generate_instance
-from rideshare_market.instance_io import (
-    parse_document,
-    parse_instance,
-    serialize_document,
-    serialize_instance,
-)
+from rideshare_market.instance_io import parse_document, serialize_document
 
 
 def test_round_trip_canonical(canonical):
-    text = serialize_instance(canonical)
-    assert parse_instance(text) == canonical
-    assert serialize_instance(parse_instance(text)) == text
+    text = serialize_document(canonical)
+    assert parse_document(text).instance == canonical
+    assert serialize_document(parse_document(text).instance) == text
 
 
 def test_round_trip_generated_instances():
     for seed in range(10):
         inst = generate_instance(seed, n=4, m=2)
-        assert parse_instance(serialize_instance(inst)) == inst
+        assert parse_document(serialize_document(inst)).instance == inst
     inst = generate_instance(0, n=4, m=2, degenerate=True)
-    assert parse_instance(serialize_instance(inst)) == inst
+    assert parse_document(serialize_document(inst)).instance == inst
+
+
+def test_round_trip_explicit_mode(canonical):
+    vehicle = canonical.vehicles[0]
+    shares = {"T1": F(3, 2), "T2": F(5, 2)}
+    inst = MarketInstance(
+        canonical.network,
+        canonical.travelers,
+        (Vehicle(vehicle.id, vehicle.route, 2, vehicle.operating_cost, cost_shares=shares),),
+        cost_share_mode="explicit",
+    )
+    text = serialize_document(inst)
+    assert json.loads(text)["vehicles"][0]["cost_shares"] == {"T1": "3/2", "T2": "5/2"}
+    assert parse_document(text).instance == inst
+    assert serialize_document(parse_document(text).instance) == text
 
 
 def test_round_trip_payments(canonical):
@@ -43,35 +53,35 @@ def test_round_trip_payments(canonical):
 
 
 def test_parse_rejects_floats(canonical):
-    raw = json.loads(serialize_instance(canonical))
+    raw = json.loads(serialize_document(canonical))
     raw["travelers"][0]["v_max"] = 10.0
     with pytest.raises(ValidationError, match="exact number"):
-        parse_instance(json.dumps(raw))
+        parse_document(json.dumps(raw))
 
 
 def test_parse_rejects_wrong_schema_version(canonical):
-    raw = json.loads(serialize_instance(canonical))
+    raw = json.loads(serialize_document(canonical))
     raw["schema_version"] = 2
     with pytest.raises(ValidationError, match="schema_version"):
-        parse_instance(json.dumps(raw))
+        parse_document(json.dumps(raw))
 
 
 def test_parse_reports_all_errors_at_once(canonical):
-    raw = json.loads(serialize_instance(canonical))
+    raw = json.loads(serialize_document(canonical))
     raw["travelers"][0]["destination"] = raw["travelers"][0]["origin"]
     raw["travelers"][1]["v_min"] = 0.5
     with pytest.raises(ValidationError) as exc:
-        parse_instance(json.dumps(raw))
+        parse_document(json.dumps(raw))
     messages = "\n".join(exc.value.errors)
     assert "origin equals destination" in messages
     assert "exact number" in messages
 
 
 def test_parse_rejects_dangling_edge(canonical):
-    raw = json.loads(serialize_instance(canonical))
+    raw = json.loads(serialize_document(canonical))
     raw["network"]["edges"].append(["e9", "A", "Z"])
     with pytest.raises(ValidationError, match="head"):
-        parse_instance(json.dumps(raw))
+        parse_document(json.dumps(raw))
 
 
 def _vehicle(**fields):
@@ -93,6 +103,12 @@ def _payment_without_inconvenience(raw):
     raw["payments"] = {"T1": {"V1": "5"}}
 
 
+def _negative_explicit_share(raw):
+    """Explicit mode, with V1's share for T1 below zero."""
+    raw["options"]["cost_share_mode"] = "explicit"
+    raw["vehicles"][0]["cost_shares"] = {"T1": "-1", "T2": "2"}
+
+
 def _payment_off_route(raw):
     """A second vehicle V2 drives B->C only, which misses T1's A->C trip;
     the payments price T1 on both vehicles."""
@@ -105,6 +121,36 @@ MALFORMED = [
     pytest.param(_vehicle(capacity="2"), r"capacity '2' is not an integer", id="capacity-string"),
     pytest.param(_vehicle(capacity=2.5), r"capacity 2.5 is not an integer", id="capacity-float"),
     pytest.param(_vehicle(capacity=True), r"capacity True is not an integer", id="capacity-bool"),
+    pytest.param(
+        _document(schema_version=True),
+        r"^document: schema_version must be 1, got True$",
+        id="schema-version-bool",
+    ),
+    pytest.param(
+        _document(schema_version=1.0),
+        r"^document: schema_version must be 1, got 1.0$",
+        id="schema-version-float",
+    ),
+    pytest.param(
+        lambda raw: raw["travelers"].append(raw["travelers"][0]),
+        r"^instance: duplicate traveler id 'T1'$",
+        id="duplicate-traveler",
+    ),
+    pytest.param(
+        lambda raw: raw["vehicles"].append(raw["vehicles"][0]),
+        r"^instance: duplicate vehicle id 'V1'$",
+        id="duplicate-vehicle",
+    ),
+    pytest.param(
+        _document(options={"cost_share_mode": "per_ride"}),
+        r"^instance: unknown cost_share_mode 'per_ride'$",
+        id="unknown-cost-share-mode",
+    ),
+    pytest.param(
+        _negative_explicit_share,
+        r"^vehicle 'V1': cost share for traveler 'T1' negative$",
+        id="negative-explicit-share",
+    ),
     pytest.param(
         lambda raw: raw["travelers"].__setitem__(0, "T1"),
         r"^travelers\[0\]: expected object, got string$",
@@ -191,7 +237,7 @@ MALFORMED = [
 
 @pytest.mark.parametrize("mutate, message", MALFORMED)
 def test_malformed_document_is_a_validation_error(canonical, tmp_path, capsys, mutate, message):
-    raw = json.loads(serialize_instance(canonical))
+    raw = json.loads(serialize_document(canonical))
     mutate(raw)
     text = json.dumps(raw)
     with pytest.raises(ValidationError) as exc:
@@ -204,16 +250,26 @@ def test_malformed_document_is_a_validation_error(canonical, tmp_path, capsys, m
     assert any(re.search(message, line.removeprefix("error: ")) for line in err), err
 
 
+def test_top_level_array_is_a_validation_error(tmp_path, capsys):
+    with pytest.raises(ValidationError) as exc:
+        parse_document("[]")
+    assert exc.value.errors == ["document: top level must be an object"]
+    path = tmp_path / "array.json"
+    path.write_text("[]")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: document: top level must be an object\n"
+
+
 def test_parse_syntax_error_has_position():
     with pytest.raises(ValidationError, match="line 1"):
-        parse_instance("{not json")
+        parse_document("{not json")
 
 
 def test_repeated_malformed_money_is_reported_at_every_location(canonical, tmp_path, capsys):
     """A malformed or over-long money string is reported wherever it
     appears, in document order, even though a well-formed repeated string
     is converted once per document."""
-    raw = json.loads(serialize_instance(canonical))
+    raw = json.loads(serialize_document(canonical))
     for traveler in raw["travelers"]:
         traveler["v_min"] = "x1"
         traveler["inconvenience"]["V1"] = "1e9999"
@@ -291,14 +347,14 @@ def test_money_outside_the_ascii_grammar_exits_2(canonical, tmp_path, capsys, va
     """Underscores, whitespace and non-ASCII digits are outside the money
     grammar, though some Python versions' ``Fraction`` accepts them: a
     document field and a ``--payments`` value holding one both exit 2."""
-    raw = json.loads(serialize_instance(canonical))
+    raw = json.loads(serialize_document(canonical))
     raw["travelers"][0]["v_min"] = value
     path = tmp_path / "odd.json"
     path.write_text(json.dumps(raw))
     assert main(["check", str(path)]) == 2
     message = f"not an exact number: {value!r}"
     assert f"error: traveler 'T1': v_min: {message}" in capsys.readouterr().err
-    path.write_text(serialize_instance(canonical))
+    path.write_text(serialize_document(canonical))
     assert main(["check", str(path), "--payments", f"T1:V1={value}"]) == 2
     assert capsys.readouterr().err == f"error: --payments: {message}\n"
 
@@ -322,7 +378,7 @@ def test_duplicate_keys_are_a_validation_error(canonical, tmp_path, capsys):
 @pytest.fixture
 def canonical_path(canonical, tmp_path):
     path = tmp_path / "instance.json"
-    path.write_text(serialize_instance(canonical))
+    path.write_text(serialize_document(canonical))
     return str(path)
 
 
@@ -398,7 +454,14 @@ def test_cli_generate_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["generate", "--seed", "5", "--n", "3", "--m", "2"]) == 0
     assert capsys.readouterr().out == first
-    parse_instance(first)
+    parse_document(first)
+
+
+def test_cli_generate_degenerate(capsys):
+    assert main(["generate", "--seed", "3", "--n", "5", "--m", "2", "--degenerate"]) == 0
+    expected = serialize_document(generate_instance(3, n=5, m=2, degenerate=True))
+    assert capsys.readouterr().out == expected
+    assert expected != serialize_document(generate_instance(3, n=5, m=2))
 
 
 def test_cli_generate_to_file_then_report(tmp_path, capsys):
@@ -433,7 +496,7 @@ def test_cli_huge_json_integer_exits_2(canonical, tmp_path, capsys):
     """A JSON integer past Python's 4300-digit conversion limit is a
     validation error, not a traceback from the JSON decoder."""
     path = tmp_path / "huge.json"
-    path.write_text(serialize_instance(canonical).replace('"10"', "1" * 5000, 1))
+    path.write_text(serialize_document(canonical).replace('"10"', "1" * 5000, 1))
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: document: Exceeds the limit (4300")
 
@@ -452,7 +515,7 @@ def test_cli_unprintable_derived_value_exits_2(command, tmp_path, capsys):
     """Money within the 4,300-digit rule can derive a valuation whose
     numerator has about 8,600 digits; printing it is a validation error
     with one message, and nothing is written to standard output."""
-    doc = json.loads(serialize_instance(generate_instance(0, n=4, m=2)))
+    doc = json.loads(serialize_document(generate_instance(0, n=4, m=2)))
     t0 = doc["travelers"][0]
     t0["v_max"] = "1e4299"
     t0["inconvenience"] = {vid: "1e-4299" for vid in t0["inconvenience"]}
@@ -471,7 +534,7 @@ def test_cli_oracle_beyond_its_scale_exits_2(command, tmp_path, capsys):
     """A market past the enumeration's guard is a usage error with one
     message, not a traceback, and nothing is written to standard output."""
     path = tmp_path / "large.json"
-    path.write_text(serialize_instance(generate_instance(1, n=11, m=2)))
+    path.write_text(serialize_document(generate_instance(1, n=11, m=2)))
     assert main([command[0], str(path), *command[1:]]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -507,7 +570,7 @@ def test_cli_unencodable_output_exits_2(command, tmp_path):
     """An id that is a lone surrogate parses, but no UTF-8 stream can write
     it: text output is a validation error with one message, and not one
     byte reaches standard output.  Machine output escapes it, as JSON may."""
-    text = serialize_instance(generate_instance(7, n=4, m=2)).replace('"T0"', '"T\\ud800"')
+    text = serialize_document(generate_instance(7, n=4, m=2)).replace('"T0"', '"T\\ud800"')
     path = tmp_path / "surrogate.json"
     path.write_text(text)
     for fmt in ("text", "machine"):
@@ -529,7 +592,7 @@ def test_cli_empty_assignment_is_the_empty_assignment(command, tmp_path, capsys)
     """Only an absent ``--assignment`` means the optimum: an empty one, like
     ``,``, leaves every traveler unassigned."""
     path = tmp_path / "instance.json"
-    path.write_text(serialize_instance(generate_instance(7, n=4, m=2)))
+    path.write_text(serialize_document(generate_instance(7, n=4, m=2)))
     assert main([command, str(path), "--format", "machine"]) in (0, 1)
     assert set(json.loads(capsys.readouterr().out)["assignment"].values()) == {"V0", "V1", None}
     docs = []
@@ -547,7 +610,7 @@ def test_cli_payment_override_off_the_compatible_pairs_exits_2(tmp_path, capsys)
     inst = generate_instance(0, n=4, m=2)
     assert ("T0", "V0") not in inst.compatible_pairs()
     path = tmp_path / "instance.json"
-    path.write_text(serialize_instance(inst))
+    path.write_text(serialize_document(inst))
     assert main(["check", str(path), "--payments", "T0:V0=5"]) == 2
     assert "error: --payments: pair ('T0', 'V0') is not compatible" in capsys.readouterr().err
     assert main(["check", str(path), "--payments", "T9:V1=3"]) == 2
@@ -561,14 +624,36 @@ def test_cli_payment_override_off_the_compatible_pairs_exits_2(tmp_path, capsys)
         ("--payments", "T1:V0=3,T1:V0=4", "--payments: duplicate entry for pair ('T1', 'V0')"),
         # T1 rides V0 at the optimum, so T1=3 prices the same pair
         ("--payments", "T1=3,T1:V0=4", "--payments: duplicate entry for pair ('T1', 'V0')"),
+        # an entry without "=" is malformed, not a duplicate
+        ("--assignment", "T0", "--assignment: entry 'T0' is not TID=VID"),
+        ("--payments", "T0", "--payments: entry 'T0' is not KEY=VALUE"),
     ],
 )
 def test_cli_duplicate_override_exits_2(tmp_path, capsys, option, spec, message):
     inst = generate_instance(0, n=4, m=2)
     path = tmp_path / "instance.json"
-    path.write_text(serialize_instance(inst))
+    path.write_text(serialize_document(inst))
     assert main(["check", str(path), option, spec]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_price_of_an_unassigned_traveler_exits_2(tmp_path, capsys):
+    """``TID=value`` prices the traveler's ride; with no vehicle in the
+    market the traveler rides none."""
+    path = tmp_path / "instance.json"
+    path.write_text(serialize_document(generate_instance(2, n=3, m=0)))
+    assert main(["check", str(path), "--payments", "T0=1"]) == 2
+    message = "error: --payments: traveler 'T0' is unassigned; use TID:VID=value\n"
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "check", "synthesize", "report"])
+def test_cli_cost_share_mode_option_is_a_usage_error(canonical_path, capsys, command):
+    """The document's ``options.cost_share_mode`` alone sets the mode."""
+    assert main([command, canonical_path, "--cost-share-mode", "explicit"]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --cost-share-mode explicit" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_generate_negative_size_exits_2(capsys):
@@ -619,7 +704,7 @@ def _mutated_documents(draw):
     n = draw(st.integers(2, 5))
     m = draw(st.integers(1, min(n, 3)))
     inst = generate_instance(draw(st.integers(0, 30)), n=n, m=m)
-    doc = json.loads(serialize_instance(inst))
+    doc = json.loads(serialize_document(inst))
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["drop", "swap", "pay"]))
         if kind == "pay":

@@ -133,6 +133,25 @@ def test_unknown_ids_raise_incompatible_pair_error():
             call()
 
 
+def test_unknown_ids_raise_validation_error(canonical):
+    calls = [
+        (lambda: canonical.traveler("T9"), "instance: unknown traveler id 'T9'"),
+        (lambda: canonical.vehicle("V9"), "instance: unknown vehicle id 'V9'"),
+        (
+            lambda: validate_assignment(canonical, Assignment({"T9": "V1"})),
+            "assignment: unknown traveler id 'T9'",
+        ),
+        (
+            lambda: validate_assignment(canonical, Assignment({"T1": "V9"})),
+            "assignment: unknown vehicle id 'V9'",
+        ),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert exc.value.errors == [message]
+
+
 def test_surplus_without_inconvenience_entry_names_the_pair(canonical):
     bare = Traveler("T3", ODPair("A", "C"), v_max=F(5), v_min=F(0), inconvenience={})
     inst = MarketInstance(canonical.network, canonical.travelers + (bare,), canonical.vehicles)
@@ -219,6 +238,8 @@ def test_utility(canonical):
     assert utility(canonical, "T1", "V1", F(3)) == 5
     assert utility(canonical, "T1", "V1", F(8)) == 0
     assert utility(canonical, "T1", None, F(0)) == 0
+    with pytest.raises(ValidationError, match=r"^payment for \('T1', 'V1'\) is negative$"):
+        utility(canonical, "T1", "V1", F(-1))
 
 
 def test_surplus_matrix(canonical):
@@ -248,6 +269,10 @@ def test_welfare_paper(canonical):
     assert welfare_paper(canonical, nobody, t) == 4
     only_t1 = Assignment({"T1": "V1", "T2": None})
     assert welfare_paper(canonical, only_t1, t) == 5
+    short = PaymentSchedule({("T1", "V1"): F(3)})
+    with pytest.raises(ValidationError) as exc:
+        welfare_paper(canonical, both, short)
+    assert exc.value.errors == ["welfare: no payment for assigned pair ('T2', 'V1')"]
 
 
 def test_welfare_surplus(canonical):

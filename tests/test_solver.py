@@ -11,6 +11,7 @@ from rideshare_market import (
     OracleScaleError,
     PaymentSchedule,
     Traveler,
+    ValidationError,
     Vehicle,
     CertificateError,
     assignment_lp_relaxation,
@@ -284,6 +285,10 @@ def test_fixed_payment_objective(canonical):
     res = solve_optimal_assignment(canonical, payments=t)
     assert res.assignment.mapping == {"T1": None, "T2": "V1"}
     assert res.objective == 5
+    short = PaymentSchedule({("T1", "V1"): F(3)})
+    with pytest.raises(ValidationError) as exc:
+        solve_optimal_assignment(canonical, payments=short)
+    assert exc.value.errors == ["objective: no payment for compatible pair ('T2', 'V1')"]
 
 
 def test_determinism(canonical):

@@ -30,7 +30,7 @@ from rideshare_market import (
 )
 from rideshare_market.cli import main
 from rideshare_market.generate import generate_instance
-from rideshare_market.instance_io import serialize_document, serialize_instance
+from rideshare_market.instance_io import serialize_document
 
 
 def test_package_has_no_assert_statements():
@@ -65,7 +65,7 @@ def test_production_paths_build_no_dense_lp(canonical, tmp_path, monkeypatch, ca
     ]
     assert [res.feasible for res in results] == [True, True, False, False]
     path = tmp_path / "instance.json"
-    path.write_text(serialize_instance(canonical))
+    path.write_text(serialize_document(canonical))
     assert main(["check", str(path)]) == 0
     assert main(["report", str(path)]) == 0
     capsys.readouterr()
@@ -178,7 +178,7 @@ def test_oracles_do_not_read_the_solver_weights(monkeypatch):
         _, outcome = assignment_lp_relaxation(inst, payments=fixed)
         assert isinstance(outcome, lp.Optimal) and outcome.value == res.objective
     inst, fixed, _ = cases[-1]
-    short = dict(list(fixed.entries.items())[1:])
+    short = PaymentSchedule(dict(list(fixed.entries.items())[1:]))
     for oracle in (oracle_optimum, assignment_lp_relaxation):
         with pytest.raises(ValidationError, match="no payment for compatible pair"):
             oracle(inst, payments=short)
@@ -186,21 +186,23 @@ def test_oracles_do_not_read_the_solver_weights(monkeypatch):
 
 def test_production_modules_do_not_import_the_simplex():
     """Importing the solver, allocation and the CLI, and so the package,
-    leaves the simplex unloaded; the package's ``lp`` names load it on
-    first use."""
+    leaves the simplex unloaded, and the package does not re-export the
+    simplex's names: they are imported from ``rideshare_market.lp``."""
     code = (
         "import sys\n"
         "import rideshare_market.solver, rideshare_market.allocation, rideshare_market.cli\n"
         "print('rideshare_market.lp' in sys.modules)\n"
-        "from rideshare_market import LPProblem, lp\n"
-        "print('rideshare_market.lp' in sys.modules, LPProblem is lp.LPProblem)\n"
+        "try:\n"
+        "    rideshare_market.LPProblem\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
     )
     src = str(Path(rideshare_market.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout
-    assert out.split() == ["False", "True", "True"]
+    assert out.split() == ["False", "AttributeError"]
 
 
 def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, capsys):
@@ -258,7 +260,7 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
     solve_optimal_assignment(inst)
     for path, text in (
         (tmp_path / "canonical.json", serialize_document(canonical, payments)),
-        (tmp_path / "generated.json", serialize_instance(inst)),
+        (tmp_path / "generated.json", serialize_document(inst)),
     ):
         path.write_text(text)
         for command in ("solve", "check", "synthesize", "report"):
@@ -403,7 +405,7 @@ def test_each_command_solves_the_matching_once(tmp_path, monkeypatch, capsys):
     priced = tmp_path / "priced.json"
     priced.write_text(serialize_document(inst, synth.schedule))
     plain = tmp_path / "plain.json"
-    plain.write_text(serialize_instance(inst))
+    plain.write_text(serialize_document(inst))
     tid = a.assigned_pairs()[0][0]
     solve = _counted(calls, "solve", solve_optimal_assignment)
     monkeypatch.setattr(cli, "solve_optimal_assignment", solve)
