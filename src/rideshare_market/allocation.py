@@ -39,9 +39,12 @@ class PaymentSchedule:
     entries: dict
 
     def __post_init__(self):
-        entries = {k: _money(v) for k, v in self.entries.items()}
+        entries, bad = {}, []
+        for k, v in self.entries.items():
+            entries[k] = v = _money(v)
+            if v.numerator < 0:
+                bad.append(k)
         object.__setattr__(self, "entries", entries)
-        bad = [k for k, v in entries.items() if v.numerator < 0]
         if bad:
             raise ValidationError([f"payment for pair {k} is negative" for k in bad])
 
@@ -145,11 +148,15 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
         # the payment is rho + share: the literal identity reads
         # pi + rho == valuation - payment - share
         eq8[pair] = pi + rho == (value - 2 * share) * lift - rho
+    # off the match, the membership tests first: most entries fail them
+    riders = a.riders
     for pair, rho in alloc.rho.items():
-        if rho and pair[1] not in a.riders:
+        if pair[1] not in riders and rho:
             violations.append(Violation("idle_vehicle_profit", pair, rho, _ZERO))
+    # a traveler is unassigned exactly when vehicle_of reads UNASSIGNED
+    assigned = {tid for tid, _ in matched}
     for pair, pi in alloc.pi.items():
-        if pi and a.vehicle_of(pair[0]) is UNASSIGNED:
+        if pair[0] not in assigned and pi:
             violations.append(Violation("unassigned_traveler_profit", pair, pi, _ZERO))
     return CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
 

@@ -76,7 +76,9 @@ def _parse_money(value, where, errors, memo):
     """The exact value of one money field, or ``0`` with an error naming
     ``where``.  ``memo`` maps each string already converted without error
     in this document to its value, so a repeated string is converted once;
-    a malformed one is converted, and reported, at every location."""
+    a malformed one is converted, and reported, at every location.  A
+    caller in a loop looks a string up in ``memo`` itself, before it
+    formats ``where``."""
     if isinstance(value, str) and value in memo:
         return memo[value]
     try:
@@ -168,8 +170,9 @@ def parse_document(text: str) -> InstanceDocument:
     except ValidationError as exc:
         errors.extend(exc.errors)
 
-    travelers = []
+    travelers, tids = [], set()
     for tid, entry in _entities(doc, "travelers", errors):
+        tids.add(tid)
         where = f"traveler {tid!r}"
         ends = [entry.get("origin"), entry.get("destination")]
         if not _strings(ends, f"{where}: origin or destination", errors):
@@ -190,7 +193,9 @@ def parse_document(text: str) -> InstanceDocument:
                     v_max=_parse_money(entry.get("v_max", 0), f"{where}: v_max", errors, memo),
                     v_min=_parse_money(entry.get("v_min", 0), f"{where}: v_min", errors, memo),
                     inconvenience={
-                        vid: _parse_money(phi, f"{where}: inconvenience[{vid!r}]", errors, memo)
+                        vid: memo[phi]
+                        if type(phi) is str and phi in memo
+                        else _parse_money(phi, f"{where}: inconvenience[{vid!r}]", errors, memo)
                         for vid, phi in inconvenience.items()
                     },
                 )
@@ -198,8 +203,9 @@ def parse_document(text: str) -> InstanceDocument:
         except ValidationError as exc:
             errors.extend(exc.errors)
 
-    vehicles = []
+    vehicles, vids = [], set()
     for vid, entry in _entities(doc, "vehicles", errors):
+        vids.add(vid)
         where = f"vehicle {vid!r}"
         route = _typed(entry.get("route", []), list, f"{where}: route", errors, [])
         if not _strings(route, f"{where}: route edge", errors):
@@ -212,7 +218,9 @@ def parse_document(text: str) -> InstanceDocument:
         shares = entry.get("cost_shares")
         if shares is not None:
             shares = {
-                t: _parse_money(s, f"{where}: cost_shares[{t!r}]", errors, memo)
+                t: memo[s]
+                if type(s) is str and s in memo
+                else _parse_money(s, f"{where}: cost_shares[{t!r}]", errors, memo)
                 for t, s in _typed(shares, dict, f"{where}: cost_shares", errors, {}).items()
             }
         try:
@@ -229,6 +237,21 @@ def parse_document(text: str) -> InstanceDocument:
             )
         except ValidationError as exc:
             errors.extend(exc.errors)
+
+    # an id in an inconvenience or cost_shares table names an entity of the
+    # document, even one whose other fields are in error
+    errors += [
+        f"traveler {t.id!r}: inconvenience: unknown vehicle id {vid!r}"
+        for t in travelers
+        for vid in t.inconvenience
+        if vid not in vids
+    ]
+    errors += [
+        f"vehicle {v.id!r}: cost_shares: unknown traveler id {tid!r}"
+        for v in vehicles
+        for tid in v.cost_shares or ()
+        if tid not in tids
+    ]
 
     options = _typed(doc.get("options", {}), dict, "options", errors, {})
     mode = options.get("cost_share_mode", "per_seat")
@@ -247,7 +270,6 @@ def parse_document(text: str) -> InstanceDocument:
     payments = None
     if doc.get("payments") is not None:
         entries = {}
-        tids, vids = {t.id for t in travelers}, {v.id for v in vehicles}
         compatible = instance.compatibility.scaled
         for tid, row in _typed(doc["payments"], dict, "payments", errors, {}).items():
             if tid not in tids:
@@ -261,8 +283,10 @@ def parse_document(text: str) -> InstanceDocument:
                 if pair not in compatible:
                     errors.append(f"payments: pair {pair!r} is not compatible")
                     continue
-                entries[pair] = _parse_money(
-                    value, f"payments: [{tid!r}][{vid!r}]", errors, memo
+                entries[pair] = (
+                    memo[value]
+                    if type(value) is str and value in memo
+                    else _parse_money(value, f"payments: [{tid!r}][{vid!r}]", errors, memo)
                 )
         if errors:
             raise ValidationError(errors)

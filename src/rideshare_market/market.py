@@ -1,10 +1,13 @@
 """Travelers, vehicles, market instances, and every scalar market formula.
 
 Money enters and leaves as :class:`fractions.Fraction`; the package never
-rounds.  The pair table holds each compatible pair's terms as ``int``s over
-the instance's least common denominator, and the checkers compare those
-integers; ``Fraction``s appear only in :class:`PairTerms`, violations and
-output.
+rounds.  The range checks of :class:`Traveler` (``0 <= v_min <= v_max`` and
+``0 <= inconvenience <= v_max``) run once, as the traveler is built, on
+integers: each bound and value as ``numerator / denominator``,
+cross-multiplied.  The pair table holds each compatible pair's terms as
+``int``s over the instance's least common denominator, and the checkers
+compare those integers; ``Fraction``s appear only in :class:`PairTerms`,
+violations and output.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import NamedTuple
 
 from rideshare_market.errors import IncompatiblePairError, ValidationError
 from rideshare_market.network import (
-    Network, ODPair, Route, route_vertex_sequence, validate_od, visits_in_order
+    Network, ODPair, Route, route_vertex_sequence, validate_od
 )
 
 #: Sentinel marking a traveler that rides no vehicle.
@@ -31,7 +34,8 @@ _ZERO = Fraction(0)
 
 
 def _money(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    # ``type`` first: ``isinstance(x, Fraction)`` goes through ``ABCMeta``, which is slow
+    return x if type(x) is Fraction or isinstance(x, Fraction) else Fraction(x)
 
 
 def scale_to_integers(values, den=1):
@@ -42,11 +46,14 @@ def scale_to_integers(values, den=1):
     shortest paths and inequalities over ``ints`` are those over
     ``values``, with every value ``D`` times larger."""
     ratios = [v.as_integer_ratio() for v in values]
-    cofactor = dict.fromkeys({d for _, d in ratios})
-    # the small denominators first, so that only one step meets a large den
-    common = math.lcm(den, math.lcm(*cofactor))
-    for d in cofactor:
-        cofactor[d] = common // d
+    distinct = {d for _, d in ratios}
+    # reduced pairwise in a balanced tree, two large operands meet only near
+    # the root; left to right, every step multiplies a growing big integer
+    lcms = list(distinct)
+    while len(lcms) > 2:
+        lcms = [math.lcm(*lcms[k : k + 2]) for k in range(0, len(lcms), 2)]
+    common = math.lcm(den, *lcms)
+    cofactor = {d: common // d for d in distinct}
     return common, [n * cofactor[d] for n, d in ratios]
 
 
@@ -61,20 +68,25 @@ class Traveler:
     inconvenience: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "v_max", _money(self.v_max))
-        object.__setattr__(self, "v_min", _money(self.v_min))
-        object.__setattr__(
-            self, "inconvenience", {k: _money(v) for k, v in self.inconvenience.items()}
-        )
+        v_max, v_min = _money(self.v_max), _money(self.v_min)
+        object.__setattr__(self, "v_max", v_max)
+        object.__setattr__(self, "v_min", v_min)
+        # 0 <= n/d <= hi/hd as integers: n >= 0 and n * hd <= hi * d, for d, hd > 0
+        hi, hd = v_max.as_integer_ratio()
+        n, d = v_min.as_integer_ratio()
         errors = []
-        if not 0 <= self.v_min <= self.v_max:
+        if not (n >= 0 and n * hd <= hi * d):
             errors.append(f"traveler {self.id!r}: needs 0 <= v_min <= v_max")
+        inconvenience = {}
         for vid, phi in self.inconvenience.items():
-            if not 0 <= phi <= self.v_max:
+            inconvenience[vid] = phi = _money(phi)
+            n, d = phi.as_integer_ratio()
+            if not (n >= 0 and n * hd <= hi * d):
                 errors.append(
                     f"traveler {self.id!r}: inconvenience for vehicle {vid!r} "
                     f"outside [0, v_max]"
                 )
+        object.__setattr__(self, "inconvenience", inconvenience)
         if errors:
             raise ValidationError(errors)
 
@@ -177,17 +189,24 @@ class MarketInstance:
             except ValidationError as exc:
                 errors.extend(f"traveler {t.id!r}: {m}" for m in exc.errors)
         seen = set()
-        # each route's vertex sequence: walked once, here, and read by the pair table
-        sequences = {}
+        # each route's first and last position of every vertex it visits:
+        # walked once, here, and read by the pair table
+        positions = []
         for v in self.vehicles:
             if v.id in seen:
                 errors.append(f"instance: duplicate vehicle id {v.id!r}")
             seen.add(v.id)
             try:
-                sequences[v.id] = route_vertex_sequence(self.network, v.route)
+                seq = route_vertex_sequence(self.network, v.route)
             except ValidationError as exc:
                 errors.append(f"vehicle {v.id!r}: {exc}")
-        object.__setattr__(self, "_sequences", sequences)
+                continue
+            first, last = {}, {}
+            for pos, x in enumerate(seq):
+                first.setdefault(x, pos)
+                last[x] = pos
+            positions.append((first, last))
+        object.__setattr__(self, "_positions", positions)
         if errors:
             raise ValidationError(errors)
         if self.cost_share_mode == EXPLICIT:
@@ -225,32 +244,51 @@ class MarketInstance:
         ``v_min`` and the pairs' inconvenience and cost share.  In explicit
         mode a compatible pair without a cost share is a validation error."""
         explicit = self.cost_share_mode == EXPLICIT
-        per_seat = {v.id: v.operating_cost / v.capacity for v in self.vehicles}
-        pairs, money, errors = [], [], []
+        index = {v.id: k for k, v in enumerate(self.vehicles)}
+        # per pair: its ids, its vehicle's index and its inconvenience; its
+        # explicit share, or in per-seat mode one share per served vehicle
+        pairs, cols, phis, shares, errors = [], [], [], [], []
         for t in self.travelers:
-            for v in self.vehicles:
-                phi = t.inconvenience.get(v.id)
-                if phi is None or not visits_in_order(self._sequences[v.id], t.od):
+            origin, destination = t.od.origin, t.od.destination
+            # the traveler's own entries, in vehicle order; an unknown id names no vehicle
+            own = [(index[vid], phi) for vid, phi in t.inconvenience.items() if vid in index]
+            own.sort()
+            for k, phi in own:
+                v = self.vehicles[k]
+                first, last = self._positions[k]
+                # the route picks up before it drops off: see visits_in_order
+                pickup = first.get(origin)
+                if pickup is None or pickup >= last.get(destination, -1):
                     continue
-                share = (v.cost_shares or {}).get(t.id) if explicit else per_seat[v.id]
-                if share is None:
-                    errors.append(
-                        f"vehicle {v.id!r}: explicit mode but no cost share for "
-                        f"compatible traveler {t.id!r}"
-                    )
-                    continue
+                if explicit:
+                    share = (v.cost_shares or {}).get(t.id)
+                    if share is None:
+                        errors.append(
+                            f"vehicle {v.id!r}: explicit mode but no cost share for "
+                            f"compatible traveler {t.id!r}"
+                        )
+                        continue
+                    shares.append(share)
                 pairs.append((t.id, v.id))
-                money += (phi, share)
+                cols.append(k)
+                phis.append(phi)
         if errors:
             raise ValidationError(errors)
+        if not explicit:
+            served = sorted(set(cols))
+            shares = [self.vehicles[k].operating_cost / self.vehicles[k].capacity for k in served]
         bounds = [x for t in self.travelers for x in (t.v_max, t.v_min)]
-        den, ints = scale_to_integers(bounds + money)
-        # ints: v_max and v_min per traveler, then phi and share per pair
-        tids, k = [t.id for t in self.travelers], len(bounds)
-        v_max = dict(zip(tids, ints[0:k:2]))
-        v_min = dict(zip(tids, ints[1:k:2]))
+        den, ints = scale_to_integers(bounds + phis + shares)
+        # ints: v_max and v_min per traveler, phi per pair, then the shares
+        tids, b, p = [t.id for t in self.travelers], len(bounds), len(bounds) + len(phis)
+        v_max = dict(zip(tids, ints[0:b:2]))
+        v_min = dict(zip(tids, ints[1:b:2]))
+        shares = ints[p:]
+        if not explicit:
+            seat = dict(zip(served, shares))
+            shares = [seat[k] for k in cols]
         scaled = {}
-        for pair, phi, share in zip(pairs, ints[k::2], ints[k + 1 :: 2]):
+        for pair, phi, share in zip(pairs, ints[b:p], shares):
             value = v_max[pair[0]] - phi
             scaled[pair] = (value, share, value - share)
         return CompatibilityMatrix(den, scaled, v_min)

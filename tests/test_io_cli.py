@@ -218,6 +218,16 @@ MALFORMED = [
         id="payment-route-misses-trip",
     ),
     pytest.param(
+        lambda raw: raw["travelers"][0]["inconvenience"].update(V9="1"),
+        r"^traveler 'T1': inconvenience: unknown vehicle id 'V9'$",
+        id="inconvenience-unknown-vehicle",
+    ),
+    pytest.param(
+        _vehicle(cost_shares={"T1": "1", "T9": "1"}),
+        r"^vehicle 'V1': cost_shares: unknown traveler id 'T9'$",
+        id="cost-shares-unknown-traveler",
+    ),
+    pytest.param(
         _vehicle(operating_cost="-1"),
         r"^vehicle 'V1': operating cost must be nonnegative$",
         id="entity-prefix-once",
@@ -248,6 +258,26 @@ def test_malformed_document_is_a_validation_error(canonical, tmp_path, capsys, m
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert any(re.search(message, line.removeprefix("error: ")) for line in err), err
+
+
+def test_unknown_ids_are_reported_after_both_sections(canonical):
+    """An inconvenience or cost_shares id must name an entity of the
+    document, in either cost-share mode.  An entity with an error of its
+    own still has a known id, so it draws no second message."""
+    raw = json.loads(serialize_document(canonical))
+    raw["options"]["cost_share_mode"] = "explicit"
+    raw["travelers"][1]["inconvenience"].update({"V9": "1", "": "0"})
+    raw["vehicles"][0]["cost_shares"] = {"T1": "1", "T2": "1", "T0": "1"}
+    raw["vehicles"].append({**raw["vehicles"][0], "id": "V2", "capacity": 0, "cost_shares": {}})
+    raw["travelers"][0]["inconvenience"]["V2"] = "1"
+    with pytest.raises(ValidationError) as exc:
+        parse_document(json.dumps(raw))
+    assert exc.value.errors == [
+        "vehicle 'V2': capacity must be >= 1",
+        "traveler 'T2': inconvenience: unknown vehicle id 'V9'",
+        "traveler 'T2': inconvenience: unknown vehicle id ''",
+        "vehicle 'V1': cost_shares: unknown traveler id 'T0'",
+    ]
 
 
 def test_top_level_array_is_a_validation_error(tmp_path, capsys):

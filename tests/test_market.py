@@ -1,4 +1,7 @@
+import functools
+import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +29,8 @@ from rideshare_market import (
     welfare_surplus,
 )
 from rideshare_market.generate import generate_instance
-from rideshare_market.market import validate_assignment
+from rideshare_market.market import scale_to_integers, validate_assignment
+from rideshare_market.network import route_vertex_sequence
 from rideshare_market.oracles import enumerate_assignments
 from rideshare_market.solver import solve_optimal_assignment
 
@@ -58,6 +62,70 @@ def test_traveler_invariants():
         Traveler("T", ODPair("A", "B"), v_max=F(1), v_min=F(2), inconvenience={})
     with pytest.raises(ValidationError, match="inconvenience"):
         Traveler("T", ODPair("A", "B"), v_max=F(1), v_min=F(0), inconvenience={"V": F(2)})
+
+
+#: two Mersenne primes: fractions over them are never equal, only close
+P1, P2 = 2**127 - 1, 2**89 - 1
+
+
+@pytest.mark.parametrize(
+    "v_max, v_min, phis",
+    [
+        pytest.param(F(7, 3), F(7, 3), [F(7, 3), F(0), 0], id="phi-and-v_min-at-the-bounds"),
+        pytest.param(
+            F(3**80, P1),
+            F(0),
+            [F(3**80 * P2 // P1 + 1, P2), F(3**80 * P2 // P1, P2)],
+            id="phi-just-above-and-below-v_max",
+        ),
+        pytest.param(F(5), F(-1, P1), [F(1), F(-1, P2)], id="negative-v_min-and-phi"),
+        pytest.param(F(5, P2), F(6, P2), [F(5, P2), F(11, 2 * P2)], id="v_min-above-v_max"),
+        pytest.param(5, 0, [5, 6, "1/2"], id="plain-numbers"),
+    ],
+)
+def test_range_checks_match_fraction_comparisons(v_max, v_min, phis):
+    """The integer range checks give the messages, in the order, of the
+    plain ``Fraction`` comparisons ``0 <= v_min <= v_max`` and
+    ``0 <= phi <= v_max``."""
+    inconvenience = {f"V{k}": phi for k, phi in enumerate(phis)}
+    hi, lo = F(v_max), F(v_min)
+    expected = ["traveler 'T': needs 0 <= v_min <= v_max"] if not 0 <= lo <= hi else []
+    expected += [
+        f"traveler 'T': inconvenience for vehicle {vid!r} outside [0, v_max]"
+        for vid, phi in inconvenience.items()
+        if not 0 <= F(phi) <= hi
+    ]
+    try:
+        t = Traveler("T", ODPair("A", "B"), v_max, v_min, inconvenience)
+    except ValidationError as exc:
+        assert exc.errors == expected
+    else:
+        assert expected == []
+        assert (t.v_max, t.v_min) == (hi, lo)
+        assert t.inconvenience == {vid: F(phi) for vid, phi in inconvenience.items()}
+        assert all(type(x) is F for x in (t.v_max, t.v_min, *t.inconvenience.values()))
+
+
+def test_scale_to_integers_equals_the_sequential_reduction():
+    """The balanced lcm gives the left-to-right ``math.lcm`` reduction's
+    denominator and integers, on random and on prime denominators, odd and
+    even counts among them."""
+    rng = random.Random(16)
+    primes = [p for p in range(2, 3000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    cases = [
+        primes,
+        primes[-7:],
+        [rng.randint(1, 10**6) for _ in range(501)],
+        [rng.choice(primes) * rng.choice(primes) for _ in range(64)],
+        [P1, P2, P1 * 3],
+        [1],
+        [],
+    ]
+    for dens in cases:
+        values = [F(rng.randint(-50, 50), d) for d in dens]
+        for den in (1, 12, P2):
+            expected = functools.reduce(math.lcm, [v.denominator for v in values], den)
+            assert scale_to_integers(values, den) == (expected, [v * expected for v in values])
 
 
 def test_vehicle_invariants():
@@ -213,6 +281,130 @@ def test_pair_table_matches_independent_derivation():
         for v in inst.vehicles:
             assert inst.compatibility[("T99", v.id)] is False
     assert explicit_pairs > 50
+
+
+def _reference_table(network, travelers, vehicles, mode):
+    """``(den, scaled, v_min)`` pair by pair, from :func:`covers` and
+    ``Fraction`` arithmetic, in (traveler, vehicle) order; or the list of
+    missing explicit shares, in the order the pair table reports them."""
+    terms, errors = {}, []
+    for t in travelers:
+        for v in vehicles:
+            if v.id not in t.inconvenience or not covers(network, v.route, t.od):
+                continue
+            if mode == "explicit" and t.id not in (v.cost_shares or {}):
+                errors.append(
+                    f"vehicle {v.id!r}: explicit mode but no cost share for "
+                    f"compatible traveler {t.id!r}"
+                )
+                continue
+            share = v.cost_shares[t.id] if mode == "explicit" else v.operating_cost / v.capacity
+            terms[(t.id, v.id)] = (t.inconvenience[v.id], share)
+    if errors:
+        return errors
+    money = [x for t in travelers for x in (t.v_max, t.v_min)]
+    money += [x for phi_share in terms.values() for x in phi_share]
+    den = functools.reduce(math.lcm, (x.denominator for x in money), 1)
+
+    def whole(x):
+        assert (x * den).denominator == 1
+        return int(x * den)
+
+    v_max = {t.id: t.v_max for t in travelers}
+    scaled = {}
+    for (tid, vid), (phi, share) in terms.items():
+        value = v_max[tid] - phi
+        scaled[(tid, vid)] = (whole(value), whole(share), whole(value - share))
+    return den, scaled, {t.id: whole(t.v_min) for t in travelers}
+
+
+def _walk_market(rng):
+    """A market on a four-vertex complete digraph whose routes are random
+    walks, so that most of them repeat a vertex.  Vehicle ids are not in
+    sorted order, inconvenience tables list them in random order, and some
+    entries name no vehicle or a vehicle that misses the trip."""
+    vertices = "ABCD"
+    edges = tuple(Edge(u + v, u, v) for u in vertices for v in vertices if u != v)
+    network = Network(frozenset(vertices), edges)
+    vehicles = []
+    for vid in rng.sample(["V10", "V2", "V1", "V33", "V4"], rng.randint(1, 5)):
+        at, route = rng.choice(vertices), []
+        for _ in range(rng.randint(1, 6)):
+            step = rng.choice([v for v in vertices if v != at])
+            route.append(at + step)
+            at = step
+        cost = F(rng.randint(0, 20), rng.choice((1, 2, 3, 5, 7)))
+        vehicles.append(Vehicle(vid, Route(tuple(route)), rng.randint(1, 7), cost))
+    travelers = []
+    for i in range(rng.randint(1, 7)):
+        v_max = F(rng.randint(0, 30), rng.choice((1, 2, 3, 4, 11)))
+        entries = rng.sample(vehicles, rng.randint(0, len(vehicles)))
+        inconvenience = {v.id: v_max * F(rng.randint(0, 6), 6) for v in entries}
+        if rng.random() < 0.2:
+            inconvenience["V99"] = v_max / 13
+        od = ODPair(*rng.sample(vertices, 2))
+        travelers.append(Traveler(f"T{i}", od, v_max, v_max * F(rng.randint(0, 4), 4), inconvenience))
+    return network, tuple(travelers), tuple(vehicles)
+
+
+def test_pair_table_matches_a_pair_by_pair_reference():
+    """``den``, ``scaled``, ``v_min`` and the pair order equal a reference
+    built pair by pair from ``covers`` and ``Fraction``s: on generated
+    markets, degenerate ones too, and on random-walk routes that repeat
+    vertices, in both cost-share modes; in explicit mode a missing share
+    raises the reference's messages in its order."""
+    rng = random.Random(16)
+    markets = []
+    for seed in range(60):
+        inst = generate_instance(seed, n=1 + seed % 9, m=1 + seed % 5, degenerate=seed % 2 == 0)
+        markets.append((inst.network, inst.travelers, inst.vehicles))
+    markets += [_walk_market(rng) for _ in range(300)]
+    repeats = missing = 0
+    for network, travelers, vehicles in markets:
+        shares = {
+            v.id: {t.id: F(rng.randint(0, 9), rng.choice((1, 2, 7))) for t in travelers if rng.random() < 0.9}
+            for v in vehicles
+        }
+        explicit = tuple(
+            Vehicle(v.id, v.route, v.capacity, v.operating_cost, shares[v.id]) for v in vehicles
+        )
+        for mode, fleet in (("per_seat", vehicles), ("explicit", explicit)):
+            expected = _reference_table(network, travelers, fleet, mode)
+            if isinstance(expected, list):
+                missing += 1
+                with pytest.raises(ValidationError) as exc:
+                    MarketInstance(network, travelers, fleet, cost_share_mode=mode)
+                assert exc.value.errors == expected
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                table = MarketInstance(network, travelers, fleet, cost_share_mode=mode).compatibility
+            den, scaled, v_min = expected
+            assert (table.den, table.scaled, table.v_min) == (den, scaled, v_min)
+            assert list(table.scaled) == list(scaled)
+            assert all(type(x) is int for terms in table.scaled.values() for x in terms)
+            stops = {v.id: route_vertex_sequence(network, v.route) for v in fleet}
+            repeats += sum(len(set(stops[vid])) < len(stops[vid]) for _, vid in scaled)
+    assert repeats > 100 and missing > 20
+
+
+def test_pair_table_den_ignores_money_off_the_pairs(canonical):
+    """A vehicle without a compatible pair, and an inconvenience entry for
+    a vehicle that misses the trip or names none, leave ``den`` as it is."""
+    base = canonical.compatibility
+    # B->A misses both trips; 1/7 a seat and 1/11 of inconvenience enter no pair
+    net = Network(
+        canonical.network.vertices, canonical.network.edges + (Edge("e3", "B", "A"),)
+    )
+    idle = Vehicle("V2", Route(("e3",)), capacity=7, operating_cost=F(1))
+    travelers = tuple(
+        Traveler(t.id, t.od, t.v_max, t.v_min, {"V2": F(1, 11), **t.inconvenience, "V9": F(1, 13)})
+        for t in canonical.travelers
+    )
+    inst = MarketInstance(net, travelers, canonical.vehicles + (idle,))
+    table = inst.compatibility
+    assert (table.den, table.scaled, table.v_min) == (base.den, base.scaled, base.v_min)
+    assert inst.compatible_vehicles("T1") == ["V1"]
 
 
 def test_riders_follow_the_mapping():
