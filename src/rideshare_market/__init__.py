@@ -5,17 +5,18 @@ vehicles running fixed routes.  The package computes welfare-optimal
 assignments exactly (rational arithmetic throughout), constructs and
 verifies traveler-vehicle profit allocations, and synthesizes stable
 payment schedules as shortest paths over difference constraints.  The
-checkers, the matching, its dual certificate and the synthesis all read
-one integer pair table over a common denominator; ``Fraction``s are made
-only for results: the pair terms, objectives, certificates, violations
-and output.  Each optimum carries a dual certificate of seat prices from
-one Bellman-Ford run over its vehicles; each impossible schedule carries
-Farkas multipliers read off a negative cycle, checked exactly over the
-sparse stability rows.  The exact simplex in :mod:`rideshare_market.lp`
-and the brute force in :mod:`rideshare_market.oracles` serve as test
-oracles; no production path imports the simplex, and its names are
-imported from :mod:`rideshare_market.lp` itself.  A payment matrix
-enters every function as a :class:`PaymentSchedule`, which checks it once.
+checkers, the matching, its dual certificate, the synthesis and the scalar
+formulas all read one integer pair table over a common denominator,
+``CompatibilityMatrix.entries``; ``Fraction``s are made only for results:
+the formulas' answers, objectives, certificates, violations and output.
+Each optimum carries a dual certificate of seat prices from one
+Bellman-Ford run over its vehicles; each impossible schedule carries Farkas
+multipliers read off a negative cycle, checked exactly over the sparse
+stability rows.  The exact simplex in :mod:`rideshare_market.lp` and the
+brute force in :mod:`rideshare_market.oracles` serve as test oracles; no
+production path imports the simplex, and its names are imported from
+:mod:`rideshare_market.lp` itself.  A payment matrix enters every function
+as a :class:`PaymentSchedule`, which checks it once.
 """
 
 from rideshare_market.errors import (

@@ -107,10 +107,10 @@ def compute_profits(inst: MarketInstance, a: Assignment, t: PaymentSchedule) -> 
         pays.append(pay)
     common, pays = scale_to_integers(pays, matrix.den)
     lift = common // matrix.den
-    pi = dict.fromkeys(matrix.scaled, _ZERO)
-    rho = dict.fromkeys(matrix.scaled, _ZERO)
+    pi = dict.fromkeys(matrix.entries, _ZERO)
+    rho = dict.fromkeys(matrix.entries, _ZERO)
     for pair, pay in zip(matched, pays):
-        value, share, _ = matrix.scaled[pair]
+        value, share, _ = matrix.entries[pair]
         rho[pair] = Fraction(pay - share * lift, common)
         pi[pair] = Fraction((value - matrix.v_min[pair[0]]) * lift - pay, common)
     return ProfitAllocation(pi=pi, rho=rho)
@@ -136,7 +136,7 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
     violations = []
     eq8 = {}
     for pair, pi, rho in zip(matched, ints, ints[len(matched) :]):
-        value, share, surplus = matrix.scaled[pair]
+        value, share, surplus = matrix.entries[pair]
         if pi < 0:
             violations.append(Violation("pi_nonneg", pair, alloc.pi[pair], _ZERO))
         if rho < 0:
@@ -186,8 +186,8 @@ def check_payments(
     if not feas.verdict:
         return feas, None
     matrix = inst.compatibility
-    common, pays = scale_to_integers([t.entries[p] for p in matrix.scaled], matrix.den)
-    pay = dict(zip(matrix.scaled, pays))
+    common, pays = scale_to_integers([t.entries[p] for p in matrix.entries], matrix.den)
+    pay = dict(zip(matrix.entries, pays))
     lift = common // matrix.den
     violations = []
     if classic_core:
@@ -197,14 +197,14 @@ def check_payments(
         for vid, riders in a.riders.items():
             if len(riders) >= inst.vehicle(vid).capacity:
                 seat[vid] = min(
-                    pay[(tid, vid)] - matrix.scaled[(tid, vid)][1] * lift for tid in riders
+                    pay[(tid, vid)] - matrix.entries[(tid, vid)][1] * lift for tid in riders
                 )
         # a rider's utility, valuation - payment, is >= v_min >= 0 once the
         # allocation is feasible (pi_nonneg); the unassigned have 0
         util = {trav.id: 0 for trav in inst.travelers}
         for pair in a.assigned_pairs():
-            util[pair[0]] = matrix.scaled[pair][0] * lift - pay[pair]
-        for (tid, vid), (_, _, surplus) in matrix.scaled.items():
+            util[pair[0]] = matrix.entries[pair][0] * lift - pay[pair]
+        for (tid, vid), (_, _, surplus) in matrix.entries.items():
             if a.vehicle_of(tid) == vid:
                 continue
             lhs = util[tid] + seat[vid]
@@ -213,7 +213,7 @@ def check_payments(
                 violations.append(Violation("blocking_pair", (tid, vid), lhs, rhs))
     else:
         # ride value, valuation - payment - cost share; exit is worth 0
-        ride = {p: u * lift - pay[p] for p, (_, _, u) in matrix.scaled.items()}
+        ride = {p: u * lift - pay[p] for p, (_, _, u) in matrix.entries.items()}
         for trav in inst.travelers:
             tid = trav.id
             vid = a.vehicle_of(tid)
@@ -291,7 +291,7 @@ def _stability_system(inst: MarketInstance, a: Assignment):
     compatible pairs, or ``None`` for an absent term; ``rhs`` is an ``int``
     from the integer pair table, ``den`` times its value.
     """
-    table, v_min = inst.compatibility.scaled, inst.compatibility.v_min
+    table, v_min = inst.compatibility.entries, inst.compatibility.v_min
     rows = []
     labels = []
 

@@ -68,8 +68,8 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
     ``TID=value`` prices the traveler's vehicle in ``assignment``, or, when
     that is ``None``, in the surplus optimum, solved only for such an entry."""
     matrix = inst.compatibility
-    table = matrix.scaled
-    if base is not None and not overrides and all(p in base.entries for p in table):
+    table = matrix.entries
+    if base is not None and not overrides and base.entries.keys() >= table.keys():
         return base
     entries = dict(base.entries) if base is not None else {}
     if overrides:

@@ -270,7 +270,7 @@ def parse_document(text: str) -> InstanceDocument:
     payments = None
     if doc.get("payments") is not None:
         entries = {}
-        compatible = instance.compatibility.scaled
+        compatible = instance.compatibility.entries
         for tid, row in _typed(doc["payments"], dict, "payments", errors, {}).items():
             if tid not in tids:
                 errors.append(f"payments: unknown traveler id {tid!r}")

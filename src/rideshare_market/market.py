@@ -5,9 +5,9 @@ rounds.  The range checks of :class:`Traveler` (``0 <= v_min <= v_max`` and
 ``0 <= inconvenience <= v_max``) run once, as the traveler is built, on
 integers: each bound and value as ``numerator / denominator``,
 cross-multiplied.  The pair table holds each compatible pair's terms as
-``int``s over the instance's least common denominator, and the checkers
-compare those integers; ``Fraction``s appear only in :class:`PairTerms`,
-violations and output.
+``int``s over the instance's least common denominator, and every reader
+compares those integers; the scalar formulas make one ``Fraction`` per
+answer, and ``Fraction``s otherwise appear only in violations and output.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from rideshare_market.errors import IncompatiblePairError, ValidationError
 from rideshare_market.network import (
@@ -123,16 +122,6 @@ class Vehicle:
             raise ValidationError(errors)
 
 
-class PairTerms(NamedTuple):
-    """The terms of one compatible pair: the traveler's valuation of the
-    vehicle, the traveler's cost share, and their difference, the pair
-    surplus."""
-
-    valuation: Fraction
-    share: Fraction
-    surplus: Fraction
-
-
 @dataclass(frozen=True)
 class CompatibilityMatrix:
     """The compatible traveler x vehicle pairs, each with its terms as
@@ -143,26 +132,12 @@ class CompatibilityMatrix:
     den: int
     #: (traveler id, vehicle id) -> (valuation, share, surplus), each times
     #: ``den``, in instance order
-    scaled: dict
+    entries: dict
     #: traveler id -> v_min times ``den``, for every traveler
     v_min: dict
 
-    @cached_property
-    def entries(self) -> dict:
-        """(traveler id, vehicle id) -> :class:`PairTerms` of ``Fraction``s,
-        in instance order; built on first access."""
-        den = self.den
-        return {
-            pair: PairTerms(Fraction(v, den), Fraction(s, den), Fraction(u, den))
-            for pair, (v, s, u) in self.scaled.items()
-        }
-
     def __getitem__(self, pair) -> bool:
-        return pair in self.scaled
-
-    def pairs(self):
-        """Compatible pairs in instance (traveler, vehicle) order."""
-        return list(self.scaled)
+        return pair in self.entries
 
 
 @dataclass(frozen=True)
@@ -287,32 +262,25 @@ class MarketInstance:
         if not explicit:
             seat = dict(zip(served, shares))
             shares = [seat[k] for k in cols]
-        scaled = {}
+        entries = {}
         for pair, phi, share in zip(pairs, ints[b:p], shares):
             value = v_max[pair[0]] - phi
-            scaled[pair] = (value, share, value - share)
-        return CompatibilityMatrix(den, scaled, v_min)
+            entries[pair] = (value, share, value - share)
+        return CompatibilityMatrix(den, entries, v_min)
 
     @cached_property
     def _options(self):
         options = {t.id: [] for t in self.travelers}
-        for tid, vid in self.compatibility.scaled:
+        for tid, vid in self.compatibility.entries:
             options[tid].append(vid)
         return options
 
     def compatible_pairs(self):
-        return self.compatibility.pairs()
+        """Compatible pairs in instance (traveler, vehicle) order."""
+        return list(self.compatibility.entries)
 
     def compatible_vehicles(self, tid):
         return list(self._options.get(tid, ()))
-
-    def pair(self, tid, vid) -> PairTerms:
-        """The terms of a compatible pair; any other pair raises
-        :class:`IncompatiblePairError`."""
-        try:
-            return self.compatibility.entries[(tid, vid)]
-        except KeyError:
-            raise IncompatiblePairError(f"pair ({tid!r}, {vid!r}) is not compatible") from None
 
 
 @dataclass(frozen=True)
@@ -384,6 +352,16 @@ def valuation(t: Traveler, vid) -> Fraction:
     return t.v_max - t.inconvenience[vid]
 
 
+def _terms(inst: MarketInstance, tid, vid) -> tuple:
+    """A compatible pair's integer (valuation, share, surplus) over
+    ``inst.compatibility.den``; any other pair raises
+    :class:`IncompatiblePairError`."""
+    try:
+        return inst.compatibility.entries[(tid, vid)]
+    except KeyError:
+        raise IncompatiblePairError(f"pair ({tid!r}, {vid!r}) is not compatible") from None
+
+
 def cost_share(inst: MarketInstance, tid, vid) -> Fraction:
     """Traveler ``tid``'s share of vehicle ``vid``'s operating cost, read
     from the instance's pair table.
@@ -393,7 +371,7 @@ def cost_share(inst: MarketInstance, tid, vid) -> Fraction:
     Either way the share is independent of the assignment.  Raises
     :class:`IncompatiblePairError` for a pair that is not compatible.
     """
-    return inst.pair(tid, vid).share
+    return Fraction(_terms(inst, tid, vid)[1], inst.compatibility.den)
 
 
 def utility(inst: MarketInstance, tid, vid, t_ij) -> Fraction:
@@ -404,23 +382,24 @@ def utility(inst: MarketInstance, tid, vid, t_ij) -> Fraction:
     """
     if vid is UNASSIGNED:
         return _ZERO
-    terms = inst.pair(tid, vid)
+    value = _terms(inst, tid, vid)[0]
     t_ij = _money(t_ij)
     if t_ij < 0:
         raise ValidationError(f"payment for ({tid!r}, {vid!r}) is negative")
-    return terms.valuation - t_ij
+    return Fraction(value, inst.compatibility.den) - t_ij
 
 
 def surplus(inst: MarketInstance, tid, vid) -> Fraction:
     """Joint pie of a pairing: valuation minus cost share.  Independent of
     how the internal payment splits it."""
-    return inst.pair(tid, vid).surplus
+    return Fraction(_terms(inst, tid, vid)[2], inst.compatibility.den)
 
 
 def surplus_matrix(inst: MarketInstance) -> dict:
     """Pair surplus for every compatible pair.  Incompatible pairs are
     simply absent; there is no numeric sentinel."""
-    return {p: terms.surplus for p, terms in inst.compatibility.entries.items()}
+    den = inst.compatibility.den
+    return {p: Fraction(u, den) for p, (_, _, u) in inst.compatibility.entries.items()}
 
 
 def welfare_paper(inst: MarketInstance, a: Assignment, t) -> Fraction:

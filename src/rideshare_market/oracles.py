@@ -7,7 +7,10 @@
   simplex kernel, whose vertex is integral by total unimodularity.
 
 Both price the pairs in ``Fraction``s from the public formulas, not from
-the solver's integer weights, so they check those weights too.
+the solver's integer weights, so they check those weights too: the pair
+surplus from :func:`~rideshare_market.market.surplus_matrix`, or with fixed
+payments the :func:`~rideshare_market.market.valuation` read from each
+traveler's own fields.
 
 No production path imports this module's simplex: :mod:`rideshare_market.lp`
 is loaded only when :func:`assignment_lp_relaxation` runs.
@@ -18,7 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from rideshare_market.errors import OracleScaleError, ValidationError
-from rideshare_market.market import Assignment, MarketInstance, UNASSIGNED, _ZERO, surplus_matrix
+from rideshare_market.market import (
+    Assignment, MarketInstance, UNASSIGNED, _ZERO, surplus_matrix, valuation
+)
 
 ORACLE_MAX_TRAVELERS = 10
 ORACLE_MAX_MAPS = 10**7
@@ -37,7 +42,7 @@ def _objective_weights(inst: MarketInstance, payments=None) -> dict:
             raise ValidationError(
                 f"objective: no payment for compatible pair ({tid!r}, {vid!r})"
             )
-        weights[(tid, vid)] = inst.pair(tid, vid).valuation - entries[(tid, vid)]
+        weights[(tid, vid)] = valuation(inst.traveler(tid), vid) - entries[(tid, vid)]
     return weights
 
 

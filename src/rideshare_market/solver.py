@@ -61,14 +61,14 @@ def _pair_weights(inst: MarketInstance, payments=None):
     minus payment, the payments lifted once."""
     matrix = inst.compatibility
     if payments is None:
-        return matrix.den, {p: u for p, (_, _, u) in matrix.scaled.items()}
+        return matrix.den, {p: u for p, (_, _, u) in matrix.entries.items()}
     entries = payments.entries
-    for tid, vid in matrix.scaled:
+    for tid, vid in matrix.entries:
         if (tid, vid) not in entries:
             raise ValidationError(f"objective: no payment for compatible pair ({tid!r}, {vid!r})")
-    den, pays = scale_to_integers([entries[p] for p in matrix.scaled], matrix.den)
+    den, pays = scale_to_integers([entries[p] for p in matrix.entries], matrix.den)
     lift = den // matrix.den
-    return den, {p: v * lift - pay for (p, (v, _, _)), pay in zip(matrix.scaled.items(), pays)}
+    return den, {p: v * lift - pay for (p, (v, _, _)), pay in zip(matrix.entries.items(), pays)}
 
 
 def bellman_ford(nodes, edges, source):

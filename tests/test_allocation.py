@@ -19,8 +19,11 @@ from rideshare_market import (
     check_feasibility,
     check_stability,
     compute_profits,
+    cost_share,
     solve_optimal_assignment,
+    surplus,
     synthesize_stable_payments,
+    valuation,
 )
 from rideshare_market.allocation import (
     GE,
@@ -202,7 +205,7 @@ def test_check_payments_is_feasibility_then_stability():
         if synth.feasible:
             base = synth.schedule.entries
         else:
-            base = {p: max(F(0), terms.surplus) for p, terms in inst.compatibility.entries.items()}
+            base = {p: max(F(0), surplus(inst, *p)) for p in inst.compatible_pairs()}
         rng = random.Random(seed)
         # the stable or break-even schedule, the same with every off-match
         # payment moved, and a random one
@@ -439,36 +442,47 @@ def test_blend_rejects_bad_weight_and_mismatch(canonical):
 # -- the Fraction reference checker -----------------------------------------
 
 
+def _pair_terms(inst):
+    """(valuation, share, surplus) per compatible pair, in instance order,
+    as ``Fraction``s from the public formulas."""
+    return {
+        (tid, vid): (
+            valuation(inst.traveler(tid), vid), cost_share(inst, tid, vid), surplus(inst, tid, vid)
+        )
+        for tid, vid in inst.compatible_pairs()
+    }
+
+
 def _reference_profits(inst, a, t):
     """``compute_profits`` as ``Fraction`` arithmetic on the pair terms."""
-    table = inst.compatibility.entries
+    table = _pair_terms(inst)
     pi = dict.fromkeys(table, F(0))
     rho = dict.fromkeys(table, F(0))
     for pair in a.assigned_pairs():
-        terms = table[pair]
-        rho[pair] = t[pair] - terms.share
-        pi[pair] = terms.valuation - t[pair] - inst.traveler(pair[0]).v_min
+        value, share, _ = table[pair]
+        rho[pair] = t[pair] - share
+        pi[pair] = value - t[pair] - inst.traveler(pair[0]).v_min
     return ProfitAllocation(pi=pi, rho=rho)
 
 
 def _reference_feasibility(inst, a, alloc):
     """``check_feasibility`` as ``Fraction`` arithmetic on the pair terms."""
-    table = inst.compatibility.entries
+    table = _pair_terms(inst)
     violations = []
     eq8 = {}
     for pair in a.assigned_pairs():
-        terms = table[pair]
+        value, share, pie = table[pair]
         pi = alloc.pi[pair]
         rho = alloc.rho[pair]
         if pi < 0:
             violations.append(Violation("pi_nonneg", pair, pi, F(0)))
         if rho < 0:
             violations.append(Violation("rho_nonneg", pair, rho, F(0)))
-        forced = terms.surplus - inst.traveler(pair[0]).v_min
+        forced = pie - inst.traveler(pair[0]).v_min
         if pi + rho != forced:
             violations.append(Violation("pair_sum_identity", pair, pi + rho, forced))
-        pay = rho + terms.share
-        eq8[pair] = pi + rho == terms.valuation - pay - terms.share
+        pay = rho + share
+        eq8[pair] = pi + rho == value - pay - share
     for pair, rho in alloc.rho.items():
         if rho != 0 and pair[1] not in a.riders:
             violations.append(Violation("idle_vehicle_profit", pair, rho, F(0)))
@@ -483,24 +497,24 @@ def _reference_check(inst, a, t, classic_core):
     feas = _reference_feasibility(inst, a, _reference_profits(inst, a, t))
     if not feas.verdict:
         return feas, None
-    table = inst.compatibility.entries
+    table = _pair_terms(inst)
     violations = []
     if classic_core:
         seat = {v.id: F(0) for v in inst.vehicles}
         for vid, riders in a.riders.items():
             if len(riders) >= inst.vehicle(vid).capacity:
-                seat[vid] = min(t[(tid, vid)] - table[(tid, vid)].share for tid in riders)
+                seat[vid] = min(t[(tid, vid)] - table[(tid, vid)][1] for tid in riders)
         util = {trav.id: F(0) for trav in inst.travelers}
         for pair in a.assigned_pairs():
-            util[pair[0]] = table[pair].valuation - t[pair]
-        for (tid, vid), terms in table.items():
+            util[pair[0]] = table[pair][0] - t[pair]
+        for (tid, vid), (_, _, pie) in table.items():
             if a.vehicle_of(tid) == vid:
                 continue
             lhs = util[tid] + seat[vid]
-            if lhs < terms.surplus:
-                violations.append(Violation("blocking_pair", (tid, vid), lhs, terms.surplus))
+            if lhs < pie:
+                violations.append(Violation("blocking_pair", (tid, vid), lhs, pie))
     else:
-        ride = {p: terms.surplus - t[p] for p, terms in table.items()}
+        ride = {p: pie - t[p] for p, (_, _, pie) in table.items()}
         for trav in inst.travelers:
             tid = trav.id
             vid = a.vehicle_of(tid)
@@ -533,15 +547,14 @@ def _random_schedule(inst, a, rng):
     13: a matched payment mostly inside ``[share, valuation - v_min]``, so
     that the allocation is often feasible, an off-match one near the
     break-even payment or anywhere."""
-    table = inst.compatibility.entries
     out = {}
-    for pair, terms in table.items():
+    for pair, (value, share, pie) in _pair_terms(inst).items():
         q = rng.choice((1, 2, 7, 11, 13))
         if a.vehicle_of(pair[0]) == pair[1] and rng.random() < 0.85:
-            hi = terms.valuation - inst.traveler(pair[0]).v_min
-            out[pair] = max(F(0), terms.share + (hi - terms.share) * F(rng.randint(0, q), q))
+            hi = value - inst.traveler(pair[0]).v_min
+            out[pair] = max(F(0), share + (hi - share) * F(rng.randint(0, q), q))
         elif rng.random() < 0.5:
-            out[pair] = max(F(0), terms.surplus + F(rng.randint(-2, 2), q))
+            out[pair] = max(F(0), pie + F(rng.randint(-2, 2), q))
         else:
             out[pair] = F(rng.randint(0, 12 * q), q)
     return PaymentSchedule(out)
@@ -628,25 +641,25 @@ def _greedy_feasible(inst):
     paying the cost share leaves a nonnegative ride value and profit, and
     the schedule that charges the share there and break-even elsewhere:
     feasible and, in literal mode, stable."""
-    table = inst.compatibility.entries
+    table = _pair_terms(inst)
     load = {v.id: 0 for v in inst.vehicles}
     mapping = {}
     for t in inst.travelers:
         mapping[t.id] = None
         for vid in inst.compatible_vehicles(t.id):
-            terms = table[(t.id, vid)]
+            value, share, _ = table[(t.id, vid)]
             if (
                 load[vid] < inst.vehicle(vid).capacity
-                and 2 * terms.share <= terms.valuation
-                and terms.share <= terms.valuation - t.v_min
+                and 2 * share <= value
+                and share <= value - t.v_min
             ):
                 mapping[t.id] = vid
                 load[vid] += 1
                 break
     a = Assignment(mapping)
     pays = {
-        p: terms.share if a.vehicle_of(p[0]) == p[1] else max(F(0), terms.surplus)
-        for p, terms in table.items()
+        p: share if a.vehicle_of(p[0]) == p[1] else max(F(0), pie)
+        for p, (_, share, pie) in table.items()
     }
     return a, PaymentSchedule(pays)
 

@@ -194,7 +194,6 @@ def test_unknown_ids_raise_incompatible_pair_error():
         lambda: cost_share(inst, "T9", "V0"),
         lambda: utility(inst, "T0", "V9", 1),
         lambda: surplus(inst, "T9", "V0"),
-        lambda: inst.pair("T9", "V0"),
     ]
     for call in calls:
         with pytest.raises(IncompatiblePairError, match="is not compatible"):
@@ -241,7 +240,28 @@ def _with_explicit_shares(inst, rng):
     return MarketInstance(inst.network, inst.travelers, vehicles, cost_share_mode="explicit")
 
 
+def _coprime_money(inst):
+    """``inst`` with each traveler's money and each vehicle's operating cost
+    moved onto a denominator of its own prime, within every range check."""
+    primes = iter(p for p in range(3, 1000) if all(p % q for q in range(2, p)))
+    travelers = []
+    for t in inst.travelers:
+        q = next(primes)
+        shrink = F(q - 1, q)
+        inconvenience = {vid: phi * shrink for vid, phi in t.inconvenience.items()}
+        travelers.append(Traveler(t.id, t.od, t.v_max + F(1, q), t.v_min * shrink, inconvenience))
+    vehicles = tuple(
+        Vehicle(v.id, v.route, v.capacity, v.operating_cost + F(1, next(primes)), v.cost_shares)
+        for v in inst.vehicles
+    )
+    return MarketInstance(inst.network, tuple(travelers), vehicles, inst.cost_share_mode)
+
+
 def test_pair_table_matches_independent_derivation():
+    """The pair table, its order and every scalar formula equal ``Fraction``
+    values derived from the ``Traveler`` and ``Vehicle`` fields, on
+    generated markets, in explicit mode and with money on coprime
+    denominators; each formula answers a ``Fraction``."""
     rng = random.Random(3)
     markets = []
     for seed in range(40):
@@ -249,15 +269,17 @@ def test_pair_table_matches_independent_derivation():
         markets.append(inst)
         if seed % 3 == 0:
             markets.append(_with_explicit_shares(inst, rng))
-    explicit_pairs = 0
+        if seed % 4 == 1:
+            markets.append(_coprime_money(markets[-1]))
+    explicit_pairs = coprime_pairs = 0
     for inst in markets:
-        table = inst.compatibility.entries
-        expected_order = []
+        table = inst.compatibility
+        expected_order, expected_surplus = [], {}
         for t in inst.travelers:
             for v in inst.vehicles:
                 pair = (t.id, v.id)
                 if not (v.id in t.inconvenience and covers(inst.network, v.route, t.od)):
-                    assert pair not in table
+                    assert pair not in table.entries
                     assert inst.compatibility[pair] is False
                     continue
                 expected_order.append(pair)
@@ -268,23 +290,47 @@ def test_pair_table_matches_independent_derivation():
                     explicit_pairs += 1
                 else:
                     share = v.operating_cost / v.capacity
-                assert (table[pair].valuation, table[pair].share, table[pair].surplus) == (
+                # only a market on coprime denominators has a den this large
+                coprime_pairs += table.den > 10**6
+                expected_surplus[pair] = value - share
+                assert tuple(F(x, table.den) for x in table.entries[pair]) == (
                     value, share, value - share
                 )
-                assert valuation(t, v.id) == value
-                assert cost_share(inst, *pair) == share
-                assert surplus(inst, *pair) == value - share
-        assert list(table) == expected_order == inst.compatible_pairs()
+                pay = F(rng.randint(0, 12), rng.choice((1, 2, 7)))
+                answers = (
+                    valuation(t, v.id),
+                    cost_share(inst, *pair),
+                    surplus(inst, *pair),
+                    utility(inst, *pair, pay),
+                )
+                assert answers == (value, share, value - share, value - pay)
+                assert all(type(x) is F for x in answers)
+        assert list(table.entries) == expected_order == inst.compatible_pairs()
+        pies = surplus_matrix(inst)
+        assert pies == expected_surplus and list(pies) == expected_order
+        assert all(type(x) is F for x in pies.values())
+        a = solve_optimal_assignment(inst).assignment
+        total = welfare_surplus(inst, a)
+        assert total == sum((expected_surplus[p] for p in a.assigned_pairs()), F(0))
+        assert type(total) is F
+        for v in inst.vehicles:
+            riders = a.riders.get(v.id, ())
+            if inst.cost_share_mode == "explicit":
+                collected = sum((v.cost_shares[tid] for tid in riders), F(0))
+            else:
+                collected = len(riders) * v.operating_cost / v.capacity
+            gap = cost_recovery_gap(inst, a, v.id)
+            assert gap == v.operating_cost - collected and type(gap) is F
         for t in inst.travelers:
             assert inst.compatible_vehicles(t.id) == [v for tid, v in expected_order if tid == t.id]
             assert inst.compatibility[(t.id, "V99")] is False
         for v in inst.vehicles:
             assert inst.compatibility[("T99", v.id)] is False
-    assert explicit_pairs > 50
+    assert explicit_pairs > 50 and coprime_pairs > 20
 
 
 def _reference_table(network, travelers, vehicles, mode):
-    """``(den, scaled, v_min)`` pair by pair, from :func:`covers` and
+    """``(den, entries, v_min)`` pair by pair, from :func:`covers` and
     ``Fraction`` arithmetic, in (traveler, vehicle) order; or the list of
     missing explicit shares, in the order the pair table reports them."""
     terms, errors = {}, []
@@ -311,11 +357,11 @@ def _reference_table(network, travelers, vehicles, mode):
         return int(x * den)
 
     v_max = {t.id: t.v_max for t in travelers}
-    scaled = {}
+    entries = {}
     for (tid, vid), (phi, share) in terms.items():
         value = v_max[tid] - phi
-        scaled[(tid, vid)] = (whole(value), whole(share), whole(value - share))
-    return den, scaled, {t.id: whole(t.v_min) for t in travelers}
+        entries[(tid, vid)] = (whole(value), whole(share), whole(value - share))
+    return den, entries, {t.id: whole(t.v_min) for t in travelers}
 
 
 def _walk_market(rng):
@@ -348,7 +394,7 @@ def _walk_market(rng):
 
 
 def test_pair_table_matches_a_pair_by_pair_reference():
-    """``den``, ``scaled``, ``v_min`` and the pair order equal a reference
+    """``den``, ``entries``, ``v_min`` and the pair order equal a reference
     built pair by pair from ``covers`` and ``Fraction``s: on generated
     markets, degenerate ones too, and on random-walk routes that repeat
     vertices, in both cost-share modes; in explicit mode a missing share
@@ -379,12 +425,12 @@ def test_pair_table_matches_a_pair_by_pair_reference():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 table = MarketInstance(network, travelers, fleet, cost_share_mode=mode).compatibility
-            den, scaled, v_min = expected
-            assert (table.den, table.scaled, table.v_min) == (den, scaled, v_min)
-            assert list(table.scaled) == list(scaled)
-            assert all(type(x) is int for terms in table.scaled.values() for x in terms)
+            den, entries, v_min = expected
+            assert (table.den, table.entries, table.v_min) == (den, entries, v_min)
+            assert list(table.entries) == list(entries)
+            assert all(type(x) is int for terms in table.entries.values() for x in terms)
             stops = {v.id: route_vertex_sequence(network, v.route) for v in fleet}
-            repeats += sum(len(set(stops[vid])) < len(stops[vid]) for _, vid in scaled)
+            repeats += sum(len(set(stops[vid])) < len(stops[vid]) for _, vid in entries)
     assert repeats > 100 and missing > 20
 
 
@@ -403,7 +449,7 @@ def test_pair_table_den_ignores_money_off_the_pairs(canonical):
     )
     inst = MarketInstance(net, travelers, canonical.vehicles + (idle,))
     table = inst.compatibility
-    assert (table.den, table.scaled, table.v_min) == (base.den, base.scaled, base.v_min)
+    assert (table.den, table.entries, table.v_min) == (base.den, base.entries, base.v_min)
     assert inst.compatible_vehicles("T1") == ["V1"]
 
 

@@ -18,6 +18,7 @@ from rideshare_market import (
     enumerate_assignments,
     oracle_optimum,
     solve_optimal_assignment,
+    surplus,
     surplus_matrix,
     valuation,
 )
@@ -241,7 +242,7 @@ def test_prime_denominator_payments_match_the_oracle():
         assert den >= 2 * 3 * 5 * 7 * 11
         assert all(type(w) is int for w in scaled.values())
         weights = {p: F(w, den) for p, w in scaled.items()}
-        assert weights == {p: inst.pair(*p).valuation - entries[p] for p in pairs}
+        assert weights == {p: valuation(inst.traveler(p[0]), p[1]) - entries[p] for p in pairs}
         res = solve_optimal_assignment(inst, payments=payments)
         objective, argmax = oracle_optimum(inst, payments=payments)
         assert res.objective == objective
@@ -308,9 +309,13 @@ def _tie_markets():
         inst = generate_instance(900 + k, n=n, m=m, degenerate=k % 2 == 0)
         payments = None
         if k % 4 >= 2:
-            entries = inst.compatibility.entries.items()
             payments = PaymentSchedule(
-                {p: max(F(0), t.valuation - math.floor(t.surplus)) for p, t in entries}
+                {
+                    (tid, vid): max(
+                        F(0), valuation(inst.traveler(tid), vid) - math.floor(surplus(inst, tid, vid))
+                    )
+                    for tid, vid in inst.compatible_pairs()
+                }
             )
         yield inst, payments
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import pytest
 import rideshare_market
 from rideshare_market import (
     Assignment,
+    MarketInstance,
     PaymentSchedule,
     ValidationError,
     allocation,
@@ -26,6 +28,7 @@ from rideshare_market import (
     oracle_optimum,
     solve_optimal_assignment,
     solver,
+    surplus,
     synthesize_stable_payments,
 )
 from rideshare_market.cli import main
@@ -74,24 +77,19 @@ def test_production_paths_build_no_dense_lp(canonical, tmp_path, monkeypatch, ca
         assert len(res.problem.rows) == len(res.rows)
 
 
-def test_check_path_builds_no_pair_terms(tmp_path, monkeypatch, capsys):
+def test_check_path_reaches_every_verdict(tmp_path, capsys):
     """``check_payments`` in both modes, on feasible and infeasible
-    schedules, ``check`` with and without ``--classic-core`` on documents
-    that carry payments, the certified matching under either objective,
-    with payments in sevenths that do not divide the table's ``den``, and
-    the synthesis in both ``favor`` modes, feasible or not, read the pair
-    table's integers: none of them builds the ``Fraction`` view
-    ``CompatibilityMatrix.entries``, which still builds on first access."""
-
-    def market_of(seed):
-        return generate_instance(8500 + seed, n=4 + seed, m=1 + seed % 3, degenerate=seed % 3 == 0)
-
+    schedules, ``check`` with and without ``--classic-core``, in both
+    formats, on documents that carry payments and with an override in
+    sevenths, the certified matching under either objective, with payments
+    in sevenths that do not divide the table's ``den``, and the synthesis
+    in both ``favor`` modes reach every verdict they have."""
     cases = []
     for seed in range(10):
-        inst = market_of(seed)
+        inst = generate_instance(8500 + seed, n=4 + seed, m=1 + seed % 3, degenerate=seed % 3 == 0)
         a = solve_optimal_assignment(inst, with_certificate=False).assignment
         synth = synthesize_stable_payments(inst, a)
-        even = {p: max(F(0), terms.surplus) for p, terms in inst.compatibility.entries.items()}
+        even = {p: max(F(0), surplus(inst, *p)) for p in inst.compatible_pairs()}
         base = synth.schedule.entries if synth.feasible else even
         rng = random.Random(seed)
         # the stable or break-even schedule, the same with every off-match
@@ -114,13 +112,7 @@ def test_check_path_builds_no_pair_terms(tmp_path, monkeypatch, capsys):
         sevenths = PaymentSchedule(
             {p: F(7 * rng.randint(0, 9) + rng.randint(1, 6), 7) for p in base}
         )
-        # a fresh instance, so that the pair table is built under the patch
-        cases.append((market_of(seed), a, schedules, path, spec, override, sevenths))
-
-    def forbidden(self):
-        raise AssertionError("PairTerms built on the check path")
-
-    monkeypatch.setattr(market.CompatibilityMatrix, "entries", property(forbidden))
+        cases.append((inst, a, schedules, path, spec, override, sevenths))
     verdicts, statuses, feasible = set(), set(), set()
     for inst, a, schedules, path, spec, override, sevenths in cases:
         for fixed in (None, sevenths):
@@ -141,13 +133,27 @@ def test_check_path_builds_no_pair_terms(tmp_path, monkeypatch, capsys):
     assert {True, False, None} <= verdicts
     assert statuses == {0, 1}
     assert feasible == {True, False}
-    monkeypatch.undo()
-    table = inst.compatibility
-    assert list(table.entries) == inst.compatible_pairs()
-    assert all(
-        terms == tuple(F(x, table.den) for x in table.scaled[pair])
-        for pair, terms in table.entries.items()
-    )
+
+
+def test_pair_table_keeps_the_shape_the_tracer_reads():
+    """``perfbench/tracing.py`` times the pair table by replacing the
+    ``functools.cached_property`` ``MarketInstance.compatibility`` and
+    counts ``market.pairs`` as the truthy values of
+    ``CompatibilityMatrix.entries``: the property stays cached, and
+    ``entries`` maps exactly the compatible pairs, in order, to 3-tuples of
+    ``int``s."""
+    assert isinstance(vars(MarketInstance)["compatibility"], functools.cached_property)
+    pairs = 0
+    for seed in range(12):
+        inst = generate_instance(seed, n=2 + seed, m=1 + seed % 4, degenerate=seed % 3 == 0)
+        entries = inst.compatibility.entries
+        assert list(entries) == inst.compatible_pairs()
+        assert all(
+            type(terms) is tuple and len(terms) == 3 and all(type(x) is int for x in terms)
+            for terms in entries.values()
+        )
+        pairs += len(entries)
+    assert pairs > 50
 
 
 def test_oracles_do_not_read_the_solver_weights(monkeypatch):
