@@ -8,13 +8,15 @@ payment schedules as shortest paths over difference constraints.  The
 checkers, the matching, its dual certificate, the synthesis and the scalar
 formulas all read one integer pair table over a common denominator,
 ``CompatibilityMatrix.entries``; ``Fraction``s are made only for results:
-the formulas' answers, objectives, certificates, violations and output.
-Each optimum carries a dual certificate of seat prices from one
-Bellman-Ford run over its vehicles; each impossible schedule carries Farkas
-multipliers read off a negative cycle, checked exactly over the sparse
-stability rows.  The exact simplex in :mod:`rideshare_market.lp` and the
-brute force in :mod:`rideshare_market.oracles` serve as test oracles; no
-production path imports the simplex, and its names are imported from
+the formulas' answers, objectives, dual certificates, payments, violations
+and output.  Each optimum carries a dual certificate of seat prices from
+one Bellman-Ford run over its vehicles; each impossible schedule carries
+``int`` Farkas multipliers (0, 1, -1) read off a negative cycle, checked
+exactly over the sparse stability rows, whose right-hand sides stay
+``int``s over the table's ``den`` in :class:`SynthesisResult`.  The exact
+simplex in :mod:`rideshare_market.lp` and the brute force in
+:mod:`rideshare_market.oracles` serve as test oracles; no production path
+imports the simplex, and its names are imported from
 :mod:`rideshare_market.lp` itself.  A payment matrix enters every function
 as a :class:`PaymentSchedule`, which checks it once.
 """

@@ -251,18 +251,20 @@ class SynthesisResult:
     feasible: bool
     schedule: PaymentSchedule | None
     allocation: ProfitAllocation | None
-    #: Farkas multipliers over ``rows`` when infeasible.
+    #: Farkas multipliers over ``rows`` when infeasible: ``int``s 0, 1, -1.
     certificate: tuple | None
     #: the payment variables, in the column order of ``problem``.
     pairs: tuple
-    #: the stability system, one ``(plus, minus, rel, rhs)`` per row.
+    #: the stability system, one ``(plus, minus, rel, rhs)`` per row; each
+    #: ``rhs`` is an ``int``, the pair table's ``den`` times its value
     rows: tuple
+    den: int
     row_labels: tuple
 
     @cached_property
     def problem(self) -> LPProblem:
-        """The stability system as a dense LP for the simplex oracle,
-        built on first access."""
+        """The stability system as a dense LP for the simplex oracle, with
+        ``Fraction(rhs, den)`` right-hand sides, built on first access."""
         from rideshare_market.lp import LPProblem, Row
 
         idx = {p: k for k, p in enumerate(self.pairs)}
@@ -272,7 +274,7 @@ class SynthesisResult:
             for p, c in ((plus, 1), (minus, -1)):
                 if p is not None:
                     coeffs[idx[p]] += c
-            dense.append(Row(tuple(coeffs), rel, rhs))
+            dense.append(Row(tuple(coeffs), rel, Fraction(rhs, self.den)))
         return LPProblem(len(self.pairs), tuple([_ZERO] * len(self.pairs)), tuple(dense))
 
 
@@ -288,8 +290,8 @@ def _stability_system(inst: MarketInstance, a: Assignment):
 
     Every row is a difference constraint ``(plus, minus, rel, rhs)``,
     reading ``x[plus] - x[minus] rel rhs``; ``plus`` and ``minus`` are
-    compatible pairs, or ``None`` for an absent term; ``rhs`` is an ``int``
-    from the integer pair table, ``den`` times its value.
+    compatible pairs, or ``None`` for an absent term; ``rhs`` is an ``int``,
+    ``den`` times its value.  :attr:`SynthesisResult.rows` keeps them as is.
     """
     table, v_min = inst.compatibility.entries, inst.compatibility.v_min
     rows = []
@@ -354,7 +356,7 @@ def verify_farkas_certificate(rows, certificate):
     if len(certificate) != len(rows):
         raise CertificateError(f"synthesis: {len(certificate)} multipliers for {len(rows)} rows")
     combined = {}
-    total = _ZERO
+    total = 0
     for k, mu in enumerate(certificate):
         if not mu:
             continue
@@ -363,7 +365,7 @@ def verify_farkas_certificate(rows, certificate):
             raise CertificateError(f"synthesis: multiplier {mu} on row {k} has the wrong sign")
         for p, c in ((plus, mu), (minus, -mu)):
             if p is not None:
-                combined[p] = combined.get(p, _ZERO) + c
+                combined[p] = combined.get(p, 0) + c
         total += mu * rhs
     if total >= 0 or any(c < 0 for c in combined.values()):
         raise CertificateError("synthesis: the multipliers prove no contradiction")
@@ -389,8 +391,8 @@ def synthesize_stable_payments(
     each off-match payment is then the least value its rows allow.
 
     When infeasible, the result carries an exact Farkas certificate over
-    the constraint system: the rows on a negative cycle, with 0/+-1
-    multipliers.
+    the constraint system: the rows on a negative cycle, with ``int``
+    multipliers 0, 1 and -1.
     """
     validate_assignment(inst, a)
     if favor not in ("travelers", "vehicles"):
@@ -416,7 +418,7 @@ def synthesize_stable_payments(
     dist, _, cycle, _ = bellman_ford(nodes, edges, None)
     certificate = schedule = allocation = None
     if cycle is not None:
-        certificate = [_ZERO] * len(rows)
+        certificate = [0] * len(rows)
         for k in [row_of[e] for e in cycle if e < len(row_of)]:
             certificate[k] += 1 if rows[k][2] == LE else -1
         verify_farkas_certificate(rows, certificate)
@@ -435,7 +437,8 @@ def synthesize_stable_payments(
         allocation=allocation,
         certificate=certificate,
         pairs=tuple(pairs),
-        rows=tuple((plus, minus, rel, Fraction(rhs, den)) for plus, minus, rel, rhs in rows),
+        rows=tuple(rows),
+        den=den,
         row_labels=tuple(labels),
     )
 

@@ -86,7 +86,7 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
                     raise ValidationError(
                         f"--payments: traveler {tid!r} is unassigned; use TID:VID=value"
                     )
-            if not inst.compatibility[(tid, vid)]:
+            if (tid, vid) not in table:
                 raise ValidationError(f"--payments: pair ({tid!r}, {vid!r}) is not compatible")
             if (tid, vid) in seen:
                 raise ValidationError(f"--payments: duplicate entry for pair ({tid!r}, {vid!r})")

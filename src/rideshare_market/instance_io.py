@@ -41,6 +41,21 @@ def _typed(value, kind, where, errors, default):
     return default
 
 
+#: the keys each object of the grammar may have; any other key is an error
+_KEYS = {
+    "document": {"schema_version", "network", "travelers", "vehicles", "payments", "options"},
+    "network": {"vertices", "edges"},
+    "traveler": {"id", "origin", "destination", "v_max", "v_min", "inconvenience"},
+    "vehicle": {"id", "route", "capacity", "operating_cost", "cost_shares"},
+    "options": {"cost_share_mode"},
+}
+
+
+def _known_keys(obj, kind, where, errors):
+    """Record an error for every key of ``obj`` outside ``_KEYS[kind]``, in order."""
+    errors.extend(f"{where}: unknown key {key!r}" for key in obj if key not in _KEYS[kind])
+
+
 def _strings(values, where, errors) -> bool:
     """True when every item is a string; otherwise record an error per item."""
     bad = [v for v in values if not isinstance(v, str)]
@@ -154,8 +169,10 @@ def parse_document(text: str) -> InstanceDocument:
     # True and 1.0 equal 1, but neither is the integer 1
     if type(version) is not int or version != SCHEMA_VERSION:
         errors.append(f"document: schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    _known_keys(doc, "document", "document", errors)
 
     net_sec = _typed(doc.get("network", {}), dict, "network", errors, {})
+    _known_keys(net_sec, "network", "network", errors)
     vertices = _typed(net_sec.get("vertices", []), list, "network: vertices", errors, [])
     vertices = vertices if _strings(vertices, "network: vertex", errors) else []
     edges = []
@@ -174,6 +191,7 @@ def parse_document(text: str) -> InstanceDocument:
     for tid, entry in _entities(doc, "travelers", errors):
         tids.add(tid)
         where = f"traveler {tid!r}"
+        _known_keys(entry, "traveler", where, errors)
         ends = [entry.get("origin"), entry.get("destination")]
         if not _strings(ends, f"{where}: origin or destination", errors):
             continue
@@ -207,6 +225,7 @@ def parse_document(text: str) -> InstanceDocument:
     for vid, entry in _entities(doc, "vehicles", errors):
         vids.add(vid)
         where = f"vehicle {vid!r}"
+        _known_keys(entry, "vehicle", where, errors)
         route = _typed(entry.get("route", []), list, f"{where}: route", errors, [])
         if not _strings(route, f"{where}: route edge", errors):
             continue
@@ -254,6 +273,7 @@ def parse_document(text: str) -> InstanceDocument:
     ]
 
     options = _typed(doc.get("options", {}), dict, "options", errors, {})
+    _known_keys(options, "options", "options", errors)
     mode = options.get("cost_share_mode", "per_seat")
     if errors:
         raise ValidationError(errors)

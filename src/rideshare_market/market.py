@@ -125,8 +125,8 @@ class Vehicle:
 @dataclass(frozen=True)
 class CompatibilityMatrix:
     """The compatible traveler x vehicle pairs, each with its terms as
-    integers over one common denominator.  Indexing answers whether a pair
-    is compatible; any other pair, unknown ids included, reads ``False``."""
+    integers over one common denominator.  A pair is compatible exactly
+    when it is a key of ``entries``."""
 
     #: the least common denominator of the instance's money
     den: int
@@ -135,9 +135,6 @@ class CompatibilityMatrix:
     entries: dict
     #: traveler id -> v_min times ``den``, for every traveler
     v_min: dict
-
-    def __getitem__(self, pair) -> bool:
-        return pair in self.entries
 
 
 @dataclass(frozen=True)
@@ -329,7 +326,7 @@ def validate_assignment(inst: MarketInstance, a: Assignment):
         if vid not in inst._vehicle_map:
             errors.append(f"assignment: unknown vehicle id {vid!r}")
             continue
-        if not inst.compatibility[(tid, vid)]:
+        if (tid, vid) not in inst.compatibility.entries:
             errors.append(f"assignment: pair ({tid!r}, {vid!r}) is not compatible")
         loads[vid] = loads.get(vid, 0) + 1
     for vid, load in loads.items():

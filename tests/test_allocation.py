@@ -284,6 +284,7 @@ def test_synthesis_infeasible_off_optimum(canonical, mapping):
 def test_farkas_check_rejects_broken_multipliers(canonical):
     res = synthesize_stable_payments(canonical, Assignment({"T1": None, "T2": "V1"}))
     assert res.certificate == (0, 0, 0, 0, -1)  # 0 >= 6 on the no_blocking row
+    assert all(type(mu) is int for mu in res.certificate)
     verify_farkas_certificate(res.rows, res.certificate)
     with pytest.raises(CertificateError, match="wrong sign"):
         verify_farkas_certificate(res.rows, (0, 0, 0, 0, 1))
@@ -404,8 +405,11 @@ def test_off_match_payments_are_plus_terms_of_ge_rows_only():
             assert plus is None or plus in matched or rel == GE
         for favor in ("travelers", "vehicles"):
             res = synthesize_stable_payments(inst, a, favor=favor)
-            assert res.rows == tuple(rows)
+            # the kernel's integer rows, unchanged; Fractions only in the oracle's problem
+            assert res.rows == tuple(scaled) and res.den == den
+            assert [row.rhs for row in res.problem.rows] == [rhs for *_, rhs in rows]
             if not res.feasible:
+                assert all(type(mu) is int for mu in res.certificate)
                 continue
             feasible += 1
             x = {None: F(0), **res.schedule.entries}

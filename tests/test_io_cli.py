@@ -242,6 +242,28 @@ MALFORMED = [
         r"^traveler 'T1': v_max: '1e-5000' needs more than 4300 digits$",
         id="money-exponent-too-small",
     ),
+    # a misspelt key is an error at every level, never silently dropped
+    pytest.param(
+        _document(payment={"T1": {"V1": "3"}}),
+        r"^document: unknown key 'payment'$",
+        id="unknown-document-key",
+    ),
+    pytest.param(
+        lambda raw: raw["network"].update(edge=[]),
+        r"^network: unknown key 'edge'$",
+        id="unknown-network-key",
+    ),
+    pytest.param(
+        _traveler(vmax="9"), r"^traveler 'T1': unknown key 'vmax'$", id="unknown-traveler-key"
+    ),
+    pytest.param(
+        _vehicle(capcity=2), r"^vehicle 'V1': unknown key 'capcity'$", id="unknown-vehicle-key"
+    ),
+    pytest.param(
+        _document(options={"cost_share_mode": "per_seat", "mode": "explicit"}),
+        r"^options: unknown key 'mode'$",
+        id="unknown-options-key",
+    ),
 ]
 
 

@@ -280,10 +280,9 @@ def test_pair_table_matches_independent_derivation():
                 pair = (t.id, v.id)
                 if not (v.id in t.inconvenience and covers(inst.network, v.route, t.od)):
                     assert pair not in table.entries
-                    assert inst.compatibility[pair] is False
                     continue
                 expected_order.append(pair)
-                assert inst.compatibility[pair] is True
+                assert pair in table.entries
                 value = t.v_max - t.inconvenience[v.id]
                 if inst.cost_share_mode == "explicit":
                     share = v.cost_shares[t.id]
@@ -323,9 +322,9 @@ def test_pair_table_matches_independent_derivation():
             assert gap == v.operating_cost - collected and type(gap) is F
         for t in inst.travelers:
             assert inst.compatible_vehicles(t.id) == [v for tid, v in expected_order if tid == t.id]
-            assert inst.compatibility[(t.id, "V99")] is False
+            assert (t.id, "V99") not in table.entries
         for v in inst.vehicles:
-            assert inst.compatibility[("T99", v.id)] is False
+            assert ("T99", v.id) not in table.entries
     assert explicit_pairs > 50 and coprime_pairs > 20
 
 
