@@ -1,0 +1,102 @@
+"""Scale ladder: time the matching's layers on three generated markets and
+the tier-1 test run, and write the figures as one JSON file.
+
+Run from anywhere, with the standard library only::
+
+    python3 bench/ladder.py -o BENCH_<n>.json
+
+Each market is ``generate_instance(5, n, n // 5)`` at n = 300, 600 and
+1000, serialized and parsed back.  Each layer is timed once with
+``time.perf_counter``: the parse, the pair table, Charnes' perturbation of
+the pair weights and the matching kernel, with the kernel's work counters.
+The tier-1 tests run in a child process, timed on the wall clock.  Single
+runs on a host whose pace can swing: compare files, not anecdotes, and
+read small differences as noise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from rideshare_market import solver  # noqa: E402
+from rideshare_market.generate import generate_instance  # noqa: E402
+from rideshare_market.instance_io import parse_document, serialize_document  # noqa: E402
+
+SIZES = (300, 600, 1000)
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, round(time.perf_counter() - start, 4)
+
+
+def ladder_row(n: int) -> dict:
+    text = serialize_document(generate_instance(5, n, n // 5))
+    doc, parse_s = _timed(parse_document, text)
+    inst = doc.instance
+    matrix, pair_table_s = _timed(lambda: inst.compatibility)
+    _, scaled = solver._pair_weights(inst)
+    travelers = [t.id for t in inst.travelers]
+    vehicles = [v.id for v in inst.vehicles]
+    adj, perturbed_s = _timed(solver._perturbed, scaled, travelers, vehicles)
+    cap = [v.capacity for v in inst.vehicles]
+    (_, augmentations, relaxations), kernel_s = _timed(solver.shortest_augmenting_paths, adj, cap)
+    return {
+        "n": n,
+        "m": n // 5,
+        "pairs": len(matrix.entries),
+        "parse_s": parse_s,
+        "pair_table_s": pair_table_s,
+        "perturbed_s": perturbed_s,
+        "kernel_s": kernel_s,
+        "augmentations": augmentations,
+        "relaxations": relaxations,
+    }
+
+
+def tier1() -> dict:
+    """The tier-1 command of ROADMAP.md, from the repository root."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    wall_s = round(time.perf_counter() - start, 2)
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {word: int(k) for k, word in re.findall(r"(\d+) (passed|failed|errors?|skipped)", summary)}
+    return {"wall_s": wall_s, "exit_status": proc.returncode, **counts}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("-o", "--output", required=True, help="path of the JSON file to write")
+    args = parser.parse_args(argv)
+    record = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "ladder": [],
+    }
+    for n in SIZES:
+        record["ladder"].append(ladder_row(n))
+        print(json.dumps(record["ladder"][-1]), file=sys.stderr)
+    record["tier1"] = tier1()
+    print(json.dumps(record["tier1"]), file=sys.stderr)
+    Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,9 +1,10 @@
 """Exact optimal assignment: a capacitated max-weight b-matching.
 
 :func:`solve_optimal_assignment` runs successive shortest augmenting paths
-(Tomizawa 1971; Edmonds & Karp 1972): one Dijkstra run per augmentation,
-over reduced costs that node potentials keep non-negative.  The general
-kernel :func:`bellman_ford` is not part of the matching: one run over the
+(Tomizawa 1971; Edmonds & Karp 1972): one Dijkstra run per augmentation
+over the vehicles, travelers folded into the edges, on reduced costs that
+vehicle potentials keep non-negative.  The general kernel
+:func:`bellman_ford` is not part of the matching: one run over the
 optimum's vehicles gives the seat prices of the dual certificate, and
 :mod:`rideshare_market.allocation` synthesizes stable payments with it.
 Both kernels run over exact ``int`` weights read from the instance's
@@ -50,7 +51,9 @@ class SolveResult:
     dual_certificate: DualCertificate | None
     #: augmenting paths found, one Dijkstra run each
     augmentations: int
-    #: successful distance decreases over every Dijkstra run of the matching
+    #: successful distance decreases at vehicle nodes over every Dijkstra run
+    #: of the matching (one run per augmentation over the vehicles,
+    #: travelers folded into the edges)
     relaxations: int
 
 
@@ -121,104 +124,118 @@ def _perturbed(scaled, travelers, vehicles):
     oracle's enumeration order, is the one optimum.  Pairs with ``w <= 0``
     are left out: leaving the traveler unassigned is never worse and comes
     first."""
-    n, base = len(travelers), len(vehicles) + 1
+    base = len(vehicles) + 1
+    # digit[i] = base**(n-1-i), one product per traveler from the last on
+    digit = [0] * len(travelers)
+    top = 1
+    for i in reversed(range(len(travelers))):
+        digit[i] = top
+        top *= base
     row = {tid: i for i, tid in enumerate(travelers)}
     col = {vid: j for j, vid in enumerate(vehicles)}
-    top = base**n
     adj = [{} for _ in travelers]
     for (tid, vid), w in scaled.items():
         if w > 0:
             i, j = row[tid], col[vid]
-            adj[i][j] = w * top - (j + 1) * base ** (n - 1 - i)
+            adj[i][j] = w * top - (j + 1) * digit[i]
     return adj
 
 
 def shortest_augmenting_paths(adj, cap):
-    """Max-weight b-matching by successive shortest paths, with Dijkstra on
-    reduced costs.
+    """Max-weight b-matching by successive shortest paths: one Dijkstra run
+    per augmentation over the vehicles, travelers folded into the edges.
 
     ``adj[i]`` maps vehicle index ``j`` to the positive ``int`` weight of
     traveler ``i`` riding it, and ``cap[j]`` is vehicle ``j``'s seats.
     Returns ``(match, augmentations, relaxations)``: ``match[i]`` is
     traveler ``i``'s vehicle index or ``None``, and ``relaxations`` counts
-    successful distance decreases.  Which optimum it returns on a tie
-    depends on the scan order; :func:`_perturbed` weights leave no tie.
+    successful distance decreases at vehicle nodes.  Which optimum it
+    returns on a tie depends on the scan order; :func:`_perturbed` weights
+    leave no tie.
 
-    The residual graph has travelers as nodes ``0..n-1`` and vehicles as
-    ``n..n+m-1``, plus an implicit source and sink: source -> unassigned
+    The residual graph has travelers as nodes ``0..n-1``, vehicles
+    ``0..m-1`` and an implicit source and sink: source -> unassigned
     traveler costs 0, traveler -> vehicle ``-w`` unless it rides there,
-    vehicle -> rider ``+w``, vehicle -> sink 0 while a seat is free.  Each
+    vehicle -> rider ``+w``, vehicle -> sink 0 while a seat is free.  A
+    traveler has one incoming edge, so it is folded into its outgoing ones
+    and the Dijkstra runs over the vehicles only: the source reaches
+    vehicle ``k`` at ``-w_ik`` through its best unassigned traveler ``i``,
+    and rider ``i`` of ``j`` gives ``j -> k`` at ``w_ij - w_ik``.  Each
     augmentation moves the travelers along one shortest path by one
     vehicle and fills a seat, so the matching gains ``-distance``; it stops
     when the shortest path costs ``>= 0``.
     """
-    n = len(adj)
+    # each vehicle's travelers, best weight first; a traveler once matched
+    # stays matched, so head[k] only moves past matched travelers
+    options = [[] for _ in cap]
+    for i, row in enumerate(adj):
+        for k, w in row.items():
+            options[k].append((-w, i))
+    for queue in options:
+        queue.sort()
+    head = [0] * len(cap)
     # potentials, with the source's fixed at 0: the distances in the empty
     # matching's residual graph, a DAG, so every residual edge (u, v) has a
     # reduced cost c + pot[u] - pot[v] >= 0
-    pot = [0] * (n + len(cap))
-    for row in adj:
-        for j, w in row.items():
-            pot[n + j] = min(pot[n + j], -w)
-    sink_pot = min(pot[n:], default=0)
-    match = [None] * n
+    pot = [queue[0][0] if queue else 0 for queue in options]
+    sink_pot = min(pot, default=0)
+    match = [None] * len(adj)
     riders = [[] for _ in cap]
     augmentations = relaxations = 0
     while True:
-        dist = [None] * len(pot)
-        done = [False] * len(pot)
-        pred = [None] * len(cap)  # the traveler each vehicle was reached from
+        dist = [None] * len(cap)
+        done = [False] * len(cap)
+        pred = [None] * len(cap)  # (previous vehicle or None, traveler moved)
         heap = []
-        for i in range(n):
-            if match[i] is None:
-                dist[i] = -pot[i]
-                heap.append((dist[i], i))
+        for k, queue in enumerate(options):
+            h = head[k]
+            while h < len(queue) and match[queue[h][1]] is not None:
+                h += 1
+            head[k] = h
+            if h < len(queue):
+                cost, i = queue[h]
+                dist[k], pred[k] = cost - pot[k], (None, i)
+                heap.append((dist[k], k))
         heapify(heap)
         best = end = None  # the sink's reduced distance and its last vehicle
         while heap:
-            d, u = heappop(heap)
+            d, j = heappop(heap)
             if best is not None and d >= best:
                 break
-            if done[u]:
+            if done[j]:
                 continue
-            done[u] = True
-            here = d + pot[u]  # the distance in the unreduced costs
-            if u < n:
-                for j, w in adj[u].items():
-                    if j == match[u]:
+            done[j] = True
+            here = d + pot[j]  # the distance in the unreduced costs
+            if len(riders[j]) < cap[j] and (best is None or here - sink_pot < best):
+                best, end = here - sink_pot, j
+            for i in riders[j]:
+                row = adj[i]
+                out = here + row[j]
+                for k, w in row.items():
+                    if done[k]:  # j's own too: it is settled
                         continue
-                    v = n + j
-                    nd = here - w - pot[v]
-                    if dist[v] is None or nd < dist[v]:
-                        dist[v], pred[j] = nd, u
-                        heappush(heap, (nd, v))
+                    nd = out - w - pot[k]
+                    if dist[k] is None or nd < dist[k]:
+                        dist[k], pred[k] = nd, (j, i)
+                        heappush(heap, (nd, k))
                         relaxations += 1
-            else:
-                j = u - n
-                if len(riders[j]) < cap[j] and (best is None or here - sink_pot < best):
-                    best, end = here - sink_pot, j
-                # a rider is reached only from its own vehicle
-                for i in riders[j]:
-                    dist[i] = here + adj[i][j] - pot[i]
-                    heappush(heap, (dist[i], i))
-                    relaxations += 1
         if best is None or best + sink_pot >= 0:
             return match, augmentations, relaxations
-        # settled nodes rise by their distance, the others by the sink's:
+        # settled vehicles rise by their distance, the others by the sink's:
         # reduced costs stay >= 0 and are 0 along the path
-        for u, settled in enumerate(done):
-            pot[u] += dist[u] if settled else best
+        for k, settled in enumerate(done):
+            pot[k] += dist[k] if settled else best
         sink_pot += best
         # walk the path back from the sink: each traveler moves to the
         # vehicle after it, and only the last vehicle gains a rider
-        j = end
-        while j is not None:
-            i = pred[j]
-            prev, match[i] = match[i], j
-            riders[j].append(i)
-            if prev is not None:
-                riders[prev].remove(i)
-            j = prev
+        k = end
+        while k is not None:
+            j, i = pred[k]
+            match[i] = k
+            riders[k].append(i)
+            if j is not None:
+                riders[j].remove(i)
+            k = j
         augmentations += 1
 
 

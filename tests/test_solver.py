@@ -27,8 +27,10 @@ from rideshare_market.lp import Optimal
 from rideshare_market.solver import (
     DualCertificate,
     _pair_weights,
+    _perturbed,
     bellman_ford,
     scale_to_integers,
+    shortest_augmenting_paths,
     verify_dual_certificate,
 )
 
@@ -298,26 +300,25 @@ def test_determinism(canonical):
     assert a == b
 
 
+def _fixed_payments(inst):
+    """Payments whose weights ``valuation - payment`` are the pair
+    surpluses rounded down, which ties the market further."""
+    return PaymentSchedule(
+        {
+            (tid, vid): max(F(0), valuation(inst.traveler(tid), vid) - math.floor(surplus(inst, tid, vid)))
+            for tid, vid in inst.compatible_pairs()
+        }
+    )
+
+
 def _tie_markets():
     """200 generated markets, n = 2-8 and m = 1-3, half degenerate (biased
-    toward tied optima); half of them priced with a fixed schedule whose
-    weights ``valuation - payment`` are the pair surpluses rounded down,
-    which ties them further."""
+    toward tied optima); half of them priced with :func:`_fixed_payments`."""
     for k in range(200):
         n = 2 + k % 7
         m = 1 + k % (3 if n <= 6 else 2)
         inst = generate_instance(900 + k, n=n, m=m, degenerate=k % 2 == 0)
-        payments = None
-        if k % 4 >= 2:
-            payments = PaymentSchedule(
-                {
-                    (tid, vid): max(
-                        F(0), valuation(inst.traveler(tid), vid) - math.floor(surplus(inst, tid, vid))
-                    )
-                    for tid, vid in inst.compatible_pairs()
-                }
-            )
-        yield inst, payments
+        yield inst, _fixed_payments(inst) if k % 4 >= 2 else None
 
 
 @pytest.mark.filterwarnings("ignore:market has fewer travelers")
@@ -349,3 +350,62 @@ def test_tie_rule_on_symmetric_twins(canonical):
     res = solve_optimal_assignment(twins)
     assert res.assignment.mapping == {"TA": None, "TB": "V1"}
     assert res.assignment == oracle_optimum(twins)[1][0]
+
+
+def test_tie_rule_at_scale():
+    """At n = 20-90, beyond the enumeration oracle's reach, the returned
+    assignment is the one optimum of the :func:`_perturbed` weights: its
+    residual graph, source and sink merged into one node ``None``, has no
+    negative cycle, and so no negative-cost path from source to sink (a
+    cycle through ``None``) either.  Charnes' weights give every
+    assignment a different total, so that optimum is unique."""
+    for k in range(30):
+        n = 20 + 70 * k // 29
+        inst = generate_instance(1300 + k, n=n, m=max(1, n // 5 - k % 3), degenerate=k % 2 == 1)
+        payments = _fixed_payments(inst) if k % 3 == 2 else None
+        a = solve_optimal_assignment(inst, payments=payments, with_certificate=False).assignment
+        travelers = [t.id for t in inst.travelers]
+        vehicles = [v.id for v in inst.vehicles]
+        adj = _perturbed(_pair_weights(inst, payments)[1], travelers, vehicles)
+        edges = []
+        for i, (tid, row) in enumerate(zip(travelers, adj)):
+            own = a.mapping[tid]
+            edges.append((("t", i), None, 0) if own else (None, ("t", i), 0))
+            for j, w in row.items():
+                if vehicles[j] == own:
+                    edges.append((("v", j), ("t", i), w))
+                else:
+                    edges.append((("t", i), ("v", j), -w))
+            assert own is None or vehicles.index(own) in row
+        for j, v in enumerate(inst.vehicles):
+            load = len(a.riders.get(v.id, ()))
+            assert load <= v.capacity
+            if load < v.capacity:
+                edges.append((("v", j), None, 0))
+            if load:
+                edges.append((None, ("v", j), 0))
+        nodes = [None, *(("t", i) for i in range(n)), *(("v", j) for j in range(len(vehicles)))]
+        assert bellman_ford(nodes, edges, None)[2] is None
+
+
+@pytest.mark.parametrize(
+    "adj, cap, expected",
+    [
+        # T1 can only ride V0: the second path seats it there and moves T0,
+        # V0's rider, to V1 (total 5 + 4 instead of 6)
+        ([{0: 6, 1: 4}, {0: 5}], [1, 1], ([1, 0], 2, 1)),
+        ([], [2, 1], ([], 0, 0)),
+        ([{}, {}], [], ([None, None], 0, 0)),
+        ([{0: 0}, {0: -3, 1: -1}], [1, 1], ([None, None], 0, 0)),
+    ],
+    ids=["rider-moves-between-vehicles", "no-travelers", "no-vehicles", "nonpositive-weights"],
+)
+def test_shortest_augmenting_paths_hand_cases(adj, cap, expected):
+    assert shortest_augmenting_paths(adj, cap) == expected
+
+
+def test_perturbed_leaves_nonpositive_pairs_out():
+    scaled = {("T0", "V0"): 0, ("T1", "V0"): -3, ("T1", "V1"): 2}
+    # n = 2, m = 2: w * 3**2 - (j+1) * 3**(1-i)
+    assert _perturbed(scaled, ["T0", "T1"], ["V0", "V1"]) == [{}, {1: 2 * 9 - 2}]
+    assert _perturbed({("T0", "V0"): -1}, ["T0"], ["V0"]) == [{}]
