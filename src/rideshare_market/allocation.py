@@ -21,6 +21,7 @@ from rideshare_market.market import (
     _money,
     scale_to_integers,
     validate_assignment,
+    validate_schedule,
 )
 from rideshare_market.solver import bellman_ford
 
@@ -53,12 +54,6 @@ class PaymentSchedule:
 
     def get(self, pair, default=None):
         return self.entries.get(pair, default)
-
-
-def validate_schedule(inst: MarketInstance, t: PaymentSchedule):
-    missing = [p for p in inst.compatible_pairs() if p not in t.entries]
-    if missing:
-        raise ValidationError([f"schedule: no payment for compatible pair {p}" for p in missing])
 
 
 @dataclass(frozen=True)

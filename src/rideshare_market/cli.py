@@ -12,6 +12,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from rideshare_market.allocation import PaymentSchedule, check_payments, synthesize_stable_payments
 from rideshare_market.errors import OracleScaleError, ValidationError
@@ -189,9 +190,7 @@ def _load(path: str):
     return doc.instance, doc.payments
 
 
-def _solve_report(inst, payments, objective):
-    fixed = payments if objective == "paper" else None
-    result = solve_optimal_assignment(inst, payments=fixed)
+def _solve_report(inst, result, payments, objective) -> dict:
     doc = {
         "objective_mode": objective,
         "assignment": _assignment_table(result.assignment),
@@ -203,22 +202,24 @@ def _solve_report(inst, payments, objective):
     doc["cost_recovery_gap"] = {
         v.id: cost_recovery_gap(inst, result.assignment, v.id) for v in inst.vehicles
     }
-    if result.dual_certificate is not None:
-        doc["dual_certificate"] = {
-            "y": dict(sorted(result.dual_certificate.y.items())),
-            "z": dict(sorted(result.dual_certificate.z.items())),
-        }
-    return result, doc
+    cert = result.dual_certificate
+    doc["dual_certificate"] = {"y": dict(sorted(cert.y.items())), "z": dict(sorted(cert.z.items()))}
+    return doc
 
 
 def cmd_solve(args) -> int:
     inst, base_payments = _load(args.instance)
     overrides = _parse_payment_overrides(args.payments)
-    payments = None
-    if args.objective == "paper" or base_payments is not None or overrides:
+    if args.objective == "paper":
+        # a bare TID=value needs the surplus optimum before this solve
         payments = _resolve_payments(inst, None, base_payments, overrides)
-    _, doc = _solve_report(inst, payments, args.objective)
-    _emit(doc, args.format)
+        result = solve_optimal_assignment(inst, payments=payments)
+    else:
+        result = solve_optimal_assignment(inst)
+        payments = None
+        if base_payments is not None or overrides:
+            payments = _resolve_payments(inst, result.assignment, base_payments, overrides)
+    _emit(_solve_report(inst, result, payments, args.objective), args.format)
     return EXIT_OK
 
 
@@ -296,7 +297,8 @@ def cmd_generate(args) -> int:
 
 def cmd_report(args) -> int:
     inst, base_payments = _load(args.instance)
-    result, doc = _solve_report(inst, None, "surplus")
+    result = solve_optimal_assignment(inst)
+    doc = _solve_report(inst, result, None, "surplus")
     assignment = result.assignment
     overrides = _parse_payment_overrides(args.payments)
     payments = _resolve_payments(inst, assignment, base_payments, overrides)
@@ -317,6 +319,8 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+# built on the first call and shared by every later one: parsing keeps no state in it
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rideshare-market",

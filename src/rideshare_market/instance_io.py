@@ -277,15 +277,10 @@ def parse_document(text: str) -> InstanceDocument:
     mode = options.get("cost_share_mode", "per_seat")
     if errors:
         raise ValidationError(errors)
-    try:
-        instance = MarketInstance(
-            network=network,
-            travelers=tuple(travelers),
-            vehicles=tuple(vehicles),
-            cost_share_mode=mode,
-        )
-    except ValidationError as exc:
-        raise ValidationError(exc.errors) from None
+    # the instance raises its own ValidationError, every message in it, to the caller
+    instance = MarketInstance(
+        network, tuple(travelers), tuple(vehicles), cost_share_mode=mode
+    )
 
     payments = None
     if doc.get("payments") is not None:

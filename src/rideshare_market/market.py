@@ -339,6 +339,13 @@ def validate_assignment(inst: MarketInstance, a: Assignment):
         raise ValidationError(errors)
 
 
+def validate_schedule(inst: MarketInstance, t):
+    """Check that schedule ``t`` prices every compatible pair; name each missing one, in order."""
+    missing = [p for p in inst.compatibility.entries if p not in t.entries]
+    if missing:
+        raise ValidationError([f"schedule: no payment for compatible pair {p}" for p in missing])
+
+
 def valuation(t: Traveler, vid) -> Fraction:
     """Traveler ``t``'s satisfaction value for riding vehicle ``vid``:
     the upper bound minus the pair's inconvenience."""

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from rideshare_market.errors import CertificateError, ValidationError
+from rideshare_market.errors import CertificateError
 from rideshare_market.market import (
     Assignment,
     MarketInstance,
     UNASSIGNED,
     scale_to_integers,
+    validate_schedule,
 )
 
 
@@ -65,11 +66,8 @@ def _pair_weights(inst: MarketInstance, payments=None):
     matrix = inst.compatibility
     if payments is None:
         return matrix.den, {p: u for p, (_, _, u) in matrix.entries.items()}
-    entries = payments.entries
-    for tid, vid in matrix.entries:
-        if (tid, vid) not in entries:
-            raise ValidationError(f"objective: no payment for compatible pair ({tid!r}, {vid!r})")
-    den, pays = scale_to_integers([entries[p] for p in matrix.entries], matrix.den)
+    validate_schedule(inst, payments)
+    den, pays = scale_to_integers([payments.entries[p] for p in matrix.entries], matrix.den)
     lift = den // matrix.den
     return den, {p: v * lift - pay for (p, (v, _, _)), pay in zip(matrix.entries.items(), pays)}
 

@@ -78,6 +78,26 @@ def test_validate_schedule_reports_missing_pairs(canonical):
         validate_schedule(canonical, PaymentSchedule({("T1", "V1"): F(3)}))
 
 
+def test_an_incomplete_schedule_fails_one_rule_everywhere():
+    """The checker and the solver's fixed-payment objective reject an
+    incomplete schedule with the same error: every missing pair, in pair
+    order."""
+    inst = generate_instance(0, n=4, m=2)
+    pairs = inst.compatible_pairs()
+    t = PaymentSchedule({pairs[1]: F(1)})
+    expected = [f"schedule: no payment for compatible pair {p}" for p in pairs if p != pairs[1]]
+    assert len(expected) >= 2
+    errors = []
+    for call in (
+        lambda: check_payments(inst, Assignment({}), t),
+        lambda: solve_optimal_assignment(inst, payments=t),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        errors.append(exc.value.errors)
+    assert errors == [expected, expected]
+
+
 def test_feasibility_accepts_valid_allocation(canonical):
     t = PaymentSchedule({("T1", "V1"): F(3), ("T2", "V1"): F(2)})
     report = check_feasibility(canonical, BOTH, compute_profits(canonical, BOTH, t))

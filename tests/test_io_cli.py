@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rideshare_market
 from rideshare_market import MarketInstance, PaymentSchedule, ValidationError, Vehicle
-from rideshare_market.cli import main
+from rideshare_market.cli import build_parser, main
 from rideshare_market.generate import generate_instance
 from rideshare_market.instance_io import parse_document, serialize_document
 
@@ -729,6 +733,61 @@ def test_cli_usage_error_exits_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def _fresh_process(code, *args):
+    """Run ``code`` in a new interpreter that imports this package's source."""
+    src = str(Path(rideshare_market.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env)
+
+
+def test_cli_parser_is_built_once_per_process():
+    """``main`` builds the parser on its first call and every later call
+    shares it; importing the CLI builds no parser at all."""
+    assert build_parser() is build_parser()
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import rideshare_market.cli\n"
+        "print(len(built))\n"
+    )
+    out = _fresh_process(code)
+    assert (out.returncode, out.stdout.split(), out.stderr) == (0, [b"0"], b"")
+
+
+def test_cli_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    """Back-to-back calls on the shared parser print the bytes and exit
+    with the status of a run in a new process: no flag of one call carries
+    over to the next, and a usage error leaves the parser as it was."""
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "instance.json"
+    # at the optimum's break-even payments this market is unstable in
+    # classic-core mode and stable in literal mode
+    path.write_text(serialize_document(generate_instance(0, n=8, m=3)))
+    runs = [
+        ["check", str(path), "--classic-core", "--format", "machine"],
+        ["check", str(path), "--format", "machine"],
+        ["check", str(path), "--format", "xml"],
+        ["solve", str(path)],
+    ]
+    code = "import sys\nfrom rideshare_market.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    outs = []
+    for argv in runs:
+        status = main(argv)
+        captured = capsys.readouterr()
+        fresh = _fresh_process(code, *argv)
+        got = (status, captured.out.encode(), captured.err.encode())
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        outs.append((status, captured.out))
+    assert [status for status, _ in outs] == [1, 0, 2, 0]
+    modes = [json.loads(out)["stability_mode"] for _, out in outs[:2]]
+    assert modes == ["classic_core", "literal"]
 
 
 #: values a mutation writes in place of a document field or payment

@@ -291,7 +291,7 @@ def test_fixed_payment_objective(canonical):
     short = PaymentSchedule({("T1", "V1"): F(3)})
     with pytest.raises(ValidationError) as exc:
         solve_optimal_assignment(canonical, payments=short)
-    assert exc.value.errors == ["objective: no payment for compatible pair ('T2', 'V1')"]
+    assert exc.value.errors == ["schedule: no payment for compatible pair ('T2', 'V1')"]
 
 
 def test_determinism(canonical):
