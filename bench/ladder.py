@@ -1,5 +1,6 @@
-"""Scale ladder: time the matching's layers on three generated markets and
-the tier-1 test run, and write the figures as one JSON file.
+"""Scale ladder: time the matching's and the check's layers on three
+generated markets and the tier-1 test run, and write the figures as one
+JSON file.
 
 Run from anywhere, with the standard library only::
 
@@ -9,6 +10,12 @@ Each market is ``generate_instance(5, n, n // 5)`` at n = 300, 600 and
 1000, serialized and parsed back.  Each layer is timed once with
 ``time.perf_counter``: the parse, the pair table, Charnes' perturbation of
 the pair weights and the matching kernel, with the kernel's work counters.
+The check path then prices the kernel's optimum: each matched pair pays
+its cost share and every other pair its break-even ``max(0, surplus)``.
+The priced document is serialized and parsed back, timed, and
+``check_payments`` runs on it in literal and classic-core mode, each
+timed, with its stability verdict (``null`` when the allocation is
+infeasible and stability is undefined).
 The tier-1 tests run in a child process, timed on the wall clock.  Single
 runs on a host whose pace can swing: compare files, not anecdotes, and
 read small differences as noise.
@@ -24,14 +31,17 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from rideshare_market import solver  # noqa: E402
+from rideshare_market.allocation import PaymentSchedule, check_payments  # noqa: E402
 from rideshare_market.generate import generate_instance  # noqa: E402
 from rideshare_market.instance_io import parse_document, serialize_document  # noqa: E402
+from rideshare_market.market import UNASSIGNED, Assignment  # noqa: E402
 
 SIZES = (300, 600, 1000)
 
@@ -52,7 +62,8 @@ def ladder_row(n: int) -> dict:
     vehicles = [v.id for v in inst.vehicles]
     adj, perturbed_s = _timed(solver._perturbed, scaled, travelers, vehicles)
     cap = [v.capacity for v in inst.vehicles]
-    (_, augmentations, relaxations), kernel_s = _timed(solver.shortest_augmenting_paths, adj, cap)
+    kernel, kernel_s = _timed(solver.shortest_augmenting_paths, adj, cap)
+    match, augmentations, relaxations = kernel
     return {
         "n": n,
         "m": n // 5,
@@ -63,7 +74,30 @@ def ladder_row(n: int) -> dict:
         "kernel_s": kernel_s,
         "augmentations": augmentations,
         "relaxations": relaxations,
+        **check_path(inst, match),
     }
+
+
+def check_path(inst, match) -> dict:
+    """Parse and check times of the kernel's optimum ``match``, priced at
+    each matched pair's cost share and every other pair's break-even."""
+    vehicles = [v.id for v in inst.vehicles]
+    a = Assignment(
+        {t.id: UNASSIGNED if j is None else vehicles[j] for t, j in zip(inst.travelers, match)}
+    )
+    matrix = inst.compatibility
+    pays = {
+        pair: Fraction(share if a.vehicle_of(pair[0]) == pair[1] else max(0, surplus), matrix.den)
+        for pair, (_, share, surplus) in matrix.entries.items()
+    }
+    doc, priced_parse_s = _timed(parse_document, serialize_document(inst, PaymentSchedule(pays)))
+    row = {"priced_parse_s": priced_parse_s}
+    for mode, classic_core in (("literal", False), ("classic", True)):
+        args = (doc.instance, a, doc.payments, classic_core)
+        (_, stability), check_s = _timed(check_payments, *args)
+        row[f"check_{mode}_s"] = check_s
+        row[f"check_{mode}_verdict"] = None if stability is None else stability.verdict
+    return row
 
 
 def tier1() -> dict:
@@ -80,7 +114,7 @@ def tier1() -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("-o", "--output", required=True, help="path of the JSON file to write")
     args = parser.parse_args(argv)
     record = {

@@ -40,12 +40,12 @@ class PaymentSchedule:
     entries: dict
 
     def __post_init__(self):
-        entries, bad = {}, []
-        for k, v in self.entries.items():
-            entries[k] = v = _money(v)
-            if v.numerator < 0:
-                bad.append(k)
+        entries = dict(self.entries)
+        for k, v in entries.items():
+            if type(v) is not Fraction:
+                entries[k] = _money(v)
         object.__setattr__(self, "entries", entries)
+        bad = [k for k, v in entries.items() if v.numerator < 0]
         if bad:
             raise ValidationError([f"payment for pair {k} is negative" for k in bad])
 
@@ -181,11 +181,12 @@ def check_payments(
     if not feas.verdict:
         return feas, None
     matrix = inst.compatibility
-    common, pays = scale_to_integers([t.entries[p] for p in matrix.entries], matrix.den)
-    pay = dict(zip(matrix.entries, pays))
+    table = matrix.entries
+    common, pays = scale_to_integers(map(t.entries.__getitem__, table), matrix.den)
     lift = common // matrix.den
     violations = []
     if classic_core:
+        pay = dict(zip(table, pays))
         # marginal seat profit: 0 with spare capacity, else the smallest
         # profit the vehicle earns from a current rider
         seat = {v.id: 0 for v in inst.vehicles}
@@ -207,21 +208,28 @@ def check_payments(
                 lhs, rhs = Fraction(lhs, common), Fraction(surplus, matrix.den)
                 violations.append(Violation("blocking_pair", (tid, vid), lhs, rhs))
     else:
-        # ride value, valuation - payment - cost share; exit is worth 0
-        ride = {p: u * lift - pay[p] for p, (_, _, u) in matrix.entries.items()}
-        for trav in inst.travelers:
-            tid = trav.id
-            vid = a.vehicle_of(tid)
-            own = 0 if vid is UNASSIGNED else ride[(tid, vid)]
-            if own < 0:
-                violations.append(
-                    Violation("exit_preferred", (tid, UNASSIGNED), Fraction(own, common), _ZERO)
-                )
-            kind = "unassigned_envy" if vid is UNASSIGNED else "envy"
-            for alt in inst.compatible_vehicles(tid):
-                if alt != vid and own < ride[(tid, alt)]:
-                    lhs, rhs = Fraction(own, common), Fraction(ride[(tid, alt)], common)
-                    violations.append(Violation(kind, (tid, alt), lhs, rhs))
+        # ride value, valuation - payment - cost share, over common; exit is
+        # worth 0.  own: each rider's own ride; the unassigned have 0
+        own = {}
+        for pair in a.assigned_pairs():
+            x = t.entries[pair]
+            own[pair[0]] = table[pair][2] * lift - x.numerator * (common // x.denominator)
+        # the table lists each traveler's pairs together, travelers in instance
+        # order, so one walk meets the inequalities in order; a traveler with
+        # no pair is unassigned and envies nothing
+        tid = None
+        for (trav, alt), (_, _, u), x in zip(table, table.values(), pays):
+            if trav != tid:
+                tid, mine = trav, own.get(trav, 0)
+                if mine < 0:
+                    lhs = Fraction(mine, common)
+                    violations.append(Violation("exit_preferred", (tid, UNASSIGNED), lhs, _ZERO))
+                kind = "envy" if tid in own else "unassigned_envy"
+            # the own pair's ride is mine itself, never above it
+            ride = u * lift - x
+            if mine < ride:
+                lhs, rhs = Fraction(mine, common), Fraction(ride, common)
+                violations.append(Violation(kind, (tid, alt), lhs, rhs))
     return feas, CheckReport(verdict=not violations, violations=tuple(violations))
 
 

@@ -11,6 +11,7 @@ import argparse
 import io
 import json
 import sys
+import warnings
 from fractions import Fraction
 from functools import cache
 
@@ -70,7 +71,9 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
     that is ``None``, in the surplus optimum, solved only for such an entry."""
     matrix = inst.compatibility
     table = matrix.entries
-    if base is not None and not overrides and base.entries.keys() >= table.keys():
+    # parse_document admits only compatible pairs, so a parsed schedule with
+    # as many entries as the table prices every pair
+    if base is not None and not overrides and len(base.entries) == len(table):
         return base
     entries = dict(base.entries) if base is not None else {}
     if overrides:
@@ -371,21 +374,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_):
+    """A ``warnings.showwarning`` that writes the message alone, no source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
-    except ValidationError as exc:
-        for message in exc.errors:
-            print(f"error: {message}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, OracleScaleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    with warnings.catch_warnings():
+        # each warning, the instance's for n < m among them, is one line of
+        # its own on every run, however often the process has warned before
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except ValidationError as exc:
+            for message in exc.errors:
+                print(f"error: {message}", file=sys.stderr)
+            return EXIT_INVALID
+        except (OSError, OracleScaleError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -53,13 +53,15 @@ _KEYS = {
 
 def _known_keys(obj, kind, where, errors):
     """Record an error for every key of ``obj`` outside ``_KEYS[kind]``, in order."""
-    errors.extend(f"{where}: unknown key {key!r}" for key in obj if key not in _KEYS[kind])
+    if not obj.keys() <= _KEYS[kind]:
+        errors.extend(f"{where}: unknown key {key!r}" for key in obj if key not in _KEYS[kind])
 
 
 def _strings(values, where, errors) -> bool:
     """True when every item is a string; otherwise record an error per item."""
     bad = [v for v in values if not isinstance(v, str)]
-    errors.extend(f"{where} {v!r} is not a string" for v in bad)
+    if bad:
+        errors.extend(f"{where} {v!r} is not a string" for v in bad)
     return not bad
 
 
@@ -203,13 +205,18 @@ def parse_document(text: str) -> InstanceDocument:
         inconvenience = _typed(
             entry.get("inconvenience", {}), dict, f"{where}: inconvenience", errors, {}
         )
+        v_max, v_min = entry.get("v_max", 0), entry.get("v_min", 0)
         try:
             travelers.append(
                 Traveler(
                     id=tid,
                     od=od,
-                    v_max=_parse_money(entry.get("v_max", 0), f"{where}: v_max", errors, memo),
-                    v_min=_parse_money(entry.get("v_min", 0), f"{where}: v_min", errors, memo),
+                    v_max=memo[v_max]
+                    if type(v_max) is str and v_max in memo
+                    else _parse_money(v_max, f"{where}: v_max", errors, memo),
+                    v_min=memo[v_min]
+                    if type(v_min) is str and v_min in memo
+                    else _parse_money(v_min, f"{where}: v_min", errors, memo),
                     inconvenience={
                         vid: memo[phi]
                         if type(phi) is str and phi in memo
@@ -291,12 +298,12 @@ def parse_document(text: str) -> InstanceDocument:
                 errors.append(f"payments: unknown traveler id {tid!r}")
                 continue
             for vid, value in _typed(row, dict, f"payments: [{tid!r}]", errors, {}).items():
-                if vid not in vids:
-                    errors.append(f"payments: [{tid!r}]: unknown vehicle id {vid!r}")
-                    continue
                 pair = (tid, vid)
                 if pair not in compatible:
-                    errors.append(f"payments: pair {pair!r} is not compatible")
+                    if vid not in vids:
+                        errors.append(f"payments: [{tid!r}]: unknown vehicle id {vid!r}")
+                    else:
+                        errors.append(f"payments: pair {pair!r} is not compatible")
                     continue
                 entries[pair] = (
                     memo[value]

@@ -76,9 +76,10 @@ class Traveler:
         errors = []
         if not (n >= 0 and n * hd <= hi * d):
             errors.append(f"traveler {self.id!r}: needs 0 <= v_min <= v_max")
-        inconvenience = {}
-        for vid, phi in self.inconvenience.items():
-            inconvenience[vid] = phi = _money(phi)
+        inconvenience = dict(self.inconvenience)
+        for vid, phi in inconvenience.items():
+            if type(phi) is not Fraction:
+                inconvenience[vid] = phi = _money(phi)
             n, d = phi.as_integer_ratio()
             if not (n >= 0 and n * hd <= hi * d):
                 errors.append(
@@ -220,28 +221,28 @@ class MarketInstance:
         # per pair: its ids, its vehicle's index and its inconvenience; its
         # explicit share, or in per-seat mode one share per served vehicle
         pairs, cols, phis, shares, errors = [], [], [], [], []
+        positions = self._positions
         for t in self.travelers:
-            origin, destination = t.od.origin, t.od.destination
+            tid, origin, destination = t.id, t.od.origin, t.od.destination
             # the traveler's own entries, in vehicle order; an unknown id names no vehicle
-            own = [(index[vid], phi) for vid, phi in t.inconvenience.items() if vid in index]
+            own = [(index[vid], vid, phi) for vid, phi in t.inconvenience.items() if vid in index]
             own.sort()
-            for k, phi in own:
-                v = self.vehicles[k]
-                first, last = self._positions[k]
+            for k, vid, phi in own:
+                first, last = positions[k]
                 # the route picks up before it drops off: see visits_in_order
                 pickup = first.get(origin)
                 if pickup is None or pickup >= last.get(destination, -1):
                     continue
                 if explicit:
-                    share = (v.cost_shares or {}).get(t.id)
+                    share = (self.vehicles[k].cost_shares or {}).get(tid)
                     if share is None:
                         errors.append(
-                            f"vehicle {v.id!r}: explicit mode but no cost share for "
-                            f"compatible traveler {t.id!r}"
+                            f"vehicle {vid!r}: explicit mode but no cost share for "
+                            f"compatible traveler {tid!r}"
                         )
                         continue
                     shares.append(share)
-                pairs.append((t.id, v.id))
+                pairs.append((tid, vid))
                 cols.append(k)
                 phis.append(phi)
         if errors:
@@ -341,8 +342,9 @@ def validate_assignment(inst: MarketInstance, a: Assignment):
 
 def validate_schedule(inst: MarketInstance, t):
     """Check that schedule ``t`` prices every compatible pair; name each missing one, in order."""
-    missing = [p for p in inst.compatibility.entries if p not in t.entries]
-    if missing:
+    table = inst.compatibility.entries
+    if not t.entries.keys() >= table.keys():
+        missing = [p for p in table if p not in t.entries]
         raise ValidationError([f"schedule: no payment for compatible pair {p}" for p in missing])
 
 

@@ -546,7 +546,8 @@ def _reference_check(inst, a, t, classic_core):
             if own < 0:
                 violations.append(Violation("exit_preferred", (tid, None), own, F(0)))
             kind = "unassigned_envy" if vid is None else "envy"
-            for alt in inst.compatible_vehicles(tid):
+            # the alternatives in vehicle order, read from the instance, not the table
+            for alt in [v.id for v in inst.vehicles if (tid, v.id) in ride]:
                 if alt != vid and own < ride[(tid, alt)]:
                     violations.append(Violation(kind, (tid, alt), own, ride[(tid, alt)]))
     return feas, CheckReport(verdict=not violations, violations=tuple(violations))
@@ -641,6 +642,45 @@ def test_checkers_equal_the_fraction_reference():
                 _reference_feasibility(inst, a, alloc)
             )
     assert schedules >= 300 and lifted >= 300
+    assert {True, False, None} <= verdicts
+
+
+def _shuffled(inst, rng, bare):
+    """``inst`` with each traveler's inconvenience entries in random order,
+    and none at all, so no compatible pair, for every ``bare``-th traveler."""
+    travelers = []
+    for k, t in enumerate(inst.travelers):
+        entries = list(t.inconvenience.items())
+        rng.shuffle(entries)
+        own = dict(entries) if k % bare else {}
+        travelers.append(Traveler(t.id, t.od, t.v_max, t.v_min, own))
+    return MarketInstance(inst.network, tuple(travelers), inst.vehicles)
+
+
+def test_checkers_equal_the_reference_with_vehicles_out_of_order():
+    """On markets of 11 to 14 vehicles, where "V10" sorts before "V2", with
+    each traveler's inconvenience entries shuffled and some travelers with
+    no compatible pair, the checkers give the reference's reports in both
+    modes: the pairs are walked in vehicle order, not in entry order."""
+    rng = random.Random(21)
+    verdicts, shuffled = set(), 0
+    for seed in range(8):
+        m = 11 + seed % 4
+        inst = _shuffled(generate_instance(9300 + seed, n=3 * m, m=m), rng, 4)
+        index = {v.id: k for k, v in enumerate(inst.vehicles)}
+        for t in inst.travelers:
+            options = inst.compatible_vehicles(t.id)
+            assert options == sorted(options, key=index.__getitem__)
+            shuffled += options != [vid for vid in t.inconvenience if vid in options]
+        assert any(not inst.compatible_vehicles(t.id) for t in inst.travelers)
+        cases = [_greedy_feasible(inst)]
+        for _ in range(3):
+            b = _random_assignment(inst, rng)
+            cases.append((b, _random_schedule(inst, b, rng)))
+        for b, t in cases:
+            got, _ = _assert_checks_match_reference(inst, b, t)
+            verdicts.update(got)
+    assert shuffled >= 50
     assert {True, False, None} <= verdicts
 
 

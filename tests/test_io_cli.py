@@ -306,6 +306,37 @@ def test_unknown_ids_are_reported_after_both_sections(canonical):
     ]
 
 
+def test_payment_errors_keep_their_text_and_document_order(canonical, tmp_path, capsys):
+    """Unknown travelers, unknown vehicles, incompatible pairs and malformed
+    values among the payments are each reported with their own message, in
+    document order, within a row and across rows."""
+    raw = json.loads(serialize_document(canonical))
+    # V2 drives B->C only, which misses T1's A->C trip
+    raw["vehicles"].append({**raw["vehicles"][0], "id": "V2", "route": ["e2"]})
+    raw["travelers"][0]["inconvenience"]["V2"] = "0"
+    raw["payments"] = {
+        "T1": {"V9": "1", "V1": "x", "V2": "1"},
+        "T0": {"V1": "1"},
+        "T2": {"V1": 2.5, "V7": "1", "V2": "2"},
+    }
+    errors = [
+        "payments: ['T1']: unknown vehicle id 'V9'",
+        "payments: ['T1']['V1']: not an exact number: 'x' (use \"p/q\" strings)",
+        "payments: pair ('T1', 'V2') is not compatible",
+        "payments: unknown traveler id 'T0'",
+        "payments: ['T2']['V1']: not an exact number: 2.5 (use \"p/q\" strings)",
+        "payments: ['T2']: unknown vehicle id 'V7'",
+        "payments: pair ('T2', 'V2') is not compatible",
+    ]
+    with pytest.raises(ValidationError) as exc:
+        parse_document(json.dumps(raw))
+    assert exc.value.errors == errors
+    path = tmp_path / "payments.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in errors]
+
+
 def test_top_level_array_is_a_validation_error(tmp_path, capsys):
     with pytest.raises(ValidationError) as exc:
         parse_document("[]")
@@ -489,6 +520,22 @@ def test_cli_check_infeasible_payment_exits_1(canonical_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["feasibility"]["verdict"] is False
     assert doc["stability"]["verdict"] is None
+
+
+def test_cli_partly_priced_document_is_completed_at_break_even(
+    canonical, canonical_path, tmp_path, capsys
+):
+    """A document that prices only some compatible pairs is completed at
+    break-even, exactly as the same prices given by ``--payments``."""
+    for price in ("3", "7"):
+        path = tmp_path / f"part-{price}.json"
+        path.write_text(serialize_document(canonical, PaymentSchedule({("T1", "V1"): F(price)})))
+        status = main(["check", str(path), "--format", "machine"])
+        got = (status, capsys.readouterr())
+        override = f"T1:V1={price}"
+        status = main(["check", canonical_path, "--payments", override, "--format", "machine"])
+        assert got == (status, capsys.readouterr())
+        assert got[0] == (0 if price == "3" else 1)
 
 
 def test_cli_synthesize(canonical_path, capsys):
@@ -788,6 +835,17 @@ def test_cli_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, c
     assert [status for status, _ in outs] == [1, 0, 2, 0]
     modes = [json.loads(out)["stability_mode"] for _, out in outs[:2]]
     assert modes == ["classic_core", "literal"]
+
+
+def test_cli_warns_of_fewer_travelers_than_vehicles_on_every_run(tmp_path, capsys):
+    """A market with fewer travelers than vehicles draws one warning line of
+    the CLI's own on every run in a process, naming no source file."""
+    path = tmp_path / "few.json"
+    path.write_text(serialize_document(generate_instance(1, n=2, m=3)))
+    for _ in range(2):
+        assert main(["check", str(path)]) in (0, 1)
+        err = capsys.readouterr().err
+        assert err == "warning: market has fewer travelers than vehicles (n < m)\n"
 
 
 #: values a mutation writes in place of a document field or payment
