@@ -9,7 +9,13 @@ Run from anywhere, with the standard library only::
 Each market is ``generate_instance(5, n, n // 5)`` at n = 300, 600 and
 1000, serialized and parsed back.  Each layer is timed once with
 ``time.perf_counter``: the parse, the pair table, Charnes' perturbation of
-the pair weights and the matching kernel, with the kernel's work counters.
+the pair weights and the matching kernel, with the kernel's work counters,
+then the dual certificate at the kernel's optimum (``_dual_certificate``
+and ``verify_dual_certificate``).  At n = 300 and 600 the stable-payment
+synthesis runs at that optimum in both ``favor`` modes, each with its
+seconds, stability rows and feasibility.  At n = 1000 those fields are
+``null``: the synthesis runs every Bellman-Ford pass there, about 30 s per
+mode, until it stops at the first negative cycle (ROADMAP item 4).
 The check path then prices the kernel's optimum: each matched pair pays
 its cost share and every other pair its break-even ``max(0, surplus)``.
 The priced document is serialized and parsed back, timed, and
@@ -38,12 +44,18 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from rideshare_market import solver  # noqa: E402
-from rideshare_market.allocation import PaymentSchedule, check_payments  # noqa: E402
+from rideshare_market.allocation import (  # noqa: E402
+    PaymentSchedule,
+    check_payments,
+    synthesize_stable_payments,
+)
 from rideshare_market.generate import generate_instance  # noqa: E402
 from rideshare_market.instance_io import parse_document, serialize_document  # noqa: E402
 from rideshare_market.market import UNASSIGNED, Assignment  # noqa: E402
 
 SIZES = (300, 600, 1000)
+#: the sizes at which the synthesis runs
+SYNTHESIS_SIZES = (300, 600)
 
 
 def _timed(fn, *args):
@@ -64,7 +76,11 @@ def ladder_row(n: int) -> dict:
     cap = [v.capacity for v in inst.vehicles]
     kernel, kernel_s = _timed(solver.shortest_augmenting_paths, adj, cap)
     match, augmentations, relaxations = kernel
-    return {
+    a = Assignment(
+        {tid: UNASSIGNED if j is None else vehicles[j] for tid, j in zip(travelers, match)}
+    )
+    _, certificate_s = _timed(certify, inst, scaled, a, dict(zip(vehicles, cap)))
+    row = {
         "n": n,
         "m": n // 5,
         "pairs": len(matrix.entries),
@@ -74,17 +90,29 @@ def ladder_row(n: int) -> dict:
         "kernel_s": kernel_s,
         "augmentations": augmentations,
         "relaxations": relaxations,
-        **check_path(inst, match),
+        "certificate_s": certificate_s,
     }
+    for favor in ("travelers", "vehicles"):
+        seconds = rows = feasible = None
+        if n in SYNTHESIS_SIZES:
+            synth, seconds = _timed(synthesize_stable_payments, inst, a, favor)
+            rows, feasible = len(synth.rows), synth.feasible
+        row[f"synthesis_{favor}_s"] = seconds
+        row[f"synthesis_{favor}_rows"] = rows
+        row[f"synthesis_{favor}_feasible"] = feasible
+    return {**row, **check_path(inst, a)}
 
 
-def check_path(inst, match) -> dict:
-    """Parse and check times of the kernel's optimum ``match``, priced at
-    each matched pair's cost share and every other pair's break-even."""
-    vehicles = [v.id for v in inst.vehicles]
-    a = Assignment(
-        {t.id: UNASSIGNED if j is None else vehicles[j] for t, j in zip(inst.travelers, match)}
-    )
+def certify(inst, scaled, a, capacity):
+    """The dual certificate of the optimum ``a``, checked."""
+    objective = sum(scaled[p] for p in a.assigned_pairs())
+    certificate = solver._dual_certificate(scaled, a, capacity)
+    solver.verify_dual_certificate(inst, scaled, certificate, objective)
+
+
+def check_path(inst, a) -> dict:
+    """Parse and check times of the kernel's optimum ``a``, priced at each
+    matched pair's cost share and every other pair's break-even."""
     matrix = inst.compatibility
     pays = {
         pair: Fraction(share if a.vehicle_of(pair[0]) == pair[1] else max(0, surplus), matrix.den)

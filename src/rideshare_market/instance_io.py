@@ -68,21 +68,33 @@ def _strings(values, where, errors) -> bool:
 #: the most digits Python converts between ``int`` and ``str`` by default
 MAX_DIGITS = 4300
 
-#: the money grammar, on every Python: a sign, an integer, ``p/q`` or a decimal
-_NUMBER = re.compile(r"[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)", re.ASCII)
+#: the money grammar, on every Python: a sign, an integer, ``p/q`` or a
+#: decimal; the groups are the sign and, for an integer or ``p/q``, its digits
+_NUMBER = re.compile(r"([-+]?)(?:(\d+)(?:/(\d+))?|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)", re.ASCII)
 
 
 def exact_number(value) -> Fraction:
     """``Fraction(value)`` for an ``int`` or a string in the money grammar.
 
-    A string's exponent is checked before the power of ten is computed: a
-    value with more than :data:`MAX_DIGITS` digits once its exponent is
-    written out raises :class:`ValidationError`, since it could never be
-    printed.  Other strings raise ``ValueError``, non-ASCII digits too.
+    A string is matched against the grammar once: an integer or ``p/q``
+    string is built from the match's own digits, and a decimal's exponent
+    is checked before the power of ten is computed.  A value with more than
+    :data:`MAX_DIGITS` digits in an integer, in either part of ``p/q``, or
+    once a decimal's exponent is written out raises
+    :class:`ValidationError`, since it could never be printed.  A zero
+    denominator raises ``ZeroDivisionError``; other strings raise
+    ``ValueError``, non-ASCII digits too.
     """
     if isinstance(value, str):
-        if not _NUMBER.fullmatch(value):
+        match = _NUMBER.fullmatch(value)
+        if not match:
             raise ValueError(f"not an exact number: {value!r}")
+        sign, p, q = match.groups()
+        if p is not None:
+            if len(p) > MAX_DIGITS or q is not None and len(q) > MAX_DIGITS:
+                raise ValidationError(f"{value!r} needs more than {MAX_DIGITS} digits")
+            p = -int(p) if sign == "-" else int(p)
+            return Fraction(p) if q is None else Fraction(p, int(q))
         mantissa, e, exponent = value.upper().partition("E")
         if e and sum(c.isdigit() for c in mantissa) + abs(int(exponent)) > MAX_DIGITS:
             raise ValidationError(f"{value!r} needs more than {MAX_DIGITS} digits")
@@ -93,11 +105,9 @@ def _parse_money(value, where, errors, memo):
     """The exact value of one money field, or ``0`` with an error naming
     ``where``.  ``memo`` maps each string already converted without error
     in this document to its value, so a repeated string is converted once;
-    a malformed one is converted, and reported, at every location.  A
-    caller in a loop looks a string up in ``memo`` itself, before it
-    formats ``where``."""
-    if isinstance(value, str) and value in memo:
-        return memo[value]
+    a malformed one is converted, and reported, at every location.  The
+    caller looks a string up in ``memo`` itself, before it formats
+    ``where``."""
     try:
         if isinstance(value, bool):
             raise ValueError
@@ -121,11 +131,14 @@ def _parse_money(value, where, errors, memo):
 def _entities(doc, section, errors):
     """``(id, entry)`` for every object in the list ``doc[section]`` whose
     id is a string; every other entry is an error."""
-    for k, entry in enumerate(_typed(doc.get(section, []), list, section, errors, [])):
-        where = f"{section}[{k}]"
-        if _typed(entry, dict, where, errors, None) is not None:
-            if _typed(entry.get("id"), str, f"{where}: id", errors, None) is not None:
-                yield entry["id"], entry
+    entries = doc.get(section, [])
+    if type(entries) is not list:
+        entries = _typed(entries, list, section, errors, [])
+    for k, entry in enumerate(entries):
+        if type(entry) is dict and type(entry.get("id")) is str:
+            yield entry["id"], entry
+        elif _typed(entry, dict, f"{section}[{k}]", errors, None) is not None:
+            _typed(entry.get("id"), str, f"{section}[{k}]: id", errors, None)
 
 
 def _objects_noting_repeats(repeats):
@@ -179,10 +192,10 @@ def parse_document(text: str) -> InstanceDocument:
     vertices = vertices if _strings(vertices, "network: vertex", errors) else []
     edges = []
     for e in _typed(net_sec.get("edges", []), list, "network: edges", errors, []):
-        if not (isinstance(e, list) and len(e) == 3 and all(isinstance(x, str) for x in e)):
+        if type(e) is list and len(e) == 3 and type(e[0]) is type(e[1]) is type(e[2]) is str:
+            edges.append(Edge(id=e[0], tail=e[1], head=e[2]))
+        else:
             errors.append(f"network: edge entry must be [id, tail, head] strings, got {e!r}")
-            continue
-        edges.append(Edge(id=e[0], tail=e[1], head=e[2]))
     network = None
     try:
         network = Network(vertices=frozenset(vertices), edges=tuple(edges))
@@ -193,18 +206,20 @@ def parse_document(text: str) -> InstanceDocument:
     for tid, entry in _entities(doc, "travelers", errors):
         tids.add(tid)
         where = f"traveler {tid!r}"
-        _known_keys(entry, "traveler", where, errors)
-        ends = [entry.get("origin"), entry.get("destination")]
-        if not _strings(ends, f"{where}: origin or destination", errors):
+        if not entry.keys() <= _KEYS["traveler"]:
+            _known_keys(entry, "traveler", where, errors)
+        ends = entry.get("origin"), entry.get("destination")
+        if type(ends[0]) is not str or type(ends[1]) is not str:
+            _strings(ends, f"{where}: origin or destination", errors)
             continue
         try:
             od = ODPair(*ends)
         except ValidationError as exc:
             errors.extend(f"{where}: {m}" for m in exc.errors)
             continue
-        inconvenience = _typed(
-            entry.get("inconvenience", {}), dict, f"{where}: inconvenience", errors, {}
-        )
+        inconvenience = entry.get("inconvenience", {})
+        if type(inconvenience) is not dict:
+            inconvenience = _typed(inconvenience, dict, f"{where}: inconvenience", errors, {})
         v_max, v_min = entry.get("v_max", 0), entry.get("v_min", 0)
         try:
             travelers.append(
@@ -232,9 +247,13 @@ def parse_document(text: str) -> InstanceDocument:
     for vid, entry in _entities(doc, "vehicles", errors):
         vids.add(vid)
         where = f"vehicle {vid!r}"
-        _known_keys(entry, "vehicle", where, errors)
-        route = _typed(entry.get("route", []), list, f"{where}: route", errors, [])
-        if not _strings(route, f"{where}: route edge", errors):
+        if not entry.keys() <= _KEYS["vehicle"]:
+            _known_keys(entry, "vehicle", where, errors)
+        route = entry.get("route", [])
+        if type(route) is not list:
+            route = _typed(route, list, f"{where}: route", errors, [])
+        if not all(type(e) is str for e in route):
+            _strings(route, f"{where}: route edge", errors)
             continue
         try:
             route = Route(tuple(route))
@@ -243,21 +262,24 @@ def parse_document(text: str) -> InstanceDocument:
             continue
         shares = entry.get("cost_shares")
         if shares is not None:
+            if type(shares) is not dict:
+                shares = _typed(shares, dict, f"{where}: cost_shares", errors, {})
             shares = {
                 t: memo[s]
                 if type(s) is str and s in memo
                 else _parse_money(s, f"{where}: cost_shares[{t!r}]", errors, memo)
-                for t, s in _typed(shares, dict, f"{where}: cost_shares", errors, {}).items()
+                for t, s in shares.items()
             }
+        cost = entry.get("operating_cost", 0)
         try:
             vehicles.append(
                 Vehicle(
                     id=vid,
                     route=route,
                     capacity=entry.get("capacity", 0),
-                    operating_cost=_parse_money(
-                        entry.get("operating_cost", 0), f"{where}: operating_cost", errors, memo
-                    ),
+                    operating_cost=memo[cost]
+                    if type(cost) is str and cost in memo
+                    else _parse_money(cost, f"{where}: operating_cost", errors, memo),
                     cost_shares=shares,
                 )
             )
@@ -297,7 +319,9 @@ def parse_document(text: str) -> InstanceDocument:
             if tid not in tids:
                 errors.append(f"payments: unknown traveler id {tid!r}")
                 continue
-            for vid, value in _typed(row, dict, f"payments: [{tid!r}]", errors, {}).items():
+            if type(row) is not dict:
+                row = _typed(row, dict, f"payments: [{tid!r}]", errors, {})
+            for vid, value in row.items():
                 pair = (tid, vid)
                 if pair not in compatible:
                     if vid not in vids:

@@ -67,9 +67,11 @@ class Traveler:
     inconvenience: dict
 
     def __post_init__(self):
-        v_max, v_min = _money(self.v_max), _money(self.v_min)
-        object.__setattr__(self, "v_max", v_max)
-        object.__setattr__(self, "v_min", v_min)
+        v_max, v_min = self.v_max, self.v_min
+        if type(v_max) is not Fraction or type(v_min) is not Fraction:
+            v_max, v_min = _money(v_max), _money(v_min)
+            object.__setattr__(self, "v_max", v_max)
+            object.__setattr__(self, "v_min", v_min)
         # 0 <= n/d <= hi/hd as integers: n >= 0 and n * hd <= hi * d, for d, hd > 0
         hi, hd = v_max.as_integer_ratio()
         n, d = v_min.as_integer_ratio()

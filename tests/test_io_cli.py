@@ -17,7 +17,7 @@ import rideshare_market
 from rideshare_market import MarketInstance, PaymentSchedule, ValidationError, Vehicle
 from rideshare_market.cli import build_parser, main
 from rideshare_market.generate import generate_instance
-from rideshare_market.instance_io import parse_document, serialize_document
+from rideshare_market.instance_io import _NUMBER, exact_number, parse_document, serialize_document
 
 
 def test_round_trip_canonical(canonical):
@@ -79,6 +79,36 @@ def test_parse_reports_all_errors_at_once(canonical):
     messages = "\n".join(exc.value.errors)
     assert "origin equals destination" in messages
     assert "exact number" in messages
+
+
+def test_parse_reports_every_malformed_entry_in_document_order(canonical):
+    """One document breaks each shape check on the entity lists, the
+    network edges and a traveler's or vehicle's fields; every error is
+    reported, with its own text, in document order."""
+    raw = json.loads(serialize_document(canonical))
+    raw["network"]["edges"].append(["e9", "A"])
+    t1, t2 = raw["travelers"]
+    t1.update(vmax="9", inconvenience=["V1"])
+    t2["origin"] = 5
+    raw["travelers"] += ["T3", {**t1, "id": 7}]
+    v1 = raw["vehicles"][0]
+    raw["vehicles"] += [{**v1, "id": "V2", "route": "e1"}, {**v1, "id": "V3", "route": ["e1", 2]}]
+    v1.update(capcity=2, operating_cost="x")
+    with pytest.raises(ValidationError) as exc:
+        parse_document(json.dumps(raw))
+    assert exc.value.errors == [
+        "network: edge entry must be [id, tail, head] strings, got ['e9', 'A']",
+        "traveler 'T1': unknown key 'vmax'",
+        "traveler 'T1': inconvenience: expected object, got list",
+        "traveler 'T2': origin or destination 5 is not a string",
+        "travelers[2]: expected object, got string",
+        "travelers[3]: id: expected string, got number",
+        "vehicle 'V1': unknown key 'capcity'",
+        "vehicle 'V1': operating_cost: not an exact number: 'x' (use \"p/q\" strings)",
+        "vehicle 'V2': route: expected list, got string",
+        "vehicle 'V2': route: must contain at least one edge",
+        "vehicle 'V3': route edge 2 is not a string",
+    ]
 
 
 def test_parse_rejects_dangling_edge(canonical):
@@ -246,6 +276,11 @@ MALFORMED = [
         r"^traveler 'T1': v_max: '1e-5000' needs more than 4300 digits$",
         id="money-exponent-too-small",
     ),
+    pytest.param(
+        _traveler(v_max="1" * 4301),
+        r"^traveler 'T1': v_max: '1{4301}' needs more than 4300 digits$",
+        id="money-integer-too-long",
+    ),
     # a misspelt key is an error at every level, never silently dropped
     pytest.param(
         _document(payment={"T1": {"V1": "3"}}),
@@ -392,6 +427,43 @@ def _money_strings():
         st.builds("{}{}".format, st.sampled_from(["", "+"]), unsigned),
         st.sampled_from(["-0", "-0/7", "-0.0e3"]),
     )
+
+
+def _signed_money_strings():
+    """``_money_strings()`` with negative values, leading zeros and
+    unreduced ``p/q`` added."""
+    unsigned = _money_strings().map(lambda s: s.lstrip("+-"))
+    return st.one_of(
+        _money_strings(),
+        unsigned.map("-{}".format),
+        unsigned.map("00{}".format),
+        st.builds(
+            lambda p, q, k, sign: f"{sign}{p * k}/{q * k}",
+            st.integers(0, 10**6),
+            st.integers(1, 999),
+            st.integers(2, 99),
+            st.sampled_from(["", "+", "-"]),
+        ),
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_signed_money_strings())
+def test_exact_number_equals_fraction_on_the_grammar(value):
+    number = exact_number(value)
+    assert type(number) is F and number == F(value)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.text(alphabet="0123456789+-/.eE _x\u0663").filter(lambda s: not _NUMBER.fullmatch(s)))
+def test_exact_number_rejects_strings_outside_the_grammar(value):
+    with pytest.raises(ValueError, match="not an exact number"):
+        exact_number(value)
+
+
+def test_exact_number_zero_denominator_is_zero_division():
+    with pytest.raises(ZeroDivisionError):
+        exact_number("3/0")
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -587,10 +659,19 @@ def test_cli_bad_payment_spec_exits_2(canonical_path, capsys):
     assert "exact number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["1e5000", "1e-5000"])
+@pytest.mark.parametrize(
+    "value",
+    [
+        "1e5000",
+        "1e-5000",
+        pytest.param("1" * 4301, id="integer-4301-digits"),
+        pytest.param("1/" + "1" * 4301, id="denominator-4301-digits"),
+    ],
+)
 @pytest.mark.parametrize("command", ["solve", "check", "report"])
 def test_cli_huge_payment_override_exits_2(canonical_path, capsys, command, value):
-    """An exponent is checked before its power of ten is computed."""
+    """An exponent is checked before its power of ten is computed, and an
+    integer or either part of ``p/q`` before it is converted."""
     assert main([command, canonical_path, "--payments", f"T1:V1={value}"]) == 2
     assert capsys.readouterr().err == f"error: --payments: '{value}' needs more than 4300 digits\n"
 
