@@ -11,11 +11,9 @@ Each market is ``generate_instance(5, n, n // 5)`` at n = 300, 600 and
 ``time.perf_counter``: the parse, the pair table, Charnes' perturbation of
 the pair weights and the matching kernel, with the kernel's work counters,
 then the dual certificate at the kernel's optimum (``_dual_certificate``
-and ``verify_dual_certificate``).  At n = 300 and 600 the stable-payment
-synthesis runs at that optimum in both ``favor`` modes, each with its
-seconds, stability rows and feasibility.  At n = 1000 those fields are
-``null``: the synthesis runs every Bellman-Ford pass there, about 30 s per
-mode, until it stops at the first negative cycle (ROADMAP item 4).
+and ``verify_dual_certificate``).  The stable-payment synthesis runs at
+that optimum in both ``favor`` modes, each with its seconds, stability
+rows and feasibility.
 The check path then prices the kernel's optimum: each matched pair pays
 its cost share and every other pair its break-even ``max(0, surplus)``.
 The priced document is serialized and parsed back, timed, and
@@ -54,8 +52,6 @@ from rideshare_market.instance_io import parse_document, serialize_document  # n
 from rideshare_market.market import UNASSIGNED, Assignment  # noqa: E402
 
 SIZES = (300, 600, 1000)
-#: the sizes at which the synthesis runs
-SYNTHESIS_SIZES = (300, 600)
 
 
 def _timed(fn, *args):
@@ -93,13 +89,9 @@ def ladder_row(n: int) -> dict:
         "certificate_s": certificate_s,
     }
     for favor in ("travelers", "vehicles"):
-        seconds = rows = feasible = None
-        if n in SYNTHESIS_SIZES:
-            synth, seconds = _timed(synthesize_stable_payments, inst, a, favor)
-            rows, feasible = len(synth.rows), synth.feasible
-        row[f"synthesis_{favor}_s"] = seconds
-        row[f"synthesis_{favor}_rows"] = rows
-        row[f"synthesis_{favor}_feasible"] = feasible
+        synth, row[f"synthesis_{favor}_s"] = _timed(synthesize_stable_payments, inst, a, favor)
+        row[f"synthesis_{favor}_rows"] = len(synth.rows)
+        row[f"synthesis_{favor}_feasible"] = synth.feasible
     return {**row, **check_path(inst, a)}
 
 

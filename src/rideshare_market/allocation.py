@@ -295,12 +295,20 @@ def _stability_system(inst: MarketInstance, a: Assignment):
     reading ``x[plus] - x[minus] rel rhs``; ``plus`` and ``minus`` are
     compatible pairs, or ``None`` for an absent term; ``rhs`` is an ``int``,
     ``den`` times its value.  :attr:`SynthesisResult.rows` keeps them as is.
+    The constraint graph is built with the rows and returned after them.
     """
     table, v_min = inst.compatibility.entries, inst.compatibility.v_min
-    rows = []
-    labels = []
+    # nodes are None, the constant 0, and the matched payments; edge k
+    # (u, v, w) is row row_of[k] and reads x[v] - x[u] <= w / den.  A >= row
+    # whose plus term is off the match waits in off_rows as (plus, minus, rhs)
+    rows, labels, nodes, edges, row_of, off_rows = [], [], [None], [], [], []
 
-    def add(plus, minus, rel, rhs, label):
+    def add(plus, minus, rel, rhs, label, off_match=False):
+        if off_match:
+            off_rows.append((plus, minus, rhs))
+        else:
+            edges.append((minus, plus, rhs) if rel == LE else (plus, minus, -rhs))
+            row_of.append(len(rows))
         rows.append((plus, minus, rel, rhs))
         labels.append(label)
 
@@ -311,9 +319,10 @@ def _stability_system(inst: MarketInstance, a: Assignment):
             for alt in inst.compatible_vehicles(tid):
                 p = (tid, alt)
                 # 0 >= valuation - payment - share at every alternative
-                add(p, None, GE, table[p][2], ("exit_dominates", p))
+                add(p, None, GE, table[p][2], ("exit_dominates", p), off_match=True)
             continue
         pm = (tid, vid)
+        nodes.append(pm)
         value, share, surplus = table[pm]
         add(pm, None, GE, share, ("rho_nonneg", pm))
         add(pm, None, LE, value - v_min[tid], ("pi_nonneg", pm))
@@ -323,17 +332,15 @@ def _stability_system(inst: MarketInstance, a: Assignment):
                 continue
             p = (tid, alt)
             # own ride value >= alternative ride value
-            add(p, pm, GE, table[p][2] - surplus, ("no_envy", p))
+            add(p, pm, GE, table[p][2] - surplus, ("no_envy", p), off_match=True)
     # blocking-pair coupling
     for (tid, vid), (_, _, s) in table.items():
         own = a.vehicle_of(tid)
         if own == vid:
             continue
         # traveler's utility: u_const - x[mine], or 0 when unassigned
-        if own is UNASSIGNED:
-            mine, u_const = None, 0
-        else:
-            mine, u_const = (tid, own), table[(tid, own)][0]
+        mine = None if own is UNASSIGNED else (tid, own)
+        u_const = 0 if mine is None else table[mine][0]
         on = a.riders.get(vid, ())
         if len(on) < inst.vehicle(vid).capacity:
             # an empty seat earns 0: utility alone must cover the surplus
@@ -344,7 +351,7 @@ def _stability_system(inst: MarketInstance, a: Assignment):
                 pr = (rid, vid)
                 label = ("no_blocking_displace", (tid, vid, rid))
                 add(pr, mine, GE, s - u_const + table[pr][1], label)
-    return list(table), rows, labels
+    return list(table), rows, labels, nodes, edges, row_of, off_rows
 
 
 def verify_farkas_certificate(rows, certificate):
@@ -389,31 +396,20 @@ def synthesize_stable_payments(
     schedules form a lattice and these lexicographic optima are its
     componentwise extremes.  An off-match payment is only ever the ``plus``
     term of a ``>=`` row, besides its bound ``x >= 0``, so it lies on no
-    cycle: one shortest-path run over the matched payments and the zero
-    node gives their maximum, or on the reversed graph their minimum, and
-    each off-match payment is then the least value its rows allow.
-
-    When infeasible, the result carries an exact Farkas certificate over
-    the constraint system: the rows on a negative cycle, with ``int``
-    multipliers 0, 1 and -1.
+    cycle and stays out of the graph built with the rows: one shortest-path
+    run over the matched payments and the zero node gives their maximum, or
+    on the reversed graph their minimum, and each off-match payment is then
+    the least value its rows allow.  An infeasible run stops at the first
+    negative cycle its predecessor edges close; the result's exact Farkas
+    certificate is the rows on that cycle, with ``int`` multipliers 0, 1, -1.
     """
     validate_assignment(inst, a)
     if favor not in ("travelers", "vehicles"):
         raise ValueError(f"unknown favor mode {favor!r}")
-    pairs, rows, labels = _stability_system(inst, a)
-    nodes = [p for p in pairs if a.vehicle_of(p[0]) == p[1]] + [None]
-    # nodes are the matched payments and None, the constant 0; edge (u, v, w)
-    # reads x[v] - x[u] <= w / den.  Edge k is row row_of[k], and the bounds
-    # x >= 0 come last; a row whose plus term is off-match waits in off_rows
+    pairs, rows, labels, nodes, edges, row_of, off_rows = _stability_system(inst, a)
     den = inst.compatibility.den
-    edges, row_of, off_rows = [], [], []
-    for k, (plus, minus, rel, w) in enumerate(rows):
-        if plus is None or a.vehicle_of(plus[0]) == plus[1]:
-            edges.append((minus, plus, w) if rel == LE else (plus, minus, -w))
-            row_of.append(k)
-        else:
-            off_rows.append((plus, minus, w))
-    edges += [(p, None, 0) for p in nodes[:-1]]
+    # the bounds x >= 0 of the matched payments follow the rows' edges
+    edges += [(p, None, 0) for p in nodes[1:]]
     if favor == "travelers":
         edges = [(v, u, w) for u, v, w in edges]
     # the zero node reaches every matched payment, by its pi_nonneg row or,

@@ -4,9 +4,9 @@
 (Tomizawa 1971; Edmonds & Karp 1972): one Dijkstra run per augmentation
 over the vehicles, travelers folded into the edges, on reduced costs that
 vehicle potentials keep non-negative.  The general kernel
-:func:`bellman_ford` is not part of the matching: one run over the
-optimum's vehicles gives the seat prices of the dual certificate, and
-:mod:`rideshare_market.allocation` synthesizes stable payments with it.
+:func:`bellman_ford`, not part of the matching, stops at its first verdict:
+one run over the optimum's vehicles gives the dual certificate's seat
+prices, and :mod:`rideshare_market.allocation` synthesizes payments with it.
 Both kernels run over exact ``int`` weights read from the instance's
 integer pair table, ``den`` times the money; a ``Fraction`` is made only
 for a result.
@@ -77,14 +77,14 @@ def bellman_ford(nodes, edges, source):
     ``(tail, head, weight)`` whose nodes may be any hashable, ``None`` too.
 
     Weights are any exact numbers; callers pass ``int`` weights over a
-    common denominator, so no relaxation normalises a fraction.
-    Edges are scanned in list order, pass after pass, until a pass changes
-    nothing or ``len(nodes)`` passes have run.  Returns ``(dist, pred,
-    cycle, relaxations)``: the distance of every node reached from
-    ``source`` (``0`` at the source, in the weights' type elsewhere), the
-    index of each reached node's predecessor edge, the edge indices of a
-    negative cycle in path order (``None`` when there is none), and the
-    number of successful relaxations.
+    common denominator, so no relaxation normalises a fraction.  Edges are
+    scanned in list order, pass after pass, until a pass changes nothing or
+    the predecessor edges close a cycle, which is negative (CLRS Lemma 24.16);
+    ``len(nodes)`` passes without either raise :class:`CertificateError`.
+    Returns ``(dist, pred, cycle, relaxations)``: each reached node's distance
+    from ``source`` (``0`` at the source, in the weights' type elsewhere) and
+    predecessor edge index, the edge indices of the first cycle closed, in
+    path order (``None`` if none), and the number of successful relaxations.
     """
     dist = {source: 0}
     pred = {}
@@ -95,19 +95,21 @@ def bellman_ford(nodes, edges, source):
             if u in dist and (v not in dist or dist[u] + w < dist[v]):
                 dist[v] = dist[u] + w
                 pred[v] = k
-                last = v
                 relaxations += 1
         if relaxations == before:
             return dist, pred, None, relaxations
-    # still relaxing after len(nodes) passes: len(nodes) steps back along
-    # the predecessor edges land on a cycle, and that cycle is negative
-    for _ in range(len(nodes)):
-        last = edges[pred[last]][0]
-    cycle = [pred[last]]
-    while edges[cycle[-1]][0] != last:
-        cycle.append(pred[edges[cycle[-1]][0]])
-    cycle.reverse()
-    return dist, pred, cycle, relaxations
+        # walk back along the predecessor edges from each node in turn, each
+        # node once: the first walk that meets itself has closed a cycle
+        walk = {}
+        for v in pred:
+            path = []
+            while v in pred and v not in walk:
+                walk[v] = path
+                path.append(pred[v])
+                v = edges[path[-1]][0]
+            if walk.get(v) is path:
+                return dist, pred, path[path.index(pred[v]) :][::-1], relaxations
+    raise CertificateError(f"bellman_ford: no verdict after {len(nodes)} passes")
 
 
 def _perturbed(scaled, travelers, vehicles):

@@ -392,6 +392,41 @@ def test_synthesis_equals_pinned_lp_oracle():
     assert feasible >= 20
 
 
+def test_synthesis_at_the_optimum_reads_off_the_seat_prices():
+    """An exact oracle with no simplex: take the seat prices ``z`` of the
+    optimum's dual certificate.  Travelers-mode synthesis at the optimum is
+    feasible exactly when every matched pair has ``s - z >= v_min`` and
+    ``share + z <= s``, and then each matched payment is ``share + z``.
+    On 600 grid markets and four with n = 100-300, which the synthesis's
+    early exit makes cheap; both verdicts occur at n >= 100."""
+    markets = [
+        ((s,), generate_instance(s, s % 13 + 1, (s // 13) % 5 + 1, degenerate=s % 2 == 1))
+        for s in range(600)
+    ]
+    for key in ((0, 100, True), (1, 100, False), (1, 200, False), (0, 300, False)):
+        seed, n, degenerate = key
+        markets.append((key, generate_instance(seed, n, n // 5, degenerate=degenerate)))
+    verdicts = []
+    for key, inst in markets:
+        opt = solve_optimal_assignment(inst)
+        z = opt.dual_certificate.z
+        matrix = inst.compatibility
+        read_off = {}
+        stable = True
+        for tid, vid in opt.assignment.assigned_pairs():
+            _, share, surplus = (F(x, matrix.den) for x in matrix.entries[(tid, vid)])
+            v_min = F(matrix.v_min[tid], matrix.den)
+            stable &= surplus - z[vid] >= v_min and share + z[vid] <= surplus
+            read_off[(tid, vid)] = share + z[vid]
+        res = synthesize_stable_payments(inst, opt.assignment, "travelers")
+        assert res.feasible == stable, key
+        if stable:
+            assert {p: res.schedule[p] for p in read_off} == read_off, key
+        verdicts.append((len(inst.travelers), stable))
+    assert {stable for n, stable in verdicts if n >= 100} == {True, False}
+    assert sum(stable for _, stable in verdicts) >= 300
+
+
 def _small_and_optimal_markets():
     """Every assignment of 20 n=3 markets, and the optimum of 26 markets
     with n=6-30; half of each are degenerate."""
@@ -414,7 +449,7 @@ def test_off_match_payments_are_plus_terms_of_ge_rows_only():
     and ``x >= 0`` allow, given the matched payments."""
     feasible = 0
     for inst, a in _small_and_optimal_markets():
-        pairs, scaled, _ = _stability_system(inst, a)
+        pairs, scaled, *_ = _stability_system(inst, a)
         assert all(type(row[3]) is int for row in scaled)
         den = inst.compatibility.den
         rows = [(plus, minus, rel, F(rhs, den)) for plus, minus, rel, rhs in scaled]

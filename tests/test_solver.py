@@ -193,6 +193,39 @@ def test_bellman_ford_returns_a_negative_cycle():
     assert edges[pred["c"]] == ("b", "c", F(-3))
 
 
+class _CountedPasses(list):
+    """An edge list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_bellman_ford_stops_at_the_first_cycle_closed():
+    """The 2-cycle 1 -> 2 -> 1 closes in the first pass.  A chain of 20
+    nodes hangs behind it, its edges listed last to first, so it would take
+    20 more passes to settle; the run returns the cycle after the first
+    pass instead of making ``len(nodes)`` of them."""
+    chain = [(k, k + 1, 1) for k in range(2, 22)]
+    edges = _CountedPasses([(0, 1, 1), (1, 2, -3), (2, 1, 1), *reversed(chain)])
+    dist, pred, cycle, _ = bellman_ford(range(23), edges, 0)
+    assert edges.passes <= 2
+    assert cycle == [1, 2]
+    assert pred[1] == 2 and pred[2] == 1
+
+
+def test_bellman_ford_without_a_verdict_raises():
+    """A node list too short for the graph leaves the run still relaxing
+    after its last pass with no cycle: a named error, not a loop or an
+    assert."""
+    edges = [("b", "c", 1), ("a", "b", 1)]
+    with pytest.raises(CertificateError, match="no verdict after 1 passes"):
+        bellman_ford("a", edges, "a")
+    assert bellman_ford("abc", edges, "a")[2] is None
+
+
 @st.composite
 def _digraphs(draw):
     """Up to six nodes and fourteen edges, self-loops and parallel edges
@@ -216,6 +249,10 @@ def test_integer_kernel_matches_fraction_kernel(graph):
     int_dist, int_pred, int_cycle, int_count = bellman_ford(nodes, scaled, 0)
     assert (pred, cycle, count) == (int_pred, int_cycle, int_count)
     assert dist == {v: F(d, den) for v, d in int_dist.items()}
+    if cycle is not None:
+        # consecutive edges chain head to tail, the last back to the first
+        assert all(edges[k][1] == edges[nxt][0] for k, nxt in zip(cycle, cycle[1:] + cycle[:1]))
+        assert sum(edges[k][2] for k in cycle) < 0
 
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
