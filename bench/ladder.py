@@ -13,7 +13,8 @@ the pair weights and the matching kernel, with the kernel's work counters,
 then the dual certificate at the kernel's optimum (``_dual_certificate``
 and ``verify_dual_certificate``).  The stable-payment synthesis runs at
 that optimum in both ``favor`` modes, each with its seconds, stability
-rows and feasibility.
+rows and feasibility, and the edges and successful relaxations of its one
+Bellman-Ford run, read by wrapping ``allocation.bellman_ford``.
 The check path then prices the kernel's optimum: each matched pair pays
 its cost share and every other pair its break-even ``max(0, surplus)``.
 The priced document is serialized and parsed back, timed, and
@@ -28,6 +29,7 @@ read small differences as noise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -41,7 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from rideshare_market import solver  # noqa: E402
+from rideshare_market import allocation, solver  # noqa: E402
 from rideshare_market.allocation import (  # noqa: E402
     PaymentSchedule,
     check_payments,
@@ -89,10 +91,30 @@ def ladder_row(n: int) -> dict:
         "certificate_s": certificate_s,
     }
     for favor in ("travelers", "vehicles"):
-        synth, row[f"synthesis_{favor}_s"] = _timed(synthesize_stable_payments, inst, a, favor)
+        with bellman_ford_runs() as runs:
+            synth, row[f"synthesis_{favor}_s"] = _timed(synthesize_stable_payments, inst, a, favor)
         row[f"synthesis_{favor}_rows"] = len(synth.rows)
         row[f"synthesis_{favor}_feasible"] = synth.feasible
+        [(row[f"synthesis_{favor}_edges"], row[f"synthesis_{favor}_relaxations"])] = runs
     return {**row, **check_path(inst, a)}
+
+
+@contextlib.contextmanager
+def bellman_ford_runs():
+    """The ``(edges, relaxations)`` of each Bellman-Ford run the synthesis
+    makes inside the block."""
+    runs = []
+
+    def recorded(nodes, edges, source):
+        out = solver.bellman_ford(nodes, edges, source)
+        runs.append((len(edges), out[3]))
+        return out
+
+    allocation.bellman_ford = recorded
+    try:
+        yield runs
+    finally:
+        allocation.bellman_ford = solver.bellman_ford
 
 
 def certify(inst, scaled, a, capacity):

@@ -1,7 +1,8 @@
 """Travelers, vehicles, market instances, and every scalar market formula.
 
 Money enters and leaves as :class:`fractions.Fraction`; the package never
-rounds.  The range checks of :class:`Traveler` (``0 <= v_min <= v_max`` and
+rounds, and refuses a ``float`` or ``bool`` amount.  The range checks of
+:class:`Traveler` (``0 <= v_min <= v_max`` and
 ``0 <= inconvenience <= v_max``) run once, as the traveler is built, on
 integers: each bound and value as ``numerator / denominator``,
 cross-multiplied.  The pair table holds each compatible pair's terms as
@@ -34,7 +35,12 @@ _ZERO = Fraction(0)
 
 def _money(x) -> Fraction:
     # ``type`` first: ``isinstance(x, Fraction)`` goes through ``ABCMeta``, which is slow
-    return x if type(x) is Fraction or isinstance(x, Fraction) else Fraction(x)
+    if type(x) is Fraction or isinstance(x, Fraction):
+        return x
+    # a float is already rounded and a bool is no amount: the parser rejects both too
+    if isinstance(x, (float, bool)):
+        raise ValidationError(f"money value {x!r} is a {type(x).__name__}, not an exact number")
+    return Fraction(x)
 
 
 def scale_to_integers(values, den=1):

@@ -476,6 +476,20 @@ def test_off_match_payments_are_plus_terms_of_ge_rows_only():
     assert feasible >= 50
 
 
+def test_bound_edges_keep_the_shortest_proof():
+    """The matched payments' bound edges ``x >= 0`` are implied by their
+    ``rho_nonneg`` rows, yet they close shorter cycles: at this market's
+    optimum the proof is ``pi_nonneg`` alone, and without the bound edge it
+    needs ``rho_nonneg`` as well."""
+    inst = generate_instance(678, 3, 3)
+    a = solve_optimal_assignment(inst).assignment
+    for favor in ("travelers", "vehicles"):
+        res = synthesize_stable_payments(inst, a, favor=favor)
+        assert not res.feasible
+        proof = {res.row_labels[k]: mu for k, mu in enumerate(res.certificate) if mu}
+        assert proof == {("pi_nonneg", ("T0", "V0")): 1}, favor
+
+
 def test_blend_endpoints_and_midpoint(canonical):
     lo = synthesize_stable_payments(canonical, BOTH, favor="travelers")
     hi = synthesize_stable_payments(canonical, BOTH, favor="vehicles")

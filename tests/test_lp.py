@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from rideshare_market.lp import (
     EQ,
     GE,
@@ -32,6 +34,70 @@ def test_unbounded():
     out = lp_solve(LPProblem(1, (F(1),), ()))
     assert isinstance(out, Unbounded)
     assert out.ray[0] > 0
+
+
+def test_unbounded_ray_moves_a_basic_variable():
+    """Maximize x0 subject to x0 - x1 <= 1: x0 enters, but the row keeps
+    it basic only as x1 grows with it, so the ray is (1, 1)."""
+    row = Row((F(1), F(-1)), LE, F(1))
+    out = lp_solve(LPProblem(2, (F(1), F(0)), (row,)))
+    assert isinstance(out, Unbounded)
+    assert out.ray == (1, 1)
+    # along the ray the row's left side stays put and the objective grows
+    assert sum(c * d for c, d in zip(row.coeffs, out.ray)) <= 0
+    assert out.ray[0] > 0
+
+
+def _two_sided():
+    """x0 <= 1 and x0 >= 2, with an upper bound x1 <= 5 as the third row."""
+    rows = (Row((F(1), F(0)), LE, F(1)), Row((F(1), F(0)), GE, F(2)))
+    return LPProblem(2, (F(0), F(0)), rows, upper_bounds=(None, F(5)))
+
+
+def test_upper_bound_rows_follow_the_declared_rows():
+    p = _two_sided()
+    # an upper bound of None adds no row
+    assert p.all_rows() == [*p.rows, Row((F(0), F(1)), LE, F(5))]
+
+
+@pytest.mark.parametrize(
+    "certificate, valid",
+    [
+        pytest.param((1, -1, 0), True, id="valid"),
+        pytest.param((1, -1), False, id="upper-bound-row-missing"),
+        pytest.param((-1, -1, 0), False, id="negative-on-le-row"),
+        pytest.param((1, 1, 0), False, id="positive-on-ge-row"),
+        pytest.param((0, -1, 0), False, id="negative-combination"),
+        pytest.param((1, 0, 0), False, id="positive-rhs"),
+        pytest.param((0, 0, 0), False, id="zero-rhs"),
+    ],
+)
+def test_infeasibility_certificate_check(certificate, valid):
+    assert verify_infeasibility_certificate(_two_sided(), certificate) is valid
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: Row((F(1),), "<", F(1)), "unknown relation '<'", id="relation"),
+        pytest.param(
+            lambda: LPProblem(2, (F(1),), ()), "objective length", id="objective-length"
+        ),
+        pytest.param(
+            lambda: LPProblem(2, (F(1), F(1)), (Row((F(1),), LE, F(1)),)),
+            "row length",
+            id="row-length",
+        ),
+        pytest.param(
+            lambda: LPProblem(2, (F(1), F(1)), (), upper_bounds=(F(1),)),
+            "upper_bounds length",
+            id="upper-bounds-length",
+        ),
+    ],
+)
+def test_malformed_rows_and_problems_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_equality_and_inequality_mix():

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -18,11 +19,13 @@ from rideshare_market import (
     Traveler,
     ValidationError,
     Vehicle,
+    blend_allocations,
     cost_recovery_gap,
     cost_share,
     covers,
     surplus,
     surplus_matrix,
+    synthesize_stable_payments,
     utility,
     valuation,
     welfare_paper,
@@ -477,6 +480,37 @@ def test_utility(canonical):
     assert utility(canonical, "T1", None, F(0)) == 0
     with pytest.raises(ValidationError, match=r"^payment for \('T1', 'V1'\) is negative$"):
         utility(canonical, "T1", "V1", F(-1))
+
+
+@pytest.mark.parametrize("bad", [0.3, 1.0, True, False], ids=repr)
+def test_money_refuses_floats_and_bools(canonical, bad):
+    """A float is already rounded and a bool is no amount: every library
+    entry point for money raises, naming the value, as the parser does."""
+    od, route = ODPair("A", "B"), Route(("e1",))
+    both = Assignment({"T1": "V1", "T2": "V1"})
+    synth = synthesize_stable_payments(canonical, both)
+    calls = {
+        "v_max": lambda: Traveler("T", od, v_max=bad, v_min=F(0), inconvenience={}),
+        "v_min": lambda: Traveler("T", od, v_max=F(2), v_min=bad, inconvenience={}),
+        "inconvenience": lambda: Traveler("T", od, F(2), F(0), inconvenience={"V1": bad}),
+        "operating_cost": lambda: Vehicle("V1", route, 1, bad),
+        "cost_shares": lambda: Vehicle("V1", route, 1, F(1), cost_shares={"T": bad}),
+        "payment": lambda: PaymentSchedule({("T1", "V1"): F(3), ("T2", "V1"): bad}),
+        "utility": lambda: utility(canonical, "T1", "V1", bad),
+        "blend weight": lambda: blend_allocations(
+            synth.allocation, synth.allocation, bad, synth.schedule, synth.schedule
+        ),
+    }
+    message = rf"^money value {re.escape(repr(bad))} is a {type(bad).__name__}, not an exact number$"
+    for call in calls.values():
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+
+def test_payment_schedule_makes_int_payments_fractions(canonical):
+    t = PaymentSchedule({("T1", "V1"): 3, ("T2", "V1"): 0})
+    assert t.entries == {("T1", "V1"): 3, ("T2", "V1"): 0}
+    assert all(type(v) is F for v in t.entries.values())
 
 
 def test_surplus_matrix(canonical):

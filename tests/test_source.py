@@ -1,5 +1,6 @@
 import ast
 import functools
+import importlib.util
 import json
 import os
 import random
@@ -296,6 +297,65 @@ def test_synthesis_runs_bellman_ford_once_over_the_matched_payments(monkeypatch)
             verdicts.add(synthesize_stable_payments(inst, a, favor=favor).feasible)
             assert len(runs) == 1 and runs[0] <= len(a.assigned_pairs()) + 1, (seed, favor, runs)
     assert verdicts == {True, False}
+
+
+def test_stability_rows_and_classic_check_look_up_each_traveler_once(monkeypatch):
+    """The stability builder and the classic-core checker walk the pair
+    table once, each traveler's pairs together: each looks up the vehicle
+    of each traveler with a compatible pair once, not once per pair."""
+    lookups = Counter()
+    vehicle_of = Assignment.vehicle_of
+
+    def counted(self, tid):
+        lookups[tid] += 1
+        return vehicle_of(self, tid)
+
+    monkeypatch.setattr(Assignment, "vehicle_of", counted)
+    for seed in range(6):
+        inst = generate_instance(8400 + seed, n=8 + seed, m=3, degenerate=seed % 2 == 1)
+        a = solve_optimal_assignment(inst, with_certificate=False).assignment
+        options = Counter(tid for tid, _ in inst.compatibility.entries)
+        assert max(options.values()) > 1
+        # matched pairs at their cost share: a feasible allocation, checked
+        matched, den = set(a.assigned_pairs()), inst.compatibility.den
+        pays = PaymentSchedule(
+            {
+                p: F(share, den) if p in matched else F(0)
+                for p, (_, share, _) in inst.compatibility.entries.items()
+            }
+        )
+        assert allocation.check_payments(inst, a, pays, classic_core=True)[1] is not None
+        for build in (
+            lambda: allocation._stability_system(inst, a),
+            lambda: allocation.check_payments(inst, a, pays, classic_core=True),
+        ):
+            lookups.clear()
+            build()
+            assert lookups == Counter(dict.fromkeys(options, 1)), seed
+
+
+def test_ladder_row_records_every_figure():
+    """``bench/ladder.py`` reaches into the solver's perturbation, the dual
+    certificate and the synthesis's Bellman-Ford run: a small row still
+    carries every figure, and the wrapped run is put back."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    row = ladder.ladder_row(20)
+    synthesis = [
+        f"synthesis_{favor}_{figure}"
+        for favor in ("travelers", "vehicles")
+        for figure in ("s", "rows", "feasible", "edges", "relaxations")
+    ]
+    assert list(row) == [
+        "n", "m", "pairs", "parse_s", "pair_table_s", "perturbed_s", "kernel_s",
+        "augmentations", "relaxations", "certificate_s", *synthesis, "priced_parse_s",
+        "check_literal_s", "check_literal_verdict", "check_classic_s", "check_classic_verdict",
+    ]  # fmt: skip
+    for favor in ("travelers", "vehicles"):
+        assert row[f"synthesis_{favor}_edges"] > 0 and row[f"synthesis_{favor}_relaxations"] > 0
+    assert allocation.bellman_ford is solver.bellman_ford
 
 
 def test_certificate_runs_bellman_ford_once_over_the_vehicles(monkeypatch):
