@@ -8,7 +8,7 @@ Run from anywhere, with the standard library only::
 
 Each market is ``generate_instance(5, n, n // 5)`` at n = 300, 600 and
 1000, serialized and parsed back.  Each layer is timed once with
-``time.perf_counter``: the parse, the pair table, Charnes' perturbation of
+``time.perf_counter``: the serialization, the parse, the pair table, Charnes' perturbation of
 the pair weights and the matching kernel, with the kernel's work counters,
 then the dual certificate at the kernel's optimum (``_dual_certificate``
 and ``verify_dual_certificate``).  The stable-payment synthesis runs at
@@ -63,7 +63,7 @@ def _timed(fn, *args):
 
 
 def ladder_row(n: int) -> dict:
-    text = serialize_document(generate_instance(5, n, n // 5))
+    text, serialize_s = _timed(serialize_document, generate_instance(5, n, n // 5))
     doc, parse_s = _timed(parse_document, text)
     inst = doc.instance
     matrix, pair_table_s = _timed(lambda: inst.compatibility)
@@ -82,6 +82,7 @@ def ladder_row(n: int) -> dict:
         "n": n,
         "m": n // 5,
         "pairs": len(matrix.entries),
+        "serialize_s": serialize_s,
         "parse_s": parse_s,
         "pair_table_s": pair_table_s,
         "perturbed_s": perturbed_s,
@@ -132,8 +133,9 @@ def check_path(inst, a) -> dict:
         pair: Fraction(share if a.vehicle_of(pair[0]) == pair[1] else max(0, surplus), matrix.den)
         for pair, (_, share, surplus) in matrix.entries.items()
     }
-    doc, priced_parse_s = _timed(parse_document, serialize_document(inst, PaymentSchedule(pays)))
-    row = {"priced_parse_s": priced_parse_s}
+    text, priced_serialize_s = _timed(serialize_document, inst, PaymentSchedule(pays))
+    doc, priced_parse_s = _timed(parse_document, text)
+    row = {"priced_serialize_s": priced_serialize_s, "priced_parse_s": priced_parse_s}
     for mode, classic_core in (("literal", False), ("classic", True)):
         args = (doc.instance, a, doc.payments, classic_core)
         (_, stability), check_s = _timed(check_payments, *args)

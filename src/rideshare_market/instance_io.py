@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string  # json.dumps's own escaping
 
 from rideshare_market.allocation import PaymentSchedule
 from rideshare_market.errors import ValidationError
@@ -340,43 +341,74 @@ def parse_document(text: str) -> InstanceDocument:
     return InstanceDocument(instance=instance, payments=payments)
 
 
+class _MoneyText(dict):
+    """The JSON string ``"p"`` or ``"p/q"`` of each ``as_integer_ratio()``, as ``str`` writes it."""
+
+    def __missing__(self, ratio):
+        p, q = ratio
+        text = self[ratio] = f'"{p}"' if q == 1 else f'"{p}/{q}"'
+        return text
+
+    def table(self, items, pad):
+        """The JSON object of ``(id, money)`` items, sorted by id."""
+        members = [f"{_string(k)}: {self[x.as_integer_ratio()]}" for k, x in sorted(items)]
+        return _block("{}", members, pad)
+
+
+def _block(brackets, items, pad):
+    """JSON texts of array values or ``"key": value`` members in ``brackets``,
+    as ``json`` writes them with ``indent=2`` from indent ``pad``."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
 def serialize_document(inst: MarketInstance, payments: PaymentSchedule | None = None) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "network": {
-            "vertices": sorted(inst.network.vertices),
-            "edges": [[e.id, e.tail, e.head] for e in inst.network.edges],
-        },
-        "travelers": [
-            {
-                "id": t.id,
-                "origin": t.od.origin,
-                "destination": t.od.destination,
-                "v_max": str(t.v_max),
-                "v_min": str(t.v_min),
-                "inconvenience": {vid: str(phi) for vid, phi in sorted(t.inconvenience.items())},
-            }
-            for t in inst.travelers
-        ],
-        "vehicles": [
-            {
-                "id": v.id,
-                "route": list(v.route.edge_ids),
-                "capacity": v.capacity,
-                "operating_cost": str(v.operating_cost),
-                **(
-                    {"cost_shares": {t: str(s) for t, s in sorted(v.cost_shares.items())}}
-                    if v.cost_shares is not None
-                    else {}
-                ),
-            }
-            for v in inst.vehicles
-        ],
-        "options": {"cost_share_mode": inst.cost_share_mode},
-    }
+    """The document of ``inst`` and, if given, ``payments``: byte for byte
+    ``json.dumps(doc, indent=2) + "\n"`` of it as a dict (id tables sorted, money as
+    ``str``), written directly since ``json.dumps`` with ``indent`` is pure Python.
+    Money past :data:`MAX_DIGITS` digits raises ``ValueError``, as ``str`` does."""
+    money = _MoneyText()
+    edges = [
+        _block("[]", [_string(e.id), _string(e.tail), _string(e.head)], "      ")
+        for e in inst.network.edges
+    ]
+    vertices = _block("[]", [_string(v) for v in sorted(inst.network.vertices)], "    ")
+    network = [f'"vertices": {vertices}', f'"edges": {_block("[]", edges, "    ")}']
+    travelers = [
+        _block("{}", [
+            f'"id": {_string(t.id)}',
+            f'"origin": {_string(t.od.origin)}',
+            f'"destination": {_string(t.od.destination)}',
+            f'"v_max": {money[t.v_max.as_integer_ratio()]}',
+            f'"v_min": {money[t.v_min.as_integer_ratio()]}',
+            f'"inconvenience": {money.table(t.inconvenience.items(), "      ")}',
+        ], "    ")
+        for t in inst.travelers
+    ]  # fmt: skip
+    vehicles = [
+        _block("{}", [
+            f'"id": {_string(v.id)}',
+            f'"route": {_block("[]", [_string(e) for e in v.route.edge_ids], "      ")}',
+            f'"capacity": {int.__repr__(v.capacity)}',  # as json writes an int
+            f'"operating_cost": {money[v.operating_cost.as_integer_ratio()]}',
+            *([] if v.cost_shares is None else
+              [f'"cost_shares": {money.table(v.cost_shares.items(), "      ")}']),
+        ], "    ")
+        for v in inst.vehicles
+    ]  # fmt: skip
+    doc = [
+        f'"schema_version": {SCHEMA_VERSION}',
+        f'"network": {_block("{}", network, "  ")}',
+        f'"travelers": {_block("[]", travelers, "  ")}',
+        f'"vehicles": {_block("[]", vehicles, "  ")}',
+        f'"options": {{\n    "cost_share_mode": {_string(inst.cost_share_mode)}\n  }}',
+    ]
     if payments is not None:
-        table = {}
-        for (tid, vid), value in sorted(payments.entries.items()):
-            table.setdefault(tid, {})[vid] = str(value)
-        doc["payments"] = table
-    return json.dumps(doc, indent=2) + "\n"
+        rows = {}
+        for (tid, vid), value in payments.entries.items():
+            rows.setdefault(tid, []).append((vid, value))
+        table = [f"{_string(tid)}: {money.table(row, '    ')}" for tid, row in sorted(rows.items())]
+        doc.append(f'"payments": {_block("{}", table, "  ")}')
+    return _block("{}", doc, "") + "\n"

@@ -28,7 +28,12 @@ _ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    # a float is already rounded and a bool is no number, as for ``market._money``
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"LP value {x!r} is a {type(x).__name__}, not an exact number")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,7 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rideshare_market
-from rideshare_market import MarketInstance, PaymentSchedule, ValidationError, Vehicle
+from rideshare_market import (
+    Edge,
+    MarketInstance,
+    Network,
+    ODPair,
+    PaymentSchedule,
+    Route,
+    Traveler,
+    ValidationError,
+    Vehicle,
+)
 from rideshare_market.cli import build_parser, main
 from rideshare_market.generate import generate_instance
 from rideshare_market.instance_io import _NUMBER, exact_number, parse_document, serialize_document
@@ -54,6 +65,96 @@ def test_round_trip_payments(canonical):
     text = serialize_document(canonical, t)
     doc = parse_document(text)
     assert doc.payments.entries == t.entries
+
+
+def _reference_document(inst, payments=None):
+    """The document as a dict, written by ``json.dumps(doc, indent=2)``:
+    the reference ``serialize_document`` matches byte for byte."""
+    doc = {
+        "schema_version": 1,
+        "network": {
+            "vertices": sorted(inst.network.vertices),
+            "edges": [[e.id, e.tail, e.head] for e in inst.network.edges],
+        },
+        "travelers": [
+            {
+                "id": t.id,
+                "origin": t.od.origin,
+                "destination": t.od.destination,
+                "v_max": str(t.v_max),
+                "v_min": str(t.v_min),
+                "inconvenience": {vid: str(phi) for vid, phi in sorted(t.inconvenience.items())},
+            }
+            for t in inst.travelers
+        ],
+        "vehicles": [
+            {
+                "id": v.id,
+                "route": list(v.route.edge_ids),
+                "capacity": v.capacity,
+                "operating_cost": str(v.operating_cost),
+                **(
+                    {"cost_shares": {t: str(s) for t, s in sorted(v.cost_shares.items())}}
+                    if v.cost_shares is not None
+                    else {}
+                ),
+            }
+            for v in inst.vehicles
+        ],
+        "options": {"cost_share_mode": inst.cost_share_mode},
+    }
+    if payments is not None:
+        table = {}
+        for (tid, vid), value in sorted(payments.entries.items()):
+            table.setdefault(tid, {})[vid] = str(value)
+        doc["payments"] = table
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _odd_id_market():
+    """Ids with non-ASCII, quote, backslash and control characters, a
+    traveler with no inconvenience entries and explicit cost shares."""
+    a, b, c = "Zürich", 'say "hi"', "back\\slash\x01"
+    net = Network(frozenset((a, b, c)), (Edge("e\t1", a, b), Edge("e☃2", b, c)))
+    travelers = (
+        Traveler("T\u00e9", ODPair(a, c), v_max=F(10), v_min=F(1, 3), inconvenience={"V\n": F(2)}),
+        Traveler('T"2', ODPair(b, c), v_max=F(6), v_min=F(0), inconvenience={}),
+    )
+    shares = {"T\u00e9": F(3, 2), 'T"2': F(5, 2)}
+    vehicles = (Vehicle("V\n", Route(("e\t1", "e☃2")), 2, F(4), cost_shares=shares),)
+    return MarketInstance(net, travelers, vehicles, cost_share_mode="explicit")
+
+
+def test_serialize_document_equals_the_json_dumps_reference(canonical):
+    cases = []
+    for s in range(120):
+        inst = generate_instance(s, s % 13 + 1, (s // 13) % 5 + 1, degenerate=s % 2 == 1)
+        matrix = inst.compatibility
+        break_even = {
+            pair: F(max(0, surplus), matrix.den) for pair, (_, _, surplus) in matrix.entries.items()
+        }
+        cases += [(inst, None), (inst, PaymentSchedule(break_even))]
+    odd = _odd_id_market()
+    no_shares = MarketInstance(
+        canonical.network,
+        canonical.travelers,
+        tuple(dataclasses.replace(v, cost_shares={}) for v in canonical.vehicles),
+    )
+    cases += [
+        (odd, None),
+        (odd, PaymentSchedule({(t.id, "V\n"): F(7, 3) for t in odd.travelers})),
+        (no_shares, None),
+        (canonical, PaymentSchedule({})),
+    ]
+    for inst, payments in cases:
+        assert serialize_document(inst, payments) == _reference_document(inst, payments)
+    assert "\\u00e9" in serialize_document(odd)
+    # str() of an int past the digit limit raises, and so does the writer
+    big = dataclasses.replace(canonical.travelers[0], v_max=F(10**4300))
+    huge = dataclasses.replace(canonical, travelers=(big, canonical.travelers[1]))
+    for write in (serialize_document, _reference_document):
+        with pytest.raises(ValueError, match="4300"):
+            write(huge)
 
 
 def test_parse_rejects_floats(canonical):

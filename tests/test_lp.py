@@ -93,6 +93,14 @@ def test_infeasibility_certificate_check(certificate, valid):
             "upper_bounds length",
             id="upper-bounds-length",
         ),
+        pytest.param(lambda: Row((0.1,), LE, F(1)), "0.1 is a float", id="float-coefficient"),
+        pytest.param(lambda: Row((F(1),), LE, True), "True is a bool", id="bool-rhs"),
+        pytest.param(lambda: LPProblem(1, (0.5,), ()), "0.5 is a float", id="float-objective"),
+        pytest.param(
+            lambda: LPProblem(1, (F(1),), (), upper_bounds=(2.0,)),
+            "2.0 is a float",
+            id="float-upper-bound",
+        ),
     ],
 )
 def test_malformed_rows_and_problems_raise(build, message):

@@ -349,8 +349,9 @@ def test_ladder_row_records_every_figure():
         for figure in ("s", "rows", "feasible", "edges", "relaxations")
     ]
     assert list(row) == [
-        "n", "m", "pairs", "parse_s", "pair_table_s", "perturbed_s", "kernel_s",
-        "augmentations", "relaxations", "certificate_s", *synthesis, "priced_parse_s",
+        "n", "m", "pairs", "serialize_s", "parse_s", "pair_table_s", "perturbed_s", "kernel_s",
+        "augmentations", "relaxations", "certificate_s", *synthesis, "priced_serialize_s",
+        "priced_parse_s",
         "check_literal_s", "check_literal_verdict", "check_classic_s", "check_classic_verdict",
     ]  # fmt: skip
     for favor in ("travelers", "vehicles"):
