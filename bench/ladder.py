@@ -12,18 +12,23 @@ Each market is ``generate_instance(5, n, n // 5)`` at n = 300, 600 and
 the pair weights and the matching kernel, with the kernel's work counters,
 then the dual certificate at the kernel's optimum (``_dual_certificate``
 and ``verify_dual_certificate``).  The stable-payment synthesis runs at
-that optimum in both ``favor`` modes, each with its seconds, stability
-rows and feasibility, and the edges and successful relaxations of its one
-Bellman-Ford run, read by wrapping ``allocation.bellman_ford``.
+that optimum in both ``favor`` modes, each with its seconds, the seconds
+of the first read of its payment-only stability rows (a view the
+synthesis itself never builds), their number, its feasibility, and the
+edges and successful relaxations of its one Bellman-Ford run, read by
+wrapping ``allocation.bellman_ford``.
 The check path then prices the kernel's optimum: each matched pair pays
 its cost share and every other pair its break-even ``max(0, surplus)``.
 The priced document is serialized and parsed back, timed, and
 ``check_payments`` runs on it in literal and classic-core mode, each
 timed, with its stability verdict (``null`` when the allocation is
 infeasible and stability is undefined).
-The tier-1 tests run in a child process, timed on the wall clock.  Single
-runs on a host whose pace can swing: compare files, not anecdotes, and
-read small differences as noise.
+The tier-1 tests run in a child process, timed on the wall clock.  When
+the output is ``BENCH_<n>.json`` and an older ``BENCH_<k>.json`` lies
+beside it, the record also names the newest such file and holds each
+figure of each size in both as ``[before, after]``.  Single runs on a host
+whose pace can swing: compare files, not anecdotes, and read small
+differences as noise.
 """
 
 from __future__ import annotations
@@ -94,7 +99,8 @@ def ladder_row(n: int) -> dict:
     for favor in ("travelers", "vehicles"):
         with bellman_ford_runs() as runs:
             synth, row[f"synthesis_{favor}_s"] = _timed(synthesize_stable_payments, inst, a, favor)
-        row[f"synthesis_{favor}_rows"] = len(synth.rows)
+        rows, row[f"synthesis_{favor}_view_s"] = _timed(lambda: synth.rows)
+        row[f"synthesis_{favor}_rows"] = len(rows)
         row[f"synthesis_{favor}_feasible"] = synth.feasible
         [(row[f"synthesis_{favor}_edges"], row[f"synthesis_{favor}_relaxations"])] = runs
     return {**row, **check_path(inst, a)}
@@ -157,6 +163,29 @@ def tier1() -> dict:
     return {"wall_s": wall_s, "exit_status": proc.returncode, **counts}
 
 
+def previous(output: Path) -> Path | None:
+    """The ladder file that ``output`` follows: the highest-numbered
+    ``BENCH_<k>.json`` beside it, ``k`` below its own number, if any."""
+    number = re.compile(r"BENCH_(\d+)\.json")
+    own = number.fullmatch(output.name)
+    older = {}
+    for path in output.parent.glob("BENCH_*.json"):
+        k = number.fullmatch(path.name)
+        if own and k and int(k[1]) < int(own[1]):
+            older[int(k[1])] = path
+    return older[max(older)] if older else None
+
+
+def delta(baseline: dict, ladder: list) -> dict:
+    """``[before, after]`` for each figure of each size in both records."""
+    before = {row["n"]: row for row in baseline["ladder"]}
+    return {
+        f"n={row['n']}": {k: [old[k], v] for k, v in row.items() if k in old}
+        for row in ladder
+        if (old := before.get(row["n"])) is not None
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("-o", "--output", required=True, help="path of the JSON file to write")
@@ -172,6 +201,10 @@ def main(argv=None) -> int:
         print(json.dumps(record["ladder"][-1]), file=sys.stderr)
     record["tier1"] = tier1()
     print(json.dumps(record["tier1"]), file=sys.stderr)
+    before = previous(Path(args.output))
+    if before is not None:
+        record["delta_against"] = before.name
+        record["delta"] = delta(json.loads(before.read_text()), record["ladder"])
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

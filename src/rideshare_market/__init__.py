@@ -11,9 +11,9 @@ formulas all read one integer pair table over a common denominator,
 the formulas' answers, objectives, dual certificates, payments, violations
 and output.  Each optimum carries a dual certificate of seat prices from
 one Bellman-Ford run over its vehicles; each impossible schedule carries
-``int`` Farkas multipliers (0, 1, -1) read off a negative cycle, checked
-exactly over the sparse stability rows, whose right-hand sides stay
-``int``s over the table's ``den`` in :class:`SynthesisResult`.  The exact
+a proof read off a negative cycle over the payments and seat prices, ``int``
+multipliers 1 and -1 checked exactly over its sparse rows, whose right-hand
+sides stay ``int``s over the table's ``den`` in :class:`SynthesisResult`.  The exact
 simplex in :mod:`rideshare_market.lp` and the brute force in
 :mod:`rideshare_market.oracles` serve as test oracles; no production path
 imports the simplex, and its names are imported from

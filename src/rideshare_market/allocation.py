@@ -3,6 +3,8 @@
 Payments form a full matrix over compatible pairs: the stability
 inequalities compare against counterfactual rides, so off-match pairs must
 be priced too.  Profits are derived from payments; all checks are exact.
+The synthesis solves the stability system over the payments and one seat
+price per full vehicle; the system over the payments alone is a view.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from rideshare_market.errors import CertificateError, StabilityPreconditionError, ValidationError
@@ -248,25 +251,41 @@ def check_stability(
 # -- synthesis ------------------------------------------------------------
 
 
+# rows, row_labels, certificate and problem are views over the payments
+# alone, each built on first read; the synthesis itself builds none of them
 @dataclass(frozen=True)
 class SynthesisResult:
     feasible: bool
     schedule: PaymentSchedule | None
     allocation: ProfitAllocation | None
-    #: Farkas multipliers over ``rows`` when infeasible: ``int``s 0, 1, -1.
-    certificate: tuple | None
+    #: when infeasible, the negative cycle as payment rows: one
+    #: ``(label, multiplier)`` per row, in row order; the ``int`` multiplier
+    #: is 1 on a ``<=`` row and -1 on a ``>=`` row
+    proof: tuple | None
     #: the payment variables, in the column order of ``problem``.
     pairs: tuple
+    den: int
+    #: the labelled seat rows, walk rows and blocking rows, as built
+    system: tuple = field(repr=False)
+
+    _view = cached_property(lambda self: _payment_rows(chain(*self.system)))
     #: the stability system, one ``(plus, minus, rel, rhs)`` per row; each
     #: ``rhs`` is an ``int``, the pair table's ``den`` times its value
-    rows: tuple
-    den: int
-    row_labels: tuple
+    rows = property(lambda self: self._view[0])
+    row_labels = property(lambda self: self._view[1])
+
+    # Farkas multipliers over ``rows`` when infeasible: ``int``s 0, 1, -1
+    @cached_property
+    def certificate(self) -> tuple | None:
+        if self.proof is None:
+            return None
+        mu = dict(self.proof)
+        return tuple(mu.get(label, 0) for label in self.row_labels)
 
     @cached_property
     def problem(self) -> LPProblem:
         """The stability system as a dense LP for the simplex oracle, with
-        ``Fraction(rhs, den)`` right-hand sides, built on first access."""
+        ``Fraction(rhs, den)`` right-hand sides."""
         from rideshare_market.lp import LPProblem, Row
 
         idx = {p: k for k, p in enumerate(self.pairs)}
@@ -281,37 +300,28 @@ class SynthesisResult:
 
 
 def _stability_system(inst: MarketInstance, a: Assignment):
-    """Linear constraint system over the payment variables whose feasible
-    points are exactly the stable schedules for ``a``.
+    """Linear constraint system over the payments, and a seat price ``q_v``
+    per full vehicle ``v``, whose feasible points are exactly the stable
+    schedules for ``a``.
 
     Contains the feasibility box on matched pairs, the per-traveler
     stability inequalities, and the blocking-pair conditions coupling a
     traveler's utility with the marginal seat profit of every alternative
-    vehicle.  The coupling is what ties stability to optimality: without
-    it, leaving everyone unassigned would be vacuously stable.
-
-    Every row is a difference constraint ``(plus, minus, rel, rhs)``,
-    reading ``x[plus] - x[minus] rel rhs``; ``plus`` and ``minus`` are
-    compatible pairs, or ``None`` for an absent term; ``rhs`` is an ``int``,
-    ``den`` times its value.  :attr:`SynthesisResult.rows` keeps them as is.
-    One walk of the pair table gives each off-match pair ``p`` one row,
-    ``x[p] - x[mine] >= s_p - own_s``; ``mine`` is ``None`` if unassigned.
-    The constraint graph is built with the rows and returned after them.
+    vehicle: 0 for a free seat, else ``q_v``, and each rider ``r`` of ``v``
+    has a seat row ``x[r] - q_v >= share_r``.  The coupling is what ties
+    stability to optimality: without it, leaving everyone unassigned would
+    be vacuously stable.  Every row is ``(plus, minus, rel, rhs, label)``,
+    reading ``x[plus] - x[minus] rel rhs``; a term is a compatible pair, a
+    vehicle id for its seat price, or ``None``; ``rhs`` is an ``int``, ``den``
+    times its value.  Returns the pairs; the seat, walk and blocking rows;
+    the graph rows, all but the off-match ones; their edges; the full vehicles.
     """
     table, v_min = inst.compatibility.entries, inst.compatibility.v_min
-    # nodes are None, the constant 0, and the matched payments; edge k
-    # (u, v, w) is row row_of[k] and reads x[v] - x[u] <= w / den.  A >= row
-    # whose plus term is off the match waits in off_rows as (plus, minus, rhs);
-    # blocking holds (pair, mine, s_p - u_const) per off-match pair, the
-    # traveler's utility being u_const - x[mine]
-    rows, labels, nodes, edges, row_of, off_rows, blocking = [], [], [None], [], [], [], []
-
-    def add(plus, minus, rel, rhs, label):
-        edges.append((minus, plus, rhs) if rel == LE else (plus, minus, -rhs))
-        row_of.append(len(rows))
-        rows.append((plus, minus, rel, rhs))
-        labels.append(label)
-
+    full = {v: on for v, on in a.riders.items() if len(on) >= inst.vehicle(v).capacity}
+    seats = [((r, v), v, GE, table[(r, v)][1], ("seat", (r, v))) for v in full for r in full[v]]
+    # graph[k] is the row of edges[k] = (u, v, w), which reads x[v] - x[u] <= w;
+    # the blocking rows and their edges follow every walk row, so they wait
+    walk, graph, edges, block, block_edges = [], [], [], [], []
     # the table lists each traveler's pairs together, travelers in instance
     # order: a traveler's first pair sets mine, u_const and own_s, which are
     # None, 0 and 0 for the unassigned, and a matched one's own rows
@@ -319,32 +329,51 @@ def _stability_system(inst: MarketInstance, a: Assignment):
     for p, (_, _, s) in table.items():
         if p[0] != tid:
             tid, vid = p[0], a.vehicle_of(p[0])
-            mine, u_const, own_s = None, 0, 0
+            mine, u_const, own_s, envy = None, 0, 0, "exit_dominates"
             if vid is not UNASSIGNED:
-                mine = (tid, vid)
-                nodes.append(mine)
+                mine, envy = (tid, vid), "no_envy"
                 u_const, share, own_s = table[mine]
-                add(mine, None, GE, share, ("rho_nonneg", mine))
-                add(mine, None, LE, u_const - v_min[tid], ("pi_nonneg", mine))
-                add(mine, None, LE, own_s, ("stay_beats_exit", mine))
+                top = u_const - v_min[tid]
+                own = [
+                    (mine, None, GE, share, ("rho_nonneg", mine)),
+                    (mine, None, LE, top, ("pi_nonneg", mine)),
+                    (mine, None, LE, own_s, ("stay_beats_exit", mine)),
+                ]
+                walk += own
+                graph += own
+                edges += [(mine, None, -share), (None, mine, top), (None, mine, own_s)]
         if p != mine:
             # own ride value, or the exit's 0, >= this ride's value
-            off_rows.append((p, mine, s - own_s))
-            rows.append((p, mine, GE, s - own_s))
-            labels.append(("exit_dominates" if mine is None else "no_envy", p))
-            blocking.append((p, mine, s - u_const))
-    # blocking-pair coupling
-    for (tid, vid), mine, gap in blocking:
-        on = a.riders.get(vid, ())
-        if len(on) < inst.vehicle(vid).capacity:
-            # an empty seat earns 0: utility alone must cover the surplus
-            if mine is not None or gap > 0:
-                add(None, mine, GE, gap, ("no_blocking", (tid, vid)))
+            walk.append((p, mine, GE, s - own_s, (envy, p)))
+            # the traveler's utility, u_const - x[mine], plus the vehicle's
+            # seat profit covers the surplus; an empty seat earns 0
+            gap = s - u_const
+            if p[1] in full:
+                block.append((p[1], mine, GE, gap, ("no_blocking_displace", p)))
+                block_edges.append((p[1], mine, -gap))
+            elif mine is not None or gap > 0:
+                block.append((None, mine, GE, gap, ("no_blocking", p)))
+                block_edges.append((None, mine, -gap))
+    # the seat edges last: so fewer certificates differ from the rows' own
+    edges += block_edges + [(pr, vid, -share) for pr, vid, _, share, _ in seats]
+    return list(table), (seats, walk, block), graph + block + seats, edges, full
+
+
+def _payment_rows(rows):
+    """``(rows, labels)`` over the payments alone: a seat row is dropped and a
+    displace row on ``q_v`` summed with each earlier seat row of ``v``."""
+    seats, out, labels = {}, [], []
+    for plus, minus, rel, rhs, label in rows:
+        if label[0] == "seat":
+            seats.setdefault(minus, []).append((plus, rhs))
+        elif label[0] == "no_blocking_displace":
+            for pr, share in seats[plus]:
+                out.append((pr, minus, rel, rhs + share))
+                labels.append((label[0], (*label[1], pr[0])))
         else:
-            for rid in on:
-                pr = (rid, vid)
-                add(pr, mine, GE, gap + table[pr][1], ("no_blocking_displace", (tid, vid, rid)))
-    return list(table), rows, labels, nodes, edges, row_of, off_rows
+            out.append((plus, minus, rel, rhs))
+            labels.append(label)
+    return tuple(out), tuple(labels)
 
 
 def verify_farkas_certificate(rows, certificate):
@@ -390,51 +419,56 @@ def synthesize_stable_payments(
     componentwise extremes.  An off-match payment is only ever the ``plus``
     term of a ``>=`` row, besides its bound ``x >= 0``, so it lies on no
     cycle and stays out of the graph built with the rows: one shortest-path
-    run over the matched payments and the zero node gives their maximum, or
-    on the reversed graph their minimum, and each off-match payment is then
-    the least value its rows allow.  An infeasible run stops at the first
-    negative cycle its predecessor edges close; the result's exact Farkas
-    certificate is the rows on that cycle, with ``int`` multipliers 0, 1, -1.
+    run over the zero node, the matched payments and the seat prices gives
+    the matched payments' maximum, or on the reversed graph their minimum,
+    and each off-match payment is then the least value its rows allow.  An
+    infeasible run stops at the first negative cycle its predecessor edges
+    close; its rows, each seat price summed away, are the checked ``proof``.
     """
     validate_assignment(inst, a)
     if favor not in ("travelers", "vehicles"):
         raise ValueError(f"unknown favor mode {favor!r}")
-    pairs, rows, labels, nodes, edges, row_of, off_rows = _stability_system(inst, a)
+    pairs, system, graph, edges, full = _stability_system(inst, a)
+    matched = a.assigned_pairs()
     den = inst.compatibility.den
     # the bounds x >= 0 of the matched payments, as edges to the zero node.
     # rho_nonneg already implies them (x >= share >= 0), but they close
-    # shorter cycles: without them, 10 of 2,192 certificates on an
-    # 800-market generator grid change, 8 of them to longer ones
-    edges += [(p, None, 0) for p in nodes[1:]]
+    # shorter cycles: without them, 9 of 2,192 certificates on an
+    # 800-market generator grid change, each to a longer one
+    edges += [(p, None, 0) for p in matched]
     if favor == "travelers":
         edges = [(v, u, w) for u, v, w in edges]
     # the zero node reaches every matched payment, by its pi_nonneg row or,
     # reversed, its rho_nonneg row: this run finds every negative cycle
-    dist, _, cycle, _ = bellman_ford(nodes, edges, None)
-    certificate = schedule = allocation = None
+    dist, _, cycle, _ = bellman_ford([None, *matched, *full], edges, None)
+    proof = schedule = allocation = None
     if cycle is not None:
-        certificate = [0] * len(rows)
-        for k in [row_of[e] for e in cycle if e < len(row_of)]:
-            certificate[k] += 1 if rows[k][2] == LE else -1
-        verify_farkas_certificate(rows, certificate)
-        certificate = tuple(certificate)
+        # the cycle's rows in row order, a bound edge being none; a cycle
+        # through q_v has one seat row, moved first to meet its displace row
+        rows = [graph[k] for k in sorted(cycle) if k < len(graph)]
+        rows.sort(key=lambda row: row[4][0] != "seat")
+        rows, labels = _payment_rows(rows)
+        mu = [1 if rel == LE else -1 for _, _, rel, _ in rows]
+        verify_farkas_certificate(rows, mu)
+        proof = tuple(zip(labels, mu))
     else:
-        x = dict.fromkeys(pairs, 0)
-        x.update((p, dist[p] if favor == "vehicles" else -dist[p]) for p in nodes)
-        # an off-match row reads x[plus] >= x[minus] + rhs, minus matched or None
-        for plus, minus, w in off_rows:
-            x[plus] = max(x[plus], x[minus] + w)
+        x = dict.fromkeys([None, *pairs], 0)
+        x.update((p, dist[p] if favor == "vehicles" else -dist[p]) for p in matched)
+        # an off-match row reads x[plus] >= x[minus] + rhs, minus matched or
+        # None; the walk's other >= rows, rho_nonneg, hold already
+        for plus, minus, rel, rhs, _ in system[1]:
+            if rel == GE:
+                x[plus] = max(x[plus], x[minus] + rhs)
         schedule = PaymentSchedule({p: Fraction(x[p], den) for p in pairs})
         allocation = compute_profits(inst, a, schedule)
     return SynthesisResult(
         feasible=cycle is None,
         schedule=schedule,
         allocation=allocation,
-        certificate=certificate,
+        proof=proof,
         pairs=tuple(pairs),
-        rows=tuple(rows),
         den=den,
-        row_labels=tuple(labels),
+        system=system,
     )
 
 

@@ -279,9 +279,7 @@ def cmd_synthesize(args) -> int:
         doc["vehicle_profit"] = _pair_table(result.allocation.rho, assignment)
     else:
         doc["certificate"] = [
-            {"constraint": str(label), "multiplier": str(mu)}
-            for label, mu in zip(result.row_labels, result.certificate)
-            if mu != 0
+            {"constraint": str(label), "multiplier": str(mu)} for label, mu in result.proof
         ]
     _emit(doc, args.format)
     return EXIT_OK if result.feasible else EXIT_VERDICT_FALSE

@@ -6,7 +6,7 @@ minimize by negating the objective.
 
 Outcomes are values, never exceptions:
 
-* :class:`Optimal` -- an optimal vertex, its value, and dual multipliers.
+* :class:`Optimal` -- an optimal vertex and its value.
 * :class:`Infeasible` -- Farkas multipliers: a sign-constrained combination
   of the rows proving ``0 >= positive``.
 * :class:`Unbounded` -- an improving ray.
@@ -56,7 +56,7 @@ class LPProblem:
     Variables are nonnegative; ``upper_bounds`` may give a finite upper
     bound per variable (``None`` for unbounded).  Upper bounds are treated
     as ``<=`` rows appended after the declared rows, in variable order, and
-    certificates/duals cover them in that order.
+    certificates cover them in that order.
     """
 
     num_vars: int
@@ -95,7 +95,6 @@ class LPProblem:
 class Optimal:
     point: tuple
     value: Fraction
-    duals: tuple  # one multiplier per row of all_rows()
 
 
 @dataclass(frozen=True)
@@ -271,9 +270,7 @@ class _Tableau:
 
     def phase2(self, objective):
         costs = list(objective) + [_ZERO] * (self.width - self.n)
-        obj = self._make_obj_row(costs)
-        unb = self._simplex(obj)
-        return unb, obj
+        return self._simplex(self._make_obj_row(costs))
 
     # -- extraction -------------------------------------------------------
 
@@ -284,8 +281,8 @@ class _Tableau:
                 x[b] = self.body[i][-1]
         return tuple(x[: self.n])
 
-    def row_multipliers(self, obj, phase1: bool):
-        """Dual value per original row, mapped back through row negation.
+    def row_multipliers(self, obj):
+        """Phase-1 dual value per original row, mapped back through row negation.
 
         Read ``y_k`` off the objective row at each row's artificial column
         (clean unit column) or, failing that, its slack column.
@@ -296,9 +293,7 @@ class _Tableau:
                 mults.append(_ZERO)
                 continue
             if self.art_col[k] is not None:
-                y = obj[self.art_col[k]]
-                if phase1:
-                    y -= _ONE  # artificial cost was -1 in phase 1
+                y = obj[self.art_col[k]] - _ONE  # artificial cost was -1 in phase 1
             else:
                 col = self.slack_col[k]
                 y = obj[col] / self.slack_coeff[k]
@@ -319,13 +314,13 @@ def lp_solve(problem: LPProblem):
     tab = _Tableau(problem)
     feasible, obj1 = tab.phase1()
     if not feasible:
-        return Infeasible(certificate=tab.row_multipliers(obj1, phase1=True))
-    unb, obj2 = tab.phase2(problem.objective)
+        return Infeasible(certificate=tab.row_multipliers(obj1))
+    unb = tab.phase2(problem.objective)
     if unb is not None:
         return Unbounded(ray=tab.ray(unb))
     point = tab.point()
     value = sum((c * x for c, x in zip(problem.objective, point)), _ZERO)
-    return Optimal(point=point, value=value, duals=tab.row_multipliers(obj2, phase1=False))
+    return Optimal(point=point, value=value)
 
 
 def verify_infeasibility_certificate(problem: LPProblem, certificate) -> bool:

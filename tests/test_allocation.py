@@ -27,7 +27,7 @@ from rideshare_market import (
 )
 from rideshare_market.allocation import (
     GE,
-    _stability_system,
+    LE,
     check_payments,
     validate_schedule,
     verify_farkas_certificate,
@@ -42,6 +42,8 @@ from rideshare_market.lp import (
     lp_solve,
     verify_infeasibility_certificate,
 )
+from rideshare_market.market import UNASSIGNED
+from rideshare_market.solver import bellman_ford
 
 BOTH = Assignment({"T1": "V1", "T2": "V1"})
 
@@ -449,19 +451,19 @@ def test_off_match_payments_are_plus_terms_of_ge_rows_only():
     and ``x >= 0`` allow, given the matched payments."""
     feasible = 0
     for inst, a in _small_and_optimal_markets():
-        pairs, scaled, *_ = _stability_system(inst, a)
-        assert all(type(row[3]) is int for row in scaled)
         den = inst.compatibility.den
-        rows = [(plus, minus, rel, F(rhs, den)) for plus, minus, rel, rhs in scaled]
         matched = set(a.assigned_pairs())
-        least = {p: F(0) for p in pairs if p not in matched}
-        for plus, minus, rel, _ in rows:
-            assert minus is None or minus in matched
-            assert plus is None or plus in matched or rel == GE
+        least = {p: F(0) for p in inst.compatible_pairs() if p not in matched}
+        seen = set()
         for favor in ("travelers", "vehicles"):
             res = synthesize_stable_payments(inst, a, favor=favor)
-            # the kernel's integer rows, unchanged; Fractions only in the oracle's problem
-            assert res.rows == tuple(scaled) and res.den == den
+            # integer rows, the same in both modes; Fractions only in the oracle's problem
+            seen.add(res.rows)
+            assert all(type(row[3]) is int for row in res.rows) and res.den == den
+            rows = [(plus, minus, rel, F(rhs, den)) for plus, minus, rel, rhs in res.rows]
+            for plus, minus, rel, _ in rows:
+                assert minus is None or minus in matched
+                assert plus is None or plus in matched or rel == GE
             assert [row.rhs for row in res.problem.rows] == [rhs for *_, rhs in rows]
             if not res.feasible:
                 assert all(type(mu) is int for mu in res.certificate)
@@ -473,7 +475,100 @@ def test_off_match_payments_are_plus_terms_of_ge_rows_only():
                 if plus in bound:
                     bound[plus] = max(bound[plus], x[minus] + rhs)
             assert {p: x[p] for p in bound} == bound
+        assert len(seen) == 1
     assert feasible >= 50
+
+
+def _reference_stability_rows(inst, a):
+    """The stability rows and labels as the builder wrote them out before
+    the seat prices: one ``no_blocking_displace`` row per (blocking pair,
+    rider), each a displace row added to that rider's seat row."""
+    table, v_min = inst.compatibility.entries, inst.compatibility.v_min
+    rows, labels, blocking = [], [], []
+    tid = None
+    for p, (_, _, s) in table.items():
+        if p[0] != tid:
+            tid, vid = p[0], a.vehicle_of(p[0])
+            mine, u_const, own_s = None, 0, 0
+            if vid is not UNASSIGNED:
+                mine = (tid, vid)
+                u_const, share, own_s = table[mine]
+                rows += [(mine, None, GE, share), (mine, None, LE, u_const - v_min[tid])]
+                rows.append((mine, None, LE, own_s))
+                labels += [("rho_nonneg", mine), ("pi_nonneg", mine), ("stay_beats_exit", mine)]
+        if p != mine:
+            rows.append((p, mine, GE, s - own_s))
+            labels.append(("exit_dominates" if mine is None else "no_envy", p))
+            blocking.append((p, mine, s - u_const))
+    for (tid, vid), mine, gap in blocking:
+        on = a.riders.get(vid, ())
+        if len(on) < inst.vehicle(vid).capacity:
+            if mine is not None or gap > 0:
+                rows.append((None, mine, GE, gap))
+                labels.append(("no_blocking", (tid, vid)))
+        else:
+            for rid in on:
+                rows.append(((rid, vid), mine, GE, gap + table[(rid, vid)][1]))
+                labels.append(("no_blocking_displace", (tid, vid, rid)))
+    return rows, labels
+
+
+def _reference_synthesis(inst, a, rows, labels, favor):
+    """The schedule, or the proof of the first negative cycle, of one
+    Bellman-Ford run whose edges are the rows with no off-match term, in
+    row order, then the matched payments' bounds."""
+    matched = a.assigned_pairs()
+    graph = [k for k, row in enumerate(rows) if row[0] is None or row[0] in matched]
+    edges = []
+    for plus, minus, rel, rhs in (rows[k] for k in graph):
+        edges.append((minus, plus, rhs) if rel == LE else (plus, minus, -rhs))
+    edges += [(p, None, 0) for p in matched]
+    if favor == "travelers":
+        edges = [(v, u, w) for u, v, w in edges]
+    dist, _, cycle, _ = bellman_ford([None, *matched], edges, None)
+    if cycle is not None:
+        on = sorted(graph[e] for e in cycle if e < len(graph))
+        return [(labels[k], 1 if rows[k][2] == LE else -1) for k in on]
+    x = dict.fromkeys([None, *inst.compatible_pairs()], 0)
+    x.update((p, dist[p] if favor == "vehicles" else -dist[p]) for p in matched)
+    for plus, minus, _, rhs in rows:
+        if plus is not None and plus not in matched:
+            x[plus] = max(x[plus], x[minus] + rhs)
+    return {p: F(x[p], inst.compatibility.den) for p in inst.compatible_pairs()}
+
+
+def test_seat_price_rows_equal_the_per_rider_reference():
+    """The payment-only ``rows`` and ``row_labels``, a view that sums each
+    seat price away, equal the per-rider reference bit for bit, and so do
+    the verdicts and feasible schedules in both modes, at the optimum and
+    at the empty assignment of 400 grid markets.  Each ``proof`` is the
+    certificate's nonzero rows in row order, and every certificate passes
+    the sparse Farkas check, and for n <= 4 the dense one.  With the seat
+    prices the first negative cycle is sometimes another one: 18 of 1,114
+    certificates differ from the reference's, and none is longer."""
+    certificates = changed = 0
+    for s in range(400):
+        inst = generate_instance(s, s % 13 + 1, (s // 13) % 5 + 1, degenerate=s % 2 == 1)
+        opt = solve_optimal_assignment(inst, with_certificate=False).assignment
+        for a in (opt, Assignment(dict.fromkeys(opt.mapping))):
+            rows, labels = _reference_stability_rows(inst, a)
+            for favor in ("travelers", "vehicles"):
+                res = synthesize_stable_payments(inst, a, favor=favor)
+                assert res.rows == tuple(rows) and res.row_labels == tuple(labels), (s, favor)
+                expected = _reference_synthesis(inst, a, rows, labels, favor)
+                if res.feasible:
+                    assert res.schedule.entries == expected, (s, favor)
+                    continue
+                assert type(expected) is list, (s, favor)
+                nonzero = [(x, mu) for x, mu in zip(res.row_labels, res.certificate) if mu]
+                assert list(res.proof) == nonzero
+                assert len(nonzero) <= len(expected), (s, favor)
+                changed += nonzero != expected
+                verify_farkas_certificate(res.rows, res.certificate)
+                if len(inst.travelers) <= 4:
+                    assert verify_infeasibility_certificate(res.problem, res.certificate)
+                certificates += 1
+    assert (certificates, changed) == (1114, 18)
 
 
 def test_bound_edges_keep_the_shortest_proof():

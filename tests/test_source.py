@@ -52,15 +52,30 @@ def test_package_has_no_assert_statements():
 
 def test_production_paths_build_no_dense_lp(canonical, tmp_path, monkeypatch, capsys):
     """Matching, certificates, synthesis and the CLI never build an LP row,
-    an LP problem or a simplex solve; only ``SynthesisResult.problem``, the
-    simplex oracle's view, builds the dense system."""
+    an LP problem or a simplex solve, nor the payment-only stability rows:
+    only ``SynthesisResult``'s views build those, ``rows`` and
+    ``certificate`` for a reader and ``problem`` for the simplex oracle.
+    ``synthesize`` and ``report`` print the same on an infeasible market
+    whether or not the views can be built."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense LP built on a production path")
 
+    path = tmp_path / "instance.json"
+    path.write_text(serialize_document(canonical))
+    infeasible = tmp_path / "infeasible.json"
+    infeasible.write_text(serialize_document(generate_instance(678, 3, 3)))
+    commands = [
+        ["synthesize", str(infeasible)],
+        ["report", str(infeasible)],
+        ["synthesize", str(path), "--assignment", "T2=V1", "--format", "machine"],
+    ]
+    printed = [(main(argv), capsys.readouterr().out) for argv in commands]
+    assert [status for status, _ in printed] == [1, 0, 1]
     monkeypatch.setattr(lp.Row, "__post_init__", forbidden)
     monkeypatch.setattr(lp.LPProblem, "__post_init__", forbidden)
     monkeypatch.setattr(lp, "lp_solve", forbidden)
+    monkeypatch.setattr(allocation.SynthesisResult, "_view", property(forbidden))
     assert solve_optimal_assignment(canonical).dual_certificate is not None
     results = [
         synthesize_stable_payments(canonical, Assignment(mapping), favor=favor)
@@ -68,11 +83,13 @@ def test_production_paths_build_no_dense_lp(canonical, tmp_path, monkeypatch, ca
         for favor in ("travelers", "vehicles")
     ]
     assert [res.feasible for res in results] == [True, True, False, False]
-    path = tmp_path / "instance.json"
-    path.write_text(serialize_document(canonical))
+    assert [res.proof for res in results[2:]] == [((("no_blocking", ("T1", "V1")), -1),)] * 2
+    with pytest.raises(AssertionError, match="production path"):
+        results[2].rows
     assert main(["check", str(path)]) == 0
     assert main(["report", str(path)]) == 0
     capsys.readouterr()
+    assert [(main(argv), capsys.readouterr().out) for argv in commands] == printed
     monkeypatch.undo()
     for res in results:
         assert len(res.problem.rows) == len(res.rows)
@@ -278,8 +295,8 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
 
 def test_synthesis_runs_bellman_ford_once_over_the_matched_payments(monkeypatch):
     """Either ``favor`` mode decides feasibility and finds the matched
-    payments with one Bellman-Ford run over at most the matched payments
-    and the zero node, feasible or not."""
+    payments with one Bellman-Ford run over at most the matched payments,
+    the zero node and one seat price per full vehicle, feasible or not."""
     kernel = allocation.bellman_ford
     runs = []
 
@@ -295,7 +312,9 @@ def test_synthesis_runs_bellman_ford_once_over_the_matched_payments(monkeypatch)
         for favor in ("travelers", "vehicles"):
             runs.clear()
             verdicts.add(synthesize_stable_payments(inst, a, favor=favor).feasible)
-            assert len(runs) == 1 and runs[0] <= len(a.assigned_pairs()) + 1, (seed, favor, runs)
+            full = [v for v in inst.vehicles if len(a.riders.get(v.id, ())) >= v.capacity]
+            bound = len(a.assigned_pairs()) + 1 + len(full)
+            assert len(runs) == 1 and runs[0] <= bound, (seed, favor, runs)
     assert verdicts == {True, False}
 
 
@@ -346,7 +365,7 @@ def test_ladder_row_records_every_figure():
     synthesis = [
         f"synthesis_{favor}_{figure}"
         for favor in ("travelers", "vehicles")
-        for figure in ("s", "rows", "feasible", "edges", "relaxations")
+        for figure in ("s", "view_s", "rows", "feasible", "edges", "relaxations")
     ]
     assert list(row) == [
         "n", "m", "pairs", "serialize_s", "parse_s", "pair_table_s", "perturbed_s", "kernel_s",
@@ -356,6 +375,13 @@ def test_ladder_row_records_every_figure():
     ]  # fmt: skip
     for favor in ("travelers", "vehicles"):
         assert row[f"synthesis_{favor}_edges"] > 0 and row[f"synthesis_{favor}_relaxations"] > 0
+    delta = ladder.delta({"ladder": [row]}, [row])
+    assert delta["n=20"]["synthesis_travelers_rows"] == [row["synthesis_travelers_rows"]] * 2
+    root = path.parent.parent
+    assert ladder.previous(root / "BENCH_26.json") == root / "BENCH_25.json"
+    assert ladder.previous(root / "BENCH_20.json") == root / "BENCH_19.json"
+    assert ladder.previous(root / "BENCH_19.json") is None
+    assert ladder.previous(root / "ladder.json") is None
     assert allocation.bellman_ford is solver.bellman_ford
 
 
