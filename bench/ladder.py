@@ -22,7 +22,10 @@ its cost share and every other pair its break-even ``max(0, surplus)``.
 The priced document is serialized and parsed back, timed, and
 ``check_payments`` runs on it in literal and classic-core mode, each
 timed, with its stability verdict (``null`` when the allocation is
-infeasible and stability is undefined).
+infeasible and stability is undefined).  The CLI layer runs last: the
+priced document is written to a temporary file and ``cli.main`` checks it
+in-process at the optimum's riders (``check PATH --assignment ... --format
+machine``, standard output captured), timed, with its exit status.
 The tier-1 tests run in a child process, timed on the wall clock.  When
 the output is ``BENCH_<n>.json`` and an older ``BENCH_<k>.json`` lies
 beside it, the record also names the newest such file and holds each
@@ -35,12 +38,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import platform
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -48,7 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from rideshare_market import allocation, solver  # noqa: E402
+from rideshare_market import allocation, cli, solver  # noqa: E402
 from rideshare_market.allocation import (  # noqa: E402
     PaymentSchedule,
     check_payments,
@@ -132,8 +137,9 @@ def certify(inst, scaled, a, capacity):
 
 
 def check_path(inst, a) -> dict:
-    """Parse and check times of the kernel's optimum ``a``, priced at each
-    matched pair's cost share and every other pair's break-even."""
+    """Parse, check and CLI check times of the kernel's optimum ``a``,
+    priced at each matched pair's cost share and every other pair's
+    break-even."""
     matrix = inst.compatibility
     pays = {
         pair: Fraction(share if a.vehicle_of(pair[0]) == pair[1] else max(0, surplus), matrix.den)
@@ -147,6 +153,14 @@ def check_path(inst, a) -> dict:
         (_, stability), check_s = _timed(check_payments, *args)
         row[f"check_{mode}_s"] = check_s
         row[f"check_{mode}_verdict"] = None if stability is None else stability.verdict
+    riders = ",".join(f"{tid}={vid}" for tid, vid in a.assigned_pairs())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "priced.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["check", str(path), "--assignment", riders, "--format", "machine"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            status, row["cli_check_s"] = _timed(cli.main, argv)
+    row["cli_check_status"] = status
     return row
 
 

@@ -97,12 +97,11 @@ def _generate_general(rng, n, m) -> MarketInstance:
             od = ODPair(*rng.sample(vertices, 2))
         v_max = _lattice(rng, 4, 20)
         v_min = Fraction(0) if rng.random() < 0.5 else _lattice(rng, 0, 4)
-        v_min = min(v_min, v_max)
         inconvenience = {}
         for veh, stops in zip(vehicles, sequences):
             if visits_in_order(stops, od) and rng.random() < 0.9:
                 hi = int(v_max)  # keep phi comfortably inside [0, v_max]
-                inconvenience[veh.id] = min(_lattice(rng, 0, max(1, hi // 2)), v_max)
+                inconvenience[veh.id] = _lattice(rng, 0, max(1, hi // 2))
         travelers.append(
             Traveler(id=f"T{i}", od=od, v_max=v_max, v_min=v_min, inconvenience=inconvenience)
         )
@@ -136,7 +135,7 @@ def _generate_degenerate(rng, n, m) -> MarketInstance:
         # keep the ride value comfortably above twice the cost share so
         # stable payments exist for optimal assignments
         hi = max(0, int(v_max - 2 * share) - 1)
-        phi = min(_lattice(rng, 0, max(0, hi // 2)), v_max)
+        phi = _lattice(rng, 0, max(0, hi // 2))
         v_min = Fraction(0) if rng.random() < 0.7 else Fraction(1, 2)
         profiles.append((od, v_max, v_min, phi))
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rideshare_market
+from rideshare_market import cli
 from rideshare_market import (
     Edge,
     MarketInstance,
@@ -1028,6 +1030,63 @@ def test_cli_warns_of_fewer_travelers_than_vehicles_on_every_run(tmp_path, capsy
         assert main(["check", str(path)]) in (0, 1)
         err = capsys.readouterr().err
         assert err == "warning: market has fewer travelers than vehicles (n < m)\n"
+
+
+@pytest.fixture
+def collector():
+    """Set the cyclic garbage collector on or off; the test's own state is
+    put back when it ends."""
+    before = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    gc.enable() if before else gc.disable()
+
+
+def test_cli_command_runs_with_the_cyclic_collector_paused(canonical_path, monkeypatch, collector):
+    """The command body runs with the cyclic collector off, whatever its
+    state when ``main`` was called.  ``cmd_*`` are bound into the cached
+    parser, so the flag is read from a module global the command calls."""
+    parse, seen = cli.parse_document, []
+
+    def recorded(text):
+        seen.append(gc.isenabled())
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_document", recorded)
+    for on in (True, False):
+        collector(on)
+        assert main(["check", canonical_path, "--format", "machine"]) == 0
+    assert seen == [False, False]
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_cli_puts_the_cyclic_collector_back_as_it_found_it(
+    on, canonical_path, tmp_path, monkeypatch, collector
+):
+    """``main`` leaves the collector in the state it found, on every way
+    out: exit 0 and 1, a malformed document, a missing file, a usage error
+    and an exception that escapes the command."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    runs = [
+        (["check", canonical_path], 0),
+        (["check", canonical_path, "--payments", "T1:V1=7"], 1),
+        (["check", str(bad)], 2),
+        (["check", "/nonexistent/instance.json"], 2),
+        (["frobnicate"], 2),
+    ]
+    for argv, status in runs:
+        collector(on)
+        assert main(argv) == status, argv
+        assert gc.isenabled() is on, argv
+
+    def fails(text):
+        raise RuntimeError("inside the command")
+
+    monkeypatch.setattr(cli, "parse_document", fails)
+    collector(on)
+    with pytest.raises(RuntimeError, match="inside the command"):
+        main(["check", canonical_path])
+    assert gc.isenabled() is on
 
 
 #: values a mutation writes in place of a document field or payment
