@@ -17,7 +17,7 @@ from fractions import Fraction
 from rideshare_market.errors import ValidationError
 from rideshare_market.market import MarketInstance, Traveler, Vehicle
 from rideshare_market.network import (
-    Edge, Network, ODPair, Route, route_vertex_sequence, visits_in_order
+    Edge, Network, ODPair, Route, route_vertex_sequence, serves, stops
 )
 
 #: the largest vehicle capacity the generator draws
@@ -54,7 +54,8 @@ def _generate_general(rng, n, m) -> MarketInstance:
         out_edges.setdefault(e.tail, []).append(e)
 
     vehicles = []
-    sequences = []  # each route's vertex sequence, walked once
+    # each route's vertex sequence, walked once, and its stops
+    sequences, route_stops = [], []
     for j in range(m):
         route = None
         while route is None:
@@ -79,6 +80,7 @@ def _generate_general(rng, n, m) -> MarketInstance:
             )
         )
         sequences.append(route_vertex_sequence(net, route))
+        route_stops.append(stops(sequences[-1]))
 
     travelers = []
     for i in range(n):
@@ -98,8 +100,8 @@ def _generate_general(rng, n, m) -> MarketInstance:
         v_max = _lattice(rng, 4, 20)
         v_min = Fraction(0) if rng.random() < 0.5 else _lattice(rng, 0, 4)
         inconvenience = {}
-        for veh, stops in zip(vehicles, sequences):
-            if visits_in_order(stops, od) and rng.random() < 0.9:
+        for veh, veh_stops in zip(vehicles, route_stops):
+            if serves(veh_stops, od) and rng.random() < 0.9:
                 hi = int(v_max)  # keep phi comfortably inside [0, v_max]
                 inconvenience[veh.id] = _lattice(rng, 0, max(1, hi // 2))
         travelers.append(

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from rideshare_market.errors import IncompatiblePairError, ValidationError
 from rideshare_market.network import (
-    Network, ODPair, Route, route_vertex_sequence, validate_od
+    Network, ODPair, Route, route_vertex_sequence, serves, stops, validate_od
 )
 
 #: Sentinel marking a traveler that rides no vehicle.
@@ -69,7 +69,8 @@ class Traveler:
     v_max: Fraction
     v_min: Fraction
     #: vehicle id -> inconvenience (money).  A vehicle is compatible only if
-    #: its route covers ``od`` *and* an entry exists here.
+    #: its route serves ``od`` (:func:`~rideshare_market.network.serves`)
+    #: *and* an entry exists here.
     inconvenience: dict
 
     def __post_init__(self):
@@ -170,24 +171,17 @@ class MarketInstance:
             except ValidationError as exc:
                 errors.extend(f"traveler {t.id!r}: {m}" for m in exc.errors)
         seen = set()
-        # each route's first and last position of every vertex it visits:
-        # walked once, here, and read by the pair table
-        positions = []
+        # each route's stops: walked once, here, and read by the pair table
+        route_stops = []
         for v in self.vehicles:
             if v.id in seen:
                 errors.append(f"instance: duplicate vehicle id {v.id!r}")
             seen.add(v.id)
             try:
-                seq = route_vertex_sequence(self.network, v.route)
+                route_stops.append(stops(route_vertex_sequence(self.network, v.route)))
             except ValidationError as exc:
                 errors.append(f"vehicle {v.id!r}: {exc}")
-                continue
-            first, last = {}, {}
-            for pos, x in enumerate(seq):
-                first.setdefault(x, pos)
-                last[x] = pos
-            positions.append((first, last))
-        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_stops", route_stops)
         if errors:
             raise ValidationError(errors)
         if self.cost_share_mode == EXPLICIT:
@@ -229,17 +223,14 @@ class MarketInstance:
         # per pair: its ids, its vehicle's index and its inconvenience; its
         # explicit share, or in per-seat mode one share per served vehicle
         pairs, cols, phis, shares, errors = [], [], [], [], []
-        positions = self._positions
+        route_stops = self._stops
         for t in self.travelers:
-            tid, origin, destination = t.id, t.od.origin, t.od.destination
+            tid, od = t.id, t.od
             # the traveler's own entries, in vehicle order; an unknown id names no vehicle
             own = [(index[vid], vid, phi) for vid, phi in t.inconvenience.items() if vid in index]
             own.sort()
             for k, vid, phi in own:
-                first, last = positions[k]
-                # the route picks up before it drops off: see visits_in_order
-                pickup = first.get(origin)
-                if pickup is None or pickup >= last.get(destination, -1):
+                if not serves(route_stops[k], od):
                     continue
                 if explicit:
                     share = (self.vehicles[k].cost_shares or {}).get(tid)

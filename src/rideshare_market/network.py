@@ -104,19 +104,26 @@ def validate_od(net: Network, od: ODPair):
         raise ValidationError(errors)
 
 
-def visits_in_order(seq: list, od: ODPair) -> bool:
-    """True iff the vertex sequence ``seq`` visits ``od.origin`` strictly
-    before ``od.destination``.
+def stops(seq) -> tuple:
+    """``(first, last)``: each vertex's first and last position in ``seq``,
+    a route's vertex sequence that the caller has already walked."""
+    first, last = {}, {}
+    for pos, x in enumerate(seq):
+        first.setdefault(x, pos)
+        last[x] = pos
+    return first, last
 
-    Pickup must precede drop-off along the route; passing the destination
-    first does not serve the trip.  Repeated vertices are handled by
-    scanning from the earliest origin occurrence, which dominates every
-    other choice of pickup index.
-    """
-    return od.origin in seq and od.destination in seq[seq.index(od.origin) + 1 :]
+
+def serves(route_stops, od: ODPair) -> bool:
+    """True iff the route with :func:`stops` ``route_stops`` serves trip
+    ``od``, picking up strictly before dropping off.  The earliest pickup
+    against the latest drop-off covers routes that repeat a vertex."""
+    first, last = route_stops
+    pickup = first.get(od.origin)
+    return pickup is not None and pickup < last.get(od.destination, -1)
 
 
 def covers(net: Network, r: Route, od: ODPair) -> bool:
-    """True iff route ``r`` serves trip ``od``; see :func:`visits_in_order`."""
+    """True iff route ``r`` serves trip ``od``; see :func:`serves`."""
     validate_od(net, od)
-    return visits_in_order(route_vertex_sequence(net, r), od)
+    return serves(stops(route_vertex_sequence(net, r)), od)

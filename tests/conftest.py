@@ -13,6 +13,22 @@ from rideshare_market import (
 )
 
 
+@pytest.fixture(scope="session")
+def brute_force_covers():
+    """Route service by its definition, apart from the package's own rule:
+    some position of the vertex sequence ``seq`` is ``od``'s origin and a
+    later one its destination."""
+
+    def covers(seq, od):
+        return any(
+            seq[s] == od.origin and seq[u] == od.destination
+            for s in range(len(seq))
+            for u in range(s + 1, len(seq))
+        )
+
+    return covers
+
+
 @pytest.fixture
 def canonical():
     """Two travelers, one two-seat vehicle riding A->B->C.

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import os
@@ -740,6 +741,23 @@ def test_cli_generate_degenerate(capsys):
     expected = serialize_document(generate_instance(3, n=5, m=2, degenerate=True))
     assert capsys.readouterr().out == expected
     assert expected != serialize_document(generate_instance(3, n=5, m=2))
+
+
+@pytest.mark.parametrize(
+    "digest, seed, n, m, degenerate",
+    [
+        ("ae005ba7944d6566d894d514e14e5e4748b2dc97bebff8f22e31969688ec6d2b", 5, 300, 60, False),
+        ("8f9e3f09615753a50abea89012a7ac913120fe5f877a463ce3b62499c92c10f0", 3, 5, 2, True),
+        ("16972e450dbae92970c799ae1f7f1c172bb5f53dfe39bff0721734c7cbf5dc67", 11, 75, 15, False),
+        ("7ba942b9fd6b433db9455ed5844e0d7efe5f0f7b16f6a2bfe17a2cf858c7af55", 4, 40, 6, True),
+    ],
+)
+def test_generated_documents_keep_their_bytes(digest, seed, n, m, degenerate):
+    """The documents the CI workflow pins for ``rideshare-market generate``
+    keep their SHA-256: a change to the generator's random stream or to the
+    document writer shows here, not only in CI."""
+    text = serialize_document(generate_instance(seed, n=n, m=m, degenerate=degenerate))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_cli_generate_to_file_then_report(tmp_path, capsys):

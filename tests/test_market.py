@@ -22,7 +22,6 @@ from rideshare_market import (
     blend_allocations,
     cost_recovery_gap,
     cost_share,
-    covers,
     surplus,
     surplus_matrix,
     synthesize_stable_payments,
@@ -260,7 +259,7 @@ def _coprime_money(inst):
     return MarketInstance(inst.network, tuple(travelers), vehicles, inst.cost_share_mode)
 
 
-def test_pair_table_matches_independent_derivation():
+def test_pair_table_matches_independent_derivation(brute_force_covers):
     """The pair table, its order and every scalar formula equal ``Fraction``
     values derived from the ``Traveler`` and ``Vehicle`` fields, on
     generated markets, in explicit mode and with money on coprime
@@ -278,10 +277,11 @@ def test_pair_table_matches_independent_derivation():
     for inst in markets:
         table = inst.compatibility
         expected_order, expected_surplus = [], {}
+        seqs = {v.id: route_vertex_sequence(inst.network, v.route) for v in inst.vehicles}
         for t in inst.travelers:
             for v in inst.vehicles:
                 pair = (t.id, v.id)
-                if not (v.id in t.inconvenience and covers(inst.network, v.route, t.od)):
+                if not (v.id in t.inconvenience and brute_force_covers(seqs[v.id], t.od)):
                     assert pair not in table.entries
                     continue
                 expected_order.append(pair)
@@ -331,14 +331,16 @@ def test_pair_table_matches_independent_derivation():
     assert explicit_pairs > 50 and coprime_pairs > 20
 
 
-def _reference_table(network, travelers, vehicles, mode):
-    """``(den, entries, v_min)`` pair by pair, from :func:`covers` and
-    ``Fraction`` arithmetic, in (traveler, vehicle) order; or the list of
-    missing explicit shares, in the order the pair table reports them."""
+def _reference_table(network, travelers, vehicles, mode, brute_force_covers):
+    """``(den, entries, v_min)`` pair by pair, from a brute-force coverage
+    test over each route's vertex sequence and ``Fraction`` arithmetic, in
+    (traveler, vehicle) order; or the list of missing explicit shares, in
+    the order the pair table reports them."""
+    seqs = {v.id: route_vertex_sequence(network, v.route) for v in vehicles}
     terms, errors = {}, []
     for t in travelers:
         for v in vehicles:
-            if v.id not in t.inconvenience or not covers(network, v.route, t.od):
+            if v.id not in t.inconvenience or not brute_force_covers(seqs[v.id], t.od):
                 continue
             if mode == "explicit" and t.id not in (v.cost_shares or {}):
                 errors.append(
@@ -395,12 +397,12 @@ def _walk_market(rng):
     return network, tuple(travelers), tuple(vehicles)
 
 
-def test_pair_table_matches_a_pair_by_pair_reference():
+def test_pair_table_matches_a_pair_by_pair_reference(brute_force_covers):
     """``den``, ``entries``, ``v_min`` and the pair order equal a reference
-    built pair by pair from ``covers`` and ``Fraction``s: on generated
-    markets, degenerate ones too, and on random-walk routes that repeat
-    vertices, in both cost-share modes; in explicit mode a missing share
-    raises the reference's messages in its order."""
+    built pair by pair from brute-force coverage and ``Fraction``s: on
+    generated markets, degenerate ones too, and on random-walk routes that
+    repeat vertices, in both cost-share modes; in explicit mode a missing
+    share raises the reference's messages in its order."""
     rng = random.Random(16)
     markets = []
     for seed in range(60):
@@ -417,7 +419,7 @@ def test_pair_table_matches_a_pair_by_pair_reference():
             Vehicle(v.id, v.route, v.capacity, v.operating_cost, shares[v.id]) for v in vehicles
         )
         for mode, fleet in (("per_seat", vehicles), ("explicit", explicit)):
-            expected = _reference_table(network, travelers, fleet, mode)
+            expected = _reference_table(network, travelers, fleet, mode, brute_force_covers)
             if isinstance(expected, list):
                 missing += 1
                 with pytest.raises(ValidationError) as exc:
