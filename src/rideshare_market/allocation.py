@@ -146,15 +146,15 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
         # the payment is rho + share: the literal identity reads
         # pi + rho == valuation - payment - share
         eq8[pair] = pi + rho == (value - 2 * share) * lift - rho
-    # off the match, the membership tests first: most entries fail them
+    # off the match, the cheap tests first: compute_profits writes each off-match entry as _ZERO
     riders = a.riders
     for pair, rho in alloc.rho.items():
-        if pair[1] not in riders and rho:
+        if rho is not _ZERO and pair[1] not in riders and rho:
             violations.append(Violation("idle_vehicle_profit", pair, rho, _ZERO))
     # a traveler is unassigned exactly when vehicle_of reads UNASSIGNED
     assigned = {tid for tid, _ in matched}
     for pair, pi in alloc.pi.items():
-        if pair[0] not in assigned and pi:
+        if pi is not _ZERO and pair[0] not in assigned and pi:
             violations.append(Violation("unassigned_traveler_profit", pair, pi, _ZERO))
     return CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
 

@@ -83,6 +83,8 @@ def _generate_general(rng, n, m) -> MarketInstance:
         route_stops.append(stops(sequences[-1]))
 
     travelers = []
+    # per trip: the ids of the vehicles whose routes serve it, decided once
+    by_trip = {}
     for i in range(n):
         od = None
         if vehicles and rng.random() < 0.85:
@@ -99,11 +101,17 @@ def _generate_general(rng, n, m) -> MarketInstance:
             od = ODPair(*rng.sample(vertices, 2))
         v_max = _lattice(rng, 4, 20)
         v_min = Fraction(0) if rng.random() < 0.5 else _lattice(rng, 0, 4)
+        trip = (od.origin, od.destination)
+        serving = by_trip.get(trip)
+        if serving is None:
+            serving = by_trip[trip] = [
+                v.id for v, s in zip(vehicles, route_stops) if serves(s, od)
+            ]
         inconvenience = {}
-        for veh, veh_stops in zip(vehicles, route_stops):
-            if serves(veh_stops, od) and rng.random() < 0.9:
+        for vid in serving:
+            if rng.random() < 0.9:
                 hi = int(v_max)  # keep phi comfortably inside [0, v_max]
-                inconvenience[veh.id] = _lattice(rng, 0, max(1, hi // 2))
+                inconvenience[vid] = _lattice(rng, 0, max(1, hi // 2))
         travelers.append(
             Traveler(id=f"T{i}", od=od, v_max=v_max, v_min=v_min, inconvenience=inconvenience)
         )

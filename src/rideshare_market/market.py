@@ -219,21 +219,34 @@ class MarketInstance:
         ``v_min`` and the pairs' inconvenience and cost share.  In explicit
         mode a compatible pair without a cost share is a validation error."""
         explicit = self.cost_share_mode == EXPLICIT
-        index = {v.id: k for k, v in enumerate(self.vehicles)}
+        vehicles = self.vehicles
         # per pair: its ids, its vehicle's index and its inconvenience; its
         # explicit share, or in per-seat mode one share per served vehicle
         pairs, cols, phis, shares, errors = [], [], [], [], []
+        index = {v.id: k for k, v in enumerate(vehicles)}
         route_stops = self._stops
+        # per trip: vehicle index -> whether its route serves the trip, asked
+        # only of the vehicles that the trip's travelers name
+        by_trip = {}
         for t in self.travelers:
-            tid, od = t.id, t.od
+            tid, od, own = t.id, t.od, t.inconvenience
+            trip = (od.origin, od.destination)
+            known = by_trip.get(trip)
+            if known is None:
+                known = by_trip[trip] = {}
             # the traveler's own entries, in vehicle order; an unknown id names no vehicle
-            own = [(index[vid], vid, phi) for vid, phi in t.inconvenience.items() if vid in index]
-            own.sort()
-            for k, vid, phi in own:
-                if not serves(route_stops[k], od):
+            hits = [index[vid] for vid in own if vid in index]
+            hits.sort()
+            for k in hits:
+                ok = known.get(k)
+                if ok is None:
+                    ok = known[k] = serves(route_stops[k], od)
+                if not ok:
                     continue
+                vid = vehicles[k].id
+                phi = own[vid]
                 if explicit:
-                    share = (self.vehicles[k].cost_shares or {}).get(tid)
+                    share = (vehicles[k].cost_shares or {}).get(tid)
                     if share is None:
                         errors.append(
                             f"vehicle {vid!r}: explicit mode but no cost share for "
@@ -248,7 +261,7 @@ class MarketInstance:
             raise ValidationError(errors)
         if not explicit:
             served = sorted(set(cols))
-            shares = [self.vehicles[k].operating_cost / self.vehicles[k].capacity for k in served]
+            shares = [vehicles[k].operating_cost / vehicles[k].capacity for k in served]
         bounds = [x for t in self.travelers for x in (t.v_max, t.v_min)]
         den, ints = scale_to_integers(bounds + phis + shares)
         # ints: v_max and v_min per traveler, phi per pair, then the shares

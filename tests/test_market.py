@@ -397,18 +397,54 @@ def _walk_market(rng):
     return network, tuple(travelers), tuple(vehicles)
 
 
+def _shared_trip_market(rng):
+    """A market of 20-40 travelers on a three- or four-vertex complete
+    digraph, so that many travelers share a trip.  Routes are random walks;
+    vehicle ids run ``V0``, ``V1``, ... in index order, so ``V10`` sorts
+    before ``V2``; each traveler lists from one to all vehicles, in random
+    order, whether or not they serve its trip."""
+    vertices = "ABCD"[: rng.randint(3, 4)]
+    edges = tuple(Edge(u + v, u, v) for u in vertices for v in vertices if u != v)
+    network = Network(frozenset(vertices), edges)
+    vehicles = []
+    for j in range(rng.randint(2, 13)):
+        at, route = rng.choice(vertices), []
+        for _ in range(rng.randint(1, 4)):
+            step = rng.choice([v for v in vertices if v != at])
+            route.append(at + step)
+            at = step
+        cost = F(rng.randint(0, 20), rng.choice((1, 2, 3, 5)))
+        vehicles.append(Vehicle(f"V{j}", Route(tuple(route)), rng.randint(1, 5), cost))
+    travelers = []
+    for i in range(rng.randint(20, 40)):
+        v_max = F(rng.randint(0, 30), rng.choice((1, 2, 3, 7)))
+        entries = rng.sample(vehicles, rng.randint(1, len(vehicles)))
+        inconvenience = {v.id: v_max * F(rng.randint(0, 6), 6) for v in entries}
+        od = ODPair(*rng.sample(vertices, 2))
+        travelers.append(Traveler(f"T{i}", od, v_max, v_max * F(rng.randint(0, 4), 4), inconvenience))
+    return network, tuple(travelers), tuple(vehicles)
+
+
 def test_pair_table_matches_a_pair_by_pair_reference(brute_force_covers):
     """``den``, ``entries``, ``v_min`` and the pair order equal a reference
     built pair by pair from brute-force coverage and ``Fraction``s: on
     generated markets, degenerate ones too, and on random-walk routes that
-    repeat vertices, in both cost-share modes; in explicit mode a missing
-    share raises the reference's messages in its order."""
+    repeat vertices, and on markets where many travelers share a trip, in
+    both cost-share modes; in explicit mode a missing share raises the
+    reference's messages in its order."""
     rng = random.Random(16)
     markets = []
     for seed in range(60):
         inst = generate_instance(seed, n=1 + seed % 9, m=1 + seed % 5, degenerate=seed % 2 == 0)
         markets.append((inst.network, inst.travelers, inst.vehicles))
     markets += [_walk_market(rng) for _ in range(300)]
+    shared_rng = random.Random(29)
+    family = [_shared_trip_market(shared_rng) for _ in range(40)]
+    shared = sum(
+        len(travelers) - len({(t.od.origin, t.od.destination) for t in travelers})
+        for _, travelers, _ in family
+    )
+    markets += family
     repeats = missing = 0
     for network, travelers, vehicles in markets:
         shares = {
@@ -435,7 +471,7 @@ def test_pair_table_matches_a_pair_by_pair_reference(brute_force_covers):
             assert all(type(x) is int for terms in table.entries.values() for x in terms)
             stops = {v.id: route_vertex_sequence(network, v.route) for v in fleet}
             repeats += sum(len(set(stops[vid])) < len(stops[vid]) for _, vid in entries)
-    assert repeats > 100 and missing > 20
+    assert repeats > 100 and missing > 20 and shared > 600
 
 
 def test_pair_table_den_ignores_money_off_the_pairs(canonical):

@@ -484,6 +484,36 @@ def test_check_converts_each_money_string_once(tmp_path, monkeypatch, capsys):
     assert 0 < calls["exact_number"] <= len(set(written))
 
 
+def test_service_is_decided_once_per_trip_and_vehicle(monkeypatch):
+    """The generator asks ``serves`` once per distinct trip and vehicle,
+    and the pair table at most once per trip and vehicle that a traveler
+    names: never once per candidate pair, and never more often than there
+    are entries, even when no two travelers share a trip."""
+    calls = Counter()
+    for module in (market, generate):
+        monkeypatch.setattr(module, "serves", _counted(calls, module.__name__, network.serves))
+    inst = generate_instance(5, n=300, m=60)
+    pairs = len(inst.compatibility.entries)
+    bound = len({(t.od.origin, t.od.destination) for t in inst.travelers}) * 60
+    for module in (generate, market):
+        assert 0 < calls[module.__name__] <= bound, module.__name__
+        assert 5 * calls[module.__name__] < pairs, module.__name__
+    # one trip per traveler on a line that every route covers, one entry each
+    stops = [f"S{i}" for i in range(12)]
+    edges = tuple(network.Edge(f"E{i}", a, b) for i, (a, b) in enumerate(zip(stops, stops[1:])))
+    line = network.Network(frozenset(stops), edges)
+    full = network.Route(tuple(e.id for e in edges))
+    fleet = tuple(market.Vehicle(f"V{j}", full, 1, F(1)) for j in range(40))
+    trips = [(a, b) for i, a in enumerate(stops) for b in stops[i + 1 :]]
+    travelers = tuple(
+        market.Traveler(f"T{i}", network.ODPair(a, b), F(5), F(0), {f"V{i % 40}": F(1)})
+        for i, (a, b) in enumerate(trips)
+    )
+    calls.clear()
+    sparse = MarketInstance(line, travelers, fleet)
+    assert len(sparse.compatibility.entries) == len(trips) == calls[market.__name__]
+
+
 def test_each_command_solves_the_matching_once(tmp_path, monkeypatch, capsys):
     """Each command solves the matching once; only a bare ``TID=value``
     payment under ``solve --objective paper`` needs the surplus optimum
