@@ -19,10 +19,12 @@ edges and successful relaxations of its one Bellman-Ford run, read by
 wrapping ``allocation.bellman_ford``.
 The check path then prices the kernel's optimum: each matched pair pays
 its cost share and every other pair its break-even ``max(0, surplus)``.
-The priced document is serialized and parsed back, timed, and
-``check_payments`` runs on it in literal and classic-core mode, each
-timed, with its stability verdict (``null`` when the allocation is
-infeasible and stability is undefined).  The CLI layer runs last: the
+The priced document is serialized and parsed back, timed, with whether
+the parsed schedule is keyed by the pair table's own key tuples in table
+order (``priced_in_table_order``, which lets the checker read it by
+position), and ``check_payments`` runs on it in literal and classic-core
+mode, each timed, with its stability verdict (``null`` when the allocation
+is infeasible and stability is undefined).  The CLI layer runs last: the
 priced document is written to a temporary file and ``cli.main`` checks it
 in-process at the optimum's riders (``check PATH --assignment ... --format
 machine``, standard output captured), timed, with its exit status.
@@ -40,6 +42,7 @@ import argparse
 import contextlib
 import io
 import json
+import operator
 import os
 import platform
 import re
@@ -147,7 +150,12 @@ def check_path(inst, a) -> dict:
     }
     text, priced_serialize_s = _timed(serialize_document, inst, PaymentSchedule(pays))
     doc, priced_parse_s = _timed(parse_document, text)
-    row = {"priced_serialize_s": priced_serialize_s, "priced_parse_s": priced_parse_s}
+    keys, table = doc.payments.entries, doc.instance.compatibility.entries
+    row = {
+        "priced_serialize_s": priced_serialize_s,
+        "priced_parse_s": priced_parse_s,
+        "priced_in_table_order": len(keys) == len(table) and all(map(operator.is_, keys, table)),
+    }
     for mode, classic_core in (("literal", False), ("classic", True)):
         args = (doc.instance, a, doc.payments, classic_core)
         (_, stability), check_s = _timed(check_payments, *args)

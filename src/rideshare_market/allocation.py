@@ -180,13 +180,13 @@ def check_payments(
     and compare integers over the least common multiple of the pair
     table's denominator and the payments' denominators.
     """
-    validate_schedule(inst, t)
+    pays = validate_schedule(inst, t)
     feas = check_feasibility(inst, a, compute_profits(inst, a, t))
     if not feas.verdict:
         return feas, None
     matrix = inst.compatibility
     table = matrix.entries
-    common, pays = scale_to_integers(map(t.entries.__getitem__, table), matrix.den)
+    common, pays = scale_to_integers(pays, matrix.den)
     lift = common // matrix.den
     violations = []
     if classic_core:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import gc
 import io
-import json
 import sys
 import warnings
 from fractions import Fraction
@@ -19,7 +18,13 @@ from functools import cache
 from rideshare_market.allocation import PaymentSchedule, check_payments, synthesize_stable_payments
 from rideshare_market.errors import OracleScaleError, ValidationError
 from rideshare_market.generate import generate_instance
-from rideshare_market.instance_io import exact_number, parse_document, serialize_document
+from rideshare_market.instance_io import (
+    _block,
+    _string,
+    exact_number,
+    parse_document,
+    serialize_document,
+)
 from rideshare_market.market import (
     Assignment,
     UNASSIGNED,
@@ -65,18 +70,19 @@ def _parse_payment_overrides(spec: str | None) -> list:
 
 
 def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
-    """Full payment matrix: document payments ``base``, then the parsed
-    ``overrides``, then the break-even default max(0, valuation - cost
-    share); a complete ``base`` without overrides is returned as is.
-    ``TID=value`` prices the traveler's vehicle in ``assignment``, or, when
-    that is ``None``, in the surplus optimum, solved only for such an entry."""
+    """Full payment matrix in pair-table order, keyed by the table's own
+    pairs: document payments ``base``, then the parsed ``overrides``, then
+    the break-even default max(0, valuation - cost share); a complete
+    ``base`` without overrides is returned as is.  ``TID=value`` prices the
+    traveler's vehicle in ``assignment``, or, when that is ``None``, in the
+    surplus optimum, solved only for such an entry."""
     matrix = inst.compatibility
     table = matrix.entries
     # parse_document admits only compatible pairs, so a parsed schedule with
     # as many entries as the table prices every pair
     if base is not None and not overrides and len(base.entries) == len(table):
         return base
-    entries = dict(base.entries) if base is not None else {}
+    given = dict(base.entries) if base is not None else {}
     if overrides:
         travelers = {t.id for t in inst.travelers}
         seen = set()
@@ -96,9 +102,14 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
             if (tid, vid) in seen:
                 raise ValidationError(f"--payments: duplicate entry for pair ({tid!r}, {vid!r})")
             seen.add((tid, vid))
-            entries[(tid, vid)] = value
+            given[(tid, vid)] = value
+        if any(value < 0 for _, value in overrides):
+            PaymentSchedule(given)  # raises, naming each negative payment in the order given
+    entries = {}
     for pair, (_, _, surplus) in table.items():
-        if pair not in entries:
+        if pair in given:
+            entries[pair] = given[pair]
+        else:
             entries[pair] = Fraction(surplus, matrix.den) if surplus > 0 else _ZERO
     return PaymentSchedule(entries)
 
@@ -145,25 +156,49 @@ def _emit(doc: dict, fmt: str):
     document is rendered and encoded in full first: a number too long for
     Python's int-to-string conversion, or text that standard output cannot
     encode, is a validation error, and nothing is written."""
-    out = io.StringIO()
     try:
         if fmt == "machine":
-            json.dump(doc, out, indent=2, default=str)
-            out.write("\n")
+            text = _json(doc, "") + "\n"
         else:
+            out = io.StringIO()
             _emit_text(doc, out)
+            text = out.getvalue()
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ValidationError(
             f"output: a computed value has more than {limit} digits and cannot be printed"
         ) from None
-    text, encoding = out.getvalue(), sys.stdout.encoding or "utf-8"
+    encoding = sys.stdout.encoding or "utf-8"
     try:
         text.encode(encoding, sys.stdout.errors or "strict")
     except UnicodeEncodeError as exc:
         bad = exc.object[exc.start : exc.end]
         raise ValidationError(f"output: {bad!r} cannot be encoded as {encoding}") from None
     sys.stdout.write(text)
+
+
+def _json(value, pad) -> str:
+    """The JSON text of ``value`` from indent ``pad``: byte for byte what
+    ``json.dump(value, out, indent=2, default=str)`` writes of a command's
+    output (``str`` keys; ``str`` of a value JSON has no type for, such as a
+    ``Fraction``), written directly since ``json`` with ``indent`` always
+    runs its pure-Python encoder."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is dict:
+        inner = pad + "  "
+        return _block("{}", [f"{_string(k)}: {_json(x, inner)}" for k, x in value.items()], pad)
+    if kind is list:
+        inner = pad + "  "
+        return _block("[]", [_json(x, inner) for x in value], pad)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    return _string(str(value))
 
 
 def _emit_text(doc: dict, out, prefix=""):

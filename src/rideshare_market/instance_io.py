@@ -157,6 +157,71 @@ def _objects_noting_repeats(repeats):
     return build
 
 
+def _priced_by_table(section, table, tids, memo):
+    """The payments ``section`` as a schedule keyed by the pair table's own
+    key tuples, in table order: one ``get`` per traveler and one per pair.
+    ``None`` when a row is no object or names no traveler, a value does not
+    convert or is negative, or fewer prices are stored than the document has
+    entries (so some entry is ``null`` or prices no compatible pair); the
+    caller then words the errors."""
+    if type(section) is not dict or not section.keys() <= tids:
+        return None
+    count = 0
+    for row in section.values():
+        if type(row) is not dict:
+            return None
+        count += len(row)
+    entries, errors, empty = {}, [], {}
+    tid = row = None
+    for pair in table:
+        if pair[0] != tid:
+            tid = pair[0]
+            row = section.get(tid, empty)
+        value = row.get(pair[1])
+        if value is not None:
+            entries[pair] = (
+                memo[value]
+                if type(value) is str and value in memo
+                else _parse_money(value, "payments", errors, memo)
+            )
+    # distinct pairs read distinct entries: equal counts read every entry
+    if errors or len(entries) != count:
+        return None
+    try:
+        return PaymentSchedule(entries)
+    except ValidationError:  # a negative payment
+        return None
+
+
+def _priced_by_document(section, compatible, tids, vids, memo):
+    """The payments ``section`` read entry by entry, in document order, for
+    a section that :func:`_priced_by_table` cannot read: raises
+    :class:`ValidationError` naming every problem in that order."""
+    entries, errors = {}, []
+    for tid, row in _typed(section, dict, "payments", errors, {}).items():
+        if tid not in tids:
+            errors.append(f"payments: unknown traveler id {tid!r}")
+            continue
+        if type(row) is not dict:
+            row = _typed(row, dict, f"payments: [{tid!r}]", errors, {})
+        for vid, value in row.items():
+            pair = (tid, vid)
+            if pair not in compatible:
+                if vid not in vids:
+                    errors.append(f"payments: [{tid!r}]: unknown vehicle id {vid!r}")
+                else:
+                    errors.append(f"payments: pair {pair!r} is not compatible")
+                continue
+            entries[pair] = (
+                memo[value]
+                if type(value) is str and value in memo
+                else _parse_money(value, f"payments: [{tid!r}][{vid!r}]", errors, memo)
+            )
+    if errors:
+        raise ValidationError(errors)
+    return PaymentSchedule(entries)
+
+
 def parse_document(text: str) -> InstanceDocument:
     """Parse and validate a full instance document.
 
@@ -313,31 +378,12 @@ def parse_document(text: str) -> InstanceDocument:
     )
 
     payments = None
-    if doc.get("payments") is not None:
-        entries = {}
-        compatible = instance.compatibility.entries
-        for tid, row in _typed(doc["payments"], dict, "payments", errors, {}).items():
-            if tid not in tids:
-                errors.append(f"payments: unknown traveler id {tid!r}")
-                continue
-            if type(row) is not dict:
-                row = _typed(row, dict, f"payments: [{tid!r}]", errors, {})
-            for vid, value in row.items():
-                pair = (tid, vid)
-                if pair not in compatible:
-                    if vid not in vids:
-                        errors.append(f"payments: [{tid!r}]: unknown vehicle id {vid!r}")
-                    else:
-                        errors.append(f"payments: pair {pair!r} is not compatible")
-                    continue
-                entries[pair] = (
-                    memo[value]
-                    if type(value) is str and value in memo
-                    else _parse_money(value, f"payments: [{tid!r}][{vid!r}]", errors, memo)
-                )
-        if errors:
-            raise ValidationError(errors)
-        payments = PaymentSchedule(entries)
+    section = doc.get("payments")
+    if section is not None:
+        table = instance.compatibility.entries
+        payments = _priced_by_table(section, table, tids, memo)
+        if payments is None:
+            payments = _priced_by_document(section, table, tids, vids, memo)
     return InstanceDocument(instance=instance, payments=payments)
 
 

@@ -14,6 +14,7 @@ answer, and ``Fraction``s otherwise appear only in violations and output.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -352,12 +353,22 @@ def validate_assignment(inst: MarketInstance, a: Assignment):
         raise ValidationError(errors)
 
 
-def validate_schedule(inst: MarketInstance, t):
-    """Check that schedule ``t`` prices every compatible pair; name each missing one, in order."""
+def validate_schedule(inst: MarketInstance, t) -> list:
+    """The payments of schedule ``t`` in pair-table order.  A schedule keyed
+    by the table's own key tuples, in order, as the parser, the synthesis and
+    the CLI build them, is read by position; any other is looked up pair by
+    pair.
+    A compatible pair without a payment is an error; each is named, in order."""
     table = inst.compatibility.entries
-    if not t.entries.keys() >= table.keys():
-        missing = [p for p in table if p not in t.entries]
-        raise ValidationError([f"schedule: no payment for compatible pair {p}" for p in missing])
+    entries = t.entries
+    if len(entries) == len(table) and all(map(operator.is_, entries, table)):
+        return list(entries.values())
+    try:
+        return list(map(entries.__getitem__, table))
+    except KeyError:
+        missing = [p for p in table if p not in entries]
+        errors = [f"schedule: no payment for compatible pair {p}" for p in missing]
+        raise ValidationError(errors) from None
 
 
 def valuation(t: Traveler, vid) -> Fraction:

@@ -66,8 +66,7 @@ def _pair_weights(inst: MarketInstance, payments=None):
     matrix = inst.compatibility
     if payments is None:
         return matrix.den, {p: u for p, (_, _, u) in matrix.entries.items()}
-    validate_schedule(inst, payments)
-    den, pays = scale_to_integers([payments.entries[p] for p in matrix.entries], matrix.den)
+    den, pays = scale_to_integers(validate_schedule(inst, payments), matrix.den)
     lift = den // matrix.den
     return den, {p: v * lift - pay for (p, (v, _, _)), pay in zip(matrix.entries.items(), pays)}
 

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -98,6 +99,74 @@ def test_an_incomplete_schedule_fails_one_rule_everywhere():
             call()
         errors.append(exc.value.errors)
     assert errors == [expected, expected]
+
+
+def _key_orders(t: PaymentSchedule, seed: int):
+    """``t`` as given, with its entries shuffled, and keyed by equal but
+    distinct tuples in shuffled order."""
+    items = list(t.entries.items())
+    random.Random(seed).shuffle(items)
+    return t, PaymentSchedule(dict(items)), PaymentSchedule({(p[0], p[1]): x for p, x in items})
+
+
+def test_a_schedule_reads_the_same_by_position_and_by_lookup():
+    """The checkers and the fixed-payment solve give the same reports for a
+    schedule keyed by the pair table's own tuples in table order, read by
+    position, and for the same schedule shuffled or keyed by equal tuples,
+    read pair by pair."""
+    violated = 0
+    for seed in range(40):
+        inst = generate_instance(seed, n=8, m=2)
+        a = solve_optimal_assignment(inst).assignment
+        synth = synthesize_stable_payments(inst, a)
+        if not synth.feasible:
+            continue
+        matrix = inst.compatibility
+        assert all(map(operator.is_, synth.schedule.entries, matrix.entries))
+        # every other pair off the stable point, the allocation still
+        # feasible: an off-match one priced at 0, a matched one at the top of
+        # its range, value - v_min
+        prices = {}
+        for k, (p, x) in enumerate(synth.schedule.entries.items()):
+            if k % 2 and a.vehicle_of(p[0]) != p[1]:
+                x = F(0)
+            elif k % 2:
+                x = F(matrix.entries[p][0] - matrix.v_min[p[0]], matrix.den)
+            prices[p] = x
+        reports = set()
+        for t in _key_orders(PaymentSchedule(prices), seed):
+            reports.add(repr((
+                check_payments(inst, a, t),
+                check_payments(inst, a, t, classic_core=True),
+                check_stability(inst, a, t),
+                solve_optimal_assignment(inst, payments=t),
+            )))
+        assert len(reports) == 1
+        t = PaymentSchedule(prices)
+        violated += not check_stability(inst, a, t).verdict and not check_stability(inst, a, t, True).verdict
+    assert violated >= 5
+
+
+def test_a_missing_pair_is_named_alike_however_the_schedule_is_keyed():
+    """A schedule without a compatible pair draws the same error whether it
+    is keyed by the pair table's own tuples in table order, the table's last
+    pair missing too, or by equal tuples in another order, and also when an
+    extra pair makes up its length."""
+    inst = generate_instance(3, n=10, m=3)
+    pairs = list(inst.compatibility.entries)
+    for drop in (pairs[len(pairs) // 2], pairs[-1]):
+        t = PaymentSchedule({p: F(1) for p in pairs if p is not drop})
+        padded = PaymentSchedule({**t.entries, ("T0", "nowhere"): F(1)})
+        errors = []
+        for schedule in (*_key_orders(t, 3), padded):
+            for call in (
+                lambda: check_payments(inst, Assignment({}), schedule),
+                lambda: solve_optimal_assignment(inst, payments=schedule),
+            ):
+                with pytest.raises(ValidationError) as exc:
+                    call()
+                errors.append(exc.value.errors)
+        assert errors == [[f"schedule: no payment for compatible pair {drop}"]] * 8
 
 
 def test_feasibility_accepts_valid_allocation(canonical):

@@ -4,7 +4,9 @@ import gc
 import hashlib
 import io
 import json
+import operator
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -476,6 +478,144 @@ def test_payment_errors_keep_their_text_and_document_order(canonical, tmp_path, 
     assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in errors]
 
 
+def _priced_market():
+    """The canonical market plus T3 (A->B) and T4 (A->C) on V1, and V2,
+    which drives B->C only and so misses T1's trip, though T1 names it: a
+    fully priced document of it, as a dict."""
+    net = Network(frozenset("ABC"), (Edge("e1", "A", "B"), Edge("e2", "B", "C")))
+    v1 = Vehicle("V1", Route(("e1", "e2")), capacity=2, operating_cost=F(4))
+    v2 = Vehicle("V2", Route(("e2",)), capacity=1, operating_cost=F(1))
+    travelers = (
+        Traveler("T1", ODPair("A", "C"), F(10), F(1), {"V1": F(2), "V2": F(0)}),
+        Traveler("T2", ODPair("B", "C"), F(6), F(0), {"V1": F(0)}),
+        Traveler("T3", ODPair("A", "B"), F(5), F(0), {"V1": F(1)}),
+        Traveler("T4", ODPair("A", "C"), F(7), F(0), {"V1": F(1)}),
+    )
+    inst = MarketInstance(net, travelers, (v1, v2))
+    pairs = [("T1", "V1"), ("T2", "V1"), ("T3", "V1"), ("T4", "V1")]
+    prices = PaymentSchedule(dict(zip(pairs, (F(3), F(2), F(5, 2), F(4)))))
+    return json.loads(serialize_document(inst, prices))
+
+
+def _negatives_out_of_table_order(payments):
+    payments["T1"]["V1"], payments["T3"]["V1"] = "-2", -1
+    for tid in ("T2", "T1"):
+        payments[tid] = payments.pop(tid)  # the rows now read T3, T4, T2, T1
+
+
+#: one problem among the payments of ``_priced_market``'s document, and the
+#: messages it draws: each alone sends the section past the walk of the pair table
+PAYMENT_PROBLEMS = [
+    (lambda p: p.update(T0={}), ["payments: unknown traveler id 'T0'"]),
+    (lambda p: p.update(T1=5), ["payments: ['T1']: expected object, got number"]),
+    (lambda p: p["T1"].update(V9="1"), ["payments: ['T1']: unknown vehicle id 'V9'"]),
+    (lambda p: p["T1"].update(V2="1"), ["payments: pair ('T1', 'V2') is not compatible"]),
+    (
+        lambda p: p["T1"].update(V1=None),
+        ["payments: ['T1']['V1']: not an exact number: None (use \"p/q\" strings)"],
+    ),
+    (
+        lambda p: p["T3"].update(V1="1/x"),
+        ["payments: ['T3']['V1']: not an exact number: '1/x' (use \"p/q\" strings)"],
+    ),
+    (lambda p: p["T2"].update(V1=2), []),
+    (lambda p: p["T2"].update(V1="-1"), ["payment for pair ('T2', 'V1') is negative"]),
+    (
+        _negatives_out_of_table_order,
+        ["payment for pair ('T3', 'V1') is negative", "payment for pair ('T1', 'V1') is negative"],
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate, errors", PAYMENT_PROBLEMS)
+def test_each_payment_problem_alone_keeps_its_text(mutate, errors, tmp_path, capsys):
+    """Each problem of an otherwise fully priced document, alone, is named
+    with the message it has always had; a JSON integer is a price."""
+    raw = _priced_market()
+    mutate(raw["payments"])
+    text = json.dumps(raw)
+    if not errors:
+        assert parse_document(text).payments[("T2", "V1")] == 2
+        return
+    with pytest.raises(ValidationError) as exc:
+        parse_document(text)
+    assert exc.value.errors == errors
+    path = tmp_path / "payments.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in errors]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_payment_errors_follow_the_document_in_any_row_order(seed):
+    """Every payment problem is named in document order, with the message it
+    has always had, however the rows and their entries are ordered: the
+    per-entry reading that words them does not follow the pair table."""
+    raw = _priced_market()
+    raw["payments"] = {
+        "T1": {"V9": "1", "V1": None, "V2": "1", "V3": 4},
+        "T0": {"V1": "1"},
+        "T2": {"V1": "1/x"},
+        "T3": ["5"],
+        "T4": {"V1": 2},
+    }
+    # (traveler, vehicle) of each entry, (traveler, None) of each row, in error
+    problems = {
+        ("T1", "V9"): "payments: ['T1']: unknown vehicle id 'V9'",
+        ("T1", "V1"): "payments: ['T1']['V1']: not an exact number: None (use \"p/q\" strings)",
+        ("T1", "V2"): "payments: pair ('T1', 'V2') is not compatible",
+        ("T1", "V3"): "payments: ['T1']: unknown vehicle id 'V3'",
+        ("T0", None): "payments: unknown traveler id 'T0'",
+        ("T2", "V1"): "payments: ['T2']['V1']: not an exact number: '1/x' (use \"p/q\" strings)",
+        ("T3", None): "payments: ['T3']: expected object, got list",
+    }
+    rng = random.Random(seed)
+    rows = list(raw["payments"].items())
+    if seed:
+        rng.shuffle(rows)
+        rows = [(t, dict(rng.sample(list(r.items()), len(r))) if type(r) is dict else r) for t, r in rows]
+    raw["payments"] = dict(rows)
+    expected = []
+    for tid, row in rows:
+        if (tid, None) in problems:
+            expected.append(problems[(tid, None)])
+            continue
+        expected += [problems[(tid, vid)] for vid in row if (tid, vid) in problems]
+    with pytest.raises(ValidationError) as exc:
+        parse_document(json.dumps(raw))
+    assert exc.value.errors == expected
+
+
+@pytest.mark.parametrize("shape", ["full", "partial", "shuffled"])
+def test_parsed_schedule_keeps_the_pair_tables_keys_and_order(shape):
+    """A parsed schedule is keyed by the pair table's own key tuples, in table
+    order, whatever the order of the document's rows; it equals the
+    schedule read entry by entry in document order."""
+    inst = generate_instance(5, n=40, m=8)
+    den = inst.compatibility.den
+    prices = {p: F(s, den) if s > 0 else F(0) for p, (_, _, s) in inst.compatibility.entries.items()}
+    raw = json.loads(serialize_document(inst, PaymentSchedule(prices)))
+    rng = random.Random(shape)
+    rows = list(raw["payments"].items())
+    if shape == "partial":
+        rows = [(t, {v: x for v, x in r.items() if rng.random() < 0.6}) for t, r in rows]
+    if shape == "shuffled":
+        rng.shuffle(rows)
+        rows = [(t, dict(rng.sample(list(r.items()), len(r)))) for t, r in rows]
+    raw["payments"] = dict(rows)
+    doc = parse_document(json.dumps(raw))
+    entries, table = doc.payments.entries, doc.instance.compatibility.entries
+    priced = [p for p in table if p in entries]
+    assert len(priced) == len(entries) and all(map(operator.is_, entries, priced))
+    assert (len(priced) == len(table)) == (shape != "partial")
+    in_document_order = PaymentSchedule(
+        {(tid, vid): exact_number(x) for tid, row in rows for vid, x in row.items()}
+    )
+    assert doc.payments == in_document_order
+    # ids sort as strings in the document, T10 before T2: the orders differ
+    assert list(in_document_order.entries) != list(entries)
+
+
 def test_top_level_array_is_a_validation_error(tmp_path, capsys):
     with pytest.raises(ValidationError) as exc:
         parse_document("[]")
@@ -831,6 +971,60 @@ def test_cli_unprintable_derived_value_exits_2(command, tmp_path, capsys):
     assert out == ""
     assert err == (
         "error: output: a computed value has more than 4300 digits and cannot be printed\n"
+    )
+
+
+def test_negative_overrides_are_named_in_the_order_given(canonical_path, capsys):
+    """On a document without payments, negative ``--payments`` values are
+    named in the order the option gives them, not in pair order."""
+    assert main(["check", canonical_path, "--payments", "T2:V1=-1,T1:V1=-1/2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: payment for pair ('T2', 'V1') is negative",
+        "error: payment for pair ('T1', 'V1') is negative",
+    ]
+
+
+def test_machine_output_is_what_json_dump_writes(tmp_path, monkeypatch, capsys):
+    """Every command's machine output is byte for byte what
+    ``json.dump(doc, out, indent=2, default=str)`` writes of its document,
+    plus a newline, on generated markets priced in part and on ids that JSON
+    escapes; a value past the digit limit is still the ``output:`` error."""
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc, fmt: (emitted.append(doc), emit(doc, fmt))[1])
+    markets = [
+        generate_instance(seed, n=3 + seed % 6, m=1 + seed % 3, degenerate=seed % 2 == 1)
+        for seed in range(16)
+    ]
+    commands = [
+        ["solve"], ["solve", "--objective", "paper"], ["oracle"], ["check"],
+        ["check", "--classic-core"], ["check", "--assignment", ""], ["synthesize"],
+        ["report", "--with-oracle"], ["report", "--classic-core"],
+    ]  # fmt: skip
+    statuses = set()
+    for k, inst in enumerate([*markets, _odd_id_market()]):
+        priced = PaymentSchedule({p: F(k % 4, 1 + k % 3) for p in inst.compatible_pairs()[::2]})
+        path = tmp_path / f"market-{k}.json"
+        path.write_text(serialize_document(inst, priced))
+        for command in commands:
+            emitted.clear()
+            status = main([command[0], str(path), *command[1:], "--format", "machine"])
+            [doc] = emitted
+            reference = io.StringIO()
+            json.dump(doc, reference, indent=2, default=str)
+            assert capsys.readouterr().out == reference.getvalue() + "\n"
+            statuses.add((command[0], status))
+    # both verdicts of check and synthesize: violations, skipped stability and certificates
+    assert {("check", 0), ("check", 1), ("synthesize", 0), ("synthesize", 1)} <= statuses
+    doc = json.loads(serialize_document(generate_instance(0, n=4, m=2)))
+    doc["travelers"][0]["v_max"] = "1e4299"
+    doc["travelers"][0]["inconvenience"] = {vid: "1e-4299" for vid in doc["travelers"][0]["inconvenience"]}
+    path = tmp_path / "unprintable.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--format", "machine"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "", "error: output: a computed value has more than 4300 digits and cannot be printed\n"
     )
 
 

@@ -356,8 +356,9 @@ def test_stability_rows_and_classic_check_look_up_each_traveler_once(monkeypatch
 def test_ladder_row_records_every_figure():
     """``bench/ladder.py`` reaches into the solver's perturbation, the dual
     certificate and the synthesis's Bellman-Ford run: a small row still
-    carries every figure, the CLI check exits with the literal verdict, and
-    the wrapped run is put back."""
+    carries every figure, the priced document parses in pair-table order,
+    the CLI check exits with the literal verdict, and the wrapped run is put
+    back."""
     path = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
     spec = importlib.util.spec_from_file_location("ladder", path)
     ladder = importlib.util.module_from_spec(spec)
@@ -371,13 +372,14 @@ def test_ladder_row_records_every_figure():
     assert list(row) == [
         "n", "m", "pairs", "serialize_s", "parse_s", "pair_table_s", "perturbed_s", "kernel_s",
         "augmentations", "relaxations", "certificate_s", *synthesis, "priced_serialize_s",
-        "priced_parse_s",
+        "priced_parse_s", "priced_in_table_order",
         "check_literal_s", "check_literal_verdict", "check_classic_s", "check_classic_verdict",
         "cli_check_s", "cli_check_status",
     ]  # fmt: skip
     for favor in ("travelers", "vehicles"):
         assert row[f"synthesis_{favor}_edges"] > 0 and row[f"synthesis_{favor}_relaxations"] > 0
     assert row["cli_check_status"] == (0 if row["check_literal_verdict"] else 1)
+    assert row["priced_in_table_order"] is True
     delta = ladder.delta({"ladder": [row]}, [row])
     assert delta["n=20"]["synthesis_travelers_rows"] == [row["synthesis_travelers_rows"]] * 2
     root = path.parent.parent
