@@ -85,7 +85,7 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
     given = dict(base.entries) if base is not None else {}
     if overrides:
         travelers = {t.id for t in inst.travelers}
-        seen = set()
+        priced = {}
         for (tid, vid), value in overrides:
             if tid not in travelers:
                 raise ValidationError(f"--payments: unknown traveler id {tid!r}")
@@ -99,12 +99,12 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
                     )
             if (tid, vid) not in table:
                 raise ValidationError(f"--payments: pair ({tid!r}, {vid!r}) is not compatible")
-            if (tid, vid) in seen:
+            if (tid, vid) in priced:
                 raise ValidationError(f"--payments: duplicate entry for pair ({tid!r}, {vid!r})")
-            seen.add((tid, vid))
-            given[(tid, vid)] = value
+            priced[(tid, vid)] = value
         if any(value < 0 for _, value in overrides):
-            PaymentSchedule(given)  # raises, naming each negative payment in the order given
+            PaymentSchedule(priced)  # raises, naming each negative payment in the option's order
+        given.update(priced)
     entries = {}
     for pair, (_, _, surplus) in table.items():
         if pair in given:

@@ -229,9 +229,21 @@ def parse_document(text: str) -> InstanceDocument:
     errors carry line and column, semantic errors name the section, entity
     id, and rule.
     """
-    repeats = []
+    sizes, repeats = [], []
+
+    def note(obj):
+        sizes.append(len(obj))
+        return obj
+
     try:
-        doc = json.loads(text, object_pairs_hook=_objects_noting_repeats(repeats))
+        doc = json.loads(text, object_hook=note)
+        # each ":" outside a string follows a key, and an object keeps fewer
+        # keys than were written only when it repeats one: sum(sizes) <= keys
+        # written <= count of ":", so equal ends prove that no key repeats.
+        # Otherwise a string holds a ":" or a key repeats, and only the pairs
+        # hook can name the repeats
+        if sum(sizes) != text.count(":"):
+            doc = json.loads(text, object_pairs_hook=_objects_noting_repeats(repeats))
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -764,18 +764,58 @@ def test_money_outside_the_ascii_grammar_exits_2(canonical, tmp_path, capsys, va
 
 def test_duplicate_keys_are_a_validation_error(canonical, tmp_path, capsys):
     """An object that repeats a key is malformed: each repeated key is
-    named, where ``json.loads`` alone would keep its last value."""
-    text = serialize_document(canonical, PaymentSchedule({("T1", "V1"): F(3)}))
-    text = text.replace('"v_max": "10"', '"v_max": "10", "v_max": "9"')
-    text = text.replace('"V1": "3"', '"V1": "3", "V1": "4"')
-    errors = ["document: duplicate key 'v_max'", "document: duplicate key 'V1'"]
+    named once, innermost objects first, where ``json.loads`` alone would
+    keep its last value, and the repeat hides every other error but a
+    syntax error.  Each placement in the grammar, and one the grammar never
+    expects, gives the same list."""
+    base = serialize_document(canonical, PaymentSchedule({("T1", "V1"): F(3)}))
+    placements = [
+        # (replacements in the document's text, the errors they cause)
+        ([('"v_max": "10"', '"v_max": "10", "v_max": "9"'), ('"V1": "3"', '"V1": "3", "V1": "4"')],
+         ["v_max", "V1"]),
+        ([('"schema_version": 1,', '"schema_version": 1, "schema_version": 1,')],
+         ["schema_version"]),
+        ([('"network": {', '"network": {"edges": [], ')], ["edges"]),
+        ([('"v_max": "10"', '"v_max": "10", "v_max": "9"')], ["v_max"]),
+        ([('"V1": "2"', '"V1": "2", "V1": "2"')], ["V1"]),
+        ([('"capacity": 2,', '"capacity": 2, "capacity": 3,')], ["capacity"]),
+        ([('"operating_cost": "4"',
+           '"operating_cost": "4", "cost_shares": {"T1": "1", "T1": "2"}')], ["T1"]),
+        ([('"cost_share_mode": "per_seat"',
+           '"cost_share_mode": "per_seat", "cost_share_mode": "x"')], ["cost_share_mode"]),
+        ([('"payments": {', '"payments": {"T1": {}, ')], ["T1"]),
+        ([('"V1": "3"', '"V1": "3", "V1": "4"')], ["V1"]),
+        # a money value written as an object
+        ([('"v_min": "1"', '"v_min": {"p": 1, "q": 2, "p": 3}')], ["p"]),
+        # three of one key and two of another in one object
+        ([('"id": "T2",', '"id": "T2", "id": "T2", "origin": "A", "id": "T3",')],
+         ["id", "origin"]),
+        # beside an unknown key, bad money and a bad capacity, in three objects
+        ([('"v_max": "10"', '"v_max": "10", "v_max": "9", "colour": "red"'),
+          ('"V1": "3"', '"V1": "3", "V1": "x"'),
+          ('"capacity": 2,', '"capacity": -1,'),
+          ('"schema_version": 1,', '"schema_version": 2, "schema_version": 1,')],
+         ["v_max", "V1", "schema_version"]),
+    ]  # fmt: skip
+    path = tmp_path / "duplicate.json"
+    for replacements, keys in placements:
+        text = base
+        for old, new in replacements:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        errors = [f"document: duplicate key {key!r}" for key in keys]
+        with pytest.raises(ValidationError) as exc:
+            parse_document(text)
+        assert exc.value.errors == errors
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in errors]
+    # a syntax error is found before any repeat
+    text = base.replace('"v_max": "10"', '"v_max": "10", "v_max": "9",,')
     with pytest.raises(ValidationError) as exc:
         parse_document(text)
-    assert exc.value.errors == errors
-    path = tmp_path / "duplicate.json"
-    path.write_text(text)
-    assert main(["check", str(path)]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in errors]
+    expecting = "Expecting property name enclosed in double quotes"
+    assert exc.value.errors == [f"syntax error at line 27, column 35: {expecting}"]
 
 
 @pytest.fixture
@@ -974,14 +1014,22 @@ def test_cli_unprintable_derived_value_exits_2(command, tmp_path, capsys):
     )
 
 
-def test_negative_overrides_are_named_in_the_order_given(canonical_path, capsys):
-    """On a document without payments, negative ``--payments`` values are
-    named in the order the option gives them, not in pair order."""
-    assert main(["check", canonical_path, "--payments", "T2:V1=-1,T1:V1=-1/2"]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: payment for pair ('T2', 'V1') is negative",
-        "error: payment for pair ('T1', 'V1') is negative",
-    ]
+def test_negative_overrides_are_named_in_the_order_given(
+    canonical, canonical_path, tmp_path, capsys
+):
+    """Negative ``--payments`` values are named in the order the option
+    gives them, not in pair order, whether or not the document prices the
+    pairs."""
+    priced = tmp_path / "priced.json"
+    priced.write_text(
+        serialize_document(canonical, PaymentSchedule({("T1", "V1"): F(3), ("T2", "V1"): F(2)}))
+    )
+    for path in (canonical_path, str(priced)):
+        assert main(["check", path, "--payments", "T2:V1=-1,T1:V1=-1/2"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: payment for pair ('T2', 'V1') is negative",
+            "error: payment for pair ('T1', 'V1') is negative",
+        ], path
 
 
 def test_machine_output_is_what_json_dump_writes(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import importlib.util
 import json
@@ -34,7 +35,7 @@ from rideshare_market import (
 )
 from rideshare_market.cli import main
 from rideshare_market.generate import generate_instance
-from rideshare_market.instance_io import serialize_document
+from rideshare_market.instance_io import InstanceDocument, parse_document, serialize_document
 
 
 def test_package_has_no_assert_statements():
@@ -484,6 +485,42 @@ def test_check_converts_each_money_string_once(tmp_path, monkeypatch, capsys):
     assert main(["check", str(path)]) == 0
     capsys.readouterr()
     assert 0 < calls["exact_number"] <= len(set(written))
+
+
+def test_only_a_count_mismatch_decodes_with_the_pairs_hook(tmp_path, monkeypatch, capsys):
+    """``check`` on a generated priced document decodes it once, without
+    the hook that names repeated keys: the objects' sizes sum to the
+    count of ``:``.  A ``:`` inside an id, or a repeated key, breaks the
+    count and costs one more decode, with the hook."""
+    inst = generate_instance(5, n=12, m=4)
+    synth = synthesize_stable_payments(inst, solve_optimal_assignment(inst).assignment)
+    text = serialize_document(inst, synth.schedule)
+    path = tmp_path / "priced.json"
+    path.write_text(text)
+    calls = Counter()
+    hook = _counted(calls, "hook", instance_io._objects_noting_repeats)
+    monkeypatch.setattr(instance_io, "_objects_noting_repeats", hook)
+    assert main(["check", str(path)]) in (0, 1)
+    capsys.readouterr()
+    assert calls["hook"] == 0
+    # every vehicle id gains a ":", in the instance and in the schedule
+    name = {v.id: v.id.replace("V", "V:") for v in inst.vehicles}
+    travelers = [
+        dataclasses.replace(t, inconvenience={name[v]: x for v, x in t.inconvenience.items()})
+        for t in inst.travelers
+    ]
+    vehicles = [dataclasses.replace(v, id=name[v.id]) for v in inst.vehicles]
+    colon = InstanceDocument(
+        MarketInstance(inst.network, travelers, vehicles),
+        PaymentSchedule({(t, name[v]): x for (t, v), x in synth.schedule.entries.items()}),
+    )
+    assert serialize_document(colon.instance, colon.payments) == text.replace('"V', '"V:')
+    assert parse_document(text.replace('"V', '"V:')) == colon
+    assert calls["hook"] == 1
+    repeated = text.replace('"capacity"', '"capacity": 1, "capacity"', 1)
+    with pytest.raises(ValidationError, match="duplicate key 'capacity'"):
+        parse_document(repeated)
+    assert calls["hook"] == 2
 
 
 def test_service_is_decided_once_per_trip_and_vehicle(monkeypatch):
