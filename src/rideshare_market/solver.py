@@ -2,8 +2,11 @@
 
 :func:`solve_optimal_assignment` runs successive shortest augmenting paths
 (Tomizawa 1971; Edmonds & Karp 1972): one Dijkstra run per augmentation
-over the vehicles, travelers folded into the edges, on reduced costs that
-vehicle potentials keep non-negative.  The general kernel
+over the vehicles, travelers folded into the edges.  Tentative distances
+are kept in unreduced costs and the heap is keyed by reduced costs, which
+vehicle potentials keep non-negative, so each scanned edge costs one
+subtraction.  A run stops once a popped key shows that no path of negative
+cost is left, and none starts once every seat is taken.  The general kernel
 :func:`bellman_ford`, not part of the matching, stops at its first verdict:
 one run over the optimum's vehicles gives the dual certificate's seat
 prices, and :mod:`rideshare_market.allocation` synthesizes payments with it.
@@ -54,7 +57,8 @@ class SolveResult:
     augmentations: int
     #: successful distance decreases at vehicle nodes over every Dijkstra run
     #: of the matching (one run per augmentation over the vehicles,
-    #: travelers folded into the edges)
+    #: travelers folded into the edges, and a last one that finds no path
+    #: unless every seat is taken first)
     relaxations: int
 
 
@@ -161,8 +165,17 @@ def shortest_augmenting_paths(adj, cap):
     vehicle ``k`` at ``-w_ik`` through its best unassigned traveler ``i``,
     and rider ``i`` of ``j`` gives ``j -> k`` at ``w_ij - w_ik``.  Each
     augmentation moves the travelers along one shortest path by one
-    vehicle and fills a seat, so the matching gains ``-distance``; it stops
-    when the shortest path costs ``>= 0``.
+    vehicle and fills a seat, so the matching gains ``-distance``.
+
+    Each vehicle's tentative distance ``dist[k]`` is unreduced, and the heap
+    holds its reduced key ``dist[k] - pot[k]``, so a scanned edge costs one
+    subtraction and a settled vehicle's new potential is its distance.  A
+    vehicle popped at reduced key ``d`` reaches the sink at no less than
+    ``d + sink_pot``, so a run ends at the first pop with ``d >= -sink_pot``,
+    or ``d`` at least the best path's reduced cost found so far: one compare
+    against ``bound``, the lesser.  The matching stops when a run finds no
+    path of negative cost, or without a run once every seat is taken: a
+    full vehicle has no edge to the sink.
     """
     # each vehicle's travelers, best weight first; a traveler once matched
     # stays matched, so head[k] only moves past matched travelers
@@ -181,7 +194,9 @@ def shortest_augmenting_paths(adj, cap):
     match = [None] * len(adj)
     riders = [[] for _ in cap]
     augmentations = relaxations = 0
-    while True:
+    seats = sum(cap)  # each augmentation fills one
+    while seats:
+        # dist holds unreduced distances, the heap their reduced keys
         dist = [None] * len(cap)
         done = [False] * len(cap)
         pred = [None] * len(cap)  # (previous vehicle or None, traveler moved)
@@ -193,38 +208,41 @@ def shortest_augmenting_paths(adj, cap):
             head[k] = h
             if h < len(queue):
                 cost, i = queue[h]
-                dist[k], pred[k] = cost - pot[k], (None, i)
-                heap.append((dist[k], k))
+                dist[k], pred[k] = cost, (None, i)
+                heap.append((cost - pot[k], k))
         heapify(heap)
-        best = end = None  # the sink's reduced distance and its last vehicle
+        # the sink's reduced distance must stay below bound: -sink_pot for a
+        # path of negative cost, then the best path's, whose last vehicle is end
+        bound = -sink_pot
+        end = None
         while heap:
             d, j = heappop(heap)
-            if best is not None and d >= best:
+            if d >= bound:
                 break
             if done[j]:
                 continue
             done[j] = True
-            here = d + pot[j]  # the distance in the unreduced costs
-            if len(riders[j]) < cap[j] and (best is None or here - sink_pot < best):
-                best, end = here - sink_pot, j
+            here = dist[j]
+            if len(riders[j]) < cap[j] and here - sink_pot < bound:
+                bound, end = here - sink_pot, j
             for i in riders[j]:
                 row = adj[i]
                 out = here + row[j]
                 for k, w in row.items():
                     if done[k]:  # j's own too: it is settled
                         continue
-                    nd = out - w - pot[k]
+                    nd = out - w
                     if dist[k] is None or nd < dist[k]:
                         dist[k], pred[k] = nd, (j, i)
-                        heappush(heap, (nd, k))
+                        heappush(heap, (nd - pot[k], k))
                         relaxations += 1
-        if best is None or best + sink_pot >= 0:
-            return match, augmentations, relaxations
-        # settled vehicles rise by their distance, the others by the sink's:
-        # reduced costs stay >= 0 and are 0 along the path
+        if end is None:
+            break
+        # settled vehicles rise to their distance, the others by the sink's
+        # reduced one, bound: reduced costs stay >= 0 and are 0 along the path
         for k, settled in enumerate(done):
-            pot[k] += dist[k] if settled else best
-        sink_pot += best
+            pot[k] = dist[k] if settled else pot[k] + bound
+        sink_pot += bound
         # walk the path back from the sink: each traveler moves to the
         # vehicle after it, and only the last vehicle gains a rider
         k = end
@@ -236,6 +254,8 @@ def shortest_augmenting_paths(adj, cap):
                 riders[j].remove(i)
             k = j
         augmentations += 1
+        seats -= 1
+    return match, augmentations, relaxations
 
 
 def solve_optimal_assignment(

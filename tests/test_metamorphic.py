@@ -1,9 +1,12 @@
 """Metamorphic relations over generated markets at n up to 300, which need
-no oracle: scaling every money value by ``k``, and renaming every traveler
-and vehicle id, each change the outputs in a way known in advance."""
+no oracle: scaling every money value by ``k``, renaming every traveler and
+vehicle id, reordering the travelers or the vehicles, and adding a traveler
+or a vehicle that takes part in no pair each change the outputs in a way
+known in advance."""
 
 import dataclasses
 import functools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -189,3 +192,60 @@ def test_relabelling_ids_relabels_every_output():
         )
         expected = _mapped(before, lambda x: names.get(x, x) if type(x) is str else x)
         assert _outputs(renamed, moved) == expected
+
+
+def _rebuilt(inst, travelers, vehicles):
+    return MarketInstance(inst.network, tuple(travelers), tuple(vehicles), inst.cost_share_mode)
+
+
+@pytest.mark.parametrize("side", ["travelers", "vehicles"])
+def test_reordering_keeps_the_objective_and_the_duals(side):
+    """Shuffling the travelers, or the vehicles, may move the tie rule to
+    another optimum, but the objective and the least duals, each
+    traveler's ``y`` and each vehicle's ``z``, belong to the market: at the
+    optimum and under the break-even schedule alike."""
+    moved_optimum = 0
+    for market in range(len(MARKETS)):
+        inst, pays, before = _original(market)
+        parts = {"travelers": list(inst.travelers), "vehicles": list(inst.vehicles)}
+        order = parts[side][:]
+        random.Random(market).shuffle(parts[side])
+        assert parts[side] != order
+        shuffled = _rebuilt(inst, parts["travelers"], parts["vehicles"])
+        out = {}
+        for key, payments in (("optimum", None), ("paid", pays)):
+            solved = solve_optimal_assignment(shuffled, payments=payments)
+            out[key] = _mapped((solved.objective, solved.dual_certificate), lambda x: x)
+            moved_optimum += solved.assignment.mapping != before[key][0]
+        assert out == {key: before[key][1:] for key in out}
+    # the relation is not the tie rule's: some optimum does move
+    assert moved_optimum > 0
+
+
+@pytest.mark.parametrize("pad", ["traveler", "vehicle"])
+def test_padding_adds_only_zero_entries(pad):
+    """A traveler who names no vehicle, or a vehicle that no traveler names,
+    takes part in no pair: added first, so that every other index shifts and
+    the new traveler is the first on its trip, it leaves every output the
+    original's, except that the new traveler is unassigned with ``y = 0``
+    and the new vehicle's ``z`` is 0."""
+    for market in range(len(MARKETS)):
+        inst, pays, before = _original(market)
+        travelers, vehicles = list(inst.travelers), list(inst.vehicles)
+        if pad == "traveler":
+            new = dataclasses.replace(travelers[0], id="pad", inconvenience={})
+            travelers.insert(0, new)
+        else:
+            new = dataclasses.replace(vehicles[0], id="pad")
+            vehicles.insert(0, new)
+        expected = dict(before)
+        for key in ("optimum", "paid"):
+            mapping, objective, (name, cert) = before[key]
+            gained = dict(cert)
+            if pad == "traveler":
+                mapping = {**mapping, "pad": UNASSIGNED}
+                gained["y"] = {**cert["y"], "pad": 0}
+            else:
+                gained["z"] = {**cert["z"], "pad": 0}
+            expected[key] = (mapping, objective, (name, gained))
+        assert _outputs(_rebuilt(inst, travelers, vehicles), pays) == expected

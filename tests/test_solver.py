@@ -389,17 +389,25 @@ def test_tie_rule_on_symmetric_twins(canonical):
     assert res.assignment == oracle_optimum(twins)[1][0]
 
 
+def _scale_markets():
+    """30 generated markets at n = 20-90, a third priced with
+    :func:`_fixed_payments`, then the scale ladder's n = 300 and 600."""
+    for k in range(30):
+        n = 20 + 70 * k // 29
+        inst = generate_instance(1300 + k, n=n, m=max(1, n // 5 - k % 3), degenerate=k % 2 == 1)
+        yield inst, _fixed_payments(inst) if k % 3 == 2 else None
+    for n in (300, 600):
+        yield generate_instance(5, n, n // 5), None
+
+
 def test_tie_rule_at_scale():
-    """At n = 20-90, beyond the enumeration oracle's reach, the returned
+    """At n = 20-600, beyond the enumeration oracle's reach, the returned
     assignment is the one optimum of the :func:`_perturbed` weights: its
     residual graph, source and sink merged into one node ``None``, has no
     negative cycle, and so no negative-cost path from source to sink (a
     cycle through ``None``) either.  Charnes' weights give every
     assignment a different total, so that optimum is unique."""
-    for k in range(30):
-        n = 20 + 70 * k // 29
-        inst = generate_instance(1300 + k, n=n, m=max(1, n // 5 - k % 3), degenerate=k % 2 == 1)
-        payments = _fixed_payments(inst) if k % 3 == 2 else None
+    for inst, payments in _scale_markets():
         a = solve_optimal_assignment(inst, payments=payments, with_certificate=False).assignment
         travelers = [t.id for t in inst.travelers]
         vehicles = [v.id for v in inst.vehicles]
@@ -421,7 +429,8 @@ def test_tie_rule_at_scale():
                 edges.append((("v", j), None, 0))
             if load:
                 edges.append((None, ("v", j), 0))
-        nodes = [None, *(("t", i) for i in range(n)), *(("v", j) for j in range(len(vehicles)))]
+        nodes = [None, *(("t", i) for i in range(len(travelers)))]
+        nodes += [("v", j) for j in range(len(vehicles))]
         assert bellman_ford(nodes, edges, None)[2] is None
 
 
@@ -434,8 +443,21 @@ def test_tie_rule_at_scale():
         ([], [2, 1], ([], 0, 0)),
         ([{}, {}], [], ([None, None], 0, 0)),
         ([{0: 0}, {0: -3, 1: -1}], [1, 1], ([None, None], 0, 0)),
+        # both seats fill (6 + 4 beats 5 + 4 and 5 + 4) and T1 is left over:
+        # no search follows the last seat, so nothing more is relaxed
+        ([{0: 6, 1: 4}, {0: 5}, {0: 2, 1: 4}], [1, 1], ([0, None, 1], 2, 0)),
+        # V1's seat stays free: its one path seats T1 on V0 and moves T0 to
+        # V1 at -4 + 5 - 1 = 0, which gains nothing
+        ([{0: 5, 1: 1}, {0: 4}], [1, 1], ([0, None], 1, 1)),
     ],
-    ids=["rider-moves-between-vehicles", "no-travelers", "no-vehicles", "nonpositive-weights"],
+    ids=[
+        "rider-moves-between-vehicles",
+        "no-travelers",
+        "no-vehicles",
+        "nonpositive-weights",
+        "every-seat-filled",
+        "free-seat-path-costs-zero",
+    ],
 )
 def test_shortest_augmenting_paths_hand_cases(adj, cap, expected):
     assert shortest_augmenting_paths(adj, cap) == expected
