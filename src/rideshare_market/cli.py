@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import io
+import json
 import sys
 import warnings
 from fractions import Fraction
@@ -18,13 +19,7 @@ from functools import cache
 from rideshare_market.allocation import PaymentSchedule, check_payments, synthesize_stable_payments
 from rideshare_market.errors import OracleScaleError, ValidationError
 from rideshare_market.generate import generate_instance
-from rideshare_market.instance_io import (
-    _block,
-    _string,
-    exact_number,
-    parse_document,
-    serialize_document,
-)
+from rideshare_market.instance_io import exact_number, parse_document, serialize_document
 from rideshare_market.market import (
     Assignment,
     UNASSIGNED,
@@ -132,13 +127,9 @@ def _assignment_table(a: Assignment):
     return {tid: (vid if vid is not UNASSIGNED else None) for tid, vid in sorted(a.mapping.items())}
 
 
-def _pair_table(values: dict, a: Assignment | None = None):
-    """``{"tid:vid": value}`` in pair order; only ``a``'s matched pairs, if given."""
-    return {
-        f"{tid}:{vid}": x
-        for (tid, vid), x in sorted(values.items())
-        if a is None or a.vehicle_of(tid) == vid
-    }
+def _pair_table(values: dict):
+    """``{"tid:vid": value}`` in pair order."""
+    return {f"{tid}:{vid}": x for (tid, vid), x in sorted(values.items())}
 
 
 def _report_check(report):
@@ -152,13 +143,14 @@ def _report_check(report):
 
 
 def _emit(doc: dict, fmt: str):
-    """Write ``doc`` as JSON or text, each exact number as its string.  The
-    document is rendered and encoded in full first: a number too long for
-    Python's int-to-string conversion, or text that standard output cannot
-    encode, is a validation error, and nothing is written."""
+    """Write ``doc`` as text, or as one line of JSON from ``json``'s own
+    encoder, each exact number as its string.  The document is rendered and
+    encoded in full first: a number too long for Python's int-to-string
+    conversion, or text that standard output cannot encode, is a validation
+    error, and nothing is written."""
     try:
         if fmt == "machine":
-            text = _json(doc, "") + "\n"
+            text = json.dumps(doc, default=str) + "\n"
         else:
             out = io.StringIO()
             _emit_text(doc, out)
@@ -175,30 +167,6 @@ def _emit(doc: dict, fmt: str):
         bad = exc.object[exc.start : exc.end]
         raise ValidationError(f"output: {bad!r} cannot be encoded as {encoding}") from None
     sys.stdout.write(text)
-
-
-def _json(value, pad) -> str:
-    """The JSON text of ``value`` from indent ``pad``: byte for byte what
-    ``json.dump(value, out, indent=2, default=str)`` writes of a command's
-    output (``str`` keys; ``str`` of a value JSON has no type for, such as a
-    ``Fraction``), written directly since ``json`` with ``indent`` always
-    runs its pure-Python encoder."""
-    kind = type(value)
-    if kind is str:
-        return _string(value)
-    if kind is dict:
-        inner = pad + "  "
-        return _block("{}", [f"{_string(k)}: {_json(x, inner)}" for k, x in value.items()], pad)
-    if kind is list:
-        inner = pad + "  "
-        return _block("[]", [_json(x, inner) for x in value], pad)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is int:
-        return int.__repr__(value)
-    return _string(str(value))
 
 
 def _emit_text(doc: dict, out, prefix=""):
@@ -311,8 +279,10 @@ def cmd_synthesize(args) -> int:
     doc = {"assignment": _assignment_table(assignment), "feasible": result.feasible}
     if result.feasible:
         doc["payments"] = _pair_table(result.schedule.entries)
-        doc["traveler_profit"] = _pair_table(result.allocation.pi, assignment)
-        doc["vehicle_profit"] = _pair_table(result.allocation.rho, assignment)
+        pi, rho = result.allocation.pi, result.allocation.rho
+        matched = assignment.assigned_pairs()
+        doc["traveler_profit"] = _pair_table({p: pi[p] for p in matched})
+        doc["vehicle_profit"] = _pair_table({p: rho[p] for p in matched})
     else:
         doc["certificate"] = [
             {"constraint": str(label), "multiplier": str(mu)} for label, mu in result.proof

@@ -126,14 +126,10 @@ class _Tableau:
         self.dropped = [False] * self.m
 
         n_slack = sum(1 for r in rows if r.rel != EQ)
-        self.num_slack = n_slack
-        art_needed = []
-        for k, r in enumerate(rows):
-            sigma = _ONE if r.rel == LE else (-_ONE if r.rel == GE else None)
-            neg = r.rhs < 0
-            # a row starts with a basic slack only if it reads "a.x + s = b>=0"
-            needs_art = not (r.rel == LE and not neg) and not (r.rel == GE and neg)
-            art_needed.append(needs_art)
+        # a row starts with a basic slack only if it reads "a.x + s = b>=0"
+        art_needed = [
+            not (r.rel == LE and r.rhs >= 0) and not (r.rel == GE and r.rhs < 0) for r in rows
+        ]
         n_art = sum(art_needed)
 
         width = self.n + n_slack + n_art
@@ -170,7 +166,6 @@ class _Tableau:
             full.append(rhs)
             self.body.append(full)
         self.banned = set()
-        self.pivots = 0
 
     # -- pivoting ---------------------------------------------------------
 
@@ -189,7 +184,6 @@ class _Tableau:
             for j in range(len(obj)):
                 obj[j] -= f * prow[j]
         self.basis[row] = col
-        self.pivots += 1
 
     def _make_obj_row(self, costs):
         # reduced-cost row: start from -c, then zero out basic columns

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 import rideshare_market
 from rideshare_market import cli
 from rideshare_market import (
+    UNASSIGNED,
+    Assignment,
     Edge,
     MarketInstance,
     Network,
@@ -30,6 +32,7 @@ from rideshare_market import (
     Traveler,
     ValidationError,
     Vehicle,
+    compute_profits,
 )
 from rideshare_market.cli import build_parser, main
 from rideshare_market.generate import generate_instance
@@ -900,6 +903,29 @@ def test_cli_synthesize(canonical_path, capsys):
     assert doc["payments"] == {"T1:V1": "2", "T2:V1": "2"}
 
 
+def test_cli_synthesize_profit_tables_list_the_matched_pairs(tmp_path, capsys):
+    """On feasible generated markets, ``traveler_profit`` and
+    ``vehicle_profit`` list exactly the matched pairs, in pair order, each
+    with ``compute_profits``' value under the printed schedule."""
+    feasible = 0
+    for seed in range(12):
+        inst = generate_instance(seed, 3 + 4 * (seed % 5), 1 + seed % 4, degenerate=seed % 2 == 1)
+        path = tmp_path / f"market-{seed}.json"
+        path.write_text(serialize_document(inst))
+        status = main(["synthesize", str(path), "--format", "machine"])
+        doc = json.loads(capsys.readouterr().out)
+        if status != 0:
+            continue
+        feasible += 1
+        matched = sorted((tid, vid) for tid, vid in doc["assignment"].items() if vid is not None)
+        assignment = Assignment({tid: vid or UNASSIGNED for tid, vid in doc["assignment"].items()})
+        schedule = {tuple(key.split(":")): F(x) for key, x in doc["payments"].items()}
+        profits = compute_profits(inst, assignment, PaymentSchedule(schedule))
+        for key, values in (("traveler_profit", profits.pi), ("vehicle_profit", profits.rho)):
+            assert list(doc[key].items()) == [(f"{t}:{v}", str(values[t, v])) for t, v in matched]
+    assert feasible >= 6
+
+
 def test_cli_synthesize_off_optimum_exits_1(canonical_path, capsys):
     code = main(["synthesize", canonical_path, "--assignment", "T2=V1", "--format", "machine"])
     assert code == 1
@@ -1033,10 +1059,10 @@ def test_negative_overrides_are_named_in_the_order_given(
 
 
 def test_machine_output_is_what_json_dump_writes(tmp_path, monkeypatch, capsys):
-    """Every command's machine output is byte for byte what
-    ``json.dump(doc, out, indent=2, default=str)`` writes of its document,
-    plus a newline, on generated markets priced in part and on ids that JSON
-    escapes; a value past the digit limit is still the ``output:`` error."""
+    """Every command's machine output is one line, byte for byte what
+    ``json.dumps(doc, default=str)`` writes of its document, plus a newline,
+    on generated markets priced in part and on ids that JSON escapes; a value
+    past the digit limit is still the ``output:`` error."""
     emitted = []
     emit = cli._emit
     monkeypatch.setattr(cli, "_emit", lambda doc, fmt: (emitted.append(doc), emit(doc, fmt))[1])
@@ -1058,9 +1084,9 @@ def test_machine_output_is_what_json_dump_writes(tmp_path, monkeypatch, capsys):
             emitted.clear()
             status = main([command[0], str(path), *command[1:], "--format", "machine"])
             [doc] = emitted
-            reference = io.StringIO()
-            json.dump(doc, reference, indent=2, default=str)
-            assert capsys.readouterr().out == reference.getvalue() + "\n"
+            out = capsys.readouterr().out
+            assert out == json.dumps(doc, default=str) + "\n"
+            assert out.count("\n") == 1
             statuses.add((command[0], status))
     # both verdicts of check and synthesize: violations, skipped stability and certificates
     assert {("check", 0), ("check", 1), ("synthesize", 0), ("synthesize", 1)} <= statuses
