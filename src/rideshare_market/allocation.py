@@ -126,10 +126,15 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
     validate_assignment(inst, a)
     matrix = inst.compatibility
     matched = a.assigned_pairs()
+    try:
+        profits = [alloc.pi[p] for p in matched] + [alloc.rho[p] for p in matched]
+    except KeyError:
+        missing = [p for p in matched if p not in alloc.pi or p not in alloc.rho]
+        raise ValidationError(
+            [f"feasibility: no profit for matched pair {p!r}" for p in missing]
+        ) from None
     # the matched profits as integers over common, a multiple of the table's den
-    common, ints = scale_to_integers(
-        [alloc.pi[p] for p in matched] + [alloc.rho[p] for p in matched], matrix.den
-    )
+    common, ints = scale_to_integers(profits, matrix.den)
     lift = common // matrix.den
     violations = []
     eq8 = {}
@@ -251,24 +256,32 @@ def check_stability(
 # -- synthesis ------------------------------------------------------------
 
 
-# rows, row_labels, certificate and problem are views over the payments
-# alone, each built on first read; the synthesis itself builds none of them
+# a synthesis keeps its verdict, its schedule or proof, and the instance and
+# assignment it answers for; allocation, den, rows, row_labels, certificate
+# and problem are views, each built on first read, and the synthesis itself
+# builds none of them
 @dataclass(frozen=True)
 class SynthesisResult:
     feasible: bool
     schedule: PaymentSchedule | None
-    allocation: ProfitAllocation | None
     #: when infeasible, the negative cycle as payment rows: one
     #: ``(label, multiplier)`` per row, in row order; the ``int`` multiplier
     #: is 1 on a ``<=`` row and -1 on a ``>=`` row
     proof: tuple | None
-    #: the payment variables, in the column order of ``problem``.
-    pairs: tuple
-    den: int
-    #: the labelled seat rows, walk rows and blocking rows, as built
-    system: tuple = field(repr=False)
+    instance: MarketInstance = field(repr=False)
+    assignment: Assignment = field(repr=False)
 
-    _view = cached_property(lambda self: _payment_rows(chain(*self.system)))
+    # the profits under ``schedule``, or ``None`` when infeasible
+    @cached_property
+    def allocation(self) -> ProfitAllocation | None:
+        if self.schedule is None:
+            return None
+        return compute_profits(self.instance, self.assignment, self.schedule)
+
+    den = property(lambda self: self.instance.compatibility.den)
+    _view = cached_property(
+        lambda self: _payment_rows(chain(*_stability_system(self.instance, self.assignment)[0]))
+    )
     #: the stability system, one ``(plus, minus, rel, rhs)`` per row; each
     #: ``rhs`` is an ``int``, the pair table's ``den`` times its value
     rows = property(lambda self: self._view[0])
@@ -284,19 +297,20 @@ class SynthesisResult:
 
     @cached_property
     def problem(self) -> LPProblem:
-        """The stability system as a dense LP for the simplex oracle, with
-        ``Fraction(rhs, den)`` right-hand sides."""
+        """The stability system as a dense LP for the simplex oracle, its
+        columns in pair-table order, with ``Fraction(rhs, den)`` right-hand
+        sides."""
         from rideshare_market.lp import LPProblem, Row
 
-        idx = {p: k for k, p in enumerate(self.pairs)}
+        idx = {p: k for k, p in enumerate(self.instance.compatibility.entries)}
         dense = []
         for plus, minus, rel, rhs in self.rows:
-            coeffs = [_ZERO] * len(self.pairs)
+            coeffs = [_ZERO] * len(idx)
             for p, c in ((plus, 1), (minus, -1)):
                 if p is not None:
                     coeffs[idx[p]] += c
             dense.append(Row(tuple(coeffs), rel, Fraction(rhs, self.den)))
-        return LPProblem(len(self.pairs), tuple([_ZERO] * len(self.pairs)), tuple(dense))
+        return LPProblem(len(idx), tuple([_ZERO] * len(idx)), tuple(dense))
 
 
 def _stability_system(inst: MarketInstance, a: Assignment):
@@ -313,8 +327,8 @@ def _stability_system(inst: MarketInstance, a: Assignment):
     be vacuously stable.  Every row is ``(plus, minus, rel, rhs, label)``,
     reading ``x[plus] - x[minus] rel rhs``; a term is a compatible pair, a
     vehicle id for its seat price, or ``None``; ``rhs`` is an ``int``, ``den``
-    times its value.  Returns the pairs; the seat, walk and blocking rows;
-    the graph rows, all but the off-match ones; their edges; the full vehicles.
+    times its value.  Returns the seat, walk and blocking rows; the graph
+    rows, all but the off-match ones; their edges; the full vehicles.
     """
     table, v_min = inst.compatibility.entries, inst.compatibility.v_min
     full = {v: on for v, on in a.riders.items() if len(on) >= inst.vehicle(v).capacity}
@@ -356,7 +370,7 @@ def _stability_system(inst: MarketInstance, a: Assignment):
                 block_edges.append((None, mine, -gap))
     # the seat edges last: so fewer certificates differ from the rows' own
     edges += block_edges + [(pr, vid, -share) for pr, vid, _, share, _ in seats]
-    return list(table), (seats, walk, block), graph + block + seats, edges, full
+    return (seats, walk, block), graph + block + seats, edges, full
 
 
 def _payment_rows(rows):
@@ -428,7 +442,7 @@ def synthesize_stable_payments(
     validate_assignment(inst, a)
     if favor not in ("travelers", "vehicles"):
         raise ValueError(f"unknown favor mode {favor!r}")
-    pairs, system, graph, edges, full = _stability_system(inst, a)
+    system, graph, edges, full = _stability_system(inst, a)
     matched = a.assigned_pairs()
     den = inst.compatibility.den
     # the bounds x >= 0 of the matched payments, as edges to the zero node.
@@ -441,7 +455,7 @@ def synthesize_stable_payments(
     # the zero node reaches every matched payment, by its pi_nonneg row or,
     # reversed, its rho_nonneg row: this run finds every negative cycle
     dist, _, cycle, _ = bellman_ford([None, *matched, *full], edges, None)
-    proof = schedule = allocation = None
+    proof = schedule = None
     if cycle is not None:
         # the cycle's rows in row order, a bound edge being none; a cycle
         # through q_v has one seat row, moved first to meet its displace row
@@ -452,6 +466,7 @@ def synthesize_stable_payments(
         verify_farkas_certificate(rows, mu)
         proof = tuple(zip(labels, mu))
     else:
+        pairs = inst.compatibility.entries
         x = dict.fromkeys([None, *pairs], 0)
         x.update((p, dist[p] if favor == "vehicles" else -dist[p]) for p in matched)
         # an off-match row reads x[plus] >= x[minus] + rhs, minus matched or
@@ -460,16 +475,7 @@ def synthesize_stable_payments(
             if rel == GE:
                 x[plus] = max(x[plus], x[minus] + rhs)
         schedule = PaymentSchedule({p: Fraction(x[p], den) for p in pairs})
-        allocation = compute_profits(inst, a, schedule)
-    return SynthesisResult(
-        feasible=cycle is None,
-        schedule=schedule,
-        allocation=allocation,
-        proof=proof,
-        pairs=tuple(pairs),
-        den=den,
-        system=system,
-    )
+    return SynthesisResult(cycle is None, schedule, proof, inst, a)
 
 
 def blend_allocations(alloc1: ProfitAllocation, alloc2: ProfitAllocation, lam, t1, t2):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from rideshare_market.errors import CertificateError
+from rideshare_market.market import _money
 
 LE = "<="
 EQ = "=="
@@ -25,15 +26,6 @@ GE = ">="
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    # a float is already rounded and a bool is no number, as for ``market._money``
-    if isinstance(x, (float, bool)):
-        raise ValueError(f"LP value {x!r} is a {type(x).__name__}, not an exact number")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -45,8 +37,8 @@ class Row:
     def __post_init__(self):
         if self.rel not in (LE, EQ, GE):
             raise ValueError(f"unknown relation {self.rel!r}")
-        object.__setattr__(self, "coeffs", tuple(_frac(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", _frac(self.rhs))
+        object.__setattr__(self, "coeffs", tuple(_money(c) for c in self.coeffs))
+        object.__setattr__(self, "rhs", _money(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -65,7 +57,7 @@ class LPProblem:
     upper_bounds: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", tuple(_frac(c) for c in self.objective))
+        object.__setattr__(self, "objective", tuple(_money(c) for c in self.objective))
         object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length does not match num_vars")
@@ -73,7 +65,7 @@ class LPProblem:
             if len(r.coeffs) != self.num_vars:
                 raise ValueError("row length does not match num_vars")
         if self.upper_bounds is not None:
-            ubs = tuple(None if u is None else _frac(u) for u in self.upper_bounds)
+            ubs = tuple(None if u is None else _money(u) for u in self.upper_bounds)
             if len(ubs) != self.num_vars:
                 raise ValueError("upper_bounds length does not match num_vars")
             object.__setattr__(self, "upper_bounds", ubs)
@@ -332,7 +324,7 @@ def verify_infeasibility_certificate(problem: LPProblem, certificate) -> bool:
     combined = [_ZERO] * problem.num_vars
     rhs = _ZERO
     for mu, row in zip(certificate, rows):
-        mu = _frac(mu)
+        mu = _money(mu)
         if row.rel == LE and mu < 0:
             return False
         if row.rel == GE and mu > 0:

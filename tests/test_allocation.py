@@ -176,6 +176,25 @@ def test_feasibility_accepts_valid_allocation(canonical):
     assert report.violations == ()
 
 
+def test_feasibility_names_each_matched_pair_without_a_profit(canonical):
+    """An allocation that lacks a matched pair's ``pi`` or ``rho`` is a
+    validation error naming every such pair in assignment order, not a
+    bare ``KeyError``."""
+    inst = generate_instance(3, 5, 2, degenerate=True)
+    a = solve_optimal_assignment(inst).assignment
+    matched = a.assigned_pairs()
+    assert len(matched) == 4
+    with pytest.raises(ValidationError) as info:
+        check_feasibility(inst, a, ProfitAllocation({}, {}))
+    assert info.value.errors == [f"feasibility: no profit for matched pair {p!r}" for p in matched]
+    t = PaymentSchedule({("T1", "V1"): F(3), ("T2", "V1"): F(2)})
+    alloc = compute_profits(canonical, BOTH, t)
+    del alloc.rho[("T2", "V1")]
+    with pytest.raises(ValidationError) as info:
+        check_feasibility(canonical, BOTH, alloc)
+    assert info.value.errors == ["feasibility: no profit for matched pair ('T2', 'V1')"]
+
+
 def test_feasibility_flags_negative_traveler_profit(canonical):
     # payment 9 exceeds T1's value net of v_min: pi = 8 - 9 - 1 = -2
     t = PaymentSchedule({("T1", "V1"): F(9), ("T2", "V1"): F(2)})

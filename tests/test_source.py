@@ -319,6 +319,52 @@ def test_synthesis_runs_bellman_ford_once_over_the_matched_payments(monkeypatch)
     assert verdicts == {True, False}
 
 
+def test_synthesis_keeps_its_inputs_and_builds_its_views_on_first_read(monkeypatch):
+    """A synthesis result holds its verdict, schedule, proof, instance and
+    assignment.  In either ``favor`` mode the synthesis builds the stability
+    system once and no profits; the first read of ``allocation`` computes
+    them once, a second read nothing, and an infeasible result's profits
+    are ``None`` without a call.  The first read of ``rows`` builds the
+    system again, once."""
+    names = [f.name for f in dataclasses.fields(allocation.SynthesisResult)]
+    assert names == ["feasible", "schedule", "proof", "instance", "assignment"]
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(allocation, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(allocation, name, wrapper)
+        return original
+
+    profits = counted("compute_profits")
+    counted("_stability_system")
+    verdicts = Counter()
+    for seed in range(12):
+        inst = generate_instance(8600 + seed, n=4 + seed, m=2, degenerate=seed % 2 == 1)
+        a = solve_optimal_assignment(inst, with_certificate=False).assignment
+        for favor in ("travelers", "vehicles"):
+            calls.clear()
+            res = synthesize_stable_payments(inst, a, favor=favor)
+            assert res.instance is inst and res.assignment is a
+            assert calls == Counter({"_stability_system": 1}), (seed, favor)
+            verdicts[res.feasible] += 1
+            calls.clear()
+            if res.feasible:
+                assert res.allocation == profits(inst, a, res.schedule)
+                assert calls == Counter({"compute_profits": 1}), (seed, favor)
+            else:
+                assert res.allocation is None and not calls
+            calls.clear()
+            assert res.allocation is res.allocation and not calls
+            assert res.rows is res.rows
+            assert calls == Counter({"_stability_system": 1}), (seed, favor)
+    assert verdicts[True] >= 4 and verdicts[False] >= 4, verdicts
+
+
 def test_stability_rows_and_classic_check_look_up_each_traveler_once(monkeypatch):
     """The stability builder and the classic-core checker walk the pair
     table once, each traveler's pairs together: each looks up the vehicle
