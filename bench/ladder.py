@@ -31,9 +31,9 @@ machine``, standard output captured), timed, with its exit status.
 The tier-1 tests run in a child process, timed on the wall clock.  When
 the output is ``BENCH_<n>.json`` and an older ``BENCH_<k>.json`` lies
 beside it, the record also names the newest such file and holds each
-figure of each size in both as ``[before, after]``.  Single runs on a host
-whose pace can swing: compare files, not anecdotes, and read small
-differences as noise.
+figure of each size, and of the tier-1 run, in both as ``[before,
+after]``.  Single runs on a host whose pace can swing: compare files, not
+anecdotes, and read small differences as noise.
 """
 
 from __future__ import annotations
@@ -226,7 +226,10 @@ def main(argv=None) -> int:
     before = previous(Path(args.output))
     if before is not None:
         record["delta_against"] = before.name
-        record["delta"] = delta(json.loads(before.read_text()), record["ladder"])
+        baseline = json.loads(before.read_text())
+        record["delta"] = delta(baseline, record["ladder"])
+        old = baseline.get("tier1", {})
+        record["delta"]["tier1"] = {k: [old[k], v] for k, v in record["tier1"].items() if k in old}
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

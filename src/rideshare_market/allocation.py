@@ -135,22 +135,8 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
         ) from None
     # the matched profits as integers over common, a multiple of the table's den
     common, ints = scale_to_integers(profits, matrix.den)
-    lift = common // matrix.den
-    violations = []
-    eq8 = {}
-    for pair, pi, rho in zip(matched, ints, ints[len(matched) :]):
-        value, share, surplus = matrix.entries[pair]
-        if pi < 0:
-            violations.append(Violation("pi_nonneg", pair, alloc.pi[pair], _ZERO))
-        if rho < 0:
-            violations.append(Violation("rho_nonneg", pair, alloc.rho[pair], _ZERO))
-        forced = (surplus - matrix.v_min[pair[0]]) * lift
-        if pi + rho != forced:
-            lhs, rhs = Fraction(pi + rho, common), Fraction(forced, common)
-            violations.append(Violation("pair_sum_identity", pair, lhs, rhs))
-        # the payment is rho + share: the literal identity reads
-        # pi + rho == valuation - payment - share
-        eq8[pair] = pi + rho == (value - 2 * share) * lift - rho
+    n = len(matched)
+    violations, eq8 = _matched_rules(matrix, matched, ints[:n], ints[n:], common, alloc)
     # off the match, the cheap tests first: compute_profits writes each off-match entry as _ZERO
     riders = a.riders
     for pair, rho in alloc.rho.items():
@@ -162,6 +148,37 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
         if pi is not _ZERO and pair[0] not in assigned and pi:
             violations.append(Violation("unassigned_traveler_profit", pair, pi, _ZERO))
     return CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
+
+
+def _matched_rules(matrix, matched, pis, rhos, common, alloc=None):
+    """Feasibility's rules on the matched pairs, as ``(violations, eq8)``.
+
+    ``pis`` and ``rhos`` hold each matched pair's profits times ``common``,
+    a multiple of the pair table's ``den``.  A pair breaks ``pi_nonneg`` or
+    ``rho_nonneg`` with the profit ``alloc`` holds, or, with no ``alloc``,
+    with its exact value; ``pair_sum_identity`` is checked over ``common``;
+    ``eq8`` is the literal identity's status per pair.
+    """
+    lift = common // matrix.den
+    table, v_min = matrix.entries, matrix.v_min
+    violations = []
+    eq8 = {}
+    for pair, pi, rho in zip(matched, pis, rhos):
+        value, share, surplus = table[pair]
+        if pi < 0:
+            lhs = Fraction(pi, common) if alloc is None else alloc.pi[pair]
+            violations.append(Violation("pi_nonneg", pair, lhs, _ZERO))
+        if rho < 0:
+            lhs = Fraction(rho, common) if alloc is None else alloc.rho[pair]
+            violations.append(Violation("rho_nonneg", pair, lhs, _ZERO))
+        forced = (surplus - v_min[pair[0]]) * lift
+        if pi + rho != forced:
+            lhs, rhs = Fraction(pi + rho, common), Fraction(forced, common)
+            violations.append(Violation("pair_sum_identity", pair, lhs, rhs))
+        # the payment is rho + share: the literal identity reads
+        # pi + rho == valuation - payment - share
+        eq8[pair] = pi + rho == (value - 2 * share) * lift - rho
+    return violations, eq8
 
 
 def check_payments(
@@ -181,49 +198,63 @@ def check_payments(
     traveler's utility plus the vehicle's marginal seat profit.  This mode
     does not subtract the cost share from the rider's side twice.
 
-    Both modes walk the pair table once, each traveler's pairs together,
-    and compare integers over the least common multiple of the pair
-    table's denominator and the payments' denominators.
+    Feasibility is decided from the matched payments alone, scaled with
+    the rest for stability: no profit matrix is built.  Both modes then
+    walk the pair table once, each traveler's pairs together, and compare
+    integers over the least common multiple of the pair table's
+    denominator and the payments' denominators.
     """
     pays = validate_schedule(inst, t)
-    feas = check_feasibility(inst, a, compute_profits(inst, a, t))
-    if not feas.verdict:
-        return feas, None
+    validate_assignment(inst, a)
     matrix = inst.compatibility
-    table = matrix.entries
+    table, v_min = matrix.entries, matrix.v_min
     common, pays = scale_to_integers(pays, matrix.den)
     lift = common // matrix.den
+    # a matched payment x over common sets the pair's profits, pi = value -
+    # v_min - x and rho = x - share, and the rider's own ride: its utility,
+    # value - x, in classic-core mode, else its ride value, surplus - x.
+    # Derived so, pi + rho is surplus - v_min and every off-match profit is
+    # 0: of feasibility's rules only the matched pairs' nonnegativity can
+    # fail, and the idle-vehicle and unassigned-traveler rules are not run
+    matched = a.assigned_pairs()
+    pis, rhos, own = [], [], {}
+    for pair in matched:
+        x = t.entries[pair]
+        x = x.numerator * (common // x.denominator)
+        value, share, surplus = table[pair]
+        pis.append((value - v_min[pair[0]]) * lift - x)
+        rhos.append(x - share * lift)
+        own[pair[0]] = (value if classic_core else surplus) * lift - x
+    violations, eq8 = _matched_rules(matrix, matched, pis, rhos, common)
+    feas = CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
+    if violations:
+        return feas, None
     violations = []
     if classic_core:
-        pay = dict(zip(table, pays))
         # marginal seat profit: the smallest profit a full vehicle earns
         # from a current rider; a spare seat earns 0
+        rho = dict(zip(matched, rhos))
         seat = {}
         for vid, riders in a.riders.items():
             if len(riders) >= inst.vehicle(vid).capacity:
-                seat[vid] = min(pay[(tid, vid)] - table[(tid, vid)][1] * lift for tid in riders)
+                seat[vid] = min(rho[(tid, vid)] for tid in riders)
         # a rider's utility, valuation - payment, is >= v_min >= 0 once the
         # allocation is feasible (pi_nonneg); the unassigned have 0
         tid = None
         for (trav, vid), (_, _, surplus) in table.items():
             if trav != tid:
-                tid, own = trav, a.vehicle_of(trav)
-                util = 0 if own is UNASSIGNED else table[(tid, own)][0] * lift - pay[(tid, own)]
-            if vid != own:
+                tid, mine, util = trav, a.vehicle_of(trav), own.get(trav, 0)
+            if vid != mine:
                 lhs = util + seat.get(vid, 0)
                 if lhs < surplus * lift:
                     lhs, rhs = Fraction(lhs, common), Fraction(surplus, matrix.den)
                     violations.append(Violation("blocking_pair", (tid, vid), lhs, rhs))
     else:
         # ride value, valuation - payment - cost share, over common; exit is
-        # worth 0.  own: each rider's own ride; the unassigned have 0
-        own = {}
-        for pair in a.assigned_pairs():
-            x = t.entries[pair]
-            own[pair[0]] = table[pair][2] * lift - x.numerator * (common // x.denominator)
-        # the table lists each traveler's pairs together, travelers in instance
-        # order, so one walk meets the inequalities in order; a traveler with
-        # no pair is unassigned and envies nothing
+        # worth 0, and so is the unassigned's own ride.  The table lists each
+        # traveler's pairs together, travelers in instance order, so one walk
+        # meets the inequalities in order; a traveler with no pair is
+        # unassigned and envies nothing
         tid = None
         for (trav, alt), (_, _, u), x in zip(table, table.values(), pays):
             if trav != tid:

@@ -877,6 +877,66 @@ def test_checkers_equal_the_fraction_reference():
     assert {True, False, None} <= verdicts
 
 
+def _sevenths(matrix, a, rng, pushed):
+    """A payment in sevenths per compatible pair: off the match anywhere in
+    [0, 20]; on it inside ``[share, valuation - v_min]`` in steps of a
+    seventh of the gap, or, when ``pushed``, also below the share, above
+    ``valuation - v_min`` or at ``v_min``, where the literal identity holds."""
+    out = {}
+    for pair, (value, share, _) in matrix.entries.items():
+        if a.vehicle_of(pair[0]) != pair[1]:
+            out[pair] = F(rng.randint(0, 140), 7)
+            continue
+        share, v_min = F(share, matrix.den), F(matrix.v_min[pair[0]], matrix.den)
+        top = F(value, matrix.den) - v_min
+        kind = rng.choice(("below", "above", "v_min", "inside")) if pushed else "inside"
+        if kind == "below":
+            out[pair] = max(F(0), share - F(rng.randint(1, 21), 7))
+        elif kind == "above":
+            out[pair] = top + F(rng.randint(1, 21), 7)
+        elif kind == "v_min":
+            out[pair] = v_min
+        else:
+            out[pair] = max(F(0), share + (top - share) * F(rng.randint(0, 7), 7))
+    return PaymentSchedule(out)
+
+
+def test_check_payments_feasibility_is_the_profit_path_at_scale():
+    """On generated markets up to n=300, with payments in sevenths, which
+    the pair table's denominator lacks, and matched payments pushed below
+    the cost share and above ``valuation - v_min``, the feasibility report
+    of ``check_payments`` is ``check_feasibility`` on ``compute_profits``,
+    ``eq8_status`` included, in both stability modes.  A schedule missing a
+    pair under an invalid assignment raises the schedule's error first."""
+    rng = random.Random(35)
+    kinds, verdicts, eq8 = set(), set(), set()
+    for n in (12, 40, 120, 300):
+        inst = generate_instance(3 + n, n=n, m=n // 5)
+        matrix = inst.compatibility
+        assert matrix.den % 7
+        for a in (solve_optimal_assignment(inst).assignment, _random_assignment(inst, rng)):
+            for pushed in (False, True):
+                t = _sevenths(matrix, a, rng, pushed)
+                want = check_feasibility(inst, a, compute_profits(inst, a, t))
+                for classic_core in (False, True):
+                    feas, stab = check_payments(inst, a, t, classic_core)
+                    assert repr(feas) == repr(want)
+                    assert (stab is None) == (not feas.verdict)
+                kinds.update(v.kind for v in feas.violations)
+                verdicts.add(feas.verdict)
+                eq8.update(feas.eq8_status.values())
+    assert kinds == {"pi_nonneg", "rho_nonneg"}
+    assert verdicts == eq8 == {True, False}
+    tid, vid = a.assigned_pairs()[0]
+    missing = PaymentSchedule({p: x for p, x in t.entries.items() if p != (tid, vid)})
+    bad = Assignment({**a.mapping, tid: "no such vehicle"})
+    for classic_core in (False, True):
+        with pytest.raises(ValidationError, match=r"^schedule: no payment for compatible pair"):
+            check_payments(inst, bad, missing, classic_core)
+        with pytest.raises(ValidationError, match=r"^assignment: unknown vehicle id"):
+            check_payments(inst, bad, t, classic_core)
+
+
 def _shuffled(inst, rng, bare):
     """``inst`` with each traveler's inconvenience entries in random order,
     and none at all, so no compatible pair, for every ``bare``-th traveler."""

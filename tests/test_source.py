@@ -477,8 +477,9 @@ def _counted(calls, name, fn):
 def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
     """``check --assignment`` on a fully priced document walks each route
     once, when the instance validates it, and the pair table reads that
-    walk; it prices and feasibility-checks the schedule once, and
-    normalises it once, when the document is parsed."""
+    walk; it validates the schedule and the assignment once each, decides
+    feasibility without building the profit matrices, and normalises the
+    schedule once, when the document is parsed."""
     inst = generate_instance(5, n=12, m=4)
     a = solve_optimal_assignment(inst).assignment
     synth = synthesize_stable_payments(inst, a)
@@ -492,13 +493,16 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
         (network, "route_vertex_sequence"),
         (allocation, "compute_profits"),
         (allocation, "check_feasibility"),
+        (allocation, "validate_assignment"),
+        (allocation, "validate_schedule"),
         (allocation.PaymentSchedule, "__post_init__"),
     ):
         monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
     assert main(["check", str(path), "--assignment", spec, "--format", "machine"]) == 0
     assert json.loads(capsys.readouterr().out)["stability"]["verdict"] is True
     assert calls["route_vertex_sequence"] <= len(inst.vehicles)
-    assert calls["compute_profits"] == calls["check_feasibility"] == 1
+    assert calls["compute_profits"] == calls["check_feasibility"] == 0
+    assert calls["validate_assignment"] == calls["validate_schedule"] == 1
     assert calls["__post_init__"] == 1
 
 
