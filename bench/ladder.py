@@ -7,7 +7,7 @@ Run from anywhere, with the standard library only::
     python3 bench/ladder.py -o BENCH_<n>.json
 
 Each market is ``generate_instance(5, n, n // 5)`` at n = 300, 600 and
-1000, serialized and parsed back.  Each layer is timed once with
+1000, serialized and parsed back.  Each layer is timed with
 ``time.perf_counter``: the serialization, the parse, the pair table, Charnes' perturbation of
 the pair weights and the matching kernel, with the kernel's work counters,
 then the dual certificate at the kernel's optimum (``_dual_certificate``
@@ -20,32 +20,42 @@ wrapping ``allocation.bellman_ford``.
 The check path then prices the kernel's optimum: each matched pair pays
 its cost share and every other pair its break-even ``max(0, surplus)``.
 The priced document is serialized and parsed back, timed, with whether
-the parsed schedule is keyed by the pair table's own key tuples in table
-order (``priced_in_table_order``, which lets the checker read it by
-position), and ``check_payments`` runs on it in literal and classic-core
-mode, each timed, with its stability verdict (``null`` when the allocation
-is infeasible and stability is undefined).  The CLI layer runs last: the
+the parsed schedule is built on the pair table's own pairs
+(``priced_in_table_order``, which lets the checker read it as it is),
+and ``check_payments`` runs on it in literal and classic-core mode, each
+timed, with its stability verdict (``null`` when the allocation is
+infeasible and stability is undefined).  The CLI layer runs last: the
 priced document is written to a temporary file and ``cli.main`` checks it
 in-process at the optimum's riders (``check PATH --assignment ... --format
 machine``, standard output captured), timed, with its exit status.
-The tier-1 tests run in a child process, timed on the wall clock.  When
-the output is ``BENCH_<n>.json`` and an older ``BENCH_<k>.json`` lies
-beside it, the record also names the newest such file and holds each
-figure of each size, and of the tier-1 run, in both as ``[before,
-after]``.  Single runs on a host whose pace can swing: compare files, not
-anecdotes, and read small differences as noise.
+The tier-1 tests run in a child process, timed once on the wall clock.
+
+Method: every timed call runs with the cyclic garbage collector paused,
+as the CLI runs its commands, so no collection of earlier garbage lands
+in a figure.  A call that takes under ``ONCE_S`` seconds runs ``K`` times
+and its figure is the median; a longer one runs once.  The record names
+``K`` and ``ONCE_S``, and holds the host's pace, ``pace.sample()`` of
+``perfbench/pace.py`` (the least of three samples), before and after the
+ladder: a figure times ``pace.REF_S / pace`` is its time at the
+benchmark's reference pace.  When the output is ``BENCH_<n>.json`` and an
+older ``BENCH_<k>.json`` lies beside it, the record also names the newest
+such file and holds each figure of each size, the tier-1 run and the pace
+in both as ``[before, after]``.  Compare files, not anecdotes, and read
+small differences against the two paces.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import gc
 import io
 import json
-import operator
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -54,8 +64,9 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import pace  # noqa: E402
 from rideshare_market import allocation, cli, solver  # noqa: E402
 from rideshare_market.allocation import (  # noqa: E402
     PaymentSchedule,
@@ -64,22 +75,42 @@ from rideshare_market.allocation import (  # noqa: E402
 )
 from rideshare_market.generate import generate_instance  # noqa: E402
 from rideshare_market.instance_io import parse_document, serialize_document  # noqa: E402
-from rideshare_market.market import UNASSIGNED, Assignment  # noqa: E402
+from rideshare_market.market import UNASSIGNED, Assignment, MarketInstance  # noqa: E402
 
 SIZES = (300, 600, 1000)
+#: runs of a call that takes under ONCE_S seconds; its figure is their median
+K = 5
+ONCE_S = 1.0
 
 
 def _timed(fn, *args):
-    start = time.perf_counter()
-    out = fn(*args)
-    return out, round(time.perf_counter() - start, 4)
+    """``(out, seconds)`` of ``fn(*args)``, run with the collector paused:
+    the median of ``K`` runs, or one run of ``ONCE_S`` seconds or more."""
+    times = []
+    while not times or times[0] < ONCE_S and len(times) < K:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            out = fn(*args)
+            times.append(time.perf_counter() - start)
+        finally:
+            if collecting:
+                gc.enable()
+    return out, round(statistics.median(times), 4)
+
+
+def _pace() -> float:
+    return min(pace.sample() for _ in range(3))
 
 
 def ladder_row(n: int) -> dict:
     text, serialize_s = _timed(serialize_document, generate_instance(5, n, n // 5))
     doc, parse_s = _timed(parse_document, text)
     inst = doc.instance
-    matrix, pair_table_s = _timed(lambda: inst.compatibility)
+    # the cached property's own build, so that each run builds the table
+    _, pair_table_s = _timed(MarketInstance.compatibility.func, inst)
+    matrix = inst.compatibility
     _, scaled = solver._pair_weights(inst)
     travelers = [t.id for t in inst.travelers]
     vehicles = [v.id for v in inst.vehicles]
@@ -107,10 +138,11 @@ def ladder_row(n: int) -> dict:
     for favor in ("travelers", "vehicles"):
         with bellman_ford_runs() as runs:
             synth, row[f"synthesis_{favor}_s"] = _timed(synthesize_stable_payments, inst, a, favor)
-        rows, row[f"synthesis_{favor}_view_s"] = _timed(lambda: synth.rows)
+        # a fresh copy of the result has its views yet to build
+        rows, row[f"synthesis_{favor}_view_s"] = _timed(lambda: dataclasses.replace(synth).rows)
         row[f"synthesis_{favor}_rows"] = len(rows)
         row[f"synthesis_{favor}_feasible"] = synth.feasible
-        [(row[f"synthesis_{favor}_edges"], row[f"synthesis_{favor}_relaxations"])] = runs
+        [(row[f"synthesis_{favor}_edges"], row[f"synthesis_{favor}_relaxations"])] = set(runs)
     return {**row, **check_path(inst, a)}
 
 
@@ -150,11 +182,10 @@ def check_path(inst, a) -> dict:
     }
     text, priced_serialize_s = _timed(serialize_document, inst, PaymentSchedule(pays))
     doc, priced_parse_s = _timed(parse_document, text)
-    keys, table = doc.payments.entries, doc.instance.compatibility.entries
     row = {
         "priced_serialize_s": priced_serialize_s,
         "priced_parse_s": priced_parse_s,
-        "priced_in_table_order": len(keys) == len(table) and all(map(operator.is_, keys, table)),
+        "priced_in_table_order": doc.payments.pairs is doc.instance.compatibility.pairs,
     }
     for mode, classic_core in (("literal", False), ("classic", True)):
         args = (doc.instance, a, doc.payments, classic_core)
@@ -216,11 +247,14 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
+        "method": {"k": K, "once_s": ONCE_S, "collector": "paused around each timed call"},
+        "pace": {"reference_s": pace.REF_S, "before_s": round(_pace(), 5)},
         "ladder": [],
     }
     for n in SIZES:
         record["ladder"].append(ladder_row(n))
         print(json.dumps(record["ladder"][-1]), file=sys.stderr)
+    record["pace"]["after_s"] = round(_pace(), 5)
     record["tier1"] = tier1()
     print(json.dumps(record["tier1"]), file=sys.stderr)
     before = previous(Path(args.output))
@@ -228,8 +262,9 @@ def main(argv=None) -> int:
         record["delta_against"] = before.name
         baseline = json.loads(before.read_text())
         record["delta"] = delta(baseline, record["ladder"])
-        old = baseline.get("tier1", {})
-        record["delta"]["tier1"] = {k: [old[k], v] for k, v in record["tier1"].items() if k in old}
+        for part in ("tier1", "pace"):
+            old = baseline.get(part, {})
+            record["delta"][part] = {k: [old[k], v] for k, v in record[part].items() if k in old}
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

@@ -2,23 +2,23 @@
 
 Travelers with origin-destination demands are matched to capacitated
 vehicles running fixed routes.  The package computes welfare-optimal
-assignments exactly (rational arithmetic throughout), constructs and
-verifies traveler-vehicle profit allocations, and synthesizes stable
-payment schedules as shortest paths over difference constraints.  The
-checkers, the matching, its dual certificate, the synthesis and the scalar
-formulas all read one integer pair table over a common denominator,
-``CompatibilityMatrix.entries``; ``Fraction``s are made only for results:
-the formulas' answers, objectives, dual certificates, payments, violations
-and output.  Each optimum carries a dual certificate of seat prices from
-one Bellman-Ford run over its vehicles; each impossible schedule carries
+assignments exactly (rational arithmetic throughout), constructs and verifies
+traveler-vehicle profit allocations, and synthesizes stable payment schedules
+as shortest paths over difference constraints.  The checkers, the matching, its
+dual certificate, the synthesis and the scalar formulas all read one integer
+pair table over a common denominator, ``CompatibilityMatrix.entries``, and
+payments in its scale, the ``int``s of a :class:`PaymentSchedule` in table
+order.  ``Fraction``s are made only for results: the formulas' answers,
+objectives, dual certificates, violations, output and a schedule's
+``entries``, when read.  Each optimum carries a dual certificate of seat prices
+from one Bellman-Ford run over its vehicles; each impossible schedule carries
 a proof read off a negative cycle over the payments and seat prices, ``int``
 multipliers 1 and -1 checked exactly over its sparse rows, whose right-hand
-sides stay ``int``s over the table's ``den`` in :class:`SynthesisResult`.  The exact
-simplex in :mod:`rideshare_market.lp` and the brute force in
+sides stay ``int``s over the table's ``den`` in :class:`SynthesisResult`.  The
+exact simplex in :mod:`rideshare_market.lp` and the brute force in
 :mod:`rideshare_market.oracles` serve as test oracles; no production path
 imports the simplex, and its names are imported from
-:mod:`rideshare_market.lp` itself.  A payment matrix enters every function
-as a :class:`PaymentSchedule`, which checks it once.
+:mod:`rideshare_market.lp` itself.
 """
 
 from rideshare_market.errors import (

@@ -1,8 +1,9 @@
 """Profit allocations, feasibility/stability checking, payment synthesis.
 
-Payments form a full matrix over compatible pairs: the stability
-inequalities compare against counterfactual rides, so off-match pairs must
-be priced too.  Profits are derived from payments; all checks are exact.
+Payments form a full matrix over compatible pairs, ``int``s in the pair
+table's scale: the stability inequalities compare against counterfactual
+rides, so off-match pairs must be priced too.  Profits are derived from
+payments; all checks are exact.
 The synthesis solves the stability system over the payments and one seat
 price per full vehicle; the system over the payments alone is a view.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 from rideshare_market.errors import CertificateError, StabilityPreconditionError, ValidationError
@@ -38,9 +39,16 @@ GE = ">="
 
 @dataclass(frozen=True)
 class PaymentSchedule:
-    """Payment per compatible (traveler, vehicle) pair, matched or not."""
+    """Payment per compatible (traveler, vehicle) pair, matched or not.
+    ``PaymentSchedule(entries)`` checks a dict of money and keeps it, for
+    :func:`validate_schedule` to lift to a pair table's scale.  The parser,
+    the synthesis and the CLI build it in that scale with :meth:`scaled`;
+    its ``entries`` are then a view built on first read."""
 
-    entries: dict
+    # the dict given, or the view of a scaled schedule
+    entries: dict = cached_property(
+        lambda self: dict(zip(self.pairs, map(Fraction, self.ints, repeat(self.den))))
+    )
 
     def __post_init__(self):
         entries = dict(self.entries)
@@ -52,11 +60,20 @@ class PaymentSchedule:
         if bad:
             raise ValidationError([f"payment for pair {k} is negative" for k in bad])
 
+    @classmethod
+    def scaled(cls, pairs, den: int, ints: list) -> PaymentSchedule:
+        """``ints[k]`` over ``den`` pays for ``pairs[k]``: taken as given."""
+        t = object.__new__(cls)
+        t.__dict__.update(pairs=pairs, den=den, ints=ints)
+        return t
+
+    # the priced pairs: of a schedule given as a dict, a list, so never a
+    # pair table's own tuple (every empty tuple is one object); a scaled
+    # schedule also has its den and ints
+    pairs = cached_property(lambda self: list(self.entries))
+
     def __getitem__(self, pair) -> Fraction:
         return self.entries[pair]
-
-    def get(self, pair, default=None):
-        return self.entries.get(pair, default)
 
 
 @dataclass(frozen=True)
@@ -95,19 +112,13 @@ def compute_profits(inst: MarketInstance, a: Assignment, t: PaymentSchedule) -> 
     value.  Every off-match entry is zero.
     """
     validate_assignment(inst, a)
+    common, pays = validate_schedule(inst, t)
     matrix = inst.compatibility
-    matched = a.assigned_pairs()
-    pays = []
-    for tid, vid in matched:
-        pay = t.get((tid, vid))
-        if pay is None:
-            raise ValidationError(f"profits: no payment for matched pair ({tid!r}, {vid!r})")
-        pays.append(pay)
-    common, pays = scale_to_integers(pays, matrix.den)
     lift = common // matrix.den
     pi = dict.fromkeys(matrix.entries, _ZERO)
     rho = dict.fromkeys(matrix.entries, _ZERO)
-    for pair, pay in zip(matched, pays):
+    for pair in a.assigned_pairs():
+        pay = pays[matrix.pairs.index(pair, matrix.first[pair[0]])]
         value, share, _ = matrix.entries[pair]
         rho[pair] = Fraction(pay - share * lift, common)
         pi[pair] = Fraction((value - matrix.v_min[pair[0]]) * lift - pay, common)
@@ -198,17 +209,15 @@ def check_payments(
     traveler's utility plus the vehicle's marginal seat profit.  This mode
     does not subtract the cost share from the rider's side twice.
 
-    Feasibility is decided from the matched payments alone, scaled with
-    the rest for stability: no profit matrix is built.  Both modes then
-    walk the pair table once, each traveler's pairs together, and compare
-    integers over the least common multiple of the pair table's
-    denominator and the payments' denominators.
+    Feasibility is decided from the matched payments alone, each found by
+    its position in the pair table: no profit matrix is built.  Both modes
+    then walk the pair table once, each traveler's pairs together, and
+    compare the integers that :func:`validate_schedule` lifts them to.
     """
-    pays = validate_schedule(inst, t)
+    common, pays = validate_schedule(inst, t)
     validate_assignment(inst, a)
     matrix = inst.compatibility
     table, v_min = matrix.entries, matrix.v_min
-    common, pays = scale_to_integers(pays, matrix.den)
     lift = common // matrix.den
     # a matched payment x over common sets the pair's profits, pi = value -
     # v_min - x and rho = x - share, and the rider's own ride: its utility,
@@ -219,8 +228,7 @@ def check_payments(
     matched = a.assigned_pairs()
     pis, rhos, own = [], [], {}
     for pair in matched:
-        x = t.entries[pair]
-        x = x.numerator * (common // x.denominator)
+        x = pays[matrix.pairs.index(pair, matrix.first[pair[0]])]
         value, share, surplus = table[pair]
         pis.append((value - v_min[pair[0]]) * lift - x)
         rhos.append(x - share * lift)
@@ -497,7 +505,7 @@ def synthesize_stable_payments(
         verify_farkas_certificate(rows, mu)
         proof = tuple(zip(labels, mu))
     else:
-        pairs = inst.compatibility.entries
+        pairs = inst.compatibility.pairs
         x = dict.fromkeys([None, *pairs], 0)
         x.update((p, dist[p] if favor == "vehicles" else -dist[p]) for p in matched)
         # an off-match row reads x[plus] >= x[minus] + rhs, minus matched or
@@ -505,7 +513,7 @@ def synthesize_stable_payments(
         for plus, minus, rel, rhs, _ in system[1]:
             if rel == GE:
                 x[plus] = max(x[plus], x[minus] + rhs)
-        schedule = PaymentSchedule({p: Fraction(x[p], den) for p in pairs})
+        schedule = PaymentSchedule.scaled(pairs, den, list(map(x.__getitem__, pairs)))
     return SynthesisResult(cycle is None, schedule, proof, inst, a)
 
 

@@ -13,7 +13,6 @@ import io
 import json
 import sys
 import warnings
-from fractions import Fraction
 from functools import cache
 
 from rideshare_market.allocation import PaymentSchedule, check_payments, synthesize_stable_payments
@@ -23,8 +22,8 @@ from rideshare_market.instance_io import exact_number, parse_document, serialize
 from rideshare_market.market import (
     Assignment,
     UNASSIGNED,
-    _ZERO,
     cost_recovery_gap,
+    scale_to_integers,
     welfare_paper,
     welfare_surplus,
 )
@@ -65,48 +64,44 @@ def _parse_payment_overrides(spec: str | None) -> list:
 
 
 def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
-    """Full payment matrix in pair-table order, keyed by the table's own
-    pairs: document payments ``base``, then the parsed ``overrides``, then
-    the break-even default max(0, valuation - cost share); a complete
-    ``base`` without overrides is returned as is.  ``TID=value`` prices the
+    """Full payment matrix scaled on the pair table's pairs: document
+    payments ``base``, then the parsed ``overrides``, then the break-even
+    default max(0, surplus) of the table's column; a complete ``base``
+    without overrides is returned as is.  ``TID=value`` prices the
     traveler's vehicle in ``assignment``, or, when that is ``None``, in the
     surplus optimum, solved only for such an entry."""
     matrix = inst.compatibility
-    table = matrix.entries
-    # parse_document admits only compatible pairs, so a parsed schedule with
-    # as many entries as the table prices every pair
-    if base is not None and not overrides and len(base.entries) == len(table):
+    # parse_document admits only compatible pairs and builds a complete
+    # schedule on the table's own pairs
+    if base is not None and not overrides and base.pairs is matrix.pairs:
         return base
     given = dict(base.entries) if base is not None else {}
-    if overrides:
-        travelers = {t.id for t in inst.travelers}
-        priced = {}
-        for (tid, vid), value in overrides:
-            if tid not in travelers:
-                raise ValidationError(f"--payments: unknown traveler id {tid!r}")
-            if vid is None:
-                if assignment is None:
-                    assignment = _assignment(inst, None)
-                vid = assignment.vehicle_of(tid)
-                if vid is UNASSIGNED:
-                    raise ValidationError(
-                        f"--payments: traveler {tid!r} is unassigned; use TID:VID=value"
-                    )
-            if (tid, vid) not in table:
-                raise ValidationError(f"--payments: pair ({tid!r}, {vid!r}) is not compatible")
-            if (tid, vid) in priced:
-                raise ValidationError(f"--payments: duplicate entry for pair ({tid!r}, {vid!r})")
-            priced[(tid, vid)] = value
-        if any(value < 0 for _, value in overrides):
-            PaymentSchedule(priced)  # raises, naming each negative payment in the option's order
-        given.update(priced)
-    entries = {}
-    for pair, (_, _, surplus) in table.items():
-        if pair in given:
-            entries[pair] = given[pair]
-        else:
-            entries[pair] = Fraction(surplus, matrix.den) if surplus > 0 else _ZERO
-    return PaymentSchedule(entries)
+    priced = {}
+    for (tid, vid), value in overrides:
+        if tid not in inst._traveler_map:
+            raise ValidationError(f"--payments: unknown traveler id {tid!r}")
+        if vid is None:
+            if assignment is None:
+                assignment = _assignment(inst, None)
+            vid = assignment.vehicle_of(tid)
+            if vid is UNASSIGNED:
+                raise ValidationError(
+                    f"--payments: traveler {tid!r} is unassigned; use TID:VID=value"
+                )
+        if (tid, vid) not in matrix.entries:
+            raise ValidationError(f"--payments: pair ({tid!r}, {vid!r}) is not compatible")
+        if (tid, vid) in priced:
+            raise ValidationError(f"--payments: duplicate entry for pair ({tid!r}, {vid!r})")
+        priced[(tid, vid)] = value
+    if any(value < 0 for _, value in overrides):
+        PaymentSchedule(priced)  # raises, naming each negative payment in the option's order
+    given.update(priced)
+    den, lifted = scale_to_integers(given.values(), matrix.den)
+    lift = den // matrix.den
+    ints = [lift * s if s > 0 else 0 for _, _, s in matrix.entries.values()]
+    for pair, x in zip(given, lifted):
+        ints[matrix.pairs.index(pair, matrix.first[pair[0]])] = x
+    return PaymentSchedule.scaled(matrix.pairs, den, ints)
 
 
 def _assignment(inst, spec: str | None) -> Assignment:

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _string  # json.dumps's own 
 
 from rideshare_market.allocation import PaymentSchedule
 from rideshare_market.errors import ValidationError
-from rideshare_market.market import _ZERO, MarketInstance, Traveler, Vehicle
+from rideshare_market.market import _ZERO, MarketInstance, Traveler, Vehicle, scale_to_integers
 from rideshare_market.network import Edge, Network, ODPair, Route
 
 SCHEMA_VERSION = 1
@@ -157,40 +157,44 @@ def _objects_noting_repeats(repeats):
     return build
 
 
-def _priced_by_table(section, table, tids, memo):
-    """The payments ``section`` as a schedule keyed by the pair table's own
-    key tuples, in table order: one ``get`` per traveler and one per pair.
-    ``None`` when a row is no object or names no traveler, a value does not
-    convert or is negative, or fewer prices are stored than the document has
-    entries (so some entry is ``null`` or prices no compatible pair); the
-    caller then words the errors."""
+def _priced_by_table(section, matrix, tids, memo):
+    """The payments ``section`` scaled on the pair table's pairs, in table
+    order, each distinct money string converted and lifted once; ``None``,
+    for the caller to word the errors, when a row is no object or names no
+    traveler, a value does not convert or is negative, or an entry is
+    ``null`` or prices no compatible pair (fewer prices than entries)."""
     if type(section) is not dict or not section.keys() <= tids:
         return None
-    count = 0
-    for row in section.values():
-        if type(row) is not dict:
-            return None
-        count += len(row)
-    entries, errors, empty = {}, [], {}
+    if not all(type(row) is dict for row in section.values()):
+        return None
+    count = sum(map(len, section.values()))
+    pairs, values, empty = matrix.pairs, [], {}
     tid = row = None
-    for pair in table:
-        if pair[0] != tid:
-            tid = pair[0]
-            row = section.get(tid, empty)
-        value = row.get(pair[1])
-        if value is not None:
-            entries[pair] = (
-                memo[value]
-                if type(value) is str and value in memo
-                else _parse_money(value, "payments", errors, memo)
-            )
+    for t, vid in pairs:
+        if t != tid:
+            tid, row = t, section.get(t, empty)
+        values.append(row.get(vid))
     # distinct pairs read distinct entries: equal counts read every entry
-    if errors or len(entries) != count:
+    if len(values) - values.count(None) != count:
         return None
+    if count < len(values):  # a partial schedule: its priced pairs alone
+        pairs = tuple(p for p, x in zip(pairs, values) if x is not None)
+        values = [x for x in values if x is not None]
     try:
-        return PaymentSchedule(entries)
-    except ValidationError:  # a negative payment
+        distinct = set(values)
+    except TypeError:  # a list or an object
         return None
+    # the distinct values stand for all only when each is a string: 1, 1.0
+    # and true are equal, but only the first is money.  The memo's keys are
+    # strings, which no other value equals
+    texts = list(distinct) if all(type(x) is str for x in distinct) else values
+    errors = []
+    numbers = [memo[x] if x in memo else _parse_money(x, "payments", errors, memo) for x in texts]
+    if errors or any(x < 0 for x in numbers):
+        return None
+    den, ints = scale_to_integers(numbers, matrix.den)
+    lifted = dict(zip(texts, ints))  # without a bad value, no two types meet in a key
+    return PaymentSchedule.scaled(pairs, den, list(map(lifted.__getitem__, values)))
 
 
 def _priced_by_document(section, compatible, tids, vids, memo):
@@ -392,10 +396,10 @@ def parse_document(text: str) -> InstanceDocument:
     payments = None
     section = doc.get("payments")
     if section is not None:
-        table = instance.compatibility.entries
-        payments = _priced_by_table(section, table, tids, memo)
+        matrix = instance.compatibility
+        payments = _priced_by_table(section, matrix, tids, memo)
         if payments is None:
-            payments = _priced_by_document(section, table, tids, vids, memo)
+            payments = _priced_by_document(section, matrix.entries, tids, vids, memo)
     return InstanceDocument(instance=instance, payments=payments)
 
 

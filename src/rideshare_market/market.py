@@ -14,7 +14,6 @@ answer, and ``Fraction``s otherwise appear only in violations and output.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,6 +145,11 @@ class CompatibilityMatrix:
     entries: dict
     #: traveler id -> v_min times ``den``, for every traveler
     v_min: dict
+    #: the keys of ``entries``, in order
+    pairs: tuple
+    #: traveler id -> the position in ``pairs`` of its first pair: a
+    #: compatible pair is at ``pairs.index(pair, first[pair[0]])``
+    first: dict
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,7 @@ class MarketInstance:
         vehicles = self.vehicles
         # per pair: its ids, its vehicle's index and its inconvenience; its
         # explicit share, or in per-seat mode one share per served vehicle
-        pairs, cols, phis, shares, errors = [], [], [], [], []
+        pairs, cols, phis, shares, errors, first = [], [], [], [], [], {}
         index = {v.id: k for k, v in enumerate(vehicles)}
         route_stops = self._stops
         # per trip: vehicle index -> whether its route serves the trip, asked
@@ -238,6 +242,7 @@ class MarketInstance:
             # the traveler's own entries, in vehicle order; an unknown id names no vehicle
             hits = [index[vid] for vid in own if vid in index]
             hits.sort()
+            first[tid] = len(pairs)
             for k in hits:
                 ok = known.get(k)
                 if ok is None:
@@ -277,7 +282,7 @@ class MarketInstance:
         for pair, phi, share in zip(pairs, ints[b:p], shares):
             value = v_max[pair[0]] - phi
             entries[pair] = (value, share, value - share)
-        return CompatibilityMatrix(den, entries, v_min)
+        return CompatibilityMatrix(den, entries, v_min, tuple(pairs), first)
 
     @cached_property
     def _options(self):
@@ -353,22 +358,22 @@ def validate_assignment(inst: MarketInstance, a: Assignment):
         raise ValidationError(errors)
 
 
-def validate_schedule(inst: MarketInstance, t) -> list:
-    """The payments of schedule ``t`` in pair-table order.  A schedule keyed
-    by the table's own key tuples, in order, as the parser, the synthesis and
-    the CLI build them, is read by position; any other is looked up pair by
-    pair.
+def validate_schedule(inst: MarketInstance, t) -> tuple:
+    """``(den, ints)``: schedule ``t``'s payments in pair-table order, as
+    ``int``s over ``den``, a multiple of the table's.  One scaled on the
+    table's own ``pairs`` is read as it is, any other looked up and lifted.
     A compatible pair without a payment is an error; each is named, in order."""
-    table = inst.compatibility.entries
+    matrix = inst.compatibility
+    if t.pairs is matrix.pairs:
+        return t.den, t.ints
     entries = t.entries
-    if len(entries) == len(table) and all(map(operator.is_, entries, table)):
-        return list(entries.values())
     try:
-        return list(map(entries.__getitem__, table))
+        pays = list(map(entries.__getitem__, matrix.pairs))
     except KeyError:
-        missing = [p for p in table if p not in entries]
+        missing = [p for p in matrix.pairs if p not in entries]
         errors = [f"schedule: no payment for compatible pair {p}" for p in missing]
         raise ValidationError(errors) from None
+    return scale_to_integers(pays, matrix.den)
 
 
 def valuation(t: Traveler, vid) -> Fraction:

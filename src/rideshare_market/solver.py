@@ -33,7 +33,6 @@ from rideshare_market.market import (
     Assignment,
     MarketInstance,
     UNASSIGNED,
-    scale_to_integers,
     validate_schedule,
 )
 
@@ -66,11 +65,11 @@ def _pair_weights(inst: MarketInstance, payments=None):
     """``(den, weights)``: each compatible pair's objective weight as an
     ``int``, ``den`` times its value: the pair surplus by default, or under
     a fixed :class:`~rideshare_market.allocation.PaymentSchedule` valuation
-    minus payment, the payments lifted once."""
+    minus payment, in the schedule's scale."""
     matrix = inst.compatibility
     if payments is None:
         return matrix.den, {p: u for p, (_, _, u) in matrix.entries.items()}
-    den, pays = scale_to_integers(validate_schedule(inst, payments), matrix.den)
+    den, pays = validate_schedule(inst, payments)
     lift = den // matrix.den
     return den, {p: v * lift - pay for (p, (v, _, _)), pay in zip(matrix.entries.items(), pays)}
 

@@ -33,7 +33,10 @@ from rideshare_market import (
     ValidationError,
     Vehicle,
     compute_profits,
+    solve_optimal_assignment,
+    synthesize_stable_payments,
 )
+from rideshare_market.allocation import check_payments, validate_schedule
 from rideshare_market.cli import build_parser, main
 from rideshare_market.generate import generate_instance
 from rideshare_market.instance_io import _NUMBER, exact_number, parse_document, serialize_document
@@ -617,6 +620,134 @@ def test_parsed_schedule_keeps_the_pair_tables_keys_and_order(shape):
     assert doc.payments == in_document_order
     # ids sort as strings in the document, T10 before T2: the orders differ
     assert list(in_document_order.entries) != list(entries)
+
+
+def test_payment_values_stay_type_strict():
+    """``true`` and ``1.0`` equal ``1``, and ``null`` prices nothing, but
+    none is an amount: a payments section that mixes them with ``1``,
+    ``"1"`` and ``"-1"`` names each bad value where it stands, in document
+    order, however the values repeat; with no bad value left, the negative
+    payments are named.  ``1`` and ``"1"`` price alike."""
+    inst = generate_instance(2, n=8, m=3)
+    raw = json.loads(serialize_document(inst))
+
+    def parsed(values, reverse=False):
+        rows = {}
+        for k, (tid, vid) in enumerate(inst.compatible_pairs()):
+            rows.setdefault(tid, {})[vid] = values[k % len(values)]
+        rows = list(rows.items())
+        if reverse:
+            rows = [(tid, dict(reversed(row.items()))) for tid, row in reversed(rows)]
+        raw["payments"] = dict(rows)
+        text = json.dumps(raw)
+        try:
+            return parse_document(text).payments
+        except ValidationError as exc:
+            return exc.errors
+
+    def bad(*where):
+        return [
+            f"payments: [{tid!r}][{vid!r}]: not an exact number: {x!r} (use \"p/q\" strings)"
+            for tid, vid, x in where
+        ]
+
+    mixed = [1, True, 1.0, "1", None, "-1"]
+    first = [
+        ("T1", "V0", True), ("T2", "V0", 1.0), ("T3", "V2", None),
+        ("T5", "V0", True), ("T6", "V0", 1.0), ("T7", "V2", None),
+    ]  # fmt: skip
+    assert parsed(mixed) == bad(*first)
+    assert parsed(mixed, reverse=True) == bad(*reversed(first))
+    ones = [("T1", "V0"), ("T3", "V1"), ("T4", "V1"), ("T5", "V0"), ("T7", "V1")]
+    assert parsed([1, True]) == bad(*[(tid, vid, True) for tid, vid in ones])
+    assert parsed(["1", 1.0]) == bad(*[(tid, vid, 1.0) for tid, vid in ones])
+    negative = [("T0", "V0"), ("T2", "V0"), ("T3", "V2"), ("T4", "V2"), ("T6", "V0"), ("T7", "V2")]
+    expected = [f"payment for pair {pair} is negative" for pair in negative]
+    assert parsed(["-1", 1]) == expected
+    assert parsed(["-1", 1], reverse=True) == expected[::-1]
+    assert parsed([1, "1"]) == PaymentSchedule(dict.fromkeys(inst.compatible_pairs(), F(1)))
+
+
+def _explicit_shares(inst):
+    """``inst`` in explicit mode, each vehicle charging every traveler who
+    names it a share of its cost, some of them above the per-seat share."""
+    named = {v.id: [t.id for t in inst.travelers if v.id in t.inconvenience] for v in inst.vehicles}
+    vehicles = tuple(
+        dataclasses.replace(
+            v,
+            cost_shares={t: v.operating_cost / (v.capacity + k % 2) for k, t in enumerate(named[v.id])},
+        )
+        for v in inst.vehicles
+    )
+    return MarketInstance(inst.network, inst.travelers, vehicles, cost_share_mode="explicit")
+
+
+def test_every_form_of_a_schedule_agrees():
+    """A schedule built in the pair table's scale, by the parser from
+    complete or shuffled rows, by the synthesis or as the CLI's break-even
+    default, agrees with ``PaymentSchedule`` of its entries as a dict,
+    keyed by the table's tuples or by equal ones in another order: equal
+    entries, equal schedules, the same ``validate_schedule`` values, and
+    equal check and profit reports.  Parsed partial rows price exactly
+    their pairs, the CLI fills the rest with the break-even default, and an
+    override replaces one payment."""
+    forms_seen = 0
+    for seed in range(12):
+        inst = generate_instance(7700 + seed, n=5 + 3 * seed, m=2 + seed % 3, degenerate=seed % 3 == 1)
+        if seed % 3 == 2:
+            inst = _explicit_shares(inst)
+        matrix = inst.compatibility
+        a = solve_optimal_assignment(inst, with_certificate=False).assignment
+        synth = synthesize_stable_payments(inst, a)
+        default = cli._resolve_payments(inst, a, None, [])
+        even = {p: F(max(0, s), matrix.den) for p, (_, _, s) in matrix.entries.items()}
+        assert default.entries == even
+        rng = random.Random(seed)
+        for built in [default] + [synth.schedule] * synth.feasible:
+            entries = built.entries
+            raw = json.loads(serialize_document(inst, built))
+            rows = list(raw["payments"].items())
+            rng.shuffle(rows)
+            shuffled = {t: dict(rng.sample(list(r.items()), len(r))) for t, r in rows}
+            docs = [parse_document(json.dumps(r)) for r in (raw, {**raw, "payments": shuffled})]
+            assert all(d.payments.pairs is d.instance.compatibility.pairs for d in docs)
+            in_scale = [built, *(d.payments for d in docs)]
+            items = list(entries.items())
+            rng.shuffle(items)
+            as_dict = [
+                PaymentSchedule(dict(entries)),
+                PaymentSchedule({(p[0], p[1]): x for p, x in items}),
+            ]
+            expected = [entries[p] for p in matrix.pairs]
+            reports = set()
+            # each parsed schedule also on its own document's table, read as it is
+            read = [(inst, t) for t in in_scale + as_dict] + [(d.instance, d.payments) for d in docs]
+            for market, t in read:
+                assert t == built and t.entries == entries
+                den, ints = validate_schedule(market, t)
+                assert den % matrix.den == 0 and [F(x, den) for x in ints] == expected
+                reports.add(repr((
+                    check_payments(market, a, t),
+                    check_payments(market, a, t, classic_core=True),
+                    compute_profits(market, a, t),
+                )))  # fmt: skip
+                forms_seen += 1
+            assert len(reports) == 1
+            assert built.pairs is matrix.pairs
+            assert all([F(x, t.den) for x in t.ints] == [entries[p] for p in t.pairs] for t in in_scale)
+            # partial rows: the parsed schedule prices just its entries, in table order
+            kept = {t: {v: x for v, x in r.items() if rng.random() < 0.5} for t, r in rows}
+            partial = parse_document(json.dumps({**raw, "payments": kept})).payments
+            priced = {(t, v) for t, r in kept.items() for v in r}
+            assert list(partial.pairs) == [p for p in matrix.pairs if p in priced]
+            assert partial == PaymentSchedule({p: entries[p] for p in priced})
+            filled = cli._resolve_payments(inst, a, partial, [])
+            assert filled == PaymentSchedule({**even, **partial.entries})
+            pair = matrix.pairs[-1]
+            moved = cli._resolve_payments(inst, a, partial, [(pair, F(1, 7))])
+            assert moved == PaymentSchedule({**filled.entries, pair: F(1, 7)})
+            assert moved.pairs is matrix.pairs and moved.den % 7 == 0
+    assert forms_seen > 100
 
 
 def test_top_level_array_is_a_validation_error(tmp_path, capsys):

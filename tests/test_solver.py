@@ -29,10 +29,10 @@ from rideshare_market.solver import (
     _pair_weights,
     _perturbed,
     bellman_ford,
-    scale_to_integers,
     shortest_augmenting_paths,
     verify_dual_certificate,
 )
+from rideshare_market.market import scale_to_integers
 
 
 def test_canonical_optimum(canonical):

@@ -478,16 +478,20 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
     """``check --assignment`` on a fully priced document walks each route
     once, when the instance validates it, and the pair table reads that
     walk; it validates the schedule and the assignment once each, decides
-    feasibility without building the profit matrices, and normalises the
-    schedule once, when the document is parsed."""
+    feasibility without building the profit matrices, and builds no
+    schedule from a dict of money.  Money is put over a common denominator
+    twice, the pair table's once and the payments' distinct strings once:
+    never one payment at a time."""
     inst = generate_instance(5, n=12, m=4)
     a = solve_optimal_assignment(inst).assignment
     synth = synthesize_stable_payments(inst, a)
     assert synth.feasible and set(synth.schedule.entries) == set(inst.compatible_pairs())
+    text = serialize_document(inst, synth.schedule)
     path = tmp_path / "priced.json"
-    path.write_text(serialize_document(inst, synth.schedule))
+    path.write_text(text)
+    payments = [x for row in json.loads(text)["payments"].values() for x in row.values()]
     spec = ",".join(f"{tid}={vid}" for tid, vid in a.assigned_pairs())
-    calls = Counter()
+    calls, scaled = Counter(), []
     for module, name in (
         (market, "route_vertex_sequence"),
         (network, "route_vertex_sequence"),
@@ -498,12 +502,25 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
         (allocation.PaymentSchedule, "__post_init__"),
     ):
         monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
+
+    def scale(values, den=1, original=market.scale_to_integers):
+        values = list(values)
+        scaled.append(len(values))
+        return original(values, den)
+
+    for module in (market, allocation, instance_io, cli):
+        monkeypatch.setattr(module, "scale_to_integers", scale)
     assert main(["check", str(path), "--assignment", spec, "--format", "machine"]) == 0
     assert json.loads(capsys.readouterr().out)["stability"]["verdict"] is True
     assert calls["route_vertex_sequence"] <= len(inst.vehicles)
     assert calls["compute_profits"] == calls["check_feasibility"] == 0
     assert calls["validate_assignment"] == calls["validate_schedule"] == 1
-    assert calls["__post_init__"] == 1
+    assert calls["__post_init__"] == 0
+    # v_max and v_min per traveler, an inconvenience per pair, a share per served vehicle
+    pairs = inst.compatible_pairs()
+    money = 2 * len(inst.travelers) + len(pairs) + len({vid for _, vid in pairs})
+    assert scaled == [money, len(set(payments))]
+    assert len(set(payments)) < len(payments)
 
 
 def _money_strings(doc):
