@@ -24,10 +24,14 @@ the parsed schedule is built on the pair table's own pairs
 (``priced_in_table_order``, which lets the checker read it as it is),
 and ``check_payments`` runs on it in literal and classic-core mode, each
 timed, with its stability verdict (``null`` when the allocation is
-infeasible and stability is undefined).  The CLI layer runs last: the
+infeasible and stability is undefined), and ``welfare_paper`` reads it at
+the optimum, timed on a fresh copy of the parsed schedule each run, so
+that no view it builds is reused.  The CLI layer runs last: the
 priced document is written to a temporary file and ``cli.main`` checks it
 in-process at the optimum's riders (``check PATH --assignment ... --format
-machine``, standard output captured), timed, with its exit status.
+machine``, standard output captured), timed, with its exit status, and
+then again with one override, ``--payments TID:VID=share``, that prices
+the first matched pair at the cost share it already pays.
 The tier-1 tests run in a child process, timed once on the wall clock.
 
 Method: every timed call runs with the cyclic garbage collector paused,
@@ -75,7 +79,12 @@ from rideshare_market.allocation import (  # noqa: E402
 )
 from rideshare_market.generate import generate_instance  # noqa: E402
 from rideshare_market.instance_io import parse_document, serialize_document  # noqa: E402
-from rideshare_market.market import UNASSIGNED, Assignment, MarketInstance  # noqa: E402
+from rideshare_market.market import (  # noqa: E402
+    UNASSIGNED,
+    Assignment,
+    MarketInstance,
+    welfare_paper,
+)
 
 SIZES = (300, 600, 1000)
 #: runs of a call that takes under ONCE_S seconds; its figure is their median
@@ -192,6 +201,10 @@ def check_path(inst, a) -> dict:
         (_, stability), check_s = _timed(check_payments, *args)
         row[f"check_{mode}_s"] = check_s
         row[f"check_{mode}_verdict"] = None if stability is None else stability.verdict
+    t = doc.payments
+    _, row["welfare_paper_s"] = _timed(
+        lambda: welfare_paper(doc.instance, a, PaymentSchedule.scaled(t.pairs, t.den, t.ints))
+    )
     riders = ",".join(f"{tid}={vid}" for tid, vid in a.assigned_pairs())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "priced.json"
@@ -199,6 +212,9 @@ def check_path(inst, a) -> dict:
         argv = ["check", str(path), "--assignment", riders, "--format", "machine"]
         with contextlib.redirect_stdout(io.StringIO()):
             status, row["cli_check_s"] = _timed(cli.main, argv)
+            (tid, vid), *_ = a.assigned_pairs()
+            override = ["--payments", f"{tid}:{vid}={pays[(tid, vid)]}"]
+            _, row["cli_check_override_s"] = _timed(cli.main, argv + override)
     row["cli_check_status"] = status
     return row
 

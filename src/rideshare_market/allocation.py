@@ -118,7 +118,7 @@ def compute_profits(inst: MarketInstance, a: Assignment, t: PaymentSchedule) -> 
     pi = dict.fromkeys(matrix.entries, _ZERO)
     rho = dict.fromkeys(matrix.entries, _ZERO)
     for pair in a.assigned_pairs():
-        pay = pays[matrix.pairs.index(pair, matrix.first[pair[0]])]
+        pay = pays[matrix.position(pair)]
         value, share, _ = matrix.entries[pair]
         rho[pair] = Fraction(pay - share * lift, common)
         pi[pair] = Fraction((value - matrix.v_min[pair[0]]) * lift - pay, common)
@@ -147,7 +147,7 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
     # the matched profits as integers over common, a multiple of the table's den
     common, ints = scale_to_integers(profits, matrix.den)
     n = len(matched)
-    violations, eq8 = _matched_rules(matrix, matched, ints[:n], ints[n:], common, alloc)
+    violations, eq8 = _matched_rules(matrix, matched, ints[:n], ints[n:], common)
     # off the match, the cheap tests first: compute_profits writes each off-match entry as _ZERO
     riders = a.riders
     for pair, rho in alloc.rho.items():
@@ -161,14 +161,14 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
     return CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
 
 
-def _matched_rules(matrix, matched, pis, rhos, common, alloc=None):
+def _matched_rules(matrix, matched, pis, rhos, common):
     """Feasibility's rules on the matched pairs, as ``(violations, eq8)``.
 
     ``pis`` and ``rhos`` hold each matched pair's profits times ``common``,
     a multiple of the pair table's ``den``.  A pair breaks ``pi_nonneg`` or
-    ``rho_nonneg`` with the profit ``alloc`` holds, or, with no ``alloc``,
-    with its exact value; ``pair_sum_identity`` is checked over ``common``;
-    ``eq8`` is the literal identity's status per pair.
+    ``rho_nonneg`` with its profit's exact value, a ``Fraction``;
+    ``pair_sum_identity`` is checked over ``common``; ``eq8`` is the literal
+    identity's status per pair.
     """
     lift = common // matrix.den
     table, v_min = matrix.entries, matrix.v_min
@@ -177,11 +177,9 @@ def _matched_rules(matrix, matched, pis, rhos, common, alloc=None):
     for pair, pi, rho in zip(matched, pis, rhos):
         value, share, surplus = table[pair]
         if pi < 0:
-            lhs = Fraction(pi, common) if alloc is None else alloc.pi[pair]
-            violations.append(Violation("pi_nonneg", pair, lhs, _ZERO))
+            violations.append(Violation("pi_nonneg", pair, Fraction(pi, common), _ZERO))
         if rho < 0:
-            lhs = Fraction(rho, common) if alloc is None else alloc.rho[pair]
-            violations.append(Violation("rho_nonneg", pair, lhs, _ZERO))
+            violations.append(Violation("rho_nonneg", pair, Fraction(rho, common), _ZERO))
         forced = (surplus - v_min[pair[0]]) * lift
         if pi + rho != forced:
             lhs, rhs = Fraction(pi + rho, common), Fraction(forced, common)
@@ -228,7 +226,7 @@ def check_payments(
     matched = a.assigned_pairs()
     pis, rhos, own = [], [], {}
     for pair in matched:
-        x = pays[matrix.pairs.index(pair, matrix.first[pair[0]])]
+        x = pays[matrix.position(pair)]
         value, share, surplus = table[pair]
         pis.append((value - v_min[pair[0]]) * lift - x)
         rhos.append(x - share * lift)

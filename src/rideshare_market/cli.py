@@ -64,18 +64,19 @@ def _parse_payment_overrides(spec: str | None) -> list:
 
 
 def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
-    """Full payment matrix scaled on the pair table's pairs: document
-    payments ``base``, then the parsed ``overrides``, then the break-even
-    default max(0, surplus) of the table's column; a complete ``base``
-    without overrides is returned as is.  ``TID=value`` prices the
-    traveler's vehicle in ``assignment``, or, when that is ``None``, in the
-    surplus optimum, solved only for such an entry."""
+    """Full payment matrix scaled on the pair table's pairs, merged in
+    ``int``s by position: document payments ``base``, then the parsed
+    ``overrides``, then the break-even default max(0, surplus) of the
+    table's column; a complete ``base`` without overrides is returned as is.
+    ``TID=value`` prices the traveler's vehicle in ``assignment``, or, when
+    that is ``None``, in the surplus optimum, solved only for such an entry."""
     matrix = inst.compatibility
-    # parse_document admits only compatible pairs and builds a complete
-    # schedule on the table's own pairs
-    if base is not None and not overrides and base.pairs is matrix.pairs:
+    # parse_document admits only compatible pairs and builds a schedule
+    # scaled on the priced pairs, the table's own when complete; without
+    # one, no pair is priced
+    base = base or PaymentSchedule.scaled((), matrix.den, [])
+    if not overrides and base.pairs is matrix.pairs:
         return base
-    given = dict(base.entries) if base is not None else {}
     priced = {}
     for (tid, vid), value in overrides:
         if tid not in inst._traveler_map:
@@ -95,12 +96,16 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
         priced[(tid, vid)] = value
     if any(value < 0 for _, value in overrides):
         PaymentSchedule(priced)  # raises, naming each negative payment in the option's order
-    given.update(priced)
-    den, lifted = scale_to_integers(given.values(), matrix.den)
-    lift = den // matrix.den
-    ints = [lift * s if s > 0 else 0 for _, _, s in matrix.entries.values()]
-    for pair, x in zip(given, lifted):
-        ints[matrix.pairs.index(pair, matrix.first[pair[0]])] = x
+    den, lifted = scale_to_integers(priced.values(), base.den)
+    up, lift = den // base.den, den // matrix.den
+    if base.pairs is matrix.pairs:
+        ints = [up * x for x in base.ints]
+    else:
+        ints = [lift * s if s > 0 else 0 for _, _, s in matrix.entries.values()]
+        for pair, x in zip(base.pairs, base.ints):
+            ints[matrix.position(pair)] = up * x
+    for pair, x in zip(priced, lifted):
+        ints[matrix.position(pair)] = x
     return PaymentSchedule.scaled(matrix.pairs, den, ints)
 
 

@@ -147,9 +147,12 @@ class CompatibilityMatrix:
     v_min: dict
     #: the keys of ``entries``, in order
     pairs: tuple
-    #: traveler id -> the position in ``pairs`` of its first pair: a
-    #: compatible pair is at ``pairs.index(pair, first[pair[0]])``
+    #: traveler id -> the position in ``pairs`` of its first pair
     first: dict
+
+    def position(self, pair) -> int:
+        """The index in ``pairs`` of ``pair``, which must be compatible."""
+        return self.pairs.index(pair, self.first[pair[0]])
 
 
 @dataclass(frozen=True)
@@ -443,21 +446,16 @@ def welfare_paper(inst: MarketInstance, a: Assignment, t) -> Fraction:
     market's convention for unassigned capacity); each riding traveler
     contributes valuation minus payment.  ``t`` is a
     :class:`~rideshare_market.allocation.PaymentSchedule` over the
-    compatible pairs.
+    compatible pairs, each matched payment read as an ``int`` by its
+    position in the pair table.
     """
-    entries = t.entries
-    total = _ZERO
-    for tid, vid in a.assigned_pairs():
-        if (tid, vid) not in entries:
-            raise ValidationError(
-                f"welfare: no payment for assigned pair ({tid!r}, {vid!r})"
-            )
-        total += utility(inst, tid, vid, entries[(tid, vid)])
-    used = a.assigned_vehicles()
-    for v in inst.vehicles:
-        if v.id not in used:
-            total += v.operating_cost
-    return total
+    validate_assignment(inst, a)
+    common, pays = validate_schedule(inst, t)
+    matrix = inst.compatibility
+    lift = common // matrix.den
+    rides = [matrix.entries[p][0] * lift - pays[matrix.position(p)] for p in a.assigned_pairs()]
+    idle = (v.operating_cost for v in inst.vehicles if v.id not in a.riders)
+    return sum(idle, Fraction(sum(rides), common))
 
 
 def welfare_surplus(inst: MarketInstance, a: Assignment) -> Fraction:

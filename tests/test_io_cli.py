@@ -39,7 +39,9 @@ from rideshare_market import (
 from rideshare_market.allocation import check_payments, validate_schedule
 from rideshare_market.cli import build_parser, main
 from rideshare_market.generate import generate_instance
-from rideshare_market.instance_io import _NUMBER, exact_number, parse_document, serialize_document
+from rideshare_market.instance_io import (
+    _NUMBER, MAX_DIGITS, exact_number, parse_document, serialize_document
+)
 
 
 def test_round_trip_canonical(canonical):
@@ -748,6 +750,142 @@ def test_every_form_of_a_schedule_agrees():
             assert moved == PaymentSchedule({**filled.entries, pair: F(1, 7)})
             assert moved.pairs is matrix.pairs and moved.den % 7 == 0
     assert forms_seen > 100
+
+
+#: a payment value that is no amount, or a negative one; each makes the section invalid
+_BAD_PAYMENTS = {
+    "null": None,
+    "list": ["1"],
+    "float": 1.5,
+    "bool": True,
+    "negative": "-3/2",
+    "huge": "1" + "0" * MAX_DIGITS,
+}
+
+
+@st.composite
+def _priced_sections(draw):
+    """``(inst, payments, bad)``: a generated market, per-seat or explicit,
+    and its fully priced payments section with rows or entries dropped or
+    shuffled, a JSON integer for a string, and zero to three faults
+    (``bad``): a value that is no amount, an unknown traveler or vehicle
+    id, or an incompatible pair."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n, m = draw(st.integers(2, 9)), draw(st.integers(1, 3))
+    inst = generate_instance(draw(st.integers(0, 60)), n=n, m=m)
+    if draw(st.booleans()):
+        inst = _explicit_shares(inst)
+    pays = {p: F(rng.randint(0, 30), rng.choice((1, 3, 7))) for p in inst.compatible_pairs()}
+    section = json.loads(serialize_document(inst, PaymentSchedule(pays)))["payments"]
+    if draw(st.booleans()):  # partial rows
+        section = {t: {v: x for v, x in r.items() if rng.random() < 0.6} for t, r in section.items()}
+    if draw(st.booleans()):  # shuffled rows
+        rows = [(t, list(r.items())) for t, r in section.items()]
+        rng.shuffle(rows)
+        section = {t: dict(rng.sample(r, len(r))) for t, r in rows}
+    entries = [(t, v) for t, row in section.items() for v in row]
+    if entries and draw(st.booleans()):
+        tid, vid = rng.choice(entries)
+        section[tid][vid] = rng.randint(0, 9)
+    faults = ["traveler", "vehicle", "incompatible", *_BAD_PAYMENTS]
+    bad = False
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=3)):
+        if fault == "traveler":
+            section["T99"], bad = {"V0": "1"}, True
+        elif fault == "vehicle" and section:
+            section[rng.choice(sorted(section))]["V99"], bad = "1", True
+        elif fault == "incompatible":
+            known = [(t.id, v.id) for t in inst.travelers for v in inst.vehicles]
+            off = [p for p in known if p not in inst.compatibility.entries]
+            if off:
+                tid, vid = rng.choice(off)
+                section.setdefault(tid, {})[vid], bad = "1", True
+        elif fault in _BAD_PAYMENTS and entries:
+            tid, vid = rng.choice(entries)
+            section[tid][vid], bad = _BAD_PAYMENTS[fault], True
+    return inst, section, bad
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_priced_sections(), st.integers(0, 2**32))
+def test_payment_intake_builds_a_scaled_schedule_or_raises(case, seed):
+    """A payments section, valid or mutated, is either parsed to a schedule
+    built by ``PaymentSchedule.scaled`` in the pair table's order, its
+    ``entries`` view not yet built, that prices exactly the document's
+    entries, or rejected with a ``ValidationError``: never read as a dict
+    of money.  The CLI merges a parsed schedule with ``--payments``
+    overrides and the break-even default in integers, to the schedule a
+    merge in ``Fraction``s gives; a complete one without overrides is used
+    as it is."""
+    inst, section, bad = case
+    raw = json.loads(serialize_document(inst))
+    raw["payments"] = section
+    try:
+        t = parse_document(json.dumps(raw)).payments
+    except ValidationError:
+        assert bad
+        return
+    assert not bad
+    matrix = inst.compatibility
+    assert vars(t).keys() == {"pairs", "den", "ints"}
+    given = {(tid, vid): exact_number(x) for tid, row in section.items() for vid, x in row.items()}
+    assert list(t.pairs) == [p for p in matrix.pairs if p in given]
+    assert t.den % matrix.den == 0 and [F(x, t.den) for x in t.ints] == [given[p] for p in t.pairs]
+    rng = random.Random(seed)
+    pairs = rng.sample(matrix.pairs, min(len(matrix.pairs), rng.randint(0, 2)))
+    overrides = [(p, F(rng.randint(0, 20), 5)) for p in pairs]
+    a = solve_optimal_assignment(inst, with_certificate=False).assignment
+    merged = cli._resolve_payments(inst, a, t, overrides)
+    even = {p: F(max(0, s), matrix.den) for p, (_, _, s) in matrix.entries.items()}
+    assert merged.pairs is matrix.pairs
+    assert merged.entries == {**even, **given, **dict(overrides)}
+    assert (merged is t) == (not overrides and t.pairs is matrix.pairs)
+
+
+def test_an_override_prints_what_the_document_priced_so_prints(tmp_path, capsys):
+    """On generated markets, n = 5 to 60, per-seat and explicit, under
+    complete and partial priced documents, ``check DOC --payments P=x``
+    (bare ``TID=x`` for a rider of the surplus optimum) and ``solve DOC
+    --objective paper --payments P=x`` print, in both formats, and exit
+    exactly as the same command does on ``DOC`` with ``x`` written into
+    its payments."""
+    compared = 0
+    for seed in range(14):
+        n = 5 + seed * 55 // 13
+        inst = generate_instance(3700 + seed, n=n, m=1 + n // 6, degenerate=seed % 4 == 1)
+        if seed % 2:
+            inst = _explicit_shares(inst)
+        rng = random.Random(seed)
+        pays = {p: F(rng.randint(0, 40), rng.choice((1, 2, 3))) for p in inst.compatible_pairs()}
+        raw = json.loads(serialize_document(inst, PaymentSchedule(pays)))
+        if seed % 3 == 2:
+            raw["payments"] = {
+                t: {v: x for v, x in r.items() if rng.random() < 0.5} for t, r in raw["payments"].items()
+            }
+        a = solve_optimal_assignment(inst, with_certificate=False).assignment
+        riders = a.assigned_pairs()
+        for (tid, vid), x in (
+            (rng.choice(riders), F(rng.randint(0, 60), 11)),
+            (rng.choice(inst.compatible_pairs()), F(rng.randint(0, 60), 13)),
+        ):
+            written = json.loads(json.dumps(raw))
+            written["payments"].setdefault(tid, {})[vid] = str(x)
+            doc, priced = tmp_path / f"doc-{seed}.json", tmp_path / f"written-{seed}.json"
+            doc.write_text(json.dumps(raw))
+            priced.write_text(json.dumps(written))
+            key = tid if (tid, vid) in riders else f"{tid}:{vid}"
+            for command, spec in (
+                (["check"], f"{key}={x}"),
+                (["solve", "--objective", "paper"], f"{tid}:{vid}={x}"),
+            ):
+                for fmt in ("text", "machine"):
+                    options = [*command[1:], "--format", fmt]
+                    status = main([command[0], str(doc), *options, "--payments", spec])
+                    out = capsys.readouterr()
+                    assert main([command[0], str(priced), *options]) == status, (seed, spec)
+                    assert capsys.readouterr() == out, (seed, command, spec)
+                    compared += 1
+    assert compared == 14 * 2 * 2 * 2
 
 
 def test_top_level_array_is_a_validation_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -581,7 +582,84 @@ def test_welfare_paper(canonical):
     short = PaymentSchedule({("T1", "V1"): F(3)})
     with pytest.raises(ValidationError) as exc:
         welfare_paper(canonical, both, short)
-    assert exc.value.errors == ["welfare: no payment for assigned pair ('T2', 'V1')"]
+    assert exc.value.errors == ["schedule: no payment for compatible pair ('T2', 'V1')"]
+
+
+def test_welfare_paper_validates_the_assignment_before_the_schedule(canonical):
+    """An over-capacity or incompatible assignment raises the assignment's
+    errors, even under an incomplete schedule; a schedule missing payments
+    names every compatible pair without one, matched or not."""
+    crowded = dataclasses.replace(
+        canonical, vehicles=(dataclasses.replace(canonical.vehicles[0], capacity=1),)
+    )
+    short = PaymentSchedule({("T1", "V1"): F(3)})
+    with pytest.raises(ValidationError) as exc:
+        welfare_paper(crowded, Assignment({"T1": "V1", "T2": "V1"}), short)
+    assert exc.value.errors == ["assignment: vehicle 'V1' carries 2 travelers, capacity 1"]
+    with pytest.raises(ValidationError) as exc:
+        welfare_paper(canonical, Assignment({"T1": "V2", "T3": None}), short)
+    assert exc.value.errors == [
+        "assignment: unknown vehicle id 'V2'", "assignment: unknown traveler id 'T3'"
+    ]
+    with pytest.raises(ValidationError) as exc:
+        welfare_paper(canonical, Assignment({"T1": None, "T2": None}), PaymentSchedule({}))
+    assert exc.value.errors == [
+        f"schedule: no payment for compatible pair {p}" for p in (("T1", "V1"), ("T2", "V1"))
+    ]
+
+
+def _explicit_thirds(inst, rng):
+    """``inst`` in explicit mode, every traveler charged a share in thirds."""
+    vehicles = tuple(
+        dataclasses.replace(v, cost_shares={t.id: F(rng.randint(0, 12), 3) for t in inst.travelers})
+        for v in inst.vehicles
+    )
+    return MarketInstance(inst.network, inst.travelers, vehicles, cost_share_mode="explicit")
+
+
+def _random_valid_assignment(inst, rng):
+    """Each traveler takes a random compatible vehicle with a free seat, or none."""
+    seats = {v.id: v.capacity for v in inst.vehicles}
+    mapping = {}
+    for t in inst.travelers:
+        free = [vid for vid in inst.compatible_vehicles(t.id) if seats[vid]]
+        vid = rng.choice(free + [None]) if free else None
+        if vid is not None:
+            seats[vid] -= 1
+        mapping[t.id] = vid
+    return Assignment(mapping)
+
+
+def test_welfare_paper_equals_the_fraction_reference():
+    """On per-seat and explicit markets, under random assignments and
+    payments in halves, thirds and sevenths, ``welfare_paper`` equals
+    ``sum(valuation - payment)`` over the riders plus the idle vehicles'
+    costs, in ``Fraction``s, for the schedule given as a dict and the same
+    schedule scaled on the pair table's pairs."""
+    rng = random.Random(37)
+    markets = riders = 0
+    for seed in range(60):
+        n, m = 2 + seed % 11, 1 + seed % 4
+        inst = generate_instance(3700 + seed, n=n, m=m, degenerate=seed % 5 == 0)
+        if seed % 2:
+            inst = _explicit_thirds(inst, rng)
+        pays = {p: F(rng.randint(0, 40), rng.choice((1, 2, 3, 7))) for p in inst.compatible_pairs()}
+        pairs = inst.compatibility.pairs
+        den, ints = scale_to_integers([pays[p] for p in pairs], inst.compatibility.den)
+        schedules = [PaymentSchedule(pays), PaymentSchedule.scaled(pairs, den, ints)]
+        for _ in range(4):
+            a = _random_valid_assignment(inst, rng)
+            matched = a.assigned_pairs()
+            used = {vid for _, vid in matched}
+            rides = [valuation(inst.traveler(tid), vid) - pays[(tid, vid)] for tid, vid in matched]
+            idle = [v.operating_cost for v in inst.vehicles if v.id not in used]
+            want = sum(rides, F(0)) + sum(idle, F(0))
+            for t in schedules:
+                got = welfare_paper(inst, a, t)
+                assert type(got) is F and got == want, (seed, a)
+            riders += len(matched)
+        markets += 1
+    assert markets >= 50 and riders > 200
 
 
 def test_welfare_surplus(canonical):

@@ -421,7 +421,7 @@ def test_ladder_row_records_every_figure():
         "augmentations", "relaxations", "certificate_s", *synthesis, "priced_serialize_s",
         "priced_parse_s", "priced_in_table_order",
         "check_literal_s", "check_literal_verdict", "check_classic_s", "check_classic_verdict",
-        "cli_check_s", "cli_check_status",
+        "welfare_paper_s", "cli_check_s", "cli_check_override_s", "cli_check_status",
     ]  # fmt: skip
     for favor in ("travelers", "vehicles"):
         assert row[f"synthesis_{favor}_edges"] > 0 and row[f"synthesis_{favor}_relaxations"] > 0
@@ -521,6 +521,71 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
     money = 2 * len(inst.travelers) + len(pairs) + len({vid for _, vid in pairs})
     assert scaled == [money, len(set(payments))]
     assert len(set(payments)) < len(payments)
+
+
+def test_payments_are_read_as_ints_until_printed(tmp_path, monkeypatch, capsys):
+    """``solve --payments``, ``solve --objective paper``, ``check`` with and
+    without payments and overrides, and ``report`` build no schedule from a
+    dict of money on a run that exits 0 or 1, and build a schedule's
+    ``Fraction`` view only to print its payments: never on ``solve`` or
+    ``check``, and on ``report`` once for a feasible synthesis."""
+    inst = generate_instance(5, n=12, m=4)
+    a = solve_optimal_assignment(inst, with_certificate=False).assignment
+    synth = synthesize_stable_payments(inst, a)
+    assert synth.feasible
+    text = serialize_document(inst, synth.schedule)
+    (tid, vid), *_ = a.assigned_pairs()
+    raw = json.loads(text)
+    raw["payments"] = {t: row for t, row in raw["payments"].items() if t != tid}
+    infeasible = generate_instance(678, 3, 3)
+    docs = {}
+    for name, body in (
+        ("priced", text),
+        ("partial", json.dumps(raw)),
+        ("plain", serialize_document(inst)),
+        ("infeasible", serialize_document(infeasible)),
+    ):
+        docs[name] = tmp_path / f"{name}.json"
+        docs[name].write_text(body)
+    override = f"{tid}:{vid}=7/3"
+    riders = ",".join(f"{t}={v}" for t, v in a.assigned_pairs())
+    runs = [
+        (["solve", "priced"], 0),
+        (["solve", "plain", "--payments", override], 0),
+        (["solve", "priced", "--payments", f"{tid}=1/2"], 0),
+        (["solve", "plain", "--objective", "paper"], 0),
+        (["solve", "partial", "--objective", "paper", "--payments", override], 0),
+        (["check", "plain"], 0),
+        (["check", "priced"], 0),
+        (["check", "priced", "--assignment", riders, "--classic-core"], 0),
+        (["check", "priced", "--payments", override], 0),
+        (["check", "partial"], 0),
+        (["check", "partial", "--payments", f"{tid}=1000"], 0),
+        (["report", "priced"], 1),
+        (["report", "partial", "--payments", override], 1),
+        (["report", "infeasible"], 0),
+    ]
+    calls = Counter()
+    monkeypatch.setattr(
+        allocation.PaymentSchedule,
+        "__post_init__",
+        _counted(calls, "__post_init__", allocation.PaymentSchedule.__post_init__),
+    )
+    view = functools.cached_property(
+        _counted(calls, "entries", allocation.PaymentSchedule.entries.func)
+    )
+    view.__set_name__(allocation.PaymentSchedule, "entries")
+    monkeypatch.setattr(allocation.PaymentSchedule, "entries", view)
+    for argv, views in runs:
+        calls.clear()
+        argv = [argv[0], str(docs[argv[1]]), *argv[2:]]
+        assert main(argv) in (0, 1), argv
+        assert calls == Counter(entries=views), argv
+    # a negative override is named by a dict-form schedule, with exit 2
+    calls.clear()
+    assert main(["check", str(docs["priced"]), "--payments", f"{tid}=-1"]) == 2
+    assert calls["__post_init__"] == 1
+    capsys.readouterr()
 
 
 def _money_strings(doc):
