@@ -32,7 +32,9 @@ in-process at the optimum's riders (``check PATH --assignment ... --format
 machine``, standard output captured), timed, with its exit status, and
 then again with one override, ``--payments TID:VID=share``, that prices
 the first matched pair at the cost share it already pays.
-The tier-1 tests run in a child process, timed once on the wall clock.
+The tier-1 tests run in a child process, timed once on the wall clock,
+and ``src_lines`` counts the lines of the package's modules that are
+neither blank nor a comment alone.
 
 Method: every timed call runs with the cyclic garbage collector paused,
 as the CLI runs its commands, so no collection of earlier garbage lands
@@ -44,7 +46,8 @@ ladder: a figure times ``pace.REF_S / pace`` is its time at the
 benchmark's reference pace.  When the output is ``BENCH_<n>.json`` and an
 older ``BENCH_<k>.json`` lies beside it, the record also names the newest
 such file and holds each figure of each size, the tier-1 run and the pace
-in both as ``[before, after]``.  Compare files, not anecdotes, and read
+in both as ``[before, after]``, and ``src_lines`` so, ``null`` before
+when the older file has no count.  Compare files, not anecdotes, and read
 small differences against the two paces.
 """
 
@@ -232,6 +235,16 @@ def tier1() -> dict:
     return {"wall_s": wall_s, "exit_status": proc.returncode, **counts}
 
 
+def src_lines() -> int:
+    """The package's non-blank, non-comment lines."""
+    lines = [
+        line.lstrip()
+        for path in sorted((ROOT / "src" / "rideshare_market").glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    return sum(1 for line in lines if line and not line.startswith("#"))
+
+
 def previous(output: Path) -> Path | None:
     """The ladder file that ``output`` follows: the highest-numbered
     ``BENCH_<k>.json`` beside it, ``k`` below its own number, if any."""
@@ -273,6 +286,7 @@ def main(argv=None) -> int:
     record["pace"]["after_s"] = round(_pace(), 5)
     record["tier1"] = tier1()
     print(json.dumps(record["tier1"]), file=sys.stderr)
+    record["src_lines"] = src_lines()
     before = previous(Path(args.output))
     if before is not None:
         record["delta_against"] = before.name
@@ -281,6 +295,7 @@ def main(argv=None) -> int:
         for part in ("tier1", "pace"):
             old = baseline.get(part, {})
             record["delta"][part] = {k: [old[k], v] for k, v in record[part].items() if k in old}
+        record["delta"]["src_lines"] = [baseline.get("src_lines"), record["src_lines"]]
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

@@ -62,7 +62,9 @@ class PaymentSchedule:
 
     @classmethod
     def scaled(cls, pairs, den: int, ints: list) -> PaymentSchedule:
-        """``ints[k]`` over ``den`` pays for ``pairs[k]``: taken as given."""
+        """``ints[k]`` over ``den`` pays for ``pairs[k]``: taken as given.  A
+        ``den`` that is not a multiple of the pair table's is lifted to their
+        least common multiple where the schedule is read."""
         t = object.__new__(cls)
         t.__dict__.update(pairs=pairs, den=den, ints=ints)
         return t
@@ -146,35 +148,10 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
         ) from None
     # the matched profits as integers over common, a multiple of the table's den
     common, ints = scale_to_integers(profits, matrix.den)
-    n = len(matched)
-    violations, eq8 = _matched_rules(matrix, matched, ints[:n], ints[n:], common)
-    # off the match, the cheap tests first: compute_profits writes each off-match entry as _ZERO
-    riders = a.riders
-    for pair, rho in alloc.rho.items():
-        if rho is not _ZERO and pair[1] not in riders and rho:
-            violations.append(Violation("idle_vehicle_profit", pair, rho, _ZERO))
-    # a traveler is unassigned exactly when vehicle_of reads UNASSIGNED
-    assigned = {tid for tid, _ in matched}
-    for pair, pi in alloc.pi.items():
-        if pi is not _ZERO and pair[0] not in assigned and pi:
-            violations.append(Violation("unassigned_traveler_profit", pair, pi, _ZERO))
-    return CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
-
-
-def _matched_rules(matrix, matched, pis, rhos, common):
-    """Feasibility's rules on the matched pairs, as ``(violations, eq8)``.
-
-    ``pis`` and ``rhos`` hold each matched pair's profits times ``common``,
-    a multiple of the pair table's ``den``.  A pair breaks ``pi_nonneg`` or
-    ``rho_nonneg`` with its profit's exact value, a ``Fraction``;
-    ``pair_sum_identity`` is checked over ``common``; ``eq8`` is the literal
-    identity's status per pair.
-    """
     lift = common // matrix.den
     table, v_min = matrix.entries, matrix.v_min
-    violations = []
-    eq8 = {}
-    for pair, pi, rho in zip(matched, pis, rhos):
+    violations, eq8 = [], {}
+    for pair, pi, rho in zip(matched, ints, ints[len(matched) :]):
         value, share, surplus = table[pair]
         if pi < 0:
             violations.append(Violation("pi_nonneg", pair, Fraction(pi, common), _ZERO))
@@ -187,7 +164,17 @@ def _matched_rules(matrix, matched, pis, rhos, common):
         # the payment is rho + share: the literal identity reads
         # pi + rho == valuation - payment - share
         eq8[pair] = pi + rho == (value - 2 * share) * lift - rho
-    return violations, eq8
+    # off the match, the cheap tests first: compute_profits writes each off-match entry as _ZERO
+    riders = a.riders
+    for pair, rho in alloc.rho.items():
+        if rho is not _ZERO and pair[1] not in riders and rho:
+            violations.append(Violation("idle_vehicle_profit", pair, rho, _ZERO))
+    # a traveler is unassigned exactly when vehicle_of reads UNASSIGNED
+    assigned = {tid for tid, _ in matched}
+    for pair, pi in alloc.pi.items():
+        if pi is not _ZERO and pair[0] not in assigned and pi:
+            violations.append(Violation("unassigned_traveler_profit", pair, pi, _ZERO))
+    return CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
 
 
 def check_payments(
@@ -207,10 +194,11 @@ def check_payments(
     traveler's utility plus the vehicle's marginal seat profit.  This mode
     does not subtract the cost share from the rider's side twice.
 
-    Feasibility is decided from the matched payments alone, each found by
-    its position in the pair table: no profit matrix is built.  Both modes
-    then walk the pair table once, each traveler's pairs together, and
-    compare the integers that :func:`validate_schedule` lifts them to.
+    Feasibility is decided in one pass over the matched payments, each
+    found by its position in the pair table: no profit matrix is built.
+    Both modes then walk the pair table once, each traveler's pairs
+    together, and compare the integers that :func:`validate_schedule`
+    lifts them to.
     """
     common, pays = validate_schedule(inst, t)
     validate_assignment(inst, a)
@@ -220,30 +208,30 @@ def check_payments(
     # a matched payment x over common sets the pair's profits, pi = value -
     # v_min - x and rho = x - share, and the rider's own ride: its utility,
     # value - x, in classic-core mode, else its ride value, surplus - x.
-    # Derived so, pi + rho is surplus - v_min and every off-match profit is
-    # 0: of feasibility's rules only the matched pairs' nonnegativity can
-    # fail, and the idle-vehicle and unassigned-traveler rules are not run
-    matched = a.assigned_pairs()
-    pis, rhos, own = [], [], {}
-    for pair in matched:
+    # Derived so, pi + rho is surplus - v_min, the literal identity holds
+    # exactly when x is v_min, and every off-match profit is 0: of
+    # feasibility's rules only the matched pairs' nonnegativity can fail
+    violations, eq8, own, least = [], {}, {}, {}
+    for pair in a.assigned_pairs():
+        tid, vid = pair
         x = pays[matrix.position(pair)]
         value, share, surplus = table[pair]
-        pis.append((value - v_min[pair[0]]) * lift - x)
-        rhos.append(x - share * lift)
-        own[pair[0]] = (value if classic_core else surplus) * lift - x
-    violations, eq8 = _matched_rules(matrix, matched, pis, rhos, common)
+        pi, rho = (value - v_min[tid]) * lift - x, x - share * lift
+        if pi < 0:
+            violations.append(Violation("pi_nonneg", pair, Fraction(pi, common), _ZERO))
+        if rho < 0:
+            violations.append(Violation("rho_nonneg", pair, Fraction(rho, common), _ZERO))
+        eq8[pair] = x == v_min[tid] * lift
+        own[tid] = (value if classic_core else surplus) * lift - x
+        # the least profit the vehicle earns from a current rider
+        least[vid] = min(rho, least.get(vid, rho))
     feas = CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
     if violations:
         return feas, None
-    violations = []
     if classic_core:
-        # marginal seat profit: the smallest profit a full vehicle earns
-        # from a current rider; a spare seat earns 0
-        rho = dict(zip(matched, rhos))
-        seat = {}
-        for vid, riders in a.riders.items():
-            if len(riders) >= inst.vehicle(vid).capacity:
-                seat[vid] = min(rho[(tid, vid)] for tid in riders)
+        # marginal seat profit: a full vehicle's least rider profit; a spare
+        # seat earns 0
+        seat = {v: least[v] for v, on in a.riders.items() if len(on) >= inst.vehicle(v).capacity}
         # a rider's utility, valuation - payment, is >= v_min >= 0 once the
         # allocation is feasible (pi_nonneg); the unassigned have 0
         tid = None

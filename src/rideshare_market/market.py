@@ -364,11 +364,14 @@ def validate_assignment(inst: MarketInstance, a: Assignment):
 def validate_schedule(inst: MarketInstance, t) -> tuple:
     """``(den, ints)``: schedule ``t``'s payments in pair-table order, as
     ``int``s over ``den``, a multiple of the table's.  One scaled on the
-    table's own ``pairs`` is read as it is, any other looked up and lifted.
-    A compatible pair without a payment is an error; each is named, in order."""
+    table's own ``pairs`` is read as it is, or lifted to the least common
+    multiple of both ``den``s when its own is not a multiple of the
+    table's; any other is looked up and lifted.  A compatible pair without
+    a payment is an error; each is named, in order."""
     matrix = inst.compatibility
     if t.pairs is matrix.pairs:
-        return t.den, t.ints
+        up = matrix.den // math.gcd(t.den, matrix.den)
+        return t.den * up, t.ints if up == 1 else [x * up for x in t.ints]
     entries = t.entries
     try:
         pays = list(map(entries.__getitem__, matrix.pairs))

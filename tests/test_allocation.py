@@ -9,6 +9,7 @@ from rideshare_market import (
     CertificateError,
     CheckReport,
     MarketInstance,
+    ODPair,
     PaymentSchedule,
     ProfitAllocation,
     StabilityPreconditionError,
@@ -25,6 +26,7 @@ from rideshare_market import (
     surplus,
     synthesize_stable_payments,
     valuation,
+    welfare_paper,
 )
 from rideshare_market.allocation import (
     GE,
@@ -99,6 +101,36 @@ def test_an_incomplete_schedule_fails_one_rule_everywhere():
             call()
         errors.append(exc.value.errors)
     assert errors == [expected, expected]
+
+
+def test_a_scaled_schedule_over_any_den_reads_as_its_dict_form():
+    """A schedule scaled on the pair table's own pairs over a ``den`` that
+    is not a multiple of the table's is lifted, not read as it is: the
+    checkers, the profits, the welfare and the fixed-payment solve see the
+    same payments as in the schedule's dict form."""
+    lifted = 0
+    for seed in range(8):
+        inst = generate_instance(seed, n=6, m=2)
+        matrix = inst.compatibility
+        a = solve_optimal_assignment(inst).assignment
+        rng = random.Random(seed)
+        for den in (1, 2, 3, 4, 5, 7, 12):
+            ints = [rng.randint(0, 8 * den) for _ in matrix.pairs]
+            lifted += den % matrix.den != 0
+            reads = set()
+            for t in (
+                PaymentSchedule.scaled(matrix.pairs, den, ints),
+                PaymentSchedule(dict(zip(matrix.pairs, (F(x, den) for x in ints)))),
+            ):
+                reads.add(repr((
+                    check_payments(inst, a, t),
+                    check_payments(inst, a, t, classic_core=True),
+                    compute_profits(inst, a, t),
+                    welfare_paper(inst, a, t),
+                    solve_optimal_assignment(inst, payments=t),
+                )))
+            assert len(reads) == 1, (seed, den)
+    assert lifted >= 30
 
 
 def _key_orders(t: PaymentSchedule, seed: int):
@@ -250,6 +282,25 @@ def test_eq8_status_holds_exactly_at_vmin(canonical):
     above = PaymentSchedule({("T1", "V1"): F(3), ("T2", "V1"): F(0)})
     report = check_feasibility(canonical, BOTH, compute_profits(canonical, BOTH, above))
     assert report.eq8_status == {("T1", "V1"): False, ("T2", "V1"): True}
+    # check_payments reports the same status in both modes, also over a
+    # finer denominator than the table's, where v_min is read lifted: T1's
+    # v_min 1 is 3 in thirds, and T2's 0 is 1/3 below its payment
+    pairs = canonical.compatibility.pairs
+    thirds = [
+        (PaymentSchedule.scaled(pairs, 3, [3, 0]), {("T1", "V1"): True, ("T2", "V1"): True}),
+        (PaymentSchedule.scaled(pairs, 3, [4, 0]), {("T1", "V1"): False, ("T2", "V1"): True}),
+        (PaymentSchedule({("T1", "V1"): F(1), ("T2", "V1"): F(1, 3)}),
+         {("T1", "V1"): True, ("T2", "V1"): False}),
+    ]  # fmt: skip
+    expected = [(at_vmin, {("T1", "V1"): True, ("T2", "V1"): True})]
+    expected += [(above, {("T1", "V1"): False, ("T2", "V1"): True}), *thirds]
+    for t, status in expected:
+        feas = check_feasibility(canonical, BOTH, compute_profits(canonical, BOTH, t))
+        assert feas.eq8_status == status
+        for classic_core in (False, True):
+            got, _ = check_payments(canonical, BOTH, t, classic_core=classic_core)
+            assert got.eq8_status == status
+            assert repr(got) == repr(feas)
 
 
 def test_stability_accepts_canonical_point(canonical):
@@ -354,6 +405,29 @@ def test_classic_core_mode(canonical):
     report = check_stability(inst, BOTH, t, classic_core=True)
     assert not report.verdict
     assert any(v.kind == "blocking_pair" for v in report.violations)
+
+
+def test_classic_core_seat_profit_is_the_least_rider_profit(canonical):
+    """A full vehicle's marginal seat profit is the least profit it earns
+    from a current rider, whichever rider that is: V1 earns 3 from T1, its
+    first rider, and 0 from T2, so the unassigned T3 (surplus 2 on V1)
+    blocks with V1."""
+    v1 = canonical.vehicles[0]
+    t3 = Traveler("T3", ODPair("A", "B"), F(5), F(0), {"V1": F(1)})
+    inst = MarketInstance(canonical.network, (*canonical.travelers, t3), (v1,))
+    a = Assignment({"T1": "V1", "T2": "V1", "T3": UNASSIGNED})
+    t = PaymentSchedule({("T1", "V1"): F(5), ("T2", "V1"): F(2), ("T3", "V1"): F(0)})
+    alloc = compute_profits(inst, a, t)
+    assert (alloc.rho[("T1", "V1")], alloc.rho[("T2", "V1")]) == (3, 0)
+    feas, stab = check_payments(inst, a, t, classic_core=True)
+    assert feas.verdict
+    assert stab.violations == (Violation("blocking_pair", ("T3", "V1"), F(0), F(2)),)
+    # T2 as the first rider: the same least profit, the same verdict
+    swapped = Assignment({"T2": "V1", "T1": "V1", "T3": UNASSIGNED})
+    assert check_payments(inst, swapped, t, classic_core=True)[1] == stab
+    # with V1's least profit at 2 the seat covers T3's surplus
+    t = PaymentSchedule({("T1", "V1"): F(5), ("T2", "V1"): F(4), ("T3", "V1"): F(0)})
+    assert check_payments(inst, a, t, classic_core=True)[1].verdict
 
 
 def test_synthesis_on_optimal_assignment(canonical):

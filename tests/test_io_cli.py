@@ -33,7 +33,9 @@ from rideshare_market import (
     ValidationError,
     Vehicle,
     compute_profits,
+    cost_share,
     solve_optimal_assignment,
+    surplus,
     synthesize_stable_payments,
 )
 from rideshare_market.allocation import check_payments, validate_schedule
@@ -1233,6 +1235,53 @@ def test_generated_documents_keep_their_bytes(digest, seed, n, m, degenerate):
     document writer shows here, not only in CI."""
     text = serialize_document(generate_instance(seed, n=n, m=m, degenerate=degenerate))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_command_outputs_keep_their_bytes(tmp_path, capsys):
+    """The SHA-256 of standard output and the exit status of ``solve``,
+    ``synthesize`` and ``report`` on the seed-5 n=300 market and a
+    degenerate one, and of ``check`` in both modes at the n=300 optimum, on
+    the market priced as CI prices ``priced600.json``: each matched pair at
+    its cost share, every other pair at break-even.  A change to any
+    verdict, violation, certificate, schedule or their order shows here."""
+    out = {}
+
+    def run(name, argv):
+        status = main([*argv, "--format", "machine"])
+        out[name] = (hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest(), status)
+
+    for label, inst in (
+        ("n300", generate_instance(5, n=300, m=60)),
+        ("degenerate", generate_instance(0, n=8, m=3, degenerate=True)),
+    ):
+        path = tmp_path / f"{label}.json"
+        path.write_text(serialize_document(inst))
+        for command in ("solve", "synthesize", "report"):
+            run(f"{command} {label}", [command, str(path)])
+    # at the n=300 optimum the break-even default is infeasible, and both
+    # modes would print the same feasibility report; priced, both reach
+    # their stability walks
+    inst = parse_document((tmp_path / "n300.json").read_text()).instance
+    a = solve_optimal_assignment(inst, with_certificate=False).assignment
+    pays = {p: max(F(0), surplus(inst, *p)) for p in inst.compatible_pairs()}
+    pays.update((p, cost_share(inst, *p)) for p in a.assigned_pairs())
+    priced = tmp_path / "priced300.json"
+    priced.write_text(serialize_document(inst, PaymentSchedule(pays)))
+    argv = ["check", str(priced), "--assignment", ",".join(f"{t}={v}" for t, v in a.assigned_pairs())]
+    run("check priced300", argv)
+    run("check priced300 --classic-core", [*argv, "--classic-core"])
+    assert out == {
+        "solve n300": ("88f2eccfd6019a6d79155bb3553fa21f80897c515a6657d2b7ebd7cf6293353a", 0),
+        "synthesize n300": ("d007179152dcd161ff65e86f3fbbb71fe44a8bfb46172606391442a7abf66199", 1),
+        "report n300": ("f2f7a4c1c53dabed2ddcecfcb42843d921226c9aad50f27fc1b8765238c623be", 0),
+        "solve degenerate": ("8c1eba904715f41660cec1a95cef965c45b01eb8244ba7ceb9208343cd1c90fc", 0),
+        "synthesize degenerate": ("97e48bd55c9f195c0600a1acf366caae9ec1645875bbaab7bb0b625f0a3c4a01", 0),
+        "report degenerate": ("646aed47a1dc2c4d6cde1c8c941ff6b4134a21958d2d8f3b956b3216fe2c7ccd", 0),
+        "check priced300": ("159c3b602f3077c41f16118a476c079fbd3b994885008e5ce7f171c6c3d5ceca", 0),
+        "check priced300 --classic-core": (
+            "0f0f8ac77599fa8ab483b8b3751264a6fb9e128c8eb6846a6e6b0c5e61f784ce", 1
+        ),
+    }
 
 
 def test_cli_generate_to_file_then_report(tmp_path, capsys):

@@ -437,6 +437,31 @@ def test_ladder_row_records_every_figure():
     assert allocation.bellman_ford is solver.bellman_ford
 
 
+def test_ladder_counts_the_source_lines(tmp_path, monkeypatch):
+    """``bench/ladder.py`` records the package's non-blank, non-comment
+    lines as the shell counts them, beside the tier-1 run, and carries the
+    count into its delta, ``None`` before when the older file has none."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    shell = "cat src/rideshare_market/*.py | grep -v '^\\s*$' | grep -v '^\\s*#' | wc -l"
+    counted = subprocess.run(["sh", "-c", shell], cwd=path.parent.parent, capture_output=True, text=True)
+    assert ladder.src_lines() == int(counted.stdout) > 0
+    # one small size and no tier-1 run: the record's shape is what matters
+    monkeypatch.setattr(ladder, "SIZES", (20,))
+    monkeypatch.setattr(ladder, "tier1", lambda: {"wall_s": 1.0})
+    (tmp_path / "BENCH_1.json").write_text(json.dumps({"ladder": [], "tier1": {"wall_s": 2.0}}))
+    assert ladder.main(["-o", str(tmp_path / "BENCH_2.json")]) == 0
+    record = json.loads((tmp_path / "BENCH_2.json").read_text())
+    assert record["src_lines"] == ladder.src_lines()
+    assert record["delta"]["src_lines"] == [None, record["src_lines"]]
+    assert record["delta"]["tier1"] == {"wall_s": [2.0, 1.0]}
+    assert ladder.main(["-o", str(tmp_path / "BENCH_3.json")]) == 0
+    record = json.loads((tmp_path / "BENCH_3.json").read_text())
+    assert record["delta"]["src_lines"] == [record["src_lines"]] * 2
+
+
 def test_certificate_runs_bellman_ford_once_over_the_vehicles(monkeypatch):
     """Each certified solve, under either objective, prices the seats with
     one Bellman-Ford run over the vehicles and ``None``, the source and sink
