@@ -1,0 +1,363 @@
+"""Mutation score: how many deliberately broken copies of the package the
+tests catch.
+
+Run from anywhere, with the standard library and pytest only::
+
+    python3 bench/mutants.py
+
+Each entry of ``MUTANTS`` is one source patch: a file under
+``src/rideshare_market``, an ``old`` text that occurs there exactly once,
+the ``new`` text that replaces it, why the change is wrong, and the test
+node ids, under ``tests/``, that should catch it.  Each mutant is applied
+to a fresh temporary copy of ``src/``, never to the working tree; a child
+process first confirms that the package it imports is the copy's, then
+pytest runs the named tests with ``PYTHONPATH`` set to the copy, under a
+timeout of ``TIMEOUT_S`` seconds.  A mutant is killed when pytest fails or
+times out.  Every named test first runs once on an unpatched copy, and
+must pass there.  A mutant marked ``equivalent`` computes what the package
+computes, by the reason given; it is run and reported, and its survival
+is expected.
+
+The script prints one line per mutant, then ``killed/total`` and the wall
+time, and exits 1 when a mutant that is not marked equivalent survives.
+The list only grows: a mutant is never dropped to raise the score.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = "rideshare_market"
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    #: a module of the package, relative to ``src/rideshare_market``
+    file: str
+    old: str
+    new: str
+    why: str
+    #: pytest node ids, relative to the repository root
+    tests: tuple
+    #: why the mutant computes what the package computes, or ``None``
+    equivalent: str | None = None
+
+
+MUTANTS = (
+    # -- the reference checks, as the paper states them
+    Mutant(
+        "eq8_share_once",
+        "allocation.py",
+        "Fraction(value - 2 * share, den) - rho",
+        "Fraction(value - share, den) - rho",
+        "the literal identity subtracts the cost share from the payment and again on its own",
+        ("tests/test_allocation.py::test_eq8_status_holds_exactly_at_vmin",
+         "tests/test_allocation.py::test_checkers_equal_the_fraction_reference"),
+    ),
+    Mutant(
+        "forced_without_v_min",
+        "allocation.py",
+        "forced = Fraction(surplus - v_min[pair[0]], den)",
+        "forced = Fraction(surplus, den)",
+        "the paired-sum identity's right-hand side is the surplus net of v_min",
+        ("tests/test_allocation.py::test_feasibility_accepts_valid_allocation",
+         "tests/test_acceptance.py::test_checker_soundness_and_mutations"),
+    ),
+    Mutant(
+        "lp_vehicle_rows_rhs_one",
+        "oracles.py",
+        "LE, v.capacity) for v in inst.vehicles",
+        "LE, 1) for v in inst.vehicles",
+        "a vehicle's row bounds its riders by its capacity, not by one",
+        ("tests/test_solver.py::test_solver_agrees_with_oracle_and_lp",
+         "tests/test_acceptance.py::test_lp_relaxation_integrality"),
+    ),
+    Mutant(
+        "lp_traveler_rows_dropped",
+        "oracles.py",
+        "rows = [Row(tuple(int(tid == t.id) for tid, _ in pairs), LE, 1) for t in inst.travelers]",
+        "rows = []",
+        "without its row a traveler may ride several vehicles at once",
+        ("tests/test_solver.py::test_solver_agrees_with_oracle_and_lp",
+         "tests/test_acceptance.py::test_lp_relaxation_integrality"),
+    ),
+    # -- the matching and its tie rule
+    Mutant(
+        "tie_digit_by_id_rank",
+        "solver.py",
+        "adj[i][j] = w * top - (j + 1) * digit[i]",
+        "adj[i][j] = w * top - (sorted(vehicles).index(vid) + 1) * digit[i]",
+        "the tie rule follows the instance's vehicle order, not the ids' string order",
+        ("tests/test_metamorphic.py::test_relabelling_ids_relabels_every_output",),
+    ),
+    # -- the pair table
+    Mutant(
+        "per_seat_share_by_position",
+        "market.py",
+        "vehicles[k].capacity for k in served]",
+        "vehicles[k].capacity for k in range(len(served))]",
+        "each served vehicle's per-seat share is its own, found by its index, not its rank",
+        ("tests/test_metamorphic.py::test_padding_adds_only_zero_entries",
+         "tests/test_market.py::test_pair_table_matches_a_pair_by_pair_reference"),
+    ),
+    Mutant(
+        "trip_memo_taken_as_complete",
+        "market.py",
+        "ok = known.get(k)\n",
+        "ok = known.get(k, False if known else None)\n",
+        "the per-trip memo holds only the vehicles asked so far, not every vehicle that serves",
+        ("tests/test_metamorphic.py::test_reordering_keeps_the_objective_and_the_duals",
+         "tests/test_market.py::test_pair_table_matches_a_pair_by_pair_reference"),
+    ),
+    Mutant(
+        "position_search_one_pair_early",
+        "market.py",
+        "return self.pairs.index(pair, self.first[pair[0]])",
+        "return self.pairs.index(pair, max(0, self.first[pair[0]] - 1))",
+        "a pair occurs once in the table, so a search that starts earlier finds it too",
+        ("tests/test_allocation.py::test_a_schedule_reads_the_same_by_position_and_by_lookup",),
+        equivalent="each pair occurs once in the table, at or after its traveler's first pair",
+    ),
+    # -- welfare
+    Mutant(
+        "welfare_without_lift",
+        "market.py",
+        "rides = [matrix.entries[p][0] * lift - pays",
+        "rides = [matrix.entries[p][0] - pays",
+        "a payment over a finer denominator lifts the valuation to it too",
+        ("tests/test_market.py::test_welfare_paper_equals_the_fraction_reference",),
+    ),
+    Mutant(
+        "welfare_idle_taken_as_used",
+        "market.py",
+        "if v.id not in a.riders)",
+        "if v.id in a.riders)",
+        "the bookkeeping term is the operating cost of the vehicles that serve nobody",
+        ("tests/test_market.py::test_welfare_paper",
+         "tests/test_market.py::test_welfare_paper_equals_the_fraction_reference"),
+    ),
+    # -- profits and the checker
+    Mutant(
+        "profit_off_by_one",
+        "allocation.py",
+        "rho[pair] = Fraction(pay - share * lift, common)",
+        "rho[pair] = Fraction(pay - share * lift + 1, common)",
+        "a matched vehicle's profit is its payment minus its cost share, exactly",
+        ("tests/test_allocation.py::test_compute_profits",
+         "tests/test_allocation.py::test_checkers_equal_the_fraction_reference"),
+    ),
+    Mutant(
+        "profit_payment_at_first_pair",
+        "allocation.py",
+        "pay = pays[matrix.position(pair)]",
+        "pay = pays[matrix.first[pair[0]]]",
+        "a matched payment is the one of its own pair, not of its traveler's first pair",
+        ("tests/test_allocation.py::test_checkers_equal_the_fraction_reference",),
+    ),
+    Mutant(
+        "check_payment_at_first_pair",
+        "allocation.py",
+        "x = pays[matrix.position(pair)]",
+        "x = pays[matrix.first[tid]]",
+        "a matched payment is the one of its own pair, not of its traveler's first pair",
+        ("tests/test_allocation.py::test_checkers_equal_the_fraction_reference",),
+    ),
+    Mutant(
+        "check_validations_swapped",
+        "allocation.py",
+        "    common, pays = validate_schedule(inst, t)\n    validate_assignment(inst, a)\n",
+        "    validate_assignment(inst, a)\n    common, pays = validate_schedule(inst, t)\n",
+        "check_payments names a schedule's error before an assignment's",
+        ("tests/test_allocation.py::test_check_payments_feasibility_is_the_profit_path_at_scale",),
+    ),
+    Mutant(
+        "check_eq8_unlifted_v_min",
+        "allocation.py",
+        "eq8[pair] = x == v_min[tid] * lift",
+        "eq8[pair] = x == v_min[tid]",
+        "over a finer denominator than the table's, v_min is read lifted",
+        ("tests/test_allocation.py::test_eq8_status_holds_exactly_at_vmin",),
+    ),
+    Mutant(
+        "check_violation_over_table_den",
+        "allocation.py",
+        'Violation("rho_nonneg", pair, Fraction(rho, common), _ZERO)',
+        'Violation("rho_nonneg", pair, Fraction(rho, matrix.den), _ZERO)',
+        "a violation's value is over the schedule's denominator, which may be finer",
+        ("tests/test_allocation.py::test_checkers_equal_the_fraction_reference",),
+    ),
+    Mutant(
+        "seat_profit_taken_as_max",
+        "allocation.py",
+        "least[vid] = min(rho, least.get(vid, rho))",
+        "least[vid] = max(rho, least.get(vid, rho))",
+        "a full vehicle's marginal seat profit is its least rider profit",
+        ("tests/test_allocation.py::test_classic_core_seat_profit_is_the_least_rider_profit",),
+    ),
+    Mutant(
+        "seat_profit_from_first_rider",
+        "allocation.py",
+        "least[vid] = min(rho, least.get(vid, rho))",
+        "least.setdefault(vid, rho)",
+        "the least rider profit is over every rider, not the first",
+        ("tests/test_allocation.py::test_classic_core_seat_profit_is_the_least_rider_profit",),
+    ),
+    Mutant(
+        "envy_kinds_swapped",
+        "allocation.py",
+        'kind = "envy" if tid in own else "unassigned_envy"',
+        'kind = "unassigned_envy" if tid in own else "envy"',
+        "a rider's envy and an unassigned traveler's are named apart",
+        ("tests/test_allocation.py::test_stability_flags_envy",
+         "tests/test_allocation.py::test_stability_flags_unassigned_envy"),
+    ),
+    Mutant(
+        "exit_preferred_dropped",
+        "allocation.py",
+        "if mine < 0:",
+        "if False:",
+        "a rider whose own ride is worth less than 0 prefers to exit",
+        ("tests/test_allocation.py::test_stability_flags_exit_preferred",),
+    ),
+    # -- synthesis
+    Mutant(
+        "off_match_payment_floor",
+        "allocation.py",
+        "x[plus] = max(x[plus], x[minus] + rhs)",
+        "x[plus] = max(x[plus], x[minus] + rhs, den)",
+        "an off-match payment is the least value its rows allow, which may be 0",
+        ("tests/test_metamorphic.py::test_scaling_money_scales_every_amount",),
+    ),
+    # -- the parser
+    Mutant(
+        "key_count_skipped",
+        "instance_io.py",
+        'if sum(sizes) != text.count(":"):',
+        "if False:",
+        "only the count of keys shows that a document repeats none",
+        ("tests/test_io_cli.py::test_duplicate_keys_are_a_validation_error",
+         "tests/test_source.py::test_only_a_count_mismatch_decodes_with_the_pairs_hook"),
+    ),
+    Mutant(
+        "distinct_value_memo_over_every_type",
+        "instance_io.py",
+        "texts = list(distinct) if all(type(x) is str for x in distinct) else values",
+        "texts = list(distinct)",
+        "1, 1.0 and true are equal, but only 1 is money",
+        ("tests/test_io_cli.py::test_payment_values_stay_type_strict",),
+    ),
+    # -- the CLI's payments and output
+    Mutant(
+        "overrides_over_table_den",
+        "cli.py",
+        "den, lifted = scale_to_integers(priced.values(), base.den)",
+        "den, lifted = scale_to_integers(priced.values(), matrix.den)",
+        "overrides are scaled over the document's denominator, which may be finer",
+        ("tests/test_io_cli.py::test_an_override_prints_what_the_document_priced_so_prints",),
+    ),
+    Mutant(
+        "complete_document_ints_unlifted",
+        "cli.py",
+        "ints = [up * x for x in base.ints]",
+        "ints = list(base.ints)",
+        "an override over a finer denominator lifts the document's payments to it",
+        ("tests/test_io_cli.py::test_an_override_prints_what_the_document_priced_so_prints",),
+    ),
+    Mutant(
+        "partial_document_ints_unlifted",
+        "cli.py",
+        "ints[matrix.position(pair)] = up * x",
+        "ints[matrix.position(pair)] = x",
+        "a partly priced document's payments are lifted with the overrides",
+        ("tests/test_io_cli.py::test_an_override_prints_what_the_document_priced_so_prints",),
+    ),
+    Mutant(
+        "break_even_default_unlifted",
+        "cli.py",
+        "ints = [lift * s if s > 0 else 0",
+        "ints = [s if s > 0 else 0",
+        "the break-even default is the surplus over the schedule's denominator",
+        ("tests/test_io_cli.py::test_every_form_of_a_schedule_agrees",
+         "tests/test_io_cli.py::test_payment_intake_builds_a_scaled_schedule_or_raises"),
+    ),
+    Mutant(
+        "machine_output_indented",
+        "cli.py",
+        'text = json.dumps(doc, default=str) + "\\n"',
+        'text = json.dumps(doc, default=str, indent=2) + "\\n"',
+        "machine output is one line, as json.dumps writes it",
+        ("tests/test_io_cli.py::test_machine_output_is_what_json_dump_writes",),
+    ),
+)
+
+
+def _apply(mutant: Mutant, src: Path) -> None:
+    path = src / PACKAGE / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: the old text does not occur exactly once")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def fails(mutant: Mutant | None, tests) -> tuple:
+    """``(failed, seconds)`` of pytest on ``tests`` over a copy of ``src/``,
+    patched by ``mutant`` unless it is ``None``."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            _apply(mutant, src)
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        where = subprocess.run(
+            [sys.executable, "-c", f"import {PACKAGE}; print({PACKAGE}.__file__)"],
+            cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        if not Path(where).resolve().is_relative_to(src.resolve()):
+            raise SystemExit(f"the child imports {where}, not the copy")
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+        try:
+            done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True,
+                                  timeout=TIMEOUT_S)
+            failed = done.returncode != 0
+        except subprocess.TimeoutExpired:
+            failed = True
+    return failed, time.perf_counter() - start
+
+
+def main() -> int:
+    start = time.perf_counter()
+    # every named test must pass on the unpatched copy, or no kill means anything
+    named = list(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+    failed, seconds = fails(None, named)
+    verdict = "FAILED" if failed else "passed"
+    print(f"unpatched copy, {len(named)} tests: {verdict}, {seconds:.1f} s")
+    if failed:
+        return 1
+    killed = survived = 0
+    for mutant in MUTANTS:
+        dead, seconds = fails(mutant, mutant.tests)
+        killed += dead
+        if dead:
+            verdict = "killed"
+        elif mutant.equivalent:
+            verdict = f"equivalent ({mutant.equivalent})"
+        else:
+            verdict = "SURVIVED"
+            survived += 1
+        print(f"{mutant.name}: {verdict}, {seconds:.1f} s", flush=True)
+    print(f"{killed}/{len(MUTANTS)} killed in {time.perf_counter() - start:.1f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

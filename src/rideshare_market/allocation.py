@@ -23,7 +23,6 @@ from rideshare_market.market import (
     UNASSIGNED,
     _ZERO,
     _money,
-    scale_to_integers,
     validate_assignment,
     validate_schedule,
 )
@@ -135,35 +134,29 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
     definitions force), zero vehicle profit off the served set, and zero
     traveler profit for the unassigned.  The literal utility-based variant
     of the identity is reported per pair in ``eq8_status``, never enforced.
+    Matched profits are money: a ``float`` or ``bool`` raises.
     """
     validate_assignment(inst, a)
     matrix = inst.compatibility
     matched = a.assigned_pairs()
-    try:
-        profits = [alloc.pi[p] for p in matched] + [alloc.rho[p] for p in matched]
-    except KeyError:
-        missing = [p for p in matched if p not in alloc.pi or p not in alloc.rho]
-        raise ValidationError(
-            [f"feasibility: no profit for matched pair {p!r}" for p in missing]
-        ) from None
-    # the matched profits as integers over common, a multiple of the table's den
-    common, ints = scale_to_integers(profits, matrix.den)
-    lift = common // matrix.den
-    table, v_min = matrix.entries, matrix.v_min
+    missing = [p for p in matched if p not in alloc.pi or p not in alloc.rho]
+    if missing:
+        raise ValidationError([f"feasibility: no profit for matched pair {p!r}" for p in missing])
+    table, v_min, den = matrix.entries, matrix.v_min, matrix.den
     violations, eq8 = [], {}
-    for pair, pi, rho in zip(matched, ints, ints[len(matched) :]):
+    for pair in matched:
+        pi, rho = _money(alloc.pi[pair]), _money(alloc.rho[pair])
         value, share, surplus = table[pair]
         if pi < 0:
-            violations.append(Violation("pi_nonneg", pair, Fraction(pi, common), _ZERO))
+            violations.append(Violation("pi_nonneg", pair, pi, _ZERO))
         if rho < 0:
-            violations.append(Violation("rho_nonneg", pair, Fraction(rho, common), _ZERO))
-        forced = (surplus - v_min[pair[0]]) * lift
+            violations.append(Violation("rho_nonneg", pair, rho, _ZERO))
+        forced = Fraction(surplus - v_min[pair[0]], den)
         if pi + rho != forced:
-            lhs, rhs = Fraction(pi + rho, common), Fraction(forced, common)
-            violations.append(Violation("pair_sum_identity", pair, lhs, rhs))
+            violations.append(Violation("pair_sum_identity", pair, pi + rho, forced))
         # the payment is rho + share: the literal identity reads
         # pi + rho == valuation - payment - share
-        eq8[pair] = pi + rho == (value - 2 * share) * lift - rho
+        eq8[pair] = pi + rho == Fraction(value - 2 * share, den) - rho
     # off the match, the cheap tests first: compute_profits writes each off-match entry as _ZERO
     riders = a.riders
     for pair, rho in alloc.rho.items():

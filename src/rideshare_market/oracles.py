@@ -18,8 +18,6 @@ is loaded only when :func:`assignment_lp_relaxation` runs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from rideshare_market.errors import OracleScaleError, ValidationError
 from rideshare_market.market import (
     Assignment, MarketInstance, UNASSIGNED, _ZERO, surplus_matrix, valuation
@@ -57,25 +55,16 @@ def assignment_lp_relaxation(inst: MarketInstance, payments=None):
 
     weights = _objective_weights(inst, payments)
     pairs = inst.compatible_pairs()
-    idx = {p: k for k, p in enumerate(pairs)}
-    rows = []
-    for t in inst.travelers:
-        coeffs = [_ZERO] * len(pairs)
-        for v in inst.vehicles:
-            if (t.id, v.id) in idx:
-                coeffs[idx[(t.id, v.id)]] = Fraction(1)
-        rows.append(Row(tuple(coeffs), LE, Fraction(1)))
-    for v in inst.vehicles:
-        coeffs = [_ZERO] * len(pairs)
-        for t in inst.travelers:
-            if (t.id, v.id) in idx:
-                coeffs[idx[(t.id, v.id)]] = Fraction(1)
-        rows.append(Row(tuple(coeffs), LE, Fraction(v.capacity)))
+    # each traveler rides at most once, each vehicle carries at most its capacity
+    rows = [Row(tuple(int(tid == t.id) for tid, _ in pairs), LE, 1) for t in inst.travelers]
+    rows += [
+        Row(tuple(int(vid == v.id) for _, vid in pairs), LE, v.capacity) for v in inst.vehicles
+    ]
     problem = LPProblem(
         len(pairs),
         tuple(weights[p] for p in pairs),
         tuple(rows),
-        upper_bounds=tuple(Fraction(1) for _ in pairs),
+        upper_bounds=(1,) * len(pairs),
     )
     return pairs, lp_solve(problem)
 

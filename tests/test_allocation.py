@@ -227,6 +227,19 @@ def test_feasibility_names_each_matched_pair_without_a_profit(canonical):
     assert info.value.errors == ["feasibility: no profit for matched pair ('T2', 'V1')"]
 
 
+def test_feasibility_refuses_float_and_bool_profits(canonical):
+    """A matched profit is money: a ``float`` or a ``bool`` raises the error
+    every money intake raises, and is never taken as an exact amount."""
+    t = PaymentSchedule({("T1", "V1"): F(3), ("T2", "V1"): F(2)})
+    for table, pair, bad in (("pi", ("T1", "V1"), 0.5), ("rho", ("T2", "V1"), True)):
+        alloc = compute_profits(canonical, BOTH, t)
+        getattr(alloc, table)[pair] = bad
+        with pytest.raises(ValidationError) as info:
+            check_feasibility(canonical, BOTH, alloc)
+        kind = type(bad).__name__
+        assert info.value.errors == [f"money value {bad!r} is a {kind}, not an exact number"]
+
+
 def test_feasibility_flags_negative_traveler_profit(canonical):
     # payment 9 exceeds T1's value net of v_min: pi = 8 - 9 - 1 = -2
     t = PaymentSchedule({("T1", "V1"): F(9), ("T2", "V1"): F(2)})
@@ -925,9 +938,10 @@ def test_checkers_equal_the_fraction_reference():
     """Over 420 random schedules on per-seat and explicit markets, the
     integer checkers give the reports of the ``Fraction`` reference, in
     both stability modes; so does ``check_feasibility`` on allocations
-    with a few profits moved, on and off the match."""
+    with a few profits moved, on and off the match, and with ``int``
+    profits on the match, whose violations it reports as ``Fraction``s."""
     rng = random.Random(13)
-    verdicts, lifted, schedules = set(), 0, 0
+    verdicts, lifted, schedules, ints = set(), 0, 0, 0
     for seed in range(70):
         n, m = 2 + seed % 9, 1 + seed % 3
         inst = generate_instance(9100 + seed, n=n, m=m, degenerate=seed % 4 == 0)
@@ -947,7 +961,14 @@ def test_checkers_equal_the_fraction_reference():
             assert repr(check_feasibility(inst, a, alloc)) == repr(
                 _reference_feasibility(inst, a, alloc)
             )
-    assert schedules >= 300 and lifted >= 300
+            # int profits on the match: reported as Fractions, the reference's values
+            for p in a.assigned_pairs()[:2]:
+                alloc.pi[p], alloc.rho[p] = rng.randint(-2, 4), rng.randint(-2, 4)
+            report = check_feasibility(inst, a, alloc)
+            assert report == _reference_feasibility(inst, a, alloc)
+            assert all(type(x) is F for v in report.violations for x in (v.lhs, v.rhs))
+            ints += sum(type(alloc.pi[p]) is int for p in a.assigned_pairs())
+    assert schedules >= 300 and lifted >= 300 and ints >= 300
     assert {True, False, None} <= verdicts
 
 

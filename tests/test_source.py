@@ -462,6 +462,24 @@ def test_ladder_counts_the_source_lines(tmp_path, monkeypatch):
     assert record["delta"]["src_lines"] == [record["src_lines"]] * 2
 
 
+def test_mutants_still_apply():
+    """Every mutant of ``bench/mutants.py`` still patches the package: its
+    ``old`` text occurs exactly once in its module and differs from its
+    ``new`` one, each name is used once, and each named test file exists."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("mutants", root / "bench" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(names) >= 16 and len(set(names)) == len(names)
+    for m in mutants.MUTANTS:
+        text = (root / "src" / "rideshare_market" / m.file).read_text(encoding="utf-8")
+        assert text.count(m.old) == 1 and m.new != m.old, m.name
+        assert m.why and m.tests, m.name
+        for test in m.tests:
+            assert test.startswith("tests/") and (root / test.split("::")[0]).is_file(), test
+
+
 def test_certificate_runs_bellman_ford_once_over_the_vehicles(monkeypatch):
     """Each certified solve, under either objective, prices the seats with
     one Bellman-Ford run over the vehicles and ``None``, the source and sink
@@ -533,7 +551,7 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
         scaled.append(len(values))
         return original(values, den)
 
-    for module in (market, allocation, instance_io, cli):
+    for module in (market, instance_io, cli):
         monkeypatch.setattr(module, "scale_to_integers", scale)
     assert main(["check", str(path), "--assignment", spec, "--format", "machine"]) == 0
     assert json.loads(capsys.readouterr().out)["stability"]["verdict"] is True
