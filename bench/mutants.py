@@ -73,6 +73,14 @@ MUTANTS = (
          "tests/test_acceptance.py::test_checker_soundness_and_mutations"),
     ),
     Mutant(
+        "off_match_profit_taken_as_given",
+        "allocation.py",
+        "            pi = _money(pi)\n",
+        "",
+        "an off-match profit is money, as a matched one is: a bool or float raises",
+        ("tests/test_allocation.py::test_feasibility_reads_off_match_profits_as_money",),
+    ),
+    Mutant(
         "lp_vehicle_rows_rhs_one",
         "oracles.py",
         "LE, v.capacity) for v in inst.vehicles",
@@ -126,6 +134,40 @@ MUTANTS = (
         "a pair occurs once in the table, so a search that starts earlier finds it too",
         ("tests/test_allocation.py::test_a_schedule_reads_the_same_by_position_and_by_lookup",),
         equivalent="each pair occurs once in the table, at or after its traveler's first pair",
+    ),
+    Mutant(
+        "traveler_left_unlifted",
+        "market.py",
+        "lift = common // den\n",
+        "lift = 1\n",
+        "a traveler over a divisor of the travelers' common denominator is lifted to it",
+        ("tests/test_io_cli.py::test_both_intake_forms_agree",),
+    ),
+    Mutant(
+        "den_keeps_money_off_the_pairs",
+        "market.py",
+        "cut = math.gcd(common, *highs, *v_min.values(), *values)",
+        "cut = 1",
+        "the table's denominator is that of its own terms, not of every inconvenience entry",
+        ("tests/test_market.py::test_pair_table_den_ignores_money_off_the_pairs",
+         "tests/test_io_cli.py::test_both_intake_forms_agree"),
+    ),
+    Mutant(
+        "scaled_range_excludes_zero",
+        "market.py",
+        "min(inconvenience.values()) >= 0",
+        "min(inconvenience.values()) > 0",
+        "an inconvenience of 0 is inside [0, v_max]",
+        ("tests/test_market.py::test_range_checks_match_fraction_comparisons",
+         "tests/test_io_cli.py::test_round_trip_canonical"),
+    ),
+    Mutant(
+        "scaled_range_excludes_v_max",
+        "market.py",
+        "max(inconvenience.values()) <= v_max",
+        "max(inconvenience.values()) < v_max",
+        "an inconvenience equal to v_max is inside [0, v_max]",
+        ("tests/test_market.py::test_range_checks_match_fraction_comparisons",),
     ),
     # -- welfare
     Mutant(
@@ -254,6 +296,14 @@ MUTANTS = (
         "texts = list(distinct)",
         "1, 1.0 and true are equal, but only 1 is money",
         ("tests/test_io_cli.py::test_payment_values_stay_type_strict",),
+    ),
+    Mutant(
+        "running_den_without_relift",
+        "instance_io.py",
+        "            for held in self:\n                self[held] *= up\n",
+        "",
+        "a new denominator lifts every value already held, or a later row reads it too small",
+        ("tests/test_io_cli.py::test_both_intake_forms_agree",),
     ),
     # -- the CLI's payments and output
     Mutant(

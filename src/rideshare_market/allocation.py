@@ -157,16 +157,21 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
         # the payment is rho + share: the literal identity reads
         # pi + rho == valuation - payment - share
         eq8[pair] = pi + rho == Fraction(value - 2 * share, den) - rho
-    # off the match, the cheap tests first: compute_profits writes each off-match entry as _ZERO
+    # off the match, the cheap tests first: compute_profits writes each
+    # off-match entry as _ZERO; any other is money, read as a matched one is
     riders = a.riders
     for pair, rho in alloc.rho.items():
-        if rho is not _ZERO and pair[1] not in riders and rho:
-            violations.append(Violation("idle_vehicle_profit", pair, rho, _ZERO))
+        if rho is not _ZERO and pair[1] not in riders:
+            rho = _money(rho)
+            if rho:
+                violations.append(Violation("idle_vehicle_profit", pair, rho, _ZERO))
     # a traveler is unassigned exactly when vehicle_of reads UNASSIGNED
     assigned = {tid for tid, _ in matched}
     for pair, pi in alloc.pi.items():
-        if pi is not _ZERO and pair[0] not in assigned and pi:
-            violations.append(Violation("unassigned_traveler_profit", pair, pi, _ZERO))
+        if pi is not _ZERO and pair[0] not in assigned:
+            pi = _money(pi)
+            if pi:
+                violations.append(Violation("unassigned_traveler_profit", pair, pi, _ZERO))
     return CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
 
 

@@ -9,6 +9,7 @@ input and converted exactly.  Serialization round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -127,6 +128,59 @@ def _parse_money(value, where, errors, memo):
         pass
     errors.append(f"{where}: not an exact number: {value!r} (use \"p/q\" strings)")
     return _ZERO
+
+
+class _Scaled(dict):
+    """Each money string of the travelers -> its value as an ``int`` over
+    ``den``, the least common multiple of their denominators so far.  A
+    money string is converted on its first lookup, once per document, and
+    its value kept in ``memo`` too; one whose denominator does not divide
+    ``den`` raises it and lifts every value already held, work on the
+    distinct strings alone.  A lookup of anything that is no money string
+    raises ``KeyError``, for :meth:`row` to report.  Keyed by strings
+    only, as ``memo`` is, so ``true``, ``1.0`` and ``1`` never pass for
+    ``"1"``."""
+
+    den = 1
+
+    def __init__(self, memo):
+        super().__init__()
+        self.memo = memo
+
+    def __missing__(self, text):
+        if type(text) is not str:
+            raise KeyError(text)
+        try:
+            number = exact_number(text)
+        except (ValueError, ZeroDivisionError, ValidationError):
+            raise KeyError(text) from None
+        self.memo[text] = number
+        q = number.denominator
+        if self.den % q:
+            up = q // math.gcd(self.den, q)
+            self.den *= up
+            for held in self:
+                self[held] *= up
+        value = self[text] = number.numerator * (self.den // q)
+        return value
+
+    def row(self, where, v_max, v_min, inconvenience, errors) -> tuple:
+        """``(v_max, v_min, inconvenience)`` of one traveler as ``int``s over
+        ``den``.  A value that is no money string is converted one at a
+        time, in field order, and one that does not convert is recorded as
+        an error naming ``where`` and read as 0; the row is read once every
+        value is looked up, when ``den`` is final."""
+        others = {}  # position -> a JSON integer, or 0 for an error
+        fields = (("v_max", v_max), ("v_min", v_min), *inconvenience.items())
+        for k, (key, value) in enumerate(fields):
+            try:
+                self[value]
+            except (KeyError, TypeError):
+                name = key if k < 2 else f"inconvenience[{key!r}]"
+                others[k] = _parse_money(value, f"{where}: {name}", errors, self.memo).numerator
+        values = [v_max, v_min, *inconvenience.values()]
+        ints = [others[k] * self.den if k in others else self[x] for k, x in enumerate(values)]
+        return ints[0], ints[1], dict(zip(inconvenience, ints[2:]))
 
 
 def _entities(doc, section, errors):
@@ -284,7 +338,7 @@ def parse_document(text: str) -> InstanceDocument:
     except ValidationError as exc:
         errors.extend(exc.errors)
 
-    travelers, tids = [], set()
+    travelers, tids, scaled = [], set(), _Scaled(memo)
     for tid, entry in _entities(doc, "travelers", errors):
         tids.add(tid)
         where = f"traveler {tid!r}"
@@ -303,25 +357,17 @@ def parse_document(text: str) -> InstanceDocument:
         if type(inconvenience) is not dict:
             inconvenience = _typed(inconvenience, dict, f"{where}: inconvenience", errors, {})
         v_max, v_min = entry.get("v_max", 0), entry.get("v_min", 0)
+        den = None
+        try:  # every value a money string, converted on its first lookup: read in C,
+            # and read again when den grew meanwhile
+            while den != scaled.den:
+                den = scaled.den
+                row = dict(zip(inconvenience, map(scaled.__getitem__, inconvenience.values())))
+                hi, lo = scaled[v_max], scaled[v_min]
+        except (KeyError, TypeError):  # TypeError: a list or an object
+            hi, lo, row = scaled.row(where, v_max, v_min, inconvenience, errors)
         try:
-            travelers.append(
-                Traveler(
-                    id=tid,
-                    od=od,
-                    v_max=memo[v_max]
-                    if type(v_max) is str and v_max in memo
-                    else _parse_money(v_max, f"{where}: v_max", errors, memo),
-                    v_min=memo[v_min]
-                    if type(v_min) is str and v_min in memo
-                    else _parse_money(v_min, f"{where}: v_min", errors, memo),
-                    inconvenience={
-                        vid: memo[phi]
-                        if type(phi) is str and phi in memo
-                        else _parse_money(phi, f"{where}: inconvenience[{vid!r}]", errors, memo)
-                        for vid, phi in inconvenience.items()
-                    },
-                )
-            )
+            travelers.append(Traveler.scaled(tid, od, scaled.den, hi, lo, row))
         except ValidationError as exc:
             errors.extend(exc.errors)
 
@@ -373,7 +419,8 @@ def parse_document(text: str) -> InstanceDocument:
     errors += [
         f"traveler {t.id!r}: inconvenience: unknown vehicle id {vid!r}"
         for t in travelers
-        for vid in t.inconvenience
+        if not t.ints[3].keys() <= vids
+        for vid in t.ints[3]
         if vid not in vids
     ]
     errors += [

@@ -4,8 +4,11 @@ Money enters and leaves as :class:`fractions.Fraction`; the package never
 rounds, and refuses a ``float`` or ``bool`` amount.  The range checks of
 :class:`Traveler` (``0 <= v_min <= v_max`` and
 ``0 <= inconvenience <= v_max``) run once, as the traveler is built, on
-integers: each bound and value as ``numerator / denominator``,
-cross-multiplied.  The pair table holds each compatible pair's terms as
+integers: ``Traveler(...)`` cross-multiplies each bound and value as
+``numerator / denominator``, and :meth:`Traveler.scaled`, which the parser
+calls with a document's money already as ``int``s over one denominator,
+compares those.  The pair table reads each traveler's money as ``int``s
+(:attr:`Traveler.ints`) and holds each compatible pair's terms as
 ``int``s over the instance's least common denominator, and every reader
 compares those integers; the scalar formulas make one ``Fraction`` per
 answer, and ``Fraction``s otherwise appear only in violations and output.
@@ -18,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 from rideshare_market.errors import IncompatiblePairError, ValidationError
 from rideshare_market.network import (
@@ -62,16 +66,57 @@ def scale_to_integers(values, den=1):
     return common, [n * cofactor[d] for n, d in ratios]
 
 
+def _range_errors(tid, bounds_ok: bool, outside) -> list:
+    """Traveler ``tid``'s range errors, in order: its bounds, then each
+    vehicle id in ``outside``, whose inconvenience is outside [0, v_max]."""
+    errors = [] if bounds_ok else [f"traveler {tid!r}: needs 0 <= v_min <= v_max"]
+    errors += [
+        f"traveler {tid!r}: inconvenience for vehicle {vid!r} outside [0, v_max]"
+        for vid in outside
+    ]
+    return errors
+
+
+class _View:
+    """A money field of a traveler built by :meth:`Traveler.scaled`, made
+    from its ``ints`` on first read by ``build(den, v_max, v_min, row)``.
+    A traveler built from money holds the field itself, which hides this
+    one.  Read on the class it raises ``AttributeError``, so that
+    ``@dataclass`` sees no default and ``Traveler(...)`` still requires
+    the field."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, t, owner=None):
+        if t is None:
+            raise AttributeError(self.name)
+        value = t.__dict__[self.name] = self.build(*t.ints)
+        return value
+
+
 @dataclass(frozen=True)
 class Traveler:
+    """A rider: a trip, the bounds of its value and an inconvenience per
+    vehicle.  ``Traveler(...)`` checks money and keeps it; the parser
+    builds one in a document's integer scale with :meth:`scaled`, whose
+    money fields are then views built on first read.  Either way
+    :attr:`ints` holds the money as ``int``s over one denominator, and the
+    pair table reads only that."""
+
     id: str
     od: ODPair
-    v_max: Fraction
-    v_min: Fraction
+    v_max: Fraction = _View(lambda den, v_max, v_min, row: Fraction(v_max, den))
+    v_min: Fraction = _View(lambda den, v_max, v_min, row: Fraction(v_min, den))
     #: vehicle id -> inconvenience (money).  A vehicle is compatible only if
     #: its route serves ``od`` (:func:`~rideshare_market.network.serves`)
     #: *and* an entry exists here.
-    inconvenience: dict
+    inconvenience: dict = _View(
+        lambda den, v_max, v_min, row: dict(zip(row, map(Fraction, row.values(), repeat(den))))
+    )
 
     def __post_init__(self):
         v_max, v_min = self.v_max, self.v_min
@@ -82,22 +127,41 @@ class Traveler:
         # 0 <= n/d <= hi/hd as integers: n >= 0 and n * hd <= hi * d, for d, hd > 0
         hi, hd = v_max.as_integer_ratio()
         n, d = v_min.as_integer_ratio()
-        errors = []
-        if not (n >= 0 and n * hd <= hi * d):
-            errors.append(f"traveler {self.id!r}: needs 0 <= v_min <= v_max")
+        bounds_ok = n >= 0 and n * hd <= hi * d
+        outside = []
         inconvenience = dict(self.inconvenience)
         for vid, phi in inconvenience.items():
             if type(phi) is not Fraction:
                 inconvenience[vid] = phi = _money(phi)
             n, d = phi.as_integer_ratio()
             if not (n >= 0 and n * hd <= hi * d):
-                errors.append(
-                    f"traveler {self.id!r}: inconvenience for vehicle {vid!r} "
-                    f"outside [0, v_max]"
-                )
+                outside.append(vid)
         object.__setattr__(self, "inconvenience", inconvenience)
-        if errors:
-            raise ValidationError(errors)
+        if not bounds_ok or outside:
+            raise ValidationError(_range_errors(self.id, bounds_ok, outside))
+
+    @classmethod
+    def scaled(cls, id, od, den: int, v_max: int, v_min: int, inconvenience: dict) -> Traveler:
+        """``v_max``, ``v_min`` and each value of ``inconvenience`` are
+        ``int``s over ``den``, checked as ``Traveler(...)`` checks its money,
+        with its messages, and kept as given."""
+        bounds_ok = 0 <= v_min <= v_max
+        if not bounds_ok or inconvenience and not (
+            min(inconvenience.values()) >= 0 and max(inconvenience.values()) <= v_max
+        ):
+            outside = [vid for vid, phi in inconvenience.items() if not 0 <= phi <= v_max]
+            raise ValidationError(_range_errors(id, bounds_ok, outside))
+        t = object.__new__(cls)
+        t.__dict__.update(id=id, od=od, ints=(den, v_max, v_min, inconvenience))
+        return t
+
+    @cached_property
+    def ints(self) -> tuple:
+        """``(den, v_max, v_min, inconvenience)``: the money as ``int``s over
+        ``den``.  A scaled traveler keeps those it was built with; one built
+        from money gets the least common denominator of its own values."""
+        den, ints = scale_to_integers([self.v_max, self.v_min, *self.inconvenience.values()])
+        return den, ints[0], ints[1], dict(zip(self.inconvenience, ints[2:]))
 
 
 @dataclass(frozen=True)
@@ -225,19 +289,30 @@ class MarketInstance:
         """Every compatible pair and its terms, derived once, as integers
         over the least common denominator of the travelers' ``v_max`` and
         ``v_min`` and the pairs' inconvenience and cost share.  In explicit
-        mode a compatible pair without a cost share is a validation error."""
+        mode a compatible pair without a cost share is a validation error.
+        Each traveler's money is read from its :attr:`Traveler.ints`."""
         explicit = self.cost_share_mode == EXPLICIT
         vehicles = self.vehicles
-        # per pair: its ids, its vehicle's index and its inconvenience; its
+        # per pair: its ids, its vehicle's index and its valuation; its
         # explicit share, or in per-seat mode one share per served vehicle
-        pairs, cols, phis, shares, errors, first = [], [], [], [], [], {}
+        pairs, cols, values, shares, errors, first = [], [], [], [], [], {}
+        highs, v_min = [], {}
         index = {v.id: k for k, v in enumerate(vehicles)}
         route_stops = self._stops
+        # every traveler's money over one denominator; a parsed document's
+        # travelers are over divisors of its last one
+        common = math.lcm(*{t.ints[0] for t in self.travelers})
         # per trip: vehicle index -> whether its route serves the trip, asked
         # only of the vehicles that the trip's travelers name
         by_trip = {}
         for t in self.travelers:
-            tid, od, own = t.id, t.od, t.inconvenience
+            tid, od = t.id, t.od
+            den, hi, lo, own = t.ints
+            if den != common:
+                lift = common // den
+                hi, lo, own = hi * lift, lo * lift, dict(zip(own, map(lift.__mul__, own.values())))
+            highs.append(hi)
+            v_min[tid] = lo
             trip = (od.origin, od.destination)
             known = by_trip.get(trip)
             if known is None:
@@ -253,7 +328,6 @@ class MarketInstance:
                 if not ok:
                     continue
                 vid = vehicles[k].id
-                phi = own[vid]
                 if explicit:
                     share = (vehicles[k].cost_shares or {}).get(tid)
                     if share is None:
@@ -265,25 +339,29 @@ class MarketInstance:
                     shares.append(share)
                 pairs.append((tid, vid))
                 cols.append(k)
-                phis.append(phi)
+                values.append(hi - own[vid])
         if errors:
             raise ValidationError(errors)
+        # money off the pairs may have raised common: what every bound and
+        # valuation shares is no denominator of the table's
+        cut = math.gcd(common, *highs, *v_min.values(), *values)
+        if cut > 1:
+            common //= cut
+            v_min = {tid: x // cut for tid, x in v_min.items()}
+            values = [x // cut for x in values]
         if not explicit:
             served = sorted(set(cols))
             shares = [vehicles[k].operating_cost / vehicles[k].capacity for k in served]
-        bounds = [x for t in self.travelers for x in (t.v_max, t.v_min)]
-        den, ints = scale_to_integers(bounds + phis + shares)
-        # ints: v_max and v_min per traveler, phi per pair, then the shares
-        tids, b, p = [t.id for t in self.travelers], len(bounds), len(bounds) + len(phis)
-        v_max = dict(zip(tids, ints[0:b:2]))
-        v_min = dict(zip(tids, ints[1:b:2]))
-        shares = ints[p:]
+        den, shares = scale_to_integers(shares, common)
+        if den != common:
+            up = den // common
+            v_min = dict(zip(v_min, map(up.__mul__, v_min.values())))
+            values = list(map(up.__mul__, values))
         if not explicit:
             seat = dict(zip(served, shares))
             shares = [seat[k] for k in cols]
         entries = {}
-        for pair, phi, share in zip(pairs, ints[b:p], shares):
-            value = v_max[pair[0]] - phi
+        for pair, value, share in zip(pairs, values, shares):
             entries[pair] = (value, share, value - share)
         return CompatibilityMatrix(den, entries, v_min, tuple(pairs), first)
 

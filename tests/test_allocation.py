@@ -240,6 +240,30 @@ def test_feasibility_refuses_float_and_bool_profits(canonical):
         assert info.value.errors == [f"money value {bad!r} is a {kind}, not an exact number"]
 
 
+def test_feasibility_reads_off_match_profits_as_money(canonical):
+    """An off-match profit is money too: with T2 unassigned, a ``float`` or
+    ``bool`` profit of T2's, or of an idle vehicle's, raises the error every
+    money intake raises, and an ``int`` one is reported as a ``Fraction``."""
+    (v1,), (t1, t2) = canonical.vehicles, canonical.travelers
+    idle = Vehicle("V2", v1.route, capacity=1, operating_cost=F(1))
+    t1 = Traveler(t1.id, t1.od, t1.v_max, t1.v_min, {**t1.inconvenience, "V2": F(1)})
+    inst = MarketInstance(canonical.network, (t1, t2), (v1, idle))
+    only = Assignment({"T1": "V1", "T2": None})
+    t = PaymentSchedule({p: F(3) for p in inst.compatible_pairs()})
+    for table, pair in (("pi", ("T2", "V1")), ("rho", ("T1", "V2"))):
+        for bad in (0.5, True):
+            alloc = compute_profits(inst, only, t)
+            getattr(alloc, table)[pair] = bad
+            with pytest.raises(ValidationError) as info:
+                check_feasibility(inst, only, alloc)
+            kind = type(bad).__name__
+            assert info.value.errors == [f"money value {bad!r} is a {kind}, not an exact number"]
+        alloc = compute_profits(inst, only, t)
+        getattr(alloc, table)[pair] = 2
+        (v,) = check_feasibility(inst, only, alloc).violations
+        assert (v.pair, v.lhs, type(v.lhs), v.rhs) == (pair, 2, F, 0)
+
+
 def test_feasibility_flags_negative_traveler_profit(canonical):
     # payment 9 exceeds T1's value net of v_min: pi = 8 - 9 - 1 = -2
     t = PaymentSchedule({("T1", "V1"): F(9), ("T2", "V1"): F(2)})

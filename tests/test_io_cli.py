@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from rideshare_market.generate import generate_instance
 from rideshare_market.instance_io import (
     _NUMBER, MAX_DIGITS, exact_number, parse_document, serialize_document
 )
+from rideshare_market.network import route_vertex_sequence, serves, stops
 
 
 def test_round_trip_canonical(canonical):
@@ -686,6 +688,78 @@ def _explicit_shares(inst):
     return MarketInstance(inst.network, inst.travelers, vehicles, cost_share_mode="explicit")
 
 
+def _written(x, rng):
+    """The money ``x`` as a document may write it: a JSON integer, or an
+    integer, decimal, exponent or ``p/q`` string, unreduced at times."""
+    p, q = x.numerator, x.denominator
+    forms = [f"{p}/{q}", f"{p * 3}/{q * 3}"]
+    k = next((k for k in range(12) if 10**k % q == 0), None)
+    if k is not None:  # a terminating decimal
+        digits = str(p * 10**k // q).rjust(k + 1, "0")
+        forms += [f"{digits}e-{k}", f"{digits[: len(digits) - k]}.{digits[len(digits) - k :]}"]
+    if q == 1:
+        forms += [p, str(p), f"{p}E0"]
+    return rng.choice(forms)
+
+
+def test_both_intake_forms_agree():
+    """A document parses to the market built from the same ``Fraction``s,
+    whatever form its money is written in: equal pair tables (``den``,
+    ``entries``, ``v_min``, ``pairs``, ``first``) built without the
+    travelers' ``Fraction`` views, then equal instances and reprs.  The
+    markets are per-seat and explicit, some degenerate; each has
+    inconvenience entries off its pairs, each over a denominator no other
+    value has, and a denominator first seen on its last traveler."""
+    lifted, off_pairs, forms = 0, 0, Counter()
+
+    def write(x):
+        written = _written(F(x), rng)
+        forms.update(["int"] if type(written) is int else set(written) & set("eE./"))
+        return written
+
+    for seed in range(300):
+        rng = random.Random(seed)
+        m = 1 + seed % 4
+        inst = generate_instance(9100 + seed, n=m + 1 + seed % 6, m=m, degenerate=seed % 5 == 0)
+        served = {v.id: stops(route_vertex_sequence(inst.network, v.route)) for v in inst.vehicles}
+        travelers = []
+        for k, t in enumerate(inst.travelers):
+            off = {
+                v: F(1, 101 + 2 * k)
+                for v in served
+                if v not in t.inconvenience and not serves(served[v], t.od)
+            }
+            off_pairs += len(off)
+            # in id order, as the document writes it
+            row = dict(sorted({**t.inconvenience, **off}.items()))
+            travelers.append(dataclasses.replace(t, inconvenience=row))
+        travelers[-1] = dataclasses.replace(travelers[-1], v_max=travelers[-1].v_max + F(1, 97))
+        expected = MarketInstance(inst.network, travelers, inst.vehicles)
+        if seed % 3 == 2:
+            expected = _explicit_shares(expected)
+        raw = json.loads(serialize_document(expected))
+        for t in raw["travelers"]:
+            for key in ("v_max", "v_min"):
+                t[key] = write(t[key])
+            t["inconvenience"] = {v: write(x) for v, x in t["inconvenience"].items()}
+        for v in raw["vehicles"]:
+            v["operating_cost"] = write(v["operating_cost"])
+            if "cost_shares" in v:
+                v["cost_shares"] = {t: write(x) for t, x in v["cost_shares"].items()}
+        parsed = parse_document(json.dumps(raw)).instance
+        got, want = parsed.compatibility, expected.compatibility
+        views = {"v_max", "v_min", "inconvenience"}
+        assert all(vars(t).keys().isdisjoint(views) for t in parsed.travelers)
+        assert (got.den, got.entries, got.v_min, got.pairs, got.first) == (
+            want.den, want.entries, want.v_min, want.pairs, want.first
+        )
+        assert got.den % 97 == 0
+        assert parsed == expected and repr(parsed) == repr(expected)
+        lifted += parsed.travelers[0].ints[0] < parsed.travelers[-1].ints[0]
+    assert lifted == 300 and off_pairs > 300
+    assert min(forms[form] for form in ("int", "e", "E", ".", "/")) > 100
+
+
 def test_every_form_of_a_schedule_agrees():
     """A schedule built in the pair table's scale, by the parser from
     complete or shuffled rows, by the synthesis or as the CLI's break-even
@@ -928,6 +1002,45 @@ def test_repeated_malformed_money_is_reported_at_every_location(canonical, tmp_p
     path.write_text(json.dumps(raw))
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in errors]
+
+
+def test_money_and_range_errors_keep_their_order(canonical):
+    """Each traveler's money errors come first, in field order, then its
+    range errors, whose checks read a malformed value as 0; then the next
+    traveler, the vehicles, and last the ids that name no entity.  A
+    denominator first seen on a later traveler changes none of it."""
+    raw = json.loads(serialize_document(canonical))
+    t1, t2 = raw["travelers"]
+    t1.update(v_max="x", v_min="1/3", inconvenience={"V1": "3", "V9": "1/0", "V2": "1/3"})
+    t2.update(v_max="5/7", v_min=1, inconvenience={"V1": True, "V2": "-1/2"})
+    raw["travelers"] += [
+        {**t2, "id": "T3", "v_max": "2.5", "v_min": "1e1",
+         "inconvenience": {"V1": "1/3", "V2": "3"}},
+        {**t2, "id": "T4", "v_max": 9, "v_min": "x", "inconvenience": {"V8": "1/11", "V1": "7e-1"}},
+    ]
+    v1 = raw["vehicles"][0]
+    raw["vehicles"] += [
+        {**v1, "id": "V2"},
+        {**v1, "id": "V3", "operating_cost": "y", "cost_shares": {"T9": "1/13"}},
+    ]
+    with pytest.raises(ValidationError) as exc:
+        parse_document(json.dumps(raw))
+    assert exc.value.errors == [
+        "traveler 'T1': v_max: not an exact number: 'x' (use \"p/q\" strings)",
+        "traveler 'T1': inconvenience['V9']: not an exact number: '1/0' (use \"p/q\" strings)",
+        "traveler 'T1': needs 0 <= v_min <= v_max",
+        "traveler 'T1': inconvenience for vehicle 'V1' outside [0, v_max]",
+        "traveler 'T1': inconvenience for vehicle 'V2' outside [0, v_max]",
+        "traveler 'T2': inconvenience['V1']: not an exact number: True (use \"p/q\" strings)",
+        "traveler 'T2': needs 0 <= v_min <= v_max",
+        "traveler 'T2': inconvenience for vehicle 'V2' outside [0, v_max]",
+        "traveler 'T3': needs 0 <= v_min <= v_max",
+        "traveler 'T3': inconvenience for vehicle 'V2' outside [0, v_max]",
+        "traveler 'T4': v_min: not an exact number: 'x' (use \"p/q\" strings)",
+        "vehicle 'V3': operating_cost: not an exact number: 'y' (use \"p/q\" strings)",
+        "traveler 'T4': inconvenience: unknown vehicle id 'V8'",
+        "vehicle 'V3': cost_shares: unknown traveler id 'T9'",
+    ]
 
 
 def _money_strings():

@@ -89,7 +89,9 @@ P1, P2 = 2**127 - 1, 2**89 - 1
 def test_range_checks_match_fraction_comparisons(v_max, v_min, phis):
     """The integer range checks give the messages, in the order, of the
     plain ``Fraction`` comparisons ``0 <= v_min <= v_max`` and
-    ``0 <= phi <= v_max``."""
+    ``0 <= phi <= v_max``, for a traveler built from money and for one
+    built from the same values as ``int``s over a common denominator,
+    whose ``Fraction`` views then equal the first one's money."""
     inconvenience = {f"V{k}": phi for k, phi in enumerate(phis)}
     hi, lo = F(v_max), F(v_min)
     expected = ["traveler 'T': needs 0 <= v_min <= v_max"] if not 0 <= lo <= hi else []
@@ -98,15 +100,22 @@ def test_range_checks_match_fraction_comparisons(v_max, v_min, phis):
         for vid, phi in inconvenience.items()
         if not 0 <= F(phi) <= hi
     ]
-    try:
-        t = Traveler("T", ODPair("A", "B"), v_max, v_min, inconvenience)
-    except ValidationError as exc:
-        assert exc.errors == expected
-    else:
-        assert expected == []
-        assert (t.v_max, t.v_min) == (hi, lo)
-        assert t.inconvenience == {vid: F(phi) for vid, phi in inconvenience.items()}
-        assert all(type(x) is F for x in (t.v_max, t.v_min, *t.inconvenience.values()))
+    den, ints = scale_to_integers([hi, lo, *map(F, phis)])
+    for build in (
+        lambda: Traveler("T", ODPair("A", "B"), v_max, v_min, inconvenience),
+        lambda: Traveler.scaled(
+            "T", ODPair("A", "B"), den, ints[0], ints[1], dict(zip(inconvenience, ints[2:]))
+        ),
+    ):
+        if expected:
+            with pytest.raises(ValidationError) as exc:
+                build()
+            assert exc.value.errors == expected
+        else:
+            t = build()
+            assert (t.v_max, t.v_min) == (hi, lo)
+            assert t.inconvenience == {vid: F(phi) for vid, phi in inconvenience.items()}
+            assert all(type(x) is F for x in (t.v_max, t.v_min, *t.inconvenience.values()))
 
 
 def test_scale_to_integers_equals_the_sequential_reduction():

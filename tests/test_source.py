@@ -523,8 +523,11 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
     walk; it validates the schedule and the assignment once each, decides
     feasibility without building the profit matrices, and builds no
     schedule from a dict of money.  Money is put over a common denominator
-    twice, the pair table's once and the payments' distinct strings once:
-    never one payment at a time."""
+    twice, the served vehicles' shares once and the payments' distinct
+    strings once: never one payment, or one traveler's money, at a time.
+    The parser keeps each traveler's money in the document's integer
+    scale, so a ``Fraction`` is split into its integer ratio at most once
+    per distinct money string and once per served vehicle."""
     inst = generate_instance(5, n=12, m=4)
     a = solve_optimal_assignment(inst).assignment
     synth = synthesize_stable_payments(inst, a)
@@ -553,17 +556,18 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
 
     for module in (market, instance_io, cli):
         monkeypatch.setattr(module, "scale_to_integers", scale)
+    monkeypatch.setattr(F, "as_integer_ratio", _counted(calls, "ratio", F.as_integer_ratio))
     assert main(["check", str(path), "--assignment", spec, "--format", "machine"]) == 0
     assert json.loads(capsys.readouterr().out)["stability"]["verdict"] is True
     assert calls["route_vertex_sequence"] <= len(inst.vehicles)
     assert calls["compute_profits"] == calls["check_feasibility"] == 0
     assert calls["validate_assignment"] == calls["validate_schedule"] == 1
     assert calls["__post_init__"] == 0
-    # v_max and v_min per traveler, an inconvenience per pair, a share per served vehicle
-    pairs = inst.compatible_pairs()
-    money = 2 * len(inst.travelers) + len(pairs) + len({vid for _, vid in pairs})
-    assert scaled == [money, len(set(payments))]
+    # a share per served vehicle, then each distinct payment string
+    served = len({vid for _, vid in inst.compatible_pairs()})
+    assert scaled == [served, len(set(payments))]
     assert len(set(payments)) < len(payments)
+    assert 0 < calls["ratio"] <= len(set(_money_strings(json.loads(text)))) + served
 
 
 def test_payments_are_read_as_ints_until_printed(tmp_path, monkeypatch, capsys):
