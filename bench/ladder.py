@@ -34,7 +34,8 @@ then again with one override, ``--payments TID:VID=share``, that prices
 the first matched pair at the cost share it already pays.
 The tier-1 tests run in a child process, timed once on the wall clock,
 and ``src_lines`` counts the lines of the package's modules that are
-neither blank nor a comment alone.
+neither blank nor a comment alone.  The pair table is read by its
+columns: ``pairs`` and the shares and surpluses aligned with them.
 
 Method: every timed call runs with the cyclic garbage collector paused,
 as the CLI runs its commands, so no collection of earlier garbage lands
@@ -42,8 +43,11 @@ in a figure.  A call that takes under ``ONCE_S`` seconds runs ``K`` times
 and its figure is the median; a longer one runs once.  The record names
 ``K`` and ``ONCE_S``, and holds the host's pace, ``pace.sample()`` of
 ``perfbench/pace.py`` (the least of three samples), before and after the
-ladder: a figure times ``pace.REF_S / pace`` is its time at the
-benchmark's reference pace.  When the output is ``BENCH_<n>.json`` and an
+ladder and after each row (``pace_s``), so that a slow spell shows in
+the row it slowed: a figure times ``pace.REF_S / pace`` is its time at
+the benchmark's reference pace.  The tier-1 run records the mean of a
+pace sample on each side of it (``pace_s``) and its wall time scaled so
+(``wall_ref_s``).  When the output is ``BENCH_<n>.json`` and an
 older ``BENCH_<k>.json`` lies beside it, the record also names the newest
 such file and holds each figure of each size, the tier-1 run and the pace
 in both as ``[before, after]``, and ``src_lines`` so, ``null`` before
@@ -137,7 +141,7 @@ def ladder_row(n: int) -> dict:
     row = {
         "n": n,
         "m": n // 5,
-        "pairs": len(matrix.entries),
+        "pairs": len(matrix.pairs),
         "serialize_s": serialize_s,
         "parse_s": parse_s,
         "pair_table_s": pair_table_s,
@@ -190,7 +194,7 @@ def check_path(inst, a) -> dict:
     matrix = inst.compatibility
     pays = {
         pair: Fraction(share if a.vehicle_of(pair[0]) == pair[1] else max(0, surplus), matrix.den)
-        for pair, (_, share, surplus) in matrix.entries.items()
+        for pair, share, surplus in zip(matrix.pairs, matrix.share, matrix.surplus)
     }
     text, priced_serialize_s = _timed(serialize_document, inst, PaymentSchedule(pays))
     doc, priced_parse_s = _timed(parse_document, text)
@@ -281,10 +285,14 @@ def main(argv=None) -> int:
         "ladder": [],
     }
     for n in SIZES:
-        record["ladder"].append(ladder_row(n))
+        record["ladder"].append({**ladder_row(n), "pace_s": round(_pace(), 5)})
         print(json.dumps(record["ladder"][-1]), file=sys.stderr)
     record["pace"]["after_s"] = round(_pace(), 5)
+    before_s = _pace()
     record["tier1"] = tier1()
+    # the pace while the tests ran: the mean of a sample on each side
+    record["tier1"]["pace_s"] = pace_s = round((before_s + _pace()) / 2, 5)
+    record["tier1"]["wall_ref_s"] = round(record["tier1"]["wall_s"] * pace.REF_S / pace_s, 2)
     print(json.dumps(record["tier1"]), file=sys.stderr)
     record["src_lines"] = src_lines()
     before = previous(Path(args.output))

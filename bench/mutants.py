@@ -136,6 +136,22 @@ MUTANTS = (
         equivalent="each pair occurs once in the table, at or after its traveler's first pair",
     ),
     Mutant(
+        "compatibility_test_past_the_slice",
+        "market.py",
+        "pair in self.pairs[start : self.stop[tid]]",
+        "pair in self.pairs[start:]",
+        "a pair that is not compatible is searched for among its traveler's own pairs alone",
+        ("tests/test_market.py::test_a_compatibility_test_reads_only_its_travelers_pairs",),
+    ),
+    Mutant(
+        "surplus_as_value_plus_share",
+        "market.py",
+        "surplus = list(map(sub, values, shares))",
+        "surplus = [v + s for v, s in zip(values, shares)]",
+        "a pair's surplus is its valuation minus its cost share",
+        ("tests/test_market.py::test_pair_table_matches_a_pair_by_pair_reference",),
+    ),
+    Mutant(
         "traveler_left_unlifted",
         "market.py",
         "lift = common // den\n",
@@ -173,8 +189,8 @@ MUTANTS = (
     Mutant(
         "welfare_without_lift",
         "market.py",
-        "rides = [matrix.entries[p][0] * lift - pays",
-        "rides = [matrix.entries[p][0] - pays",
+        "rides = [matrix.value[k] * lift - pays[k]",
+        "rides = [matrix.value[k] - pays[k]",
         "a payment over a finer denominator lifts the valuation to it too",
         ("tests/test_market.py::test_welfare_paper_equals_the_fraction_reference",),
     ),
@@ -200,15 +216,15 @@ MUTANTS = (
     Mutant(
         "profit_payment_at_first_pair",
         "allocation.py",
-        "pay = pays[matrix.position(pair)]",
-        "pay = pays[matrix.first[pair[0]]]",
+        "pay, value, share = pays[k],",
+        "pay, value, share = pays[matrix.first[pair[0]]],",
         "a matched payment is the one of its own pair, not of its traveler's first pair",
         ("tests/test_allocation.py::test_checkers_equal_the_fraction_reference",),
     ),
     Mutant(
         "check_payment_at_first_pair",
         "allocation.py",
-        "x = pays[matrix.position(pair)]",
+        "x = pays[k]",
         "x = pays[matrix.first[tid]]",
         "a matched payment is the one of its own pair, not of its traveler's first pair",
         ("tests/test_allocation.py::test_checkers_equal_the_fraction_reference",),
@@ -292,10 +308,18 @@ MUTANTS = (
     Mutant(
         "distinct_value_memo_over_every_type",
         "instance_io.py",
-        "texts = list(distinct) if all(type(x) is str for x in distinct) else values",
-        "texts = list(distinct)",
+        "if type(x) is not int or x < 0:",
+        "if not isinstance(x, int) or x < 0:",
         "1, 1.0 and true are equal, but only 1 is money",
         ("tests/test_io_cli.py::test_payment_values_stay_type_strict",),
+    ),
+    Mutant(
+        "payments_not_read_again",
+        "instance_io.py",
+        "    while den != scaled.den:  # a payment raised den",
+        "    if den != scaled.den:  # a payment raised den",
+        "a payment over a new denominator lifts every payment read before it",
+        ("tests/test_io_cli.py::test_every_form_of_a_schedule_agrees",),
     ),
     Mutant(
         "running_den_without_relift",

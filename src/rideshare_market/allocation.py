@@ -116,11 +116,11 @@ def compute_profits(inst: MarketInstance, a: Assignment, t: PaymentSchedule) -> 
     common, pays = validate_schedule(inst, t)
     matrix = inst.compatibility
     lift = common // matrix.den
-    pi = dict.fromkeys(matrix.entries, _ZERO)
-    rho = dict.fromkeys(matrix.entries, _ZERO)
+    pi = dict.fromkeys(matrix.pairs, _ZERO)
+    rho = dict.fromkeys(matrix.pairs, _ZERO)
     for pair in a.assigned_pairs():
-        pay = pays[matrix.position(pair)]
-        value, share, _ = matrix.entries[pair]
+        k = matrix.position(pair)
+        pay, value, share = pays[k], matrix.value[k], matrix.share[k]
         rho[pair] = Fraction(pay - share * lift, common)
         pi[pair] = Fraction((value - matrix.v_min[pair[0]]) * lift - pay, common)
     return ProfitAllocation(pi=pi, rho=rho)
@@ -142,11 +142,12 @@ def check_feasibility(inst: MarketInstance, a: Assignment, alloc: ProfitAllocati
     missing = [p for p in matched if p not in alloc.pi or p not in alloc.rho]
     if missing:
         raise ValidationError([f"feasibility: no profit for matched pair {p!r}" for p in missing])
-    table, v_min, den = matrix.entries, matrix.v_min, matrix.den
+    v_min, den = matrix.v_min, matrix.den
     violations, eq8 = [], {}
     for pair in matched:
         pi, rho = _money(alloc.pi[pair]), _money(alloc.rho[pair])
-        value, share, surplus = table[pair]
+        k = matrix.position(pair)
+        value, share, surplus = matrix.value[k], matrix.share[k], matrix.surplus[k]
         if pi < 0:
             violations.append(Violation("pi_nonneg", pair, pi, _ZERO))
         if rho < 0:
@@ -201,7 +202,7 @@ def check_payments(
     common, pays = validate_schedule(inst, t)
     validate_assignment(inst, a)
     matrix = inst.compatibility
-    table, v_min = matrix.entries, matrix.v_min
+    value, share, surplus, v_min = matrix.value, matrix.share, matrix.surplus, matrix.v_min
     lift = common // matrix.den
     # a matched payment x over common sets the pair's profits, pi = value -
     # v_min - x and rho = x - share, and the rider's own ride: its utility,
@@ -212,15 +213,15 @@ def check_payments(
     violations, eq8, own, least = [], {}, {}, {}
     for pair in a.assigned_pairs():
         tid, vid = pair
-        x = pays[matrix.position(pair)]
-        value, share, surplus = table[pair]
-        pi, rho = (value - v_min[tid]) * lift - x, x - share * lift
+        k = matrix.position(pair)
+        x = pays[k]
+        pi, rho = (value[k] - v_min[tid]) * lift - x, x - share[k] * lift
         if pi < 0:
             violations.append(Violation("pi_nonneg", pair, Fraction(pi, common), _ZERO))
         if rho < 0:
             violations.append(Violation("rho_nonneg", pair, Fraction(rho, common), _ZERO))
         eq8[pair] = x == v_min[tid] * lift
-        own[tid] = (value if classic_core else surplus) * lift - x
+        own[tid] = (value[k] if classic_core else surplus[k]) * lift - x
         # the least profit the vehicle earns from a current rider
         least[vid] = min(rho, least.get(vid, rho))
     feas = CheckReport(verdict=not violations, violations=tuple(violations), eq8_status=eq8)
@@ -233,13 +234,13 @@ def check_payments(
         # a rider's utility, valuation - payment, is >= v_min >= 0 once the
         # allocation is feasible (pi_nonneg); the unassigned have 0
         tid = None
-        for (trav, vid), (_, _, surplus) in table.items():
+        for (trav, vid), s in zip(matrix.pairs, surplus):
             if trav != tid:
                 tid, mine, util = trav, a.vehicle_of(trav), own.get(trav, 0)
             if vid != mine:
                 lhs = util + seat.get(vid, 0)
-                if lhs < surplus * lift:
-                    lhs, rhs = Fraction(lhs, common), Fraction(surplus, matrix.den)
+                if lhs < s * lift:
+                    lhs, rhs = Fraction(lhs, common), Fraction(s, matrix.den)
                     violations.append(Violation("blocking_pair", (tid, vid), lhs, rhs))
     else:
         # ride value, valuation - payment - cost share, over common; exit is
@@ -248,7 +249,7 @@ def check_payments(
         # meets the inequalities in order; a traveler with no pair is
         # unassigned and envies nothing
         tid = None
-        for (trav, alt), (_, _, u), x in zip(table, table.values(), pays):
+        for (trav, alt), u, x in zip(matrix.pairs, surplus, pays):
             if trav != tid:
                 tid, mine = trav, own.get(trav, 0)
                 if mine < 0:
@@ -325,7 +326,7 @@ class SynthesisResult:
         sides."""
         from rideshare_market.lp import LPProblem, Row
 
-        idx = {p: k for k, p in enumerate(self.instance.compatibility.entries)}
+        idx = {p: k for k, p in enumerate(self.instance.compatibility.pairs)}
         dense = []
         for plus, minus, rel, rhs in self.rows:
             coeffs = [_ZERO] * len(idx)
@@ -353,9 +354,11 @@ def _stability_system(inst: MarketInstance, a: Assignment):
     times its value.  Returns the seat, walk and blocking rows; the graph
     rows, all but the off-match ones; their edges; the full vehicles.
     """
-    table, v_min = inst.compatibility.entries, inst.compatibility.v_min
+    matrix = inst.compatibility
+    value, shares, surplus, v_min = matrix.value, matrix.share, matrix.surplus, matrix.v_min
     full = {v: on for v, on in a.riders.items() if len(on) >= inst.vehicle(v).capacity}
-    seats = [((r, v), v, GE, table[(r, v)][1], ("seat", (r, v))) for v in full for r in full[v]]
+    seated = [(r, v) for v in full for r in full[v]]
+    seats = [(p, p[1], GE, shares[matrix.position(p)], ("seat", p)) for p in seated]
     # graph[k] is the row of edges[k] = (u, v, w), which reads x[v] - x[u] <= w;
     # the blocking rows and their edges follow every walk row, so they wait
     walk, graph, edges, block, block_edges = [], [], [], [], []
@@ -363,13 +366,14 @@ def _stability_system(inst: MarketInstance, a: Assignment):
     # order: a traveler's first pair sets mine, u_const and own_s, which are
     # None, 0 and 0 for the unassigned, and a matched one's own rows
     tid = None
-    for p, (_, _, s) in table.items():
+    for p, s in zip(matrix.pairs, surplus):
         if p[0] != tid:
             tid, vid = p[0], a.vehicle_of(p[0])
             mine, u_const, own_s, envy = None, 0, 0, "exit_dominates"
             if vid is not UNASSIGNED:
                 mine, envy = (tid, vid), "no_envy"
-                u_const, share, own_s = table[mine]
+                k = matrix.position(mine)
+                u_const, share, own_s = value[k], shares[k], surplus[k]
                 top = u_const - v_min[tid]
                 own = [
                     (mine, None, GE, share, ("rho_nonneg", mine)),

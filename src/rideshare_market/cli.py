@@ -89,7 +89,7 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
                 raise ValidationError(
                     f"--payments: traveler {tid!r} is unassigned; use TID:VID=value"
                 )
-        if (tid, vid) not in matrix.entries:
+        if (tid, vid) not in matrix:
             raise ValidationError(f"--payments: pair ({tid!r}, {vid!r}) is not compatible")
         if (tid, vid) in priced:
             raise ValidationError(f"--payments: duplicate entry for pair ({tid!r}, {vid!r})")
@@ -101,7 +101,7 @@ def _resolve_payments(inst, assignment, base, overrides) -> PaymentSchedule:
     if base.pairs is matrix.pairs:
         ints = [up * x for x in base.ints]
     else:
-        ints = [lift * s if s > 0 else 0 for _, _, s in matrix.entries.values()]
+        ints = [lift * s if s > 0 else 0 for s in matrix.surplus]
         for pair, x in zip(base.pairs, base.ints):
             ints[matrix.position(pair)] = up * x
     for pair, x in zip(priced, lifted):

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _string  # json.dumps's own 
 
 from rideshare_market.allocation import PaymentSchedule
 from rideshare_market.errors import ValidationError
-from rideshare_market.market import _ZERO, MarketInstance, Traveler, Vehicle, scale_to_integers
+from rideshare_market.market import _ZERO, MarketInstance, Traveler, Vehicle
 from rideshare_market.network import Edge, Network, ODPair, Route
 
 SCHEMA_VERSION = 1
@@ -131,30 +131,30 @@ def _parse_money(value, where, errors, memo):
 
 
 class _Scaled(dict):
-    """Each money string of the travelers -> its value as an ``int`` over
-    ``den``, the least common multiple of their denominators so far.  A
-    money string is converted on its first lookup, once per document, and
-    its value kept in ``memo`` too; one whose denominator does not divide
-    ``den`` raises it and lifts every value already held, work on the
-    distinct strings alone.  A lookup of anything that is no money string
-    raises ``KeyError``, for :meth:`row` to report.  Keyed by strings
-    only, as ``memo`` is, so ``true``, ``1.0`` and ``1`` never pass for
-    ``"1"``."""
+    """Each money string looked up -> its value as an ``int`` over ``den``,
+    the least common multiple of the ``den`` it starts at and their
+    denominators so far.  A money string is converted once per document,
+    on its first lookup unless ``memo`` holds it already, and its value
+    kept in ``memo`` too; one whose denominator does not divide ``den``
+    raises it and lifts every value already held, work on the distinct
+    strings alone.  A lookup of anything that is no money string raises
+    ``KeyError``, for :meth:`row` or the payments' reader to handle.  Keyed
+    by strings only, as ``memo`` is, so ``true``, ``1.0`` and ``1`` never
+    pass for ``"1"``."""
 
-    den = 1
-
-    def __init__(self, memo):
+    def __init__(self, memo, den=1):
         super().__init__()
-        self.memo = memo
+        self.memo, self.den = memo, den
 
     def __missing__(self, text):
         if type(text) is not str:
             raise KeyError(text)
-        try:
-            number = exact_number(text)
-        except (ValueError, ZeroDivisionError, ValidationError):
-            raise KeyError(text) from None
-        self.memo[text] = number
+        number = self.memo.get(text)
+        if number is None:
+            try:
+                number = self.memo[text] = exact_number(text)
+            except (ValueError, ZeroDivisionError, ValidationError):
+                raise KeyError(text) from None
         q = number.denominator
         if self.den % q:
             up = q // math.gcd(self.den, q)
@@ -213,45 +213,43 @@ def _objects_noting_repeats(repeats):
 
 def _priced_by_table(section, matrix, tids, memo):
     """The payments ``section`` scaled on the pair table's pairs, in table
-    order, each distinct money string converted and lifted once; ``None``,
-    for the caller to word the errors, when a row is no object or names no
-    traveler, a value does not convert or is negative, or an entry is
-    ``null`` or prices no compatible pair (fewer prices than entries)."""
+    order, read in one walk of the table straight into a scale that is a
+    multiple of its ``den``: each money string through a :class:`_Scaled`
+    seeded at that ``den``, the walk read again when a value raised it, and
+    a JSON integer times ``den``.  ``None``, for the caller to word the
+    errors, when a row is no object or names no traveler, a value is no
+    money or is negative, or an entry is ``null`` or prices no compatible
+    pair (fewer prices than entries)."""
     if type(section) is not dict or not section.keys() <= tids:
         return None
     if not all(type(row) is dict for row in section.values()):
         return None
-    count = sum(map(len, section.values()))
-    pairs, values, empty = matrix.pairs, [], {}
-    tid = row = None
-    for t, vid in pairs:
-        if t != tid:
-            tid, row = t, section.get(t, empty)
-        values.append(row.get(vid))
+    pairs, count, empty = matrix.pairs, sum(map(len, section.values())), {}
+    if count < len(pairs):  # a partial schedule: its priced pairs alone
+        pairs = tuple(p for p in pairs if section.get(p[0], empty).get(p[1]) is not None)
+    scaled, den = _Scaled(memo, matrix.den), None
+    while den != scaled.den:  # a payment raised den: every one read is read again
+        den, ints, tid = scaled.den, [], None
+        for t, vid in pairs:
+            if t != tid:
+                tid, row = t, section.get(t, empty)
+            try:
+                ints.append(scaled[row[vid]])
+            except (KeyError, TypeError):  # unpriced, or no money string
+                x = row.get(vid)
+                if x is None:
+                    continue  # unpriced or null: the count finds it
+                # 1.0 and true equal 1, but only the JSON integer is money
+                if type(x) is not int or x < 0:
+                    return None
+                ints.append(x * den)
     # distinct pairs read distinct entries: equal counts read every entry
-    if len(values) - values.count(None) != count:
+    if len(ints) != count or min(scaled.values(), default=0) < 0:
         return None
-    if count < len(values):  # a partial schedule: its priced pairs alone
-        pairs = tuple(p for p, x in zip(pairs, values) if x is not None)
-        values = [x for x in values if x is not None]
-    try:
-        distinct = set(values)
-    except TypeError:  # a list or an object
-        return None
-    # the distinct values stand for all only when each is a string: 1, 1.0
-    # and true are equal, but only the first is money.  The memo's keys are
-    # strings, which no other value equals
-    texts = list(distinct) if all(type(x) is str for x in distinct) else values
-    errors = []
-    numbers = [memo[x] if x in memo else _parse_money(x, "payments", errors, memo) for x in texts]
-    if errors or any(x < 0 for x in numbers):
-        return None
-    den, ints = scale_to_integers(numbers, matrix.den)
-    lifted = dict(zip(texts, ints))  # without a bad value, no two types meet in a key
-    return PaymentSchedule.scaled(pairs, den, list(map(lifted.__getitem__, values)))
+    return PaymentSchedule.scaled(pairs, den, ints)
 
 
-def _priced_by_document(section, compatible, tids, vids, memo):
+def _priced_by_document(section, matrix, tids, vids, memo):
     """The payments ``section`` read entry by entry, in document order, for
     a section that :func:`_priced_by_table` cannot read: raises
     :class:`ValidationError` naming every problem in that order."""
@@ -264,7 +262,7 @@ def _priced_by_document(section, compatible, tids, vids, memo):
             row = _typed(row, dict, f"payments: [{tid!r}]", errors, {})
         for vid, value in row.items():
             pair = (tid, vid)
-            if pair not in compatible:
+            if pair not in matrix:
                 if vid not in vids:
                     errors.append(f"payments: [{tid!r}]: unknown vehicle id {vid!r}")
                 else:
@@ -446,7 +444,7 @@ def parse_document(text: str) -> InstanceDocument:
         matrix = instance.compatibility
         payments = _priced_by_table(section, matrix, tids, memo)
         if payments is None:
-            payments = _priced_by_document(section, matrix.entries, tids, vids, memo)
+            payments = _priced_by_document(section, matrix, tids, vids, memo)
     return InstanceDocument(instance=instance, payments=payments)
 
 

@@ -8,10 +8,11 @@ integers: ``Traveler(...)`` cross-multiplies each bound and value as
 ``numerator / denominator``, and :meth:`Traveler.scaled`, which the parser
 calls with a document's money already as ``int``s over one denominator,
 compares those.  The pair table reads each traveler's money as ``int``s
-(:attr:`Traveler.ints`) and holds each compatible pair's terms as
-``int``s over the instance's least common denominator, and every reader
-compares those integers; the scalar formulas make one ``Fraction`` per
-answer, and ``Fraction``s otherwise appear only in violations and output.
+(:attr:`Traveler.ints`) and holds the compatible pairs' terms in ``int``
+columns aligned with its pairs, over the instance's least common
+denominator, and every reader compares those integers, found by a pair's
+position; the scalar formulas make one ``Fraction`` per answer, and
+``Fraction``s otherwise appear only in violations and output.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
+from operator import sub
+from types import MappingProxyType
 
 from rideshare_market.errors import IncompatiblePairError, ValidationError
 from rideshare_market.network import (
@@ -198,25 +201,45 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class CompatibilityMatrix:
-    """The compatible traveler x vehicle pairs, each with its terms as
-    integers over one common denominator.  A pair is compatible exactly
-    when it is a key of ``entries``."""
+    """The compatible traveler x vehicle pairs, and each pair's terms in
+    ``int`` columns aligned with them, each term ``den`` times its money.
+    A pair is compatible exactly when it is in the matrix."""
 
     #: the least common denominator of the instance's money
     den: int
-    #: (traveler id, vehicle id) -> (valuation, share, surplus), each times
-    #: ``den``, in instance order
-    entries: dict
+    #: the compatible pairs, each traveler's together, travelers and each
+    #: traveler's vehicles in instance order
+    pairs: tuple
+    #: ``value[k]``, ``share[k]`` and ``surplus[k]``: the valuation, cost
+    #: share and surplus of ``pairs[k]``
+    value: list
+    share: list
+    surplus: list
     #: traveler id -> v_min times ``den``, for every traveler
     v_min: dict
-    #: the keys of ``entries``, in order
-    pairs: tuple
     #: traveler id -> the position in ``pairs`` of its first pair
     first: dict
+    #: traveler id -> the position in ``pairs`` past its last pair
+    stop: dict
 
     def position(self, pair) -> int:
         """The index in ``pairs`` of ``pair``, which must be compatible."""
         return self.pairs.index(pair, self.first[pair[0]])
+
+    def __contains__(self, pair) -> bool:
+        """Whether ``pair`` is compatible: only its traveler's own pairs are
+        compared with it."""
+        tid = pair[0]
+        start = self.first.get(tid)
+        return start is not None and pair in self.pairs[start : self.stop[tid]]
+
+    #: pair -> (valuation, share, surplus), a read-only view built on first
+    #: read; the package's own paths read the columns
+    entries = cached_property(
+        lambda self: MappingProxyType(
+            dict(zip(self.pairs, zip(self.value, self.share, self.surplus)))
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -295,7 +318,7 @@ class MarketInstance:
         vehicles = self.vehicles
         # per pair: its ids, its vehicle's index and its valuation; its
         # explicit share, or in per-seat mode one share per served vehicle
-        pairs, cols, values, shares, errors, first = [], [], [], [], [], {}
+        pairs, cols, values, shares, errors, first, stop = [], [], [], [], [], {}, {}
         highs, v_min = [], {}
         index = {v.id: k for k, v in enumerate(vehicles)}
         route_stops = self._stops
@@ -340,6 +363,7 @@ class MarketInstance:
                 pairs.append((tid, vid))
                 cols.append(k)
                 values.append(hi - own[vid])
+            stop[tid] = len(pairs)
         if errors:
             raise ValidationError(errors)
         # money off the pairs may have raised common: what every bound and
@@ -359,22 +383,20 @@ class MarketInstance:
             values = list(map(up.__mul__, values))
         if not explicit:
             seat = dict(zip(served, shares))
-            shares = [seat[k] for k in cols]
-        entries = {}
-        for pair, value, share in zip(pairs, values, shares):
-            entries[pair] = (value, share, value - share)
-        return CompatibilityMatrix(den, entries, v_min, tuple(pairs), first)
+            shares = list(map(seat.__getitem__, cols))
+        surplus = list(map(sub, values, shares))
+        return CompatibilityMatrix(den, tuple(pairs), values, shares, surplus, v_min, first, stop)
 
     @cached_property
     def _options(self):
         options = {t.id: [] for t in self.travelers}
-        for tid, vid in self.compatibility.entries:
+        for tid, vid in self.compatibility.pairs:
             options[tid].append(vid)
         return options
 
     def compatible_pairs(self):
         """Compatible pairs in instance (traveler, vehicle) order."""
-        return list(self.compatibility.entries)
+        return list(self.compatibility.pairs)
 
     def compatible_vehicles(self, tid):
         return list(self._options.get(tid, ()))
@@ -426,7 +448,7 @@ def validate_assignment(inst: MarketInstance, a: Assignment):
         if vid not in inst._vehicle_map:
             errors.append(f"assignment: unknown vehicle id {vid!r}")
             continue
-        if (tid, vid) not in inst.compatibility.entries:
+        if (tid, vid) not in inst.compatibility:
             errors.append(f"assignment: pair ({tid!r}, {vid!r}) is not compatible")
         loads[vid] = loads.get(vid, 0) + 1
     for vid, load in loads.items():
@@ -470,14 +492,14 @@ def valuation(t: Traveler, vid) -> Fraction:
     return t.v_max - t.inconvenience[vid]
 
 
-def _terms(inst: MarketInstance, tid, vid) -> tuple:
-    """A compatible pair's integer (valuation, share, surplus) over
-    ``inst.compatibility.den``; any other pair raises
+def _term(inst: MarketInstance, column: str, tid, vid) -> Fraction:
+    """A compatible pair's entry in the pair table's ``column`` (``value``,
+    ``share`` or ``surplus``) as money; any other pair raises
     :class:`IncompatiblePairError`."""
-    try:
-        return inst.compatibility.entries[(tid, vid)]
-    except KeyError:
-        raise IncompatiblePairError(f"pair ({tid!r}, {vid!r}) is not compatible") from None
+    matrix = inst.compatibility
+    if (tid, vid) not in matrix:
+        raise IncompatiblePairError(f"pair ({tid!r}, {vid!r}) is not compatible")
+    return Fraction(getattr(matrix, column)[matrix.position((tid, vid))], matrix.den)
 
 
 def cost_share(inst: MarketInstance, tid, vid) -> Fraction:
@@ -489,7 +511,7 @@ def cost_share(inst: MarketInstance, tid, vid) -> Fraction:
     Either way the share is independent of the assignment.  Raises
     :class:`IncompatiblePairError` for a pair that is not compatible.
     """
-    return Fraction(_terms(inst, tid, vid)[1], inst.compatibility.den)
+    return _term(inst, "share", tid, vid)
 
 
 def utility(inst: MarketInstance, tid, vid, t_ij) -> Fraction:
@@ -500,24 +522,24 @@ def utility(inst: MarketInstance, tid, vid, t_ij) -> Fraction:
     """
     if vid is UNASSIGNED:
         return _ZERO
-    value = _terms(inst, tid, vid)[0]
+    value = _term(inst, "value", tid, vid)
     t_ij = _money(t_ij)
     if t_ij < 0:
         raise ValidationError(f"payment for ({tid!r}, {vid!r}) is negative")
-    return Fraction(value, inst.compatibility.den) - t_ij
+    return value - t_ij
 
 
 def surplus(inst: MarketInstance, tid, vid) -> Fraction:
     """Joint pie of a pairing: valuation minus cost share.  Independent of
     how the internal payment splits it."""
-    return Fraction(_terms(inst, tid, vid)[2], inst.compatibility.den)
+    return _term(inst, "surplus", tid, vid)
 
 
 def surplus_matrix(inst: MarketInstance) -> dict:
     """Pair surplus for every compatible pair.  Incompatible pairs are
     simply absent; there is no numeric sentinel."""
-    den = inst.compatibility.den
-    return {p: Fraction(u, den) for p, (_, _, u) in inst.compatibility.entries.items()}
+    matrix = inst.compatibility
+    return dict(zip(matrix.pairs, map(Fraction, matrix.surplus, repeat(matrix.den))))
 
 
 def welfare_paper(inst: MarketInstance, a: Assignment, t) -> Fraction:
@@ -534,7 +556,7 @@ def welfare_paper(inst: MarketInstance, a: Assignment, t) -> Fraction:
     common, pays = validate_schedule(inst, t)
     matrix = inst.compatibility
     lift = common // matrix.den
-    rides = [matrix.entries[p][0] * lift - pays[matrix.position(p)] for p in a.assigned_pairs()]
+    rides = [matrix.value[k] * lift - pays[k] for k in map(matrix.position, a.assigned_pairs())]
     idle = (v.operating_cost for v in inst.vehicles if v.id not in a.riders)
     return sum(idle, Fraction(sum(rides), common))
 

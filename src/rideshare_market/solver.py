@@ -68,10 +68,10 @@ def _pair_weights(inst: MarketInstance, payments=None):
     minus payment, in the schedule's scale."""
     matrix = inst.compatibility
     if payments is None:
-        return matrix.den, {p: u for p, (_, _, u) in matrix.entries.items()}
+        return matrix.den, dict(zip(matrix.pairs, matrix.surplus))
     den, pays = validate_schedule(inst, payments)
     lift = den // matrix.den
-    return den, {p: v * lift - pay for (p, (v, _, _)), pay in zip(matrix.entries.items(), pays)}
+    return den, dict(zip(matrix.pairs, [v * lift - pay for v, pay in zip(matrix.value, pays)]))
 
 
 def bellman_ford(nodes, edges, source):

@@ -768,7 +768,8 @@ def test_every_form_of_a_schedule_agrees():
     entries, equal schedules, the same ``validate_schedule`` values, and
     equal check and profit reports.  Parsed partial rows price exactly
     their pairs, the CLI fills the rest with the break-even default, and an
-    override replaces one payment."""
+    override replaces one payment, as does a payment over a new denominator
+    written in the document, which lifts every payment read before it."""
     forms_seen = 0
     for seed in range(12):
         inst = generate_instance(7700 + seed, n=5 + 3 * seed, m=2 + seed % 3, degenerate=seed % 3 == 1)
@@ -825,6 +826,11 @@ def test_every_form_of_a_schedule_agrees():
             moved = cli._resolve_payments(inst, a, partial, [(pair, F(1, 7))])
             assert moved == PaymentSchedule({**filled.entries, pair: F(1, 7)})
             assert moved.pairs is matrix.pairs and moved.den % 7 == 0
+            # the same payment in the document, read last: every one read before it is lifted
+            last = {**raw["payments"], pair[0]: {**raw["payments"][pair[0]], pair[1]: "1/7"}}
+            lifted = parse_document(json.dumps({**raw, "payments": last})).payments
+            assert lifted.pairs == matrix.pairs and lifted.den % 7 == 0
+            assert [F(x, lifted.den) for x in lifted.ints] == [*expected[:-1], F(1, 7)]
     assert forms_seen > 100
 
 

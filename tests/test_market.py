@@ -31,7 +31,9 @@ from rideshare_market import (
     welfare_paper,
     welfare_surplus,
 )
+from rideshare_market.cli import main
 from rideshare_market.generate import generate_instance
+from rideshare_market.instance_io import serialize_document
 from rideshare_market.market import scale_to_integers, validate_assignment
 from rideshare_market.network import route_vertex_sequence
 from rideshare_market.oracles import enumerate_assignments
@@ -479,9 +481,60 @@ def test_pair_table_matches_a_pair_by_pair_reference(brute_force_covers):
             assert (table.den, table.entries, table.v_min) == (den, entries, v_min)
             assert list(table.entries) == list(entries)
             assert all(type(x) is int for terms in table.entries.values() for x in terms)
+            # the columns: aligned with the pairs, each surplus value - share,
+            # and the entries view made of them
+            columns = (table.value, table.share, table.surplus)
+            assert table.pairs == tuple(entries)
+            assert all(len(column) == len(table.pairs) for column in columns)
+            assert all(u == v - s for v, s, u in zip(*columns))
+            assert table.entries == dict(zip(table.pairs, zip(*columns)))
             stops = {v.id: route_vertex_sequence(network, v.route) for v in fleet}
             repeats += sum(len(set(stops[vid])) < len(stops[vid]) for _, vid in entries)
     assert repeats > 100 and missing > 20 and shared > 600
+
+
+class _CountedId(str):
+    """A traveler id that counts each comparison made with it: a search of
+    the pair table compares it with the traveler id of every pair it reads."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _CountedId.compared += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def test_a_compatibility_test_reads_only_its_travelers_pairs(tmp_path, capsys):
+    """A pair that is not compatible, whose vehicle serves every later
+    traveler, is rejected by ``validate_assignment``, by ``in`` on the pair
+    table and by ``check --payments TID:VID=x``; ``in`` compares it with
+    its own traveler's pairs alone, never with a later traveler's."""
+    stops = ["A", "B", "C"]
+    net = Network(frozenset(stops), (Edge("e1", "A", "B"), Edge("e2", "B", "C")))
+    vehicles = (Vehicle("V0", Route(("e1",)), 2, F(1)), Vehicle("V1", Route(("e1", "e2")), 40, F(3)))
+    # T0 names V1, but rides B->C, which V1's route serves and V0's misses:
+    # T0's one pair is (T0, V1); then 40 travelers each ride V0 and V1
+    travelers = [Traveler("T0", ODPair("B", "C"), F(5), F(0), {"V0": F(1), "V1": F(1)})]
+    travelers += [
+        Traveler(f"T{i}", ODPair("A", "B"), F(5), F(0), {"V0": F(1), "V1": F(2)}) for i in range(1, 41)
+    ]
+    inst = MarketInstance(net, tuple(travelers), vehicles)
+    matrix = inst.compatibility
+    assert matrix.pairs[0] == ("T0", "V1") and matrix.first["T1"] == 1
+    assert ("T1", "V0") in matrix.pairs and len(matrix.pairs) == 81
+    with pytest.raises(ValidationError, match=r"pair \('T0', 'V0'\) is not compatible"):
+        validate_assignment(inst, Assignment({"T0": "V0"}))
+    for pair, compatible in (((_CountedId("T0"), "V0"), False), ((_CountedId("T0"), "V1"), True)):
+        _CountedId.compared = 0
+        assert (pair in matrix) is compatible
+        # T0's own pair, and at most one lookup of each per-traveler dict
+        assert _CountedId.compared <= 1 + 2
+    path = tmp_path / "doc.json"
+    path.write_text(serialize_document(inst))
+    assert main(["check", str(path), "--payments", "T0:V0=1"]) == 2
+    assert capsys.readouterr().err == "error: --payments: pair ('T0', 'V0') is not compatible\n"
 
 
 def test_pair_table_den_ignores_money_off_the_pairs(canonical):

@@ -440,7 +440,9 @@ def test_ladder_row_records_every_figure():
 def test_ladder_counts_the_source_lines(tmp_path, monkeypatch):
     """``bench/ladder.py`` records the package's non-blank, non-comment
     lines as the shell counts them, beside the tier-1 run, and carries the
-    count into its delta, ``None`` before when the older file has none."""
+    count into its delta, ``None`` before when the older file has none.  It
+    samples the pace after each row and around the tier-1 run, whose wall
+    time it also records at the reference pace."""
     path = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
     spec = importlib.util.spec_from_file_location("ladder", path)
     ladder = importlib.util.module_from_spec(spec)
@@ -457,6 +459,10 @@ def test_ladder_counts_the_source_lines(tmp_path, monkeypatch):
     assert record["src_lines"] == ladder.src_lines()
     assert record["delta"]["src_lines"] == [None, record["src_lines"]]
     assert record["delta"]["tier1"] == {"wall_s": [2.0, 1.0]}
+    # a pace sample per row, and the tier-1 wall time at the reference pace
+    tier1 = record["tier1"]
+    assert record["ladder"][0]["pace_s"] > 0 and tier1["pace_s"] > 0
+    assert tier1["wall_ref_s"] == round(1.0 * ladder.pace.REF_S / tier1["pace_s"], 2)
     assert ladder.main(["-o", str(tmp_path / "BENCH_3.json")]) == 0
     record = json.loads((tmp_path / "BENCH_3.json").read_text())
     assert record["delta"]["src_lines"] == [record["src_lines"]] * 2
@@ -523,11 +529,11 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
     walk; it validates the schedule and the assignment once each, decides
     feasibility without building the profit matrices, and builds no
     schedule from a dict of money.  Money is put over a common denominator
-    twice, the served vehicles' shares once and the payments' distinct
-    strings once: never one payment, or one traveler's money, at a time.
-    The parser keeps each traveler's money in the document's integer
-    scale, so a ``Fraction`` is split into its integer ratio at most once
-    per distinct money string and once per served vehicle."""
+    once, the served vehicles' shares: never one payment, or one
+    traveler's money, at a time.  The parser keeps each traveler's money in
+    the document's integer scale and reads each payment straight into the
+    pair table's, so a ``Fraction`` is split into its integer ratio at most
+    once per distinct money string and once per served vehicle."""
     inst = generate_instance(5, n=12, m=4)
     a = solve_optimal_assignment(inst).assignment
     synth = synthesize_stable_payments(inst, a)
@@ -554,7 +560,7 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
         scaled.append(len(values))
         return original(values, den)
 
-    for module in (market, instance_io, cli):
+    for module in (market, cli):
         monkeypatch.setattr(module, "scale_to_integers", scale)
     monkeypatch.setattr(F, "as_integer_ratio", _counted(calls, "ratio", F.as_integer_ratio))
     assert main(["check", str(path), "--assignment", spec, "--format", "machine"]) == 0
@@ -563,9 +569,9 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
     assert calls["compute_profits"] == calls["check_feasibility"] == 0
     assert calls["validate_assignment"] == calls["validate_schedule"] == 1
     assert calls["__post_init__"] == 0
-    # a share per served vehicle, then each distinct payment string
+    # a share per served vehicle; the payments are read in the table's scale
     served = len({vid for _, vid in inst.compatible_pairs()})
-    assert scaled == [served, len(set(payments))]
+    assert scaled == [served]
     assert len(set(payments)) < len(payments)
     assert 0 < calls["ratio"] <= len(set(_money_strings(json.loads(text)))) + served
 
@@ -633,6 +639,55 @@ def test_payments_are_read_as_ints_until_printed(tmp_path, monkeypatch, capsys):
     assert main(["check", str(docs["priced"]), "--payments", f"{tid}=-1"]) == 2
     assert calls["__post_init__"] == 1
     capsys.readouterr()
+
+
+def test_commands_read_the_pair_table_by_its_columns(tmp_path, monkeypatch, capsys):
+    """``check`` in both modes, with and without payments, an assignment
+    and overrides, ``solve`` under either objective, ``synthesize`` with a
+    feasible and an infeasible verdict, and ``report`` never build the pair
+    table's ``entries`` view: they read its columns by position."""
+    inst = generate_instance(5, n=12, m=4)
+    a = solve_optimal_assignment(inst, with_certificate=False).assignment
+    synth = synthesize_stable_payments(inst, a)
+    assert synth.feasible
+    (tid, vid), *_ = a.assigned_pairs()
+    riders = ",".join(f"{t}={v}" for t, v in a.assigned_pairs())
+    docs = {}
+    for name, body in (
+        ("priced", serialize_document(inst, synth.schedule)),
+        ("plain", serialize_document(inst)),
+        ("infeasible", serialize_document(generate_instance(678, 3, 3))),
+    ):
+        docs[name] = tmp_path / f"{name}.json"
+        docs[name].write_text(body)
+    calls = Counter()
+    view = functools.cached_property(_counted(calls, "entries", market.CompatibilityMatrix.entries.func))
+    view.__set_name__(market.CompatibilityMatrix, "entries")
+    monkeypatch.setattr(market.CompatibilityMatrix, "entries", view)
+    statuses = Counter()
+    for argv in (
+        ["check", "plain"],
+        ["check", "plain", "--classic-core"],
+        ["check", "priced", "--assignment", riders],
+        ["check", "priced", "--assignment", riders, "--classic-core"],
+        ["check", "priced", "--payments", f"{tid}:{vid}=7/3"],
+        ["check", "plain", "--payments", f"{tid}=1000"],
+        ["solve", "priced"],
+        ["solve", "plain", "--objective", "paper", "--payments", f"{tid}=1/2"],
+        ["synthesize", "plain"],
+        ["synthesize", "infeasible"],
+        ["report", "priced"],
+        ["report", "infeasible", "--classic-core"],
+    ):
+        status = main([argv[0], str(docs[argv[1]]), *argv[2:]])
+        statuses[status] += 1
+        assert status in (0, 1) and calls["entries"] == 0, argv
+    capsys.readouterr()
+    assert statuses[0] and statuses[1]
+    # the view itself is the columns, keyed by pair
+    matrix = inst.compatibility
+    assert matrix.entries == dict(zip(matrix.pairs, zip(matrix.value, matrix.share, matrix.surplus)))
+    assert calls["entries"] == 1
 
 
 def _money_strings(doc):
