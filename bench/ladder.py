@@ -32,6 +32,12 @@ in-process at the optimum's riders (``check PATH --assignment ... --format
 machine``, standard output captured), timed, with its exit status, and
 then again with one override, ``--payments TID:VID=share``, that prices
 the first matched pair at the cost share it already pays.
+The many-denominator family rewrites the same market with ``1/p`` added
+to each traveler's ``v_max``, ``p`` an odd prime of its own, serialized:
+the parse and the first pair table of that document are timed, and
+``check_payments`` in literal mode at the kernel's optimum, priced as
+above on its own table, with the bit length of the table's ``den`` and
+of the largest ``den`` of a parsed traveler (``prime_*``).
 The tier-1 tests run in a child process, timed once on the wall clock,
 and ``src_lines`` counts the lines of the package's modules that are
 neither blank nor a comment alone.  The pair table is read by its
@@ -121,7 +127,8 @@ def _pace() -> float:
 
 
 def ladder_row(n: int) -> dict:
-    text, serialize_s = _timed(serialize_document, generate_instance(5, n, n // 5))
+    market = generate_instance(5, n, n // 5)
+    text, serialize_s = _timed(serialize_document, market)
     doc, parse_s = _timed(parse_document, text)
     inst = doc.instance
     # the cached property's own build, so that each run builds the table
@@ -159,7 +166,7 @@ def ladder_row(n: int) -> dict:
         row[f"synthesis_{favor}_rows"] = len(rows)
         row[f"synthesis_{favor}_feasible"] = synth.feasible
         [(row[f"synthesis_{favor}_edges"], row[f"synthesis_{favor}_relaxations"])] = set(runs)
-    return {**row, **check_path(inst, a)}
+    return {**row, **check_path(inst, a), **prime_row(market, a)}
 
 
 @contextlib.contextmanager
@@ -224,6 +231,46 @@ def check_path(inst, a) -> dict:
             _, row["cli_check_override_s"] = _timed(cli.main, argv + override)
     row["cli_check_status"] = status
     return row
+
+
+def odd_primes(k: int) -> list:
+    """The first ``k`` odd primes."""
+    primes, c = [], 3
+    while len(primes) < k:
+        if all(c % p for p in primes if p * p <= c):
+            primes.append(c)
+        c += 2
+    return primes
+
+
+def prime_row(market, a) -> dict:
+    """Parse, first pair table and literal check times of ``market`` with
+    ``1/p`` added to each traveler's ``v_max``, ``p`` an odd prime of its
+    own, checked at ``a``: each matched pair pays its cost share and every
+    other pair its break-even ``max(0, surplus)``."""
+    travelers = [
+        dataclasses.replace(t, v_max=t.v_max + Fraction(1, p))
+        for t, p in zip(market.travelers, odd_primes(len(market.travelers)))
+    ]
+    text = serialize_document(dataclasses.replace(market, travelers=travelers))
+    doc, parse_s = _timed(parse_document, text)
+    inst = doc.instance
+    _, pair_table_s = _timed(MarketInstance.compatibility.func, inst)
+    matrix = inst.compatibility
+    ints = [
+        share if a.vehicle_of(tid) == vid else max(0, surplus)
+        for (tid, vid), share, surplus in zip(matrix.pairs, matrix.share, matrix.surplus)
+    ]
+    schedule = PaymentSchedule.scaled(matrix.pairs, matrix.den, ints)
+    (_, stability), check_s = _timed(check_payments, inst, a, schedule)
+    return {
+        "prime_parse_s": parse_s,
+        "prime_pair_table_s": pair_table_s,
+        "prime_check_literal_s": check_s,
+        "prime_check_literal_verdict": None if stability is None else stability.verdict,
+        "prime_den_bits": matrix.den.bit_length(),
+        "prime_traveler_den_bits": max(t.ints[0].bit_length() for t in inst.travelers),
+    }
 
 
 def tier1() -> dict:

@@ -107,6 +107,23 @@ MUTANTS = (
         "the tie rule follows the instance's vehicle order, not the ids' string order",
         ("tests/test_metamorphic.py::test_relabelling_ids_relabels_every_output",),
     ),
+    Mutant(
+        "sink_potential_zero",
+        "solver.py",
+        "sink_pot = min(pot, default=0)",
+        "sink_pot = 0",
+        "the sink starts at the least vehicle potential, or a run stops before a negative path",
+        ("tests/test_solver.py::test_shortest_augmenting_paths_hand_cases",
+         "tests/test_solver.py::test_tie_rule_at_scale"),
+    ),
+    Mutant(
+        "unperturbed_weights",
+        "solver.py",
+        "adj[i][j] = w * top - (j + 1) * digit[i]",
+        "adj[i][j] = w",
+        "without Charnes' digits the kernel returns whichever optimum its scan order finds",
+        ("tests/test_solver.py::test_tie_rule_returns_the_first_optimum_in_enumeration_order",),
+    ),
     # -- the pair table
     Mutant(
         "per_seat_share_by_position",
@@ -316,18 +333,36 @@ MUTANTS = (
     Mutant(
         "payments_not_read_again",
         "instance_io.py",
-        "    while den != scaled.den:  # a payment raised den",
-        "    if den != scaled.den:  # a payment raised den",
-        "a payment over a new denominator lifts every payment read before it",
+        "    while finer:  # at the table's den",
+        "    if finer:  # at the table's den",
+        "a payment finer than the table's den makes the walk start once more, at a scale it fits",
         ("tests/test_io_cli.py::test_every_form_of_a_schedule_agrees",),
     ),
     Mutant(
-        "running_den_without_relift",
+        "scale_floors_a_finer_denominator",
         "instance_io.py",
-        "            for held in self:\n                self[held] *= up\n",
+        "        if self.den % q:\n            raise KeyError(text)\n",
         "",
-        "a new denominator lifts every value already held, or a later row reads it too small",
+        "a money string whose denominator does not divide the scale misses, not rounds down",
+        ("tests/test_io_cli.py::test_both_intake_forms_agree",
+         "tests/test_io_cli.py::test_a_scale_never_changes_a_value_it_holds"),
+    ),
+    Mutant(
+        "row_scale_from_bounds_only",
+        "instance_io.py",
+        "den = math.lcm(*{q for _, q in ratios})",
+        "den = math.lcm(ratios[0][1], ratios[1][1])",
+        "a traveler's own scale is over every value of its row, the inconvenience too",
         ("tests/test_io_cli.py::test_both_intake_forms_agree",),
+    ),
+    Mutant(
+        "payment_sign_unchecked",
+        "instance_io.py",
+        "if len(ints) != count or min(scaled.values(), default=0) < 0:",
+        "if len(ints) != count:",
+        "a negative payment string is named, not priced",
+        ("tests/test_io_cli.py::test_each_payment_problem_alone_keeps_its_text",
+         "tests/test_io_cli.py::test_payment_values_stay_type_strict"),
     ),
     # -- the CLI's payments and output
     Mutant(

@@ -103,13 +103,14 @@ def exact_number(value) -> Fraction:
     return Fraction(value)
 
 
-def _parse_money(value, where, errors, memo):
+def _parse_money(value, errors, memo, where, *names):
     """The exact value of one money field, or ``0`` with an error naming
-    ``where``.  ``memo`` maps each string already converted without error
-    in this document to its value, so a repeated string is converted once;
-    a malformed one is converted, and reported, at every location.  The
-    caller looks a string up in ``memo`` itself, before it formats
-    ``where``."""
+    ``where.format(*names)``, formatted only then.  ``memo`` maps each
+    string already converted without error in this document to its value,
+    so a repeated string is converted once; a malformed one is converted,
+    and reported, at every location."""
+    if type(value) is str and value in memo:
+        return memo[value]
     try:
         if isinstance(value, bool):
             raise ValueError
@@ -122,25 +123,23 @@ def _parse_money(value, where, errors, memo):
             # floats in source documents are ambiguous; require strings
             raise ValueError
     except ValidationError as exc:
-        errors.append(f"{where}: {exc}")
+        errors.append(f"{where.format(*names)}: {exc}")
         return _ZERO
     except (ValueError, ZeroDivisionError):
         pass
-    errors.append(f"{where}: not an exact number: {value!r} (use \"p/q\" strings)")
+    errors.append(f"{where.format(*names)}: not an exact number: {value!r} (use \"p/q\" strings)")
     return _ZERO
 
 
 class _Scaled(dict):
     """Each money string looked up -> its value as an ``int`` over ``den``,
-    the least common multiple of the ``den`` it starts at and their
-    denominators so far.  A money string is converted once per document,
-    on its first lookup unless ``memo`` holds it already, and its value
-    kept in ``memo`` too; one whose denominator does not divide ``den``
-    raises it and lifts every value already held, work on the distinct
-    strings alone.  A lookup of anything that is no money string raises
-    ``KeyError``, for :meth:`row` or the payments' reader to handle.  Keyed
-    by strings only, as ``memo`` is, so ``true``, ``1.0`` and ``1`` never
-    pass for ``"1"``."""
+    which is fixed when built, so no value held ever changes.  A money
+    string is converted once per document, on its first lookup unless
+    ``memo`` holds it already, and kept in ``memo`` too.  A string whose
+    denominator does not divide ``den``, or anything that is no money
+    string, raises ``KeyError``, for the traveler loop or the payments'
+    reader to handle.  Keyed by strings only, as ``memo`` is, so ``true``,
+    ``1.0`` and ``1`` never pass for ``"1"``."""
 
     def __init__(self, memo, den=1):
         super().__init__()
@@ -157,30 +156,27 @@ class _Scaled(dict):
                 raise KeyError(text) from None
         q = number.denominator
         if self.den % q:
-            up = q // math.gcd(self.den, q)
-            self.den *= up
-            for held in self:
-                self[held] *= up
+            raise KeyError(text)
         value = self[text] = number.numerator * (self.den // q)
         return value
 
-    def row(self, where, v_max, v_min, inconvenience, errors) -> tuple:
-        """``(v_max, v_min, inconvenience)`` of one traveler as ``int``s over
-        ``den``.  A value that is no money string is converted one at a
-        time, in field order, and one that does not convert is recorded as
-        an error naming ``where`` and read as 0; the row is read once every
-        value is looked up, when ``den`` is final."""
-        others = {}  # position -> a JSON integer, or 0 for an error
-        fields = (("v_max", v_max), ("v_min", v_min), *inconvenience.items())
-        for k, (key, value) in enumerate(fields):
-            try:
-                self[value]
-            except (KeyError, TypeError):
-                name = key if k < 2 else f"inconvenience[{key!r}]"
-                others[k] = _parse_money(value, f"{where}: {name}", errors, self.memo).numerator
-        values = [v_max, v_min, *inconvenience.values()]
-        ints = [others[k] * self.den if k in others else self[x] for k, x in enumerate(values)]
-        return ints[0], ints[1], dict(zip(inconvenience, ints[2:]))
+
+def _money_row(where, v_max, v_min, inconvenience, errors, memo) -> tuple:
+    """``(den, v_max, v_min, inconvenience)`` of one traveler as ``int``s
+    over ``den``, the least common multiple of its own denominators.  A
+    row that is not all money strings converted before is converted one
+    value at a time, in field order: one that does not convert is an error
+    naming ``where``, read as 0, so money errors precede range errors."""
+    fields = (v_max, v_min, *inconvenience.values())
+    try:  # every value a money string converted before: read in C
+        values = list(map(memo.__getitem__, fields))
+    except (KeyError, TypeError):
+        names = ("v_max", "v_min", *(f"inconvenience[{key!r}]" for key in inconvenience))
+        values = [_parse_money(x, errors, memo, "{}: {}", where, n) for n, x in zip(names, fields)]
+    ratios = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*{q for _, q in ratios})
+    ints = [p * (den // q) for p, q in ratios]
+    return den, ints[0], ints[1], dict(zip(inconvenience, ints[2:]))
 
 
 def _entities(doc, section, errors):
@@ -213,13 +209,14 @@ def _objects_noting_repeats(repeats):
 
 def _priced_by_table(section, matrix, tids, memo):
     """The payments ``section`` scaled on the pair table's pairs, in table
-    order, read in one walk of the table straight into a scale that is a
-    multiple of its ``den``: each money string through a :class:`_Scaled`
-    seeded at that ``den``, the walk read again when a value raised it, and
-    a JSON integer times ``den``.  ``None``, for the caller to word the
-    errors, when a row is no object or names no traveler, a value is no
-    money or is negative, or an entry is ``null`` or prices no compatible
-    pair (fewer prices than entries)."""
+    order, read in one walk of the table straight into a fixed scale: each
+    money string through a :class:`_Scaled` at the table's ``den``, and a
+    JSON integer times ``den``.  A money string whose denominator does not
+    divide ``den`` makes the walk start once more, at the least common
+    multiple of ``den`` and every such denominator.  ``None``, for the
+    caller to word the errors, when a row is no object or names no
+    traveler, a value is no money or is negative, or an entry is ``null``
+    or prices no compatible pair (fewer prices than entries)."""
     if type(section) is not dict or not section.keys() <= tids:
         return None
     if not all(type(row) is dict for row in section.values()):
@@ -227,22 +224,24 @@ def _priced_by_table(section, matrix, tids, memo):
     pairs, count, empty = matrix.pairs, sum(map(len, section.values())), {}
     if count < len(pairs):  # a partial schedule: its priced pairs alone
         pairs = tuple(p for p in pairs if section.get(p[0], empty).get(p[1]) is not None)
-    scaled, den = _Scaled(memo, matrix.den), None
-    while den != scaled.den:  # a payment raised den: every one read is read again
-        den, ints, tid = scaled.den, [], None
+    den, finer = 1, {matrix.den}
+    while finer:  # at the table's den, then once more if a payment is finer than it
+        den = math.lcm(den, *finer)
+        scaled, ints, finer, tid = _Scaled(memo, den), [], set(), None
         for t, vid in pairs:
             if t != tid:
                 tid, row = t, section.get(t, empty)
             try:
                 ints.append(scaled[row[vid]])
-            except (KeyError, TypeError):  # unpriced, or no money string
-                x = row.get(vid)
-                if x is None:
-                    continue  # unpriced or null: the count finds it
-                # 1.0 and true equal 1, but only the JSON integer is money
-                if type(x) is not int or x < 0:
-                    return None
-                ints.append(x * den)
+            except (KeyError, TypeError):  # unpriced, finer than den, or no money string
+                x = row.get(vid)  # None: unpriced or null, which the count finds
+                if type(x) is str and x in memo:
+                    finer.add(memo[x].denominator)
+                elif x is not None:
+                    # 1.0 and true equal 1, but only the JSON integer is money
+                    if type(x) is not int or x < 0:
+                        return None
+                    ints.append(x * den)
     # distinct pairs read distinct entries: equal counts read every entry
     if len(ints) != count or min(scaled.values(), default=0) < 0:
         return None
@@ -268,11 +267,7 @@ def _priced_by_document(section, matrix, tids, vids, memo):
                 else:
                     errors.append(f"payments: pair {pair!r} is not compatible")
                 continue
-            entries[pair] = (
-                memo[value]
-                if type(value) is str and value in memo
-                else _parse_money(value, f"payments: [{tid!r}][{vid!r}]", errors, memo)
-            )
+            entries[pair] = _parse_money(value, errors, memo, "payments: [{!r}][{!r}]", tid, vid)
     if errors:
         raise ValidationError(errors)
     return PaymentSchedule(entries)
@@ -280,6 +275,11 @@ def _priced_by_document(section, matrix, tids, vids, memo):
 
 def parse_document(text: str) -> InstanceDocument:
     """Parse and validate a full instance document.
+
+    Each traveler's money is kept as ``int``s over a fixed scale: the last
+    traveler's when every value is a money string that fits it, or else
+    the least common multiple of its own denominators, which then serves
+    the travelers after it.  The payments are read at the pair table's scale.
 
     Raises :class:`ValidationError` listing every problem found: syntax
     errors carry line and column, semantic errors name the section, entity
@@ -355,17 +355,14 @@ def parse_document(text: str) -> InstanceDocument:
         if type(inconvenience) is not dict:
             inconvenience = _typed(inconvenience, dict, f"{where}: inconvenience", errors, {})
         v_max, v_min = entry.get("v_max", 0), entry.get("v_min", 0)
-        den = None
-        try:  # every value a money string, converted on its first lookup: read in C,
-            # and read again when den grew meanwhile
-            while den != scaled.den:
-                den = scaled.den
-                row = dict(zip(inconvenience, map(scaled.__getitem__, inconvenience.values())))
-                hi, lo = scaled[v_max], scaled[v_min]
+        try:  # every value a money string over a divisor of the last scale: read in C
+            den, hi, lo = scaled.den, scaled[v_max], scaled[v_min]
+            row = dict(zip(inconvenience, map(scaled.__getitem__, inconvenience.values())))
         except (KeyError, TypeError):  # TypeError: a list or an object
-            hi, lo, row = scaled.row(where, v_max, v_min, inconvenience, errors)
+            den, hi, lo, row = _money_row(where, v_max, v_min, inconvenience, errors, memo)
+            scaled = _Scaled(memo, den)  # the travelers after it are read at its scale
         try:
-            travelers.append(Traveler.scaled(tid, od, scaled.den, hi, lo, row))
+            travelers.append(Traveler.scaled(tid, od, den, hi, lo, row))
         except ValidationError as exc:
             errors.extend(exc.errors)
 
@@ -391,9 +388,7 @@ def parse_document(text: str) -> InstanceDocument:
             if type(shares) is not dict:
                 shares = _typed(shares, dict, f"{where}: cost_shares", errors, {})
             shares = {
-                t: memo[s]
-                if type(s) is str and s in memo
-                else _parse_money(s, f"{where}: cost_shares[{t!r}]", errors, memo)
+                t: _parse_money(s, errors, memo, "{}: cost_shares[{!r}]", where, t)
                 for t, s in shares.items()
             }
         cost = entry.get("operating_cost", 0)
@@ -403,9 +398,7 @@ def parse_document(text: str) -> InstanceDocument:
                     id=vid,
                     route=route,
                     capacity=entry.get("capacity", 0),
-                    operating_cost=memo[cost]
-                    if type(cost) is str and cost in memo
-                    else _parse_money(cost, f"{where}: operating_cost", errors, memo),
+                    operating_cost=_parse_money(cost, errors, memo, "{}: operating_cost", where),
                     cost_shares=shares,
                 )
             )

@@ -6,7 +6,7 @@ rounds, and refuses a ``float`` or ``bool`` amount.  The range checks of
 ``0 <= inconvenience <= v_max``) run once, as the traveler is built, on
 integers: ``Traveler(...)`` cross-multiplies each bound and value as
 ``numerator / denominator``, and :meth:`Traveler.scaled`, which the parser
-calls with a document's money already as ``int``s over one denominator,
+calls with a traveler's money already as ``int``s over one denominator,
 compares those.  The pair table reads each traveler's money as ``int``s
 (:attr:`Traveler.ints`) and holds the compatible pairs' terms in ``int``
 columns aligned with its pairs, over the instance's least common
@@ -105,7 +105,7 @@ class _View:
 class Traveler:
     """A rider: a trip, the bounds of its value and an inconvenience per
     vehicle.  ``Traveler(...)`` checks money and keeps it; the parser
-    builds one in a document's integer scale with :meth:`scaled`, whose
+    builds one in an integer scale of its own with :meth:`scaled`, whose
     money fields are then views built on first read.  Either way
     :attr:`ints` holds the money as ``int``s over one denominator, and the
     pair table reads only that."""
@@ -323,7 +323,7 @@ class MarketInstance:
         index = {v.id: k for k, v in enumerate(vehicles)}
         route_stops = self._stops
         # every traveler's money over one denominator; a parsed document's
-        # travelers are over divisors of its last one
+        # travelers are over a few small ones, most shared with the traveler before
         common = math.lcm(*{t.ints[0] for t in self.travelers})
         # per trip: vehicle index -> whether its route serves the trip, asked
         # only of the vehicles that the trip's travelers name

@@ -43,7 +43,7 @@ from rideshare_market.allocation import check_payments, validate_schedule
 from rideshare_market.cli import build_parser, main
 from rideshare_market.generate import generate_instance
 from rideshare_market.instance_io import (
-    _NUMBER, MAX_DIGITS, exact_number, parse_document, serialize_document
+    _NUMBER, MAX_DIGITS, _Scaled, exact_number, parse_document, serialize_document
 )
 from rideshare_market.network import route_vertex_sequence, serves, stops
 
@@ -755,9 +755,57 @@ def test_both_intake_forms_agree():
         )
         assert got.den % 97 == 0
         assert parsed == expected and repr(parsed) == repr(expected)
-        lifted += parsed.travelers[0].ints[0] < parsed.travelers[-1].ints[0]
+        first, last = parsed.travelers[0].ints[0], parsed.travelers[-1].ints[0]
+        lifted += last % 97 == 0 and first % 97 != 0
     assert lifted == 300 and off_pairs > 300
     assert min(forms[form] for form in ("int", "e", "E", ".", "/")) > 100
+
+
+def _odd_primes(k):
+    """The first ``k`` odd primes."""
+    primes, c = [], 3
+    while len(primes) < k:
+        if all(c % p for p in primes if p * p <= c):
+            primes.append(c)
+        c += 2
+    return primes
+
+
+def test_a_new_prime_per_traveler_keeps_each_traveler_at_its_own_scale():
+    """A market whose travelers each add ``1/p`` to ``v_max``, ``p`` an odd
+    prime of their own, parses to the market built from the same
+    ``Fraction``s: equal pair tables and reprs.  Each parsed traveler is
+    over its own small denominator, not over the product of every prime
+    read before it; only the table's ``den`` is their least common
+    multiple."""
+    inst = generate_instance(5, 300, 60)
+    travelers = [
+        # in id order, as the document writes it
+        dataclasses.replace(t, v_max=t.v_max + F(1, p), inconvenience=dict(sorted(t.inconvenience.items())))
+        for t, p in zip(inst.travelers, _odd_primes(len(inst.travelers)))
+    ]
+    expected = MarketInstance(inst.network, travelers, inst.vehicles)
+    parsed = parse_document(serialize_document(expected)).instance
+    got, want = parsed.compatibility, expected.compatibility
+    assert (got.den, got.entries) == (want.den, want.entries)
+    assert got.den.bit_length() > 2000
+    assert repr(parsed) == repr(expected)
+    assert max(t.ints[0].bit_length() for t in parsed.travelers) <= 64
+
+
+def test_a_scale_never_changes_a_value_it_holds():
+    """``_Scaled`` keeps the ``den`` it is built with: a money string whose
+    denominator does not divide it misses, as a non-money value does, and
+    leaves every held value and ``den`` as they were."""
+    memo = {}
+    scaled = _Scaled(memo, 6)
+    assert (scaled["1/2"], scaled["2"], scaled["0.5"]) == (3, 12, 3)
+    for miss in ("1/4", "1/5", "x", 1, True, 1.0):
+        with pytest.raises(KeyError):
+            scaled[miss]
+    assert scaled == {"1/2": 3, "2": 12, "0.5": 3} and scaled.den == 6
+    assert memo["1/4"] == F(1, 4) and "x" not in memo
+    assert _Scaled(memo, 12)["1/4"] == 3
 
 
 def test_every_form_of_a_schedule_agrees():

@@ -404,6 +404,7 @@ def test_ladder_row_records_every_figure():
     """``bench/ladder.py`` reaches into the solver's perturbation, the dual
     certificate and the synthesis's Bellman-Ford run: a small row still
     carries every figure, the priced document parses in pair-table order,
+    each parsed traveler of the many-denominator family keeps a small scale,
     the CLI check exits with the literal verdict, and the wrapped run is put
     back."""
     path = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
@@ -422,11 +423,14 @@ def test_ladder_row_records_every_figure():
         "priced_parse_s", "priced_in_table_order",
         "check_literal_s", "check_literal_verdict", "check_classic_s", "check_classic_verdict",
         "welfare_paper_s", "cli_check_s", "cli_check_override_s", "cli_check_status",
+        "prime_parse_s", "prime_pair_table_s", "prime_check_literal_s",
+        "prime_check_literal_verdict", "prime_den_bits", "prime_traveler_den_bits",
     ]  # fmt: skip
     for favor in ("travelers", "vehicles"):
         assert row[f"synthesis_{favor}_edges"] > 0 and row[f"synthesis_{favor}_relaxations"] > 0
     assert row["cli_check_status"] == (0 if row["check_literal_verdict"] else 1)
     assert row["priced_in_table_order"] is True
+    assert row["prime_traveler_den_bits"] <= 64 < row["prime_den_bits"]
     delta = ladder.delta({"ladder": [row]}, [row])
     assert delta["n=20"]["synthesis_travelers_rows"] == [row["synthesis_travelers_rows"]] * 2
     root = path.parent.parent
