@@ -69,6 +69,7 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -233,24 +234,15 @@ def check_path(inst, a) -> dict:
     return row
 
 
-def odd_primes(k: int) -> list:
-    """The first ``k`` odd primes."""
-    primes, c = [], 3
-    while len(primes) < k:
-        if all(c % p for p in primes if p * p <= c):
-            primes.append(c)
-        c += 2
-    return primes
-
-
 def prime_row(market, a) -> dict:
     """Parse, first pair table and literal check times of ``market`` with
     ``1/p`` added to each traveler's ``v_max``, ``p`` an odd prime of its
     own, checked at ``a``: each matched pair pays its cost share and every
     other pair its break-even ``max(0, surplus)``."""
+    primes = [p for p in range(3, 10**4, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
     travelers = [
         dataclasses.replace(t, v_max=t.v_max + Fraction(1, p))
-        for t, p in zip(market.travelers, odd_primes(len(market.travelers)))
+        for t, p in zip(market.travelers, primes)
     ]
     text = serialize_document(dataclasses.replace(market, travelers=travelers))
     doc, parse_s = _timed(parse_document, text)

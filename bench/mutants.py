@@ -350,8 +350,8 @@ MUTANTS = (
     Mutant(
         "row_scale_from_bounds_only",
         "instance_io.py",
-        "den = math.lcm(*{q for _, q in ratios})",
-        "den = math.lcm(ratios[0][1], ratios[1][1])",
+        "den = math.lcm(*{x.denominator for x in values})",
+        "den = math.lcm(values[0].denominator, values[1].denominator)",
         "a traveler's own scale is over every value of its row, the inconvenience too",
         ("tests/test_io_cli.py::test_both_intake_forms_agree",),
     ),

@@ -163,19 +163,20 @@ class _Scaled(dict):
 
 def _money_row(where, v_max, v_min, inconvenience, errors, memo) -> tuple:
     """``(den, v_max, v_min, inconvenience)`` of one traveler as ``int``s
-    over ``den``, the least common multiple of its own denominators.  A
-    row that is not all money strings converted before is converted one
-    value at a time, in field order: one that does not convert is an error
-    naming ``where``, read as 0, so money errors precede range errors."""
-    fields = (v_max, v_min, *inconvenience.values())
-    try:  # every value a money string converted before: read in C
-        values = list(map(memo.__getitem__, fields))
-    except (KeyError, TypeError):
-        names = ("v_max", "v_min", *(f"inconvenience[{key!r}]" for key in inconvenience))
-        values = [_parse_money(x, errors, memo, "{}: {}", where, n) for n, x in zip(names, fields)]
-    ratios = [x.as_integer_ratio() for x in values]
-    den = math.lcm(*{q for _, q in ratios})
-    ints = [p * (den // q) for p, q in ratios]
+    over ``den``, the least common multiple of its own denominators.  The
+    row is converted one value at a time, in field order: one that does
+    not convert is an error naming ``where``, read as 0, so money errors
+    precede range errors."""
+    values = [
+        _parse_money(v_max, errors, memo, "{}: v_max", where),
+        _parse_money(v_min, errors, memo, "{}: v_min", where),
+        *(
+            _parse_money(x, errors, memo, "{}: inconvenience[{!r}]", where, key)
+            for key, x in inconvenience.items()
+        ),
+    ]
+    den = math.lcm(*{x.denominator for x in values})
+    ints = [x.numerator * (den // x.denominator) for x in values]
     return den, ints[0], ints[1], dict(zip(inconvenience, ints[2:]))
 
 

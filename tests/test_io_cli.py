@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import operator
 import os
 import random
@@ -761,16 +762,6 @@ def test_both_intake_forms_agree():
     assert min(forms[form] for form in ("int", "e", "E", ".", "/")) > 100
 
 
-def _odd_primes(k):
-    """The first ``k`` odd primes."""
-    primes, c = [], 3
-    while len(primes) < k:
-        if all(c % p for p in primes if p * p <= c):
-            primes.append(c)
-        c += 2
-    return primes
-
-
 def test_a_new_prime_per_traveler_keeps_each_traveler_at_its_own_scale():
     """A market whose travelers each add ``1/p`` to ``v_max``, ``p`` an odd
     prime of their own, parses to the market built from the same
@@ -779,10 +770,11 @@ def test_a_new_prime_per_traveler_keeps_each_traveler_at_its_own_scale():
     read before it; only the table's ``den`` is their least common
     multiple."""
     inst = generate_instance(5, 300, 60)
+    primes = [p for p in range(3, 2000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     travelers = [
         # in id order, as the document writes it
         dataclasses.replace(t, v_max=t.v_max + F(1, p), inconvenience=dict(sorted(t.inconvenience.items())))
-        for t, p in zip(inst.travelers, _odd_primes(len(inst.travelers)))
+        for t, p in zip(inst.travelers, primes)
     ]
     expected = MarketInstance(inst.network, travelers, inst.vehicles)
     parsed = parse_document(serialize_document(expected)).instance
