@@ -312,6 +312,41 @@ MUTANTS = (
         "an off-match payment is the least value its rows allow, which may be 0",
         ("tests/test_metamorphic.py::test_scaling_money_scales_every_amount",),
     ),
+    Mutant(
+        "feasible_certificate_empty",
+        "allocation.py",
+        "        if self.proof is None:\n            return None\n",
+        "        if self.proof is None:\n            return ()\n",
+        "a feasible synthesis has no Farkas multipliers at all, not an empty tuple of them",
+        ("tests/test_allocation.py::test_synthesis_on_optimal_assignment",
+         "tests/test_allocation.py::test_synthesis_favor_vehicles"),
+    ),
+    # -- money intake and its views
+    Mutant(
+        "exact_number_reads_bools",
+        "market.py",
+        "    if type(value) is int:\n",
+        "    if isinstance(value, int):\n",
+        "a bool is an int to Python, but a JSON true is no amount",
+        ("tests/test_io_cli.py::test_payment_values_stay_type_strict",),
+    ),
+    Mutant(
+        "library_money_strings_by_fraction",
+        "market.py",
+        "    return exact_number(x)\n",
+        "    return Fraction(x) if isinstance(x, str) else exact_number(x)\n",
+        "the library reads money text by the documents' grammar, which refuses ' 3' and '1_000'",
+        ("tests/test_io_cli.py::test_the_library_reads_money_strings_as_documents_do",),
+    ),
+    Mutant(
+        "view_v_max_from_v_min",
+        "market.py",
+        "_View(lambda t: Fraction(t.ints[1], t.ints[0]))",
+        "_View(lambda t: Fraction(t.ints[2], t.ints[0]))",
+        "a parsed traveler's v_max is the second of its ints, v_min the third",
+        ("tests/test_io_cli.py::test_round_trip_canonical",
+         "tests/test_io_cli.py::test_repeated_money_strings_parse_exactly"),
+    ),
     # -- the parser
     Mutant(
         "key_count_skipped",

@@ -22,6 +22,7 @@ from rideshare_market.market import (
     MarketInstance,
     UNASSIGNED,
     _ZERO,
+    _View,
     _money,
     validate_assignment,
     validate_schedule,
@@ -45,7 +46,7 @@ class PaymentSchedule:
     its ``entries`` are then a view built on first read."""
 
     # the dict given, or the view of a scaled schedule
-    entries: dict = cached_property(
+    entries: dict = _View(
         lambda self: dict(zip(self.pairs, map(Fraction, self.ints, repeat(self.den))))
     )
 

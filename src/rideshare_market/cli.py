@@ -18,11 +18,12 @@ from functools import cache
 from rideshare_market.allocation import PaymentSchedule, check_payments, synthesize_stable_payments
 from rideshare_market.errors import OracleScaleError, ValidationError
 from rideshare_market.generate import generate_instance
-from rideshare_market.instance_io import exact_number, parse_document, serialize_document
+from rideshare_market.instance_io import parse_document, serialize_document
 from rideshare_market.market import (
     Assignment,
     UNASSIGNED,
     cost_recovery_gap,
+    exact_number,
     scale_to_integers,
     welfare_paper,
     welfare_surplus,

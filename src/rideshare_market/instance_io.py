@@ -2,23 +2,21 @@
 
 Documents are JSON with a fixed section layout (network, travelers,
 vehicles, optional payments, options).  Money is written as exact rational
-strings like ``"3/2"``; plain integers and decimal strings are accepted on
-input and converted exactly.  Serialization round-trips bit-exactly.
+strings like ``"3/2"``; ``market.exact_number`` reads it, plain integers and
+decimal strings too, exactly.  Serialization round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string  # json.dumps's own escaping
 
 from rideshare_market.allocation import PaymentSchedule
 from rideshare_market.errors import ValidationError
-from rideshare_market.market import _ZERO, MarketInstance, Traveler, Vehicle
+from rideshare_market.market import _ZERO, MarketInstance, Traveler, Vehicle, exact_number
 from rideshare_market.network import Edge, Network, ODPair, Route
 
 SCHEMA_VERSION = 1
@@ -67,42 +65,6 @@ def _strings(values, where, errors) -> bool:
     return not bad
 
 
-#: the most digits Python converts between ``int`` and ``str`` by default
-MAX_DIGITS = 4300
-
-#: the money grammar, on every Python: a sign, an integer, ``p/q`` or a
-#: decimal; the groups are the sign and, for an integer or ``p/q``, its digits
-_NUMBER = re.compile(r"([-+]?)(?:(\d+)(?:/(\d+))?|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)", re.ASCII)
-
-
-def exact_number(value) -> Fraction:
-    """``Fraction(value)`` for an ``int`` or a string in the money grammar.
-
-    A string is matched against the grammar once: an integer or ``p/q``
-    string is built from the match's own digits, and a decimal's exponent
-    is checked before the power of ten is computed.  A value with more than
-    :data:`MAX_DIGITS` digits in an integer, in either part of ``p/q``, or
-    once a decimal's exponent is written out raises
-    :class:`ValidationError`, since it could never be printed.  A zero
-    denominator raises ``ZeroDivisionError``; other strings raise
-    ``ValueError``, non-ASCII digits too.
-    """
-    if isinstance(value, str):
-        match = _NUMBER.fullmatch(value)
-        if not match:
-            raise ValueError(f"not an exact number: {value!r}")
-        sign, p, q = match.groups()
-        if p is not None:
-            if len(p) > MAX_DIGITS or q is not None and len(q) > MAX_DIGITS:
-                raise ValidationError(f"{value!r} needs more than {MAX_DIGITS} digits")
-            p = -int(p) if sign == "-" else int(p)
-            return Fraction(p) if q is None else Fraction(p, int(q))
-        mantissa, e, exponent = value.upper().partition("E")
-        if e and sum(c.isdigit() for c in mantissa) + abs(int(exponent)) > MAX_DIGITS:
-            raise ValidationError(f"{value!r} needs more than {MAX_DIGITS} digits")
-    return Fraction(value)
-
-
 def _parse_money(value, errors, memo, where, *names):
     """The exact value of one money field, or ``0`` with an error naming
     ``where.format(*names)``, formatted only then.  ``memo`` maps each
@@ -112,23 +74,16 @@ def _parse_money(value, errors, memo, where, *names):
     if type(value) is str and value in memo:
         return memo[value]
     try:
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, (int, str)):
-            number = exact_number(value)
-            if isinstance(value, str):
-                memo[value] = number
-            return number
-        if isinstance(value, float):
-            # floats in source documents are ambiguous; require strings
-            raise ValueError
+        number = exact_number(value)
     except ValidationError as exc:
         errors.append(f"{where.format(*names)}: {exc}")
         return _ZERO
     except (ValueError, ZeroDivisionError):
-        pass
-    errors.append(f"{where.format(*names)}: not an exact number: {value!r} (use \"p/q\" strings)")
-    return _ZERO
+        errors.append(f"{where.format(*names)}: not an exact number: {value!r} (use \"p/q\" strings)")
+        return _ZERO
+    if type(value) is str:
+        memo[value] = number
+    return number
 
 
 class _Scaled(dict):
@@ -469,7 +424,7 @@ def serialize_document(inst: MarketInstance, payments: PaymentSchedule | None = 
     """The document of ``inst`` and, if given, ``payments``: byte for byte
     ``json.dumps(doc, indent=2) + "\n"`` of it as a dict (id tables sorted, money as
     ``str``), written directly since ``json.dumps`` with ``indent`` is pure Python.
-    Money past :data:`MAX_DIGITS` digits raises ``ValueError``, as ``str`` does."""
+    Money past ``market.MAX_DIGITS`` digits raises ``ValueError``, as ``str`` does."""
     money = _MoneyText()
     edges = [
         _block("[]", [_string(e.id), _string(e.tail), _string(e.head)], "      ")

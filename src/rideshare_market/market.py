@@ -1,7 +1,8 @@
 """Travelers, vehicles, market instances, and every scalar market formula.
 
-Money enters and leaves as :class:`fractions.Fraction`; the package never
-rounds, and refuses a ``float`` or ``bool`` amount.  The range checks of
+Money leaves as :class:`fractions.Fraction` and enters so, or as what
+:func:`exact_number`, the one reader of every document's and constructor's
+money, reads; the package never rounds.  The range checks of
 :class:`Traveler` (``0 <= v_min <= v_max`` and
 ``0 <= inconvenience <= v_max``) run once, as the traveler is built, on
 integers: ``Traveler(...)`` cross-multiplies each bound and value as
@@ -18,6 +19,7 @@ position; the scalar formulas make one ``Fraction`` per answer, and
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,14 +42,55 @@ EXPLICIT = "explicit"
 _ZERO = Fraction(0)
 
 
+#: the most digits Python converts between ``int`` and ``str`` by default
+MAX_DIGITS = 4300
+
+#: the money grammar, on every Python: a sign, an integer, ``p/q`` or a
+#: decimal; the groups are the sign and, for an integer or ``p/q``, its digits
+_NUMBER = re.compile(r"([-+]?)(?:(\d+)(?:/(\d+))?|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)", re.ASCII)
+
+
+def exact_number(value) -> Fraction:
+    """``Fraction(value)`` for an ``int`` or a string in the money grammar.
+
+    A string is matched against the grammar once: an integer or ``p/q``
+    string is built from the match's own digits, and a decimal's exponent
+    is checked before the power of ten is computed.  A value with more than
+    :data:`MAX_DIGITS` digits in an integer, in either part of ``p/q``, or
+    once a decimal's exponent is written out raises
+    :class:`ValidationError`, since it could never be printed.  A zero
+    denominator raises ``ZeroDivisionError``; any other value raises
+    ``ValueError``: a string with non-ASCII digits, a ``bool``, a ``float``.
+    """
+    if isinstance(value, str):
+        match = _NUMBER.fullmatch(value)
+        if not match:
+            raise ValueError(f"not an exact number: {value!r}")
+        sign, p, q = match.groups()
+        if p is not None:
+            if len(p) > MAX_DIGITS or q is not None and len(q) > MAX_DIGITS:
+                raise ValidationError(f"{value!r} needs more than {MAX_DIGITS} digits")
+            p = -int(p) if sign == "-" else int(p)
+            return Fraction(p) if q is None else Fraction(p, int(q))
+        mantissa, e, exponent = value.upper().partition("E")
+        if e and sum(c.isdigit() for c in mantissa) + abs(int(exponent)) > MAX_DIGITS:
+            raise ValidationError(f"{value!r} needs more than {MAX_DIGITS} digits")
+        return Fraction(value)
+    # a bool is an int too, but no amount
+    if type(value) is int:
+        return Fraction(value)
+    raise ValueError(f"not an exact number: {value!r}")
+
+
 def _money(x) -> Fraction:
     # ``type`` first: ``isinstance(x, Fraction)`` goes through ``ABCMeta``, which is slow
     if type(x) is Fraction or isinstance(x, Fraction):
         return x
-    # a float is already rounded and a bool is no amount: the parser rejects both too
+    # a float is already rounded and a bool is no amount, named as such here;
+    # anything else is read, or refused, by the documents' own grammar
     if isinstance(x, (float, bool)):
         raise ValidationError(f"money value {x!r} is a {type(x).__name__}, not an exact number")
-    return Fraction(x)
+    return exact_number(x)
 
 
 def scale_to_integers(values, den=1):
@@ -80,25 +123,16 @@ def _range_errors(tid, bounds_ok: bool, outside) -> list:
     return errors
 
 
-class _View:
-    """A money field of a traveler built by :meth:`Traveler.scaled`, made
-    from its ``ints`` on first read by ``build(den, v_max, v_min, row)``.
-    A traveler built from money holds the field itself, which hides this
-    one.  Read on the class it raises ``AttributeError``, so that
-    ``@dataclass`` sees no default and ``Traveler(...)`` still requires
-    the field."""
+class _View(cached_property):
+    """A money field of a scaled :class:`Traveler` or ``PaymentSchedule``,
+    built from its ``int``s on first read; one built from money holds the
+    field itself.  Read on the class it raises ``AttributeError``, so that
+    ``@dataclass`` sees no default and the field stays required."""
 
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, t, owner=None):
-        if t is None:
-            raise AttributeError(self.name)
-        value = t.__dict__[self.name] = self.build(*t.ints)
-        return value
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError(self.attrname)
+        return super().__get__(instance, owner)
 
 
 @dataclass(frozen=True)
@@ -112,13 +146,13 @@ class Traveler:
 
     id: str
     od: ODPair
-    v_max: Fraction = _View(lambda den, v_max, v_min, row: Fraction(v_max, den))
-    v_min: Fraction = _View(lambda den, v_max, v_min, row: Fraction(v_min, den))
+    v_max: Fraction = _View(lambda t: Fraction(t.ints[1], t.ints[0]))
+    v_min: Fraction = _View(lambda t: Fraction(t.ints[2], t.ints[0]))
     #: vehicle id -> inconvenience (money).  A vehicle is compatible only if
     #: its route serves ``od`` (:func:`~rideshare_market.network.serves`)
     #: *and* an entry exists here.
     inconvenience: dict = _View(
-        lambda den, v_max, v_min, row: dict(zip(row, map(Fraction, row.values(), repeat(den))))
+        lambda t: dict(zip(t.ints[3], map(Fraction, t.ints[3].values(), repeat(t.ints[0]))))
     )
 
     def __post_init__(self):

@@ -470,6 +470,8 @@ def test_classic_core_seat_profit_is_the_least_rider_profit(canonical):
 def test_synthesis_on_optimal_assignment(canonical):
     res = synthesize_stable_payments(canonical, BOTH)
     assert res.feasible
+    # no negative cycle, and so no Farkas multipliers
+    assert res.proof is None and res.certificate is None
     t = res.schedule
     # favor=travelers drives both payments to the bottom of their boxes
     assert t[("T1", "V1")] == 2 and t[("T2", "V1")] == 2
@@ -480,6 +482,7 @@ def test_synthesis_on_optimal_assignment(canonical):
 def test_synthesis_favor_vehicles(canonical):
     res = synthesize_stable_payments(canonical, BOTH, favor="vehicles")
     assert res.feasible
+    assert res.proof is None and res.certificate is None
     # tops of the boxes: min(v - v_min, v - share)
     assert res.schedule[("T1", "V1")] == 6
     assert res.schedule[("T2", "V1")] == 4

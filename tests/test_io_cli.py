@@ -17,7 +17,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rideshare_market
@@ -43,9 +43,8 @@ from rideshare_market import (
 from rideshare_market.allocation import check_payments, validate_schedule
 from rideshare_market.cli import build_parser, main
 from rideshare_market.generate import generate_instance
-from rideshare_market.instance_io import (
-    _NUMBER, MAX_DIGITS, _Scaled, exact_number, parse_document, serialize_document
-)
+from rideshare_market.instance_io import _Scaled, parse_document, serialize_document
+from rideshare_market.market import _NUMBER, MAX_DIGITS, exact_number
 from rideshare_market.network import route_vertex_sequence, serves, stops
 
 
@@ -1193,6 +1192,68 @@ def test_money_outside_the_ascii_grammar_exits_2(canonical, tmp_path, capsys, va
     path.write_text(serialize_document(canonical))
     assert main(["check", str(path), "--payments", f"T1:V1={value}"]) == 2
     assert capsys.readouterr().err == f"error: --payments: {message}\n"
+
+
+_ONE_PAIR = json.dumps({
+    "schema_version": 1,
+    "network": {"vertices": ["A", "B"], "edges": [["e1", "A", "B"]]},
+    "travelers": [{"id": "T1", "origin": "A", "destination": "B", "v_max": "10", "v_min": "0",
+                   "inconvenience": {"V1": "0"}}],
+    "vehicles": [{"id": "V1", "route": ["e1"], "capacity": 1, "operating_cost": "0"}],
+})
+
+
+def _parsed_one_pair(mutate):
+    raw = json.loads(_ONE_PAIR)
+    mutate(raw)
+    return parse_document(json.dumps(raw))
+
+
+def _money_places(value):
+    """``value`` as T1's ``v_max``, as V1's operating cost and as T1's
+    payment for V1: per place, a library reader and a document reader,
+    each returning the amount read."""
+    od, pair = ODPair("A", "B"), ("T1", "V1")
+    return [
+        (lambda: Traveler("T1", od, value, 0, {"V1": 0}).v_max,
+         lambda: _parsed_one_pair(_traveler(v_max=value)).instance.travelers[0].v_max),
+        (lambda: Vehicle("V1", Route(("e1",)), 1, value).operating_cost,
+         lambda: _parsed_one_pair(_vehicle(operating_cost=value)).instance.vehicles[0].operating_cost),
+        (lambda: PaymentSchedule({pair: value})[pair],
+         lambda: _parsed_one_pair(_document(payments={"T1": {"V1": value}})).payments[pair]),
+    ]  # fmt: skip
+
+
+def _read(reader):
+    """What ``reader()`` reads, or ``None`` when it refuses the money."""
+    try:
+        return reader()
+    except (ValueError, ZeroDivisionError):  # ValidationError is a ValueError
+        return None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.text(alphabet="0123456789+-/.eE _x\u0663"))
+@example(" 3")
+@example("1_000")
+@example("\u0663")
+@example("3/2 ")
+def test_the_library_reads_money_strings_as_documents_do(value):
+    """``Traveler``, ``Vehicle`` and ``PaymentSchedule`` accept a money
+    string exactly when a document field holding it parses, with the same
+    value: both read it by the one grammar, ``exact_number``'s."""
+    for library, document in _money_places(value):
+        assert _read(library) == _read(document), value
+
+
+@pytest.mark.parametrize(
+    "value", ["1" + "0" * MAX_DIGITS, "1/" + "7" * (MAX_DIGITS + 1), f"1e{MAX_DIGITS}"]
+)
+def test_money_past_the_digit_limit_is_a_validation_error_both_ways(value):
+    for library, document in _money_places(value):
+        for reader in (library, document):
+            with pytest.raises(ValidationError, match=f"needs more than {MAX_DIGITS} digits"):
+                reader()
 
 
 def test_duplicate_keys_are_a_validation_error(canonical, tmp_path, capsys):

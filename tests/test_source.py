@@ -628,10 +628,11 @@ def test_payments_are_read_as_ints_until_printed(tmp_path, monkeypatch, capsys):
         _counted(calls, "__post_init__", allocation.PaymentSchedule.__post_init__),
     )
     view = functools.cached_property(
-        _counted(calls, "entries", allocation.PaymentSchedule.entries.func)
+        _counted(calls, "entries", vars(allocation.PaymentSchedule)["entries"].func)
     )
     view.__set_name__(allocation.PaymentSchedule, "entries")
-    monkeypatch.setattr(allocation.PaymentSchedule, "entries", view)
+    # the field's view raises AttributeError when read on the class
+    monkeypatch.setattr(allocation.PaymentSchedule, "entries", view, raising=False)
     for argv, views in runs:
         calls.clear()
         argv = [argv[0], str(docs[argv[1]]), *argv[2:]]
