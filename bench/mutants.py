@@ -128,11 +128,19 @@ MUTANTS = (
     Mutant(
         "per_seat_share_by_position",
         "market.py",
-        "vehicles[k].capacity for k in served]",
-        "vehicles[k].capacity for k in range(len(served))]",
+        "shares = [_per_seat(vehicles[k]) for k in served]",
+        "shares = [_per_seat(vehicles[k]) for k in range(len(served))]",
         "each served vehicle's per-seat share is its own, found by its index, not its rank",
         ("tests/test_metamorphic.py::test_padding_adds_only_zero_entries",
          "tests/test_market.py::test_pair_table_matches_a_pair_by_pair_reference"),
+    ),
+    Mutant(
+        "per_seat_share_unreduced",
+        "market.py",
+        "    g = math.gcd(p, v.capacity)\n",
+        "    g = 1\n",
+        "a per-seat share is a ratio in lowest terms, or it raises the table's den",
+        ("tests/test_market.py::test_pair_table_matches_a_pair_by_pair_reference",),
     ),
     Mutant(
         "trip_memo_taken_as_complete",
@@ -331,10 +339,18 @@ MUTANTS = (
         ("tests/test_io_cli.py::test_payment_values_stay_type_strict",),
     ),
     Mutant(
+        "exact_ratio_unreduced",
+        "market.py",
+        "            g = math.gcd(p, q)\n",
+        "            g = 1\n",
+        "a money string's ratio is in lowest terms, as Fraction's is",
+        ("tests/test_io_cli.py::test_exact_ratio_is_the_reduced_ratio_of_exact_number",),
+    ),
+    Mutant(
         "library_money_strings_by_fraction",
         "market.py",
-        "    return exact_number(x)\n",
-        "    return Fraction(x) if isinstance(x, str) else exact_number(x)\n",
+        "        return exact_number(x)\n",
+        "        return Fraction(x) if isinstance(x, str) else exact_number(x)\n",
         "the library reads money text by the documents' grammar, which refuses ' 3' and '1_000'",
         ("tests/test_io_cli.py::test_the_library_reads_money_strings_as_documents_do",),
     ),
@@ -383,10 +399,19 @@ MUTANTS = (
          "tests/test_io_cli.py::test_a_scale_never_changes_a_value_it_holds"),
     ),
     Mutant(
+        "scale_tests_the_numerator",
+        "instance_io.py",
+        "        if self.den % q:\n",
+        "        if self.den % p:\n",
+        "a money string fits a scale when its denominator divides it, whatever its numerator",
+        ("tests/test_io_cli.py::test_a_scale_never_changes_a_value_it_holds",
+         "tests/test_io_cli.py::test_both_intake_forms_agree"),
+    ),
+    Mutant(
         "row_scale_from_bounds_only",
         "instance_io.py",
-        "den = math.lcm(*{x.denominator for x in values})",
-        "den = math.lcm(values[0].denominator, values[1].denominator)",
+        "den = math.lcm(*{q for _, q in values})",
+        "den = math.lcm(values[0][1], values[1][1])",
         "a traveler's own scale is over every value of its row, the inconvenience too",
         ("tests/test_io_cli.py::test_both_intake_forms_agree",),
     ),

@@ -9,10 +9,12 @@ dual certificate, the synthesis and the scalar formulas all read one integer
 pair table over a common denominator, :class:`CompatibilityMatrix`: its
 ``pairs`` and the ``int`` columns ``value``, ``share`` and ``surplus``
 aligned with them, read by position, and payments in its scale, the
-``int``s of a :class:`PaymentSchedule` in table order.  ``Fraction``s are
-made only for results: the formulas' answers, objectives, dual certificates,
-violations, output and a schedule's ``entries``, when read; the table's own
-``entries`` view is built only for a caller that reads it.  Each optimum carries a dual certificate of seat prices
+``int``s of a :class:`PaymentSchedule` in table order.  Money text is read
+as integer ratios, and ``Fraction``s are made only for a vehicle's cost, an
+explicit share and results: the formulas' answers, objectives, dual
+certificates, violations, output and a schedule's ``entries``, when read;
+the table's own ``entries`` view is built only for a caller that reads it.
+Each optimum carries a dual certificate of seat prices
 from one Bellman-Ford run over its vehicles; each impossible schedule carries
 a proof read off a negative cycle over the payments and seat prices, ``int``
 multipliers 1 and -1 checked exactly over its sparse rows, whose right-hand

@@ -2,8 +2,10 @@
 
 Documents are JSON with a fixed section layout (network, travelers,
 vehicles, optional payments, options).  Money is written as exact rational
-strings like ``"3/2"``; ``market.exact_number`` reads it, plain integers and
-decimal strings too, exactly.  Serialization round-trips bit-exactly.
+strings like ``"3/2"``; ``market.exact_ratio`` reads it, plain integers and
+decimal strings too, exactly, into a reduced integer ratio ``(p, q)``, and
+a ``Fraction`` is made only for a public money field.  Serialization
+round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string  # json.dumps's own escaping
 
 from rideshare_market.allocation import PaymentSchedule
 from rideshare_market.errors import ValidationError
-from rideshare_market.market import _ZERO, MarketInstance, Traveler, Vehicle, exact_number
+from rideshare_market.market import MarketInstance, Traveler, Vehicle, exact_ratio
 from rideshare_market.network import Edge, Network, ODPair, Route
 
 SCHEMA_VERSION = 1
@@ -66,34 +69,34 @@ def _strings(values, where, errors) -> bool:
 
 
 def _parse_money(value, errors, memo, where, *names):
-    """The exact value of one money field, or ``0`` with an error naming
-    ``where.format(*names)``, formatted only then.  ``memo`` maps each
-    string already converted without error in this document to its value,
-    so a repeated string is converted once; a malformed one is converted,
-    and reported, at every location."""
+    """The exact value of one money field as a reduced ratio ``(p, q)``, or
+    ``(0, 1)`` with an error naming ``where.format(*names)``, formatted
+    only then.  ``memo`` maps each string already converted without error
+    in this document to its ratio, so a repeated string is converted once;
+    a malformed one is converted, and reported, at every location."""
     if type(value) is str and value in memo:
         return memo[value]
     try:
-        number = exact_number(value)
+        ratio = exact_ratio(value)
     except ValidationError as exc:
         errors.append(f"{where.format(*names)}: {exc}")
-        return _ZERO
+        return 0, 1
     except (ValueError, ZeroDivisionError):
         errors.append(f"{where.format(*names)}: not an exact number: {value!r} (use \"p/q\" strings)")
-        return _ZERO
+        return 0, 1
     if type(value) is str:
-        memo[value] = number
-    return number
+        memo[value] = ratio
+    return ratio
 
 
 class _Scaled(dict):
     """Each money string looked up -> its value as an ``int`` over ``den``,
     which is fixed when built, so no value held ever changes.  A money
     string is converted once per document, on its first lookup unless
-    ``memo`` holds it already, and kept in ``memo`` too.  A string whose
-    denominator does not divide ``den``, or anything that is no money
-    string, raises ``KeyError``, for the traveler loop or the payments'
-    reader to handle.  Keyed by strings only, as ``memo`` is, so ``true``,
+    ``memo`` holds its ratio already, and its ratio is kept in ``memo``
+    too.  A string whose denominator does not divide ``den``, or anything
+    that is no money string, raises ``KeyError``, for the traveler loop or
+    the payments' reader to handle.  Keyed by strings only, as ``memo`` is, so ``true``,
     ``1.0`` and ``1`` never pass for ``"1"``."""
 
     def __init__(self, memo, den=1):
@@ -103,16 +106,16 @@ class _Scaled(dict):
     def __missing__(self, text):
         if type(text) is not str:
             raise KeyError(text)
-        number = self.memo.get(text)
-        if number is None:
+        ratio = self.memo.get(text)
+        if ratio is None:
             try:
-                number = self.memo[text] = exact_number(text)
+                ratio = self.memo[text] = exact_ratio(text)
             except (ValueError, ZeroDivisionError, ValidationError):
                 raise KeyError(text) from None
-        q = number.denominator
+        p, q = ratio
         if self.den % q:
             raise KeyError(text)
-        value = self[text] = number.numerator * (self.den // q)
+        value = self[text] = p * (self.den // q)
         return value
 
 
@@ -130,8 +133,8 @@ def _money_row(where, v_max, v_min, inconvenience, errors, memo) -> tuple:
             for key, x in inconvenience.items()
         ),
     ]
-    den = math.lcm(*{x.denominator for x in values})
-    ints = [x.numerator * (den // x.denominator) for x in values]
+    den = math.lcm(*{q for _, q in values})
+    ints = [p * (den // q) for p, q in values]
     return den, ints[0], ints[1], dict(zip(inconvenience, ints[2:]))
 
 
@@ -192,7 +195,7 @@ def _priced_by_table(section, matrix, tids, memo):
             except (KeyError, TypeError):  # unpriced, finer than den, or no money string
                 x = row.get(vid)  # None: unpriced or null, which the count finds
                 if type(x) is str and x in memo:
-                    finer.add(memo[x].denominator)
+                    finer.add(memo[x][1])
                 elif x is not None:
                     # 1.0 and true equal 1, but only the JSON integer is money
                     if type(x) is not int or x < 0:
@@ -223,7 +226,8 @@ def _priced_by_document(section, matrix, tids, vids, memo):
                 else:
                     errors.append(f"payments: pair {pair!r} is not compatible")
                 continue
-            entries[pair] = _parse_money(value, errors, memo, "payments: [{!r}][{!r}]", tid, vid)
+            ratio = _parse_money(value, errors, memo, "payments: [{!r}][{!r}]", tid, vid)
+            entries[pair] = Fraction(*ratio)
     if errors:
         raise ValidationError(errors)
     return PaymentSchedule(entries)
@@ -344,17 +348,17 @@ def parse_document(text: str) -> InstanceDocument:
             if type(shares) is not dict:
                 shares = _typed(shares, dict, f"{where}: cost_shares", errors, {})
             shares = {
-                t: _parse_money(s, errors, memo, "{}: cost_shares[{!r}]", where, t)
+                t: Fraction(*_parse_money(s, errors, memo, "{}: cost_shares[{!r}]", where, t))
                 for t, s in shares.items()
             }
-        cost = entry.get("operating_cost", 0)
+        cost = _parse_money(entry.get("operating_cost", 0), errors, memo, "{}: operating_cost", where)
         try:
             vehicles.append(
                 Vehicle(
                     id=vid,
                     route=route,
                     capacity=entry.get("capacity", 0),
-                    operating_cost=_parse_money(cost, errors, memo, "{}: operating_cost", where),
+                    operating_cost=Fraction(*cost),
                     cost_shares=shares,
                 )
             )

@@ -1,18 +1,19 @@
 """Travelers, vehicles, market instances, and every scalar market formula.
 
 Money leaves as :class:`fractions.Fraction` and enters so, or as what
-:func:`exact_number`, the one reader of every document's and constructor's
-money, reads; the package never rounds.  The range checks of
-:class:`Traveler` (``0 <= v_min <= v_max`` and
-``0 <= inconvenience <= v_max``) run once, as the traveler is built, on
+:func:`exact_ratio`, the one reader of every document's and constructor's
+money, reads into a reduced integer ratio ``(p, q)``; the package never
+rounds.  The range checks of :class:`Traveler` (``0 <= v_min <= v_max``
+and ``0 <= inconvenience <= v_max``) run once, as the traveler is built, on
 integers: ``Traveler(...)`` cross-multiplies each bound and value as
 ``numerator / denominator``, and :meth:`Traveler.scaled`, which the parser
 calls with a traveler's money already as ``int``s over one denominator,
 compares those.  The pair table reads each traveler's money as ``int``s
-(:attr:`Traveler.ints`) and holds the compatible pairs' terms in ``int``
-columns aligned with its pairs, over the instance's least common
-denominator, and every reader compares those integers, found by a pair's
-position; the scalar formulas make one ``Fraction`` per answer, and
+(:attr:`Traveler.ints`) and each served vehicle's per-seat share as an
+integer ratio, and holds the compatible pairs' terms in ``int`` columns
+aligned with its pairs, over the instance's least common denominator,
+and every reader compares those integers, found by a pair's position;
+the scalar formulas make one ``Fraction`` per answer, and
 ``Fraction``s otherwise appear only in violations and output.
 """
 
@@ -50,17 +51,19 @@ MAX_DIGITS = 4300
 _NUMBER = re.compile(r"([-+]?)(?:(\d+)(?:/(\d+))?|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)", re.ASCII)
 
 
-def exact_number(value) -> Fraction:
-    """``Fraction(value)`` for an ``int`` or a string in the money grammar.
+def exact_ratio(value) -> tuple:
+    """``(p, q)``, in lowest terms with ``q > 0``: the exact value of an
+    ``int`` or a string in the money grammar.
 
     A string is matched against the grammar once: an integer or ``p/q``
-    string is built from the match's own digits, and a decimal's exponent
-    is checked before the power of ten is computed.  A value with more than
-    :data:`MAX_DIGITS` digits in an integer, in either part of ``p/q``, or
-    once a decimal's exponent is written out raises
-    :class:`ValidationError`, since it could never be printed.  A zero
-    denominator raises ``ZeroDivisionError``; any other value raises
-    ``ValueError``: a string with non-ASCII digits, a ``bool``, a ``float``.
+    string is built from the match's own digits and reduced by one
+    ``gcd``, and a decimal's exponent is checked before the power of ten is
+    computed.  A value with more than :data:`MAX_DIGITS` digits in an
+    integer, in either part of ``p/q``, or once a decimal's exponent is
+    written out raises :class:`ValidationError`, since it could never be
+    printed.  A zero denominator raises ``ZeroDivisionError``; any other
+    value raises ``ValueError``: a string with non-ASCII digits, a
+    ``bool``, a ``float``.
     """
     if isinstance(value, str):
         match = _NUMBER.fullmatch(value)
@@ -71,15 +74,26 @@ def exact_number(value) -> Fraction:
             if len(p) > MAX_DIGITS or q is not None and len(q) > MAX_DIGITS:
                 raise ValidationError(f"{value!r} needs more than {MAX_DIGITS} digits")
             p = -int(p) if sign == "-" else int(p)
-            return Fraction(p) if q is None else Fraction(p, int(q))
+            if q is None:
+                return p, 1
+            q = int(q)
+            if not q:
+                raise ZeroDivisionError(f"zero denominator: {value!r}")
+            g = math.gcd(p, q)
+            return p // g, q // g
         mantissa, e, exponent = value.upper().partition("E")
         if e and sum(c.isdigit() for c in mantissa) + abs(int(exponent)) > MAX_DIGITS:
             raise ValidationError(f"{value!r} needs more than {MAX_DIGITS} digits")
-        return Fraction(value)
+        return Fraction(value).as_integer_ratio()
     # a bool is an int too, but no amount
     if type(value) is int:
-        return Fraction(value)
+        return value, 1
     raise ValueError(f"not an exact number: {value!r}")
+
+
+def exact_number(value) -> Fraction:
+    """The ``Fraction`` of :func:`exact_ratio`'s ratio, or its error."""
+    return Fraction(*exact_ratio(value))
 
 
 def _money(x) -> Fraction:
@@ -87,29 +101,39 @@ def _money(x) -> Fraction:
     if type(x) is Fraction or isinstance(x, Fraction):
         return x
     # a float is already rounded and a bool is no amount, named as such here;
-    # anything else is read, or refused, by the documents' own grammar
+    # anything else is read by the documents' own grammar, and refused so too
     if isinstance(x, (float, bool)):
         raise ValidationError(f"money value {x!r} is a {type(x).__name__}, not an exact number")
-    return exact_number(x)
+    try:
+        return exact_number(x)
+    except ValidationError:
+        raise
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"money value {x!r} is not an exact number") from None
 
 
-def scale_to_integers(values, den=1):
+def scale_ratios(ratios, den=1):
     """``(D, ints)``: the least common multiple ``D`` of ``den`` and the
-    denominators of the rationals ``values``, and each value times ``D``,
-    an exact ``int``.  Each distinct denominator is divided into ``D``
-    once.  Scaling by a positive factor keeps every sum and comparison, so
-    shortest paths and inequalities over ``ints`` are those over
-    ``values``, with every value ``D`` times larger."""
-    ratios = [v.as_integer_ratio() for v in values]
-    distinct = {d for _, d in ratios}
+    denominators ``q`` of the list of ratios ``(p, q)``, each in lowest
+    terms with ``q > 0``, and each ratio times ``D``, an exact ``int``.
+    Each distinct denominator is divided into ``D`` once.  Scaling by a
+    positive factor keeps every sum and comparison, so shortest paths and
+    inequalities over ``ints`` are those over the ratios, with every value
+    ``D`` times larger."""
+    distinct = {q for _, q in ratios}
     # reduced pairwise in a balanced tree, two large operands meet only near
     # the root; left to right, every step multiplies a growing big integer
     lcms = list(distinct)
     while len(lcms) > 2:
         lcms = [math.lcm(*lcms[k : k + 2]) for k in range(0, len(lcms), 2)]
     common = math.lcm(den, *lcms)
-    cofactor = {d: common // d for d in distinct}
-    return common, [n * cofactor[d] for n, d in ratios]
+    cofactor = {q: common // q for q in distinct}
+    return common, [p * cofactor[q] for p, q in ratios]
+
+
+def scale_to_integers(values, den=1):
+    """:func:`scale_ratios` of the rationals ``values``' integer ratios."""
+    return scale_ratios([v.as_integer_ratio() for v in values], den)
 
 
 def _range_errors(tid, bounds_ok: bool, outside) -> list:
@@ -231,6 +255,14 @@ class Vehicle:
                     )
         if errors:
             raise ValidationError(errors)
+
+
+def _per_seat(v: Vehicle) -> tuple:
+    """``v.operating_cost / v.capacity`` in lowest terms: the cost's ratio
+    is, so only its numerator and the capacity can share a factor."""
+    p, q = v.operating_cost.as_integer_ratio()
+    g = math.gcd(p, v.capacity)
+    return p // g, q * (v.capacity // g)
 
 
 @dataclass(frozen=True)
@@ -393,7 +425,7 @@ class MarketInstance:
                             f"compatible traveler {tid!r}"
                         )
                         continue
-                    shares.append(share)
+                    shares.append(share.as_integer_ratio())
                 pairs.append((tid, vid))
                 cols.append(k)
                 values.append(hi - own[vid])
@@ -409,8 +441,8 @@ class MarketInstance:
             values = [x // cut for x in values]
         if not explicit:
             served = sorted(set(cols))
-            shares = [vehicles[k].operating_cost / vehicles[k].capacity for k in served]
-        den, shares = scale_to_integers(shares, common)
+            shares = [_per_seat(vehicles[k]) for k in served]
+        den, shares = scale_ratios(shares, common)
         if den != common:
             up = den // common
             v_min = dict(zip(v_min, map(up.__mul__, v_min.values())))

@@ -13,6 +13,7 @@ import shlex
 import subprocess
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from rideshare_market.allocation import check_payments, validate_schedule
 from rideshare_market.cli import build_parser, main
 from rideshare_market.generate import generate_instance
 from rideshare_market.instance_io import _Scaled, parse_document, serialize_document
-from rideshare_market.market import _NUMBER, MAX_DIGITS, exact_number
+from rideshare_market.market import _NUMBER, MAX_DIGITS, exact_number, exact_ratio
 from rideshare_market.network import route_vertex_sequence, serves, stops
 
 
@@ -795,7 +796,7 @@ def test_a_scale_never_changes_a_value_it_holds():
         with pytest.raises(KeyError):
             scaled[miss]
     assert scaled == {"1/2": 3, "2": 12, "0.5": 3} and scaled.den == 6
-    assert memo["1/4"] == F(1, 4) and "x" not in memo
+    assert memo["1/4"] == (1, 4) and "x" not in memo
     assert _Scaled(memo, 12)["1/4"] == 3
 
 
@@ -1142,6 +1143,26 @@ def test_exact_number_zero_denominator_is_zero_division():
         exact_number("3/0")
 
 
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(st.one_of(st.text(alphabet="0123456789+-/.eE _x\u0663"), _signed_money_strings()))
+@example("2/4")
+@example("-0/7")
+@example("3/0")
+@example("7e-1")
+def test_exact_ratio_is_the_reduced_ratio_of_exact_number(value):
+    """``exact_ratio`` reads a string to ``exact_number``'s value in lowest
+    terms with a positive denominator, or raises the class it raises."""
+    try:
+        expected = exact_number(value).as_integer_ratio()
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises((ValueError, ZeroDivisionError)) as caught:
+            exact_ratio(value)
+        assert type(caught.value) is type(exc), value
+    else:
+        p, q = ratio = exact_ratio(value)
+        assert ratio == expected and type(p) is type(q) is int and q > 0, value
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(st.data())
 def test_repeated_money_strings_parse_exactly(data):
@@ -1244,6 +1265,16 @@ def test_the_library_reads_money_strings_as_documents_do(value):
     value: both read it by the one grammar, ``exact_number``'s."""
     for library, document in _money_places(value):
         assert _read(library) == _read(document), value
+
+
+@pytest.mark.parametrize("value", [" 3", None, [], Decimal("1"), "3/0"], ids=repr)
+def test_the_library_refuses_money_as_a_validation_error(value):
+    """``Traveler``, ``Vehicle`` and ``PaymentSchedule`` word every money
+    value they refuse as a :class:`ValidationError`, a zero denominator
+    and a value of no money type too."""
+    for library, _ in _money_places(value):
+        with pytest.raises(ValidationError, match=f"money value {re.escape(repr(value))} is not"):
+            library()
 
 
 @pytest.mark.parametrize(

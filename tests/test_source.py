@@ -534,9 +534,9 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
     once, the served vehicles' shares: never one payment, or one
     traveler's money, at a time.  The parser reads each traveler's money
     at a fixed scale of that traveler's own and each payment straight into
-    the pair table's scale, from each ``Fraction``'s numerator and
-    denominator, so a ``Fraction`` is split into its integer ratio only
-    for the served vehicles' shares, once per served vehicle."""
+    the pair table's scale, from each money string's integer ratio, so a
+    ``Fraction`` is split into its integer ratio only for the served
+    vehicles' operating costs, once per served vehicle."""
     inst = generate_instance(5, n=12, m=4)
     a = solve_optimal_assignment(inst).assignment
     synth = synthesize_stable_payments(inst, a)
@@ -558,13 +558,13 @@ def test_check_does_each_piece_of_work_once(tmp_path, monkeypatch, capsys):
     ):
         monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
 
-    def scale(values, den=1, original=market.scale_to_integers):
-        values = list(values)
-        scaled.append(len(values))
-        return original(values, den)
+    def scale(ratios, den=1, original=market.scale_ratios):
+        ratios = list(ratios)
+        scaled.append(len(ratios))
+        return original(ratios, den)
 
-    for module in (market, cli):
-        monkeypatch.setattr(module, "scale_to_integers", scale)
+    # the one scaling function; scale_to_integers, which the CLI calls, calls it too
+    monkeypatch.setattr(market, "scale_ratios", scale)
     monkeypatch.setattr(F, "as_integer_ratio", _counted(calls, "ratio", F.as_integer_ratio))
     assert main(["check", str(path), "--assignment", spec, "--format", "machine"]) == 0
     assert json.loads(capsys.readouterr().out)["stability"]["verdict"] is True
@@ -718,11 +718,34 @@ def test_check_converts_each_money_string_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "priced.json"
     path.write_text(text)
     calls = Counter()
-    counted = _counted(calls, "exact_number", instance_io.exact_number)
-    monkeypatch.setattr(instance_io, "exact_number", counted)
+    counted = _counted(calls, "exact_ratio", instance_io.exact_ratio)
+    monkeypatch.setattr(instance_io, "exact_ratio", counted)
     assert main(["check", str(path)]) == 0
     capsys.readouterr()
-    assert 0 < calls["exact_number"] <= len(set(written))
+    assert 0 < calls["exact_ratio"] <= len(set(written))
+
+
+def test_a_priced_document_reaches_its_table_with_a_fraction_per_vehicle(monkeypatch):
+    """Parsing a fully priced document and building its pair table read
+    money as integer ratios: no ``Fraction`` is made per traveler, payment
+    or pair, and at most one per vehicle, its ``operating_cost``."""
+    inst = generate_instance(5, n=12, m=4)
+    synth = synthesize_stable_payments(inst, solve_optimal_assignment(inst).assignment)
+    text = serialize_document(inst, synth.schedule)
+    made = []
+    build = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    doc = parse_document(text)
+    matrix = doc.instance.compatibility
+    monkeypatch.undo()
+    assert len(made) <= len(inst.vehicles), made
+    assert matrix.den == inst.compatibility.den and matrix.entries == inst.compatibility.entries
+    assert doc.payments.entries == synth.schedule.entries
 
 
 def test_only_a_count_mismatch_decodes_with_the_pairs_hook(tmp_path, monkeypatch, capsys):
