@@ -14,7 +14,9 @@ then the dual certificate at the kernel's optimum (``_dual_certificate``
 and ``verify_dual_certificate``).  The stable-payment synthesis runs at
 that optimum in both ``favor`` modes, each with its seconds, the seconds
 of the first read of its payment-only stability rows (a view the
-synthesis itself never builds), their number, its feasibility, and the
+synthesis itself never builds; since the result keeps the rows it solved,
+``synthesis_*_view_s`` times ``_payment_rows`` over them alone, not a
+second build of the system), their number, its feasibility, and the
 edges and successful relaxations of its one Bellman-Ford run, read by
 wrapping ``allocation.bellman_ford``.
 The check path then prices the kernel's optimum: each matched pair pays

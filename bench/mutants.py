@@ -329,7 +329,40 @@ MUTANTS = (
         ("tests/test_allocation.py::test_synthesis_on_optimal_assignment",
          "tests/test_allocation.py::test_synthesis_favor_vehicles"),
     ),
+    Mutant(
+        "travelers_bound_edges_unreversed",
+        "allocation.py",
+        "edges += [(None, p, 0) for p in matched]",
+        "edges += [(p, None, 0) for p in matched]",
+        "the travelers' run reverses every edge, the bounds x >= 0 too",
+        ("tests/test_allocation.py::test_synthesis_feasible_iff_optimal_on_random_instances",),
+    ),
+    Mutant(
+        "travelers_ge_edge_unnegated",
+        "allocation.py",
+        "else (m, p, -r) for",
+        "else (m, p, r) for",
+        "a >= row's edge weighs -rhs in either orientation",
+        ("tests/test_allocation.py::test_synthesis_infeasible_off_optimum",),
+    ),
+    Mutant(
+        "view_without_seat_rows",
+        "allocation.py",
+        "_payment_rows(chain(*self.system))",
+        "_payment_rows(chain(*self.system[1:]))",
+        "each displace row of the payment-only view is summed with its vehicle's seat rows",
+        ("tests/test_allocation.py::test_seat_price_rows_equal_the_per_rider_reference",),
+    ),
     # -- money intake and its views
+    Mutant(
+        "digit_limit_for_exponents_only",
+        "market.py",
+        'if len(exponent.lstrip("+-")) > MAX_DIGITS or (',
+        'if exponent and len(exponent.lstrip("+-")) > MAX_DIGITS or exponent and (',
+        "a decimal's digits are counted whether or not it has an exponent",
+        ("tests/test_io_cli.py::test_money_past_the_digit_limit_is_a_validation_error_both_ways",
+         "tests/test_io_cli.py::test_cli_huge_payment_override_exits_2"),
+    ),
     Mutant(
         "exact_number_reads_bools",
         "market.py",

@@ -281,10 +281,10 @@ def check_stability(
 # -- synthesis ------------------------------------------------------------
 
 
-# a synthesis keeps its verdict, its schedule or proof, and the instance and
-# assignment it answers for; allocation, den, rows, row_labels, certificate
-# and problem are views, each built on first read, and the synthesis itself
-# builds none of them
+# a synthesis keeps its verdict, its schedule or proof, the instance and
+# assignment it answers for and the rows it solved; allocation, den, rows,
+# row_labels, certificate and problem are views, each built on first read,
+# and the synthesis itself builds none of them
 @dataclass(frozen=True)
 class SynthesisResult:
     feasible: bool
@@ -295,6 +295,8 @@ class SynthesisResult:
     proof: tuple | None
     instance: MarketInstance = field(repr=False)
     assignment: Assignment = field(repr=False)
+    #: the seat, walk and blocking rows of :func:`_stability_system`
+    system: tuple = field(repr=False)
 
     # the profits under ``schedule``, or ``None`` when infeasible
     @cached_property
@@ -304,9 +306,7 @@ class SynthesisResult:
         return compute_profits(self.instance, self.assignment, self.schedule)
 
     den = property(lambda self: self.instance.compatibility.den)
-    _view = cached_property(
-        lambda self: _payment_rows(chain(*_stability_system(self.instance, self.assignment)[0]))
-    )
+    _view = cached_property(lambda self: _payment_rows(chain(*self.system)))
     #: the stability system, one ``(plus, minus, rel, rhs)`` per row; each
     #: ``rhs`` is an ``int``, the pair table's ``den`` times its value
     rows = property(lambda self: self._view[0])
@@ -353,16 +353,15 @@ def _stability_system(inst: MarketInstance, a: Assignment):
     reading ``x[plus] - x[minus] rel rhs``; a term is a compatible pair, a
     vehicle id for its seat price, or ``None``; ``rhs`` is an ``int``, ``den``
     times its value.  Returns the seat, walk and blocking rows; the graph
-    rows, all but the off-match ones; their edges; the full vehicles.
+    rows, all but the off-match ones: the own rows in walk order, then the
+    blocking rows, then the seat rows; the full vehicles.
     """
     matrix = inst.compatibility
     value, shares, surplus, v_min = matrix.value, matrix.share, matrix.surplus, matrix.v_min
     full = {v: on for v, on in a.riders.items() if len(on) >= inst.vehicle(v).capacity}
     seated = [(r, v) for v in full for r in full[v]]
     seats = [(p, p[1], GE, shares[matrix.position(p)], ("seat", p)) for p in seated]
-    # graph[k] is the row of edges[k] = (u, v, w), which reads x[v] - x[u] <= w;
-    # the blocking rows and their edges follow every walk row, so they wait
-    walk, graph, edges, block, block_edges = [], [], [], [], []
+    walk, graph, block = [], [], []
     # the table lists each traveler's pairs together, travelers in instance
     # order: a traveler's first pair sets mine, u_const and own_s, which are
     # None, 0 and 0 for the unassigned, and a matched one's own rows
@@ -383,7 +382,6 @@ def _stability_system(inst: MarketInstance, a: Assignment):
                 ]
                 walk += own
                 graph += own
-                edges += [(mine, None, -share), (None, mine, top), (None, mine, own_s)]
         if p != mine:
             # own ride value, or the exit's 0, >= this ride's value
             walk.append((p, mine, GE, s - own_s, (envy, p)))
@@ -392,13 +390,11 @@ def _stability_system(inst: MarketInstance, a: Assignment):
             gap = s - u_const
             if p[1] in full:
                 block.append((p[1], mine, GE, gap, ("no_blocking_displace", p)))
-                block_edges.append((p[1], mine, -gap))
             elif mine is not None or gap > 0:
                 block.append((None, mine, GE, gap, ("no_blocking", p)))
-                block_edges.append((None, mine, -gap))
-    # the seat edges last: so fewer certificates differ from the rows' own
-    edges += block_edges + [(pr, vid, -share) for pr, vid, _, share, _ in seats]
-    return (seats, walk, block), graph + block + seats, edges, full
+    # the seat rows last, and so their edges: fewer certificates then differ
+    # from the per-rider rows' own
+    return (seats, walk, block), graph + block + seats, full
 
 
 def _payment_rows(rows):
@@ -470,16 +466,22 @@ def synthesize_stable_payments(
     validate_assignment(inst, a)
     if favor not in ("travelers", "vehicles"):
         raise ValueError(f"unknown favor mode {favor!r}")
-    system, graph, edges, full = _stability_system(inst, a)
+    system, graph, full = _stability_system(inst, a)
     matched = a.assigned_pairs()
     den = inst.compatibility.den
-    # the bounds x >= 0 of the matched payments, as edges to the zero node.
+    # edge k, (u, v, w) reading x[v] - x[u] <= w, is graph[k] read once: the
+    # row x[plus] - x[minus] <= rhs gives (minus, plus, rhs), a >= row (plus,
+    # minus, -rhs), and the travelers' run takes each edge reversed.  Then the
+    # bounds x >= 0 of the matched payments, as edges to the zero node:
     # rho_nonneg already implies them (x >= share >= 0), but they close
-    # shorter cycles: without them, 9 of 2,192 certificates on an
-    # 800-market generator grid change, each to a longer one
-    edges += [(p, None, 0) for p in matched]
-    if favor == "travelers":
-        edges = [(v, u, w) for u, v, w in edges]
+    # shorter cycles; without them, 9 of 2,192 certificates on an 800-market
+    # generator grid change, each to a longer one
+    if favor == "vehicles":
+        edges = [(m, p, r) if rel == LE else (p, m, -r) for p, m, rel, r, _ in graph]
+        edges += [(p, None, 0) for p in matched]
+    else:
+        edges = [(p, m, r) if rel == LE else (m, p, -r) for p, m, rel, r, _ in graph]
+        edges += [(None, p, 0) for p in matched]
     # the zero node reaches every matched payment, by its pi_nonneg row or,
     # reversed, its rho_nonneg row: this run finds every negative cycle
     dist, _, cycle, _ = bellman_ford([None, *matched, *full], edges, None)
@@ -503,7 +505,7 @@ def synthesize_stable_payments(
             if rel == GE:
                 x[plus] = max(x[plus], x[minus] + rhs)
         schedule = PaymentSchedule.scaled(pairs, den, list(map(x.__getitem__, pairs)))
-    return SynthesisResult(cycle is None, schedule, proof, inst, a)
+    return SynthesisResult(cycle is None, schedule, proof, inst, a, system)
 
 
 def blend_allocations(alloc1: ProfitAllocation, alloc2: ProfitAllocation, lam, t1, t2):

@@ -57,13 +57,13 @@ def exact_ratio(value) -> tuple:
 
     A string is matched against the grammar once: an integer or ``p/q``
     string is built from the match's own digits and reduced by one
-    ``gcd``, and a decimal's exponent is checked before the power of ten is
-    computed.  A value with more than :data:`MAX_DIGITS` digits in an
-    integer, in either part of ``p/q``, or once a decimal's exponent is
-    written out raises :class:`ValidationError`, since it could never be
-    printed.  A zero denominator raises ``ZeroDivisionError``; any other
-    value raises ``ValueError``: a string with non-ASCII digits, a
-    ``bool``, a ``float``.
+    ``gcd``, and a decimal's digits and exponent are counted before any is
+    converted.  A value with more than :data:`MAX_DIGITS` digits in an
+    integer, in either part of ``p/q``, in a decimal's exponent, or in a
+    decimal with its exponent written out raises :class:`ValidationError`,
+    since it could never be printed.  A zero denominator raises
+    ``ZeroDivisionError``; any other value raises ``ValueError``: a string
+    with non-ASCII digits, a ``bool``, a ``float``.
     """
     if isinstance(value, str):
         match = _NUMBER.fullmatch(value)
@@ -81,8 +81,10 @@ def exact_ratio(value) -> tuple:
                 raise ZeroDivisionError(f"zero denominator: {value!r}")
             g = math.gcd(p, q)
             return p // g, q // g
-        mantissa, e, exponent = value.upper().partition("E")
-        if e and sum(c.isdigit() for c in mantissa) + abs(int(exponent)) > MAX_DIGITS:
+        mantissa, _, exponent = value.upper().partition("E")
+        if len(exponent.lstrip("+-")) > MAX_DIGITS or (
+            sum(c.isdigit() for c in mantissa) + abs(int(exponent or 0)) > MAX_DIGITS
+        ):
             raise ValidationError(f"{value!r} needs more than {MAX_DIGITS} digits")
         return Fraction(value).as_integer_ratio()
     # a bool is an int too, but no amount
@@ -453,19 +455,15 @@ class MarketInstance:
         surplus = list(map(sub, values, shares))
         return CompatibilityMatrix(den, tuple(pairs), values, shares, surplus, v_min, first, stop)
 
-    @cached_property
-    def _options(self):
-        options = {t.id: [] for t in self.travelers}
-        for tid, vid in self.compatibility.pairs:
-            options[tid].append(vid)
-        return options
-
     def compatible_pairs(self):
         """Compatible pairs in instance (traveler, vehicle) order."""
         return list(self.compatibility.pairs)
 
     def compatible_vehicles(self, tid):
-        return list(self._options.get(tid, ()))
+        """The vehicles of traveler ``tid``'s pairs in vehicle order; none if unknown."""
+        matrix = self.compatibility
+        own = matrix.pairs[matrix.first.get(tid, 0) : matrix.stop.get(tid, 0)]
+        return [vid for _, vid in own]
 
 
 @dataclass(frozen=True)

@@ -1278,7 +1278,15 @@ def test_the_library_refuses_money_as_a_validation_error(value):
 
 
 @pytest.mark.parametrize(
-    "value", ["1" + "0" * MAX_DIGITS, "1/" + "7" * (MAX_DIGITS + 1), f"1e{MAX_DIGITS}"]
+    "value",
+    [
+        "1" + "0" * MAX_DIGITS,
+        "1/" + "7" * (MAX_DIGITS + 1),
+        f"1e{MAX_DIGITS}",
+        pytest.param("1" * (MAX_DIGITS + 1) + ".5", id="decimal-4302-digits"),
+        pytest.param("0." + "1" * (MAX_DIGITS + 1), id="fraction-part-4301-digits"),
+        pytest.param("1e" + "9" * (MAX_DIGITS + 1), id="exponent-4301-digits"),
+    ],
 )
 def test_money_past_the_digit_limit_is_a_validation_error_both_ways(value):
     for library, document in _money_places(value):
@@ -1562,12 +1570,16 @@ def test_cli_bad_payment_spec_exits_2(canonical_path, capsys):
         "1e-5000",
         pytest.param("1" * 4301, id="integer-4301-digits"),
         pytest.param("1/" + "1" * 4301, id="denominator-4301-digits"),
+        pytest.param("1" * 4301 + ".5", id="decimal-4302-digits"),
+        pytest.param("0." + "1" * 4301, id="fraction-part-4301-digits"),
+        pytest.param("1e" + "9" * 4301, id="exponent-4301-digits"),
     ],
 )
 @pytest.mark.parametrize("command", ["solve", "check", "report"])
 def test_cli_huge_payment_override_exits_2(canonical_path, capsys, command, value):
     """An exponent is checked before its power of ten is computed, and an
-    integer or either part of ``p/q`` before it is converted."""
+    integer, either part of ``p/q`` or a decimal's digits, with or without
+    an exponent, before it is converted."""
     assert main([command, canonical_path, "--payments", f"T1:V1={value}"]) == 2
     assert capsys.readouterr().err == f"error: --payments: '{value}' needs more than 4300 digits\n"
 
