@@ -8,10 +8,17 @@ Run from anywhere, with the standard library only::
 
 Each market is ``generate_instance(5, n, n // 5)`` at n = 300, 600 and
 1000, serialized and parsed back.  Each layer is timed with
-``time.perf_counter``: the serialization, the parse, the pair table, Charnes' perturbation of
-the pair weights and the matching kernel, with the kernel's work counters,
-then the dual certificate at the kernel's optimum (``_dual_certificate``
-and ``verify_dual_certificate``).  The stable-payment synthesis runs at
+``time.perf_counter``: the serialization, the parse, the pair table, then
+the matching's three steps: stage 1's shortest augmenting paths, with its
+augmentations, relaxations and shortcut seatings; the seat prices' one
+Dijkstra run; and the tie rule's greedy, with its searches and moves.
+``matching_s`` is their sum; an older file that has no such figure reads
+as its one-stage matching, Charnes' perturbation of the pair weights plus
+the kernel over them (``perturbed_s + kernel_s``).  That one-stage matching,
+now the test oracle ``oracles.charnes_matching``, is timed for the record
+(``charnes_s``).  The dual certificate at the optimum is each rider's pair
+weight minus its seat price, checked by ``verify_dual_certificate``
+(``certificate_s``).  The stable-payment synthesis runs at
 that optimum in both ``favor`` modes, each with its seconds, the seconds
 of the first read of its payment-only stability rows (a view the
 synthesis itself never builds; since the result keeps the rows it solved,
@@ -87,7 +94,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import pace  # noqa: E402
-from rideshare_market import allocation, cli, solver  # noqa: E402
+from rideshare_market import allocation, cli, oracles, solver  # noqa: E402
 from rideshare_market.allocation import (  # noqa: E402
     PaymentSchedule,
     check_payments,
@@ -140,14 +147,17 @@ def ladder_row(n: int) -> dict:
     _, scaled = solver._pair_weights(inst)
     travelers = [t.id for t in inst.travelers]
     vehicles = [v.id for v in inst.vehicles]
-    adj, perturbed_s = _timed(solver._perturbed, scaled, travelers, vehicles)
     cap = [v.capacity for v in inst.vehicles]
-    kernel, kernel_s = _timed(solver.shortest_augmenting_paths, adj, cap)
-    match, augmentations, relaxations = kernel
+    adj = solver._rows(scaled, travelers, vehicles)
+    paths, stage1_s = _timed(solver.shortest_augmenting_paths, adj, cap)
+    z, seat_prices_s = _timed(solver.seat_prices, adj, cap, paths.match, paths.pot, paths.options)
+    greedy, greedy_s = _timed(solver.first_optimum, adj, cap, paths.match, z, paths.options)
+    match, searches, moves = greedy
+    _, charnes_s = _timed(oracles.charnes_matching, inst)
     a = Assignment(
         {tid: UNASSIGNED if j is None else vehicles[j] for tid, j in zip(travelers, match)}
     )
-    _, certificate_s = _timed(certify, inst, scaled, a, dict(zip(vehicles, cap)))
+    _, certificate_s = _timed(certify, inst, scaled, adj, match, z)
     row = {
         "n": n,
         "m": n // 5,
@@ -155,10 +165,16 @@ def ladder_row(n: int) -> dict:
         "serialize_s": serialize_s,
         "parse_s": parse_s,
         "pair_table_s": pair_table_s,
-        "perturbed_s": perturbed_s,
-        "kernel_s": kernel_s,
-        "augmentations": augmentations,
-        "relaxations": relaxations,
+        "matching_s": round(stage1_s + seat_prices_s + greedy_s, 4),
+        "stage1_s": stage1_s,
+        "augmentations": paths.augmentations,
+        "relaxations": paths.relaxations,
+        "shortcuts": paths.shortcuts,
+        "seat_prices_s": seat_prices_s,
+        "greedy_s": greedy_s,
+        "searches": searches,
+        "moves": moves,
+        "charnes_s": charnes_s,
         "certificate_s": certificate_s,
     }
     for favor in ("travelers", "vehicles"):
@@ -190,10 +206,12 @@ def bellman_ford_runs():
         allocation.bellman_ford = solver.bellman_ford
 
 
-def certify(inst, scaled, a, capacity):
-    """The dual certificate of the optimum ``a``, checked."""
-    objective = sum(scaled[p] for p in a.assigned_pairs())
-    certificate = solver._dual_certificate(scaled, a, capacity)
+def certify(inst, scaled, adj, match, z):
+    """The dual certificate of the optimum ``match`` at the seat prices
+    ``z``, checked."""
+    travelers = [t.id for t in inst.travelers]
+    certificate = solver._dual(adj, match, z, travelers, [v.id for v in inst.vehicles])
+    objective = sum(adj[i][j] for i, j in enumerate(match) if j is not None)
     solver.verify_dual_certificate(inst, scaled, certificate, objective)
 
 
@@ -304,8 +322,14 @@ def previous(output: Path) -> Path | None:
 
 
 def delta(baseline: dict, ladder: list) -> dict:
-    """``[before, after]`` for each figure of each size in both records."""
-    before = {row["n"]: row for row in baseline["ladder"]}
+    """``[before, after]`` for each figure of each size in both records; a
+    row with no ``matching_s`` ran the one-stage matching, which is read as
+    its perturbation plus its kernel."""
+    before = {}
+    for row in baseline["ladder"]:
+        if "matching_s" not in row and "kernel_s" in row:
+            row = {**row, "matching_s": round(row["perturbed_s"] + row["kernel_s"], 4)}
+        before[row["n"]] = row
     return {
         f"n={row['n']}": {k: [old[k], v] for k, v in row.items() if k in old}
         for row in ladder

@@ -100,11 +100,11 @@ MUTANTS = (
     ),
     # -- the matching and its tie rule
     Mutant(
-        "tie_digit_by_id_rank",
+        "tie_options_by_id_rank",
         "solver.py",
-        "adj[i][j] = w * top - (j + 1) * digit[i]",
-        "adj[i][j] = w * top - (sorted(vehicles).index(vid) + 1) * digit[i]",
-        "the tie rule follows the instance's vehicle order, not the ids' string order",
+        "for (tid, vid), w in scaled.items():\n        if w > 0:",
+        "for (tid, vid), w in sorted(scaled.items()):\n        if w > 0:",
+        "a rider's options follow the instance's vehicle order, not the ids' string order",
         ("tests/test_metamorphic.py::test_relabelling_ids_relabels_every_output",),
     ),
     Mutant(
@@ -117,12 +117,70 @@ MUTANTS = (
          "tests/test_solver.py::test_tie_rule_at_scale"),
     ),
     Mutant(
-        "unperturbed_weights",
+        "tie_rule_stage_skipped",
         "solver.py",
-        "adj[i][j] = w * top - (j + 1) * digit[i]",
-        "adj[i][j] = w",
-        "without Charnes' digits the kernel returns whichever optimum its scan order finds",
+        "match = first_optimum(adj, cap, paths.match, z, paths.options)[0]",
+        "match = paths.match",
+        "without the greedy the matching returns whichever optimum stage 1's scan order finds",
         ("tests/test_solver.py::test_tie_rule_returns_the_first_optimum_in_enumeration_order",),
+    ),
+    Mutant(
+        "greedy_takes_the_last_option",
+        "solver.py",
+        "o = next(o for o in own if o in via)",
+        "o = [o for o in own if o in via][-1]",
+        "the tie rule puts a traveler on its first option that an optimum allows",
+        ("tests/test_solver.py::test_tie_rule_returns_the_first_optimum_in_enumeration_order",),
+    ),
+    Mutant(
+        "search_moves_a_fixed_traveler",
+        "solver.py",
+        "if not fixed[t] and a not in via:",
+        "if a not in via:",
+        "a traveler placed by the tie rule stays where it was placed",
+        ("tests/test_solver.py::test_tie_rule_matches_the_one_stage_charnes_matching",),
+    ),
+    Mutant(
+        "unassigned_offered_at_positive_surplus",
+        "solver.py",
+        "if surplus == 0:",
+        "if surplus >= 0:",
+        "a traveler with y > 0 rides in every optimum (complementary slackness)",
+        ("tests/test_solver.py::test_tie_rule_matches_the_one_stage_charnes_matching",),
+    ),
+    Mutant(
+        "seated_traveler_kept_from_unassigned",
+        "solver.py",
+        "        for b in own:\n",
+        "        for b in own[match[i] is None :]:\n",
+        "a traveler seated by an earlier path may leave again when y = 0",
+        ("tests/test_solver.py::test_tie_rule_where_a_seated_traveler_may_leave",),
+    ),
+    Mutant(
+        "turn_starts_at_stage_one",
+        "solver.py",
+        "        if own[0] == c:\n",
+        "        if own[0] == (free if match[i] is None else match[i]):\n",
+        "a traveler's turn starts where it sits now, which an earlier path may have changed",
+        ("tests/test_solver.py::test_tie_rule_where_a_seated_traveler_may_leave",),
+    ),
+    Mutant(
+        "served_vehicle_unseeded",
+        "solver.py",
+        "        if riders[k]:\n            dist[k] = 0\n",
+        "",
+        "the merged node reaches a served vehicle at 0 over a rider's edge back to it",
+        ("tests/test_solver.py::test_dual_certificate",
+         "tests/test_source.py::test_certificate_runs_no_bellman_ford"),
+    ),
+    Mutant(
+        "shortcut_off_the_sink_potential",
+        "solver.py",
+        "if pot[k] != sink_pot or sink_pot >= 0:",
+        "if sink_pot >= 0:",
+        "a path through one traveler is shortest only when its vehicle's potential is the sink's",
+        ("tests/test_solver.py::test_shortest_augmenting_paths_hand_cases",
+         "tests/test_solver.py::test_tie_rule_matches_the_one_stage_charnes_matching"),
     ),
     # -- the pair table
     Mutant(

@@ -1,32 +1,43 @@
 """Exact optimal assignment: a capacitated max-weight b-matching.
 
-:func:`solve_optimal_assignment` runs successive shortest augmenting paths
-(Tomizawa 1971; Edmonds & Karp 1972): one Dijkstra run per augmentation
-over the vehicles, travelers folded into the edges.  Tentative distances
-are kept in unreduced costs and the heap is keyed by reduced costs, which
-vehicle potentials keep non-negative, so each scanned edge costs one
-subtraction.  A run stops once a popped key shows that no path of negative
-cost is left, and none starts once every seat is taken.  The general kernel
-:func:`bellman_ford`, not part of the matching, stops at its first verdict:
-one run over the optimum's vehicles gives the dual certificate's seat
-prices, and :mod:`rideshare_market.allocation` synthesizes payments with it.
-Both kernels run over exact ``int`` weights read from the instance's
-integer pair table, ``den`` times the money; a ``Fraction`` is made only
-for a result.
+:func:`solve_optimal_assignment` runs in three steps, each over exact
+``int`` weights read from the instance's integer pair table, ``den`` times
+the money; a ``Fraction`` is made only for a result.
+
+1. :func:`shortest_augmenting_paths` finds an optimum by successive shortest
+   augmenting paths (Tomizawa 1971; Edmonds & Karp 1972): one Dijkstra run
+   per augmentation over the vehicles, travelers folded into the edges.
+   Tentative distances are kept in unreduced costs and the heap is keyed by
+   reduced costs, which vehicle potentials keep non-negative, so each
+   scanned edge costs one subtraction.  A run stops once a popped key shows
+   that no path of negative cost is left, and none starts once every seat
+   is taken; a path of reduced length 0 through one traveler is taken
+   without a run.
+2. :func:`seat_prices` gives each vehicle its least seat price: one more
+   Dijkstra run, keyed by stage 1's final potentials.
+3. :func:`first_optimum` applies the tie rule: a greedy over the tight
+   pairs of those prices, in vehicle indices and seat counts alone.
+
+The prices, with each traveler's pair weight minus its vehicle's price, are
+also the dual certificate.  The general kernel :func:`bellman_ford`, not
+part of the matching, stops at its first verdict;
+:mod:`rideshare_market.allocation` synthesizes payments with it.
 
 Tie rule: among optimal assignments the solver returns the first in the
 enumeration order of :func:`rideshare_market.oracles.oracle_optimum`.  That
 order goes traveler by traveler, in instance order, and tries each traveler
-unassigned first, then on the vehicles in instance order.  Charnes'
-lexicographic perturbation of the integer weights (:func:`_perturbed`)
-makes that optimum the only one, so the matching reaches it exactly.
+unassigned first, then on the vehicles in instance order.  The test oracle
+:func:`rideshare_market.oracles.charnes_matching` reaches the same optimum
+in one matching over Charnes' lexicographically perturbed weights.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from rideshare_market.errors import CertificateError
 from rideshare_market.market import (
@@ -52,12 +63,14 @@ class SolveResult:
     assignment: Assignment
     objective: Fraction
     dual_certificate: DualCertificate | None
-    #: augmenting paths found, one Dijkstra run each
+    #: augmenting paths of stage 1, one seat filled each: one Dijkstra run
+    #: each, or none for a path of reduced length 0 through one traveler
     augmentations: int
     #: successful distance decreases at vehicle nodes over every Dijkstra run
-    #: of the matching (one run per augmentation over the vehicles,
-    #: travelers folded into the edges, and a last one that finds no path
-    #: unless every seat is taken first)
+    #: of stage 1 (one run per augmentation that needs one, over the
+    #: vehicles, travelers folded into the edges, and a last one that finds
+    #: no path unless every seat is taken first); the seat prices' run and
+    #: the tie rule's greedy are not counted
     relaxations: int
 
 
@@ -114,46 +127,48 @@ def bellman_ford(nodes, edges, source):
     raise CertificateError(f"bellman_ford: no verdict after {len(nodes)} passes")
 
 
-def _perturbed(scaled, travelers, vehicles):
-    """Charnes' lexicographic perturbation of the positive integer pair
-    weights, as ``adj[i] = {j: w'}`` by traveler and vehicle index.
-
-    ``w' = w * (m+1)**n - (j+1) * (m+1)**(n-1-i)``.  Every assignment's
-    perturbations sum to less than ``(m+1)**n``, in which each traveler's
-    term is one base-``(m+1)`` digit: 0 unassigned, ``j+1`` on vehicle
-    ``j``.  So no strict comparison of total weight flips, and among equal
-    totals the assignment whose digits read smallest, the first in the
-    oracle's enumeration order, is the one optimum.  Pairs with ``w <= 0``
-    are left out: leaving the traveler unassigned is never worse and comes
-    first."""
-    base = len(vehicles) + 1
-    # digit[i] = base**(n-1-i), one product per traveler from the last on
-    digit = [0] * len(travelers)
-    top = 1
-    for i in reversed(range(len(travelers))):
-        digit[i] = top
-        top *= base
+def _rows(scaled, travelers, vehicles):
+    """The positive pair weights as ``adj[i] = {j: w}`` by traveler and
+    vehicle index, in the order of ``scaled``: the pair table's, so each
+    row is in vehicle order.  Pairs with ``w <= 0`` are left out: leaving
+    the traveler unassigned is never worse and comes first."""
     row = {tid: i for i, tid in enumerate(travelers)}
     col = {vid: j for j, vid in enumerate(vehicles)}
     adj = [{} for _ in travelers]
     for (tid, vid), w in scaled.items():
         if w > 0:
-            i, j = row[tid], col[vid]
-            adj[i][j] = w * top - (j + 1) * digit[i]
+            adj[row[tid]][col[vid]] = w
     return adj
 
 
-def shortest_augmenting_paths(adj, cap):
+class ShortestPaths(NamedTuple):
+    """Stage 1 of the matching, :func:`shortest_augmenting_paths`."""
+
+    #: each traveler's vehicle index, or ``None``
+    match: list
+    #: seats filled, one per augmenting path
+    augmentations: int
+    #: successful distance decreases at vehicle nodes over every Dijkstra run
+    relaxations: int
+    #: augmenting paths of reduced length 0 taken without a Dijkstra run
+    shortcuts: int
+    #: the vehicles' final potentials: every residual edge between two
+    #: vehicles has a nonnegative reduced cost under them
+    pot: list
+    #: each vehicle's travelers as ``(-w, i)``, best weight first, from its
+    #: best one unassigned when the list was last read
+    options: list
+
+
+def shortest_augmenting_paths(adj, cap) -> ShortestPaths:
     """Max-weight b-matching by successive shortest paths: one Dijkstra run
     per augmentation over the vehicles, travelers folded into the edges.
 
     ``adj[i]`` maps vehicle index ``j`` to the positive ``int`` weight of
     traveler ``i`` riding it, and ``cap[j]`` is vehicle ``j``'s seats.
-    Returns ``(match, augmentations, relaxations)``: ``match[i]`` is
-    traveler ``i``'s vehicle index or ``None``, and ``relaxations`` counts
-    successful distance decreases at vehicle nodes.  Which optimum it
-    returns on a tie depends on the scan order; :func:`_perturbed` weights
-    leave no tie.
+    Returns a :class:`ShortestPaths`.  Which optimum it finds on a tie
+    depends on the scan order; :func:`first_optimum` then applies the tie
+    rule.
 
     The residual graph has travelers as nodes ``0..n-1``, vehicles
     ``0..m-1`` and an implicit source and sink: source -> unassigned
@@ -175,6 +190,13 @@ def shortest_augmenting_paths(adj, cap):
     against ``bound``, the lesser.  The matching stops when a run finds no
     path of negative cost, or without a run once every seat is taken: a
     full vehicle has no edge to the sink.
+
+    Before each run, every path source -> traveler -> vehicle -> sink of
+    reduced length 0 and negative cost is taken without one: vehicle ``k``
+    has a free seat,
+    ``pot[k] == sink_pot`` and its best unassigned traveler weighs
+    ``-pot[k]``.  No path is shorter, and the edges it reverses keep
+    reduced cost 0.
     """
     # each vehicle's travelers, best weight first; a traveler once matched
     # stays matched, so head[k] only moves past matched travelers
@@ -192,9 +214,28 @@ def shortest_augmenting_paths(adj, cap):
     sink_pot = min(pot, default=0)
     match = [None] * len(adj)
     riders = [[] for _ in cap]
-    augmentations = relaxations = 0
+    augmentations = relaxations = shortcuts = 0
     seats = sum(cap)  # each augmentation fills one
     while seats:
+        # the paths of reduced length 0 through one traveler, each of cost
+        # sink_pot: shortest, and worth taking while that is negative
+        for k, queue in enumerate(options):
+            if pot[k] != sink_pot or sink_pot >= 0:
+                continue
+            h = head[k]
+            while len(riders[k]) < cap[k]:
+                while h < len(queue) and match[queue[h][1]] is not None:
+                    h += 1
+                if h == len(queue) or queue[h][0] != pot[k]:
+                    break
+                i = queue[h][1]
+                match[i] = k
+                riders[k].append(i)
+                seats -= 1
+                shortcuts += 1
+            head[k] = h
+        if not seats:
+            break
         # dist holds unreduced distances, the heap their reduced keys
         dist = [None] * len(cap)
         done = [False] * len(cap)
@@ -254,7 +295,172 @@ def shortest_augmenting_paths(adj, cap):
             k = j
         augmentations += 1
         seats -= 1
-    return match, augmentations, relaxations
+    for queue, h in zip(options, head):
+        del queue[:h]
+    return ShortestPaths(match, augmentations + shortcuts, relaxations, shortcuts, pot, options)
+def seat_prices(adj, cap, match, pot, options) -> list:
+    """Each vehicle's least seat price at the optimum ``match`` of
+    :func:`shortest_augmenting_paths`, whose final potentials ``pot`` and
+    per-vehicle lists ``options`` it reads: one Dijkstra run over the
+    vehicles from one node, the source and sink merged.
+
+    That node reaches each vehicle at ``-w`` through its best unassigned
+    traveler, and at 0 when the vehicle has a rider; rider ``i`` of ``j``
+    gives ``j -> k`` at ``w_ij - w_ik``.  Under ``pot`` each such edge has a
+    nonnegative reduced cost, so the heap is keyed by ``dist[k] - pot[k]``.
+    At an optimum no path from the merged node re-enters it at a negative
+    cost, so the distances are those of the whole residual graph, and the
+    price is ``z_j = max(0, -dist[j])``, 0 on a vehicle it never reaches."""
+    riders = [[] for _ in cap]
+    for i, j in enumerate(match):
+        if j is not None:
+            riders[j].append(i)
+    dist = [None] * len(cap)
+    for k, queue in enumerate(options):
+        if riders[k]:
+            dist[k] = 0
+        for cost, i in queue:
+            if match[i] is None:
+                dist[k] = cost  # below 0
+                break
+    heap = [(d - pot[k], k) for k, d in enumerate(dist) if d is not None]
+    heapify(heap)
+    done = [False] * len(cap)
+    while heap:
+        _, j = heappop(heap)
+        if done[j]:
+            continue
+        done[j] = True
+        here = dist[j]
+        for i in riders[j]:
+            row = adj[i]
+            out = here + row[j]
+            for k, w in row.items():
+                if done[k]:
+                    continue
+                nd = out - w
+                if dist[k] is None or nd < dist[k]:
+                    dist[k] = nd
+                    heappush(heap, (nd - pot[k], k))
+    return [0 if d is None or d > 0 else -d for d in dist]
+
+
+def first_optimum(adj, cap, match, z, options):
+    """The tie rule's optimum, from any optimum ``match`` of ``adj``, each
+    row in vehicle order, and the least seat prices ``z``: ``(match,
+    searches, moves)``, where ``searches`` counts the reverse searches made
+    and ``moves`` the travelers moved.  ``options`` are the per-vehicle
+    lists of :func:`shortest_augmenting_paths`.
+
+    With ``y_i`` the traveler's pair weight minus its vehicle's price (0
+    when unassigned), the optima are exactly the b-matchings on the tight
+    pairs, ``y_i + z_j == w_ij``, that seat every traveler with ``y_i > 0``
+    and fill every vehicle with ``z_j > 0`` (complementary slackness).  A
+    traveler's options are "unassigned" when ``y_i = 0``, then its tight
+    vehicles in instance order.  Traveler by traveler, in instance order,
+    the greedy puts each on its first option that some optimum allows with
+    the earlier travelers fixed, and fixes it there.
+
+    An optimum puts traveler ``i``, now at ``c``, on option ``o`` exactly
+    when a path leads from ``o`` to ``c`` over the moves of the travelers
+    not yet fixed (one at ``a`` with option ``b`` is an arc ``a -> b``) and
+    one node X: a vehicle with a free seat, or "unassigned", reaches X, and
+    X reaches "unassigned" and each vehicle with ``z = 0``, which may lose
+    a rider.  The path is one unit of circulation in the residual graph of
+    the tight b-matching with lower bounds (Ahuja, Magnanti & Orlin,
+    *Network Flows*, 1993, ch. 6).  So one reverse breadth-first search from
+    ``c`` finds every option open to ``i``, and moving the travelers along
+    the path to the first one keeps the assignment optimal.  A traveler
+    whose first option is where it sits needs no search.  Every number is a
+    vehicle index or a seat count."""
+    m = len(cap)
+    free, hub = m, m + 1  # "unassigned" and X
+    pos = [free if j is None else j for j in match]
+    load = [0] * (m + 1)
+    # the travelers with two options or more: a rider's tight vehicles are
+    # read off its row, and an unassigned traveler's (y = 0) are the
+    # w == z_k block of each vehicle's list
+    opts = {}
+    for i, j in enumerate(match):
+        if j is not None:
+            load[j] += 1
+            row = adj[i]
+            surplus = row[j] - z[j]
+            own = [k for k, w in row.items() if w - z[k] == surplus]
+            if surplus == 0:
+                own.insert(0, free)
+            if len(own) > 1:
+                opts[i] = own
+    for k, queue in enumerate(options):
+        if z[k]:
+            h = bisect_left(queue, (-z[k], -1))
+            while h < len(queue) and queue[h][0] == -z[k]:
+                i = queue[h][1]
+                if match[i] is None:
+                    opts.setdefault(i, [free]).append(k)
+                h += 1
+    # in instance order, and the arcs into each node
+    opts = dict(sorted(opts.items()))
+    fixed = [True] * len(adj)
+    into = [[] for _ in range(m + 1)]
+    for i, own in opts.items():
+        fixed[i] = False
+        for b in own:
+            into[b].append(i)
+    searches = moves = 0
+    for i, own in opts.items():
+        fixed[i] = True
+        c = pos[i]
+        if own[0] == c:
+            continue
+        searches += 1
+        # reverse breadth-first search from c: via[a] is the arc that a
+        # takes toward c, as (traveler moved or None, next node)
+        via = {c: None}
+        queue = [c]
+        for b in queue:
+            if own[0] in via:
+                break
+            if b == hub:
+                for a in range(m + 1):
+                    if a not in via and (a == free or load[a] < cap[a]):
+                        via[a] = (None, hub)
+                        queue.append(a)
+                continue
+            for t in into[b]:
+                a = pos[t]
+                if not fixed[t] and a not in via:
+                    via[a] = (t, b)
+                    queue.append(a)
+            if hub not in via and (b == free or z[b] == 0):
+                via[hub] = (None, b)
+                queue.append(hub)
+        o = next(o for o in own if o in via)
+        if o == c:
+            continue
+        # i moves to o, and each traveler on the path one node toward c
+        load[c] -= 1
+        load[o] += 1
+        pos[i] = o
+        moves += 1
+        a = o
+        while a != c:
+            t, b = via[a]
+            if t is not None:
+                load[a] -= 1
+                load[b] += 1
+                pos[t] = b
+                moves += 1
+            a = b
+    return [None if j == free else j for j in pos], searches, moves
+
+
+def _dual(adj, match, z, travelers, vehicles) -> DualCertificate:
+    """The dual certificate of the optimum ``match``, in the integer scale
+    of ``adj``, by traveler and vehicle id: the seat prices ``z``, and each
+    rider's pair weight minus its vehicle's price, 0 when unassigned."""
+    y = [0 if j is None else adj[i][j] - z[j] for i, j in enumerate(match)]
+    return DualCertificate(y=dict(zip(travelers, y)), z=dict(zip(vehicles, z)))
 
 
 def solve_optimal_assignment(
@@ -274,16 +480,17 @@ def solve_optimal_assignment(
     travelers = [t.id for t in inst.travelers]
     vehicles = [v.id for v in inst.vehicles]
     cap = [v.capacity for v in inst.vehicles]
-    match, augmentations, relaxations = shortest_augmenting_paths(
-        _perturbed(scaled, travelers, vehicles), cap
-    )
+    adj = _rows(scaled, travelers, vehicles)
+    paths = shortest_augmenting_paths(adj, cap)
+    z = seat_prices(adj, cap, paths.match, paths.pot, paths.options)
+    match = first_optimum(adj, cap, paths.match, z, paths.options)[0]
     assignment = Assignment(
         {tid: UNASSIGNED if j is None else vehicles[j] for tid, j in zip(travelers, match)}
     )
     objective = sum(scaled[p] for p in assignment.assigned_pairs())
     certificate = None
     if with_certificate:
-        certificate = _dual_certificate(scaled, assignment, dict(zip(vehicles, cap)))
+        certificate = _dual(adj, match, z, travelers, vehicles)
         verify_dual_certificate(inst, scaled, certificate, objective)
         certificate = DualCertificate(
             y={tid: Fraction(value, den) for tid, value in certificate.y.items()},
@@ -293,34 +500,9 @@ def solve_optimal_assignment(
         assignment=assignment,
         objective=Fraction(objective, den),
         dual_certificate=certificate,
-        augmentations=augmentations,
-        relaxations=relaxations,
+        augmentations=paths.augmentations,
+        relaxations=paths.relaxations,
     )
-
-
-def _dual_certificate(scaled, a, capacity) -> DualCertificate:
-    """Seat prices ``z`` and traveler surpluses ``y`` of an optimal
-    assignment, in the integer scale of the unperturbed weights ``scaled``:
-    one Bellman-Ford run over the vehicles and ``None``, source and sink merged.
-
-    A traveler's one incoming residual edge leaves its vehicle ``j``, or
-    ``None`` with ``w_ij = 0`` when unassigned; joined to ``j`` it gives
-    ``j -> k`` at ``w_ij - w_ik`` and ``j -> None`` at ``w_ij``.  That keeps
-    every distance, and the optimum leaves no negative cycle: ``z_j =
-    max(0, -dist[j])`` and ``y_i = w_ij - z_j`` meet every pair constraint."""
-    edges = [(None, vid, 0) for vid in a.riders]
-    for (tid, vid), w in scaled.items():
-        own = a.mapping[tid]
-        if w > 0 and own == vid:
-            edges.append((vid, None, w))
-        elif w > 0:
-            edges.append((own, vid, scaled.get((tid, own), 0) - w))
-    edges += [(vid, None, 0) for vid, c in capacity.items() if len(a.riders.get(vid, ())) < c]
-    dist = bellman_ford([None, *capacity], edges, None)[0]
-    z = {vid: max(0, -dist.get(vid, 0)) for vid in capacity}
-    # an unassigned traveler (vid None) has no weight and no price: y = 0
-    y = {tid: scaled.get((tid, vid), 0) - z.get(vid, 0) for tid, vid in a.mapping.items()}
-    return DualCertificate(y=y, z=z)
 
 
 def verify_dual_certificate(inst: MarketInstance, weights, cert: DualCertificate, objective):

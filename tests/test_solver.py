@@ -24,11 +24,13 @@ from rideshare_market import (
 )
 from rideshare_market.generate import generate_instance
 from rideshare_market.lp import Optimal
+from rideshare_market.oracles import _perturbed, bellman_ford_dual, charnes_matching
 from rideshare_market.solver import (
     DualCertificate,
     _pair_weights,
-    _perturbed,
     bellman_ford,
+    first_optimum,
+    seat_prices,
     shortest_augmenting_paths,
     verify_dual_certificate,
 )
@@ -434,21 +436,75 @@ def test_tie_rule_at_scale():
         assert bellman_ford(nodes, edges, None)[2] is None
 
 
+def _oracle_markets():
+    """The 600-market grid, then 1,500 small markets biased toward tied
+    optima."""
+    for s in range(600):
+        yield generate_instance(s, s % 13 + 1, (s // 13) % 5 + 1, degenerate=s % 2 == 1)
+    for s in range(1500):
+        yield generate_instance(10000 + s, 3 + s % 6, 1 + (s // 6) % 3, degenerate=s % 2 == 1)
+
+
+def _agrees_with_the_oracles(inst):
+    """The solve's assignment is the one-stage Charnes matching's, and its
+    certificate is the Bellman-Ford dual of that assignment, ``y`` and
+    ``z`` both.  Returns whether the market has a free traveler: one with
+    two options or more on the tight pairs."""
+    res = solve_optimal_assignment(inst)
+    assert res.assignment == charnes_matching(inst)
+    den, scaled = _pair_weights(inst)
+    capacity = {v.id: v.capacity for v in inst.vehicles}
+    dual = bellman_ford_dual(scaled, res.assignment, capacity)
+    assert res.dual_certificate.z == {vid: F(price, den) for vid, price in dual.z.items()}
+    assert res.dual_certificate.y == {tid: F(value, den) for tid, value in dual.y.items()}
+    assert solve_optimal_assignment(inst, with_certificate=False).assignment == res.assignment
+    options = {tid: int(value == 0) for tid, value in dual.y.items()}
+    for (tid, vid), w in scaled.items():
+        options[tid] += w > 0 and dual.y[tid] + dual.z[vid] == w
+    return max(options.values(), default=0) > 1
+
+
+@pytest.mark.filterwarnings("ignore:market has fewer travelers")
+def test_tie_rule_matches_the_one_stage_charnes_matching():
+    """On 2,100 small markets, the two-stage matching returns the one-stage
+    Charnes matching's assignment, and its seat prices are the Bellman-Ford
+    distances over the vehicles."""
+    free = sum(_agrees_with_the_oracles(inst) for inst in _oracle_markets())
+    assert free >= 1700
+
+
+@pytest.mark.parametrize(
+    "seed, n, m, degenerate",
+    [(20064, 32, 2, False), (20065, 33, 3, False), (20428, 36, 6, False), (7, 8, 1, True)],
+)
+def test_tie_rule_where_a_seated_traveler_may_leave(seed, n, m, degenerate):
+    """Markets where a traveler unassigned at stage 1's optimum is seated
+    by an earlier traveler's path.  In the first three it must then be
+    free to leave again: every traveler with ``y = 0`` is an arc into
+    "unassigned".  In the last its own turn must start from where it sits
+    then, not from stage 1's optimum."""
+    assert _agrees_with_the_oracles(generate_instance(seed, n, m, degenerate=degenerate))
+
+
 @pytest.mark.parametrize(
     "adj, cap, expected",
     [
-        # T1 can only ride V0: the second path seats it there and moves T0,
-        # V0's rider, to V1 (total 5 + 4 instead of 6)
-        ([{0: 6, 1: 4}, {0: 5}], [1, 1], ([1, 0], 2, 1)),
-        ([], [2, 1], ([], 0, 0)),
-        ([{}, {}], [], ([None, None], 0, 0)),
-        ([{0: 0}, {0: -3, 1: -1}], [1, 1], ([None, None], 0, 0)),
+        # T0 takes V0 by the shortcut; T1 can only ride V0: the one run's
+        # path seats it there and moves T0 to V1 (total 5 + 4 instead of 6)
+        ([{0: 6, 1: 4}, {0: 5}], [1, 1], ([1, 0], 2, 1, 1, [-5, -3])),
+        ([], [2, 1], ([], 0, 0, 0, [0, 0])),
+        ([{}, {}], [], ([None, None], 0, 0, 0, [])),
+        # a path of cost 0 gains nothing, by the shortcut or by a run
+        ([{0: 0}, {0: -3, 1: -1}], [1, 1], ([None, None], 0, 0, 0, [0, 1])),
         # both seats fill (6 + 4 beats 5 + 4 and 5 + 4) and T1 is left over:
         # no search follows the last seat, so nothing more is relaxed
-        ([{0: 6, 1: 4}, {0: 5}, {0: 2, 1: 4}], [1, 1], ([0, None, 1], 2, 0)),
+        ([{0: 6, 1: 4}, {0: 5}, {0: 2, 1: 4}], [1, 1], ([0, None, 1], 2, 0, 1, [-5, -4])),
         # V1's seat stays free: its one path seats T1 on V0 and moves T0 to
         # V1 at -4 + 5 - 1 = 0, which gains nothing
-        ([{0: 5, 1: 1}, {0: 4}], [1, 1], ([0, None], 1, 1)),
+        ([{0: 5, 1: 1}, {0: 4}], [1, 1], ([0, None], 1, 1, 1, [-5, -1])),
+        # T0 takes V0 by the shortcut, a run seats T1 on V1 and lowers the
+        # sink to V1's potential, and T2 takes V1's last seat by the shortcut
+        ([{0: 3}, {0: 3, 1: 2}, {1: 2}], [1, 2], ([0, 1, 1], 3, 0, 2, [-3, -2])),
     ],
     ids=[
         "rider-moves-between-vehicles",
@@ -457,10 +513,26 @@ def test_tie_rule_at_scale():
         "nonpositive-weights",
         "every-seat-filled",
         "free-seat-path-costs-zero",
+        "shortcut-after-a-run",
     ],
 )
 def test_shortest_augmenting_paths_hand_cases(adj, cap, expected):
-    assert shortest_augmenting_paths(adj, cap) == expected
+    """Each case's match, augmentations, relaxations, shortcut seatings and
+    final potentials."""
+    assert shortest_augmenting_paths(adj, cap)[:5] == expected
+
+
+def test_first_optimum_moves_a_twin_out_of_the_seat():
+    """Twins on one seat: stage 1 seats T0, the seat's price is the weight,
+    so both have ``y = 0`` and "unassigned" first.  T0's search finds that
+    T1 can take the seat, so T0 leaves it and T1 moves in; T1's search
+    finds no one to take it, T0 being fixed, so T1 stays."""
+    adj, cap = [{0: 3}, {0: 3}], [1]
+    paths = shortest_augmenting_paths(adj, cap)
+    assert paths.match == [0, None]
+    z = seat_prices(adj, cap, paths.match, paths.pot, paths.options)
+    assert z == [3]
+    assert first_optimum(adj, cap, paths.match, z, paths.options) == ([None, 0], 2, 2)
 
 
 def test_perturbed_leaves_nonpositive_pairs_out():

@@ -28,6 +28,7 @@ from rideshare_market import (
     market,
     network,
     oracle_optimum,
+    oracles,
     solve_optimal_assignment,
     solver,
     surplus,
@@ -233,12 +234,15 @@ def test_production_modules_do_not_import_the_simplex():
 def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, capsys):
     """Every production call of either shortest-path kernel gets ``int``
     edge weights, scaled once by the caller: Bellman-Ford returns ``int``
-    distances, and every key the matching's Dijkstra puts on its heap is an
-    ``int``.  No relaxation does ``Fraction`` arithmetic, even when the
-    market's money has denominators."""
+    distances, and every key the matching's Dijkstra runs and the seat
+    prices' run put on their heap is an ``int``.  No relaxation does
+    ``Fraction`` arithmetic, even when the market's money has denominators.
+    Each solve makes one matching call, and only a synthesis runs
+    Bellman-Ford."""
     kernel = solver.bellman_ford
     matching = solver.shortest_augmenting_paths
     calls = []
+    runs = []
 
     def integer_keys(fn):
         def checked(heap, *item):
@@ -262,7 +266,7 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
             raise AssertionError(f"edge weight {bad[0]!r} is a {type(bad[0]).__name__}")
         result = kernel(nodes, edges, source)
         assert all(type(d) is int for d in result[0].values())
-        calls.append(len(edges))
+        runs.append(len(edges))
         return result
 
     monkeypatch.setattr(solver, "bellman_ford", integer_only)
@@ -291,7 +295,9 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
         for command in ("solve", "check", "synthesize", "report"):
             assert main([command, str(path)]) in (0, 1)
     capsys.readouterr()
-    assert len(calls) > 20
+    # a matching per solve: three here and one per command; a Bellman-Ford
+    # run per synthesis: four here, and one each in synthesize and report
+    assert (len(calls), len(runs)) == (3 + 8, 4 + 4)
 
 
 def test_synthesis_runs_bellman_ford_once_over_the_matched_payments(monkeypatch):
@@ -401,11 +407,12 @@ def test_stability_rows_and_classic_check_look_up_each_traveler_once(monkeypatch
 
 
 def test_ladder_row_records_every_figure():
-    """``bench/ladder.py`` reaches into the solver's perturbation, the dual
-    certificate and the synthesis's Bellman-Ford run: a small row still
-    carries every figure, the priced document parses in pair-table order,
-    the CLI check exits with the literal verdict, and the wrapped run is put
-    back."""
+    """``bench/ladder.py`` reaches into the matching's three steps, the
+    one-stage oracle, the dual certificate and the synthesis's Bellman-Ford
+    run: a small row still carries every figure, the priced document parses
+    in pair-table order, the CLI check exits with the literal verdict, and
+    the wrapped run is put back.  An older row without ``matching_s`` reads
+    as its one-stage matching in the delta."""
     path = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
     spec = importlib.util.spec_from_file_location("ladder", path)
     ladder = importlib.util.module_from_spec(spec)
@@ -417,8 +424,9 @@ def test_ladder_row_records_every_figure():
         for figure in ("s", "view_s", "rows", "feasible", "edges", "relaxations")
     ]
     assert list(row) == [
-        "n", "m", "pairs", "serialize_s", "parse_s", "pair_table_s", "perturbed_s", "kernel_s",
-        "augmentations", "relaxations", "certificate_s", *synthesis, "priced_serialize_s",
+        "n", "m", "pairs", "serialize_s", "parse_s", "pair_table_s", "matching_s", "stage1_s",
+        "augmentations", "relaxations", "shortcuts", "seat_prices_s", "greedy_s", "searches",
+        "moves", "charnes_s", "certificate_s", *synthesis, "priced_serialize_s",
         "priced_parse_s", "priced_in_table_order",
         "check_literal_s", "check_literal_verdict", "check_classic_s", "check_classic_verdict",
         "welfare_paper_s", "cli_check_s", "cli_check_override_s", "cli_check_status",
@@ -431,6 +439,11 @@ def test_ladder_row_records_every_figure():
     assert row["priced_in_table_order"] is True
     delta = ladder.delta({"ladder": [row]}, [row])
     assert delta["n=20"]["synthesis_travelers_rows"] == [row["synthesis_travelers_rows"]] * 2
+    assert row["matching_s"] == round(row["stage1_s"] + row["seat_prices_s"] + row["greedy_s"], 4)
+    assert row["augmentations"] >= row["shortcuts"] > 0 and row["searches"] >= 0
+    older = {"n": 20, "perturbed_s": 0.5, "kernel_s": 2.0}
+    assert ladder.delta({"ladder": [older]}, [row])["n=20"]["matching_s"] == [2.5, row["matching_s"]]
+    assert "matching_s" not in older
     root = path.parent.parent
     assert ladder.previous(root / "BENCH_26.json") == root / "BENCH_25.json"
     assert ladder.previous(root / "BENCH_20.json") == root / "BENCH_19.json"
@@ -488,33 +501,45 @@ def test_mutants_still_apply():
             assert test.startswith("tests/") and (root / test.split("::")[0]).is_file(), test
 
 
-def test_certificate_runs_bellman_ford_once_over_the_vehicles(monkeypatch):
+def test_certificate_runs_no_bellman_ford(monkeypatch):
     """Each certified solve, under either objective, prices the seats with
-    one Bellman-Ford run over the vehicles and ``None``, the source and sink
-    merged: at most m+1 nodes, and never a traveler."""
+    one Dijkstra run over the vehicles and no Bellman-Ford run; its ``y``
+    and ``z`` are those of the Bellman-Ford oracle.  A solve without the
+    certificate takes the same path."""
     kernel = solver.bellman_ford
+    dijkstra = solver.seat_prices
     runs = []
+    priced = []
 
     def counted(nodes, edges, source):
         runs.append(list(nodes))
         return kernel(nodes, edges, source)
 
+    def prices(*args):
+        priced.append(len(args[1]))
+        return dijkstra(*args)
+
     monkeypatch.setattr(solver, "bellman_ford", counted)
+    monkeypatch.setattr(solver, "seat_prices", prices)
     for seed in range(12):
         n, m = 3 + 2 * seed, 1 + seed % 4
         inst = generate_instance(8400 + seed, n=n, m=m, degenerate=seed % 3 == 0)
-        vehicles = {v.id for v in inst.vehicles}
-        travelers = {t.id for t in inst.travelers}
+        capacity = {v.id: v.capacity for v in inst.vehicles}
         pays = {p: F(seed % 5, 2) for p in inst.compatible_pairs()}
         for fixed in (None, PaymentSchedule(pays)):
             runs.clear()
-            assert solve_optimal_assignment(inst, payments=fixed).dual_certificate is not None
-            assert len(runs) == 1 and len(runs[0]) <= m + 1, (seed, runs)
-            assert set(runs[0]) <= {None, *vehicles}, (seed, runs)
-            assert travelers.isdisjoint(runs[0])
-    runs.clear()
+            priced.clear()
+            res = solve_optimal_assignment(inst, payments=fixed)
+            assert runs == [] and priced == [m], (seed, runs, priced)
+            den, scaled = solver._pair_weights(inst, fixed)
+            dual = oracles.bellman_ford_dual(scaled, res.assignment, capacity)
+            assert res.dual_certificate == solver.DualCertificate(
+                y={tid: F(value, den) for tid, value in dual.y.items()},
+                z={vid: F(price, den) for vid, price in dual.z.items()},
+            ), seed
+    priced.clear()
     solve_optimal_assignment(inst, with_certificate=False)
-    assert runs == []
+    assert runs == [] and priced == [m]
 
 
 def _counted(calls, name, fn):
