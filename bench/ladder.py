@@ -150,8 +150,8 @@ def ladder_row(n: int) -> dict:
     cap = [v.capacity for v in inst.vehicles]
     adj = solver._rows(scaled, travelers, vehicles)
     paths, stage1_s = _timed(solver.shortest_augmenting_paths, adj, cap)
-    z, seat_prices_s = _timed(solver.seat_prices, adj, cap, paths.match, paths.pot, paths.options)
-    greedy, greedy_s = _timed(solver.first_optimum, adj, cap, paths.match, z, paths.options)
+    z, seat_prices_s = _timed(solver.seat_prices, adj, cap, paths.match, paths.pot)
+    greedy, greedy_s = _timed(solver.first_optimum, adj, cap, paths.match, z)
     match, searches, moves = greedy
     _, charnes_s = _timed(oracles.charnes_matching, inst)
     a = Assignment(

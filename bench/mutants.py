@@ -119,7 +119,7 @@ MUTANTS = (
     Mutant(
         "tie_rule_stage_skipped",
         "solver.py",
-        "match = first_optimum(adj, cap, paths.match, z, paths.options)[0]",
+        "match = first_optimum(adj, cap, paths.match, z)[0]",
         "match = paths.match",
         "without the greedy the matching returns whichever optimum stage 1's scan order finds",
         ("tests/test_solver.py::test_tie_rule_returns_the_first_optimum_in_enumeration_order",),
@@ -167,11 +167,27 @@ MUTANTS = (
     Mutant(
         "served_vehicle_unseeded",
         "solver.py",
-        "        if riders[k]:\n            dist[k] = 0\n",
-        "",
+        "dist = [0 if seated else None for seated in riders]",
+        "dist = [None] * len(cap)",
         "the merged node reaches a served vehicle at 0 over a rider's edge back to it",
         ("tests/test_solver.py::test_dual_certificate",
          "tests/test_source.py::test_certificate_runs_no_bellman_ford"),
+    ),
+    Mutant(
+        "seat_price_seed_from_the_last_traveler",
+        "solver.py",
+        "                if dist[k] is None or -w < dist[k]:\n                    dist[k] = -w\n",
+        "                dist[k] = -w\n",
+        "the merged node reaches a vehicle through its best unassigned traveler, not its last",
+        ("tests/test_solver.py::test_tie_rule_matches_the_one_stage_charnes_matching",),
+    ),
+    Mutant(
+        "greedy_skips_unassigned_travelers",
+        "solver.py",
+        "        if len(own) > 1:\n",
+        "        if len(own) > 1 and c != free:\n",
+        "an unassigned traveler with y = 0 may take a tight seat, and the tie rule may seat it",
+        ("tests/test_solver.py::test_first_optimum_from_any_optimum",),
     ),
     Mutant(
         "shortcut_off_the_sink_potential",
@@ -181,6 +197,22 @@ MUTANTS = (
         "a path through one traveler is shortest only when its vehicle's potential is the sink's",
         ("tests/test_solver.py::test_shortest_augmenting_paths_hand_cases",
          "tests/test_solver.py::test_tie_rule_matches_the_one_stage_charnes_matching"),
+    ),
+    Mutant(
+        "certificate_takes_unknown_ids",
+        "solver.py",
+        "        for key in entries:\n            if key not in ids:\n",
+        "        for key in ():\n            if key not in ids:\n",
+        "a proof read from outside may name a traveler or vehicle the market does not have",
+        ("tests/test_solver.py::test_verify_dual_certificate_rejects_broken_proofs",),
+    ),
+    Mutant(
+        "certificate_takes_floats",
+        "solver.py",
+        "if type(value) not in (int, Fraction):",
+        "if type(value) not in (int, float, Fraction):",
+        "a float is no exact amount, and the checks compare exactly",
+        ("tests/test_solver.py::test_verify_dual_certificate_rejects_broken_proofs",),
     ),
     # -- the pair table
     Mutant(

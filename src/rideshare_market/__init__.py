@@ -14,8 +14,9 @@ as integer ratios, and ``Fraction``s are made only for a vehicle's cost, an
 explicit share and results: the formulas' answers, objectives, dual
 certificates, violations, output and a schedule's ``entries``, when read;
 the table's own ``entries`` view is built only for a caller that reads it.
-Each optimum carries a dual certificate of seat prices
-from one Bellman-Ford run over its vehicles; each impossible schedule carries
+Each optimum carries a dual certificate of seat prices from one
+Dijkstra run over its vehicles, keyed by the matching's final potentials;
+each impossible schedule carries
 a proof read off a negative cycle over the payments and seat prices, ``int``
 multipliers 1 and -1 checked exactly over its sparse rows, whose right-hand
 sides stay ``int``s over the table's ``den`` in :class:`SynthesisResult`.  The

@@ -13,10 +13,13 @@ the money; a ``Fraction`` is made only for a result.
    that no path of negative cost is left, and none starts once every seat
    is taken; a path of reduced length 0 through one traveler is taken
    without a run.
-2. :func:`seat_prices` gives each vehicle its least seat price: one more
-   Dijkstra run, keyed by stage 1's final potentials.
-3. :func:`first_optimum` applies the tie rule: a greedy over the tight
-   pairs of those prices, in vehicle indices and seat counts alone.
+2. :func:`seat_prices` gives each vehicle its least seat price from the
+   rows, the seats, stage 1's optimum and its final potentials: one more
+   Dijkstra run.  Any optimum will do, with potentials feasible for its
+   residual graph.
+3. :func:`first_optimum` applies the tie rule from the rows, the seats,
+   any optimum and those prices: a greedy over the tight pairs, in
+   vehicle indices and seat counts alone.
 
 The prices, with each traveler's pair weight minus its vehicle's price, are
 also the dual certificate.  The general kernel :func:`bellman_ford`, not
@@ -33,7 +36,6 @@ in one matching over Charnes' lexicographically perturbed weights.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -155,9 +157,6 @@ class ShortestPaths(NamedTuple):
     #: the vehicles' final potentials: every residual edge between two
     #: vehicles has a nonnegative reduced cost under them
     pot: list
-    #: each vehicle's travelers as ``(-w, i)``, best weight first, from its
-    #: best one unassigned when the list was last read
-    options: list
 
 
 def shortest_augmenting_paths(adj, cap) -> ShortestPaths:
@@ -295,34 +294,33 @@ def shortest_augmenting_paths(adj, cap) -> ShortestPaths:
             k = j
         augmentations += 1
         seats -= 1
-    for queue, h in zip(options, head):
-        del queue[:h]
-    return ShortestPaths(match, augmentations + shortcuts, relaxations, shortcuts, pot, options)
-def seat_prices(adj, cap, match, pot, options) -> list:
-    """Each vehicle's least seat price at the optimum ``match`` of
-    :func:`shortest_augmenting_paths`, whose final potentials ``pot`` and
-    per-vehicle lists ``options`` it reads: one Dijkstra run over the
-    vehicles from one node, the source and sink merged.
+    return ShortestPaths(match, augmentations + shortcuts, relaxations, shortcuts, pot)
 
-    That node reaches each vehicle at ``-w`` through its best unassigned
-    traveler, and at 0 when the vehicle has a rider; rider ``i`` of ``j``
-    gives ``j -> k`` at ``w_ij - w_ik``.  Under ``pot`` each such edge has a
-    nonnegative reduced cost, so the heap is keyed by ``dist[k] - pot[k]``.
-    At an optimum no path from the merged node re-enters it at a negative
-    cost, so the distances are those of the whole residual graph, and the
-    price is ``z_j = max(0, -dist[j])``, 0 on a vehicle it never reaches."""
+
+def seat_prices(adj, cap, match, pot) -> list:
+    """Each vehicle's least seat price at any optimum ``match`` of ``adj``
+    and ``cap``, given vehicle potentials ``pot`` under which every residual
+    edge between two vehicles of that match has a nonnegative reduced cost,
+    such as :func:`shortest_augmenting_paths`' final ones: one Dijkstra run
+    over the vehicles from one node, the source and sink merged.
+
+    That node reaches each vehicle at 0 when it has a rider, and at the
+    least ``-w`` over the unassigned travelers' rows; rider ``i`` of ``j``
+    gives ``j -> k`` at ``w_ij - w_ik``.  The heap is keyed by the reduced
+    ``dist[k] - pot[k]``.  At an optimum no path from the merged node
+    re-enters it at a negative cost, so the distances are those of the
+    whole residual graph, and the price is ``z_j = max(0, -dist[j])``, 0 on
+    a vehicle it never reaches."""
     riders = [[] for _ in cap]
     for i, j in enumerate(match):
         if j is not None:
             riders[j].append(i)
-    dist = [None] * len(cap)
-    for k, queue in enumerate(options):
-        if riders[k]:
-            dist[k] = 0
-        for cost, i in queue:
-            if match[i] is None:
-                dist[k] = cost  # below 0
-                break
+    dist = [0 if seated else None for seated in riders]
+    for i, j in enumerate(match):
+        if j is None:
+            for k, w in adj[i].items():
+                if dist[k] is None or -w < dist[k]:
+                    dist[k] = -w
     heap = [(d - pot[k], k) for k, d in enumerate(dist) if d is not None]
     heapify(heap)
     done = [False] * len(cap)
@@ -345,12 +343,11 @@ def seat_prices(adj, cap, match, pot, options) -> list:
     return [0 if d is None or d > 0 else -d for d in dist]
 
 
-def first_optimum(adj, cap, match, z, options):
+def first_optimum(adj, cap, match, z):
     """The tie rule's optimum, from any optimum ``match`` of ``adj``, each
-    row in vehicle order, and the least seat prices ``z``: ``(match,
-    searches, moves)``, where ``searches`` counts the reverse searches made
-    and ``moves`` the travelers moved.  ``options`` are the per-vehicle
-    lists of :func:`shortest_augmenting_paths`.
+    row in vehicle order, and ``cap``, with the least seat prices ``z`` of
+    :func:`seat_prices`: ``(match, searches, moves)``, where ``searches``
+    counts the reverse searches made and ``moves`` the travelers moved.
 
     With ``y_i`` the traveler's pair weight minus its vehicle's price (0
     when unassigned), the optima are exactly the b-matchings on the tight
@@ -377,30 +374,18 @@ def first_optimum(adj, cap, match, z, options):
     free, hub = m, m + 1  # "unassigned" and X
     pos = [free if j is None else j for j in match]
     load = [0] * (m + 1)
-    # the travelers with two options or more: a rider's tight vehicles are
-    # read off its row, and an unassigned traveler's (y = 0) are the
-    # w == z_k block of each vehicle's list
+    # the travelers with two options or more, in instance order, each with
+    # the tight vehicles of its row, "unassigned" first when y = 0
     opts = {}
-    for i, j in enumerate(match):
-        if j is not None:
-            load[j] += 1
-            row = adj[i]
-            surplus = row[j] - z[j]
-            own = [k for k, w in row.items() if w - z[k] == surplus]
-            if surplus == 0:
-                own.insert(0, free)
-            if len(own) > 1:
-                opts[i] = own
-    for k, queue in enumerate(options):
-        if z[k]:
-            h = bisect_left(queue, (-z[k], -1))
-            while h < len(queue) and queue[h][0] == -z[k]:
-                i = queue[h][1]
-                if match[i] is None:
-                    opts.setdefault(i, [free]).append(k)
-                h += 1
-    # in instance order, and the arcs into each node
-    opts = dict(sorted(opts.items()))
+    for i, (row, c) in enumerate(zip(adj, pos)):
+        load[c] += 1
+        surplus = 0 if c == free else row[c] - z[c]
+        own = [k for k, w in row.items() if w - z[k] == surplus]
+        if surplus == 0:
+            own.insert(0, free)
+        if len(own) > 1:
+            opts[i] = own
+    # the arcs into each node
     fixed = [True] * len(adj)
     into = [[] for _ in range(m + 1)]
     for i, own in opts.items():
@@ -482,8 +467,8 @@ def solve_optimal_assignment(
     cap = [v.capacity for v in inst.vehicles]
     adj = _rows(scaled, travelers, vehicles)
     paths = shortest_augmenting_paths(adj, cap)
-    z = seat_prices(adj, cap, paths.match, paths.pot, paths.options)
-    match = first_optimum(adj, cap, paths.match, z, paths.options)[0]
+    z = seat_prices(adj, cap, paths.match, paths.pot)
+    match = first_optimum(adj, cap, paths.match, z)[0]
     assignment = Assignment(
         {tid: UNASSIGNED if j is None else vehicles[j] for tid, j in zip(travelers, match)}
     )
@@ -510,13 +495,19 @@ def verify_dual_certificate(inst: MarketInstance, weights, cert: DualCertificate
     a ``z`` per vehicle, ``y, z >= 0``, ``y_i + z_j >= weight_ij`` on every
     weighted pair, and ``sum(y) + sum(capacity * z)`` equal to
     ``objective``.  The weights, proof and objective may carry any common
-    positive scale.  Raises :class:`CertificateError` naming the first
-    failed condition."""
+    positive scale.  Each entry is an ``int`` or a ``Fraction`` and names a
+    traveler or vehicle of ``inst``.  Raises :class:`CertificateError`
+    naming the first failed condition."""
     for name, entries, ids in (("y", cert.y, inst._traveler_map), ("z", cert.z, inst._vehicle_map)):
         for key in ids:
             if key not in entries:
                 raise CertificateError(f"dual certificate: no {name} for {key!r}")
+        for key in entries:
+            if key not in ids:
+                raise CertificateError(f"dual certificate: {name} for {key!r}, not in the market")
     for key, value in (*cert.y.items(), *cert.z.items()):
+        if type(value) not in (int, Fraction):
+            raise CertificateError(f"dual certificate: entry for {key!r} is a {type(value).__name__}")
         if value < 0:
             raise CertificateError(f"dual certificate: entry for {key!r} is negative")
     for (tid, vid), w in weights.items():
