@@ -21,11 +21,12 @@ weight minus its seat price, checked by ``verify_dual_certificate``
 (``certificate_s``).  The stable-payment synthesis runs at
 that optimum in both ``favor`` modes, each with its seconds, the seconds
 of the first read of its payment-only stability rows (a view the
-synthesis itself never builds; since the result keeps the rows it solved,
-``synthesis_*_view_s`` times ``_payment_rows`` over them alone, not a
-second build of the system), their number, its feasibility, and the
-edges and successful relaxations of its one Bellman-Ford run, read by
-wrapping ``allocation.bellman_ford``.
+synthesis itself never builds; the result keeps no rows, so
+``synthesis_*_view_s`` includes rebuilding the stability system from the
+instance and assignment, then ``_payment_rows`` over it), their number,
+its feasibility, and the edges and successful relaxations of its one
+Bellman-Ford run, read by wrapping ``allocation.bellman_ford`` and putting
+the kernel found there back.
 The check path then prices the kernel's optimum: each matched pair pays
 its cost share and every other pair its break-even ``max(0, surplus)``.
 The priced document is serialized and parsed back, timed, with whether
@@ -40,7 +41,11 @@ priced document is written to a temporary file and ``cli.main`` checks it
 in-process at the optimum's riders (``check PATH --assignment ... --format
 machine``, standard output captured), timed, with its exit status, and
 then again with one override, ``--payments TID:VID=share``, that prices
-the first matched pair at the cost share it already pays.
+the first matched pair at the cost share it already pays.  The generated
+document itself is written to a temporary file too, and ``cli.main`` runs
+``solve``, ``synthesize`` and ``report`` on it in-process (``--format
+machine``, standard output captured), each timed, with its exit status
+(``cli_solve_s``, ``cli_solve_status`` and so on).
 The many-denominator family rewrites the same market with ``1/p`` added
 to each traveler's ``v_max``, ``p`` an odd prime of its own, serialized:
 the parse and the first pair table of that document are timed, and
@@ -185,7 +190,7 @@ def ladder_row(n: int) -> dict:
         row[f"synthesis_{favor}_rows"] = len(rows)
         row[f"synthesis_{favor}_feasible"] = synth.feasible
         [(row[f"synthesis_{favor}_edges"], row[f"synthesis_{favor}_relaxations"])] = set(runs)
-    return {**row, **check_path(inst, a), **prime_row(market, a)}
+    return {**row, **check_path(inst, a), **cli_commands(text), **prime_row(market, a)}
 
 
 @contextlib.contextmanager
@@ -193,9 +198,10 @@ def bellman_ford_runs():
     """The ``(edges, relaxations)`` of each Bellman-Ford run the synthesis
     makes inside the block."""
     runs = []
+    kernel = allocation.bellman_ford
 
     def recorded(nodes, edges, source):
-        out = solver.bellman_ford(nodes, edges, source)
+        out = kernel(nodes, edges, source)
         runs.append((len(edges), out[3]))
         return out
 
@@ -203,7 +209,7 @@ def bellman_ford_runs():
     try:
         yield runs
     finally:
-        allocation.bellman_ford = solver.bellman_ford
+        allocation.bellman_ford = kernel
 
 
 def certify(inst, scaled, adj, match, z):
@@ -251,6 +257,22 @@ def check_path(inst, a) -> dict:
             override = ["--payments", f"{tid}:{vid}={pays[(tid, vid)]}"]
             _, row["cli_check_override_s"] = _timed(cli.main, argv + override)
     row["cli_check_status"] = status
+    return row
+
+
+def cli_commands(text) -> dict:
+    """Seconds and exit status of the in-process CLI ``solve``,
+    ``synthesize`` and ``report`` on the document ``text``, machine
+    format."""
+    row = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "market.json"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in ("solve", "synthesize", "report"):
+                argv = [command, str(path), "--format", "machine"]
+                status, row[f"cli_{command}_s"] = _timed(cli.main, argv)
+                row[f"cli_{command}_status"] = status
     return row
 
 

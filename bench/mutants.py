@@ -438,10 +438,51 @@ MUTANTS = (
     Mutant(
         "view_without_seat_rows",
         "allocation.py",
-        "_payment_rows(chain(*self.system))",
-        "_payment_rows(chain(*self.system[1:]))",
+        "chain(*_stability_system(self.instance, self.assignment)[0])",
+        "chain(*_stability_system(self.instance, self.assignment)[0][1:])",
         "each displace row of the payment-only view is summed with its vehicle's seat rows",
         ("tests/test_allocation.py::test_seat_price_rows_equal_the_per_rider_reference",),
+    ),
+    Mutant(
+        "bellman_ford_cycle_in_walk_order",
+        "allocation.py",
+        "path[path.index(pred[v]) :][::-1]",
+        "path[path.index(pred[v]) :]",
+        "the walk goes back along the predecessor edges: reversed, it is the cycle's path order",
+        ("tests/test_solver.py::test_bellman_ford_returns_a_negative_cycle",
+         "tests/test_solver.py::test_bellman_ford_stops_at_the_first_cycle_closed"),
+    ),
+    Mutant(
+        "bellman_ford_one_pass_short",
+        "allocation.py",
+        "for _ in range(len(nodes)):",
+        "for _ in range(len(nodes) - 1):",
+        "a path through every node settles in len(nodes) - 1 passes, and one more shows it",
+        ("tests/test_solver.py::test_bellman_ford_without_a_verdict_raises",),
+    ),
+    Mutant(
+        "bellman_ford_relaxes_on_ties",
+        "allocation.py",
+        "dist[u] + w < dist[v]",
+        "dist[u] + w <= dist[v]",
+        "an edge that only ties a distance relaxes nothing: zero-weight cycles are no proof",
+        ("tests/test_allocation.py::test_synthesis_feasible_iff_optimal_on_random_instances",),
+    ),
+    Mutant(
+        "farkas_zero_sum_accepted",
+        "allocation.py",
+        "if total >= 0 or any(",
+        "if total > 0 or any(",
+        "the right-hand sides must combine into a negative number: 0 <= 0 holds",
+        ("tests/test_allocation.py::test_farkas_check_rejects_broken_multipliers",),
+    ),
+    Mutant(
+        "farkas_sign_unchecked",
+        "allocation.py",
+        "if mu < 0 if rel == LE else mu > 0:",
+        "if False:",
+        "a multiplier of the wrong sign flips its row's inequality",
+        ("tests/test_allocation.py::test_farkas_check_rejects_broken_multipliers",),
     ),
     # -- money intake and its views
     Mutant(

@@ -5,7 +5,8 @@ table's scale: the stability inequalities compare against counterfactual
 rides, so off-match pairs must be priced too.  Profits are derived from
 payments; all checks are exact.
 The synthesis solves the stability system over the payments and one seat
-price per full vehicle; the system over the payments alone is a view.
+price per full vehicle with this module's :func:`bellman_ford`; the system
+over the payments alone is a view.  Nothing here imports the matching.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from rideshare_market.market import (
     validate_assignment,
     validate_schedule,
 )
-from rideshare_market.solver import bellman_ford
 
 if TYPE_CHECKING:
     from rideshare_market.lp import LPProblem
@@ -281,10 +281,10 @@ def check_stability(
 # -- synthesis ------------------------------------------------------------
 
 
-# a synthesis keeps its verdict, its schedule or proof, the instance and
-# assignment it answers for and the rows it solved; allocation, den, rows,
-# row_labels, certificate and problem are views, each built on first read,
-# and the synthesis itself builds none of them
+# a synthesis keeps its verdict, its schedule or proof, and the instance
+# and assignment it answers for; allocation, den, rows, row_labels,
+# certificate and problem are views, each built on first read, and the
+# synthesis itself builds none of them
 @dataclass(frozen=True)
 class SynthesisResult:
     feasible: bool
@@ -295,8 +295,6 @@ class SynthesisResult:
     proof: tuple | None
     instance: MarketInstance = field(repr=False)
     assignment: Assignment = field(repr=False)
-    #: the seat, walk and blocking rows of :func:`_stability_system`
-    system: tuple = field(repr=False)
 
     # the profits under ``schedule``, or ``None`` when infeasible
     @cached_property
@@ -306,7 +304,9 @@ class SynthesisResult:
         return compute_profits(self.instance, self.assignment, self.schedule)
 
     den = property(lambda self: self.instance.compatibility.den)
-    _view = cached_property(lambda self: _payment_rows(chain(*self.system)))
+    _view = cached_property(
+        lambda self: _payment_rows(chain(*_stability_system(self.instance, self.assignment)[0]))
+    )
     #: the stability system, one ``(plus, minus, rel, rhs)`` per row; each
     #: ``rhs`` is an ``int``, the pair table's ``den`` times its value
     rows = property(lambda self: self._view[0])
@@ -414,6 +414,46 @@ def _payment_rows(rows):
     return tuple(out), tuple(labels)
 
 
+def bellman_ford(nodes, edges, source):
+    """Exact single-source shortest paths over ``edges``, a list of
+    ``(tail, head, weight)`` whose nodes may be any hashable, ``None`` too.
+
+    Weights are any exact numbers; callers pass ``int`` weights over a
+    common denominator, so no relaxation normalises a fraction.  Edges are
+    scanned in list order, pass after pass, until a pass changes nothing or
+    the predecessor edges close a cycle, which is negative (CLRS Lemma 24.16);
+    ``len(nodes)`` passes without either raise :class:`CertificateError`.
+    Returns ``(dist, pred, cycle, relaxations)``: each reached node's distance
+    from ``source`` (``0`` at the source, in the weights' type elsewhere) and
+    predecessor edge index, the edge indices of the first cycle closed, in
+    path order (``None`` if none), and the number of successful relaxations.
+    """
+    dist = {source: 0}
+    pred = {}
+    relaxations = 0
+    for _ in range(len(nodes)):
+        before = relaxations
+        for k, (u, v, w) in enumerate(edges):
+            if u in dist and (v not in dist or dist[u] + w < dist[v]):
+                dist[v] = dist[u] + w
+                pred[v] = k
+                relaxations += 1
+        if relaxations == before:
+            return dist, pred, None, relaxations
+        # walk back along the predecessor edges from each node in turn, each
+        # node once: the first walk that meets itself has closed a cycle
+        walk = {}
+        for v in pred:
+            path = []
+            while v in pred and v not in walk:
+                walk[v] = path
+                path.append(pred[v])
+                v = edges[path[-1]][0]
+            if walk.get(v) is path:
+                return dist, pred, path[path.index(pred[v]) :][::-1], relaxations
+    raise CertificateError(f"bellman_ford: no verdict after {len(nodes)} passes")
+
+
 def verify_farkas_certificate(rows, certificate):
     """Exact check of Farkas multipliers over the sparse stability rows.
 
@@ -505,7 +545,7 @@ def synthesize_stable_payments(
             if rel == GE:
                 x[plus] = max(x[plus], x[minus] + rhs)
         schedule = PaymentSchedule.scaled(pairs, den, list(map(x.__getitem__, pairs)))
-    return SynthesisResult(cycle is None, schedule, proof, inst, a, system)
+    return SynthesisResult(cycle is None, schedule, proof, inst, a)
 
 
 def blend_allocations(alloc1: ProfitAllocation, alloc2: ProfitAllocation, lam, t1, t2):

@@ -19,7 +19,7 @@ over the solver's integer weights:
   over Charnes' perturbed weights (:func:`_perturbed`), whose keys grow to
   ``n * log2(m + 1)`` bits;
 * :func:`bellman_ford_dual` prices the seats of an optimum with one
-  Bellman-Ford run over the vehicles and the merged source and sink.
+  ``allocation.bellman_ford`` run over the vehicles, source and sink merged.
 
 No production path imports this module's simplex: :mod:`rideshare_market.lp`
 is loaded only when :func:`assignment_lp_relaxation` runs.
@@ -27,13 +27,12 @@ is loaded only when :func:`assignment_lp_relaxation` runs.
 
 from __future__ import annotations
 
+from rideshare_market.allocation import bellman_ford
 from rideshare_market.errors import OracleScaleError, ValidationError
 from rideshare_market.market import (
     Assignment, MarketInstance, UNASSIGNED, _ZERO, surplus_matrix, valuation
 )
-from rideshare_market.solver import (
-    DualCertificate, _pair_weights, bellman_ford, shortest_augmenting_paths
-)
+from rideshare_market.solver import DualCertificate, _pair_weights, shortest_augmenting_paths
 
 ORACLE_MAX_TRAVELERS = 10
 ORACLE_MAX_MAPS = 10**7

@@ -22,9 +22,9 @@ the money; a ``Fraction`` is made only for a result.
    vehicle indices and seat counts alone.
 
 The prices, with each traveler's pair weight minus its vehicle's price, are
-also the dual certificate.  The general kernel :func:`bellman_ford`, not
-part of the matching, stops at its first verdict;
-:mod:`rideshare_market.allocation` synthesizes payments with it.
+also the dual certificate.  The module holds the matching alone: the
+Bellman-Ford kernel of the payment synthesis lives in
+:mod:`rideshare_market.allocation`.
 
 Tie rule: among optimal assignments the solver returns the first in the
 enumeration order of :func:`rideshare_market.oracles.oracle_optimum`.  That
@@ -87,46 +87,6 @@ def _pair_weights(inst: MarketInstance, payments=None):
     den, pays = validate_schedule(inst, payments)
     lift = den // matrix.den
     return den, dict(zip(matrix.pairs, [v * lift - pay for v, pay in zip(matrix.value, pays)]))
-
-
-def bellman_ford(nodes, edges, source):
-    """Exact single-source shortest paths over ``edges``, a list of
-    ``(tail, head, weight)`` whose nodes may be any hashable, ``None`` too.
-
-    Weights are any exact numbers; callers pass ``int`` weights over a
-    common denominator, so no relaxation normalises a fraction.  Edges are
-    scanned in list order, pass after pass, until a pass changes nothing or
-    the predecessor edges close a cycle, which is negative (CLRS Lemma 24.16);
-    ``len(nodes)`` passes without either raise :class:`CertificateError`.
-    Returns ``(dist, pred, cycle, relaxations)``: each reached node's distance
-    from ``source`` (``0`` at the source, in the weights' type elsewhere) and
-    predecessor edge index, the edge indices of the first cycle closed, in
-    path order (``None`` if none), and the number of successful relaxations.
-    """
-    dist = {source: 0}
-    pred = {}
-    relaxations = 0
-    for _ in range(len(nodes)):
-        before = relaxations
-        for k, (u, v, w) in enumerate(edges):
-            if u in dist and (v not in dist or dist[u] + w < dist[v]):
-                dist[v] = dist[u] + w
-                pred[v] = k
-                relaxations += 1
-        if relaxations == before:
-            return dist, pred, None, relaxations
-        # walk back along the predecessor edges from each node in turn, each
-        # node once: the first walk that meets itself has closed a cycle
-        walk = {}
-        for v in pred:
-            path = []
-            while v in pred and v not in walk:
-                walk[v] = path
-                path.append(pred[v])
-                v = edges[path[-1]][0]
-            if walk.get(v) is path:
-                return dist, pred, path[path.index(pred[v]) :][::-1], relaxations
-    raise CertificateError(f"bellman_ford: no verdict after {len(nodes)} passes")
 
 
 def _rows(scaled, travelers, vehicles):

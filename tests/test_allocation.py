@@ -31,6 +31,7 @@ from rideshare_market import (
 from rideshare_market.allocation import (
     GE,
     LE,
+    bellman_ford,
     check_payments,
     validate_schedule,
     verify_farkas_certificate,
@@ -46,7 +47,6 @@ from rideshare_market.lp import (
     verify_infeasibility_certificate,
 )
 from rideshare_market.market import UNASSIGNED
-from rideshare_market.solver import bellman_ford
 
 BOTH = Assignment({"T1": "V1", "T2": "V1"})
 
@@ -512,8 +512,9 @@ def test_farkas_check_rejects_broken_multipliers(canonical):
     verify_farkas_certificate(res.rows, res.certificate)
     with pytest.raises(CertificateError, match="wrong sign"):
         verify_farkas_certificate(res.rows, (0, 0, 0, 0, 1))
-    # -1 on x >= 2 leaves x a negative coefficient; +1 on x <= 6 a positive right-hand side
-    for broken in ((0, -1, 0, 0, 0), (0, 0, 1, 0, 0)):
+    # -1 on x >= 2 leaves x a negative coefficient; +1 on x <= 6 a positive
+    # right-hand side; no multiplier at all sums to 0 <= 0, which holds
+    for broken in ((0, -1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 0)):
         with pytest.raises(CertificateError, match="no contradiction"):
             verify_farkas_certificate(res.rows, broken)
 

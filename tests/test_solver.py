@@ -22,6 +22,7 @@ from rideshare_market import (
     surplus_matrix,
     valuation,
 )
+from rideshare_market.allocation import bellman_ford
 from rideshare_market.generate import generate_instance
 from rideshare_market.lp import Optimal
 from rideshare_market.oracles import _perturbed, bellman_ford_dual, charnes_matching
@@ -29,7 +30,6 @@ from rideshare_market.solver import (
     DualCertificate,
     _pair_weights,
     _rows,
-    bellman_ford,
     first_optimum,
     seat_prices,
     shortest_augmenting_paths,

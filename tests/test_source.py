@@ -1,12 +1,14 @@
 import ast
 import dataclasses
 import functools
+import gc
 import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -239,7 +241,7 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
     ``Fraction`` arithmetic, even when the market's money has denominators.
     Each solve makes one matching call, and only a synthesis runs
     Bellman-Ford."""
-    kernel = solver.bellman_ford
+    kernel = allocation.bellman_ford
     matching = solver.shortest_augmenting_paths
     calls = []
     runs = []
@@ -269,7 +271,6 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
         runs.append(len(edges))
         return result
 
-    monkeypatch.setattr(solver, "bellman_ford", integer_only)
     monkeypatch.setattr(allocation, "bellman_ford", integer_only)
     monkeypatch.setattr(solver, "shortest_augmenting_paths", integer_matching)
     monkeypatch.setattr(solver, "heapify", integer_keys(solver.heapify))
@@ -326,14 +327,15 @@ def test_synthesis_runs_bellman_ford_once_over_the_matched_payments(monkeypatch)
 
 
 def test_synthesis_keeps_its_inputs_and_builds_its_views_on_first_read(monkeypatch):
-    """A synthesis result holds its verdict, schedule, proof, instance,
-    assignment and the rows it solved.  In either ``favor`` mode the
+    """A synthesis result holds its verdict, schedule, proof, instance and
+    assignment, not the rows it solved.  In either ``favor`` mode the
     synthesis builds the stability system once and no profits; the first
     read of ``allocation`` computes them once, a second read nothing, and an
     infeasible result's profits are ``None`` without a call.  The first read
-    of ``rows`` reads the kept rows: it builds no system again."""
+    of ``rows`` builds the system once more, from the kept instance and
+    assignment, and a second read builds nothing."""
     names = [f.name for f in dataclasses.fields(allocation.SynthesisResult)]
-    assert names == ["feasible", "schedule", "proof", "instance", "assignment", "system"]
+    assert names == ["feasible", "schedule", "proof", "instance", "assignment"]
     calls = Counter()
 
     def counted(name):
@@ -366,9 +368,51 @@ def test_synthesis_keeps_its_inputs_and_builds_its_views_on_first_read(monkeypat
                 assert res.allocation is None and not calls
             calls.clear()
             assert res.allocation is res.allocation and not calls
-            assert res.rows is res.rows
+            rows = res.rows
+            assert calls == Counter({"_stability_system": 1}), (seed, favor)
+            calls.clear()
+            assert res.rows is rows and res.row_labels is res.row_labels
             assert not calls, (seed, favor)
     assert verdicts[True] >= 4 and verdicts[False] >= 4, verdicts
+
+
+def test_synthesis_result_retains_its_answer_not_its_rows():
+    """A travelers-mode synthesis at the optimum of ``generate_instance(5,
+    300, 60)`` is infeasible, and its result retains under 0.5 MB: its
+    proof, not the stability system it solved.  A result that kept the
+    system's rows retained 1.9 MB here, and 37 MB at n=1000."""
+    inst = generate_instance(5, 300, 60)
+    a = solve_optimal_assignment(inst, with_certificate=False).assignment
+    # a first synthesis builds whatever the instance and assignment cache
+    synthesize_stable_payments(inst, a)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = synthesize_stable_payments(inst, a)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not res.feasible and res.proof
+    assert kept < 500_000, kept
+
+
+def test_payment_layer_does_not_import_the_matching():
+    """``allocation.py`` imports nothing from ``rideshare_market.solver``:
+    the synthesis's Bellman-Ford kernel lives beside the system it solves,
+    and ``solver`` holds the matching alone, with no ``bellman_ford``."""
+    path = Path(allocation.__file__)
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "rideshare_market.market" in imported
+    assert not {name for name in imported if name.startswith("rideshare_market.solver")}
+    assert not hasattr(solver, "bellman_ford")
+    assert oracles.bellman_ford is allocation.bellman_ford
 
 
 def test_stability_rows_and_classic_check_look_up_each_traveler_once(monkeypatch):
@@ -410,13 +454,15 @@ def test_ladder_row_records_every_figure():
     """``bench/ladder.py`` reaches into the matching's three steps, the
     one-stage oracle, the dual certificate and the synthesis's Bellman-Ford
     run: a small row still carries every figure, the priced document parses
-    in pair-table order, the CLI check exits with the literal verdict, and
-    the wrapped run is put back.  An older row without ``matching_s`` reads
+    in pair-table order, the CLI check exits with the literal verdict, the
+    CLI ``solve``, ``synthesize`` and ``report`` exit as their verdicts say,
+    and the wrapped kernel is put back.  An older row without ``matching_s`` reads
     as its one-stage matching in the delta."""
     path = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
     spec = importlib.util.spec_from_file_location("ladder", path)
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
+    kernel = allocation.bellman_ford
     row = ladder.ladder_row(20)
     synthesis = [
         f"synthesis_{favor}_{figure}"
@@ -430,12 +476,16 @@ def test_ladder_row_records_every_figure():
         "priced_parse_s", "priced_in_table_order",
         "check_literal_s", "check_literal_verdict", "check_classic_s", "check_classic_verdict",
         "welfare_paper_s", "cli_check_s", "cli_check_override_s", "cli_check_status",
+        "cli_solve_s", "cli_solve_status", "cli_synthesize_s", "cli_synthesize_status",
+        "cli_report_s", "cli_report_status",
         "prime_parse_s", "prime_pair_table_s", "prime_check_literal_s",
         "prime_check_literal_verdict", "prime_den_bits", "prime_traveler_den_bits",
     ]  # fmt: skip
     for favor in ("travelers", "vehicles"):
         assert row[f"synthesis_{favor}_edges"] > 0 and row[f"synthesis_{favor}_relaxations"] > 0
     assert row["cli_check_status"] == (0 if row["check_literal_verdict"] else 1)
+    assert (row["cli_solve_status"], row["cli_report_status"]) == (0, 0)
+    assert row["cli_synthesize_status"] == (0 if row["synthesis_travelers_feasible"] else 1)
     assert row["priced_in_table_order"] is True
     delta = ladder.delta({"ladder": [row]}, [row])
     assert delta["n=20"]["synthesis_travelers_rows"] == [row["synthesis_travelers_rows"]] * 2
@@ -449,7 +499,7 @@ def test_ladder_row_records_every_figure():
     assert ladder.previous(root / "BENCH_20.json") == root / "BENCH_19.json"
     assert ladder.previous(root / "BENCH_19.json") is None
     assert ladder.previous(root / "ladder.json") is None
-    assert allocation.bellman_ford is solver.bellman_ford
+    assert allocation.bellman_ford is kernel is oracles.bellman_ford
 
 
 def test_ladder_counts_the_source_lines(tmp_path, monkeypatch):
@@ -506,7 +556,7 @@ def test_certificate_runs_no_bellman_ford(monkeypatch):
     one Dijkstra run over the vehicles and no Bellman-Ford run; its ``y``
     and ``z`` are those of the Bellman-Ford oracle.  A solve without the
     certificate takes the same path."""
-    kernel = solver.bellman_ford
+    kernel = allocation.bellman_ford
     dijkstra = solver.seat_prices
     runs = []
     priced = []
@@ -519,7 +569,7 @@ def test_certificate_runs_no_bellman_ford(monkeypatch):
         priced.append(len(args[1]))
         return dijkstra(*args)
 
-    monkeypatch.setattr(solver, "bellman_ford", counted)
+    monkeypatch.setattr(allocation, "bellman_ford", counted)
     monkeypatch.setattr(solver, "seat_prices", prices)
     for seed in range(12):
         n, m = 3 + 2 * seed, 1 + seed % 4
