@@ -8,18 +8,22 @@ Run from anywhere, with the standard library only::
 
 Each market is ``generate_instance(5, n, n // 5)`` at n = 300, 600 and
 1000, serialized and parsed back.  Each layer is timed with
-``time.perf_counter``: the serialization, the parse, the pair table, then
-the matching's three steps: stage 1's shortest augmenting paths, with its
-augmentations, relaxations and shortcut seatings; the seat prices' one
-Dijkstra run; and the tie rule's greedy, with its searches and moves.
-``matching_s`` is their sum; an older file that has no such figure reads
-as its one-stage matching, Charnes' perturbation of the pair weights plus
-the kernel over them (``perturbed_s + kernel_s``).  That one-stage matching,
-now the test oracle ``oracles.charnes_matching``, is timed for the record
-(``charnes_s``).  The dual certificate at the optimum is each rider's pair
-weight minus its seat price, checked by ``verify_dual_certificate``
-(``certificate_s``).  The stable-payment synthesis runs at
-that optimum in both ``favor`` modes, each with its seconds, the seconds
+``time.perf_counter``: the serialization, the parse, the pair table, the
+matching's integer form (``rows_s``: the weight column from
+``solver._pair_weights`` and the rows ``solver._rows`` builds from it in
+one walk of the table), then the matching's three steps over those rows:
+stage 1's shortest augmenting paths, with its augmentations, relaxations
+and shortcut seatings; the seat prices' one Dijkstra run; and the tie
+rule's greedy, with its searches and moves.  ``matching_s`` is their sum;
+an older file that has no such figure reads as its one-stage matching,
+Charnes' perturbation of the pair weights plus the kernel over them
+(``perturbed_s + kernel_s``).  That one-stage matching, now the test
+oracle ``oracles.charnes_matching``, is timed for the record on the same
+rows (``charnes_s``: the perturbation and the kernel).  The dual
+certificate at the optimum is each rider's pair weight minus its seat
+price, built and checked by ``verify_dual_certificate`` as the solve does
+it, in ``solver._dual`` (``certificate_s``).  The stable-payment synthesis
+runs at that optimum in both ``favor`` modes, each with its seconds, the seconds
 of the first read of its payment-only stability rows (a view the
 synthesis itself never builds; the result keeps no rows, so
 ``synthesis_*_view_s`` includes rebuilding the stability system from the
@@ -59,8 +63,10 @@ columns: ``pairs`` and the shares and surpluses aligned with them.
 
 Method: every timed call runs with the cyclic garbage collector paused,
 as the CLI runs its commands, so no collection of earlier garbage lands
-in a figure.  A call that takes under ``ONCE_S`` seconds runs ``K`` times
-and its figure is the median; a longer one runs once.  The record names
+in a figure, and the previous run's output is freed before the clock
+starts, so no figure includes freeing it.  A call that takes under
+``ONCE_S`` seconds runs ``K`` times and its figure is the median; a longer
+one runs once.  The record names
 ``K`` and ``ONCE_S``, and holds the host's pace, ``pace.sample()`` of
 ``perfbench/pace.py`` (the least of three samples), before and after the
 ladder and after each row (``pace_s``), so that a slow spell shows in
@@ -125,6 +131,8 @@ def _timed(fn, *args):
     the median of ``K`` runs, or one run of ``ONCE_S`` seconds or more."""
     times = []
     while not times or times[0] < ONCE_S and len(times) < K:
+        # the previous run's output is freed before the clock starts
+        out = None
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -148,28 +156,29 @@ def ladder_row(n: int) -> dict:
     inst = doc.instance
     # the cached property's own build, so that each run builds the table
     _, pair_table_s = _timed(MarketInstance.compatibility.func, inst)
-    matrix = inst.compatibility
-    _, scaled = solver._pair_weights(inst)
-    travelers = [t.id for t in inst.travelers]
-    vehicles = [v.id for v in inst.vehicles]
+    # the matching's integer form, as the solve builds it
+    adj, rows_s = _timed(lambda: solver._rows(inst, solver._pair_weights(inst)[1]))
+    _, weights = solver._pair_weights(inst)
     cap = [v.capacity for v in inst.vehicles]
-    adj = solver._rows(scaled, travelers, vehicles)
     paths, stage1_s = _timed(solver.shortest_augmenting_paths, adj, cap)
     z, seat_prices_s = _timed(solver.seat_prices, adj, cap, paths.match, paths.pot)
     greedy, greedy_s = _timed(solver.first_optimum, adj, cap, paths.match, z)
     match, searches, moves = greedy
-    _, charnes_s = _timed(oracles.charnes_matching, inst)
+    _, charnes_s = _timed(oracles.charnes_matching, adj, cap)
+    vehicles = [v.id for v in inst.vehicles]
     a = Assignment(
-        {tid: UNASSIGNED if j is None else vehicles[j] for tid, j in zip(travelers, match)}
+        {t.id: UNASSIGNED if j is None else vehicles[j] for t, j in zip(inst.travelers, match)}
     )
-    _, certificate_s = _timed(certify, inst, scaled, adj, match, z)
+    objective = sum(row[j] for row, j in zip(adj, match) if j is not None)
+    _, certificate_s = _timed(solver._dual, inst, weights, adj, match, z, objective)
     row = {
         "n": n,
         "m": n // 5,
-        "pairs": len(matrix.pairs),
+        "pairs": len(inst.compatibility.pairs),
         "serialize_s": serialize_s,
         "parse_s": parse_s,
         "pair_table_s": pair_table_s,
+        "rows_s": rows_s,
         "matching_s": round(stage1_s + seat_prices_s + greedy_s, 4),
         "stage1_s": stage1_s,
         "augmentations": paths.augmentations,
@@ -210,15 +219,6 @@ def bellman_ford_runs():
         yield runs
     finally:
         allocation.bellman_ford = kernel
-
-
-def certify(inst, scaled, adj, match, z):
-    """The dual certificate of the optimum ``match`` at the seat prices
-    ``z``, checked."""
-    travelers = [t.id for t in inst.travelers]
-    certificate = solver._dual(adj, match, z, travelers, [v.id for v in inst.vehicles])
-    objective = sum(adj[i][j] for i, j in enumerate(match) if j is not None)
-    solver.verify_dual_certificate(inst, scaled, certificate, objective)
 
 
 def check_path(inst, a) -> dict:

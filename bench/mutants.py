@@ -102,10 +102,18 @@ MUTANTS = (
     Mutant(
         "tie_options_by_id_rank",
         "solver.py",
-        "for (tid, vid), w in scaled.items():\n        if w > 0:",
-        "for (tid, vid), w in sorted(scaled.items()):\n        if w > 0:",
+        "for (tid, vid), w in zip(inst.compatibility.pairs, weights):",
+        "for (tid, vid), w in sorted(zip(inst.compatibility.pairs, weights)):",
         "a rider's options follow the instance's vehicle order, not the ids' string order",
         ("tests/test_metamorphic.py::test_relabelling_ids_relabels_every_output",),
+    ),
+    Mutant(
+        "rows_keep_a_zero_weight_pair",
+        "solver.py",
+        "        if w > 0:\n            adj[row[tid]][col[vid]] = w\n",
+        "        if w >= 0:\n            adj[row[tid]][col[vid]] = w\n",
+        "a pair of weight 0 gains nothing, and leaving its traveler unassigned comes first",
+        ("tests/test_solver.py::test_perturbed_leaves_nonpositive_pairs_out",),
     ),
     Mutant(
         "sink_potential_zero",
@@ -200,7 +208,7 @@ MUTANTS = (
     ),
     Mutant(
         "certificate_takes_unknown_ids",
-        "solver.py",
+        "allocation.py",
         "        for key in entries:\n            if key not in ids:\n",
         "        for key in ():\n            if key not in ids:\n",
         "a proof read from outside may name a traveler or vehicle the market does not have",
@@ -208,11 +216,29 @@ MUTANTS = (
     ),
     Mutant(
         "certificate_takes_floats",
-        "solver.py",
+        "allocation.py",
         "if type(value) not in (int, Fraction):",
         "if type(value) not in (int, float, Fraction):",
         "a float is no exact amount, and the checks compare exactly",
         ("tests/test_solver.py::test_verify_dual_certificate_rejects_broken_proofs",),
+    ),
+    # -- the oracles at scale
+    Mutant(
+        "perturbed_digit_from_the_wrong_end",
+        "oracles.py",
+        "for i in reversed(range(len(adj))):",
+        "for i in range(len(adj)):",
+        "the first traveler's digit is the most significant, or ties go to the last traveler",
+        ("tests/test_solver.py::test_perturbed_leaves_nonpositive_pairs_out",
+         "tests/test_solver.py::test_tie_rule_matches_the_one_stage_charnes_matching"),
+    ),
+    Mutant(
+        "bellman_ford_dual_without_served_seeds",
+        "oracles.py",
+        "edges = [(None, j, 0) for j in range(len(cap)) if load[j]]",
+        "edges = []",
+        "the merged node reaches a served vehicle at 0 over a rider's edge back to it",
+        ("tests/test_solver.py::test_tie_rule_matches_the_one_stage_charnes_matching",),
     ),
     # -- the pair table
     Mutant(

@@ -6,7 +6,10 @@ rides, so off-match pairs must be priced too.  Profits are derived from
 payments; all checks are exact.
 The synthesis solves the stability system over the payments and one seat
 price per full vehicle with this module's :func:`bellman_ford`; the system
-over the payments alone is a view.  Nothing here imports the matching.
+over the payments alone is a view.  Both proof checks live here:
+:func:`verify_dual_certificate` for a matching's optimality proof and
+:func:`verify_farkas_certificate` for an infeasible synthesis's.  Nothing
+here imports the matching.
 """
 
 from __future__ import annotations
@@ -452,6 +455,44 @@ def bellman_ford(nodes, edges, source):
             if walk.get(v) is path:
                 return dist, pred, path[path.index(pred[v]) :][::-1], relaxations
     raise CertificateError(f"bellman_ford: no verdict after {len(nodes)} passes")
+
+
+@dataclass(frozen=True)
+class DualCertificate:
+    """Optimality proof for the matching LP: ``y`` per traveler, ``z`` per
+    vehicle, with ``y_i + z_j >= s_ij`` on compatible pairs and
+    ``sum(y) + sum(capacity * z)`` equal to the objective."""
+
+    y: dict
+    z: dict
+
+
+def verify_dual_certificate(inst: MarketInstance, weights, cert: DualCertificate, objective):
+    """Exact check of a matching optimality proof: a ``y`` per traveler and
+    a ``z`` per vehicle, ``y, z >= 0``, ``y_i + z_j >= weight_ij`` on every
+    weighted pair, and ``sum(y) + sum(capacity * z)`` equal to
+    ``objective``.  The weights, proof and objective may carry any common
+    positive scale.  Each entry is an ``int`` or a ``Fraction`` and names a
+    traveler or vehicle of ``inst``.  Raises :class:`CertificateError`
+    naming the first failed condition."""
+    for name, entries, ids in (("y", cert.y, inst._traveler_map), ("z", cert.z, inst._vehicle_map)):
+        for key in ids:
+            if key not in entries:
+                raise CertificateError(f"dual certificate: no {name} for {key!r}")
+        for key in entries:
+            if key not in ids:
+                raise CertificateError(f"dual certificate: {name} for {key!r}, not in the market")
+    for key, value in (*cert.y.items(), *cert.z.items()):
+        if type(value) not in (int, Fraction):
+            raise CertificateError(f"dual certificate: entry for {key!r} is a {type(value).__name__}")
+        if value < 0:
+            raise CertificateError(f"dual certificate: entry for {key!r} is negative")
+    for (tid, vid), w in weights.items():
+        if cert.y[tid] + cert.z[vid] < w:
+            raise CertificateError(f"dual certificate: y + z < weight on ({tid!r}, {vid!r})")
+    total = sum(cert.y.values()) + sum(v.capacity * cert.z[v.id] for v in inst.vehicles)
+    if total != objective:
+        raise CertificateError(f"dual certificate: {total} differs from objective {objective}")
 
 
 def verify_farkas_certificate(rows, certificate):

@@ -22,9 +22,10 @@ the money; a ``Fraction`` is made only for a result.
    vehicle indices and seat counts alone.
 
 The prices, with each traveler's pair weight minus its vehicle's price, are
-also the dual certificate.  The module holds the matching alone: the
-Bellman-Ford kernel of the payment synthesis lives in
-:mod:`rideshare_market.allocation`.
+also the dual certificate.  All three steps read the rows that :func:`_rows`
+builds in one walk of the pair table's weight column.  The module holds the
+matching alone: the proof checks and the synthesis's Bellman-Ford kernel
+live in :mod:`rideshare_market.allocation`.
 
 Tie rule: among optimal assignments the solver returns the first in the
 enumeration order of :func:`rideshare_market.oracles.oracle_optimum`.  That
@@ -41,23 +42,13 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from rideshare_market.errors import CertificateError
+from rideshare_market.allocation import DualCertificate, verify_dual_certificate
 from rideshare_market.market import (
     Assignment,
     MarketInstance,
     UNASSIGNED,
     validate_schedule,
 )
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """Optimality proof for the matching LP: ``y`` per traveler, ``z`` per
-    vehicle, with ``y_i + z_j >= s_ij`` on compatible pairs and
-    ``sum(y) + sum(capacity * z)`` equal to the objective."""
-
-    y: dict
-    z: dict
 
 
 @dataclass(frozen=True)
@@ -78,26 +69,28 @@ class SolveResult:
 
 def _pair_weights(inst: MarketInstance, payments=None):
     """``(den, weights)``: each compatible pair's objective weight as an
-    ``int``, ``den`` times its value: the pair surplus by default, or under
-    a fixed :class:`~rideshare_market.allocation.PaymentSchedule` valuation
-    minus payment, in the schedule's scale."""
+    ``int``, ``den`` times its value, in a list aligned with the pair
+    table's ``pairs``: the table's ``surplus`` column itself by default, or
+    under a fixed :class:`~rideshare_market.allocation.PaymentSchedule`
+    valuation minus payment, in the schedule's scale."""
     matrix = inst.compatibility
     if payments is None:
-        return matrix.den, dict(zip(matrix.pairs, matrix.surplus))
+        return matrix.den, matrix.surplus
     den, pays = validate_schedule(inst, payments)
     lift = den // matrix.den
-    return den, dict(zip(matrix.pairs, [v * lift - pay for v, pay in zip(matrix.value, pays)]))
+    return den, [v * lift - pay for v, pay in zip(matrix.value, pays)]
 
 
-def _rows(scaled, travelers, vehicles):
+def _rows(inst: MarketInstance, weights):
     """The positive pair weights as ``adj[i] = {j: w}`` by traveler and
-    vehicle index, in the order of ``scaled``: the pair table's, so each
-    row is in vehicle order.  Pairs with ``w <= 0`` are left out: leaving
-    the traveler unassigned is never worse and comes first."""
-    row = {tid: i for i, tid in enumerate(travelers)}
-    col = {vid: j for j, vid in enumerate(vehicles)}
-    adj = [{} for _ in travelers]
-    for (tid, vid), w in scaled.items():
+    vehicle index, from ``weights`` aligned with the pair table's ``pairs``,
+    in one walk of the table: each row is in vehicle order.  Pairs with
+    ``w <= 0`` are left out: leaving the traveler unassigned is never worse
+    and comes first."""
+    row = {t.id: i for i, t in enumerate(inst.travelers)}
+    col = {v.id: j for j, v in enumerate(inst.vehicles)}
+    adj = [{} for _ in inst.travelers]
+    for (tid, vid), w in zip(inst.compatibility.pairs, weights):
         if w > 0:
             adj[row[tid]][col[vid]] = w
     return adj
@@ -400,12 +393,18 @@ def first_optimum(adj, cap, match, z):
     return [None if j == free else j for j in pos], searches, moves
 
 
-def _dual(adj, match, z, travelers, vehicles) -> DualCertificate:
-    """The dual certificate of the optimum ``match``, in the integer scale
-    of ``adj``, by traveler and vehicle id: the seat prices ``z``, and each
-    rider's pair weight minus its vehicle's price, 0 when unassigned."""
-    y = [0 if j is None else adj[i][j] - z[j] for i, j in enumerate(match)]
-    return DualCertificate(y=dict(zip(travelers, y)), z=dict(zip(vehicles, z)))
+def _dual(inst: MarketInstance, weights, adj, match, z, objective) -> DualCertificate:
+    """The dual certificate of the optimum ``match`` of ``adj``, by id, in
+    the scale of ``adj``: the seat prices ``z``, and each rider's pair weight
+    minus its vehicle's price, 0 when unassigned; checked against
+    ``weights``, aligned with the pair table, and ``objective``."""
+    y = [0 if j is None else row[j] - z[j] for row, j in zip(adj, match)]
+    cert = DualCertificate(
+        y=dict(zip([t.id for t in inst.travelers], y)),
+        z=dict(zip([v.id for v in inst.vehicles], z)),
+    )
+    verify_dual_certificate(inst, dict(zip(inst.compatibility.pairs, weights)), cert, objective)
+    return cert
 
 
 def solve_optimal_assignment(
@@ -421,22 +420,20 @@ def solve_optimal_assignment(
     objective is valuation-minus-payment instead of pair surplus.
     """
     # the shortest paths run over integers: den times each weight
-    den, scaled = _pair_weights(inst, payments)
-    travelers = [t.id for t in inst.travelers]
-    vehicles = [v.id for v in inst.vehicles]
+    den, weights = _pair_weights(inst, payments)
     cap = [v.capacity for v in inst.vehicles]
-    adj = _rows(scaled, travelers, vehicles)
+    adj = _rows(inst, weights)
     paths = shortest_augmenting_paths(adj, cap)
     z = seat_prices(adj, cap, paths.match, paths.pot)
     match = first_optimum(adj, cap, paths.match, z)[0]
+    vehicles = [v.id for v in inst.vehicles]
     assignment = Assignment(
-        {tid: UNASSIGNED if j is None else vehicles[j] for tid, j in zip(travelers, match)}
+        {t.id: UNASSIGNED if j is None else vehicles[j] for t, j in zip(inst.travelers, match)}
     )
-    objective = sum(scaled[p] for p in assignment.assigned_pairs())
+    objective = sum(row[j] for row, j in zip(adj, match) if j is not None)
     certificate = None
     if with_certificate:
-        certificate = _dual(adj, match, z, travelers, vehicles)
-        verify_dual_certificate(inst, scaled, certificate, objective)
+        certificate = _dual(inst, weights, adj, match, z, objective)
         certificate = DualCertificate(
             y={tid: Fraction(value, den) for tid, value in certificate.y.items()},
             z={vid: Fraction(price, den) for vid, price in certificate.z.items()},
@@ -448,31 +445,3 @@ def solve_optimal_assignment(
         augmentations=paths.augmentations,
         relaxations=paths.relaxations,
     )
-
-
-def verify_dual_certificate(inst: MarketInstance, weights, cert: DualCertificate, objective):
-    """Exact check of a matching optimality proof: a ``y`` per traveler and
-    a ``z`` per vehicle, ``y, z >= 0``, ``y_i + z_j >= weight_ij`` on every
-    weighted pair, and ``sum(y) + sum(capacity * z)`` equal to
-    ``objective``.  The weights, proof and objective may carry any common
-    positive scale.  Each entry is an ``int`` or a ``Fraction`` and names a
-    traveler or vehicle of ``inst``.  Raises :class:`CertificateError`
-    naming the first failed condition."""
-    for name, entries, ids in (("y", cert.y, inst._traveler_map), ("z", cert.z, inst._vehicle_map)):
-        for key in ids:
-            if key not in entries:
-                raise CertificateError(f"dual certificate: no {name} for {key!r}")
-        for key in entries:
-            if key not in ids:
-                raise CertificateError(f"dual certificate: {name} for {key!r}, not in the market")
-    for key, value in (*cert.y.items(), *cert.z.items()):
-        if type(value) not in (int, Fraction):
-            raise CertificateError(f"dual certificate: entry for {key!r} is a {type(value).__name__}")
-        if value < 0:
-            raise CertificateError(f"dual certificate: entry for {key!r} is negative")
-    for (tid, vid), w in weights.items():
-        if cert.y[tid] + cert.z[vid] < w:
-            raise CertificateError(f"dual certificate: y + z < weight on ({tid!r}, {vid!r})")
-    total = sum(cert.y.values()) + sum(v.capacity * cert.z[v.id] for v in inst.vehicles)
-    if total != objective:
-        raise CertificateError(f"dual certificate: {total} differs from objective {objective}")

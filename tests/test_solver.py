@@ -22,18 +22,16 @@ from rideshare_market import (
     surplus_matrix,
     valuation,
 )
-from rideshare_market.allocation import bellman_ford
+from rideshare_market.allocation import DualCertificate, bellman_ford, verify_dual_certificate
 from rideshare_market.generate import generate_instance
 from rideshare_market.lp import Optimal
 from rideshare_market.oracles import _perturbed, bellman_ford_dual, charnes_matching
 from rideshare_market.solver import (
-    DualCertificate,
     _pair_weights,
     _rows,
     first_optimum,
     seat_prices,
     shortest_augmenting_paths,
-    verify_dual_certificate,
 )
 from rideshare_market.market import scale_to_integers
 
@@ -292,8 +290,8 @@ def test_prime_denominator_payments_match_the_oracle():
         payments = PaymentSchedule(entries)
         den, scaled = _pair_weights(inst, payments)
         assert den >= 2 * 3 * 5 * 7 * 11
-        assert all(type(w) is int for w in scaled.values())
-        weights = {p: F(w, den) for p, w in scaled.items()}
+        assert all(type(w) is int for w in scaled)
+        weights = {p: F(w, den) for p, w in zip(pairs, scaled)}
         assert weights == {p: valuation(inst.traveler(p[0]), p[1]) - entries[p] for p in pairs}
         res = solve_optimal_assignment(inst, payments=payments)
         objective, argmax = oracle_optimum(inst, payments=payments)
@@ -424,7 +422,7 @@ def test_tie_rule_at_scale():
         a = solve_optimal_assignment(inst, payments=payments, with_certificate=False).assignment
         travelers = [t.id for t in inst.travelers]
         vehicles = [v.id for v in inst.vehicles]
-        adj = _perturbed(_pair_weights(inst, payments)[1], travelers, vehicles)
+        adj = _perturbed(_rows(inst, _pair_weights(inst, payments)[1]), len(vehicles))
         edges = []
         for i, (tid, row) in enumerate(zip(travelers, adj)):
             own = a.mapping[tid]
@@ -462,17 +460,21 @@ def _agrees_with_the_oracles(inst):
     ``z`` both.  Returns whether the market has a free traveler: one with
     two options or more on the tight pairs."""
     res = solve_optimal_assignment(inst)
-    assert res.assignment == charnes_matching(inst)
-    den, scaled = _pair_weights(inst)
-    capacity = {v.id: v.capacity for v in inst.vehicles}
-    dual = bellman_ford_dual(scaled, res.assignment, capacity)
-    assert res.dual_certificate.z == {vid: F(price, den) for vid, price in dual.z.items()}
-    assert res.dual_certificate.y == {tid: F(value, den) for tid, value in dual.y.items()}
+    den, weights = _pair_weights(inst)
+    adj, cap = _rows(inst, weights), [v.capacity for v in inst.vehicles]
+    match = charnes_matching(adj, cap)
+    vehicles = [v.id for v in inst.vehicles]
+    assert res.assignment.mapping == {
+        t.id: None if j is None else vehicles[j] for t, j in zip(inst.travelers, match)
+    }
+    y, z = bellman_ford_dual(adj, cap, match)
+    assert res.dual_certificate.z == {vid: F(price, den) for vid, price in zip(vehicles, z)}
+    assert res.dual_certificate.y == {t.id: F(value, den) for t, value in zip(inst.travelers, y)}
     assert solve_optimal_assignment(inst, with_certificate=False).assignment == res.assignment
-    options = {tid: int(value == 0) for tid, value in dual.y.items()}
-    for (tid, vid), w in scaled.items():
-        options[tid] += w > 0 and dual.y[tid] + dual.z[vid] == w
-    return max(options.values(), default=0) > 1
+    options = [int(value == 0) for value in y]
+    for i, row in enumerate(adj):
+        options[i] += sum(y[i] + z[j] == w for j, w in row.items())
+    return max(options, default=0) > 1
 
 
 @pytest.mark.filterwarnings("ignore:market has fewer travelers")
@@ -560,7 +562,7 @@ def test_first_optimum_from_any_optimum():
         vehicles = [v.id for v in inst.vehicles]
         index = {None: None, **{vid: j for j, vid in enumerate(vehicles)}}
         cap = [v.capacity for v in inst.vehicles]
-        adj = _rows(_pair_weights(inst)[1], travelers, vehicles)
+        adj = _rows(inst, _pair_weights(inst)[1])
         paths = shortest_augmenting_paths(adj, cap)
         z = seat_prices(adj, cap, paths.match, paths.pot)
         first = first_optimum(adj, cap, paths.match, z)[0]
@@ -576,8 +578,18 @@ def test_first_optimum_from_any_optimum():
     assert (tied, starts) == (29, 3890)
 
 
-def test_perturbed_leaves_nonpositive_pairs_out():
-    scaled = {("T0", "V0"): 0, ("T1", "V0"): -3, ("T1", "V1"): 2}
+def test_perturbed_leaves_nonpositive_pairs_out(canonical):
+    """``_rows`` leaves the pairs of weight 0 or less out, and
+    ``_perturbed`` maps the rows it is given."""
+    t1, t2 = canonical.travelers
+    v1 = canonical.vehicles[0]
+    v2 = Vehicle("V2", v1.route, 1, F(4))
+    t2 = Traveler(t2.id, t2.od, t2.v_max, t2.v_min, {"V1": F(0), "V2": F(0)})
+    inst = MarketInstance(canonical.network, (t1, t2), (v1, v2))
+    assert inst.compatibility.pairs == (("T1", "V1"), ("T2", "V1"), ("T2", "V2"))
+    adj = _rows(inst, [0, -3, 2])
+    assert adj == [{}, {1: 2}]
     # n = 2, m = 2: w * 3**2 - (j+1) * 3**(1-i)
-    assert _perturbed(scaled, ["T0", "T1"], ["V0", "V1"]) == [{}, {1: 2 * 9 - 2}]
-    assert _perturbed({("T0", "V0"): -1}, ["T0"], ["V0"]) == [{}]
+    assert _perturbed(adj, 2) == [{}, {1: 2 * 9 - 2}]
+    assert _rows(canonical, [-1, 0]) == [{}, {}]
+    assert _perturbed([{}], 1) == [{}]

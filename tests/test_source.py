@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
@@ -286,7 +287,7 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
     assert [res.feasible for res in results] == [True, True, False, False]
     inst = generate_instance(3, n=5, m=2)
     den, weights = solver._pair_weights(inst)
-    assert any(F(w, den).denominator > 1 for w in weights.values())
+    assert any(F(w, den).denominator > 1 for w in weights)
     solve_optimal_assignment(inst)
     for path, text in (
         (tmp_path / "canonical.json", serialize_document(canonical, payments)),
@@ -400,7 +401,9 @@ def test_synthesis_result_retains_its_answer_not_its_rows():
 def test_payment_layer_does_not_import_the_matching():
     """``allocation.py`` imports nothing from ``rideshare_market.solver``:
     the synthesis's Bellman-Ford kernel lives beside the system it solves,
-    and ``solver`` holds the matching alone, with no ``bellman_ford``."""
+    and ``solver`` holds the matching alone, with no ``bellman_ford``.  Both
+    proof checks and the matching's certificate type are defined in
+    ``allocation.py`` too: ``solver.py`` defines no ``verify_*`` function."""
     path = Path(allocation.__file__)
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -413,6 +416,11 @@ def test_payment_layer_does_not_import_the_matching():
     assert not {name for name in imported if name.startswith("rideshare_market.solver")}
     assert not hasattr(solver, "bellman_ford")
     assert oracles.bellman_ford is allocation.bellman_ford
+    for name in ("DualCertificate", "verify_dual_certificate", "verify_farkas_certificate"):
+        assert getattr(allocation, name).__module__ == "rideshare_market.allocation", name
+    tree = ast.parse(Path(solver.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not {name for name in defined if name.startswith("verify")}
 
 
 def test_stability_rows_and_classic_check_look_up_each_traveler_once(monkeypatch):
@@ -470,9 +478,9 @@ def test_ladder_row_records_every_figure():
         for figure in ("s", "view_s", "rows", "feasible", "edges", "relaxations")
     ]
     assert list(row) == [
-        "n", "m", "pairs", "serialize_s", "parse_s", "pair_table_s", "matching_s", "stage1_s",
-        "augmentations", "relaxations", "shortcuts", "seat_prices_s", "greedy_s", "searches",
-        "moves", "charnes_s", "certificate_s", *synthesis, "priced_serialize_s",
+        "n", "m", "pairs", "serialize_s", "parse_s", "pair_table_s", "rows_s", "matching_s",
+        "stage1_s", "augmentations", "relaxations", "shortcuts", "seat_prices_s", "greedy_s",
+        "searches", "moves", "charnes_s", "certificate_s", *synthesis, "priced_serialize_s",
         "priced_parse_s", "priced_in_table_order",
         "check_literal_s", "check_literal_verdict", "check_classic_s", "check_classic_verdict",
         "welfare_paper_s", "cli_check_s", "cli_check_override_s", "cli_check_status",
@@ -500,6 +508,23 @@ def test_ladder_row_records_every_figure():
     assert ladder.previous(root / "BENCH_19.json") is None
     assert ladder.previous(root / "ladder.json") is None
     assert allocation.bellman_ford is kernel is oracles.bellman_ford
+
+
+def test_ladder_frees_an_output_before_the_clock_starts():
+    """``bench/ladder.py`` times each run of a call without freeing the
+    previous run's output: an output whose ``__del__`` sleeps 0.05 s,
+    returned by a call that takes next to nothing, times under 0.05 s."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+
+    class Slow:
+        def __del__(self):
+            time.sleep(0.05)
+
+    out, seconds = ladder._timed(Slow)
+    assert type(out) is Slow and seconds < 0.05, seconds
 
 
 def test_ladder_counts_the_source_lines(tmp_path, monkeypatch):
@@ -574,18 +599,20 @@ def test_certificate_runs_no_bellman_ford(monkeypatch):
     for seed in range(12):
         n, m = 3 + 2 * seed, 1 + seed % 4
         inst = generate_instance(8400 + seed, n=n, m=m, degenerate=seed % 3 == 0)
-        capacity = {v.id: v.capacity for v in inst.vehicles}
+        cap = [v.capacity for v in inst.vehicles]
+        index = {None: None, **{v.id: j for j, v in enumerate(inst.vehicles)}}
         pays = {p: F(seed % 5, 2) for p in inst.compatible_pairs()}
         for fixed in (None, PaymentSchedule(pays)):
             runs.clear()
             priced.clear()
             res = solve_optimal_assignment(inst, payments=fixed)
             assert runs == [] and priced == [m], (seed, runs, priced)
-            den, scaled = solver._pair_weights(inst, fixed)
-            dual = oracles.bellman_ford_dual(scaled, res.assignment, capacity)
-            assert res.dual_certificate == solver.DualCertificate(
-                y={tid: F(value, den) for tid, value in dual.y.items()},
-                z={vid: F(price, den) for vid, price in dual.z.items()},
+            den, weights = solver._pair_weights(inst, fixed)
+            match = [index[res.assignment.vehicle_of(t.id)] for t in inst.travelers]
+            y, z = oracles.bellman_ford_dual(solver._rows(inst, weights), cap, match)
+            assert res.dual_certificate == allocation.DualCertificate(
+                y={t.id: F(value, den) for t, value in zip(inst.travelers, y)},
+                z={v.id: F(price, den) for v, price in zip(inst.vehicles, z)},
             ), seed
     priced.clear()
     solve_optimal_assignment(inst, with_certificate=False)
