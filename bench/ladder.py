@@ -10,7 +10,7 @@ Each market is ``generate_instance(5, n, n // 5)`` at n = 300, 600 and
 1000, serialized and parsed back.  Each layer is timed with
 ``time.perf_counter``: the serialization, the parse, the pair table, the
 matching's integer form (``rows_s``: the weight column from
-``solver._pair_weights`` and the rows ``solver._rows`` builds from it in
+``market._pair_weights`` and the rows ``market._rows`` builds from it in
 one walk of the table), then the matching's three steps over those rows:
 stage 1's shortest augmenting paths, with its augmentations, relaxations
 and shortcut seatings; the seat prices' one Dijkstra run; and the tie
@@ -52,10 +52,14 @@ machine``, standard output captured), each timed, with its exit status
 (``cli_solve_s``, ``cli_solve_status`` and so on).
 The many-denominator family rewrites the same market with ``1/p`` added
 to each traveler's ``v_max``, ``p`` an odd prime of its own, serialized:
-the parse and the first pair table of that document are timed, and
-``check_payments`` in literal mode at the kernel's optimum, priced as
-above on its own table, with the bit length of the table's ``den`` and
-of the largest ``den`` of a parsed traveler (``prime_*``).
+the parse and the first pair table of that document are timed, then its
+integer form, the matching's three steps and the dual certificate, each
+figure as for the plain market (``prime_matching_s``,
+``prime_certificate_s``, stage 1's ``prime_augmentations``,
+``prime_relaxations`` and ``prime_shortcuts``, and so on), and
+``check_payments`` in literal mode at the plain market's optimum, priced
+as above on its own table, with the bit length of the table's ``den``
+and of the largest ``den`` of a parsed traveler (``prime_*``).
 The tier-1 tests run in a child process, timed once on the wall clock,
 and ``src_lines`` counts the lines of the package's modules that are
 neither blank nor a comment alone.  The pair table is read by its
@@ -117,6 +121,8 @@ from rideshare_market.market import (  # noqa: E402
     UNASSIGNED,
     Assignment,
     MarketInstance,
+    _pair_weights,
+    _rows,
     welfare_paper,
 )
 
@@ -156,21 +162,12 @@ def ladder_row(n: int) -> dict:
     inst = doc.instance
     # the cached property's own build, so that each run builds the table
     _, pair_table_s = _timed(MarketInstance.compatibility.func, inst)
-    # the matching's integer form, as the solve builds it
-    adj, rows_s = _timed(lambda: solver._rows(inst, solver._pair_weights(inst)[1]))
-    _, weights = solver._pair_weights(inst)
-    cap = [v.capacity for v in inst.vehicles]
-    paths, stage1_s = _timed(solver.shortest_augmenting_paths, adj, cap)
-    z, seat_prices_s = _timed(solver.seat_prices, adj, cap, paths.match, paths.pot)
-    greedy, greedy_s = _timed(solver.first_optimum, adj, cap, paths.match, z)
-    match, searches, moves = greedy
+    steps, adj, cap, match = matching(inst)
     _, charnes_s = _timed(oracles.charnes_matching, adj, cap)
     vehicles = [v.id for v in inst.vehicles]
     a = Assignment(
         {t.id: UNASSIGNED if j is None else vehicles[j] for t, j in zip(inst.travelers, match)}
     )
-    objective = sum(row[j] for row, j in zip(adj, match) if j is not None)
-    _, certificate_s = _timed(solver._dual, inst, weights, adj, match, z, objective)
     row = {
         "n": n,
         "m": n // 5,
@@ -178,18 +175,8 @@ def ladder_row(n: int) -> dict:
         "serialize_s": serialize_s,
         "parse_s": parse_s,
         "pair_table_s": pair_table_s,
-        "rows_s": rows_s,
-        "matching_s": round(stage1_s + seat_prices_s + greedy_s, 4),
-        "stage1_s": stage1_s,
-        "augmentations": paths.augmentations,
-        "relaxations": paths.relaxations,
-        "shortcuts": paths.shortcuts,
-        "seat_prices_s": seat_prices_s,
-        "greedy_s": greedy_s,
-        "searches": searches,
-        "moves": moves,
+        **steps,
         "charnes_s": charnes_s,
-        "certificate_s": certificate_s,
     }
     for favor in ("travelers", "vehicles"):
         with bellman_ford_runs() as runs:
@@ -200,6 +187,35 @@ def ladder_row(n: int) -> dict:
         row[f"synthesis_{favor}_feasible"] = synth.feasible
         [(row[f"synthesis_{favor}_edges"], row[f"synthesis_{favor}_relaxations"])] = set(runs)
     return {**row, **check_path(inst, a), **cli_commands(text), **prime_row(market, a)}
+
+
+def matching(inst) -> tuple:
+    """``(figures, adj, cap, match)``: the matching's integer form, as the
+    solve builds it, its three steps and the dual certificate at its
+    optimum on ``inst``, each timed, with stage 1's and the greedy's
+    counters; the rows, the seats and the tie rule's optimum."""
+    adj, rows_s = _timed(lambda: _rows(inst, _pair_weights(inst)[1]))
+    _, weights = _pair_weights(inst)
+    cap = [v.capacity for v in inst.vehicles]
+    paths, stage1_s = _timed(solver.shortest_augmenting_paths, adj, cap)
+    z, seat_prices_s = _timed(solver.seat_prices, adj, cap, paths.match, paths.pot)
+    (match, searches, moves), greedy_s = _timed(solver.first_optimum, adj, cap, paths.match, z)
+    objective = sum(row[j] for row, j in zip(adj, match) if j is not None)
+    _, certificate_s = _timed(solver._dual, inst, weights, adj, match, z, objective)
+    figures = {
+        "rows_s": rows_s,
+        "matching_s": round(stage1_s + seat_prices_s + greedy_s, 4),
+        "stage1_s": stage1_s,
+        "augmentations": paths.augmentations,
+        "relaxations": paths.relaxations,
+        "shortcuts": paths.shortcuts,
+        "seat_prices_s": seat_prices_s,
+        "greedy_s": greedy_s,
+        "searches": searches,
+        "moves": moves,
+        "certificate_s": certificate_s,
+    }
+    return figures, adj, cap, match
 
 
 @contextlib.contextmanager
@@ -277,10 +293,11 @@ def cli_commands(text) -> dict:
 
 
 def prime_row(market, a) -> dict:
-    """Parse, first pair table and literal check times of ``market`` with
-    ``1/p`` added to each traveler's ``v_max``, ``p`` an odd prime of its
-    own, checked at ``a``: each matched pair pays its cost share and every
-    other pair its break-even ``max(0, surplus)``."""
+    """Parse, first pair table, matching and literal check times of
+    ``market`` with ``1/p`` added to each traveler's ``v_max``, ``p`` an odd
+    prime of its own: the matching's figures as :func:`matching` gives
+    them, and the check at ``a``, where each matched pair pays its cost
+    share and every other pair its break-even ``max(0, surplus)``."""
     primes = [p for p in range(3, 10**4, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
     travelers = [
         dataclasses.replace(t, v_max=t.v_max + Fraction(1, p))
@@ -290,6 +307,7 @@ def prime_row(market, a) -> dict:
     doc, parse_s = _timed(parse_document, text)
     inst = doc.instance
     _, pair_table_s = _timed(MarketInstance.compatibility.func, inst)
+    steps = matching(inst)[0]
     matrix = inst.compatibility
     ints = [
         share if a.vehicle_of(tid) == vid else max(0, surplus)
@@ -300,6 +318,7 @@ def prime_row(market, a) -> dict:
     return {
         "prime_parse_s": parse_s,
         "prime_pair_table_s": pair_table_s,
+        **{f"prime_{figure}": value for figure, value in steps.items()},
         "prime_check_literal_s": check_s,
         "prime_check_literal_verdict": None if stability is None else stability.verdict,
         "prime_den_bits": matrix.den.bit_length(),

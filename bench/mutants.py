@@ -101,7 +101,7 @@ MUTANTS = (
     # -- the matching and its tie rule
     Mutant(
         "tie_options_by_id_rank",
-        "solver.py",
+        "market.py",
         "for (tid, vid), w in zip(inst.compatibility.pairs, weights):",
         "for (tid, vid), w in sorted(zip(inst.compatibility.pairs, weights)):",
         "a rider's options follow the instance's vehicle order, not the ids' string order",
@@ -109,7 +109,7 @@ MUTANTS = (
     ),
     Mutant(
         "rows_keep_a_zero_weight_pair",
-        "solver.py",
+        "market.py",
         "        if w > 0:\n            adj[row[tid]][col[vid]] = w\n",
         "        if w >= 0:\n            adj[row[tid]][col[vid]] = w\n",
         "a pair of weight 0 gains nothing, and leaving its traveler unassigned comes first",
@@ -220,6 +220,22 @@ MUTANTS = (
         "if type(value) not in (int, Fraction):",
         "if type(value) not in (int, float, Fraction):",
         "a float is no exact amount, and the checks compare exactly",
+        ("tests/test_solver.py::test_verify_dual_certificate_rejects_broken_proofs",),
+    ),
+    Mutant(
+        "certificate_takes_a_short_weight_list",
+        "allocation.py",
+        "if len(weights) != len(pairs):",
+        "if len(weights) > len(pairs):",
+        "zip stops at the shorter input, so a short weight list would check a prefix of the pairs",
+        ("tests/test_solver.py::test_verify_dual_certificate_rejects_broken_proofs",),
+    ),
+    Mutant(
+        "certificate_skips_the_first_pair",
+        "allocation.py",
+        "for (tid, vid), w in zip(pairs, weights):",
+        "for (tid, vid), w in zip(pairs[1:], weights[1:]):",
+        "y + z >= w must hold on every compatible pair, the first one too",
         ("tests/test_solver.py::test_verify_dual_certificate_rejects_broken_proofs",),
     ),
     # -- the oracles at scale

@@ -469,9 +469,9 @@ class DualCertificate:
 
 def verify_dual_certificate(inst: MarketInstance, weights, cert: DualCertificate, objective):
     """Exact check of a matching optimality proof: a ``y`` per traveler and
-    a ``z`` per vehicle, ``y, z >= 0``, ``y_i + z_j >= weight_ij`` on every
-    weighted pair, and ``sum(y) + sum(capacity * z)`` equal to
-    ``objective``.  The weights, proof and objective may carry any common
+    a ``z`` per vehicle, ``y, z >= 0``, ``y_i + z_j >= w`` on each pair of
+    the pair table, its weight ``w`` read from ``weights`` by position, and
+    ``sum(y) + sum(capacity * z)`` equal to ``objective``, all at any common
     positive scale.  Each entry is an ``int`` or a ``Fraction`` and names a
     traveler or vehicle of ``inst``.  Raises :class:`CertificateError`
     naming the first failed condition."""
@@ -487,7 +487,10 @@ def verify_dual_certificate(inst: MarketInstance, weights, cert: DualCertificate
             raise CertificateError(f"dual certificate: entry for {key!r} is a {type(value).__name__}")
         if value < 0:
             raise CertificateError(f"dual certificate: entry for {key!r} is negative")
-    for (tid, vid), w in weights.items():
+    pairs = inst.compatibility.pairs
+    if len(weights) != len(pairs):
+        raise CertificateError(f"dual certificate: {len(weights)} weights for {len(pairs)} pairs")
+    for (tid, vid), w in zip(pairs, weights):
         if cert.y[tid] + cert.z[vid] < w:
             raise CertificateError(f"dual certificate: y + z < weight on ({tid!r}, {vid!r})")
     total = sum(cert.y.values()) + sum(v.capacity * cert.z[v.id] for v in inst.vehicles)

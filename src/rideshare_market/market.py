@@ -14,7 +14,9 @@ integer ratio, and holds the compatible pairs' terms in ``int`` columns
 aligned with its pairs, over the instance's least common denominator,
 and every reader compares those integers, found by a pair's position;
 the scalar formulas make one ``Fraction`` per answer, and
-``Fraction``s otherwise appear only in violations and output.
+``Fraction``s otherwise appear only in violations and output.  The
+matching's integer form, :func:`_pair_weights` and :func:`_rows`, sits
+beside the table.
 """
 
 from __future__ import annotations
@@ -544,6 +546,35 @@ def validate_schedule(inst: MarketInstance, t) -> tuple:
         errors = [f"schedule: no payment for compatible pair {p}" for p in missing]
         raise ValidationError(errors) from None
     return scale_to_integers(pays, matrix.den)
+
+
+def _pair_weights(inst: MarketInstance, payments=None):
+    """``(den, weights)``: each compatible pair's objective weight as an
+    ``int``, ``den`` times its value, in a list aligned with the pair
+    table's ``pairs``: the table's ``surplus`` column itself by default, or
+    under a fixed :class:`~rideshare_market.allocation.PaymentSchedule`
+    valuation minus payment, in the schedule's scale."""
+    matrix = inst.compatibility
+    if payments is None:
+        return matrix.den, matrix.surplus
+    den, pays = validate_schedule(inst, payments)
+    lift = den // matrix.den
+    return den, [v * lift - pay for v, pay in zip(matrix.value, pays)]
+
+
+def _rows(inst: MarketInstance, weights):
+    """The positive pair weights as ``adj[i] = {j: w}`` by traveler and
+    vehicle index, from ``weights`` aligned with the pair table's ``pairs``,
+    in one walk of the table: each row is in vehicle order.  Pairs with
+    ``w <= 0`` are left out: leaving the traveler unassigned is never worse
+    and comes first."""
+    row = {t.id: i for i, t in enumerate(inst.travelers)}
+    col = {v.id: j for j, v in enumerate(inst.vehicles)}
+    adj = [{} for _ in inst.travelers]
+    for (tid, vid), w in zip(inst.compatibility.pairs, weights):
+        if w > 0:
+            adj[row[tid]][col[vid]] = w
+    return adj
 
 
 def valuation(t: Traveler, vid) -> Fraction:

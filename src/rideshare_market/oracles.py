@@ -14,7 +14,7 @@ traveler's own fields.
 
 Two more oracles reach the solver's answers at any scale by another road,
 over the solver's own integer form, the rows ``adj`` that
-:func:`~rideshare_market.solver._rows` builds, and the seats ``cap``:
+:func:`~rideshare_market.market._rows` builds, and the seats ``cap``:
 
 * :func:`charnes_matching` finds the tie rule's optimum in one matching
   over Charnes' perturbed weights (:func:`_perturbed`), whose keys grow to

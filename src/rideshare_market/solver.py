@@ -22,10 +22,11 @@ the money; a ``Fraction`` is made only for a result.
    vehicle indices and seat counts alone.
 
 The prices, with each traveler's pair weight minus its vehicle's price, are
-also the dual certificate.  All three steps read the rows that :func:`_rows`
-builds in one walk of the pair table's weight column.  The module holds the
-matching alone: the proof checks and the synthesis's Bellman-Ford kernel
-live in :mod:`rideshare_market.allocation`.
+also the dual certificate.  All three steps read the rows that
+:func:`~rideshare_market.market._rows` builds in one walk of the pair
+table's weight column.  The module holds the matching alone: the proof
+checks and the synthesis's Bellman-Ford kernel live in
+:mod:`rideshare_market.allocation`.
 
 Tie rule: among optimal assignments the solver returns the first in the
 enumeration order of :func:`rideshare_market.oracles.oracle_optimum`.  That
@@ -43,12 +44,7 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from rideshare_market.allocation import DualCertificate, verify_dual_certificate
-from rideshare_market.market import (
-    Assignment,
-    MarketInstance,
-    UNASSIGNED,
-    validate_schedule,
-)
+from rideshare_market.market import Assignment, MarketInstance, UNASSIGNED, _pair_weights, _rows
 
 
 @dataclass(frozen=True)
@@ -65,35 +61,6 @@ class SolveResult:
     #: no path unless every seat is taken first); the seat prices' run and
     #: the tie rule's greedy are not counted
     relaxations: int
-
-
-def _pair_weights(inst: MarketInstance, payments=None):
-    """``(den, weights)``: each compatible pair's objective weight as an
-    ``int``, ``den`` times its value, in a list aligned with the pair
-    table's ``pairs``: the table's ``surplus`` column itself by default, or
-    under a fixed :class:`~rideshare_market.allocation.PaymentSchedule`
-    valuation minus payment, in the schedule's scale."""
-    matrix = inst.compatibility
-    if payments is None:
-        return matrix.den, matrix.surplus
-    den, pays = validate_schedule(inst, payments)
-    lift = den // matrix.den
-    return den, [v * lift - pay for v, pay in zip(matrix.value, pays)]
-
-
-def _rows(inst: MarketInstance, weights):
-    """The positive pair weights as ``adj[i] = {j: w}`` by traveler and
-    vehicle index, from ``weights`` aligned with the pair table's ``pairs``,
-    in one walk of the table: each row is in vehicle order.  Pairs with
-    ``w <= 0`` are left out: leaving the traveler unassigned is never worse
-    and comes first."""
-    row = {t.id: i for i, t in enumerate(inst.travelers)}
-    col = {v.id: j for j, v in enumerate(inst.vehicles)}
-    adj = [{} for _ in inst.travelers]
-    for (tid, vid), w in zip(inst.compatibility.pairs, weights):
-        if w > 0:
-            adj[row[tid]][col[vid]] = w
-    return adj
 
 
 class ShortestPaths(NamedTuple):
@@ -403,7 +370,7 @@ def _dual(inst: MarketInstance, weights, adj, match, z, objective) -> DualCertif
         y=dict(zip([t.id for t in inst.travelers], y)),
         z=dict(zip([v.id for v in inst.vehicles], z)),
     )
-    verify_dual_certificate(inst, dict(zip(inst.compatibility.pairs, weights)), cert, objective)
+    verify_dual_certificate(inst, weights, cert, objective)
     return cert
 
 

@@ -26,14 +26,8 @@ from rideshare_market.allocation import DualCertificate, bellman_ford, verify_du
 from rideshare_market.generate import generate_instance
 from rideshare_market.lp import Optimal
 from rideshare_market.oracles import _perturbed, bellman_ford_dual, charnes_matching
-from rideshare_market.solver import (
-    _pair_weights,
-    _rows,
-    first_optimum,
-    seat_prices,
-    shortest_augmenting_paths,
-)
-from rideshare_market.market import scale_to_integers
+from rideshare_market.solver import first_optimum, seat_prices, shortest_augmenting_paths
+from rideshare_market.market import _pair_weights, _rows, scale_to_integers
 
 
 def test_canonical_optimum(canonical):
@@ -147,8 +141,13 @@ def test_verify_dual_certificate_rejects_broken_proofs():
     for seed in range(20):
         inst = generate_instance(300 + seed, n=4, m=2)
         res = solve_optimal_assignment(inst)
-        cert, weights = res.dual_certificate, surplus_matrix(inst)
+        cert, weights = res.dual_certificate, list(surplus_matrix(inst).values())
         verify_dual_certificate(inst, weights, cert, res.objective)
+        # a weight list one short or one long would check a prefix alone
+        for wrong in (weights[:-1], [*weights, F(0)]):
+            message = f"^dual certificate: {len(wrong)} weights for {len(weights)} pairs$"
+            with pytest.raises(CertificateError, match=message):
+                verify_dual_certificate(inst, wrong, cert, res.objective)
         tid = max(cert.y, key=cert.y.get)
         if cert.y[tid] < F(1, 2):
             continue
@@ -180,7 +179,7 @@ def test_verify_dual_certificate_names_a_missing_entry():
     with a :class:`CertificateError` naming the missing id."""
     inst = generate_instance(300, n=4, m=2)
     res = solve_optimal_assignment(inst)
-    cert, weights = res.dual_certificate, surplus_matrix(inst)
+    cert, weights = res.dual_certificate, list(surplus_matrix(inst).values())
     for t in inst.travelers:
         y = {tid: value for tid, value in cert.y.items() if tid != t.id}
         with pytest.raises(CertificateError, match=f"no y for {t.id!r}"):
@@ -291,8 +290,8 @@ def test_prime_denominator_payments_match_the_oracle():
         den, scaled = _pair_weights(inst, payments)
         assert den >= 2 * 3 * 5 * 7 * 11
         assert all(type(w) is int for w in scaled)
-        weights = {p: F(w, den) for p, w in zip(pairs, scaled)}
-        assert weights == {p: valuation(inst.traveler(p[0]), p[1]) - entries[p] for p in pairs}
+        weights = [F(w, den) for w in scaled]
+        assert weights == [valuation(inst.traveler(tid), vid) - entries[(tid, vid)] for tid, vid in pairs]
         res = solve_optimal_assignment(inst, payments=payments)
         objective, argmax = oracle_optimum(inst, payments=payments)
         assert res.objective == objective

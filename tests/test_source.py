@@ -182,7 +182,7 @@ def test_pair_table_keeps_the_shape_the_tracer_reads():
 def test_oracles_do_not_read_the_solver_weights(monkeypatch):
     """The brute force and the LP relaxation price the pairs from the
     public formulas, not from the solver's integer weights: with
-    ``solver._pair_weights`` made to raise, through every name bound to
+    ``market._pair_weights`` made to raise, through every name bound to
     it, they still agree with the solver's optimum under either objective,
     and a missing payment is still a :class:`ValidationError`."""
     cases = []
@@ -199,7 +199,7 @@ def test_oracles_do_not_read_the_solver_weights(monkeypatch):
         raise AssertionError("an oracle read the solver's weights")
 
     # a module that imported the function holds its own name for it
-    monkeypatch.setattr(solver._pair_weights, "__code__", forbidden.__code__)
+    monkeypatch.setattr(market._pair_weights, "__code__", forbidden.__code__)
     for inst, fixed, res in cases:
         objective, argmax = oracle_optimum(inst, payments=fixed)
         assert objective == res.objective
@@ -286,7 +286,7 @@ def test_shortest_paths_run_over_integers(canonical, tmp_path, monkeypatch, caps
     ]
     assert [res.feasible for res in results] == [True, True, False, False]
     inst = generate_instance(3, n=5, m=2)
-    den, weights = solver._pair_weights(inst)
+    den, weights = market._pair_weights(inst)
     assert any(F(w, den).denominator > 1 for w in weights)
     solve_optimal_assignment(inst)
     for path, text in (
@@ -403,7 +403,10 @@ def test_payment_layer_does_not_import_the_matching():
     the synthesis's Bellman-Ford kernel lives beside the system it solves,
     and ``solver`` holds the matching alone, with no ``bellman_ford``.  Both
     proof checks and the matching's certificate type are defined in
-    ``allocation.py`` too: ``solver.py`` defines no ``verify_*`` function."""
+    ``allocation.py`` too: ``solver.py`` defines no ``verify_*`` function.
+    The matching's integer form, ``_pair_weights`` and ``_rows``, has one
+    definition, beside the pair table in ``market.py``, which ``solver``
+    imports and a proof check may read without loading the matching."""
     path = Path(allocation.__file__)
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -421,6 +424,9 @@ def test_payment_layer_does_not_import_the_matching():
     tree = ast.parse(Path(solver.__file__).read_text(encoding="utf-8"))
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert not {name for name in defined if name.startswith("verify")}
+    for name in ("_pair_weights", "_rows"):
+        assert getattr(market, name).__module__ == "rideshare_market.market", name
+        assert name not in defined and getattr(solver, name) is getattr(market, name), name
 
 
 def test_stability_rows_and_classic_check_look_up_each_traveler_once(monkeypatch):
@@ -459,9 +465,10 @@ def test_stability_rows_and_classic_check_look_up_each_traveler_once(monkeypatch
 
 
 def test_ladder_row_records_every_figure():
-    """``bench/ladder.py`` reaches into the matching's three steps, the
-    one-stage oracle, the dual certificate and the synthesis's Bellman-Ford
-    run: a small row still carries every figure, the priced document parses
+    """``bench/ladder.py`` reaches into the matching's three steps and the
+    dual certificate, on the plain and the many-denominator market, the
+    one-stage oracle and the synthesis's Bellman-Ford run: a small row
+    still carries every figure, the priced document parses
     in pair-table order, the CLI check exits with the literal verdict, the
     CLI ``solve``, ``synthesize`` and ``report`` exit as their verdicts say,
     and the wrapped kernel is put back.  An older row without ``matching_s`` reads
@@ -477,17 +484,20 @@ def test_ladder_row_records_every_figure():
         for favor in ("travelers", "vehicles")
         for figure in ("s", "view_s", "rows", "feasible", "edges", "relaxations")
     ]
+    steps = [
+        "rows_s", "matching_s", "stage1_s", "augmentations", "relaxations", "shortcuts",
+        "seat_prices_s", "greedy_s", "searches", "moves", "certificate_s",
+    ]  # fmt: skip
     assert list(row) == [
-        "n", "m", "pairs", "serialize_s", "parse_s", "pair_table_s", "rows_s", "matching_s",
-        "stage1_s", "augmentations", "relaxations", "shortcuts", "seat_prices_s", "greedy_s",
-        "searches", "moves", "charnes_s", "certificate_s", *synthesis, "priced_serialize_s",
-        "priced_parse_s", "priced_in_table_order",
+        "n", "m", "pairs", "serialize_s", "parse_s", "pair_table_s", *steps, "charnes_s",
+        *synthesis, "priced_serialize_s", "priced_parse_s", "priced_in_table_order",
         "check_literal_s", "check_literal_verdict", "check_classic_s", "check_classic_verdict",
         "welfare_paper_s", "cli_check_s", "cli_check_override_s", "cli_check_status",
         "cli_solve_s", "cli_solve_status", "cli_synthesize_s", "cli_synthesize_status",
         "cli_report_s", "cli_report_status",
-        "prime_parse_s", "prime_pair_table_s", "prime_check_literal_s",
-        "prime_check_literal_verdict", "prime_den_bits", "prime_traveler_den_bits",
+        "prime_parse_s", "prime_pair_table_s", *(f"prime_{figure}" for figure in steps),
+        "prime_check_literal_s", "prime_check_literal_verdict", "prime_den_bits",
+        "prime_traveler_den_bits",
     ]  # fmt: skip
     for favor in ("travelers", "vehicles"):
         assert row[f"synthesis_{favor}_edges"] > 0 and row[f"synthesis_{favor}_relaxations"] > 0
@@ -499,6 +509,7 @@ def test_ladder_row_records_every_figure():
     assert delta["n=20"]["synthesis_travelers_rows"] == [row["synthesis_travelers_rows"]] * 2
     assert row["matching_s"] == round(row["stage1_s"] + row["seat_prices_s"] + row["greedy_s"], 4)
     assert row["augmentations"] >= row["shortcuts"] > 0 and row["searches"] >= 0
+    assert row["prime_augmentations"] >= row["prime_shortcuts"] >= 0
     older = {"n": 20, "perturbed_s": 0.5, "kernel_s": 2.0}
     assert ladder.delta({"ladder": [older]}, [row])["n=20"]["matching_s"] == [2.5, row["matching_s"]]
     assert "matching_s" not in older
@@ -607,9 +618,9 @@ def test_certificate_runs_no_bellman_ford(monkeypatch):
             priced.clear()
             res = solve_optimal_assignment(inst, payments=fixed)
             assert runs == [] and priced == [m], (seed, runs, priced)
-            den, weights = solver._pair_weights(inst, fixed)
+            den, weights = market._pair_weights(inst, fixed)
             match = [index[res.assignment.vehicle_of(t.id)] for t in inst.travelers]
-            y, z = oracles.bellman_ford_dual(solver._rows(inst, weights), cap, match)
+            y, z = oracles.bellman_ford_dual(market._rows(inst, weights), cap, match)
             assert res.dual_certificate == allocation.DualCertificate(
                 y={t.id: F(value, den) for t, value in zip(inst.travelers, y)},
                 z={v.id: F(price, den) for v, price in zip(inst.vehicles, z)},
