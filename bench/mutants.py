@@ -207,6 +207,32 @@ MUTANTS = (
          "tests/test_solver.py::test_tie_rule_matches_the_one_stage_charnes_matching"),
     ),
     Mutant(
+        "sink_reached_without_a_free_seat",
+        "solver.py",
+        "if room[j] and here - sink_pot < bound:",
+        "if here - sink_pot < bound:",
+        "only a vehicle with a free seat has an edge to the sink",
+        ("tests/test_solver.py::test_shortest_augmenting_paths_hand_cases",
+         "tests/test_solver.py::test_tie_rule_at_scale"),
+    ),
+    Mutant(
+        "run_settles_ties_at_the_bound",
+        "solver.py",
+        "if d >= bound:",
+        "if d > bound:",
+        "a vehicle keyed at the best path's reduced cost shortens no path: the run stops before it",
+        ("tests/test_solver.py::test_shortest_augmenting_paths_hand_cases",),
+    ),
+    Mutant(
+        "seat_price_run_stops_at_a_free_seat",
+        "solver.py",
+        "_dijkstra(adj, [0] * len(cap), riders,",
+        "_dijkstra(adj, [c - len(r) for c, r in zip(cap, riders)], riders,",
+        "the seat prices' sink is the merged node, settled first: the run reaches every vehicle",
+        ("tests/test_solver.py::test_tie_rule_matches_the_one_stage_charnes_matching",
+         "tests/test_solver.py::test_seat_prices_are_the_value_of_one_more_seat"),
+    ),
+    Mutant(
         "certificate_takes_unknown_ids",
         "allocation.py",
         "        for key in entries:\n            if key not in ids:\n",
@@ -524,6 +550,14 @@ MUTANTS = (
         "if mu < 0 if rel == LE else mu > 0:",
         "if False:",
         "a multiplier of the wrong sign flips its row's inequality",
+        ("tests/test_allocation.py::test_farkas_check_rejects_broken_multipliers",),
+    ),
+    Mutant(
+        "farkas_takes_floats",
+        "allocation.py",
+        "if type(mu) not in (int, Fraction):",
+        "if type(mu) not in (int, float, Fraction):",
+        "a float's rounding may cancel a coefficient that the exact sum leaves negative",
         ("tests/test_allocation.py::test_farkas_check_rejects_broken_multipliers",),
     ),
     # -- money intake and its views

@@ -506,12 +506,16 @@ def verify_farkas_certificate(rows, certificate):
     into a componentwise-nonnegative vector and the right-hand sides into
     a negative number, which with ``x >= 0`` reads ``0 <= negative``.
     Raises :class:`CertificateError` naming the first failed condition.
+    A multiplier must be an ``int`` or a ``Fraction``: a float's rounding
+    may cancel a coefficient that the exact sum leaves negative.
     """
     if len(certificate) != len(rows):
         raise CertificateError(f"synthesis: {len(certificate)} multipliers for {len(rows)} rows")
     combined = {}
     total = 0
     for k, mu in enumerate(certificate):
+        if type(mu) not in (int, Fraction):
+            raise CertificateError(f"synthesis: multiplier on row {k} is a {type(mu).__name__}")
         if not mu:
             continue
         plus, minus, rel, rhs = rows[k]

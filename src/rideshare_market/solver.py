@@ -6,17 +6,17 @@ the money; a ``Fraction`` is made only for a result.
 
 1. :func:`shortest_augmenting_paths` finds an optimum by successive shortest
    augmenting paths (Tomizawa 1971; Edmonds & Karp 1972): one Dijkstra run
-   per augmentation over the vehicles, travelers folded into the edges.
-   Tentative distances are kept in unreduced costs and the heap is keyed by
-   reduced costs, which vehicle potentials keep non-negative, so each
-   scanned edge costs one subtraction.  A run stops once a popped key shows
-   that no path of negative cost is left, and none starts once every seat
-   is taken; a path of reduced length 0 through one traveler is taken
-   without a run.
+   per augmentation over the vehicles, travelers folded into the edges, in
+   the loop :func:`_dijkstra` that step 2 runs too.  Tentative distances
+   are kept in unreduced costs and the heap is keyed by reduced costs,
+   which vehicle potentials keep non-negative, so each scanned edge costs
+   one subtraction.  A run stops once a popped key shows that no path of
+   negative cost is left, and none starts once every seat is taken; a
+   path of reduced length 0 through one traveler is taken without a run.
 2. :func:`seat_prices` gives each vehicle its least seat price from the
    rows, the seats, stage 1's optimum and its final potentials: one more
-   Dijkstra run.  Any optimum will do, with potentials feasible for its
-   residual graph.
+   run, with no free seat and no bound.  Any optimum will do, with
+   potentials feasible for its residual graph.
 3. :func:`first_optimum` applies the tie rule from the rows, the seats,
    any optimum and those prices: a greedy over the tight pairs, in
    vehicle indices and seat counts alone.
@@ -38,6 +38,7 @@ in one matching over Charnes' lexicographically perturbed weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -77,6 +78,38 @@ class ShortestPaths(NamedTuple):
     #: the vehicles' final potentials: every residual edge between two
     #: vehicles has a nonnegative reduced cost under them
     pot: list
+
+
+def _dijkstra(adj, room, riders, pot, dist, pred, heap, bound, sink_pot):
+    """The matching's one Dijkstra loop over the vehicles, by the reduced keys
+    ``dist[k] - pot[k]`` seeded in ``heap``: rider ``i`` of ``j`` gives ``j -> k``
+    at ``w_ij - w_ik``, into ``dist`` and ``pred`` in place.  A vehicle with
+    ``room`` reaches the sink at ``dist[j] - sink_pot``, lowering ``bound``, and
+    a key of at least ``bound`` stops the run: ``(done, bound, end, relaxations)``."""
+    done = [False] * len(room)
+    end, relaxations = None, 0
+    while heap:
+        d, j = heappop(heap)
+        if d >= bound:
+            break
+        if done[j]:
+            continue
+        done[j] = True
+        here = dist[j]
+        if room[j] and here - sink_pot < bound:
+            bound, end = here - sink_pot, j
+        for i in riders[j]:
+            row = adj[i]
+            out = here + row[j]
+            for k, w in row.items():
+                if done[k]:  # j's own too: it is settled
+                    continue
+                nd = out - w
+                if dist[k] is None or nd < dist[k]:
+                    dist[k], pred[k] = nd, (j, i)
+                    heappush(heap, (nd - pot[k], k))
+                    relaxations += 1
+    return done, bound, end, relaxations
 
 
 def shortest_augmenting_paths(adj, cap) -> ShortestPaths:
@@ -133,6 +166,7 @@ def shortest_augmenting_paths(adj, cap) -> ShortestPaths:
     sink_pot = min(pot, default=0)
     match = [None] * len(adj)
     riders = [[] for _ in cap]
+    room = list(cap)  # free seats
     augmentations = relaxations = shortcuts = 0
     seats = sum(cap)  # each augmentation fills one
     while seats:
@@ -142,7 +176,7 @@ def shortest_augmenting_paths(adj, cap) -> ShortestPaths:
             if pot[k] != sink_pot or sink_pot >= 0:
                 continue
             h = head[k]
-            while len(riders[k]) < cap[k]:
+            while room[k]:
                 while h < len(queue) and match[queue[h][1]] is not None:
                     h += 1
                 if h == len(queue) or queue[h][0] != pot[k]:
@@ -150,6 +184,7 @@ def shortest_augmenting_paths(adj, cap) -> ShortestPaths:
                 i = queue[h][1]
                 match[i] = k
                 riders[k].append(i)
+                room[k] -= 1
                 seats -= 1
                 shortcuts += 1
             head[k] = h
@@ -157,7 +192,6 @@ def shortest_augmenting_paths(adj, cap) -> ShortestPaths:
             break
         # dist holds unreduced distances, the heap their reduced keys
         dist = [None] * len(cap)
-        done = [False] * len(cap)
         pred = [None] * len(cap)  # (previous vehicle or None, traveler moved)
         heap = []
         for k, queue in enumerate(options):
@@ -170,31 +204,12 @@ def shortest_augmenting_paths(adj, cap) -> ShortestPaths:
                 dist[k], pred[k] = cost, (None, i)
                 heap.append((cost - pot[k], k))
         heapify(heap)
-        # the sink's reduced distance must stay below bound: -sink_pot for a
-        # path of negative cost, then the best path's, whose last vehicle is end
-        bound = -sink_pot
-        end = None
-        while heap:
-            d, j = heappop(heap)
-            if d >= bound:
-                break
-            if done[j]:
-                continue
-            done[j] = True
-            here = dist[j]
-            if len(riders[j]) < cap[j] and here - sink_pot < bound:
-                bound, end = here - sink_pot, j
-            for i in riders[j]:
-                row = adj[i]
-                out = here + row[j]
-                for k, w in row.items():
-                    if done[k]:  # j's own too: it is settled
-                        continue
-                    nd = out - w
-                    if dist[k] is None or nd < dist[k]:
-                        dist[k], pred[k] = nd, (j, i)
-                        heappush(heap, (nd - pot[k], k))
-                        relaxations += 1
+        # the sink's reduced distance must stay below -sink_pot for a path of
+        # negative cost, then the best path's, whose last vehicle is end
+        done, bound, end, relaxed = _dijkstra(
+            adj, room, riders, pot, dist, pred, heap, -sink_pot, sink_pot
+        )
+        relaxations += relaxed
         if end is None:
             break
         # settled vehicles rise to their distance, the others by the sink's
@@ -212,6 +227,7 @@ def shortest_augmenting_paths(adj, cap) -> ShortestPaths:
             if j is not None:
                 riders[j].remove(i)
             k = j
+        room[end] -= 1
         augmentations += 1
         seats -= 1
     return ShortestPaths(match, augmentations + shortcuts, relaxations, shortcuts, pot)
@@ -226,11 +242,11 @@ def seat_prices(adj, cap, match, pot) -> list:
 
     That node reaches each vehicle at 0 when it has a rider, and at the
     least ``-w`` over the unassigned travelers' rows; rider ``i`` of ``j``
-    gives ``j -> k`` at ``w_ij - w_ik``.  The heap is keyed by the reduced
-    ``dist[k] - pot[k]``.  At an optimum no path from the merged node
-    re-enters it at a negative cost, so the distances are those of the
-    whole residual graph, and the price is ``z_j = max(0, -dist[j])``, 0 on
-    a vehicle it never reaches."""
+    gives ``j -> k`` at ``w_ij - w_ik``.  The merged node, the run's sink, is
+    settled first, so :func:`_dijkstra` runs with no free seat and no bound.
+    At an optimum no path from the merged node re-enters it at a negative
+    cost, so the distances are those of the whole residual graph, and the
+    price is ``z_j = max(0, -dist[j])``, 0 on a vehicle it never reaches."""
     riders = [[] for _ in cap]
     for i, j in enumerate(match):
         if j is not None:
@@ -243,23 +259,7 @@ def seat_prices(adj, cap, match, pot) -> list:
                     dist[k] = -w
     heap = [(d - pot[k], k) for k, d in enumerate(dist) if d is not None]
     heapify(heap)
-    done = [False] * len(cap)
-    while heap:
-        _, j = heappop(heap)
-        if done[j]:
-            continue
-        done[j] = True
-        here = dist[j]
-        for i in riders[j]:
-            row = adj[i]
-            out = here + row[j]
-            for k, w in row.items():
-                if done[k]:
-                    continue
-                nd = out - w
-                if dist[k] is None or nd < dist[k]:
-                    dist[k] = nd
-                    heappush(heap, (nd - pot[k], k))
+    _dijkstra(adj, [0] * len(cap), riders, pot, dist, [None] * len(cap), heap, math.inf, 0)
     return [0 if d is None or d > 0 else -d for d in dist]
 
 

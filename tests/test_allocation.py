@@ -517,6 +517,17 @@ def test_farkas_check_rejects_broken_multipliers(canonical):
     for broken in ((0, -1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 0)):
         with pytest.raises(CertificateError, match="no contradiction"):
             verify_farkas_certificate(res.rows, broken)
+    # b >= 2, -b <= 1 and b <= -2: in floats b's coefficients sum to
+    # exactly 0, but the same values as exact Fractions leave it negative
+    rows = [(None, "b", "<=", -2), (None, "b", "<=", 1), ("b", None, "<=", -2)]
+    with pytest.raises(CertificateError, match="no contradiction"):
+        verify_farkas_certificate(rows, [F(0.6), F(0.1), F(0.7)])
+    with pytest.raises(CertificateError, match="multiplier on row 0 is a float"):
+        verify_farkas_certificate(rows, [0.6, 0.1, 0.7])
+    # a zero is checked too, and a bool is an int to Python but no amount
+    for inexact, kind in (((0.0, 0, 0, 0, -1), "float"), ((False, 0, 0, 0, -1), "bool")):
+        with pytest.raises(CertificateError, match=f"multiplier on row 0 is a {kind}"):
+            verify_farkas_certificate(res.rows, inexact)
 
 
 def test_farkas_check_needs_one_multiplier_per_row(canonical):

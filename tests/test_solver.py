@@ -517,6 +517,10 @@ def test_tie_rule_where_a_seated_traveler_may_leave(seed, n, m, degenerate):
         # T0 takes V0 by the shortcut, a run seats T1 on V1 and lowers the
         # sink to V1's potential, and T2 takes V1's last seat by the shortcut
         ([{0: 3}, {0: 3, 1: 2}, {1: 2}], [1, 2], ([0, 1, 1], 3, 0, 2, [-3, -2])),
+        # T1 takes V1 by the shortcut; T0's run finds V0's free seat at
+        # reduced cost 2 and stops at V1's key, also 2, so V1 stays
+        # unsettled and nothing is relaxed through its rider
+        ([{0: 1, 1: 1}, {1: 3, 2: 1}], [1, 1, 1], ([0, 1], 2, 0, 1, [-1, -1, 1])),
     ],
     ids=[
         "rider-moves-between-vehicles",
@@ -526,6 +530,7 @@ def test_tie_rule_where_a_seated_traveler_may_leave(seed, n, m, degenerate):
         "every-seat-filled",
         "free-seat-path-costs-zero",
         "shortcut-after-a-run",
+        "run-stops-at-a-key-equal-to-the-bound",
     ],
 )
 def test_shortest_augmenting_paths_hand_cases(adj, cap, expected):
@@ -575,6 +580,32 @@ def test_first_optimum_from_any_optimum():
         assert first == [index[argmax[0].mapping[tid]] for tid in travelers], s
         assert first_optimum(adj, cap, first, z)[::2] == (first, 0), s
     assert (tied, starts) == (29, 3890)
+
+
+@pytest.mark.filterwarnings("ignore:market has fewer travelers")
+def test_seat_prices_are_the_value_of_one_more_seat():
+    """Each vehicle's least seat price is what one more seat on it adds to
+    the optimum, ``z_j == w(cap + e_j) - w(cap)`` (Demange, Gale &
+    Sotomayor 1986), with ``w`` a cold stage-1 solve's objective: an oracle
+    that shares no run with :func:`seat_prices`.  On the 600 markets of
+    :func:`_oracle_markets`' grid, 1,772 vehicles."""
+
+    def value(adj, cap):
+        match = shortest_augmenting_paths(adj, cap).match
+        return sum(row[j] for row, j in zip(adj, match) if j is not None)
+
+    vehicles = 0
+    for s in range(600):
+        inst = generate_instance(s, s % 13 + 1, (s // 13) % 5 + 1, degenerate=s % 2 == 1)
+        cap = [v.capacity for v in inst.vehicles]
+        adj = _rows(inst, _pair_weights(inst)[1])
+        paths = shortest_augmenting_paths(adj, cap)
+        z = seat_prices(adj, cap, paths.match, paths.pot)
+        base = value(adj, cap)
+        for j in range(len(cap)):
+            assert z[j] == value(adj, [c + (k == j) for k, c in enumerate(cap)]) - base, (s, j)
+        vehicles += len(cap)
+    assert vehicles == 1772
 
 
 def test_perturbed_leaves_nonpositive_pairs_out(canonical):

@@ -429,6 +429,26 @@ def test_payment_layer_does_not_import_the_matching():
         assert name not in defined and getattr(solver, name) is getattr(market, name), name
 
 
+def test_the_matching_has_one_dijkstra_loop():
+    """``solver.py`` keeps one Dijkstra loop: exactly one function calls
+    ``heappop``, by name or as ``heapq.heappop``, and stage 1 and the seat
+    prices both call that function."""
+    tree = ast.parse(Path(solver.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def calls(function):
+        return {
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+        }
+
+    popping = [name for name, node in functions.items() if "heappop" in calls(node)]
+    assert len(popping) == 1, popping
+    for caller in ("shortest_augmenting_paths", "seat_prices"):
+        assert popping[0] in calls(functions[caller]), caller
+
+
 def test_stability_rows_and_classic_check_look_up_each_traveler_once(monkeypatch):
     """The stability builder and the classic-core checker walk the pair
     table once, each traveler's pairs together: each looks up the vehicle
